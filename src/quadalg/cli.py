@@ -250,14 +250,24 @@ def _cmd_ideal2form(args) -> str:
     return _dump(render_form(picard.ideal_to_form(ideal)))
 
 
-def _parse_glue_payload(data: dict):
-    cover = glue.PrincipalCover(data["cover"])
+def _parse_glue_payload(data):
+    """Read {"cover": [...], "cocycle": {"i,j": ...}, "data": {"d": [...], "p": [...]}}."""
+    if not isinstance(data, dict):
+        raise ValueError("glue payload must be a JSON object")
+    opens, entries, payload = data.get("cover"), data.get("cocycle"), data.get("data")
+    if not isinstance(opens, list) or not all(isinstance(f, (int, str)) for f in opens):
+        raise ValueError("'cover' must be a list of integers")
+    if not isinstance(entries, dict):
+        raise ValueError("'cocycle' must be an object keyed by 'i,j'")
+    if not (isinstance(payload, dict) and isinstance(payload.get("d"), list)
+            and isinstance(payload.get("p"), list)):
+        raise ValueError("'data' must be an object with lists 'd' and 'p'")
+    cover = glue.PrincipalCover(opens)
     eps = {}
-    for key, value in data["cocycle"].items():
+    for key, value in entries.items():
         i, j = (int(t) for t in key.split(","))
         eps[(i - 1, j - 1)] = glue._as_fraction(value)  # 1-based keys in JSON
     cocycle = glue.LineBundleCocycle(cover, eps)
-    payload = data["data"]
     return cover, cocycle, glue.GluedTypeData(payload["d"], payload["p"])
 
 

@@ -16,7 +16,7 @@ from .errors import (
     SingularMatrix,
     UnsupportedRing,
 )
-from .ring import IntegerRing, Ring, RingElement, TableRing, xgcd
+from .ring import IntegerRing, Ring, RingElement, TableRing, hnf, standard_basis
 
 NaturalType = AlgebraType  # same (discriminant, parity) shape, shared class
 
@@ -140,33 +140,6 @@ def natural_type(q: TwistedForm) -> NaturalType:
     return NaturalType(q.discriminant(), q.ring.mod2(q.b))
 
 
-def _lattice_is_full(rows: list[list[int]], n: int) -> bool:
-    """True when the integer row span equals Z^n (unit index)."""
-    mat = [row[:] for row in rows]
-    r = 0
-    det = 1
-    for col in range(n):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                if piv is None:
-                    piv = i
-                    continue
-                g, u, v = xgcd(mat[piv][col], mat[i][col])
-                a, b = mat[piv][col] // g, mat[i][col] // g
-                rp, ri = mat[piv], mat[i]
-                mat[piv] = [u * x + v * y for x, y in zip(rp, ri)]
-                mat[i] = [a * y - b * x for x, y in zip(rp, ri)]
-        if piv is None:
-            return False  # rank deficient
-        mat[r], mat[piv] = mat[piv], mat[r]
-        det *= abs(mat[r][col])
-        r += 1
-        if r == len(mat):
-            break
-    return r == n and det == 1
-
-
 def is_primitive(q: TwistedForm) -> bool:
     """Whether a, b, c generate the unit ideal."""
     ring = q.ring
@@ -174,13 +147,10 @@ def is_primitive(q: TwistedForm) -> bool:
         a, b, c = q.int_coefficients()
         return gcd(gcd(a, b), c) == 1
     if isinstance(ring, TableRing):
-        n = ring.rank
-        rows = []
-        for g in (q.a, q.b, q.c):
-            for i in range(n):
-                ei = tuple(1 if t == i else 0 for t in range(n))
-                rows.append(list(ring._mul_coords(g.coords, ei)))
-        return _lattice_is_full(rows, n)
+        # aR + bR + cR = R exactly when the products g*e_i span Z^n
+        basis = standard_basis(ring.rank)
+        rows = [ring._mul_coords(g.coords, e) for g in (q.a, q.b, q.c) for e in basis]
+        return hnf(rows) == [list(e) for e in basis]
     raise UnsupportedRing(f"primitivity is not decided over {ring!r}")
 
 

@@ -24,8 +24,11 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot read {x!r} as a rational number")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise ValueError(f"cannot read {x!r} as a rational number")
 
 
 def _in_ring(ring: Ring, value: Fraction) -> bool:

@@ -18,7 +18,7 @@ from .errors import (
     ZeroLeadingCoefficient,
 )
 from .forms import TwistedForm, is_primitive, principal_form, reduce_posdef
-from .ring import IntegerRing, xgcd
+from .ring import IntegerRing, hnf
 
 _Z = IntegerRing()
 
@@ -84,34 +84,6 @@ def order_from_type(delta: int, pitilde: int) -> QuadraticOrder:
     return QuadraticOrder(delta, pitilde)
 
 
-def _hnf_pairs(pairs: list[Pair]) -> tuple[int, int, int]:
-    """HNF (a, b, c) of a full lattice: basis (a, b + c*omega), 0 <= b < a."""
-    v = (0, 0)
-    for p in pairs:
-        if p[1] == 0:
-            continue
-        if v[1] == 0:
-            v = p
-            continue
-        g, s, t = xgcd(v[1], p[1])
-        v = (s * v[0] + t * p[0], g)
-    c = v[1]
-    if c < 0:
-        v = (-v[0], -c)
-        c = -c
-    a = 0
-    for p in pairs:
-        if c:
-            x = p[0] - (p[1] // c) * v[0]
-        else:
-            x = p[0]
-        a = gcd(a, x)
-    if a == 0 or c == 0:
-        raise ValueError("generators do not span a full lattice")
-    b = v[0] % a
-    return a, b, c
-
-
 class OrderIdeal:
     """Full ideal with Z-basis (a, b + c*omega): hnf = [[a, b], [0, c]].
 
@@ -143,7 +115,11 @@ class OrderIdeal:
 
     @classmethod
     def from_lattice(cls, order: QuadraticOrder, pairs: list[Pair]) -> OrderIdeal:
-        a, b, c = _hnf_pairs(pairs)
+        # rows (x1, x0) have HNF [[c, b], [0, a]]: basis b + c*omega and a
+        rows = hnf([(x1, x0) for x0, x1 in pairs])
+        if len(rows) != 2:
+            raise ValueError("generators do not span a full lattice")
+        (c, b), (_, a) = rows
         return cls(order, a, b, c)
 
     @classmethod

@@ -4,12 +4,18 @@ Four kinds of ring are available: the integers, integer table rings (free
 Z-modules with a structure-constant multiplication), finite quotients of
 those, and localizations Z[1/f].  All elements are kept in canonical form
 so that equality doubles as the test oracle.
+
+Every integer-lattice question (identity and quotients in table and quotient
+rings, unit index in primitivity tests, HNF ideals of quadratic orders) goes
+through one routine: the Hermite normal form kernel ``hnf`` and the integer
+solver ``solve_int`` built on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import (
@@ -45,62 +51,70 @@ def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows*x = rhs over Q, or None if inconsistent.
+def hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form of the integer row span of rows.
 
-    Free variables are set to zero; callers verify the solution in-ring.
+    Returns the nonzero rows, one per pivot: pivot columns strictly increase,
+    each pivot is positive, and the entries above it lie in [0, pivot).  The
+    rows form the canonical Z-basis of the lattice the input rows span
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2).
     """
-    m = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    nrows, ncols = len(m), len(rows[0])
-    pivots = []
+    mat = [list(row) for row in rows]
+    ncols = len(mat[0]) if mat else 0
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(mat)):
+            x = mat[i][col]
+            if not x:
+                continue
+            if piv is None:
+                piv = i
+                continue
+            # unimodular combination: gcd into the pivot row, zero into row i
+            p, q = mat[piv], mat[i]
+            g, u, v = xgcd(p[col], x)
+            a, b = p[col] // g, x // g
+            mat[piv] = [u * s + v * t for s, t in zip(p, q)]
+            mat[i] = [a * t - b * s for s, t in zip(p, q)]
+        if piv is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [e * inv for e in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [e - f * p for e, p in zip(m[i], m[r])]
-        pivots.append(c)
+        mat[r], mat[piv] = mat[piv], mat[r]
+        row = mat[r]
+        if row[col] < 0:
+            row = mat[r] = [-t for t in row]
+        for i in range(r):
+            f = mat[i][col] // row[col]
+            if f:
+                mat[i] = [s - f * t for s, t in zip(mat[i], row)]
         r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x
+    return mat[:r]
 
 
-def _det_int(mat: list[list[int]]) -> int:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _det_int(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+def solve_int(gens: list[tuple[int, ...]], target: tuple[int, ...]) -> list[int] | None:
+    """Integer x with sum(x_i * gens_i) == target, or None when none exists.
+
+    Each generator row carries an identity block, so every HNF row records
+    its combination of the generators.
+    """
+    n, k = len(target), len(gens)
+    basis = hnf([list(g) + list(e) for g, e in zip(gens, standard_basis(k))])
+    rest = list(target)
+    x = [0] * k
+    for row in basis:
+        col = next(c for c, e in enumerate(row) if e)
+        if col >= n:
+            break  # kernel rows: nothing left to match in the target
+        f = rest[col] // row[col]  # a remainder survives into the final test
+        if f:
+            rest = [t - f * e for t, e in zip(rest, row)]
+            x = [t + f * e for t, e in zip(x, row[n:])]
+    return None if any(rest) else x
 
 
-def _adjugate_int(mat: list[list[int]]) -> list[list[int]]:
-    n = len(mat)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(mat) if k != i]
-            cof = _det_int(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
+def standard_basis(n: int) -> list[tuple[int, ...]]:
+    """Coordinates of e_0, ..., e_{n-1}."""
+    return [tuple(int(t == i) for t in range(n)) for i in range(n)]
 
 
 def _pell_fundamental(n: int) -> tuple[int, int]:
@@ -218,7 +232,11 @@ class Mod2Element:
 
 
 class Ring:
-    """Common interface of the four ring backends."""
+    """Common interface of the four ring backends.
+
+    Rings are immutable once built, so equality and hashing use a frozen
+    copy of the descriptor, taken once on first use.
+    """
 
     kind = "abstract"
     rank: int
@@ -265,13 +283,13 @@ class Ring:
     # -- unit and divisibility structure --------------------------------------
 
     def try_inverse(self, x: RingElement) -> RingElement | None:
-        raise NotImplementedError
+        return self.try_divide(self.one, self.coerce(x))
 
     def is_unit(self, x: RingElement) -> bool:
         return self.try_inverse(self.coerce(x)) is not None
 
     def try_divide(self, p: RingElement, q: RingElement) -> RingElement | None:
-        """Some y with q*y = p, or None."""
+        """Some y with q*y = p; None only when no such y exists."""
         raise NotImplementedError
 
     def try_halve(self, x: RingElement) -> RingElement | None:
@@ -344,10 +362,14 @@ class Ring:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ring):
             return NotImplemented
-        return self.descriptor() == other.descriptor()
+        return self is other or self._key == other._key
 
     def __hash__(self):
-        return hash(_freeze(self.descriptor()))
+        return hash(self._key)
+
+    @cached_property
+    def _key(self) -> tuple:
+        return _freeze(self.descriptor())
 
     def __repr__(self):
         return self.describe()
@@ -447,29 +469,30 @@ class TableRing(Ring):
     two_regular = True  # free Z-module: 2x = 0 forces x = 0
 
     def __init__(self, table, one=None, symbols=None):
-        n = len(table)
+        try:
+            tbl = tuple(tuple(tuple(int(c) for c in entry) for entry in row)
+                        for row in table)
+            one = None if one is None else tuple(int(c) for c in one)
+            symbols = tuple(symbols) if symbols else None
+        except TypeError:
+            raise ValueError("the tensor and the identity must be nested lists of "
+                             "integers, the symbols a list") from None
+        n = len(tbl)
         if n < 1:
             raise ValueError("rank must be at least 1")
-        self.rank = n
-        tbl = tuple(tuple(tuple(int(c) for c in table[i][j]) for j in range(n))
-                    for i in range(n))
-        if any(len(tbl[i]) != n or any(len(tbl[i][j]) != n for j in range(n))
-               for i in range(n)):
+        if any(len(row) != n or any(len(entry) != n for entry in row) for row in tbl):
             raise ValueError("structure-constant tensor must be n x n x n")
+        self.rank = n
         self.table = tbl
         for i in range(n):
             for j in range(i + 1, n):
                 if tbl[i][j] != tbl[j][i]:
                     raise NonCommutative(f"e{i}*e{j} != e{j}*e{i}")
         self.one_coords = self._resolve_identity(one)
-        self.symbols = tuple(symbols) if symbols else ("1",) + tuple(
-            f"e{i}" for i in range(1, n))
+        self.symbols = symbols or ("1",) + tuple(f"e{i}" for i in range(1, n))
         if len(self.symbols) != n:
             raise ValueError("need one symbol per basis element")
         self._check_associativity()
-
-    def _basis_mul(self, i: int, j: int) -> tuple[int, ...]:
-        return self.table[i][j]
 
     def _mul_coords(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         n = self.rank
@@ -486,30 +509,26 @@ class TableRing(Ring):
                     out[kk] += f * t[kk]
         return tuple(out)
 
-    def _resolve_identity(self, one) -> tuple[int, ...]:
+    def _resolve_identity(self, e: tuple[int, ...] | None) -> tuple[int, ...]:
         n = self.rank
-        if one is not None:
-            e = tuple(int(c) for c in one)
-        else:
-            # solve sum_i e_i (e_i * e_j) = e_j for all j over Q
-            rows, rhs = [], []
-            for j in range(n):
-                for kk in range(n):
-                    rows.append([Fraction(self.table[i][j][kk]) for i in range(n)])
-                    rhs.append(Fraction(1 if j == kk else 0))
-            sol = _solve_exact(rows, rhs)
-            if sol is None or any(f.denominator != 1 for f in sol):
+        if e is None:
+            # solve sum_i e_i (e_i * e_j) = e_j for all j over Z
+            gens = [tuple(c for row in self.table[i] for c in row) for i in range(n)]
+            target = tuple(int(j == kk) for j in range(n) for kk in range(n))
+            sol = solve_int(gens, target)
+            if sol is None:
                 raise NoIdentity("structure constants admit no identity")
-            e = tuple(int(f) for f in sol)
-        for j in range(n):
-            ej = tuple(1 if t == j else 0 for t in range(n))
+            e = tuple(sol)
+        if len(e) != n:
+            raise ValueError(f"identity needs {n} coordinates")
+        for j, ej in enumerate(standard_basis(n)):
             if self._mul_coords(e, ej) != ej:
                 raise NoIdentity(f"claimed identity fails on e{j}")
         return e
 
     def _check_associativity(self):
         n = self.rank
-        basis = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+        basis = standard_basis(n)
         for i in range(n):
             for j in range(n):
                 ij = self._mul_coords(basis[i], basis[j])
@@ -539,31 +558,14 @@ class TableRing(Ring):
     def _mul(self, x, y):
         return RingElement(self, self._mul_coords(x.coords, y.coords))
 
-    def _mul_matrix(self, x: RingElement) -> list[list[int]]:
-        # column i = coordinates of x * e_i
-        n = self.rank
-        cols = []
-        for i in range(n):
-            ei = tuple(1 if t == i else 0 for t in range(n))
-            cols.append(self._mul_coords(x.coords, ei))
-        return [[cols[i][kk] for i in range(n)] for kk in range(n)]
-
-    def _solve_mul(self, q: RingElement, target: tuple[int, ...]) -> RingElement | None:
-        mat = self._mul_matrix(q)
-        rows = [[Fraction(e) for e in row] for row in mat]
-        rhs = [Fraction(t) for t in target]
-        sol = _solve_exact(rows, rhs)
-        if sol is None or any(f.denominator != 1 for f in sol):
-            return None
-        y = self.element(tuple(int(f) for f in sol))
-        return y if self._mul(q, y).coords == target else None
-
-    def try_inverse(self, x):
-        x = self.coerce(x)
-        return self._solve_mul(x, self.one_coords)
-
     def try_divide(self, p, q):
-        return self._solve_mul(q, p.coords)
+        # q*y = sum_i y_i (q*e_i)
+        gens = [self._mul_coords(q.coords, e) for e in standard_basis(self.rank)]
+        sol = solve_int(gens, p.coords)
+        if sol is None:
+            return None
+        y = self.element(sol)
+        return y if self._mul(q, y) == p else None
 
     def _try_halve(self, x):
         if any(c % 2 for c in x.coords):
@@ -651,28 +653,13 @@ class QuotientRing(Ring):
             return self.element(self.base._mul_coords(x.coords, y.coords))
         return self.element((x.coords[0] * y.coords[0],))
 
-    def try_inverse(self, x):
-        x = self.coerce(x)
-        if isinstance(self.base, IntegerRing):
-            g, u, _ = xgcd(x.coords[0], self.m)
-            return self.element((u,)) if g == 1 else None
-        mat = self.base._mul_matrix(self.base.element(x.coords))
-        d = _det_int(mat) % self.m
-        g, dinv, _ = xgcd(d, self.m)
-        if g != 1:
-            return None
-        adj = _adjugate_int(mat)
-        one = self.base.one_coords
-        y = tuple(dinv * sum(adj[i][j] * one[j] for j in range(self.rank))
-                  for i in range(self.rank))
-        y = self.element(y)
-        return y if self._mul(x, y) == self.one else None
-
     def try_divide(self, p, q):
-        for y in self.enumerate_elements():
-            if self._mul(q, y) == p:
-                return y
-        return None
+        # q*y = p mod m: solve over the lattice spanned by q*e_i and m*e_k
+        basis = standard_basis(self.rank)
+        gens = [self._mul(q, RingElement(self, e)).coords for e in basis]
+        gens += [tuple(self.m * c for c in e) for e in basis]
+        sol = solve_int(gens, p.coords)
+        return None if sol is None else self.element(sol[:self.rank])
 
     def _try_halve(self, x):
         # m odd, so 2 is a unit

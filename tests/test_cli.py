@@ -171,6 +171,15 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2
     code, _, err = invoke(capsys, "table", "--min", "-3", "--max", "-4")
     assert code == 2
+    code, _, err = invoke(capsys, "iso", "--ring", '{"kind":"table","mul":5}',
+                          "--alg1", "r=0,s=1", "--alg2", "r=0,s=1")
+    assert code == 2 and err.startswith("error:")
+    valid = {"cover": [2, 3], "cocycle": {"1,2": "3/2"},
+             "data": {"d": [-99, -44], "p": [1, 0]}}
+    for payload in (dict(valid, cocycle={"1,2": "1/0"}), dict(valid, cocycle={"1,2": 0.5}),
+                    dict(valid, cocycle=["3/2"]), []):
+        code, _, err = invoke(capsys, "glue-check", json.dumps(payload))
+        assert code == 2 and err.startswith("error:")
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadalg.errors import (
     InfiniteRing,
@@ -17,10 +19,12 @@ from quadalg.ring import (
     QuotientRing,
     TableRing,
     construct_ring,
+    hnf,
     quadratic_table_ring,
+    solve_int,
 )
 
-from oracles import pell_scan
+from oracles import lattice_index_minors, pell_scan
 
 Z = IntegerRing()
 ZSQRT8 = quadratic_table_ring(8)
@@ -44,6 +48,14 @@ def test_construct_ring_examples():
 
 
 def test_construct_ring_rejects_bad_tables():
+    for mul in (5, [5], [[5]], [[[1, 0]]], [[[1], [0]]], [[[None]]]):
+        with pytest.raises(ValueError):
+            construct_ring({"kind": "table", "mul": mul})
+    for extra in ({"one": 5}, {"one": [None]}, {"symbols": 5}):
+        with pytest.raises(ValueError):
+            construct_ring({"kind": "table", "mul": [[[1]]], **extra})
+    with pytest.raises(ValueError):
+        TableRing([[(1, 0), (0, 1)], [(0, 1), (2, 0)]], one=(1,))
     with pytest.raises(NonCommutative):
         TableRing([[(1, 0), (0, 1)], [(1, 0), (1, 0)]])
     with pytest.raises(NoIdentity):
@@ -208,3 +220,118 @@ def test_element_json_round_trip():
             assert ring.element_from_json(ring.element_to_json(x)) == x
     rebuilt = construct_ring(ZSQRT8.descriptor())
     assert rebuilt.descriptor() == ZSQRT8.descriptor()
+
+
+# Z^3 in a twisted basis.  q = -3e1 + 2e2 kills 1 + e1 + 2e2, so q*y has many
+# quotients, and a Q-solver that sets free variables to zero can miss them all
+TWISTED_Z3 = TableRing([[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                        [(0, 1, 0), (0, -1, -2), (0, 0, 1)],
+                        [(0, 0, 1), (0, 0, 1), (0, 0, -1)]], one=(1, 0, 0))
+
+
+def test_table_ring_division_is_complete():
+    from quadalg.cli import builtin_ring
+    q, y = TWISTED_Z3.element((0, -3, 2)), TWISTED_Z3.element((1, 2, -1))
+    z = TWISTED_Z3.try_divide(q * y, q)
+    assert z is not None and q * z == q * y
+    rng = random.Random(31)
+    for ring in (TWISTED_Z3, builtin_ring("biquad8")):
+        for _ in range(150):
+            q = ring.element(tuple(rng.randrange(-4, 5) for _ in range(ring.rank)))
+            y = _random_element(rng, ring)
+            z = ring.try_divide(q * y, q)
+            assert z is not None and q * z == q * y
+
+
+def _is_canonical_hnf(rows, ncols):
+    last = -1
+    for r, row in enumerate(rows):
+        if len(row) != ncols or not any(row):
+            return False
+        col = next(c for c, e in enumerate(row) if e)
+        if col <= last or row[col] <= 0:
+            return False
+        if any(not 0 <= rows[i][col] < row[col] for i in range(r)):
+            return False
+        last = col
+    return True
+
+
+def _in_echelon_span(rows, v):
+    v = list(v)
+    for row in rows:
+        col = next(c for c, e in enumerate(row) if e)
+        f, rem = divmod(v[col], row[col])
+        if rem:
+            return False
+        v = [a - f * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+_MATRICES = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_MATRICES)
+def test_hnf_kernel_against_oracles(rows):
+    n = len(rows[0])
+    out = hnf(rows)
+    assert _is_canonical_hnf(out, n)
+    assert all(_in_echelon_span(out, row) for row in rows)
+    index = lattice_index_minors(rows) if len(rows) >= n else 0
+    if index:
+        pivots = 1
+        for r, row in enumerate(out):
+            pivots *= row[r]
+        assert len(out) == n and pivots == index
+    else:
+        assert len(out) < n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_MATRICES, st.data())
+def test_solve_int_multiplies_back(gens, data):
+    n = len(gens[0])
+
+    def combine(x):
+        return tuple(sum(c * g[i] for c, g in zip(x, gens)) for i in range(n))
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=len(gens), max_size=len(gens)))
+    x = solve_int(gens, combine(coeffs))
+    assert x is not None and combine(x) == combine(coeffs)
+    target = tuple(data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n)))
+    x = solve_int(gens, target)
+    assert x is None or combine(x) == target
+    index = lattice_index_minors(gens) if len(gens) >= n else 0
+    if index:
+        # target lies in a full lattice iff adding it keeps the index
+        assert (x is not None) == (lattice_index_minors(gens + [list(target)]) == index)
+
+
+def test_quotient_division_does_not_enumerate(monkeypatch):
+    from quadalg.cli import builtin_ring
+    rings = (ZMOD8, F4, QuotientRing(ZSQRT8, 9), QuotientRing(builtin_ring("biquad8"), 8))
+    multiples = {}
+    for ring in rings[:3]:
+        elems = ring.enumerate_elements()
+        multiples[ring] = {q: {q * y for y in elems} for q in elems}
+
+    def refuse(self):
+        raise AssertionError("division must not enumerate the ring")
+    monkeypatch.setattr(QuotientRing, "enumerate_elements", refuse)
+    for ring in rings[:3]:
+        for q, reachable in multiples[ring].items():
+            inv = ring.try_inverse(q)
+            assert (inv is not None) == (ring.one in reachable)
+            assert inv is None or q * inv == ring.one
+            for p in multiples[ring]:
+                z = ring.try_divide(p, q)
+                assert (z is not None) == (p in reachable)
+                assert z is None or q * z == p
+    rng = random.Random(8)
+    big = rings[3]
+    for _ in range(100):
+        q, y = (big.element(tuple(rng.randrange(8) for _ in range(4))) for _ in range(2))
+        z = big.try_divide(q * y, q)
+        assert z is not None and q * z == q * y
+    assert big.try_inverse(big.element((3, 0, -1, 0))) == big.element((3, 0, 1, 0))
