@@ -309,10 +309,9 @@ def emit_table(min_delta: int, max_delta: int, fmt: str = "csv") -> str:
     for delta in range(min_delta, max_delta + 1):
         if delta % 4 not in (0, 1):
             continue
-        group = picard.class_group(delta)
-        orbits = picard.pic_mod_conjugation(delta)
-        reps = [render_form(q) for q in group.representatives]
-        rows.append((delta, delta % 2, group.h, len(orbits), reps))
+        reps = picard.reduced_triples(delta)
+        picmod = len(picard.conjugation_orbits(reps))
+        rows.append((delta, delta % 2, len(reps), picmod, reps))
     if fmt == "json":
         return _dump([{"delta": d, "pitilde": p, "h": h, "picmod": pm, "reps": r}
                       for d, p, h, pm, r in rows])

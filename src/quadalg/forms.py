@@ -1,6 +1,10 @@
 """Twisted binary quadratic forms [a,b,c] with the GL2xGL1 and twisted GL2
 actions, the natural (discriminant, parity) invariant, primitivity, and
 reduction/equivalence over Z for negative discriminants.
+
+Reduction runs Gauss's algorithm on plain ints (``_gauss_reduce``), tracking
+the witness matrix as four ints; forms and matrices are built only for the
+result.
 """
 
 from __future__ import annotations
@@ -162,48 +166,47 @@ def principal_form(delta: int) -> TwistedForm:
     return TwistedForm.over_z(1, pt, (pt * pt - delta) // 4)
 
 
-def _translate(t: int) -> GL2Matrix:
-    return GL2Matrix(_Z, 1, t, 0, 1)
+def _gauss_reduce(a: int, b: int, c: int) -> tuple[tuple[int, int, int],
+                                                   tuple[int, int, int, int]]:
+    """Gauss reduction of a definite [a,b,c] on plain ints.
+
+    Returns the reduced triple and the entries (alpha, beta, gamma, delta) of
+    a witness W with act_gl2tw(W, [a,b,c]) equal to it.  Each step multiplies
+    W on the right: the flip [[1,0],[0,-1]], a translation [[1,t],[0,1]] or
+    the swap [[0,-1],[1,0]].
+    """
+    al, be, ga, de = 1, 0, 0, 1
+    if a < 0:  # flip: [a,b,c] -> [-a,b,-c]
+        a, c = -a, -c
+        be, de = -be, -de
+    while True:
+        t = (a - b) // (2 * a)  # brings b into (-a, a]
+        if t:
+            b, c = b + 2 * a * t, (a * t + b) * t + c
+            be, de = al * t + be, ga * t + de
+        if a < c or (a == c and b >= 0):
+            return (a, b, c), (al, be, ga, de)
+        a, b, c = c, -b, a  # swap: [a,b,c] -> [c,-b,a]
+        al, be, ga, de = be, -al, de, -ga
 
 
-_SWAP = GL2Matrix(_Z, 0, -1, 1, 0)
-_FLIP = GL2Matrix(_Z, 1, 0, 0, -1)
-
-
-def reduce_posdef_with_witness(q: TwistedForm) -> tuple[TwistedForm, GL2Matrix]:
-    """Reduced representative plus a matrix W with act_gl2tw(W, q) equal to it."""
+def _definite_coefficients(q: TwistedForm) -> tuple[int, int, int]:
     if not isinstance(q.ring, IntegerRing):
         raise UnsupportedRing("reduction is implemented over Z only")
     a, b, c = q.int_coefficients()
     if b * b - 4 * a * c >= 0:
         raise NotDefinite(f"discriminant {b * b - 4 * a * c} is not negative")
-    witness = GL2Matrix.identity(_Z)
-    cur = q
-    if a < 0:
-        cur = act_gl2tw(_FLIP, cur)  # [a,b,c] -> [-a,b,-c]
-        witness = witness * _FLIP
-    while True:
-        a, b, c = cur.int_coefficients()
-        # bring b into (-a, a]
-        t = (a - b) // (2 * a)
-        if t:
-            mv = _translate(t)
-            cur = act_gl2tw(mv, cur)
-            witness = witness * mv
-            a, b, c = cur.int_coefficients()
-        if a > c:
-            cur = act_gl2tw(_SWAP, cur)
-            witness = witness * _SWAP
-            continue
-        if a == c and b < 0:
-            cur = act_gl2tw(_SWAP, cur)
-            witness = witness * _SWAP
-        break
-    return cur, witness
+    return a, b, c
+
+
+def reduce_posdef_with_witness(q: TwistedForm) -> tuple[TwistedForm, GL2Matrix]:
+    """Reduced representative plus a matrix W with act_gl2tw(W, q) equal to it."""
+    reduced, witness = _gauss_reduce(*_definite_coefficients(q))
+    return TwistedForm.over_z(*reduced), GL2Matrix(_Z, *witness)
 
 
 def reduce_posdef(q: TwistedForm) -> TwistedForm:
-    return reduce_posdef_with_witness(q)[0]
+    return TwistedForm.over_z(*_gauss_reduce(*_definite_coefficients(q))[0])
 
 
 def is_reduced(q: TwistedForm) -> bool:

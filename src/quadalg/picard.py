@@ -1,6 +1,11 @@
 """Imaginary quadratic orders over Z, HNF ideal arithmetic, and the explicit
 correspondence between twisted-form classes of a fixed natural type and the
 Picard group of the order.
+
+Reduced forms are enumerated on plain ints by a divisor scan
+(``reduced_triples``): for each admissible b, the divisors a <= sqrt(n) of
+n = (b^2 - delta)/4 give the forms [a, +-b, n/a] (Cohen, A Course in
+Computational Algebraic Number Theory, 5.3).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .errors import (
     TypeMismatch,
     ZeroLeadingCoefficient,
 )
-from .forms import TwistedForm, is_primitive, principal_form, reduce_posdef
+from .forms import TwistedForm, _gauss_reduce, is_primitive, principal_form, reduce_posdef
 from .ring import IntegerRing, hnf
 
 _Z = IntegerRing()
@@ -226,34 +231,41 @@ def is_principal(ideal: OrderIdeal) -> bool:
     return reduce_posdef(ideal_to_form(ideal)) == principal_form(ideal.order.delta)
 
 
-def _form_sort_key(q: TwistedForm):
-    a, b, c = q.int_coefficients()
+Triple = tuple[int, int, int]  # coefficients (a, b, c) of a form over Z
+
+
+def _form_sort_key(t: Triple):
+    a, b, c = t
     return (a, c, abs(b), 0 if b >= 0 else 1)
+
+
+def reduced_triples(delta: int) -> list[Triple]:
+    """Coefficients of all reduced primitive positive-definite forms of
+    discriminant delta, in table order.
+
+    A reduced form has |b| <= a <= c, so 3b^2 <= -delta.  For each such b >= 0
+    the pairs (a, c) are the divisor pairs a <= c of n = (b^2 - delta)/4 with
+    a >= b; (a, -b, c) is reduced too unless b = 0, a = b or a = c.
+    """
+    if delta >= 0 or delta % 4 not in (0, 1):
+        raise InvalidDiscriminant(f"{delta} is not a negative discriminant")
+    out = []
+    for b in range(delta % 2, isqrt(-delta // 3) + 1, 2):
+        n = (b * b - delta) // 4
+        for a in [d for d in range(max(b, 1), isqrt(n) + 1) if not n % d]:
+            c = n // a
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            out.append((a, b, c))
+            if b and a != b and a != c:
+                out.append((a, -b, c))
+    out.sort(key=_form_sort_key)
+    return out
 
 
 def reduced_forms(delta: int) -> list[TwistedForm]:
     """All reduced primitive positive-definite forms of discriminant delta."""
-    if delta >= 0 or delta % 4 not in (0, 1):
-        raise InvalidDiscriminant(f"{delta} is not a negative discriminant")
-    out = []
-    amax = isqrt(-delta // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - delta) % 2:
-                continue
-            num = b * b - delta
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            out.append(TwistedForm.over_z(a, b, c))
-    out.sort(key=_form_sort_key)
-    return out
+    return [TwistedForm.over_z(*t) for t in reduced_triples(delta)]
 
 
 class ClassGroup:
@@ -284,17 +296,22 @@ def class_group(delta: int) -> ClassGroup:
     return ClassGroup(delta)
 
 
-def pic_mod_conjugation(delta: int) -> list[list[TwistedForm]]:
-    """Orbits of the class set under form opposition (conjugation of ideals)."""
-    reps = reduced_forms(delta)
+def conjugation_orbits(triples: list[Triple]) -> list[list[Triple]]:
+    """Orbits of reduced triples under opposition [a,b,c] -> [a,-b,c]."""
     seen = set()
     orbits = []
-    for q in reps:
-        if q in seen:
+    for t in triples:
+        if t in seen:
             continue
-        opp = reduce_posdef(q.opposite())
-        orbit = sorted({q, opp}, key=_form_sort_key)
+        a, b, c = t
+        orbit = sorted({t, _gauss_reduce(a, -b, c)[0]}, key=_form_sort_key)
         seen.update(orbit)
         orbits.append(orbit)
     orbits.sort(key=lambda orb: _form_sort_key(orb[0]))
     return orbits
+
+
+def pic_mod_conjugation(delta: int) -> list[list[TwistedForm]]:
+    """Orbits of the class set under form opposition (conjugation of ideals)."""
+    return [[TwistedForm.over_z(*t) for t in orbit]
+            for orbit in conjugation_orbits(reduced_triples(delta))]

@@ -802,21 +802,42 @@ class LocalizationRing(Ring):
         return f"Z[1/{self.f}]"
 
 
+def _field(descriptor: dict, key: str):
+    if key not in descriptor:
+        raise ValueError(f"{descriptor['kind']} ring descriptor is missing {key!r}")
+    return descriptor[key]
+
+
+def _int_field(descriptor: dict, key: str) -> int:
+    """An integer-valued descriptor entry, given as an int or an integer string."""
+    value = _field(descriptor, key)
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{descriptor['kind']} ring descriptor: {key!r} must be an "
+                     f"integer, got {value!r}")
+
+
 def construct_ring(descriptor: dict) -> Ring:
     """Build a ring handle from its JSON descriptor, verifying the axioms."""
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"ring descriptor must be a JSON object, got {descriptor!r}")
     kind = descriptor.get("kind")
     if kind == "integers":
         return IntegerRing()
     if kind == "table":
-        ring = TableRing(descriptor["mul"], one=descriptor.get("one"),
+        ring = TableRing(_field(descriptor, "mul"), one=descriptor.get("one"),
                          symbols=descriptor.get("symbols"))
-        if "rank" in descriptor and int(descriptor["rank"]) != ring.rank:
+        if "rank" in descriptor and _int_field(descriptor, "rank") != ring.rank:
             raise ValueError("descriptor rank disagrees with the tensor shape")
         return ring
     if kind == "quotient":
-        return QuotientRing(construct_ring(descriptor["base"]), int(descriptor["m"]))
+        return QuotientRing(construct_ring(_field(descriptor, "base")),
+                            _int_field(descriptor, "m"))
     if kind == "localization":
-        return LocalizationRing(int(descriptor["f"]))
+        return LocalizationRing(_int_field(descriptor, "f"))
     raise ValueError(f"unknown ring kind {kind!r}")
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library code paths they are checking: lattice
 indices come from gcds of maximal minors, principality from a norm-equation
-search, automorphism counts from a full map-level search.
+search, automorphism counts from a full map-level search, reduced forms from
+a scan over every (a, b).
 """
 
 from __future__ import annotations
@@ -72,6 +73,30 @@ def principal_by_norm_equation(ideal: OrderIdeal) -> bool:
             if generated == ideal:
                 return True
     return False
+
+
+def reduced_forms_bruteforce(delta: int) -> list[tuple[int, int, int]]:
+    """Reduced primitive forms (a, b, c) of discriminant delta, by trying every
+    a <= sqrt(-delta/3) and every b in (-a, a]; ordered by (a, c, |b|, sign)."""
+    out = []
+    amax = isqrt(-delta // 3)
+    for a in range(1, amax + 1):
+        for b in range(-a + 1, a + 1):
+            if (b - delta) % 2:
+                continue
+            num = b * b - delta
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if a == c and b < 0:
+                continue
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            out.append((a, b, c))
+    out.sort(key=lambda t: (t[0], t[2], abs(t[1]), t[1] < 0))
+    return out
 
 
 def strip_content(ideal: OrderIdeal) -> OrderIdeal:

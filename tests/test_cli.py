@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,19 @@ def test_table_json_format(capsys):
     assert all(row["h"] == 1 for row in rows)
 
 
+def test_table_golden_bytes():
+    # SHA-256 of the printed table, trailing newline included: the output is frozen
+    golden = [
+        ((-3000, -3, "csv"),
+         "edc340ac2e805966756ec5ef39afc519ad9c6eae47c48a3432a45ef08d77f268"),
+        ((-400, -3, "json"),
+         "b2356c585ea75d8e277968b43bdab2a1a57e27483dbec689b83ef23142da2714"),
+    ]
+    for args, digest in golden:
+        out = emit_table(*args) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
 def test_table_invalid_range():
     with pytest.raises(InvalidRange):
         emit_table(-3, -4)
@@ -174,12 +188,38 @@ def test_validation_errors_exit_2(capsys):
     code, _, err = invoke(capsys, "iso", "--ring", '{"kind":"table","mul":5}',
                           "--alg1", "r=0,s=1", "--alg2", "r=0,s=1")
     assert code == 2 and err.startswith("error:")
+    for ring in ('{"kind":"quotient","base":{"kind":"integers"},"m":[2]}',
+                 '{"kind":"localization","f":{"x":1}}'):
+        code, _, err = invoke(capsys, "type", "--ring", ring, "--alg", "r=0,s=1")
+        assert code == 2 and err.startswith("error:")
     valid = {"cover": [2, 3], "cocycle": {"1,2": "3/2"},
              "data": {"d": [-99, -44], "p": [1, 0]}}
     for payload in (dict(valid, cocycle={"1,2": "1/0"}), dict(valid, cocycle={"1,2": 0.5}),
                     dict(valid, cocycle=["3/2"]), []):
         code, _, err = invoke(capsys, "glue-check", json.dumps(payload))
         assert code == 2 and err.startswith("error:")
+
+
+def test_descriptor_errors_name_the_key(capsys):
+    cases = [
+        ({"kind": "quotient", "m": 2}, "quotient ring descriptor is missing 'base'"),
+        ({"kind": "quotient", "base": {"kind": "integers"}},
+         "quotient ring descriptor is missing 'm'"),
+        ({"kind": "localization"}, "localization ring descriptor is missing 'f'"),
+        ({"kind": "table"}, "table ring descriptor is missing 'mul'"),
+        ({"kind": "quotient", "base": {"kind": "integers"}, "m": [2]},
+         "quotient ring descriptor: 'm' must be an integer, got [2]"),
+        ({"kind": "localization", "f": "1/2"},
+         "localization ring descriptor: 'f' must be an integer, got '1/2'"),
+    ]
+    for descriptor, message in cases:
+        code, out, err = invoke(capsys, "type", "--ring", json.dumps(descriptor),
+                                "--alg", "r=0,s=1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    # integers and integer strings are still accepted
+    code, out, _ = invoke(capsys, "type", "--alg", "r=0,s=1", "--ring",
+                          '{"kind":"quotient","base":{"kind":"integers"},"m":"8"}')
+    assert code == 0 and json.loads(out) == {"delta": [4], "parity": [0]}
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadalg.errors import (
     DiscriminantMismatch,
@@ -139,6 +141,21 @@ def test_reduce_posdef_witness_and_reducedness():
         assert is_reduced(reduced)
         assert act_gl2tw(witness, q) == reduced
         checked += 1
+
+
+_BIG = 10**12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, _BIG), st.integers(-_BIG, _BIG), st.integers(1, _BIG),
+       st.sampled_from([1, -1]))
+def test_reduce_posdef_large_coefficients(a, b, c, sign):
+    assume(b * b < 4 * a * c)
+    q = F(sign * a, sign * b, sign * c)  # sign -1: negative definite
+    reduced, witness = reduce_posdef_with_witness(q)
+    assert is_reduced(reduced)
+    assert act_gl2tw(witness, q) == reduced
+    assert reduce_posdef(q) == reduced
 
 
 def test_equivalences():

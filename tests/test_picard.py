@@ -32,7 +32,7 @@ from quadalg.picard import (
 )
 from quadalg.ring import IntegerRing
 
-from oracles import ideal_class_count, principal_by_norm_equation
+from oracles import ideal_class_count, principal_by_norm_equation, reduced_forms_bruteforce
 
 Z = IntegerRing()
 
@@ -179,6 +179,20 @@ def test_pic_mod_conjugation():
     assert orbits == [[F(1, 0, 11)], [F(3, 2, 4), F(3, -2, 4)]]
     assert len(pic_mod_conjugation(-4)) == 1
     assert len(pic_mod_conjugation(-23)) == 2
+
+
+def test_enumeration_matches_bruteforce():
+    deltas = [d for d in range(-3000, -2) if d % 4 in (0, 1)]
+    for delta in deltas + [-1000003, -1000000, -3000011]:
+        want = reduced_forms_bruteforce(delta)
+        assert [q.int_coefficients() for q in reduced_forms(delta)] == want, delta
+        # the orbits partition the reps; q is alone when its opposite reduces to
+        # it, which for a reduced q with b != 0 means [a,-b,c] is not reduced
+        orbits = pic_mod_conjugation(delta)
+        assert sorted(q.int_coefficients() for orbit in orbits for q in orbit) == sorted(want)
+        reduced = set(want)
+        ambiguous = sum(b == 0 or (a, -b, c) not in reduced for a, b, c in want)
+        assert len(orbits) == ambiguous + (len(want) - ambiguous) // 2
 
 
 def test_wood_local_algebra():
