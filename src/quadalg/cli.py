@@ -22,6 +22,7 @@ from .ring import (
     Ring,
     TableRing,
     construct_ring,
+    json_int,
     quadratic_table_ring,
 )
 
@@ -164,10 +165,10 @@ def _cmd_reduce(args) -> str:
 
 
 def _cmd_compose(args) -> str:
-    group = picard.class_group(args.delta)
+    order = picard.QuadraticOrder(args.delta, args.delta % 2)
     z = IntegerRing()
     q1, q2 = parse_form(z, args.form1), parse_form(z, args.form2)
-    return _dump(render_form(group.compose(q1, q2)))
+    return _dump(render_form(picard.compose(order, q1, q2)))
 
 
 def _cmd_classgroup(args) -> str:
@@ -244,10 +245,21 @@ def _cmd_form2ideal(args) -> str:
 
 def _cmd_ideal2form(args) -> str:
     data = json.loads(_read_payload(args))
-    order = picard.order_from_type(int(data["delta"]), int(data["pitilde"]))
+    if not isinstance(data, dict):
+        raise ValueError("ideal payload must be a JSON object")
+    for key in ("delta", "pitilde", "hnf"):
+        if key not in data:
+            raise ValueError(f"ideal payload is missing {key!r}")
     hnf = data["hnf"]
-    ideal = picard.OrderIdeal(order, int(hnf[0][0]), int(hnf[0][1]), int(hnf[1][1]))
-    return _dump(render_form(picard.ideal_to_form(ideal)))
+    if not (isinstance(hnf, list) and len(hnf) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in hnf)):
+        raise ValueError(f"'hnf' must be a 2x2 integer matrix, got {hnf!r}")
+    (a, b), (zero, c) = [[json_int(x, "an 'hnf' entry") for x in row] for row in hnf]
+    if zero:
+        raise ValueError(f"'hnf' must be upper triangular, got {hnf!r}")
+    order = picard.order_from_type(json_int(data["delta"], "'delta'"),
+                                   json_int(data["pitilde"], "'pitilde'"))
+    return _dump(render_form(picard.ideal_to_form(picard.OrderIdeal(order, a, b, c))))
 
 
 def _parse_glue_payload(data):

@@ -6,6 +6,12 @@ Reduced forms are enumerated on plain ints by a divisor scan
 (``reduced_triples``): for each admissible b, the divisors a <= sqrt(n) of
 n = (b^2 - delta)/4 give the forms [a, +-b, n/a] (Cohen, A Course in
 Computational Algebraic Number Theory, 5.3).
+
+Composition (``compose``, ``ClassGroup.compose``) also runs on plain ints, by
+Dirichlet composition followed by Gauss reduction (Cohen, 5.4).  The HNF
+ideal path form_to_ideal -> ideal_mul -> ideal_to_form is the paper's
+bijection with the Picard group; it serves form2ideal, ideal2form and
+is_principal, and the tests use it as the oracle for ``compose``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import (
     ZeroLeadingCoefficient,
 )
 from .forms import TwistedForm, _gauss_reduce, is_primitive, principal_form, reduce_posdef
-from .ring import IntegerRing, hnf
+from .ring import IntegerRing, hnf, xgcd
 
 _Z = IntegerRing()
 
@@ -189,8 +195,8 @@ def is_invertible(ideal: OrderIdeal) -> bool:
     return product == scale_ideal(OrderIdeal.whole_order(ideal.order), ideal_norm(ideal))
 
 
-def form_to_ideal(q: TwistedForm, order: QuadraticOrder) -> OrderIdeal:
-    """[a,b,c] -> <a, omega + (pitilde - b)/2>, an invertible ideal of norm |a|."""
+def _checked_coefficients(q: TwistedForm, order: QuadraticOrder) -> tuple[int, int, int]:
+    """(a, b, c) of a primitive q with a != 0 whose natural type is order's."""
     if not is_primitive(q):
         raise NotPrimitive(f"{q!r} is not primitive")
     a, b, c = q.int_coefficients()
@@ -198,6 +204,12 @@ def form_to_ideal(q: TwistedForm, order: QuadraticOrder) -> OrderIdeal:
         raise ZeroLeadingCoefficient("move to an equivalent form with a != 0 first")
     if b * b - 4 * a * c != order.delta or (b - order.pitilde) % 2 != 0:
         raise TypeMismatch(f"natural type of {q!r} does not match {order!r}")
+    return a, b, c
+
+
+def form_to_ideal(q: TwistedForm, order: QuadraticOrder) -> OrderIdeal:
+    """[a,b,c] -> <a, omega + (pitilde - b)/2>, an invertible ideal of norm |a|."""
+    a, b, _ = _checked_coefficients(q, order)
     g = ((order.pitilde - b) // 2, 1)
     return OrderIdeal.from_generators(order, [(a, 0), g])
 
@@ -218,6 +230,25 @@ def ideal_to_form(ideal: OrderIdeal) -> TwistedForm:
     b = -order.trace(order.mul(u, order.conj(v))) // n
     c = order.norm(v) // n
     return TwistedForm.over_z(a, b, c)
+
+
+def compose(order: QuadraticOrder, q1: TwistedForm, q2: TwistedForm) -> TwistedForm:
+    """Reduced form of the class of q1 * q2, by Dirichlet composition on ints.
+
+    Runs the checks of form_to_ideal on q1, then q2, and agrees with
+    reduce_posdef(ideal_to_form(ideal_mul(form_to_ideal(q1), form_to_ideal(q2)))).
+    A negative-definite [a,b,c] enters as [-a,b,-c]: <a, g> = <-a, g>.
+    """
+    a1, b1, _ = _checked_coefficients(q1, order)
+    a2, b2, _ = _checked_coefficients(q2, order)
+    a1, a2 = abs(a1), abs(a2)
+    delta = order.delta
+    g, x, y = xgcd(a1, a2)
+    e, z, w = xgcd(g, (b1 + b2) // 2)
+    a3 = a1 * a2 // (e * e)
+    b3 = (z * (x * a1 * b2 + y * a2 * b1) + w * ((b1 * b2 + delta) // 2)) // e % (2 * a3)
+    c3 = (b3 * b3 - delta) // (4 * a3)
+    return TwistedForm.over_z(*_gauss_reduce(a3, b3, c3)[0])
 
 
 def wood_local_algebra(q: TwistedForm) -> FreeQuadraticAlgebra:
@@ -270,7 +301,7 @@ def reduced_forms(delta: int) -> list[TwistedForm]:
 
 class ClassGroup:
     """Reduced representatives of the form class group of a discriminant,
-    composed through the ideal correspondence."""
+    composed on ints by ``compose``."""
 
     __slots__ = ("delta", "order", "representatives", "h")
 
@@ -281,9 +312,7 @@ class ClassGroup:
         self.h = len(self.representatives)
 
     def compose(self, q1: TwistedForm, q2: TwistedForm) -> TwistedForm:
-        product = ideal_mul(form_to_ideal(q1, self.order),
-                            form_to_ideal(q2, self.order))
-        return reduce_posdef(ideal_to_form(product))
+        return compose(self.order, q1, q2)
 
     def identity(self) -> TwistedForm:
         return principal_form(self.delta)

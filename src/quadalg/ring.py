@@ -333,11 +333,12 @@ class Ring:
         return list(x.coords)
 
     def element_from_json(self, data) -> RingElement:
+        """Read an int, a coordinate list or {"coords": [...], "k": n}."""
         if isinstance(data, dict):
-            return self.element(tuple(int(c) for c in data["coords"]), int(data.get("k", 0)))
-        if isinstance(data, int):
-            return self.from_int(data)
-        return self.element(tuple(int(c) for c in data))
+            return self.element(_json_coords(data["coords"]), json_int(data.get("k", 0), "'k'"))
+        if isinstance(data, list):
+            return self.element(_json_coords(data))
+        return self.from_int(json_int(data, "a ring element coordinate"))
 
     def format_element(self, x: RingElement) -> str:
         terms = []
@@ -806,6 +807,19 @@ def _field(descriptor: dict, key: str):
     if key not in descriptor:
         raise ValueError(f"{descriptor['kind']} ring descriptor is missing {key!r}")
     return descriptor[key]
+
+
+def json_int(value, name: str) -> int:
+    """An int read from JSON; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_coords(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"ring element coordinates must be a list, got {value!r}")
+    return tuple(json_int(c, "a ring element coordinate") for c in value)
 
 
 def _int_field(descriptor: dict, key: str) -> int:

@@ -3,7 +3,7 @@
 These deliberately avoid the library code paths they are checking: lattice
 indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
-a scan over every (a, b).
+a scan over every (a, b), composition from the HNF ideal product.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt
 
+from quadalg.forms import TwistedForm, reduce_posdef
 from quadalg.picard import (
     OrderIdeal,
     QuadraticOrder,
@@ -18,6 +19,7 @@ from quadalg.picard import (
     form_to_ideal,
     ideal_mul,
     ideal_norm,
+    ideal_to_form,
     reduced_forms,
 )
 
@@ -97,6 +99,13 @@ def reduced_forms_bruteforce(delta: int) -> list[tuple[int, int, int]]:
             out.append((a, b, c))
     out.sort(key=lambda t: (t[0], t[2], abs(t[1]), t[1] < 0))
     return out
+
+
+def compose_via_ideals(order: QuadraticOrder, q1: TwistedForm,
+                       q2: TwistedForm) -> TwistedForm:
+    """q1 * q2 through the Picard group: form -> ideal, ideal product, norm form."""
+    product = ideal_mul(form_to_ideal(q1, order), form_to_ideal(q2, order))
+    return reduce_posdef(ideal_to_form(product))
 
 
 def strip_content(ideal: OrderIdeal) -> OrderIdeal:

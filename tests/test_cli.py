@@ -192,12 +192,37 @@ def test_validation_errors_exit_2(capsys):
                  '{"kind":"localization","f":{"x":1}}'):
         code, _, err = invoke(capsys, "type", "--ring", ring, "--alg", "r=0,s=1")
         assert code == 2 and err.startswith("error:")
+    for command, payload, message in [
+        ("ideal2form", '{"delta":[1],"pitilde":0,"hnf":[[1,0],[0,1]]}',
+         "'delta' must be an integer, got [1]"),
+        ("ideal2form", '{"delta":-44,"pitilde":0,"hnf":5}',
+         "'hnf' must be a 2x2 integer matrix, got 5"),
+        ("ideal2form", '{"delta":-44,"pitilde":0}', "ideal payload is missing 'hnf'"),
+        ("ideal2form", '{"delta":-44,"pitilde":0,"hnf":[[1,0],[1,1]]}',
+         "'hnf' must be upper triangular, got [[1, 0], [1, 1]]"),
+        ("ideal2form", "[]", "ideal payload must be a JSON object"),
+        ("reduce", "[1.5,0,1]", "a ring element coordinate must be an integer, got 1.5"),
+        ("reduce", "[true,0,1]", "a ring element coordinate must be an integer, got True"),
+    ]:
+        assert invoke(capsys, command, payload) == (2, "", f"error: {message}\n")
     valid = {"cover": [2, 3], "cocycle": {"1,2": "3/2"},
              "data": {"d": [-99, -44], "p": [1, 0]}}
     for payload in (dict(valid, cocycle={"1,2": "1/0"}), dict(valid, cocycle={"1,2": 0.5}),
                     dict(valid, cocycle=["3/2"]), []):
         code, _, err = invoke(capsys, "glue-check", json.dumps(payload))
         assert code == 2 and err.startswith("error:")
+
+
+def test_compose_errors(capsys):
+    cases = [
+        (("-44", "[3,2,4]", "[1,1,3]"),
+         "natural type of [1,1,3] does not match QuadraticOrder(delta=-44, pitilde=0)"),
+        (("-44", "[6,4,8]", "[1,0,11]"), "[6,4,8] is not primitive"),
+        (("-6", "[3,2,4]", "[3,2,4]"), "-6 is not a negative discriminant"),
+    ]
+    for (delta, q1, q2), message in cases:
+        code, out, err = invoke(capsys, "compose", "--delta", delta, q1, q2)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_descriptor_errors_name_the_key(capsys):

@@ -1,7 +1,11 @@
 import itertools
 import random
+from functools import cache
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadalg.algebras import FreeQuadraticAlgebra, freeok_iso, type_of
 from quadalg.errors import (
@@ -13,11 +17,19 @@ from quadalg.errors import (
     TypeMismatch,
     ZeroLeadingCoefficient,
 )
-from quadalg.forms import TwistedForm, equivalent_gl2tw, natural_type, reduce_posdef
+from quadalg.forms import (
+    GL2Matrix,
+    TwistedForm,
+    act_gl2tw,
+    equivalent_gl2tw,
+    natural_type,
+    reduce_posdef,
+)
 from quadalg.picard import (
     OrderIdeal,
     QuadraticOrder,
     class_group,
+    compose,
     conjugate,
     form_to_ideal,
     ideal_mul,
@@ -30,9 +42,14 @@ from quadalg.picard import (
     reduced_forms,
     wood_local_algebra,
 )
-from quadalg.ring import IntegerRing
+from quadalg.ring import IntegerRing, xgcd
 
-from oracles import ideal_class_count, principal_by_norm_equation, reduced_forms_bruteforce
+from oracles import (
+    compose_via_ideals,
+    ideal_class_count,
+    principal_by_norm_equation,
+    reduced_forms_bruteforce,
+)
 
 Z = IntegerRing()
 
@@ -150,6 +167,58 @@ def test_group_axioms_exhaustive():
                 assert table[(q1, q2)] == table[(q2, q1)]  # commutativity
         for q1, q2, q3 in itertools.product(reps, repeat=3):
             assert table[(table[(q1, q2)], q3)] == table[(q1, table[(q2, q3)])]
+
+
+def test_compose_matches_ideal_path_exhaustive():
+    for delta in range(-400, -2):
+        if delta % 4 not in (0, 1):
+            continue
+        group = class_group(delta)
+        for q1, q2 in itertools.product(group.representatives, repeat=2):
+            assert group.compose(q1, q2) == compose_via_ideals(group.order, q1, q2), (q1, q2)
+
+
+_cached_group = cache(class_group)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([-1000003, -3000011]), st.integers(0, 10**6), st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-3, 3),
+                          st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+                min_size=2, max_size=2))
+def test_compose_matches_ideal_path_unreduced(delta, i, j, moves):
+    """Reps moved off the reduced domain by GL2(Z) matrices, with (a, c) of
+    random sign, compose the same on the int path and the ideal path."""
+    group = _cached_group(delta)
+    reps = group.representatives
+    forms = []
+    for q, (al, ga, t, det, sign) in zip((reps[i % len(reps)], reps[j % len(reps)]), moves):
+        g = gcd(al, ga)
+        assume(g)
+        al, ga = al // g, ga // g
+        _, u, v = xgcd(al, ga)  # [[al, be], [ga, de]] with al*de - be*ga = 1
+        be, de = -v + t * al, u + t * ga
+        a, b, c = act_gl2tw(GL2Matrix(Z, al, det * be, ga, det * de), q).int_coefficients()
+        forms.append(F(sign * a, b, sign * c))
+    assert compose(group.order, *forms) == compose_via_ideals(group.order, *forms)
+
+
+def test_compose_errors_match_ideal_path():
+    good = F(3, 2, 4)
+    bad = [F(6, 4, 8),     # not primitive
+           F(0, 2, -11),   # a == 0, checked before the discriminant (4)
+           F(0, 1, 3),     # a == 0
+           F(1, 0, 1),     # discriminant -4
+           F(1, 1, 3)]     # discriminant -11 and odd b: the wrong parity for -44
+    cases = [(q, good) for q in bad] + [(good, q) for q in bad]
+    cases += [(q1, q2) for q1 in bad for q2 in bad if q1 is not q2]
+    for q1, q2 in cases:
+        with pytest.raises(Exception) as want:
+            compose_via_ideals(O44, q1, q2)
+        with pytest.raises(want.type) as got:
+            compose(O44, q1, q2)
+        assert str(got.value) == str(want.value), (q1, q2)
+        assert want.type in (NotPrimitive, ZeroLeadingCoefficient, TypeMismatch)
 
 
 def test_cross_count_small():
