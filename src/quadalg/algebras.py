@@ -348,24 +348,26 @@ def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
     return hom if hom.verifies(a, b) else None
 
 
-def _hom_candidates(ring: Ring):
-    units = [u for u in ring.enumerate_elements() if ring.is_unit(u)]
-    return units, ring.enumerate_elements()
+def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
+    """Every hom tau -> u*tau' + v from a to b over a finite ring, u running
+    over ``units`` (default: every unit) and v over every element, in
+    enumeration order."""
+    ring = a.ring
+    elements = ring.enumerate_elements()
+    if units is None:
+        units = [u for u in elements if ring.is_unit(u)]
+    for u in units:
+        for v in elements:
+            hom = AlgebraHom(u, v)
+            if hom.verifies(a, b):
+                yield hom
 
 
 def automorphisms_bruteforce(alg: FreeQuadraticAlgebra) -> list[AlgebraHom]:
     """All ring automorphisms tau -> u*tau + v of a finite-ring algebra."""
-    ring = alg.ring
-    if not ring.is_finite():
+    if not alg.ring.is_finite():
         raise InfiniteRing("brute-force automorphisms need a finite ring")
-    units, elements = _hom_candidates(ring)
-    out = []
-    for u in units:
-        for v in elements:
-            hom = AlgebraHom(u, v)
-            if hom.verifies(alg, alg):
-                out.append(hom)
-    return out
+    return list(_search_homs(alg, alg))
 
 
 def oriented_automorphisms_bruteforce(alg: FreeQuadraticAlgebra,
@@ -377,28 +379,18 @@ def oriented_automorphisms_bruteforce(alg: FreeQuadraticAlgebra,
         return [identity_hom(ring)]
     if not ring.is_finite():
         raise InfiniteRing("need a finite ring when 2 is a zero divisor")
-    out = []
-    for v in ring.enumerate_elements():
-        if (2 * v).is_zero() and (v * (v + alg.r)).is_zero():
-            out.append(AlgebraHom(ring.one, v))
-    return out
+    # with u = 1 the hom equations reduce to 2v = 0 and v(v + r) = 0
+    return list(_search_homs(alg, alg, [ring.one]))
 
 
 def isomorphic_bruteforce(a: FreeQuadraticAlgebra,
                           b: FreeQuadraticAlgebra) -> AlgebraHom | None:
     """First isomorphism a -> b found by exhaustive search over (u, v)."""
-    ring = a.ring
-    if ring != b.ring:
+    if a.ring != b.ring:
         raise ValueError("algebras live over different rings")
-    if not ring.is_finite():
+    if not a.ring.is_finite():
         raise InfiniteRing("brute-force isomorphism needs a finite ring")
-    units, elements = _hom_candidates(ring)
-    for u in units:
-        for v in elements:
-            hom = AlgebraHom(u, v)
-            if hom.verifies(a, b):
-                return hom
-    return None
+    return next(_search_homs(a, b), None)
 
 
 def find_parities(ring: Ring, delta: RingElement) -> list[Mod2Element]:

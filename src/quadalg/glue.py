@@ -1,6 +1,25 @@
 """Cech-style glueing of quadratic-algebra charts over finite principal
-covers of Spec Z: validation of (discriminant, parity) cover data, chart and
-transition construction, and hom/cocycle verification.
+covers of Spec Z.
+
+A cover D(f_1), ..., D(f_k) carries per-chart discriminants and parity lifts
+(d_i, p_i) and a unit cocycle eps_ij.  ``verification_report`` is the one
+verification pass, and ``build_glued`` builds charts only from data that
+passes it.  The report lists, with 0-based indices and in this order:
+
+- ``cover``: gcd(f_1, ..., f_k) = 1;
+- ``cocycle_unit`` (eps_ij is a unit of Z[1/(f_i f_j)]) for each i < j, then
+  ``cocycle_triple`` (eps_it = eps_ij * eps_jt) for each i < j < t;
+- ``data_shape``, only when there is not one (d, p) pair per open; the report
+  ends there;
+- per chart, ``chart_membership`` (d_i, p_i in Z[1/f_i]) and, when it holds,
+  ``chart_validity`` (d_i - p_i^2 in 4*Z[1/f_i]);
+- per i < j, ``overlap_discriminant`` (d_i = eps_ij^2 * d_j) and
+  ``overlap_parity`` ((p_i - eps_ij * p_j)/2 in Z[1/(f_i f_j)]).
+
+Only when all of these pass do ``transition_hom`` for each ordered pair
+i != j and ``cocycle_transitions`` for each i < j < t follow; the other
+orders of a triple follow from these, as t_ji = -t_ij / eps_ij.  Membership
+is tested on plain ints (``ring.divides_power``).
 """
 
 from __future__ import annotations
@@ -10,29 +29,20 @@ from math import gcd
 
 from .algebras import FreeQuadraticAlgebra
 from .errors import ValidationFailed
-from .ring import IntegerRing, LocalizationRing, Ring
+from .ring import IntegerRing, LocalizationRing, Ring, divides_power
 
 
-def _ring_for(m: int) -> Ring:
-    # Z[1/1] is Z itself
-    return IntegerRing() if m == 1 else LocalizationRing(m)
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+def _as_fraction(x, name: str) -> Fraction:
+    """A rational from an int, a Fraction or a string such as '3/2'; booleans
+    and floats are refused, and ``name`` names the field in the error."""
+    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise ValueError(f"cannot read {x!r} as a rational number")
-
-
-def _in_ring(ring: Ring, value: Fraction) -> bool:
-    return ring.try_from_rational(value) is not None
+            raise ValueError(f"{name} has a zero denominator: {x!r}") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be a rational number, got {x!r}")
 
 
 class PrincipalCover:
@@ -50,19 +60,11 @@ class PrincipalCover:
         return len(self.opens)
 
     def chart_ring(self, i: int) -> Ring:
-        return _ring_for(self.opens[i])
-
-    def overlap_ring(self, i: int, j: int) -> Ring:
-        return _ring_for(self.opens[i] * self.opens[j])
-
-    def triple_ring(self, i: int, j: int, k: int) -> Ring:
-        return _ring_for(self.opens[i] * self.opens[j] * self.opens[k])
+        f = self.opens[i]
+        return IntegerRing() if f == 1 else LocalizationRing(f)  # Z[1/1] is Z
 
     def covers(self) -> bool:
-        g = 0
-        for f in self.opens:
-            g = gcd(g, f)
-        return g == 1
+        return gcd(*self.opens) == 1
 
     def __repr__(self):
         return f"PrincipalCover({list(self.opens)})"
@@ -82,7 +84,7 @@ class LineBundleCocycle:
         for (i, j), value in eps.items():
             if not 0 <= i < j < cover.size:
                 raise ValueError(f"cocycle index ({i},{j}) out of range")
-            self._eps[(i, j)] = _as_fraction(value)
+            self._eps[(i, j)] = _as_fraction(value, f"cocycle entry ({i},{j})")
         for i in range(cover.size):
             for j in range(i + 1, cover.size):
                 if (i, j) not in self._eps:
@@ -102,15 +104,16 @@ class GluedTypeData:
     __slots__ = ("d", "p")
 
     def __init__(self, d, p):
-        self.d = tuple(_as_fraction(x) for x in d)
-        self.p = tuple(_as_fraction(x) for x in p)
+        self.d = tuple(_as_fraction(x, "a 'd' entry") for x in d)
+        self.p = tuple(_as_fraction(x, "a 'p' entry") for x in p)
         if len(self.d) != len(self.p):
             raise ValueError("need one (d, p) pair per chart")
 
 
 class GluedAlgebra:
     """Charts omega_i^2 + p_i*omega_i - (d_i - p_i^2)/4 = 0 with transitions
-    omega_i -> scale_ij * omega_j + shift_ij over the overlaps."""
+    omega_i -> scale_ij * omega_j + shift_ij over the overlaps.  The checks
+    read no charts, so the report runs them on an instance without any."""
 
     __slots__ = ("cover", "charts", "ptilde", "disc", "transitions")
 
@@ -127,7 +130,7 @@ class GluedAlgebra:
         """Copy with one transition shift replaced (for perturbation tests)."""
         transitions = dict(self.transitions)
         scale, _ = transitions[(i, j)]
-        transitions[(i, j)] = (scale, _as_fraction(shift))
+        transitions[(i, j)] = (scale, _as_fraction(shift, "shift"))
         return GluedAlgebra(self.cover, self.charts, self.ptilde, self.disc,
                             transitions)
 
@@ -147,13 +150,12 @@ def validate_type_data(cover: PrincipalCover, cocycle: LineBundleCocycle,
 
 def _cocycle_checks(cover, cocycle):
     out = []
-    k = cover.size
+    f, k = cover.opens, cover.size
     for i in range(k):
         for j in range(i + 1, k):
-            ring = cover.overlap_ring(i, j)
             e = cocycle.eps(i, j)
-            ok = _in_ring(ring, e) and e != 0 \
-                and ring.is_unit(ring.try_from_rational(e))
+            ok = divides_power(e.numerator, f[i] * f[j]) \
+                and divides_power(e.denominator, f[i] * f[j])
             out.append({"check": "cocycle_unit", "indices": [i, j], "ok": ok})
     for i in range(k):
         for j in range(i + 1, k):
@@ -165,42 +167,67 @@ def _cocycle_checks(cover, cocycle):
 
 def _data_checks(cover, cocycle, data):
     out = []
-    k = cover.size
+    f, k = cover.opens, cover.size
     if len(data.d) != k:
         return [{"check": "data_shape", "indices": [], "ok": False}]
     for i in range(k):
-        ring = cover.chart_ring(i)
-        member = _in_ring(ring, data.d[i]) and _in_ring(ring, data.p[i])
+        d, p = data.d[i], data.p[i]
+        member = divides_power(d.denominator, f[i]) and divides_power(p.denominator, f[i])
         out.append({"check": "chart_membership", "indices": [i], "ok": member})
         if member:
-            diff = ring.from_rational(data.d[i] - data.p[i] ** 2)
             out.append({"check": "chart_validity", "indices": [i],
-                        "ok": ring.in_4R(diff)})
+                        "ok": divides_power(((d - p * p) / 4).denominator, f[i])})
     for i in range(k):
         for j in range(i + 1, k):
-            ring = cover.overlap_ring(i, j)
             e = cocycle.eps(i, j)
             ok_d = data.d[i] == data.d[j] * e * e
             out.append({"check": "overlap_discriminant", "indices": [i, j], "ok": ok_d})
-            diff = ring.try_from_rational(data.p[i] - data.p[j] * e)
-            ok_p = diff is not None and ring.try_halve(diff) is not None
-            out.append({"check": "overlap_parity", "indices": [i, j], "ok": ok_p})
+            half = (data.p[i] - data.p[j] * e) / 2
+            out.append({"check": "overlap_parity", "indices": [i, j],
+                        "ok": divides_power(half.denominator, f[i] * f[j])})
     return out
+
+
+def _transitions(cocycle: LineBundleCocycle, data: GluedTypeData) -> dict:
+    """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j."""
+    transitions = {}
+    k = len(data.p)
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                e = cocycle.eps(i, j)
+                transitions[(i, j)] = (e, (e * data.p[j] - data.p[i]) / 2)
+    return transitions
 
 
 def verification_report(cover: PrincipalCover, cocycle: LineBundleCocycle,
                         data: GluedTypeData) -> list[dict]:
+    """Every check of the glue data, in the order of the module docstring."""
     report = [{"check": "cover", "indices": [], "ok": validate_cover(cover)}]
     report += _cocycle_checks(cover, cocycle)
     report += _data_checks(cover, cocycle, data)
+    if not all(item["ok"] for item in report):
+        return report
+    glued = GluedAlgebra(cover, [], data.p, data.d, _transitions(cocycle, data))
+    k = cover.size
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                report.append({"check": "transition_hom", "indices": [i, j],
+                               "ok": check_transition_hom(glued, i, j)})
+    for i in range(k):
+        for j in range(i + 1, k):
+            for t in range(j + 1, k):
+                report.append({"check": "cocycle_transitions", "indices": [i, j, t],
+                               "ok": check_cocycle_transitions(glued, i, j, t)})
     return report
 
 
 def build_glued(cover: PrincipalCover, cocycle: LineBundleCocycle,
                 data: GluedTypeData) -> GluedAlgebra:
-    """Assemble charts and transition maps after validating everything."""
-    report = verification_report(cover, cocycle, data)
-    for item in report:
+    """Assemble charts and transition maps; raises ValidationFailed at the
+    first failing check of the verification report."""
+    for item in verification_report(cover, cocycle, data):
         if not item["ok"]:
             raise ValidationFailed(f"{item['check']} failed at {item['indices']}")
     charts = []
@@ -209,31 +236,13 @@ def build_glued(cover: PrincipalCover, cocycle: LineBundleCocycle,
         r = ring.from_rational(data.p[i])
         s = ring.from_rational(-(data.d[i] - data.p[i] ** 2) / 4)
         charts.append(FreeQuadraticAlgebra(ring, r, s))
-    transitions = {}
-    for i in range(cover.size):
-        for j in range(cover.size):
-            if i == j:
-                continue
-            e = cocycle.eps(i, j)
-            shift = (e * data.p[j] - data.p[i]) / 2
-            ring = cover.overlap_ring(i, j)
-            assert _in_ring(ring, shift), "validated data must give in-ring shifts"
-            transitions[(i, j)] = (e, shift)
-    glued = GluedAlgebra(cover, charts, data.p, data.d, transitions)
-    for i in range(cover.size):
-        for j in range(cover.size):
-            if i != j:
-                assert check_transition_hom(glued, i, j)
-            for k in range(cover.size):
-                if i != j and j != k and i != k:
-                    assert check_cocycle_transitions(glued, i, j, k)
-    return glued
+    return GluedAlgebra(cover, charts, data.p, data.d, _transitions(cocycle, data))
 
 
 def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:
     """Does the image of omega_i satisfy chart i's equation inside chart j,
     over the overlap ring?"""
-    ring = glued.cover.overlap_ring(i, j)
+    f = glued.cover.opens[i] * glued.cover.opens[j]
     e, t = glued.transitions[(i, j)]
     p_i, p_j = glued.ptilde[i], glued.ptilde[j]
     d_i, d_j = glued.disc[i], glued.disc[j]
@@ -242,9 +251,8 @@ def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:
     # (e*w + t)^2 + p_i*(e*w + t) + s_i with w^2 = -p_j*w - s_j
     lin = -e * e * p_j + 2 * e * t + p_i * e
     const = -e * e * s_j + t * t + p_i * t + s_i
-    for value in (e, t, lin, const):
-        if not _in_ring(ring, value):
-            return False
+    if not (divides_power(e.denominator, f) and divides_power(t.denominator, f)):
+        return False
     return lin == 0 and const == 0
 
 
@@ -255,8 +263,9 @@ def check_cocycle_transitions(glued: GluedAlgebra, i: int, j: int, k: int) -> bo
     e_ij, t_ij = glued.transitions[(i, j)]
     e_jk, t_jk = glued.transitions[(j, k)]
     e_ik, t_ik = glued.transitions[(i, k)]
-    ring = glued.cover.triple_ring(i, j, k)
+    opens = glued.cover.opens
+    f = opens[i] * opens[j] * opens[k]
     values = (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)
-    if not all(_in_ring(ring, v) for v in values):
+    if not all(divides_power(v.denominator, f) for v in values):
         return False
     return e_ik == e_ij * e_jk and t_ik == e_ij * t_jk + t_ij

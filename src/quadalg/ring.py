@@ -112,6 +112,15 @@ def solve_int(gens: list[tuple[int, ...]], target: tuple[int, ...]) -> list[int]
     return None if any(rest) else x
 
 
+def divides_power(n: int, f: int) -> bool:
+    """Does n divide some power of f >= 1?  So n/d lies in Z[1/f] exactly when
+    d does, and is a unit there when n and d both do (Z[1/1] is Z)."""
+    n = abs(n)
+    while n > 1 and (g := gcd(n, f)) > 1:
+        n //= g
+    return n == 1
+
+
 def standard_basis(n: int) -> list[tuple[int, ...]]:
     """Coordinates of e_0, ..., e_{n-1}."""
     return [tuple(int(t == i) for t in range(n)) for i in range(n)]
@@ -335,6 +344,8 @@ class Ring:
     def element_from_json(self, data) -> RingElement:
         """Read an int, a coordinate list or {"coords": [...], "k": n}."""
         if isinstance(data, dict):
+            if "coords" not in data:
+                raise ValueError(f"a ring element object is missing 'coords', got {data!r}")
             return self.element(_json_coords(data["coords"]), json_int(data.get("k", 0), "'k'"))
         if isinstance(data, list):
             return self.element(_json_coords(data))
@@ -728,13 +739,8 @@ class LocalizationRing(Ring):
 
     def try_from_rational(self, q) -> RingElement | None:
         q = Fraction(q)
-        d = q.denominator
-        g = gcd(d, self.f)
-        while g > 1:
-            d //= g
-            g = gcd(d, self.f)
-        if d != 1:
-            return None  # denominator not f-smooth
+        if not divides_power(q.denominator, self.f):
+            return None
         j, pw = 0, 1
         while pw % q.denominator:
             j += 1
@@ -758,16 +764,8 @@ class LocalizationRing(Ring):
 
     def try_inverse(self, x):
         x = self.coerce(x)
-        n = x.coords[0]
-        if n == 0:
-            return None
-        m = abs(n)
-        g = gcd(m, self.f)
-        while g > 1:
-            m //= g
-            g = gcd(m, self.f)
-        if m != 1:
-            return None  # numerator has a prime away from f
+        if not divides_power(x.coords[0], self.f):
+            return None  # zero, or the numerator has a prime away from f
         return self.from_rational(Fraction(1) / self.rational_value(x))
 
     def try_divide(self, p, q):
@@ -822,16 +820,19 @@ def _json_coords(value) -> tuple[int, ...]:
     return tuple(json_int(c, "a ring element coordinate") for c in value)
 
 
-def _int_field(descriptor: dict, key: str) -> int:
-    """An integer-valued descriptor entry, given as an int or an integer string."""
-    value = _field(descriptor, key)
+def int_value(value, name: str) -> int:
+    """An int given as a JSON int or an integer string; booleans, floats and
+    other strings are refused."""
     if not isinstance(value, bool) and isinstance(value, (int, str)):
         try:
             return int(value)
         except ValueError:
             pass
-    raise ValueError(f"{descriptor['kind']} ring descriptor: {key!r} must be an "
-                     f"integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _int_field(descriptor: dict, key: str) -> int:
+    return int_value(_field(descriptor, key), f"{descriptor['kind']} ring descriptor: {key!r}")
 
 
 def construct_ring(descriptor: dict) -> Ring:

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from quadalg import glue
 from quadalg.cli import builtin_ring, emit_table, parse_element, run
 from quadalg.errors import InvalidRange
 
@@ -117,6 +120,72 @@ def test_glue_check_from_file(tmp_path, capsys):
     assert any(item["check"] == "cocycle_unit" and not item["ok"] for item in report)
 
 
+def test_glue_check_golden_bytes(capsys):
+    # SHA-256 of the concatenated stdout: the README example, valid covers of
+    # 3, 4 and 5 opens, then one payload failing each base check in report order
+    payloads = [
+        '{"cover":[2,3],"cocycle":{"1,2":"3/2"},"data":{"d":[-99,-44],"p":[1,0]}}',
+        '{"cover":[7,26,13],"cocycle":{"1,2":"14/13","1,3":"7","2,3":"13/2"},'
+        '"data":{"d":["-4704","-4056","-96"],"p":["-14","-13","-2"]}}',
+        '{"cover":[143,3,143,7],"cocycle":{"1,2":"13/33","1,3":"13","1,4":"91/11",'
+        '"2,3":"33","2,4":"21","3,4":"7/11"},"data":{"d":["-3211/121","-171",'
+        '"-19/121","-19/49"],"p":["39/11","9","3/11","3/7"]}}',
+        '{"cover":[13,21,13,33,65],"cocycle":{"1,2":"3/91","1,3":"-1/13",'
+        '"1,4":"-1/117","1,5":"1","2,3":"-7/3","2,4":"-7/27","2,5":"91/3",'
+        '"3,4":"1/9","3,5":"-13","4,5":"-117"},"data":{"d":["-72/169","-392",'
+        '"-72","-5832","-72/169"],"p":["-2/13","-14/3","2","18","-2/13"]}}',
+        '{"cover":[2,4],"cocycle":{"1,2":1},"data":{"d":[5,5],"p":[1,1]}}',
+        '{"cover":[2,3],"cocycle":{"1,2":5},"data":{"d":[-1100,-44],"p":[0,0]}}',
+        '{"cover":[2,3,5],"cocycle":{"1,2":1,"1,3":1,"2,3":-1},'
+        '"data":{"d":[5,5,5],"p":[1,1,1]}}',
+        '{"cover":[2,3],"cocycle":{"1,2":"3/2"},"data":{"d":[-99],"p":[1]}}',
+        '{"cover":[2,3],"cocycle":{"1,2":1},"data":{"d":["5/9","5/9"],"p":[1,1]}}',
+        '{"cover":[2,3],"cocycle":{"1,2":1},"data":{"d":[6,6],"p":[0,0]}}',
+        '{"cover":[2,3],"cocycle":{"1,2":"3/2"},"data":{"d":[-99,-43],"p":[1,1]}}',
+        '{"cover":[3,5],"cocycle":{"1,2":1},"data":{"d":[5,4],"p":[1,0]}}',
+    ]
+    base_checks = ["cover", "cocycle_unit", "cocycle_triple", "data_shape",
+                   "chart_membership", "chart_validity", "overlap_discriminant",
+                   "overlap_parity"]
+    digest = hashlib.sha256()
+    for n, payload in enumerate(payloads):
+        code, out, _ = invoke(capsys, "glue-check", payload)
+        assert code == 0
+        digest.update(out.encode())
+        failed = [item["check"] for item in json.loads(out) if not item["ok"]]
+        assert (failed == []) if n < 4 else (base_checks[n - 4] in failed), payload
+    assert digest.hexdigest() == \
+        "f890c90f8ef0d93305887089c7e22024828fd7a77b972ff77b74f4c3716c345f"
+
+
+def test_glue_check_never_builds_charts(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("glue-check built the glued algebra")
+
+    monkeypatch.setattr(glue, "build_glued", fail)
+    payload = '{"cover":[2,3,5],"cocycle":{"1,2":1,"1,3":1,"2,3":1},' \
+              '"data":{"d":[5,5,5],"p":[1,1,1]}}'
+    code, out, _ = invoke(capsys, "glue-check", payload)
+    report = json.loads(out)
+    assert code == 0 and all(item["ok"] for item in report)
+    checks = [item["check"] for item in report]
+    assert checks.count("transition_hom") == 6 and checks.count("cocycle_transitions") == 1
+
+
+def test_readme_cli_examples(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("quadalg "):
+            examples.append((shlex.split(line)[1:], []))
+        elif line.startswith("  "):
+            examples[-1][1].append(line[2:])
+    assert len(examples) == 6
+    for argv, shown in examples:
+        assert invoke(capsys, *argv) == (0, "\n".join(shown) + "\n", ""), argv
+
+
 def test_table(capsys):
     code, out, _ = invoke(capsys, "table", "--min", "-44", "--max", "-44")
     assert code == 0
@@ -203,14 +272,24 @@ def test_validation_errors_exit_2(capsys):
         ("ideal2form", "[]", "ideal payload must be a JSON object"),
         ("reduce", "[1.5,0,1]", "a ring element coordinate must be an integer, got 1.5"),
         ("reduce", "[true,0,1]", "a ring element coordinate must be an integer, got True"),
+        ("reduce", "[3,2,{}]", "a ring element object is missing 'coords', got {}"),
     ]:
         assert invoke(capsys, command, payload) == (2, "", f"error: {message}\n")
     valid = {"cover": [2, 3], "cocycle": {"1,2": "3/2"},
              "data": {"d": [-99, -44], "p": [1, 0]}}
-    for payload in (dict(valid, cocycle={"1,2": "1/0"}), dict(valid, cocycle={"1,2": 0.5}),
-                    dict(valid, cocycle=["3/2"]), []):
-        code, _, err = invoke(capsys, "glue-check", json.dumps(payload))
-        assert code == 2 and err.startswith("error:")
+    for payload, message in [
+        (dict(valid, cocycle={"1,2": "1/0"}), "cocycle entry '1,2' has a zero denominator: '1/0'"),
+        (dict(valid, cocycle={"1,2": 0.5}), "cocycle entry '1,2' must be a rational number, got 0.5"),
+        (dict(valid, cocycle=["3/2"]), "'cocycle' must be an object keyed by 'i,j'"),
+        ([], "glue payload must be a JSON object"),
+        (dict(valid, cover=[True, 3]), "a 'cover' entry must be an integer, got True"),
+        (dict(valid, cocycle={"1,2": True}), "cocycle entry '1,2' must be a rational number, got True"),
+        (dict(valid, data={"d": [-99, -44], "p": [True, 0]}),
+         "a 'p' entry must be a rational number, got True"),
+        (dict(valid, cocycle={"1": "3/2"}), "cocycle key '1' must be 'i,j' with 1 <= i < j <= 2"),
+        (dict(valid, cocycle={"2,1": "2/3"}), "cocycle key '2,1' must be 'i,j' with 1 <= i < j <= 2"),
+    ]:
+        assert invoke(capsys, "glue-check", json.dumps(payload)) == (2, "", f"error: {message}\n")
 
 
 def test_compose_errors(capsys):

@@ -6,6 +6,7 @@ import pytest
 from quadalg.algebras import type_of
 from quadalg.errors import ValidationFailed
 from quadalg.glue import (
+    GluedAlgebra,
     GluedTypeData,
     LineBundleCocycle,
     PrincipalCover,
@@ -141,6 +142,18 @@ def test_randomized_valid_datasets():
                 for t in range(k):
                     if len({i, j, t}) == 3:
                         assert check_cocycle_transitions(glued, i, j, t)
+
+
+def test_transition_checks_need_overlap_membership():
+    # the identities hold, and eps = 1/5 lies in the overlap ring of {5, 3} only
+    e, zero, one = Fraction(1, 5), Fraction(0), Fraction(1)
+    for opens, ok in (([5, 3], True), ([2, 3], False)):
+        glued = GluedAlgebra(PrincipalCover(opens), [], (e, one), (5 * e * e, Fraction(5)),
+                             {(0, 1): (e, zero)})
+        assert check_transition_hom(glued, 0, 1) is ok
+        transitions = {(0, 1): (e, zero), (1, 2): (one, zero), (0, 2): (e, zero)}
+        glued = GluedAlgebra(PrincipalCover(opens + [7]), [], (), (), transitions)
+        assert check_cocycle_transitions(glued, 0, 1, 2) is ok
 
 
 def test_cocycle_transitions_skip_repeated_indices():

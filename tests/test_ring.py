@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from quadalg.ring import (
     QuotientRing,
     TableRing,
     construct_ring,
+    divides_power,
     hnf,
     quadratic_table_ring,
     solve_int,
@@ -335,3 +338,23 @@ def test_quotient_division_does_not_enumerate(monkeypatch):
         z = big.try_divide(q * y, q)
         assert z is not None and q * z == q * y
     assert big.try_inverse(big.element((3, 0, -1, 0))) == big.element((3, 0, 1, 0))
+
+
+_FACTORS = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=5).map(prod)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_FACTORS, _FACTORS, _FACTORS, st.sampled_from((-1, 0, 1)))
+def test_divides_power_matches_ring_layer(f, den, num, sign):
+    # n divides a power of f iff it divides f^e with e the bit length of n
+    def oracle(n):
+        return n != 0 and pow(f, abs(n).bit_length(), abs(n)) == 0
+
+    q = Fraction(sign * num, den)
+    member = divides_power(q.denominator, f)
+    unit = member and divides_power(q.numerator, f)
+    ring = Z if f == 1 else LocalizationRing(f)
+    x = ring.try_from_rational(q)
+    assert member == (x is not None) == oracle(q.denominator)
+    assert unit == (x is not None and ring.is_unit(x)) \
+        == (oracle(q.denominator) and oracle(q.numerator))
