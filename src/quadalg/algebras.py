@@ -1,6 +1,14 @@
 """Free quadratic algebras R[tau]/(tau^2 + r*tau + s) and their classification
 by (discriminant, parity), with explicit isomorphisms and brute-force oracles
 over finite rings.
+
+The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
+and ``oriented_automorphisms_bruteforce``) and the finite branch of
+``types_isomorphic`` run on the ring's index tables (``ring.FiniteTables``):
+every candidate is tested on plain ints, and only the homs found are verified
+in ring arithmetic.  The tables are capped at ``ring.FINITE_TABLE_CAP`` = 512
+elements; a larger finite ring raises ``RingTooLarge`` before anything is
+enumerated.
 """
 
 from __future__ import annotations
@@ -273,11 +281,12 @@ def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     if ring != t2.ring:
         raise ValueError("types live over different rings")
     if ring.is_finite():
-        for u in ring.enumerate_elements():
-            if not ring.is_unit(u):
-                continue
-            if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u):
-                return u
+        t = ring.tables
+        mul = t.mul
+        d1, d2 = t.index[t1.delta.coords], t.index[t2.delta.coords]
+        for u in t.units:
+            if mul[mul[u][u]][d1] == d2 and t2.parity == t1.parity.times(t.elements[u]):
+                return t.elements[u]
         return None
     z1, z2 = t1.delta.is_zero(), t2.delta.is_zero()
     if z1 != z2:
@@ -351,15 +360,27 @@ def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
 def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     """Every hom tau -> u*tau' + v from a to b over a finite ring, u running
     over ``units`` (default: every unit) and v over every element, in
-    enumeration order."""
-    ring = a.ring
-    elements = ring.enumerate_elements()
-    if units is None:
-        units = [u for u in elements if ring.is_unit(u)]
-    for u in units:
-        for v in elements:
-            hom = AlgebraHom(u, v)
-            if hom.verifies(a, b):
+    enumeration order.
+
+    The search runs on the ring's index tables: the hom equations read
+    2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s, so for each u both
+    right-hand sides are fixed and v is scanned by comparing indices.  Each
+    hom found is verified once in ring arithmetic.
+    """
+    t = a.ring.tables
+    index, add, mul, neg = t.index, t.add, t.mul, t.neg
+    r, s = index[a.r.coords], index[a.s.coords]
+    rp, sp = index[b.r.coords], index[b.s.coords]
+    us = t.units if units is None else [index[u.coords] for u in units]
+    quad = [add[mul[v][v]][mul[r][v]] for v in range(len(t.elements))]
+    for u in us:
+        uu = mul[u][u]
+        lin = add[mul[uu][rp]][neg[mul[r][u]]]
+        const = add[mul[uu][sp]][neg[s]]
+        for v, (twouv, q) in enumerate(zip(mul[add[u][u]], quad)):
+            if twouv == lin and q == const:
+                hom = AlgebraHom(t.elements[u], t.elements[v])
+                assert hom.verifies(a, b), "index tables disagree with ring arithmetic"
                 yield hom
 
 

@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import re
 import sys
@@ -287,6 +288,9 @@ def _parse_glue_payload(data):
             raise ValueError(f"cocycle key {key!r} must be 'i,j' with "
                              f"1 <= i < j <= {cover.size}")
         eps[(i - 1, j - 1)] = glue._as_fraction(value, f"cocycle entry {key!r}")
+    for i, j in itertools.combinations(range(1, cover.size + 1), 2):
+        if (i - 1, j - 1) not in eps:
+            raise ValueError(f"missing cocycle entry '{i},{j}'")
     cocycle = glue.LineBundleCocycle(cover, eps)
     return cover, cocycle, glue.GluedTypeData(payload["d"], payload["p"])
 

@@ -43,6 +43,10 @@ class NotAUnit(QuadalgError):
     """A ring element required to be a unit is not one."""
 
 
+class RingTooLarge(QuadalgError):
+    """A finite ring has more elements than its index tables allow."""
+
+
 # -- forms -------------------------------------------------------------------
 
 class SingularMatrix(QuadalgError):

@@ -9,6 +9,11 @@ Every integer-lattice question (identity and quotients in table and quotient
 rings, unit index in primitivity tests, HNF ideals of quadratic orders) goes
 through one routine: the Hermite normal form kernel ``hnf`` and the integer
 solver ``solve_int`` built on it.
+
+A finite ring (a quotient ring) also carries ``FiniteTables``, built on first
+use: its elements with addition, negation and multiplication as tables of
+indices, so that exhaustive searches run on plain ints.  The tables are
+capped at ``FINITE_TABLE_CAP`` elements; a larger ring raises RingTooLarge.
 """
 
 from __future__ import annotations
@@ -24,12 +29,14 @@ from .errors import (
     NonAssociative,
     NonCommutative,
     RingMismatch,
+    RingTooLarge,
     NotTwoRegular,
     UnitSearchCapExceeded,
     UnsupportedRing,
 )
 
 PELL_CAP = 10**6
+FINITE_TABLE_CAP = 512
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -700,15 +707,56 @@ class QuotientRing(Ring):
         return [RingElement(self, coords)
                 for coords in itertools.product(range(self.m), repeat=self.rank)]
 
+    @cached_property
+    def tables(self) -> FiniteTables:
+        return FiniteTables(self)
+
     def unit_group_generators(self):
-        return [u for u in self.enumerate_elements()
-                if self.is_unit(u) and u != self.one]
+        t = self.tables
+        one = t.index[self.one.coords]
+        return [t.elements[i] for i in t.units if i != one]
 
     def descriptor(self):
         return {"kind": "quotient", "base": self.base.descriptor(), "m": self.m}
 
     def describe(self):
         return f"{self.base.describe()}/{self.m}"
+
+
+class FiniteTables:
+    """A finite ring on indices into its element list.
+
+    ``elements`` is in ``enumerate_elements`` order and ``index`` maps
+    coordinates back to positions.  ``add[i][j]``, ``mul[i][j]`` and
+    ``neg[i]`` are indices, filled from the ring's own kernels; ``units``
+    lists the indices whose ``mul`` row reaches one, in enumeration order.
+    """
+
+    __slots__ = ("elements", "index", "add", "mul", "neg", "units")
+
+    def __init__(self, ring: QuotientRing):
+        size = ring.m ** ring.rank
+        if size > FINITE_TABLE_CAP:
+            raise RingTooLarge(f"{ring!r} has {size} elements; finite-ring tables "
+                               f"are capped at {FINITE_TABLE_CAP}")
+        elements = ring.enumerate_elements()
+        index = {x.coords: i for i, x in enumerate(elements)}
+        n = len(elements)
+        add = [[0] * n for _ in range(n)]
+        mul = [[0] * n for _ in range(n)]
+        # the rings are commutative, so each unordered pair is computed once
+        for i, x in enumerate(elements):
+            for j in range(i, n):
+                y = elements[j]
+                add[i][j] = add[j][i] = index[ring._add(x, y).coords]
+                mul[i][j] = mul[j][i] = index[ring._mul(x, y).coords]
+        one = index[ring.one.coords]
+        self.elements = elements
+        self.index = index
+        self.add = add
+        self.mul = mul
+        self.neg = [index[ring._neg(x).coords] for x in elements]
+        self.units = [i for i, row in enumerate(mul) if one in row]
 
 
 class LocalizationRing(Ring):

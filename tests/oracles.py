@@ -3,7 +3,8 @@
 These deliberately avoid the library code paths they are checking: lattice
 indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
-a scan over every (a, b), composition from the HNF ideal product.
+a scan over every (a, b), composition from the HNF ideal product, and homs of
+algebras over finite rings from ring arithmetic on every (u, v).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt
 
+from quadalg.algebras import AlgebraHom, FreeQuadraticAlgebra
 from quadalg.forms import TwistedForm, reduce_posdef
 from quadalg.picard import (
     OrderIdeal,
@@ -168,3 +170,16 @@ def affine_ring_map_count(m: int, r: int, s: int,
             if ok:
                 count += 1
     return count
+
+
+def search_homs_generic(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra,
+                        units=None) -> list[AlgebraHom]:
+    """Every hom tau -> u*tau' + v from a to b over a finite ring, each (u, v)
+    tested in ring arithmetic: u over ``units`` (default: every unit, found by
+    HNF division) and v over every element, in enumeration order."""
+    ring = a.ring
+    elements = ring.enumerate_elements()
+    if units is None:
+        units = [u for u in elements if ring.is_unit(u)]
+    return [hom for u in units for v in elements
+            if (hom := AlgebraHom(u, v)).verifies(a, b)]

@@ -33,7 +33,7 @@ from quadalg.errors import (
 )
 from quadalg.ring import IntegerRing, QuotientRing, quadratic_table_ring
 
-from oracles import affine_ring_map_count
+from oracles import affine_ring_map_count, search_homs_generic
 
 Z = IntegerRing()
 ZSQRT2 = quadratic_table_ring(2)
@@ -42,6 +42,8 @@ ZMOD4 = QuotientRing(Z, 4)
 ZMOD8 = QuotientRing(Z, 8)
 F4 = builtin_ring("f4")
 BIQUAD8 = builtin_ring("biquad8")
+Z16 = QuotientRing(Z, 16)
+Z9_SQRT8 = QuotientRing(ZSQRT8, 9)
 
 W8 = ZSQRT8.element((0, 1))
 
@@ -345,3 +347,42 @@ def test_find_parities_examples():
 def test_hom_json():
     hom = AlgebraHom(Z.one, Z.from_int(-1))
     assert hom.to_json() == {"u": [1], "v": [-1]}
+
+
+def _finite_pair(rng, ring, elements, units):
+    """Two algebras over a finite ring; half the time the second is the
+    first in a basis tau' = eps*tau + alpha with eps a unit."""
+    a = alg(ring, rng.choice(elements), rng.choice(elements))
+    if rng.random() < 0.5:
+        return a, change_basis(a, rng.choice(units), rng.choice(elements))
+    return a, alg(ring, rng.choice(elements), rng.choice(elements))
+
+
+def test_bruteforce_matches_generic_search():
+    # same homs in the same order as testing every (u, v) in ring arithmetic
+    rng = random.Random(7)
+    for ring, cases in ((ZMOD4, 40), (ZMOD8, 40), (F4, 40), (Z16, 30), (Z9_SQRT8, 1)):
+        elements = ring.enumerate_elements()
+        units = [x for x in elements if ring.is_unit(x)]
+        for _ in range(cases):
+            a, b = _finite_pair(rng, ring, elements, units)
+            assert automorphisms_bruteforce(a) == search_homs_generic(a, a)
+            assert oriented_automorphisms_bruteforce(a, Orientation(ring.one)) \
+                == search_homs_generic(a, a, [ring.one])
+            homs = search_homs_generic(a, b)
+            assert isomorphic_bruteforce(a, b) == (homs[0] if homs else None)
+
+
+def test_classification_matches_bruteforce_on_two_regular_rings():
+    # where 2 is regular, algebras are isomorphic iff their types are
+    rng = random.Random(2021)
+    rings = (QuotientRing(Z, 9), QuotientRing(Z, 25), QuotientRing(Z, 15), Z9_SQRT8,
+             QuotientRing(ZSQRT2, 3), QuotientRing(ZSQRT2, 5))
+    for ring in rings:
+        elements = ring.enumerate_elements()
+        units = [x for x in elements if ring.is_unit(x)]
+        for _ in range(300):
+            a, b = _finite_pair(rng, ring, elements, units)
+            hom = algebras_isomorphic(a, b)
+            assert (hom is None) == (isomorphic_bruteforce(a, b) is None)
+            assert hom is None or hom.verifies(a, b)

@@ -73,6 +73,32 @@ def test_autos(capsys):
     assert code == 0 and json.loads(out)["count"] == 2
 
 
+def test_finite_ring_outputs_unchanged(capsys):
+    # stdout recorded from the generic (u, v) search, before the index tables
+    cases = [
+        (("iso", "--ring", "zmod4", "--alg1", "r=1,s=3", "--alg2", "r=3,s=1"),
+         '{"isomorphic":true,"hom":{"u":[1],"v":[1]}}'),
+        (("iso", "--ring", "zmod4", "--alg1", "r=2,s=1", "--alg2", "r=2,s=3"),
+         '{"isomorphic":false}'),
+        (("iso", "--ring", "f4", "--alg1", "r=0,s=x", "--alg2", "r=0,s=1"),
+         '{"isomorphic":true,"hom":{"u":[0,1],"v":[1,0]}}'),
+        (("iso", "--ring", "f4", "--alg1", "r=x,s=1", "--alg2", "r=1+x,s=x"),
+         '{"isomorphic":false}'),
+        (("autos", "--ring", "zmod8", "--alg", "r=1,s=6"),
+         '{"count":2,"automorphisms":[{"u":[1],"v":[0]},{"u":[7],"v":[7]}]}'),
+        (("autos", "--ring", "zmod8", "--alg", "r=2,s=4"),
+         '{"count":8,"automorphisms":[{"u":[1],"v":[0]},{"u":[1],"v":[4]},'
+         '{"u":[3],"v":[2]},{"u":[3],"v":[6]},{"u":[5],"v":[0]},{"u":[5],"v":[4]},'
+         '{"u":[7],"v":[2]},{"u":[7],"v":[6]}]}'),
+        (("autos", "--ring", "zmod8", "--alg", "r=2,s=4", "--oriented"),
+         '{"count":2,"automorphisms":[{"u":[1],"v":[0]},{"u":[1],"v":[4]}]}'),
+        (("autos", "--ring", "zmod8", "--alg", "r=0,s=6", "--oriented", "--theta", "7"),
+         '{"count":2,"automorphisms":[{"u":[1],"v":[0]},{"u":[1],"v":[4]}]}'),
+    ]
+    for args, out in cases:
+        assert invoke(capsys, *args) == (0, out + "\n", "")
+
+
 def test_type_and_natural_type(capsys):
     code, out, _ = invoke(capsys, "type", "--ring", "zsqrt8", "--alg", "r=w,s=-4")
     assert code == 0 and json.loads(out) == {"delta": [24, 0], "parity": [0, 1]}
@@ -257,6 +283,10 @@ def test_validation_errors_exit_2(capsys):
     code, _, err = invoke(capsys, "iso", "--ring", '{"kind":"table","mul":5}',
                           "--alg1", "r=0,s=1", "--alg2", "r=0,s=1")
     assert code == 2 and err.startswith("error:")
+    code, out, err = invoke(capsys, "autos", "--alg", "r=0,s=-2", "--ring",
+                            '{"kind":"quotient","base":{"kind":"integers"},"m":1000}')
+    assert (code, out, err) == \
+        (2, "", "error: Z/1000 has 1000 elements; finite-ring tables are capped at 512\n")
     for ring in ('{"kind":"quotient","base":{"kind":"integers"},"m":[2]}',
                  '{"kind":"localization","f":{"x":1}}'):
         code, _, err = invoke(capsys, "type", "--ring", ring, "--alg", "r=0,s=1")
@@ -288,6 +318,7 @@ def test_validation_errors_exit_2(capsys):
          "a 'p' entry must be a rational number, got True"),
         (dict(valid, cocycle={"1": "3/2"}), "cocycle key '1' must be 'i,j' with 1 <= i < j <= 2"),
         (dict(valid, cocycle={"2,1": "2/3"}), "cocycle key '2,1' must be 'i,j' with 1 <= i < j <= 2"),
+        (dict(valid, cocycle={}), "missing cocycle entry '1,2'"),
     ]:
         assert invoke(capsys, "glue-check", json.dumps(payload)) == (2, "", f"error: {message}\n")
 

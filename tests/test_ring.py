@@ -12,10 +12,13 @@ from quadalg.errors import (
     NonAssociative,
     NonCommutative,
     RingMismatch,
+    RingTooLarge,
     NotTwoRegular,
     UnsupportedRing,
 )
+from quadalg import ring as ring_module
 from quadalg.ring import (
+    FINITE_TABLE_CAP,
     IntegerRing,
     LocalizationRing,
     QuotientRing,
@@ -338,6 +341,46 @@ def test_quotient_division_does_not_enumerate(monkeypatch):
         z = big.try_divide(q * y, q)
         assert z is not None and q * z == q * y
     assert big.try_inverse(big.element((3, 0, -1, 0))) == big.element((3, 0, 1, 0))
+
+
+def test_finite_tables_match_ring_kernels():
+    rings = (ZMOD4, ZMOD8, F4, QuotientRing(Z, 16), QuotientRing(Z, 15),
+             QuotientRing(ZSQRT8, 9))
+    for ring in rings:
+        t = ring.tables
+        assert ring.tables is t
+        elements = ring.enumerate_elements()
+        assert t.elements == elements
+        assert all(t.index[x.coords] == i for i, x in enumerate(elements))
+        for i, x in enumerate(elements):
+            assert elements[t.neg[i]] == ring._neg(x)
+            for j, y in enumerate(elements):
+                assert elements[t.add[i][j]] == ring._add(x, y)
+                assert elements[t.mul[i][j]] == ring._mul(x, y)
+        # the unit list against HNF division
+        assert [elements[i] for i in t.units] == [x for x in elements if ring.is_unit(x)]
+
+
+def test_finite_tables_are_capped(monkeypatch):
+    from quadalg.algebras import FreeQuadraticAlgebra, automorphisms_bruteforce
+    from quadalg.cli import builtin_ring
+    with pytest.raises(RingTooLarge) as exc:
+        QuotientRing(Z, FINITE_TABLE_CAP + 1).tables
+    assert str(exc.value) == "Z/513 has 513 elements; finite-ring tables are capped at 512"
+    # the cap itself is allowed; checked on a lowered cap to keep the build small
+    monkeypatch.setattr(ring_module, "FINITE_TABLE_CAP", 16)
+    assert len(QuotientRing(ZSQRT8, 4).tables.elements) == 16
+    with pytest.raises(RingTooLarge, match="Z/17 has 17 elements; .* capped at 16"):
+        QuotientRing(Z, 17).tables
+
+    def refuse(self):
+        raise AssertionError("the cap must be checked before enumerating")
+    monkeypatch.setattr(QuotientRing, "enumerate_elements", refuse)
+    huge = QuotientRing(builtin_ring("biquad8"), 10**6)
+    with pytest.raises(RingTooLarge, match=f"has {10**24} elements"):
+        huge.tables
+    with pytest.raises(RingTooLarge):
+        automorphisms_bruteforce(FreeQuadraticAlgebra(huge, 0, 1))
 
 
 _FACTORS = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=5).map(prod)
