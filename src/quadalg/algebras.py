@@ -3,12 +3,12 @@ by (discriminant, parity), with explicit isomorphisms and brute-force oracles
 over finite rings.
 
 The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
-and ``oriented_automorphisms_bruteforce``) and the finite branch of
-``types_isomorphic`` run on the ring's index tables (``ring.FiniteTables``):
-every candidate is tested on plain ints, and only the homs found are verified
-in ring arithmetic.  The tables are capped at ``ring.FINITE_TABLE_CAP`` = 512
-elements; a larger finite ring raises ``RingTooLarge`` before anything is
-enumerated.
+and ``oriented_automorphisms_bruteforce``) run on the ring's index tables
+(``ring.FiniteTables``): every candidate is tested on plain ints, and only the
+homs found are verified in ring arithmetic.  The tables are capped at
+``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring raises
+``RingTooLarge`` before anything is enumerated.  The classification by
+(discriminant, parity) needs no tables and has no cap.
 """
 
 from __future__ import annotations
@@ -281,12 +281,11 @@ def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     if ring != t2.ring:
         raise ValueError("types live over different rings")
     if ring.is_finite():
-        t = ring.tables
-        mul = t.mul
-        d1, d2 = t.index[t1.delta.coords], t.index[t2.delta.coords]
-        for u in t.units:
-            if mul[mul[u][u]][d1] == d2 and t2.parity == t1.parity.times(t.elements[u]):
-                return t.elements[u]
+        for u in ring.enumerate_elements():
+            if not ring.is_unit(u):
+                continue
+            if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u):
+                return u
         return None
     z1, z2 = t1.delta.is_zero(), t2.delta.is_zero()
     if z1 != z2:
@@ -362,24 +361,27 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     over ``units`` (default: every unit) and v over every element, in
     enumeration order.
 
-    The search runs on the ring's index tables: the hom equations read
-    2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s, so for each u both
-    right-hand sides are fixed and v is scanned by comparing indices.  Each
-    hom found is verified once in ring arithmetic.
+    The search runs on the ring's multiplication table.  The hom equations
+    read 2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s; u is a unit, so the
+    first is 2v = u*r' - r.  For each u both right-hand sides are fixed, and
+    v is scanned by comparing indices against the table row of 2 and
+    against v*(v + r).  The few sums this needs come from the ring's own
+    kernels.  Each hom found is verified once in ring arithmetic.
     """
-    t = a.ring.tables
-    index, add, mul, neg = t.index, t.add, t.mul, t.neg
-    r, s = index[a.r.coords], index[a.s.coords]
+    ring = a.ring
+    t = ring.tables
+    index, mul, elements = t.index, t.mul, t.elements
     rp, sp = index[b.r.coords], index[b.s.coords]
+    neg_r, neg_s = ring._neg(a.r), ring._neg(a.s)
     us = t.units if units is None else [index[u.coords] for u in units]
-    quad = [add[mul[v][v]][mul[r][v]] for v in range(len(t.elements))]
+    double = mul[index[ring.from_int(2).coords]]
+    quad = [mul[v][index[ring._add(x, a.r).coords]] for v, x in enumerate(elements)]
     for u in us:
-        uu = mul[u][u]
-        lin = add[mul[uu][rp]][neg[mul[r][u]]]
-        const = add[mul[uu][sp]][neg[s]]
-        for v, (twouv, q) in enumerate(zip(mul[add[u][u]], quad)):
-            if twouv == lin and q == const:
-                hom = AlgebraHom(t.elements[u], t.elements[v])
+        lin = index[ring._add(elements[mul[u][rp]], neg_r).coords]
+        const = index[ring._add(elements[mul[mul[u][u]][sp]], neg_s).coords]
+        for v, (twov, q) in enumerate(zip(double, quad)):
+            if twov == lin and q == const:
+                hom = AlgebraHom(elements[u], elements[v])
                 assert hom.verifies(a, b), "index tables disagree with ring arithmetic"
                 yield hom
 

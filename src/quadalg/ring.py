@@ -11,9 +11,9 @@ through one routine: the Hermite normal form kernel ``hnf`` and the integer
 solver ``solve_int`` built on it.
 
 A finite ring (a quotient ring) also carries ``FiniteTables``, built on first
-use: its elements with addition, negation and multiplication as tables of
-indices, so that exhaustive searches run on plain ints.  The tables are
-capped at ``FINITE_TABLE_CAP`` elements; a larger ring raises RingTooLarge.
+use: its elements with multiplication as a table of indices, so that
+exhaustive searches run on plain ints.  The tables are capped at
+``FINITE_TABLE_CAP`` elements; a larger ring raises RingTooLarge.
 """
 
 from __future__ import annotations
@@ -661,11 +661,14 @@ class QuotientRing(Ring):
             raise ValueError(f"expected {self.rank} coordinates")
         return RingElement(self, coords)
 
+    # coords are canonical, so sums and negatives need only the reduction
     def _add(self, x, y):
-        return self.element(tuple(a + b for a, b in zip(x.coords, y.coords)))
+        m = self.m
+        return RingElement(self, tuple((a + b) % m for a, b in zip(x.coords, y.coords)))
 
     def _neg(self, x):
-        return self.element(tuple(-a for a in x.coords))
+        m = self.m
+        return RingElement(self, tuple(-a % m for a in x.coords))
 
     def _mul(self, x, y):
         if isinstance(self.base, TableRing):
@@ -712,9 +715,8 @@ class QuotientRing(Ring):
         return FiniteTables(self)
 
     def unit_group_generators(self):
-        t = self.tables
-        one = t.index[self.one.coords]
-        return [t.elements[i] for i in t.units if i != one]
+        return [u for u in self.enumerate_elements()
+                if self.is_unit(u) and u != self.one]
 
     def descriptor(self):
         return {"kind": "quotient", "base": self.base.descriptor(), "m": self.m}
@@ -727,12 +729,12 @@ class FiniteTables:
     """A finite ring on indices into its element list.
 
     ``elements`` is in ``enumerate_elements`` order and ``index`` maps
-    coordinates back to positions.  ``add[i][j]``, ``mul[i][j]`` and
-    ``neg[i]`` are indices, filled from the ring's own kernels; ``units``
-    lists the indices whose ``mul`` row reaches one, in enumeration order.
+    coordinates back to positions.  ``mul[i][j]`` is the index of the
+    product, filled from the ring's own kernel; ``units`` lists the indices
+    whose ``mul`` row reaches one, in enumeration order.
     """
 
-    __slots__ = ("elements", "index", "add", "mul", "neg", "units")
+    __slots__ = ("elements", "index", "mul", "units")
 
     def __init__(self, ring: QuotientRing):
         size = ring.m ** ring.rank
@@ -742,20 +744,15 @@ class FiniteTables:
         elements = ring.enumerate_elements()
         index = {x.coords: i for i, x in enumerate(elements)}
         n = len(elements)
-        add = [[0] * n for _ in range(n)]
         mul = [[0] * n for _ in range(n)]
         # the rings are commutative, so each unordered pair is computed once
         for i, x in enumerate(elements):
             for j in range(i, n):
-                y = elements[j]
-                add[i][j] = add[j][i] = index[ring._add(x, y).coords]
-                mul[i][j] = mul[j][i] = index[ring._mul(x, y).coords]
+                mul[i][j] = mul[j][i] = index[ring._mul(x, elements[j]).coords]
         one = index[ring.one.coords]
         self.elements = elements
         self.index = index
-        self.add = add
         self.mul = mul
-        self.neg = [index[ring._neg(x).coords] for x in elements]
         self.units = [i for i, row in enumerate(mul) if one in row]
 
 

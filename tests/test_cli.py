@@ -99,6 +99,16 @@ def test_finite_ring_outputs_unchanged(capsys):
         assert invoke(capsys, *args) == (0, out + "\n", "")
 
 
+def test_iso_over_large_two_regular_ring(capsys):
+    # the classification needs no index tables, so it has no size cap
+    for m, u in ((1001, 501), (2187, 1094)):
+        ring = f'{{"kind":"quotient","base":{{"kind":"integers"}},"m":{m}}}'
+        for alg2, out in (("r=0,s=-8", f'{{"isomorphic":true,"hom":{{"u":[{u}],"v":[0]}}}}'),
+                          ("r=0,s=-3", '{"isomorphic":false}')):
+            assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=0,s=-2",
+                          "--alg2", alg2) == (0, out + "\n", "")
+
+
 def test_type_and_natural_type(capsys):
     code, out, _ = invoke(capsys, "type", "--ring", "zsqrt8", "--alg", "r=w,s=-4")
     assert code == 0 and json.loads(out) == {"delta": [24, 0], "parity": [0, 1]}
