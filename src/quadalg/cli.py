@@ -2,22 +2,21 @@
 
 Single results are emitted as compact JSON on stdout; discriminant tables as
 CSV (or JSON with --format json).  Exit codes: 0 success, 2 validation or
-usage error, 1 internal error.
+usage error, 1 internal error, 141 stdout closed by the reader (as SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
+import os
 import re
 import sys
 
 from . import algebras, forms, glue, picard
-from .errors import InvalidRange, QuadalgError
+from .errors import QuadalgError
 from .ring import (
     IntegerRing,
     QuotientRing,
@@ -311,25 +310,21 @@ def _read_payload(args) -> str:
 
 def emit_table(min_delta: int, max_delta: int, fmt: str = "csv") -> str:
     """One row per valid discriminant in [min, max]: delta, pitilde, h,
-    pic-mod-conjugation count, reduced representatives."""
-    if min_delta > max_delta or max_delta >= 0:
-        raise InvalidRange(f"need min <= max < 0, got [{min_delta}, {max_delta}]")
-    rows = []
-    for delta in range(min_delta, max_delta + 1):
-        if delta % 4 not in (0, 1):
-            continue
-        reps = picard.reduced_triples(delta)
-        picmod = len(picard.conjugation_orbits(reps))
-        rows.append((delta, delta % 2, len(reps), picmod, reps))
+    pic-mod-conjugation count, reduced representatives.
+
+    Each opposition orbit {[a,b,c], [a,-b,c]} of reduced forms has exactly one
+    member with b >= 0, so the orbit count is the number of such reps.
+    """
+    rows = [(d, reps, sum(b >= 0 for _, b, _ in reps))
+            for d, reps in picard.reduced_triples_between(min_delta, max_delta).items()]
     if fmt == "json":
-        return _dump([{"delta": d, "pitilde": p, "h": h, "picmod": pm, "reps": r}
-                      for d, p, h, pm, r in rows])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta", "pitilde", "h", "picmod", "reps"])
-    for d, p, h, pm, reps in rows:
-        writer.writerow([d, p, h, pm, _dump(reps)])
-    return buf.getvalue().rstrip("\n")
+        return _dump([{"delta": d, "pitilde": d % 2, "h": len(reps), "picmod": pm,
+                       "reps": reps} for d, reps, pm in rows])
+    lines = ["delta,pitilde,h,picmod,reps"]
+    for d, reps, pm in rows:
+        body = ",".join([f"[{a},{b},{c}]" for a, b, c in reps])
+        lines.append(f'{d},{d % 2},{len(reps)},{pm},"[{body}]"')
+    return "\n".join(lines)
 
 
 def _cmd_table(args) -> str:
@@ -418,7 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        print(args.func(args))
+        # flushed here, so that a closed pipe is caught below and not at exit
+        print(args.func(args), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): send what is left, and the
+        # flush at exit, to devnull and exit as a shell reports SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (QuadalgError, ValueError, KeyError, IndexError,
             json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

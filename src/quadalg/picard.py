@@ -2,10 +2,14 @@
 correspondence between twisted-form classes of a fixed natural type and the
 Picard group of the order.
 
-Reduced forms are enumerated on plain ints by a divisor scan
-(``reduced_triples``): for each admissible b, the divisors a <= sqrt(n) of
-n = (b^2 - delta)/4 give the forms [a, +-b, n/a] (Cohen, A Course in
-Computational Algebraic Number Theory, 5.3).
+Reduced forms are enumerated on plain ints (Cohen, A Course in
+Computational Algebraic Number Theory, 5.3).  A single discriminant
+(``classgroup``, ``picmodconj``, ``ClassGroup``) uses a divisor scan,
+``reduced_triples``: for each admissible b, the divisors a <= sqrt(n) of
+n = (b^2 - delta)/4 give the forms [a, +-b, n/a].  A discriminant range
+(``table``) uses one sweep over (a, b), ``reduced_triples_between``: the c
+that put b^2 - 4ac in the range form an interval, so every form of every
+discriminant in the range is visited once.
 
 Composition (``compose``, ``ClassGroup.compose``) also runs on plain ints, by
 Dirichlet composition followed by Gauss reduction (Cohen, 5.4).  The HNF
@@ -22,6 +26,7 @@ from .algebras import FreeQuadraticAlgebra
 from .errors import (
     BadParityLift,
     InvalidDiscriminant,
+    InvalidRange,
     NotInvertible,
     NotPrimitive,
     OrderMismatch,
@@ -291,6 +296,39 @@ def reduced_triples(delta: int) -> list[Triple]:
             if b and a != b and a != c:
                 out.append((a, -b, c))
     out.sort(key=_form_sort_key)
+    return out
+
+
+def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
+    """``reduced_triples(delta)`` for every valid delta in [lo, hi], keyed in
+    ascending order, by one sweep over the pairs 0 <= b <= a.
+
+    For fixed (a, b) the c >= a with lo <= b^2 - 4ac <= hi form an interval.
+    Scanning a, then b, in ascending order fills each bucket in table order:
+    for fixed a and delta, c grows with |b|.
+    """
+    if lo > hi or hi >= 0:
+        raise InvalidRange(f"need min <= max < 0, got [{lo}, {hi}]")
+    out = {delta: [] for delta in range(lo, hi + 1) if delta % 4 in (0, 1)}
+    for a in range(1, isqrt(-lo // 3) + 1):
+        four_a = 4 * a
+        # c >= a needs b^2 >= 4a^2 + lo
+        for b in range(isqrt(max(0, four_a * a + lo)), a + 1):
+            bb = b * b
+            c_min = (bb - hi - 1) // four_a + 1
+            if c_min < a:
+                c_min = a
+            c_max = (bb - lo) // four_a
+            if c_min > c_max:
+                continue
+            g = gcd(a, b)
+            signed = b and b != a
+            for c in range(c_min, c_max + 1):
+                if g == 1 or gcd(g, c) == 1:
+                    bucket = out[bb - four_a * c]
+                    bucket.append((a, b, c))
+                    if signed and a != c:
+                        bucket.append((a, -b, c))
     return out
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from quadalg import glue
 from quadalg.cli import builtin_ring, emit_table, parse_element, run
 from quadalg.errors import InvalidRange
+
+from oracles import ClassNumbers
 
 
 def invoke(capsys, *argv):
@@ -251,10 +257,44 @@ def test_table_golden_bytes():
          "edc340ac2e805966756ec5ef39afc519ad9c6eae47c48a3432a45ef08d77f268"),
         ((-400, -3, "json"),
          "b2356c585ea75d8e277968b43bdab2a1a57e27483dbec689b83ef23142da2714"),
+        # the benchmark's window range, and a 64-wide window in JSON
+        ((-12000, -8000, "csv"),
+         "6db11492a192bad2f57ed708de2a2626131d6382e6cdd3cf6f71b0208b9e5bbd"),
+        ((-10063, -10000, "json"),
+         "f8c64f695f90562cb2bee099b977269111f7bb1dd6c682dda4c2a14500e6a1a6"),
     ]
     for args, digest in golden:
         out = emit_table(*args) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def test_table_class_numbers_match_analytic_formula():
+    class_numbers = ClassNumbers()
+    rng = random.Random(8)
+    for centre in (-10**4, -10**4, -10**5, -10**5):
+        lo = centre - rng.randrange(1000)
+        rows = emit_table(lo, lo + 63).split("\n")[1:]
+        assert len(rows) == 32
+        for row in rows:
+            delta, _, h = row.split(",")[:3]
+            assert int(h) == class_numbers(int(delta)), row
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that stops early, as in `quadalg table ... | head -c 50`:
+    # the broken pipe is neither a validation error nor an exception at exit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadalg.cli", "table", "--min", "-10000", "--max", "-3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(50).startswith(b"delta,pitilde,h,picmod,reps\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_table_invalid_range():

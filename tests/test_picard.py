@@ -11,6 +11,7 @@ from quadalg.algebras import FreeQuadraticAlgebra, freeok_iso, type_of
 from quadalg.errors import (
     BadParityLift,
     InvalidDiscriminant,
+    InvalidRange,
     NotInvertible,
     NotPrimitive,
     OrderMismatch,
@@ -31,6 +32,7 @@ from quadalg.picard import (
     class_group,
     compose,
     conjugate,
+    conjugation_orbits,
     form_to_ideal,
     ideal_mul,
     ideal_norm,
@@ -40,11 +42,14 @@ from quadalg.picard import (
     order_from_type,
     pic_mod_conjugation,
     reduced_forms,
+    reduced_triples,
+    reduced_triples_between,
     wood_local_algebra,
 )
 from quadalg.ring import IntegerRing, xgcd
 
 from oracles import (
+    ClassNumbers,
     compose_via_ideals,
     ideal_class_count,
     principal_by_norm_equation,
@@ -221,6 +226,16 @@ def test_compose_errors_match_ideal_path():
         assert want.type in (NotPrimitive, ZeroLeadingCoefficient, TypeMismatch)
 
 
+def test_class_numbers_match_analytic_formula():
+    class_numbers = ClassNumbers()
+    rng = random.Random(5)
+    for _ in range(10):
+        delta = -rng.randrange(10**5, 10**6)
+        while delta % 4 not in (0, 1):
+            delta -= 1
+        assert class_group(delta).h == class_numbers(delta), delta
+
+
 def test_cross_count_small():
     for delta in (-23, -44, -47, -71, -84):
         assert len(reduced_forms(delta)) == ideal_class_count(delta)
@@ -262,6 +277,37 @@ def test_enumeration_matches_bruteforce():
         reduced = set(want)
         ambiguous = sum(b == 0 or (a, -b, c) not in reduced for a, b, c in want)
         assert len(orbits) == ambiguous + (len(want) - ambiguous) // 2
+
+
+def _valid_discriminants(lo, hi):
+    return [d for d in range(lo, hi + 1) if d % 4 in (0, 1)]
+
+
+def test_range_sweep_matches_divisor_scan():
+    table = reduced_triples_between(-3000, -3)
+    assert list(table) == _valid_discriminants(-3000, -3)
+    for delta, reps in table.items():
+        assert reps == reduced_triples(delta), delta
+        # each opposition orbit has exactly one member with b >= 0
+        assert sum(b >= 0 for _, b, _ in reps) == len(conjugation_orbits(reps)), delta
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(-2 * 10**5, -3), st.integers(1, 200))
+def test_range_sweep_matches_divisor_scan_on_windows(lo, width):
+    hi = min(lo + width - 1, -1)
+    table = reduced_triples_between(lo, hi)
+    assert list(table) == _valid_discriminants(lo, hi)
+    for delta, reps in table.items():
+        assert reps == reduced_triples(delta), delta
+
+
+def test_range_sweep_edges():
+    assert reduced_triples_between(-4, -3) == {-4: [(1, 0, 1)], -3: [(1, 1, 1)]}
+    assert reduced_triples_between(-2, -1) == {}
+    for lo, hi in ((-3, -4), (-4, 0), (-4, 4)):
+        with pytest.raises(InvalidRange):
+            reduced_triples_between(lo, hi)
 
 
 def test_wood_local_algebra():
