@@ -18,8 +18,15 @@ passes it.  The report lists, with 0-based indices and in this order:
 
 Only when all of these pass do ``transition_hom`` for each ordered pair
 i != j and ``cocycle_transitions`` for each i < j < t follow; the other
-orders of a triple follow from these, as t_ji = -t_ij / eps_ij.  Membership
-is tested on plain ints (``ring.divides_power``).
+orders of a triple follow from these, as t_ji = -t_ij / eps_ij.
+
+Every check runs on plain ints.  The report turns each ``Fraction`` of the
+input into an (n, d) pair once, d > 0 and not necessarily in lowest terms,
+and the checks use only products, sums, cross-multiplied equality and
+membership: n/d lies in Z[1/f] when d / gcd(n, d) divides a power of f
+(``ring.divides_power``).  The public objects keep their ``Fraction`` fields;
+``check_transition_hom`` and ``check_cocycle_transitions`` read a
+``GluedAlgebra`` through the same pair view.
 """
 
 from __future__ import annotations
@@ -33,9 +40,11 @@ from .ring import IntegerRing, LocalizationRing, Ring, divides_power
 
 
 def _as_fraction(x, name: str) -> Fraction:
-    """A rational from an int, a Fraction or a string such as '3/2'; booleans
-    and floats are refused, and ``name`` names the field in the error."""
-    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
+    """A rational from an int, a Fraction or a string such as '3/2' or '1.5';
+    booleans, floats and exponent strings are refused, and ``name`` names the
+    field in the error.  (Fraction('1e20000000') would build 10**20000000.)"""
+    exponent = isinstance(x, str) and ("e" in x or "E" in x)
+    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool) and not exponent:
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -112,8 +121,8 @@ class GluedTypeData:
 
 class GluedAlgebra:
     """Charts omega_i^2 + p_i*omega_i - (d_i - p_i^2)/4 = 0 with transitions
-    omega_i -> scale_ij * omega_j + shift_ij over the overlaps.  The checks
-    read no charts, so the report runs them on an instance without any."""
+    omega_i -> scale_ij * omega_j + shift_ij over the overlaps.  The
+    transition checks read no charts, only the int-pair view ``_PairGlue``."""
 
     __slots__ = ("cover", "charts", "ptilde", "disc", "transitions")
 
@@ -140,75 +149,152 @@ def validate_cover(cover: PrincipalCover) -> bool:
 
 
 def validate_cocycle(cover: PrincipalCover, cocycle: LineBundleCocycle) -> bool:
-    return all(item["ok"] for item in _cocycle_checks(cover, cocycle))
+    return all(item["ok"] for item in _cocycle_checks(cover.opens, _eps_pairs(cocycle)))
 
 
 def validate_type_data(cover: PrincipalCover, cocycle: LineBundleCocycle,
                        data: GluedTypeData) -> bool:
-    return all(item["ok"] for item in _data_checks(cover, cocycle, data))
+    checks = _data_checks(cover.opens, _eps_pairs(cocycle), *_data_pairs(data))
+    return all(item["ok"] for item in checks)
 
 
-def _cocycle_checks(cover, cocycle):
+# Rationals in the checks are int pairs (n, d), d > 0 (see the module docstring).
+
+def _pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def _eps_pairs(cocycle: LineBundleCocycle) -> dict:
+    return {key: _pair(e) for key, e in cocycle._eps.items()}
+
+
+def _data_pairs(data: GluedTypeData) -> tuple[list, list]:
+    return [_pair(x) for x in data.d], [_pair(x) for x in data.p]
+
+
+def _mul(x, y):
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _add(*xs):
+    n, d = 0, 1
+    for a, b in xs:
+        n, d = n * b + a * d, d * b
+    return n, d
+
+
+def _neg(x):
+    return -x[0], x[1]
+
+
+def _eq(x, y) -> bool:
+    return x[0] * y[1] == y[0] * x[1]
+
+
+def _inv(x):
+    """1/x for x != 0."""
+    n, d = x
+    return (d, n) if n > 0 else (-d, -n)
+
+
+def _over(x, m: int):
+    """x / m for an int m > 0."""
+    return x[0], x[1] * m
+
+
+def _in(x, f: int) -> bool:
+    """Does x lie in Z[1/f]?"""
+    n, d = x
+    return divides_power(d // gcd(n, d), f)
+
+
+def _is_unit(x, f: int) -> bool:
+    """Is x a unit of Z[1/f]?  Zero is not."""
+    g = gcd(*x)
+    return divides_power(x[0] // g, f) and divides_power(x[1] // g, f)
+
+
+def _cocycle_checks(f: tuple[int, ...], eps: dict) -> list[dict]:
     out = []
-    f, k = cover.opens, cover.size
+    k = len(f)
     for i in range(k):
         for j in range(i + 1, k):
-            e = cocycle.eps(i, j)
-            ok = divides_power(e.numerator, f[i] * f[j]) \
-                and divides_power(e.denominator, f[i] * f[j])
-            out.append({"check": "cocycle_unit", "indices": [i, j], "ok": ok})
+            out.append({"check": "cocycle_unit", "indices": [i, j],
+                        "ok": _is_unit(eps[(i, j)], f[i] * f[j])})
     for i in range(k):
         for j in range(i + 1, k):
             for t in range(j + 1, k):
-                ok = cocycle.eps(i, t) == cocycle.eps(i, j) * cocycle.eps(j, t)
+                ok = _eq(eps[(i, t)], _mul(eps[(i, j)], eps[(j, t)]))
                 out.append({"check": "cocycle_triple", "indices": [i, j, t], "ok": ok})
     return out
 
 
-def _data_checks(cover, cocycle, data):
+def _data_checks(f: tuple[int, ...], eps: dict, d: list, p: list) -> list[dict]:
     out = []
-    f, k = cover.opens, cover.size
-    if len(data.d) != k:
+    k = len(f)
+    if len(d) != k:
         return [{"check": "data_shape", "indices": [], "ok": False}]
     for i in range(k):
-        d, p = data.d[i], data.p[i]
-        member = divides_power(d.denominator, f[i]) and divides_power(p.denominator, f[i])
+        member = _in(d[i], f[i]) and _in(p[i], f[i])
         out.append({"check": "chart_membership", "indices": [i], "ok": member})
         if member:
             out.append({"check": "chart_validity", "indices": [i],
-                        "ok": divides_power(((d - p * p) / 4).denominator, f[i])})
+                        "ok": _in(_over(_add(d[i], _neg(_mul(p[i], p[i]))), 4), f[i])})
     for i in range(k):
         for j in range(i + 1, k):
-            e = cocycle.eps(i, j)
-            ok_d = data.d[i] == data.d[j] * e * e
+            e = eps[(i, j)]
+            ok_d = _eq(d[i], _mul(d[j], _mul(e, e)))
             out.append({"check": "overlap_discriminant", "indices": [i, j], "ok": ok_d})
-            half = (data.p[i] - data.p[j] * e) / 2
+            half = _over(_add(p[i], _neg(_mul(p[j], e))), 2)
             out.append({"check": "overlap_parity", "indices": [i, j],
-                        "ok": divides_power(half.denominator, f[i] * f[j])})
+                        "ok": _in(half, f[i] * f[j])})
     return out
 
 
-def _transitions(cocycle: LineBundleCocycle, data: GluedTypeData) -> dict:
-    """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j."""
+class _PairGlue:
+    """What the transition checks read of a glued algebra, as int pairs: the
+    opens, p_i, d_i, and (i, j) -> (scale, shift)."""
+
+    __slots__ = ("opens", "p", "d", "transitions")
+
+    def __init__(self, opens, p, d, transitions):
+        self.opens, self.p, self.d, self.transitions = opens, p, d, transitions
+
+    @classmethod
+    def of(cls, glued) -> _PairGlue:
+        """The pair view of a GluedAlgebra; a view is its own."""
+        if isinstance(glued, cls):
+            return glued
+        return cls(glued.cover.opens, [_pair(x) for x in glued.ptilde],
+                   [_pair(x) for x in glued.disc],
+                   {key: (_pair(e), _pair(t)) for key, (e, t) in glued.transitions.items()})
+
+
+def _transitions(eps: dict, p: list) -> dict:
+    """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j,
+    from eps_ij (i < j) and p_i."""
     transitions = {}
-    k = len(data.p)
+    k = len(p)
     for i in range(k):
         for j in range(k):
             if i != j:
-                e = cocycle.eps(i, j)
-                transitions[(i, j)] = (e, (e * data.p[j] - data.p[i]) / 2)
+                e = eps[(i, j)] if i < j else _inv(eps[(j, i)])
+                t = _over(_add(_mul(e, p[j]), _neg(p[i])), 2)
+                transitions[(i, j)] = (e, t)
     return transitions
 
 
 def verification_report(cover: PrincipalCover, cocycle: LineBundleCocycle,
                         data: GluedTypeData) -> list[dict]:
     """Every check of the glue data, in the order of the module docstring."""
+    eps = _eps_pairs(cocycle)
+    d, p = _data_pairs(data)
     report = [{"check": "cover", "indices": [], "ok": validate_cover(cover)}]
-    report += _cocycle_checks(cover, cocycle)
-    report += _data_checks(cover, cocycle, data)
+    report += _cocycle_checks(cover.opens, eps)
+    report += _data_checks(cover.opens, eps, d, p)
     if not all(item["ok"] for item in report):
         return report
-    glued = GluedAlgebra(cover, [], data.p, data.d, _transitions(cocycle, data))
+    glued = _PairGlue(cover.opens, p, d, _transitions(eps, p))
     k = cover.size
     for i in range(k):
         for j in range(k):
@@ -236,36 +322,38 @@ def build_glued(cover: PrincipalCover, cocycle: LineBundleCocycle,
         r = ring.from_rational(data.p[i])
         s = ring.from_rational(-(data.d[i] - data.p[i] ** 2) / 4)
         charts.append(FreeQuadraticAlgebra(ring, r, s))
-    return GluedAlgebra(cover, charts, data.p, data.d, _transitions(cocycle, data))
+    transitions = _transitions(_eps_pairs(cocycle), _data_pairs(data)[1])
+    return GluedAlgebra(cover, charts, data.p, data.d,
+                        {key: (Fraction(*e), Fraction(*t)) for key, (e, t) in transitions.items()})
 
 
 def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:
     """Does the image of omega_i satisfy chart i's equation inside chart j,
     over the overlap ring?"""
-    f = glued.cover.opens[i] * glued.cover.opens[j]
-    e, t = glued.transitions[(i, j)]
-    p_i, p_j = glued.ptilde[i], glued.ptilde[j]
-    d_i, d_j = glued.disc[i], glued.disc[j]
-    s_i = -(d_i - p_i ** 2) / 4
-    s_j = -(d_j - p_j ** 2) / 4
-    # (e*w + t)^2 + p_i*(e*w + t) + s_i with w^2 = -p_j*w - s_j
-    lin = -e * e * p_j + 2 * e * t + p_i * e
-    const = -e * e * s_j + t * t + p_i * t + s_i
-    if not (divides_power(e.denominator, f) and divides_power(t.denominator, f)):
+    g = _PairGlue.of(glued)
+    e, t = g.transitions[(i, j)]
+    f = g.opens[i] * g.opens[j]
+    if not (_in(e, f) and _in(t, f)):
         return False
-    return lin == 0 and const == 0
+    p_i, p_j = g.p[i], g.p[j]
+    s_i = _over(_add(_mul(p_i, p_i), _neg(g.d[i])), 4)
+    s_j = _over(_add(_mul(p_j, p_j), _neg(g.d[j])), 4)
+    ee = _mul(e, e)
+    # (e*w + t)^2 + p_i*(e*w + t) + s_i with w^2 = -p_j*w - s_j
+    lin = _add(_neg(_mul(ee, p_j)), _mul((2, 1), _mul(e, t)), _mul(p_i, e))
+    const = _add(_neg(_mul(ee, s_j)), _mul(t, t), _mul(p_i, t), s_i)
+    return lin[0] == 0 and const[0] == 0
 
 
 def check_cocycle_transitions(glued: GluedAlgebra, i: int, j: int, k: int) -> bool:
     """psi_ik = psi_jk o psi_ij on the triple overlap."""
     if len({i, j, k}) < 3:
         return True  # repeated indices are trivial by the eps conventions
-    e_ij, t_ij = glued.transitions[(i, j)]
-    e_jk, t_jk = glued.transitions[(j, k)]
-    e_ik, t_ik = glued.transitions[(i, k)]
-    opens = glued.cover.opens
-    f = opens[i] * opens[j] * opens[k]
-    values = (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)
-    if not all(divides_power(v.denominator, f) for v in values):
+    g = _PairGlue.of(glued)
+    e_ij, t_ij = g.transitions[(i, j)]
+    e_jk, t_jk = g.transitions[(j, k)]
+    e_ik, t_ik = g.transitions[(i, k)]
+    f = g.opens[i] * g.opens[j] * g.opens[k]
+    if not all(_in(v, f) for v in (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)):
         return False
-    return e_ik == e_ij * e_jk and t_ik == e_ij * t_jk + t_ij
+    return _eq(e_ik, _mul(e_ij, e_jk)) and _eq(t_ik, _add(_mul(e_ij, t_jk), t_ij))

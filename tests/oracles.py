@@ -4,8 +4,9 @@ These deliberately avoid the library code paths they are checking: lattice
 indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
 a scan over every (a, b), composition from the HNF ideal product, homs of
-algebras over finite rings from ring arithmetic on every (u, v), and class
-numbers from Dirichlet's analytic formula.
+algebras over finite rings from ring arithmetic on every (u, v), class
+numbers from Dirichlet's analytic formula, and the glue report from
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import gcd, isqrt
 
 from quadalg.algebras import AlgebraHom, FreeQuadraticAlgebra
 from quadalg.forms import TwistedForm, reduce_posdef
+from quadalg.glue import GluedAlgebra
 from quadalg.picard import (
     OrderIdeal,
     QuadraticOrder,
@@ -272,3 +274,89 @@ class ClassNumbers:
         if f == 1:
             return h
         return h // {-3: 3, -4: 2}.get(dk, 1)  # [O_K* : O*]
+
+
+def _in_localization(n: int, f: int) -> bool:
+    """Does |n| divide a power of f?  The exponent bit_length(n) bounds every
+    prime exponent of n."""
+    n = abs(n)
+    return n != 0 and pow(f, n.bit_length(), n) == 0
+
+
+def glue_report_fractions(cover, cocycle, data) -> list[dict]:
+    """The glue verification report of ``glue.verification_report``, every
+    check computed in ``Fraction`` arithmetic from the public objects."""
+    f, k = cover.opens, cover.size
+    eps = cocycle.eps
+    report = [{"check": "cover", "indices": [], "ok": gcd(*f) == 1}]
+    for i, j in itertools.combinations(range(k), 2):
+        e = eps(i, j)
+        ok = _in_localization(e.numerator, f[i] * f[j]) \
+            and _in_localization(e.denominator, f[i] * f[j])
+        report.append({"check": "cocycle_unit", "indices": [i, j], "ok": ok})
+    for i, j, t in itertools.combinations(range(k), 3):
+        report.append({"check": "cocycle_triple", "indices": [i, j, t],
+                       "ok": eps(i, t) == eps(i, j) * eps(j, t)})
+    if len(data.d) != k:
+        return report + [{"check": "data_shape", "indices": [], "ok": False}]
+    for i in range(k):
+        d, p = data.d[i], data.p[i]
+        member = _in_localization(d.denominator, f[i]) \
+            and _in_localization(p.denominator, f[i])
+        report.append({"check": "chart_membership", "indices": [i], "ok": member})
+        if member:
+            report.append({"check": "chart_validity", "indices": [i],
+                           "ok": _in_localization(((d - p * p) / 4).denominator, f[i])})
+    for i, j in itertools.combinations(range(k), 2):
+        e = eps(i, j)
+        report.append({"check": "overlap_discriminant", "indices": [i, j],
+                       "ok": data.d[i] == data.d[j] * e * e})
+        half = (data.p[i] - data.p[j] * e) / 2
+        report.append({"check": "overlap_parity", "indices": [i, j],
+                       "ok": _in_localization(half.denominator, f[i] * f[j])})
+    if not all(item["ok"] for item in report):
+        return report
+    glued = GluedAlgebra(cover, [], data.p, data.d, glue_transitions_fractions(cocycle, data))
+    for i, j in itertools.permutations(range(k), 2):
+        report.append({"check": "transition_hom", "indices": [i, j],
+                       "ok": transition_hom_fractions(glued, i, j)})
+    for i, j, t in itertools.combinations(range(k), 3):
+        report.append({"check": "cocycle_transitions", "indices": [i, j, t],
+                       "ok": cocycle_transitions_fractions(glued, i, j, t)})
+    return report
+
+
+def glue_transitions_fractions(cocycle, data) -> dict:
+    """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j."""
+    eps, p = cocycle.eps, data.p
+    return {(i, j): (eps(i, j), (eps(i, j) * p[j] - p[i]) / 2)
+            for i, j in itertools.permutations(range(len(p)), 2)}
+
+
+def transition_hom_fractions(glued, i: int, j: int) -> bool:
+    """``glue.check_transition_hom`` in ``Fraction`` arithmetic: with
+    w^2 = -p_j*w - s_j, (e*w + t)^2 + p_i*(e*w + t) + s_i vanishes, and e, t
+    lie in the overlap ring."""
+    f = glued.cover.opens[i] * glued.cover.opens[j]
+    e, t = glued.transitions[(i, j)]
+    p_i, p_j = glued.ptilde[i], glued.ptilde[j]
+    s_i = -(glued.disc[i] - p_i ** 2) / 4
+    s_j = -(glued.disc[j] - p_j ** 2) / 4
+    lin = -e * e * p_j + 2 * e * t + p_i * e
+    const = -e * e * s_j + t * t + p_i * t + s_i
+    return _in_localization(e.denominator, f) and _in_localization(t.denominator, f) \
+        and lin == 0 and const == 0
+
+
+def cocycle_transitions_fractions(glued, i: int, j: int, k: int) -> bool:
+    """``glue.check_cocycle_transitions`` in ``Fraction`` arithmetic."""
+    if len({i, j, k}) < 3:
+        return True
+    e_ij, t_ij = glued.transitions[(i, j)]
+    e_jk, t_jk = glued.transitions[(j, k)]
+    e_ik, t_ik = glued.transitions[(i, k)]
+    opens = glued.cover.opens
+    f = opens[i] * opens[j] * opens[k]
+    values = (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)
+    return all(_in_localization(v.denominator, f) for v in values) \
+        and e_ik == e_ij * e_jk and t_ik == e_ij * t_jk + t_ij

@@ -5,6 +5,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from quadalg import glue
 from quadalg.cli import builtin_ring, emit_table, parse_element, run
 from quadalg.errors import InvalidRange
 
+from glue_data import glue_payload
 from oracles import ClassNumbers
 
 
@@ -198,6 +200,16 @@ def test_glue_check_golden_bytes(capsys):
         assert (failed == []) if n < 4 else (base_checks[n - 4] in failed), payload
     assert digest.hexdigest() == \
         "f890c90f8ef0d93305887089c7e22024828fd7a77b972ff77b74f4c3716c345f"
+    # and over 240 seeded payloads of 1-5 opens, valid and perturbed, recorded
+    # from the Fraction checks before they moved to int pairs
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    for _ in range(240):
+        code, out, _ = invoke(capsys, "glue-check", glue_payload(rng))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "b913e3aede963780114edb2005aad513841a389e65c942265e8a58eb41a0c0ca"
 
 
 def test_glue_check_never_builds_charts(capsys, monkeypatch):
@@ -371,6 +383,24 @@ def test_validation_errors_exit_2(capsys):
         (dict(valid, cocycle={}), "missing cocycle entry '1,2'"),
     ]:
         assert invoke(capsys, "glue-check", json.dumps(payload)) == (2, "", f"error: {message}\n")
+
+
+def test_glue_check_refuses_exponents_quickly(capsys):
+    # Fraction("1e20000000") would compute 10**20000000 before any check runs
+    for entry, field in (("1e20000000", "a 'd' entry"), ("-3E2", "a 'd' entry")):
+        payload = '{"cover":[2,3],"cocycle":{"1,2":"3/2"},' \
+                  f'"data":{{"d":["{entry}",-44],"p":[1,0]}}}}'
+        start = time.perf_counter()
+        result = invoke(capsys, "glue-check", payload)
+        assert time.perf_counter() - start < 1
+        assert result == (2, "", f"error: {field} must be a rational number, got '{entry}'\n")
+    code, _, err = invoke(capsys, "glue-check", '{"cover":[2,3],"cocycle":{"1,2":"1e3"},'
+                          '"data":{"d":[-99,-44],"p":[1,0]}}')
+    assert (code, err) == (2, "error: cocycle entry '1,2' must be a rational number, got '1e3'\n")
+    # integers, 'n/d' and decimals stay accepted
+    code, out, _ = invoke(capsys, "glue-check", '{"cover":[2,3],"cocycle":{"1,2":"1.5"},'
+                          '"data":{"d":["-99","-44/1"],"p":["1.0",0]}}')
+    assert code == 0 and all(item["ok"] for item in json.loads(out))
 
 
 def test_compose_errors(capsys):

@@ -1,0 +1,89 @@
+"""The glue report and the transition checks against the Fraction oracle."""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadalg.glue import (
+    GluedAlgebra,
+    GluedTypeData,
+    LineBundleCocycle,
+    PrincipalCover,
+    build_glued,
+    check_cocycle_transitions,
+    check_transition_hom,
+    verification_report,
+)
+
+from glue_data import FOREIGN, PERTURBATIONS, glue_dataset
+from oracles import (
+    cocycle_transitions_fractions,
+    glue_report_fractions,
+    glue_transitions_fractions,
+    transition_hom_fractions,
+)
+
+
+def objects(opens, eps, d, p):
+    cover = PrincipalCover(opens)
+    return cover, LineBundleCocycle(cover, eps), GluedTypeData(d, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from(PERTURBATIONS))
+def test_report_matches_fraction_oracle(seed, kind):
+    cover, cocycle, data = objects(*glue_dataset(random.Random(seed), kind))
+    report = verification_report(cover, cocycle, data)
+    assert report == glue_report_fractions(cover, cocycle, data)
+
+
+def perturbed(glued, rng, target, delta):
+    """``glued`` with one value moved by delta.  "recentre" moves chart i's
+    coordinate, omega_i -> omega_i + delta: p_i loses 2*delta, every t_ij gains
+    delta and every t_ji loses e_ji*delta, so every identity still holds and
+    only membership in the overlap rings can fail."""
+    k = glued.cover.size
+    i, j = rng.sample(range(k), 2)
+    if target == "shift":
+        return glued.with_shift(i, j, glued.transitions[(i, j)][1] + delta)
+    ptilde, disc, transitions = list(glued.ptilde), list(glued.disc), dict(glued.transitions)
+    if target == "ptilde":
+        ptilde[i] += delta
+    elif target == "disc":
+        disc[i] += delta
+    elif target == "scale":
+        e, t = transitions[(i, j)]
+        transitions[(i, j)] = (e + delta, t)
+    else:  # "recentre"
+        ptilde[i] -= 2 * delta
+        for m in range(k):
+            if m != i:
+                e, t = transitions[(i, m)]
+                transitions[(i, m)] = (e, t + delta)
+                e, t = transitions[(m, i)]
+                transitions[(m, i)] = (e, t - e * delta)
+    return GluedAlgebra(glued.cover, glued.charts, tuple(ptilde), tuple(disc), transitions)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32),
+       st.sampled_from(("shift", "recentre", "ptilde", "disc", "scale")),
+       st.integers(-4, 4), st.sampled_from((1, 2, 3, 4) + FOREIGN))
+def test_transition_checks_match_fraction_oracle(seed, target, num, den):
+    # a valid glued algebra, then one value moved by num/den: a foreign den
+    # leaves the overlap ring, num = 0 keeps the data valid
+    rng = random.Random(seed)
+    cover, cocycle, data = objects(*glue_dataset(rng, None))
+    glued = build_glued(cover, cocycle, data)
+    assert glued.transitions == glue_transitions_fractions(cocycle, data)
+    k = cover.size
+    if k > 1:
+        glued = perturbed(glued, rng, target, Fraction(num, den))
+    for i, j in itertools.permutations(range(k), 2):
+        assert check_transition_hom(glued, i, j) == transition_hom_fractions(glued, i, j)
+    for i, j, t in itertools.product(range(k), repeat=3):
+        assert check_cocycle_transitions(glued, i, j, t) == \
+            cocycle_transitions_fractions(glued, i, j, t)
