@@ -8,7 +8,9 @@ and ``oriented_automorphisms_bruteforce``) run on the ring's index tables
 homs found are verified in ring arithmetic.  The tables are capped at
 ``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring raises
 ``RingTooLarge`` before anything is enumerated.  The classification by
-(discriminant, parity) needs no tables and has no cap.
+(discriminant, parity) needs no tables and has no cap; over a finite ring it
+reads ``QuotientRing.units``.  An ``Orientation`` keeps the inverse ``u_inv``
+of its unit test, as ``forms.GL2Matrix`` keeps ``det_inv``.
 """
 
 from __future__ import annotations
@@ -97,12 +99,13 @@ class AlgebraType:
 
 
 class Orientation:
-    """Trivializing unit u: the orientation sends the class of tau to u."""
+    """Trivializing unit u, sending the class of tau to u; keeps u_inv."""
 
-    __slots__ = ("u",)
+    __slots__ = ("u", "u_inv")
 
     def __init__(self, u: RingElement):
-        if not u.ring.is_unit(u):
+        self.u_inv = u.ring.try_inverse(u)
+        if self.u_inv is None:
             raise NotAUnit(f"orientation value {u!r} is not a unit")
         self.u = u
 
@@ -281,12 +284,8 @@ def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     if ring != t2.ring:
         raise ValueError("types live over different rings")
     if ring.is_finite():
-        for u in ring.enumerate_elements():
-            if not ring.is_unit(u):
-                continue
-            if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u):
-                return u
-        return None
+        return next((u for u in ring.units
+                     if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u)), None)
     z1, z2 = t1.delta.is_zero(), t2.delta.is_zero()
     if z1 != z2:
         return None
@@ -328,12 +327,9 @@ def algebras_isomorphic(a: FreeQuadraticAlgebra,
 
 def oriented_type(alg: FreeQuadraticAlgebra, theta: Orientation) -> AlgebraType:
     """((r^2 - 4s) / u^2, (r / u) mod 2) for the orientation unit u."""
-    ring = alg.ring
-    uinv = ring.try_inverse(theta.u)
-    if uinv is None:
-        raise NotAUnit(f"{theta.u!r} is not a unit")
+    uinv = theta.u_inv
     d = alg.r * alg.r - 4 * alg.s
-    return AlgebraType(d * uinv * uinv, ring.mod2(alg.r * uinv))
+    return AlgebraType(d * uinv * uinv, alg.ring.mod2(alg.r * uinv))
 
 
 def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
@@ -348,7 +344,7 @@ def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
         raise ValueError("algebras live over different rings")
     if not ring.two_regular:
         raise NotTwoRegular("oriented uniqueness needs 2 regular")
-    u = theta_a.u * ring.try_inverse(theta_b.u)
+    u = theta_a.u * ring.coerce(theta_b.u_inv)
     v = ring.try_halve(u * b.r - a.r)
     if v is None:
         return None

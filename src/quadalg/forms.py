@@ -78,9 +78,9 @@ class TwistedForm:
 
 
 class GL2Matrix:
-    """[[alpha, beta], [gamma, delta]] with unit determinant."""
+    """[[alpha, beta], [gamma, delta]] with unit determinant; keeps det_inv."""
 
-    __slots__ = ("ring", "alpha", "beta", "gamma", "delta")
+    __slots__ = ("ring", "alpha", "beta", "gamma", "delta", "det_inv")
 
     def __init__(self, ring: Ring, alpha, beta, gamma, delta):
         self.ring = ring
@@ -88,7 +88,8 @@ class GL2Matrix:
         self.beta = ring.coerce(beta)
         self.gamma = ring.coerce(gamma)
         self.delta = ring.coerce(delta)
-        if not ring.is_unit(self.det()):
+        self.det_inv = ring.try_inverse(self.det())
+        if self.det_inv is None:
             raise SingularMatrix(f"determinant {self.det()!r} is not a unit")
 
     def det(self) -> RingElement:
@@ -121,23 +122,23 @@ class GL2Matrix:
 
 def act_gl2gl1(mu: GL2Matrix, e, q: TwistedForm) -> TwistedForm:
     """Substitute (x, y) -> (alpha x + beta y, gamma x + delta y), scale by e."""
-    ring = q.ring
-    e = ring.coerce(e)
-    if not ring.is_unit(e):
+    e = q.ring.coerce(e)
+    if not q.ring.is_unit(e):
         raise NotAUnit(f"scale factor {e!r} is not a unit")
-    al, be, ga, de = mu.alpha, mu.beta, mu.gamma, mu.delta
-    a2 = q.evaluate(al, ga)
-    b2 = 2 * q.a * al * be + q.b * (al * de + be * ga) + 2 * q.c * ga * de
-    c2 = q.evaluate(be, de)
-    return TwistedForm(ring, e * a2, e * b2, e * c2)
+    return _substitute(mu, e, q)
 
 
 def act_gl2tw(mu: GL2Matrix, q: TwistedForm) -> TwistedForm:
     """Twisted action: the substitution followed by division by det(mu)."""
-    det_inv = q.ring.try_inverse(mu.det())
-    if det_inv is None:
-        raise SingularMatrix(f"determinant {mu.det()!r} is not a unit")
-    return act_gl2gl1(mu, det_inv, q)
+    return _substitute(mu, q.ring.coerce(mu.det_inv), q)
+
+
+def _substitute(mu: GL2Matrix, e: RingElement, q: TwistedForm) -> TwistedForm:
+    al, be, ga, de = mu.alpha, mu.beta, mu.gamma, mu.delta
+    a2 = q.evaluate(al, ga)
+    b2 = 2 * q.a * al * be + q.b * (al * de + be * ga) + 2 * q.c * ga * de
+    c2 = q.evaluate(be, de)
+    return TwistedForm(q.ring, e * a2, e * b2, e * c2)
 
 
 def natural_type(q: TwistedForm) -> NaturalType:

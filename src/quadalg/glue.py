@@ -40,11 +40,13 @@ from .ring import IntegerRing, LocalizationRing, Ring, divides_power
 
 
 def _as_fraction(x, name: str) -> Fraction:
-    """A rational from an int, a Fraction or a string such as '3/2' or '1.5';
-    booleans, floats and exponent strings are refused, and ``name`` names the
-    field in the error.  (Fraction('1e20000000') would build 10**20000000.)"""
+    """A rational from an int, a string such as '3/2' or '1.5', or a Fraction, kept
+    as it is; booleans, floats and exponent strings are refused, and ``name`` names
+    the field in the error.  (Fraction('1e20000000') would build 10**20000000.)"""
+    if isinstance(x, Fraction):
+        return x
     exponent = isinstance(x, str) and ("e" in x or "E" in x)
-    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool) and not exponent:
+    if isinstance(x, (int, str)) and not isinstance(x, bool) and not exponent:
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -117,17 +117,14 @@ class OrderIdeal:
         self.b = b
         self.c = c
         for gen in ((a, 0), (b, c)):
-            if not self._contains(order.omega_times(gen)):
+            if not self.contains(order.omega_times(gen)):
                 raise ValueError("lattice is not closed under omega")
 
-    def _contains(self, x: Pair) -> bool:
+    def contains(self, x: Pair) -> bool:
         x0, x1 = x
         if x1 % self.c:
             return False
         return (x0 - (x1 // self.c) * self.b) % self.a == 0
-
-    def contains(self, x: Pair) -> bool:
-        return self._contains(x)
 
     @classmethod
     def from_lattice(cls, order: QuadraticOrder, pairs: list[Pair]) -> OrderIdeal:
@@ -262,8 +259,7 @@ def wood_local_algebra(q: TwistedForm) -> FreeQuadraticAlgebra:
 
 
 def is_principal(ideal: OrderIdeal) -> bool:
-    if not is_invertible(ideal):
-        raise NotInvertible(f"{ideal!r} is not invertible")
+    """Raises NotInvertible, through ideal_to_form, for a non-invertible ideal."""
     return reduce_posdef(ideal_to_form(ideal)) == principal_form(ideal.order.delta)
 
 

@@ -10,10 +10,12 @@ rings, unit index in primitivity tests, HNF ideals of quadratic orders) goes
 through one routine: the Hermite normal form kernel ``hnf`` and the integer
 solver ``solve_int`` built on it.
 
-A finite ring (a quotient ring) also carries ``FiniteTables``, built on first
-use: its elements with multiplication as a table of indices, so that
-exhaustive searches run on plain ints.  The tables are capped at
-``FINITE_TABLE_CAP`` elements; a larger ring raises RingTooLarge.
+A finite ring (a quotient ring) has one unit list, ``QuotientRing.units``,
+found by HNF division and not capped, and ``FiniteTables``: its elements with
+multiplication as a table of indices, so that exhaustive searches run on plain
+ints, capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above).  Both are
+built on first use.  A unit test is a division: ``Orientation`` and
+``GL2Matrix`` keep the inverse theirs returns (``u_inv``, ``det_inv``).
 """
 
 from __future__ import annotations
@@ -434,9 +436,7 @@ class IntegerRing(Ring):
 
     def try_divide(self, p, q):
         a, b = p.coords[0], q.coords[0]
-        if b == 0:
-            return None
-        if a % b:
+        if b == 0 or a % b:
             return None
         return self.from_int(a // b)
 
@@ -580,11 +580,9 @@ class TableRing(Ring):
     def try_divide(self, p, q):
         # q*y = sum_i y_i (q*e_i)
         gens = [self._mul_coords(q.coords, e) for e in standard_basis(self.rank)]
+        # solve_int's x meets the target exactly, so q*y = p needs no recheck
         sol = solve_int(gens, p.coords)
-        if sol is None:
-            return None
-        y = self.element(sol)
-        return y if self._mul(q, y) == p else None
+        return None if sol is None else self.element(sol)
 
     def _try_halve(self, x):
         if any(c % 2 for c in x.coords):
@@ -711,12 +709,16 @@ class QuotientRing(Ring):
                 for coords in itertools.product(range(self.m), repeat=self.rank)]
 
     @cached_property
+    def units(self) -> list[RingElement]:
+        """Every unit, in enumeration order, by HNF division (so not capped)."""
+        return [u for u in self.enumerate_elements() if self.is_unit(u)]
+
+    @cached_property
     def tables(self) -> FiniteTables:
         return FiniteTables(self)
 
     def unit_group_generators(self):
-        return [u for u in self.enumerate_elements()
-                if self.is_unit(u) and u != self.one]
+        return [u for u in self.units if u != self.one]
 
     def descriptor(self):
         return {"kind": "quotient", "base": self.base.descriptor(), "m": self.m}
@@ -730,8 +732,8 @@ class FiniteTables:
 
     ``elements`` is in ``enumerate_elements`` order and ``index`` maps
     coordinates back to positions.  ``mul[i][j]`` is the index of the
-    product, filled from the ring's own kernel; ``units`` lists the indices
-    whose ``mul`` row reaches one, in enumeration order.
+    product, filled from the ring's own kernel; ``units`` holds the indices
+    of ``QuotientRing.units``.
     """
 
     __slots__ = ("elements", "index", "mul", "units")
@@ -749,11 +751,10 @@ class FiniteTables:
         for i, x in enumerate(elements):
             for j in range(i, n):
                 mul[i][j] = mul[j][i] = index[ring._mul(x, elements[j]).coords]
-        one = index[ring.one.coords]
         self.elements = elements
         self.index = index
         self.mul = mul
-        self.units = [i for i, row in enumerate(mul) if one in row]
+        self.units = [index[u.coords] for u in ring.units]
 
 
 class LocalizationRing(Ring):
@@ -772,6 +773,8 @@ class LocalizationRing(Ring):
     def element(self, coords, k: int = 0) -> RingElement:
         (num,) = coords
         num = int(num)
+        if k < 0:
+            raise ValueError(f"the denominator exponent 'k' must be non-negative, got {k}")
         if num == 0:
             k = 0
         while k > 0 and num % self.f == 0:

@@ -31,7 +31,7 @@ from quadalg.errors import (
     NotTwoRegular,
     ParityMismatch,
 )
-from quadalg.ring import IntegerRing, QuotientRing, quadratic_table_ring
+from quadalg.ring import IntegerRing, QuotientRing, Ring, TableRing, quadratic_table_ring
 
 from oracles import affine_ring_map_count, search_homs_generic
 
@@ -260,6 +260,37 @@ def test_oriented_isomorphic_examples():
     assert hom == AlgebraHom(Z.one, Z.from_int(-1))
 
 
+def test_orientation_keeps_its_inverse(monkeypatch):
+    # the unit test of the orientation is its one division over Z[sqrt8]:
+    # oriented_type and oriented_isomorphic read u_inv and divide no more
+    u = ZSQRT8.element((3, 1))
+    a = alg(ZSQRT8, 0, -6)
+    b = change_basis(a, u, W8)
+    theta_a, theta_b = Orientation(ZSQRT8.element((3, -1))), Orientation(ZSQRT8.one)
+    calls = []
+
+    def try_inverse(self, x):
+        calls.append(x)
+        return Ring.try_inverse(self, x)
+
+    monkeypatch.setattr(TableRing, "try_inverse", try_inverse)
+    hom = oriented_isomorphic(a, theta_a, b, theta_b)
+    assert hom == AlgebraHom(ZSQRT8.element((3, -1)), ZSQRT8.element((8, -3)))
+    assert oriented_isomorphic(a, theta_b, b, theta_a) is None
+    assert oriented_type(a, theta_a) == oriented_type(b, theta_b)
+    assert calls == []
+    assert theta_a.u_inv == u and theta_b.u_inv == 1
+
+
+def test_orientation_by_a_non_unit_is_refused():
+    for ring, value, shown in ((ZSQRT8, ZSQRT8.from_int(2), "2"),
+                               (Z9_SQRT8, Z9_SQRT8.element((3, 0)), "3"),
+                               (Z, Z.zero, "0")):
+        with pytest.raises(NotAUnit) as err:
+            Orientation(value)
+        assert str(err.value) == f"orientation value {shown} is not a unit"
+
+
 def test_oriented_iso_present_iff_oriented_types_equal_fuzz():
     rng = random.Random(16)
     units = [ZSQRT2.one, -ZSQRT2.one, ZSQRT2.element((1, 1)), ZSQRT2.element((-1, 1))]
@@ -386,3 +417,25 @@ def test_classification_matches_bruteforce_on_two_regular_rings():
             hom = algebras_isomorphic(a, b)
             assert (hom is None) == (isomorphic_bruteforce(a, b) is None)
             assert hom is None or hom.verifies(a, b)
+
+
+def test_finite_classification_reads_one_unit_list(monkeypatch):
+    calls = []
+    enumerate_elements = QuotientRing.enumerate_elements
+
+    def counted(self):
+        calls.append(self)
+        return enumerate_elements(self)
+
+    monkeypatch.setattr(QuotientRing, "enumerate_elements", counted)
+    for ring in (QuotientRing(Z, 9), QuotientRing(ZSQRT8, 9)):
+        calls.clear()
+        t1 = type_of(alg(ring, 0, -6))
+        t2 = AlgebraType(4 * t1.delta, t1.parity)
+        eps = types_isomorphic(t1, t2)
+        assert eps is not None and t2.delta == eps * eps * t1.delta
+        assert types_isomorphic(t2, t1) is not None
+        assert calls == [ring]
+        # the tables and the unit-group generators read the same list
+        assert [ring.tables.elements[i] for i in ring.tables.units] == ring.units
+        assert ring.unit_group_generators() == [u for u in ring.units if u != 1]

@@ -6,12 +6,13 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quadalg import glue
-from quadalg.cli import builtin_ring, emit_table, parse_element, run
+from quadalg.cli import _parse_glue_payload, builtin_ring, emit_table, parse_element, run
 from quadalg.errors import InvalidRange
 
 from glue_data import glue_payload
@@ -210,6 +211,26 @@ def test_glue_check_golden_bytes(capsys):
         digest.update(out.encode())
     assert digest.hexdigest() == \
         "b913e3aede963780114edb2005aad513841a389e65c942265e8a58eb41a0c0ca"
+
+
+def test_glue_payload_builds_one_fraction_per_entry(monkeypatch):
+    # the CLI parses each cocycle entry once; LineBundleCocycle keeps that Fraction
+    class Counted(Fraction):
+        built = 0
+
+        def __new__(cls, *args, **kwargs):
+            Counted.built += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(glue, "Fraction", Counted)
+    data = json.loads('{"cover":[13,21,13,33,65],"cocycle":{"1,2":"3/91","1,3":"-1/13",'
+                      '"1,4":"-1/117","1,5":"1","2,3":"-7/3","2,4":"-7/27","2,5":"91/3",'
+                      '"3,4":"1/9","3,5":"-13","4,5":"-117"},"data":{"d":["-72/169",'
+                      '"-392","-72","-5832","-72/169"],"p":["-2/13","-14/3","2","18","-2/13"]}}')
+    _, cocycle, _ = _parse_glue_payload(data)
+    assert Counted.built == 10 + 5 + 5
+    assert cocycle.eps(1, 2) == Fraction(-7, 3) and cocycle.eps(4, 3) == Fraction(-1, 117)
+    assert glue._as_fraction(cocycle.eps(0, 1), "an entry") is cocycle.eps(0, 1)
 
 
 def test_glue_check_never_builds_charts(capsys, monkeypatch):
@@ -435,6 +456,16 @@ def test_descriptor_errors_name_the_key(capsys):
     code, out, _ = invoke(capsys, "type", "--alg", "r=0,s=1", "--ring",
                           '{"kind":"quotient","base":{"kind":"integers"},"m":"8"}')
     assert code == 0 and json.loads(out) == {"delta": [4], "parity": [0]}
+
+
+def test_negative_denominator_exponent_exits_2(capsys):
+    # {"coords": [n], "k": k} is n/f^k over Z[1/f]; a negative k is refused
+    # before f ** k can make a float
+    message = "error: the denominator exponent 'k' must be non-negative, got -2\n"
+    for argv in (["type", "--alg", 'r={"coords":[1],"k":-2},s=0'],
+                 ["validate-triple", "--delta", '{"coords":[-9],"k":-2}', "--parity", "1"]):
+        assert invoke(capsys, *argv, "--ring", '{"kind":"localization","f":5}') \
+            == (2, "", message)
 
 
 def test_usage_error_exit_2(capsys):

@@ -26,7 +26,7 @@ from quadalg.forms import (
     reduce_posdef,
     reduce_posdef_with_witness,
 )
-from quadalg.ring import IntegerRing, quadratic_table_ring
+from quadalg.ring import IntegerRing, Ring, TableRing, quadratic_table_ring
 
 from oracles import lattice_index_minors
 
@@ -93,6 +93,34 @@ def test_act_gl2tw_examples():
 def test_singular_matrix_rejected():
     with pytest.raises(SingularMatrix):
         GL2Matrix(Z, 2, 0, 0, 1)
+    w = ZSQRT8.element((0, 1))
+    for ring, entries, shown in ((Z, (2, 0, 0, 1), "2"), (Z, (1, 2, 2, 4), "0"),
+                                 (ZSQRT8, (w, 0, 0, 1), "w"), (ZSQRT8, (3, w, w, 2), "-2")):
+        with pytest.raises(SingularMatrix) as err:
+            GL2Matrix(ring, *entries)
+        assert str(err.value) == f"determinant {shown} is not a unit"
+    with pytest.raises(NotAUnit) as err:
+        act_gl2gl1(GL2Matrix.identity(ZSQRT8), w, TwistedForm(ZSQRT8, 1, 0, 1))
+    assert str(err.value) == "scale factor w is not a unit"
+
+
+def test_twisted_action_reads_the_kept_inverse(monkeypatch):
+    # the matrix divides once, in its constructor; act_gl2tw reads det_inv
+    w = ZSQRT8.element((0, 1))
+    mu = GL2Matrix(ZSQRT8, 3, w, 1, 1)  # det = 3 - w, inverse 3 + w
+    q = TwistedForm(ZSQRT8, 1, w, -2)
+    expected = act_gl2gl1(mu, 3 + w, q)
+    calls = []
+
+    def try_inverse(self, x):
+        calls.append(x)
+        return Ring.try_inverse(self, x)
+
+    monkeypatch.setattr(TableRing, "try_inverse", try_inverse)
+    assert act_gl2tw(mu, q) == expected
+    assert natural_type(act_gl2tw(mu, q)) == natural_type(q)
+    assert calls == []
+    assert mu.det_inv == 3 + w
 
 
 def test_natural_type_examples():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadalg import picard
 from quadalg.algebras import FreeQuadraticAlgebra, freeok_iso, type_of
 from quadalg.errors import (
     BadParityLift,
@@ -131,6 +132,23 @@ def test_is_invertible_conductor_example():
         ideal_to_form(bad)
     with pytest.raises(NotInvertible):
         is_principal(bad)
+
+
+def test_is_principal_tests_invertibility_once(monkeypatch):
+    calls = []
+
+    def counted(ideal):
+        calls.append(ideal)
+        return is_invertible(ideal)
+
+    monkeypatch.setattr(picard, "is_invertible", counted)
+    assert not is_principal(I44)
+    assert calls == [I44]
+    bad = OrderIdeal.from_generators(order_from_type(-12, 0), [(2, 0), (1, 1)])
+    with pytest.raises(NotInvertible) as err:
+        is_principal(bad)
+    assert str(err.value) == f"{bad!r} is not invertible"
+    assert calls == [I44, bad]
 
 
 def test_is_principal():

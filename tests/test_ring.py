@@ -393,6 +393,20 @@ def test_finite_tables_are_capped(monkeypatch):
         automorphisms_bruteforce(FreeQuadraticAlgebra(huge, 0, 1))
 
 
+def test_quotient_units_are_one_uncapped_list():
+    # against the multiplication table: a unit's row reaches one
+    for ring in (ZMOD8, F4, QuotientRing(Z, 15), QuotientRing(ZSQRT8, 9)):
+        t = ring.tables
+        one = t.index[ring.one.coords]
+        assert ring.units is ring.units
+        assert ring.units == [t.elements[i] for i, row in enumerate(t.mul) if one in row]
+    # no table and so no cap: Z/1001 has 720 units, phi(7 * 11 * 13)
+    big = QuotientRing(Z, 1001)
+    assert len(big.units) == 720 and len(big.unit_group_generators()) == 719
+    with pytest.raises(RingTooLarge):
+        big.tables
+
+
 _FACTORS = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=5).map(prod)
 
 
