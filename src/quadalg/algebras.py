@@ -280,30 +280,33 @@ def _unit_image_reps(ring: Ring) -> list[RingElement]:
 
 def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     """A unit eps with t2 = (eps^2 * delta1, eps * parity1), if one exists."""
+    found = _unit_and_inverse(t1, t2)
+    return None if found is None else found[0]
+
+
+def _unit_and_inverse(t1: AlgebraType, t2: AlgebraType) -> tuple[RingElement, RingElement] | None:
+    """(eps, 1/eps) for the eps of ``types_isomorphic``, or None; over an
+    infinite ring the unit test is the division that finds 1/eps."""
     ring = t1.ring
     if ring != t2.ring:
         raise ValueError("types live over different rings")
-    if ring.is_finite():
-        return next((u for u in ring.units
-                     if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u)), None)
     z1, z2 = t1.delta.is_zero(), t2.delta.is_zero()
-    if z1 != z2:
+    if ring.is_finite():
+        eps = next((u for u in ring.units
+                    if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u)), None)
+    elif z1 != z2:
         return None
-    if z1:
-        for u in _unit_image_reps(ring):
-            if t1.parity.times(u) == t2.parity:
-                return u
-        return None
-    ratio = ring.try_divide(t2.delta, t1.delta)
-    if ratio is None:
-        return None
-    eps = _sqrt_in_ring(ring, ratio)
-    if eps is None or not ring.is_unit(eps):
-        return None
-    # -eps has the same image mod 2, so one parity test covers both roots
-    if t1.parity.times(eps) != t2.parity:
-        return None
-    return eps
+    elif z1:
+        eps = next((u for u in _unit_image_reps(ring) if t1.parity.times(u) == t2.parity), None)
+    else:
+        ratio = ring.try_divide(t2.delta, t1.delta)
+        eps = None if ratio is None else _sqrt_in_ring(ring, ratio)
+        eps_inv = None if eps is None else ring.try_inverse(eps)
+        # -eps has the same image mod 2, so one parity test covers both roots
+        if eps_inv is None or t1.parity.times(eps) != t2.parity:
+            return None
+        return eps, eps_inv
+    return None if eps is None else (eps, ring.try_inverse(eps))
 
 
 def algebras_isomorphic(a: FreeQuadraticAlgebra,
@@ -314,10 +317,10 @@ def algebras_isomorphic(a: FreeQuadraticAlgebra,
         raise ValueError("algebras live over different rings")
     if not ring.two_regular:
         raise NotTwoRegular("use isomorphic_bruteforce when 2 is a zero divisor")
-    eps = types_isomorphic(type_of(a), type_of(b))
-    if eps is None:
+    found = _unit_and_inverse(type_of(a), type_of(b))
+    if found is None:
         return None
-    u = ring.try_inverse(eps)
+    u = found[1]
     v = ring.try_halve(u * b.r - a.r)
     assert v is not None, "parity agreement must make u*r' - r halvable"
     hom = AlgebraHom(u, v)

@@ -47,6 +47,10 @@ class RingTooLarge(QuadalgError):
     """A finite ring has more elements than its index tables allow."""
 
 
+class ExponentTooLarge(QuadalgError):
+    """A Z[1/f] exponent read from input exceeds EXPONENT_CAP."""
+
+
 # -- forms -------------------------------------------------------------------
 
 class SingularMatrix(QuadalgError):

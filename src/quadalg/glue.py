@@ -23,10 +23,10 @@ orders of a triple follow from these, as t_ji = -t_ij / eps_ij.
 Every check runs on plain ints.  The report turns each ``Fraction`` of the
 input into an (n, d) pair once, d > 0 and not necessarily in lowest terms,
 and the checks use only products, sums, cross-multiplied equality and
-membership: n/d lies in Z[1/f] when d / gcd(n, d) divides a power of f
-(``ring.divides_power``).  The public objects keep their ``Fraction`` fields;
-``check_transition_hom`` and ``check_cocycle_transitions`` read a
-``GluedAlgebra`` through the same pair view.
+membership by ``ring.in_localization``, the one test of "n/d lies in
+Z[1/f]", which ``LocalizationRing`` runs too.  The public objects keep their
+``Fraction`` fields; ``check_transition_hom`` and ``check_cocycle_transitions``
+read a ``GluedAlgebra`` through the same pair view.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import gcd
 
 from .algebras import FreeQuadraticAlgebra
 from .errors import ValidationFailed
-from .ring import IntegerRing, LocalizationRing, Ring, divides_power
+from .ring import IntegerRing, LocalizationRing, Ring, in_localization
 
 
 def _as_fraction(x, name: str) -> Fraction:
@@ -204,16 +204,9 @@ def _over(x, m: int):
     return x[0], x[1] * m
 
 
-def _in(x, f: int) -> bool:
-    """Does x lie in Z[1/f]?"""
-    n, d = x
-    return divides_power(d // gcd(n, d), f)
-
-
 def _is_unit(x, f: int) -> bool:
     """Is x a unit of Z[1/f]?  Zero is not."""
-    g = gcd(*x)
-    return divides_power(x[0] // g, f) and divides_power(x[1] // g, f)
+    return in_localization(x, f) and in_localization((x[1], x[0]), f)
 
 
 def _cocycle_checks(f: tuple[int, ...], eps: dict) -> list[dict]:
@@ -237,11 +230,11 @@ def _data_checks(f: tuple[int, ...], eps: dict, d: list, p: list) -> list[dict]:
     if len(d) != k:
         return [{"check": "data_shape", "indices": [], "ok": False}]
     for i in range(k):
-        member = _in(d[i], f[i]) and _in(p[i], f[i])
+        member = in_localization(d[i], f[i]) and in_localization(p[i], f[i])
         out.append({"check": "chart_membership", "indices": [i], "ok": member})
         if member:
             out.append({"check": "chart_validity", "indices": [i],
-                        "ok": _in(_over(_add(d[i], _neg(_mul(p[i], p[i]))), 4), f[i])})
+                        "ok": in_localization(_over(_add(d[i], _neg(_mul(p[i], p[i]))), 4), f[i])})
     for i in range(k):
         for j in range(i + 1, k):
             e = eps[(i, j)]
@@ -249,7 +242,7 @@ def _data_checks(f: tuple[int, ...], eps: dict, d: list, p: list) -> list[dict]:
             out.append({"check": "overlap_discriminant", "indices": [i, j], "ok": ok_d})
             half = _over(_add(p[i], _neg(_mul(p[j], e))), 2)
             out.append({"check": "overlap_parity", "indices": [i, j],
-                        "ok": _in(half, f[i] * f[j])})
+                        "ok": in_localization(half, f[i] * f[j])})
     return out
 
 
@@ -335,7 +328,7 @@ def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:
     g = _PairGlue.of(glued)
     e, t = g.transitions[(i, j)]
     f = g.opens[i] * g.opens[j]
-    if not (_in(e, f) and _in(t, f)):
+    if not (in_localization(e, f) and in_localization(t, f)):
         return False
     p_i, p_j = g.p[i], g.p[j]
     s_i = _over(_add(_mul(p_i, p_i), _neg(g.d[i])), 4)
@@ -356,6 +349,6 @@ def check_cocycle_transitions(glued: GluedAlgebra, i: int, j: int, k: int) -> bo
     e_jk, t_jk = g.transitions[(j, k)]
     e_ik, t_ik = g.transitions[(i, k)]
     f = g.opens[i] * g.opens[j] * g.opens[k]
-    if not all(_in(v, f) for v in (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)):
+    if not all(in_localization(v, f) for v in (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)):
         return False
     return _eq(e_ik, _mul(e_ij, e_jk)) and _eq(t_ik, _add(_mul(e_ij, t_jk), t_ij))

@@ -16,6 +16,10 @@ multiplication as a table of indices, so that exhaustive searches run on plain
 ints, capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above).  Both are
 built on first use.  A unit test is a division: ``Orientation`` and
 ``GL2Matrix`` keep the inverse theirs returns (``u_inv``, ``det_inv``).
+
+Z[1/f] runs on int pairs (num, k) for num/f^k; every quotient goes through
+``LocalizationRing._divide``, which asks ``in_localization`` ("n/d lies in
+Z[1/f]", shared with glue).  Input exponents stop at ``EXPONENT_CAP``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import (
+    ExponentTooLarge,
     InfiniteRing,
     NoIdentity,
     NonAssociative,
@@ -39,6 +44,7 @@ from .errors import (
 
 PELL_CAP = 10**6
 FINITE_TABLE_CAP = 512
+EXPONENT_CAP = 10**5
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -122,12 +128,20 @@ def solve_int(gens: list[tuple[int, ...]], target: tuple[int, ...]) -> list[int]
 
 
 def divides_power(n: int, f: int) -> bool:
-    """Does n divide some power of f >= 1?  So n/d lies in Z[1/f] exactly when
-    d does, and is a unit there when n and d both do (Z[1/1] is Z)."""
-    n = abs(n)
-    while n > 1 and (g := gcd(n, f)) > 1:
+    """Does n divide some power of f >= 1?  g holds every prime of n that divides
+    f, and squaring it doubles the exponents it clears: O(log k) gcds for f^k."""
+    n, g = abs(n), f
+    while n > 1 and (g := gcd(n, g)) > 1:
         n //= g
+        g *= g
     return n == 1
+
+
+def in_localization(x: tuple[int, int], f: int) -> bool:
+    """Does x = (n, d), the rational n/d, lie in Z[1/f] (Z[1/1] is Z)?  Never
+    for d = 0 != n; n/d is a unit there when (d, n) lies in Z[1/f] too."""
+    n, d = x
+    return divides_power(d // gcd(n, d), f)
 
 
 def standard_basis(n: int) -> list[tuple[int, ...]]:
@@ -310,6 +324,13 @@ class Ring:
         """Some y with q*y = p; None only when no such y exists."""
         raise NotImplementedError
 
+    def from_rational(self, q) -> RingElement:
+        """q as an element, for the rings with ``try_from_rational`` (Z, Z[1/f])."""
+        x = self.try_from_rational(q)
+        if x is None:
+            raise ValueError(f"{q} does not lie in {self!r}")
+        return x
+
     def try_halve(self, x: RingElement) -> RingElement | None:
         """The unique y with 2y = x, when it exists; requires 2 regular."""
         if not self.two_regular:
@@ -351,11 +372,15 @@ class Ring:
         return list(x.coords)
 
     def element_from_json(self, data) -> RingElement:
-        """Read an int, a coordinate list or {"coords": [...], "k": n}."""
+        """Read an int, a coordinate list or {"coords": [...], "k": n}, with
+        k at most EXPONENT_CAP (ExponentTooLarge above)."""
         if isinstance(data, dict):
             if "coords" not in data:
                 raise ValueError(f"a ring element object is missing 'coords', got {data!r}")
-            return self.element(_json_coords(data["coords"]), json_int(data.get("k", 0), "'k'"))
+            k = json_int(data.get("k", 0), "'k'")
+            if k > EXPONENT_CAP:
+                raise ExponentTooLarge(f"'k' is {k}; input exponents are capped at {EXPONENT_CAP}")
+            return self.element(_json_coords(data["coords"]), k)
         if isinstance(data, list):
             return self.element(_json_coords(data))
         return self.from_int(json_int(data, "a ring element coordinate"))
@@ -430,10 +455,6 @@ class IntegerRing(Ring):
     def _mul(self, x, y):
         return RingElement(self, (x.coords[0] * y.coords[0],))
 
-    def try_inverse(self, x):
-        x = self.coerce(x)
-        return x if x.coords[0] in (1, -1) else None
-
     def try_divide(self, p, q):
         a, b = p.coords[0], q.coords[0]
         if b == 0 or a % b:
@@ -462,12 +483,6 @@ class IntegerRing(Ring):
     def try_from_rational(self, q) -> RingElement | None:
         q = Fraction(q)
         return self.from_int(q.numerator) if q.denominator == 1 else None
-
-    def from_rational(self, q) -> RingElement:
-        x = self.try_from_rational(q)
-        if x is None:
-            raise ValueError(f"{q} is not an integer")
-        return x
 
     def descriptor(self):
         return {"kind": "integers"}
@@ -659,6 +674,9 @@ class QuotientRing(Ring):
             raise ValueError(f"expected {self.rank} coordinates")
         return RingElement(self, coords)
 
+    def from_int(self, n: int) -> RingElement:
+        return self.element(self.base.from_int(n).coords)
+
     # coords are canonical, so sums and negatives need only the reduction
     def _add(self, x, y):
         m = self.m
@@ -682,9 +700,7 @@ class QuotientRing(Ring):
         return None if sol is None else self.element(sol[:self.rank])
 
     def _try_halve(self, x):
-        # m odd, so 2 is a unit
-        two_inv = self.try_inverse(self.from_int(2))
-        return self._mul(x, two_inv)
+        return self.try_divide(x, self.from_int(2))  # m odd, so 2 is a unit
 
     def mod2(self, x):
         if self.m % 2 == 0:
@@ -775,34 +791,33 @@ class LocalizationRing(Ring):
         num = int(num)
         if k < 0:
             raise ValueError(f"the denominator exponent 'k' must be non-negative, got {k}")
-        if num == 0:
-            k = 0
-        while k > 0 and num % self.f == 0:
-            num //= self.f
-            k -= 1
+        f = self.f
+        while k and num % f == 0:  # strip f^e, e the largest power of 2 <= k with f^e | num
+            e, p = 1, f
+            while 2 * e <= k and num % (p * p) == 0:
+                e, p = 2 * e, p * p
+            num, k = num // p, k - e
         return RingElement(self, (num,), k)
 
     def rational_value(self, x: RingElement) -> Fraction:
         return Fraction(x.coords[0], self.f ** x.k)
 
     def try_from_rational(self, q) -> RingElement | None:
-        q = Fraction(q)
-        if not divides_power(q.denominator, self.f):
-            return None
-        j, pw = 0, 1
-        while pw % q.denominator:
-            j += 1
-            pw *= self.f
-        return self.element((q.numerator * (pw // q.denominator),), j)
+        return self._divide(*Fraction(q).as_integer_ratio())
 
-    def from_rational(self, q) -> RingElement:
-        x = self.try_from_rational(q)
-        if x is None:
-            raise ValueError(f"{q} does not lie in {self!r}")
-        return x
+    def _divide(self, n: int, d: int, e: int = 0) -> RingElement | None:
+        """n / (d * f^e) for d != 0, or None outside Z[1/f]; all division ends here."""
+        if not in_localization((n, d), self.f):
+            return None
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        j = abs(d).bit_length()  # d divides f^j: no prime exponent of d exceeds j
+        return self.element((n * self.f ** max(j, -e) // d,), max(j + e, 0))
 
     def _add(self, x, y):
-        return self.from_rational(self.rational_value(x) + self.rational_value(y))
+        if x.k < y.k:
+            x, y = y, x
+        return self.element((x.coords[0] + y.coords[0] * self.f ** (x.k - y.k),), x.k)
 
     def _neg(self, x):
         return RingElement(self, (-x.coords[0],), x.k)
@@ -810,19 +825,13 @@ class LocalizationRing(Ring):
     def _mul(self, x, y):
         return self.element((x.coords[0] * y.coords[0],), x.k + y.k)
 
-    def try_inverse(self, x):
-        x = self.coerce(x)
-        if not divides_power(x.coords[0], self.f):
-            return None  # zero, or the numerator has a prime away from f
-        return self.from_rational(Fraction(1) / self.rational_value(x))
-
     def try_divide(self, p, q):
         if q.is_zero():
             return None
-        return self.try_from_rational(self.rational_value(p) / self.rational_value(q))
+        return self._divide(p.coords[0], q.coords[0], p.k - q.k)
 
     def _try_halve(self, x):
-        return self.try_from_rational(self.rational_value(x) / 2)
+        return self.try_divide(x, self.from_int(2))
 
     def mod2(self, x):
         if self.f % 2 == 0:
@@ -835,7 +844,7 @@ class LocalizationRing(Ring):
         return [Mod2Element(self, (0,)), Mod2Element(self, (1,))]
 
     def in_4R(self, x):
-        return self.try_from_rational(self.rational_value(x) / 4) is not None
+        return self.try_divide(x, self.from_int(4)) is not None
 
     def format_element(self, x):
         if x.k == 0:

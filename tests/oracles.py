@@ -5,13 +5,14 @@ indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
 a scan over every (a, b), composition from the HNF ideal product, homs of
 algebras over finite rings from ring arithmetic on every (u, v), class
-numbers from Dirichlet's analytic formula, and the glue report from
-``Fraction`` arithmetic.
+numbers from Dirichlet's analytic formula, and the glue report and the
+``Z[1/f]`` ring operations from ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd, isqrt
 
 from quadalg.algebras import AlgebraHom, FreeQuadraticAlgebra
@@ -27,6 +28,7 @@ from quadalg.picard import (
     ideal_to_form,
     reduced_forms,
 )
+from quadalg.ring import RingElement
 
 
 def pell_scan(n: int, bound: int) -> tuple[int, int] | None:
@@ -360,3 +362,49 @@ def cocycle_transitions_fractions(glued, i: int, j: int, k: int) -> bool:
     values = (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)
     return all(_in_localization(v.denominator, f) for v in values) \
         and e_ik == e_ij * e_jk and t_ik == e_ij * t_jk + t_ij
+
+
+# -- Z[1/f] in Fraction arithmetic ------------------------------------------------
+
+def localization_from_fraction(ring, q):
+    """q as a canonical element (num, k) of ring = Z[1/f], or None: for q = n/d
+    in lowest terms, k is the least exponent with d | f^k, found by bisection
+    on pow(f, k, d), and num = n * f^k / d."""
+    q = Fraction(q)
+    f, d = ring.f, q.denominator
+    if not _in_localization(d, f):
+        return None
+    lo, hi = 0, d.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pow(f, mid, d):
+            lo = mid + 1
+        else:
+            hi = mid
+    return RingElement(ring, (q.numerator * (f ** lo // d),), lo)
+
+
+def _localization_value(x) -> Fraction:
+    return Fraction(x.coords[0], x.ring.f ** x.k)
+
+
+def localization_add(x, y):
+    return localization_from_fraction(x.ring, _localization_value(x) + _localization_value(y))
+
+
+def localization_try_divide(p, q):
+    if q.is_zero():
+        return None
+    return localization_from_fraction(p.ring, _localization_value(p) / _localization_value(q))
+
+
+def localization_try_inverse(x):
+    return localization_try_divide(x.ring.one, x)
+
+
+def localization_try_halve(x):
+    return localization_from_fraction(x.ring, _localization_value(x) / 2)
+
+
+def localization_in_4R(x) -> bool:
+    return localization_from_fraction(x.ring, _localization_value(x) / 4) is not None

@@ -282,6 +282,27 @@ def test_orientation_keeps_its_inverse(monkeypatch):
     assert theta_a.u_inv == u and theta_b.u_inv == 1
 
 
+def test_algebras_isomorphic_divides_once_by_the_unit(monkeypatch):
+    # the unit test of eps in types_isomorphic is the division that finds
+    # u = 1/eps; the hom does not divide by eps a second time
+    a = alg(ZSQRT8, 0, -6)
+    b = change_basis(a, ZSQRT8.element((3, 1)), 0)
+    calls = []
+    real = TableRing.try_divide
+
+    def try_divide(self, p, q):
+        calls.append((p.coords, q.coords))
+        return real(self, p, q)
+
+    monkeypatch.setattr(TableRing, "try_divide", try_divide)
+    hom = algebras_isomorphic(a, b)
+    assert hom == AlgebraHom(ZSQRT8.element((3, -1)), ZSQRT8.zero)
+    assert calls == [((408, 144), (24, 0)), ((1, 0), (3, 1))]
+    calls.clear()
+    assert types_isomorphic(type_of(a), type_of(b)) == ZSQRT8.element((3, 1))
+    assert calls == [((408, 144), (24, 0)), ((1, 0), (3, 1))]
+
+
 def test_orientation_by_a_non_unit_is_refused():
     for ring, value, shown in ((ZSQRT8, ZSQRT8.from_int(2), "2"),
                                (Z9_SQRT8, Z9_SQRT8.element((3, 0)), "3"),

@@ -468,6 +468,20 @@ def test_negative_denominator_exponent_exits_2(capsys):
             == (2, "", message)
 
 
+def test_denominator_exponent_is_capped(capsys):
+    # at the cap the answer comes at once; one past it is refused by name
+    ring = '{"kind":"localization","f":3}'
+    start = time.perf_counter()
+    result = invoke(capsys, "type", "--ring", ring, "--alg", 'r={"coords":[1],"k":100000},s=0')
+    assert time.perf_counter() - start < 1
+    assert result == (0, '{"delta":{"coords":[1],"k":200000},"parity":[1]}\n', "")
+    message = "error: 'k' is 100001; input exponents are capped at 100000\n"
+    for argv in (["type", "--alg", 'r={"coords":[1],"k":100001},s=0'],
+                 ["natural-type", '[1,{"coords":[1],"k":100001},0]'],
+                 ["validate-triple", "--delta", '{"coords":[-9],"k":100001}', "--parity", "1"]):
+        assert invoke(capsys, *argv, "--ring", ring) == (2, "", message)
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])

@@ -4,18 +4,21 @@
 Each argument is well formed four times in five, so that most runs reach the
 library, and malformed otherwise.  Sizes are kept small: quotient rings of at
 most 144 elements, |delta| below about 2000 and discriminant ranges at most
-50 wide.
+50 wide.  Apart from those, Z[1/f] exponents at and past EXPONENT_CAP must
+end each run within a time bound.
 """
 
 import contextlib
 import io
 import json
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadalg.cli import run
+from quadalg.ring import EXPONENT_CAP
 
 from glue_data import glue_payload
 
@@ -237,3 +240,46 @@ def test_cli_exits_0_or_2_and_repeats_its_stdout(argv):
     assert code in (0, 2), (argv, err)
     assert code == 0 or err, argv
     assert _run(argv)[:2] == (code, out), argv
+
+
+# -- Z[1/f] exponents at and past the cap ---------------------------------------------------
+
+BIG_K = st.sampled_from([EXPONENT_CAP - 1, EXPONENT_CAP, EXPONENT_CAP + 1, 10**6, 10**100])
+RING_COMMANDS = ["type", "natural-type", "iso", "oriented-iso", "autos", "validate-triple"]
+
+
+@st.composite
+def big_exponent_argv(draw):
+    """A ring subcommand over Z[1/f] whose elements mostly carry an exponent
+    near or past the cap."""
+    ring = json.dumps({"kind": "localization", "f": draw(st.sampled_from([2, 3, 6, 12, 49]))})
+
+    def el():
+        k = draw(st.one_of(BIG_K, BIG_K, st.integers(0, 4)))
+        return json.dumps({"coords": [draw(st.integers(-9, 9))], "k": k})
+
+    def alg():
+        return f"r={el()},s={el()}"
+
+    name = draw(st.sampled_from(RING_COMMANDS))
+    if name == "type":
+        return [name, "--ring", ring, "--alg", alg()]
+    if name == "natural-type":
+        return [name, "--ring", ring, f"[{el()},{el()},{el()}]"]
+    if name == "iso":
+        return [name, "--ring", ring, "--alg1", alg(), "--alg2", alg()]
+    if name == "oriented-iso":
+        return [name, "--ring", ring, "--alg1", alg(), "--alg2", alg(),
+                "--theta1", el(), "--theta2", el()]
+    if name == "autos":
+        return [name, "--ring", ring, "--alg", alg(), "--oriented", "--theta", el()]
+    return [name, "--ring", ring, "--delta", el(), "--parity", el()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(big_exponent_argv())
+def test_large_exponents_exit_0_or_2_within_a_bound(argv):
+    start = time.perf_counter()
+    code, _, err = _run(argv)
+    assert code in (0, 2), (argv, err)
+    assert time.perf_counter() - start < 2.0, argv

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadalg.errors import (
+    ExponentTooLarge,
     InfiniteRing,
     NoIdentity,
     NonAssociative,
@@ -18,6 +19,7 @@ from quadalg.errors import (
 )
 from quadalg import ring as ring_module
 from quadalg.ring import (
+    EXPONENT_CAP,
     FINITE_TABLE_CAP,
     IntegerRing,
     LocalizationRing,
@@ -26,11 +28,21 @@ from quadalg.ring import (
     construct_ring,
     divides_power,
     hnf,
+    in_localization,
     quadratic_table_ring,
     solve_int,
 )
 
-from oracles import lattice_index_minors, pell_scan
+from oracles import (
+    lattice_index_minors,
+    localization_add,
+    localization_from_fraction,
+    localization_in_4R,
+    localization_try_divide,
+    localization_try_halve,
+    localization_try_inverse,
+    pell_scan,
+)
 
 Z = IntegerRing()
 ZSQRT8 = quadratic_table_ring(8)
@@ -425,3 +437,79 @@ def test_divides_power_matches_ring_layer(f, den, num, sign):
     assert member == (x is not None) == oracle(q.denominator)
     assert unit == (x is not None and ring.is_unit(x)) \
         == (oracle(q.denominator) and oracle(q.numerator))
+
+
+def test_divides_power_squares_its_gcd(monkeypatch):
+    # O(log k) gcds for n = f^k times a little, where one gcd per prime-power
+    # step took k of them; n = 0 divides no power and must not loop
+    calls = []
+
+    def gcd(a, b):
+        calls.append(1)
+        return real_gcd(a, b)
+
+    real_gcd = ring_module.gcd
+    monkeypatch.setattr(ring_module, "gcd", gcd)
+    assert divides_power(12 ** 30000 * 8, 6) and not divides_power(12 ** 30000 * 5, 6)
+    assert len(calls) < 60
+    assert not divides_power(0, 6) and divides_power(1, 6) and divides_power(-49, 7)
+    assert in_localization((0, 5), 6) and not in_localization((5, 0), 6)
+    assert in_localization((10, 4), 6) and in_localization((5, 10), 6)
+    assert not in_localization((1, 10), 6)
+
+
+# f with repeated primes; numerators and denominators carry powers of them
+_LOC_F = st.sampled_from((2, 3, 4, 6, 8, 9, 12, 18, 30, 49, 72))
+_LOC_NUM = st.builds(lambda sign, a, b, c, rest: sign * 2**a * 3**b * 7**c * rest,
+                     st.sampled_from((-1, 0, 1)), st.integers(0, 40), st.integers(0, 25),
+                     st.integers(0, 12), st.sampled_from((1, 5, 11, 25)))
+_LOC_DEN = st.builds(lambda sign, a, b, c, rest: sign * 2**a * 3**b * 7**c * rest,
+                     st.sampled_from((-1, 1)), st.integers(0, 40), st.integers(0, 25),
+                     st.integers(0, 12), st.sampled_from((1, 5, 11)))
+
+
+def _check_localization_kernel(f, x, y, q):
+    ring = LocalizationRing(f)
+    for n, k in (x, y):
+        assert ring.element((n,), k) == localization_from_fraction(ring, Fraction(n, f ** k))
+    x, y = (ring.element((n,), k) for n, k in (x, y))
+    assert x + y == localization_add(x, y)
+    assert ring.try_divide(x, y) == localization_try_divide(x, y)
+    assert ring.try_divide(y, x) == localization_try_divide(y, x)
+    assert ring.try_inverse(x) == localization_try_inverse(x)
+    assert ring.try_halve(x) == localization_try_halve(x)
+    assert ring.in_4R(y) == localization_in_4R(y)
+    assert ring.try_from_rational(q) == localization_from_fraction(ring, q)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_LOC_F, _LOC_NUM, st.integers(0, 60), _LOC_NUM, st.integers(0, 60), _LOC_DEN)
+def test_localization_kernel_matches_fraction_oracle(f, n1, k1, n2, k2, den):
+    _check_localization_kernel(f, (n1, k1), (n2, k2), Fraction(n1, den))
+
+
+# the Fraction oracle takes about a second per example here, the kernel milliseconds
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3, 4, 6, 9, 12)), _LOC_NUM,
+       st.integers(EXPONENT_CAP - 50, EXPONENT_CAP), _LOC_NUM, st.integers(0, EXPONENT_CAP),
+       _LOC_DEN)
+def test_localization_kernel_matches_fraction_oracle_at_the_cap(f, n1, k1, n2, k2, den):
+    _check_localization_kernel(f, (n1, k1), (n2, k2), Fraction(n1, den))
+
+
+def test_exponents_read_from_input_are_capped():
+    ring = LocalizationRing(3)
+    x = ring.element_from_json({"coords": [1], "k": EXPONENT_CAP})
+    assert (x * x).k == 2 * EXPONENT_CAP  # products of capped inputs pass the cap
+    for ring in (ring, Z, ZSQRT8):
+        with pytest.raises(ExponentTooLarge):
+            ring.element_from_json({"coords": [1] * ring.rank, "k": EXPONENT_CAP + 1})
+
+
+def test_quotient_one_is_the_base_identity():
+    # the base's identity is e_1, not e_0
+    base = TableRing([[(0, 1), (1, 0)], [(1, 0), (0, 1)]], one=(0, 1))
+    q = QuotientRing(base, 4)
+    assert q.one.coords == (0, 1) and q.from_int(3).coords == (0, 3)
+    assert all(q.one * x == x for x in q.enumerate_elements())
+    assert q.is_unit(q.one) and q.one not in q.unit_group_generators()
