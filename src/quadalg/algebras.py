@@ -278,6 +278,12 @@ def _unit_image_reps(ring: Ring) -> list[RingElement]:
     return list(seen.values())
 
 
+def _finite_unit_group(ring: Ring) -> list[RingElement] | None:
+    """Every unit of Z[sqrt(N)] with N = n^2 >= 1; None for other infinite rings."""
+    n = ring.quadratic_param if isinstance(ring, TableRing) else None
+    return ring.unit_group_generators() if n and n > 0 and is_square(n) else None
+
+
 def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     """A unit eps with t2 = (eps^2 * delta1, eps * parity1), if one exists."""
     found = _unit_and_inverse(t1, t2)
@@ -285,14 +291,18 @@ def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
 
 
 def _unit_and_inverse(t1: AlgebraType, t2: AlgebraType) -> tuple[RingElement, RingElement] | None:
-    """(eps, 1/eps) for the eps of ``types_isomorphic``, or None; over an
-    infinite ring the unit test is the division that finds 1/eps."""
+    """(eps, 1/eps) for the eps of ``types_isomorphic``, or None.
+
+    With finitely many units (a finite ring, or Z[sqrt(n^2)] where delta may
+    be a zero divisor) each unit is tested; over another infinite ring the
+    unit test is the division that finds 1/eps."""
     ring = t1.ring
     if ring != t2.ring:
         raise ValueError("types live over different rings")
     z1, z2 = t1.delta.is_zero(), t2.delta.is_zero()
-    if ring.is_finite():
-        eps = next((u for u in ring.units
+    units = ring.units if ring.is_finite() else _finite_unit_group(ring)
+    if units is not None:
+        eps = next((u for u in units
                     if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u)), None)
     elif z1 != z2:
         return None

@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import algebras, forms, glue, picard
-from .errors import QuadalgError
+from .errors import QuadalgError, ResultTooLong
 from .ring import (
     IntegerRing,
     QuotientRing,
@@ -79,6 +79,7 @@ def parse_element(ring: Ring, text: str):
         raise ValueError("empty element")
     index_of = {sym: i for i, sym in enumerate(ring.symbols)}
     coords = [0] * ring.rank
+    const = 0  # bare integers count multiples of the identity
     pos = 0
     while pos < len(s):
         m = _TERM.match(s, pos)
@@ -89,13 +90,13 @@ def parse_element(ring: Ring, text: str):
         if sym is None:
             if not digits:
                 raise ValueError(f"cannot parse element {text!r}")
-            coords[0] += sign * int(digits)
+            const += sign * int(digits)
         else:
             if sym not in index_of:
                 raise ValueError(f"unknown symbol {sym!r} in {text!r}")
             coords[index_of[sym]] += sign * (int(digits) if digits else 1)
         pos = m.end()
-    return ring.element(coords)
+    return ring.element(coords) + ring.from_int(const)
 
 
 def _split_commas(text: str) -> list[str]:
@@ -156,7 +157,12 @@ def render_hom(hom: algebras.AlgebraHom | None) -> dict:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    try:
+        return json.dumps(obj, separators=(",", ":"))
+    except ValueError:  # an int past the interpreter's int-to-string limit
+        raise ResultTooLong(f"the result has an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                            f"for printing an integer") from None
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -174,15 +180,13 @@ def _cmd_compose(args) -> str:
 
 
 def _cmd_classgroup(args) -> str:
-    group = picard.class_group(args.delta)
-    return _dump({"h": group.h,
-                  "reps": [render_form(q) for q in group.representatives]})
+    reps = picard.reduced_triples(args.delta)
+    return _dump({"h": len(reps), "reps": reps})
 
 
 def _cmd_picmodconj(args) -> str:
-    orbits = picard.pic_mod_conjugation(args.delta)
-    return _dump({"count": len(orbits),
-                  "orbits": [[render_form(q) for q in orbit] for orbit in orbits]})
+    orbits = picard.conjugation_orbits(picard.reduced_triples(args.delta))
+    return _dump({"count": len(orbits), "orbits": orbits})
 
 
 def _cmd_type(args) -> str:
@@ -313,7 +317,8 @@ def emit_table(min_delta: int, max_delta: int, fmt: str = "csv") -> str:
     pic-mod-conjugation count, reduced representatives.
 
     Each opposition orbit {[a,b,c], [a,-b,c]} of reduced forms has exactly one
-    member with b >= 0, so the orbit count is the number of such reps.
+    member with b >= 0 (``picard.conjugation_orbits``), so the orbit count is
+    the number of such reps.
     """
     rows = [(d, reps, sum(b >= 0 for _, b, _ in reps))
             for d, reps in picard.reduced_triples_between(min_delta, max_delta).items()]

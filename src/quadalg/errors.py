@@ -47,8 +47,13 @@ class RingTooLarge(QuadalgError):
     """A finite ring has more elements than its index tables allow."""
 
 
+class ResultTooLong(QuadalgError):
+    """A result holds an integer past Python's int-to-string digit limit."""
+
+
 class ExponentTooLarge(QuadalgError):
-    """A Z[1/f] exponent read from input exceeds EXPONENT_CAP."""
+    """A Z[1/f] exponent read from input exceeds EXPONENT_CAP, or the power
+    f^k it names exceeds POWER_BITS_CAP bits."""
 
 
 # -- forms -------------------------------------------------------------------

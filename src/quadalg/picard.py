@@ -3,13 +3,14 @@ correspondence between twisted-form classes of a fixed natural type and the
 Picard group of the order.
 
 Reduced forms are enumerated on plain ints (Cohen, A Course in
-Computational Algebraic Number Theory, 5.3).  A single discriminant
-(``classgroup``, ``picmodconj``, ``ClassGroup``) uses a divisor scan,
-``reduced_triples``: for each admissible b, the divisors a <= sqrt(n) of
-n = (b^2 - delta)/4 give the forms [a, +-b, n/a].  A discriminant range
-(``table``) uses one sweep over (a, b), ``reduced_triples_between``: the c
-that put b^2 - 4ac in the range form an interval, so every form of every
-discriminant in the range is visited once.
+Computational Algebraic Number Theory, 5.3) by one sweep over (a, b),
+``reduced_triples_between``; a single discriminant (``classgroup``,
+``picmodconj``, ``ClassGroup``) is the range [delta, delta], through
+``reduced_triples``.  For each (a, b) the c that put b^2 - 4ac in the range
+form an interval.  When the range is narrower than 4a the interval holds at
+most one c, found by one remainder test per pair; otherwise it is walked.
+Opposition orbits follow from table order alone: each representative with
+b >= 0 heads an orbit, and [a,-b,c] joins it unless b = 0, b = a or a = c.
 
 Composition (``compose``, ``ClassGroup.compose``) also runs on plain ints, by
 Dirichlet composition followed by Gauss reduction (Cohen, 5.4).  The HNF
@@ -266,57 +267,50 @@ def is_principal(ideal: OrderIdeal) -> bool:
 Triple = tuple[int, int, int]  # coefficients (a, b, c) of a form over Z
 
 
-def _form_sort_key(t: Triple):
-    a, b, c = t
-    return (a, c, abs(b), 0 if b >= 0 else 1)
-
-
 def reduced_triples(delta: int) -> list[Triple]:
     """Coefficients of all reduced primitive positive-definite forms of
-    discriminant delta, in table order.
-
-    A reduced form has |b| <= a <= c, so 3b^2 <= -delta.  For each such b >= 0
-    the pairs (a, c) are the divisor pairs a <= c of n = (b^2 - delta)/4 with
-    a >= b; (a, -b, c) is reduced too unless b = 0, a = b or a = c.
+    discriminant delta, in table order: ``reduced_triples_between`` on [delta, delta].
     """
     if delta >= 0 or delta % 4 not in (0, 1):
         raise InvalidDiscriminant(f"{delta} is not a negative discriminant")
-    out = []
-    for b in range(delta % 2, isqrt(-delta // 3) + 1, 2):
-        n = (b * b - delta) // 4
-        for a in [d for d in range(max(b, 1), isqrt(n) + 1) if not n % d]:
-            c = n // a
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            out.append((a, b, c))
-            if b and a != b and a != c:
-                out.append((a, -b, c))
-    out.sort(key=_form_sort_key)
-    return out
+    return reduced_triples_between(delta, delta)[delta]
 
 
 def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
-    """``reduced_triples(delta)`` for every valid delta in [lo, hi], keyed in
+    """The reduced triples of every valid delta in [lo, hi], keyed in
     ascending order, by one sweep over the pairs 0 <= b <= a.
 
-    For fixed (a, b) the c >= a with lo <= b^2 - 4ac <= hi form an interval.
-    Scanning a, then b, in ascending order fills each bucket in table order:
-    for fixed a and delta, c grows with |b|.
+    A reduced form has |b| <= a <= c, so 3a^2 <= -lo, and c >= a needs
+    b^2 - lo >= 4a^2.  For fixed (a, b) the c with lo <= b^2 - 4ac <= hi form
+    an interval.  When hi - lo < 4a it holds at most c = (b^2 - lo) // 4a,
+    present exactly when (b^2 - lo) mod 4a <= hi - lo, so one remainder test
+    per pair finds it (and for a single delta, b has the parity of delta).
+    (a, -b, c) is reduced too unless b = 0, a = b or a = c.  Scanning a, then
+    b, in ascending order fills each bucket in table order: for fixed a and
+    delta, c grows with |b|.
     """
     if lo > hi or hi >= 0:
         raise InvalidRange(f"need min <= max < 0, got [{lo}, {hi}]")
     out = {delta: [] for delta in range(lo, hi + 1) if delta % 4 in (0, 1)}
-    for a in range(1, isqrt(-lo // 3) + 1):
+    if not out:  # no discriminant in range: nothing to sweep for
+        return out
+    width = hi - lo
+    a_max = isqrt(-lo // 3)
+    shifted = [b * b - lo for b in range(a_max + 1)]  # b^2 - lo
+    for a in range(1, a_max + 1):
         four_a = 4 * a
-        # c >= a needs b^2 >= 4a^2 + lo
-        for b in range(isqrt(max(0, four_a * a + lo)), a + 1):
+        t = four_a * a + lo
+        b_min = isqrt(t - 1) + 1 if t > 0 else 0  # least b with b^2 - lo >= 4a^2
+        if width < four_a:
+            step = 1 if width else 2
+            b_min += (b_min - lo) % step
+            spans = [(isqrt(n + lo), n // four_a, n // four_a)
+                     for n in shifted[b_min:a + 1:step] if n % four_a <= width]
+        else:
+            spans = [(b, max(a, (n - width - 1) // four_a + 1), n // four_a)
+                     for b, n in zip(range(b_min, a + 1), shifted[b_min:a + 1])]
+        for b, c_min, c_max in spans:
             bb = b * b
-            c_min = (bb - hi - 1) // four_a + 1
-            if c_min < a:
-                c_min = a
-            c_max = (bb - lo) // four_a
-            if c_min > c_max:
-                continue
             g = gcd(a, b)
             signed = b and b != a
             for c in range(c_min, c_max + 1):
@@ -360,18 +354,12 @@ def class_group(delta: int) -> ClassGroup:
 
 
 def conjugation_orbits(triples: list[Triple]) -> list[list[Triple]]:
-    """Orbits of reduced triples under opposition [a,b,c] -> [a,-b,c]."""
-    seen = set()
-    orbits = []
-    for t in triples:
-        if t in seen:
-            continue
-        a, b, c = t
-        orbit = sorted({t, _gauss_reduce(a, -b, c)[0]}, key=_form_sort_key)
-        seen.update(orbit)
-        orbits.append(orbit)
-    orbits.sort(key=lambda orb: _form_sort_key(orb[0]))
-    return orbits
+    """Orbits of reduced triples, in table order, under opposition
+    [a,b,c] -> [a,-b,c]: each triple with b >= 0 heads its orbit, and
+    (a, -b, c) joins it unless b = 0, b = a or a = c, where the opposite
+    reduces back to the head."""
+    return [[(a, b, c), (a, -b, c)] if b and b != a and a != c else [(a, b, c)]
+            for a, b, c in triples if b >= 0]
 
 
 def pic_mod_conjugation(delta: int) -> list[list[TwistedForm]]:

@@ -19,7 +19,8 @@ built on first use.  A unit test is a division: ``Orientation`` and
 
 Z[1/f] runs on int pairs (num, k) for num/f^k; every quotient goes through
 ``LocalizationRing._divide``, which asks ``in_localization`` ("n/d lies in
-Z[1/f]", shared with glue).  Input exponents stop at ``EXPONENT_CAP``.
+Z[1/f]", shared with glue).  Input exponents stop at ``EXPONENT_CAP``, and
+input powers f^k at ``POWER_BITS_CAP`` bits (k * f.bit_length()).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .errors import (
 PELL_CAP = 10**6
 FINITE_TABLE_CAP = 512
 EXPONENT_CAP = 10**5
+POWER_BITS_CAP = 4 * EXPONENT_CAP  # f < 16 may take the whole exponent range
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -373,13 +375,17 @@ class Ring:
 
     def element_from_json(self, data) -> RingElement:
         """Read an int, a coordinate list or {"coords": [...], "k": n}, with
-        k at most EXPONENT_CAP (ExponentTooLarge above)."""
+        k at most EXPONENT_CAP and k * f.bit_length() at most POWER_BITS_CAP
+        (ExponentTooLarge above)."""
         if isinstance(data, dict):
             if "coords" not in data:
                 raise ValueError(f"a ring element object is missing 'coords', got {data!r}")
             k = json_int(data.get("k", 0), "'k'")
             if k > EXPONENT_CAP:
                 raise ExponentTooLarge(f"'k' is {k}; input exponents are capped at {EXPONENT_CAP}")
+            if self.kind == "localization" and k * self.f.bit_length() > POWER_BITS_CAP:
+                raise ExponentTooLarge(f"'k' is {k}, so f^k may have {k * self.f.bit_length()} bits;"
+                                       f" input powers of f are capped at {POWER_BITS_CAP} bits")
             return self.element(_json_coords(data["coords"]), k)
         if isinstance(data, list):
             return self.element(_json_coords(data))
@@ -523,7 +529,12 @@ class TableRing(Ring):
                 if tbl[i][j] != tbl[j][i]:
                     raise NonCommutative(f"e{i}*e{j} != e{j}*e{i}")
         self.one_coords = self._resolve_identity(one)
-        self.symbols = symbols or ("1",) + tuple(f"e{i}" for i in range(1, n))
+        if not symbols:
+            # e_0 is called "1" only when it is the identity
+            symbols = tuple(f"e{i}" for i in range(n))
+            if self.one_coords == standard_basis(n)[0]:
+                symbols = ("1",) + symbols[1:]
+        self.symbols = symbols
         if len(self.symbols) != n:
             raise ValueError("need one symbol per basis element")
         self._check_associativity()
@@ -625,9 +636,14 @@ class TableRing(Ring):
         return None
 
     def unit_group_generators(self):
+        """Generators of the unit group of Z[sqrt(N)]; when N = n^2 >= 1 the
+        whole (finite) group: +-1, and +-w when N = 1."""
         n = self.quadratic_param
-        if n is None or n == 0 or is_square(n):
+        if n is None or n == 0:
             raise UnsupportedRing(f"no unit-group algorithm for {self!r}")
+        if is_square(n):
+            units = [self.one, self.from_int(-1)]
+            return units + [self.element((0, 1)), self.element((0, -1))] if n == 1 else units
         if n < 0:
             gens = [self.from_int(-1)]
             if n == -1:

@@ -3,7 +3,8 @@
 These deliberately avoid the library code paths they are checking: lattice
 indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
-a scan over every (a, b), composition from the HNF ideal product, homs of
+a scan over every (a, b) and from a divisor scan, opposition orbits from Gauss
+reduction, composition from the HNF ideal product, homs of
 algebras over finite rings from ring arithmetic on every (u, v), class
 numbers from Dirichlet's analytic formula, and the glue report and the
 ``Z[1/f]`` ring operations from ``Fraction`` arithmetic.
@@ -106,6 +107,50 @@ def reduced_forms_bruteforce(delta: int) -> list[tuple[int, int, int]]:
             out.append((a, b, c))
     out.sort(key=lambda t: (t[0], t[2], abs(t[1]), t[1] < 0))
     return out
+
+
+def _form_sort_key(t: tuple[int, int, int]):
+    a, b, c = t
+    return (a, c, abs(b), 0 if b >= 0 else 1)
+
+
+def reduced_triples_divisor_scan(delta: int) -> list[tuple[int, int, int]]:
+    """Reduced primitive forms (a, b, c) of discriminant delta, in table order,
+    by a divisor scan.
+
+    A reduced form has |b| <= a <= c, so 3b^2 <= -delta.  For each such b >= 0
+    the pairs (a, c) are the divisor pairs a <= c of n = (b^2 - delta)/4 with
+    a >= b; (a, -b, c) is reduced too unless b = 0, a = b or a = c.
+    """
+    out = []
+    for b in range(delta % 2, isqrt(-delta // 3) + 1, 2):
+        n = (b * b - delta) // 4
+        for a in [d for d in range(max(b, 1), isqrt(n) + 1) if not n % d]:
+            c = n // a
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            out.append((a, b, c))
+            if b and a != b and a != c:
+                out.append((a, -b, c))
+    out.sort(key=_form_sort_key)
+    return out
+
+
+def conjugation_orbits_gauss(triples):
+    """Orbits of reduced triples under opposition, each orbit {q, the reduced
+    form of [a,-b,c]} in table order, the orbits ordered by their first member."""
+    seen = set()
+    orbits = []
+    for t in triples:
+        if t in seen:
+            continue
+        a, b, c = t
+        opposite = reduce_posdef(TwistedForm.over_z(a, -b, c)).int_coefficients()
+        orbit = sorted({t, opposite}, key=_form_sort_key)
+        seen.update(orbit)
+        orbits.append(orbit)
+    orbits.sort(key=lambda orb: _form_sort_key(orb[0]))
+    return orbits
 
 
 def compose_via_ideals(order: QuadraticOrder, q1: TwistedForm,

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadalg.algebras import (
     AlgebraHom,
@@ -232,6 +234,21 @@ def test_uniqueness_fuzz():
             c3 = alg(ring, r, s + 1)  # different type: delta shifts by 4
             if types_isomorphic(type_of(c), type_of(c3)) is None:
                 assert algebras_isomorphic(c, c3) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 4, 9)), st.integers(0, 3),
+       st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+def test_change_of_basis_is_found_over_square_n(n, which, coords):
+    # over Z[sqrt(n^2)] delta can be a zero divisor, so division cannot find
+    # the unit; the units are finite and each one is tested
+    ring = quadratic_table_ring(n)
+    units = ring.unit_group_generators()
+    r, s, alpha = (ring.element(coords[i:i + 2]) for i in (0, 2, 4))
+    a = alg(ring, r, s)
+    b = change_basis(a, units[which % len(units)], alpha)
+    hom = algebras_isomorphic(a, b)
+    assert hom is not None and hom.verifies(a, b)
 
 
 def test_oriented_type_examples():

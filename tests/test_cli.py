@@ -67,6 +67,15 @@ def test_iso_finite_ring_uses_bruteforce(capsys):
     assert code == 0 and json.loads(out) == {"isomorphic": False}
 
 
+def test_iso_over_square_n_finds_the_identity(capsys):
+    # delta = -8+4w is a zero divisor of Z[sqrt(4)], so it does not divide itself
+    ring = ('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[4,0]]],'
+            '"one":[1,0],"symbols":["1","w"]}')
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=w,s=3-w",
+                  "--alg2", "r=w,s=3-w") \
+        == (0, '{"isomorphic":true,"hom":{"u":[1,0],"v":[0,0]}}\n', "")
+
+
 def test_oriented_iso_biquad8_obstruction(capsys):
     code, out, _ = invoke(capsys, "oriented-iso", "--ring", "biquad8",
                           "--alg1", "r=X,s=2", "--alg2", "r=X,s=2",
@@ -482,6 +491,26 @@ def test_denominator_exponent_is_capped(capsys):
         assert invoke(capsys, *argv, "--ring", ring) == (2, "", message)
 
 
+def test_power_of_a_large_f_is_capped(capsys):
+    # k is under EXPONENT_CAP, but f^k would have 6 * 10^6 bits
+    start = time.perf_counter()
+    result = invoke(capsys, "type", "--ring", '{"kind":"localization","f":1000000000000000000}',
+                    "--alg", 'r={"coords":[1],"k":100000},s={"coords":[1],"k":1}')
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "error: 'k' is 100000, so f^k may have 6000000 bits; input "
+                             "powers of f are capped at 400000 bits\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-string digit limit")
+def test_result_too_long_to_print_exits_2(capsys):
+    code, out, err = invoke(capsys, "type", "--ring", '{"kind":"localization","f":3}',
+                            "--alg", 'r={"coords":[5],"k":10000},s={"coords":[7],"k":10000}')
+    assert (code, out) == (2, "")
+    assert err == (f"error: the result has an integer of more than {sys.get_int_max_str_digits()}"
+                   " digits, Python's limit for printing an integer\n")
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
@@ -499,3 +528,14 @@ def test_parse_element_symbols():
     assert parse_element(r8, "[17,6]").coords == (17, 6)
     with pytest.raises(ValueError):
         parse_element(r8, "3+q")
+
+
+def test_bare_integers_are_multiples_of_one(capsys):
+    # the identity of this ring is e1, so "1" is e1 and r = 1 + e1 = 2 * 1
+    ring = '{"kind":"table","rank":2,"mul":[[[0,1],[1,0]],[[1,0],[0,1]]],"one":[0,1]}'
+    assert builtin_ring(ring).symbols == ("e0", "e1")
+    assert invoke(capsys, "type", "--ring", ring, "--alg", "r=1+e1,s=0") \
+        == (0, '{"delta":[0,4],"parity":[0,0]}\n', "")
+    assert parse_element(builtin_ring(ring), "3-e0").coords == (-1, 3)
+    assert builtin_ring('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[2,0]]]}') \
+        .symbols == ("1", "e1")

@@ -4,8 +4,9 @@
 Each argument is well formed four times in five, so that most runs reach the
 library, and malformed otherwise.  Sizes are kept small: quotient rings of at
 most 144 elements, |delta| below about 2000 and discriminant ranges at most
-50 wide.  Apart from those, Z[1/f] exponents at and past EXPONENT_CAP must
-end each run within a time bound.
+50 wide.  Apart from those, Z[1/f] exponents at and past EXPONENT_CAP, and
+powers of a 60-bit f at and past POWER_BITS_CAP, must end each run within a
+time bound.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadalg.cli import run
-from quadalg.ring import EXPONENT_CAP
+from quadalg.ring import EXPONENT_CAP, POWER_BITS_CAP
 
 from glue_data import glue_payload
 
@@ -249,13 +250,13 @@ RING_COMMANDS = ["type", "natural-type", "iso", "oriented-iso", "autos", "valida
 
 
 @st.composite
-def big_exponent_argv(draw):
-    """A ring subcommand over Z[1/f] whose elements mostly carry an exponent
-    near or past the cap."""
-    ring = json.dumps({"kind": "localization", "f": draw(st.sampled_from([2, 3, 6, 12, 49]))})
+def big_exponent_argv(draw, fs=(2, 3, 6, 12, 49), big_k=BIG_K):
+    """A ring subcommand over Z[1/f], f drawn from ``fs``, whose elements
+    mostly carry an exponent drawn from ``big_k``, near or past a cap."""
+    ring = json.dumps({"kind": "localization", "f": draw(st.sampled_from(fs))})
 
     def el():
-        k = draw(st.one_of(BIG_K, BIG_K, st.integers(0, 4)))
+        k = draw(st.one_of(big_k, big_k, st.integers(0, 4)))
         return json.dumps({"coords": [draw(st.integers(-9, 9))], "k": k})
 
     def alg():
@@ -279,6 +280,20 @@ def big_exponent_argv(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(big_exponent_argv())
 def test_large_exponents_exit_0_or_2_within_a_bound(argv):
+    start = time.perf_counter()
+    code, _, err = _run(argv)
+    assert code in (0, 2), (argv, err)
+    assert time.perf_counter() - start < 2.0, argv
+
+
+# f of 60 and 61 bits: k = POWER_BITS_CAP // 60 is the largest exponent the first
+# may carry, and it is past the cap for the second
+LARGE_F_K = st.sampled_from([POWER_BITS_CAP // 60, POWER_BITS_CAP // 60 + 1, EXPONENT_CAP, 10**6])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(big_exponent_argv(fs=(10**18, 2**61 - 1), big_k=LARGE_F_K))
+def test_large_f_exits_0_or_2_within_a_bound(argv):
     start = time.perf_counter()
     code, _, err = _run(argv)
     assert code in (0, 2), (argv, err)

@@ -52,9 +52,11 @@ from quadalg.ring import IntegerRing, xgcd
 from oracles import (
     ClassNumbers,
     compose_via_ideals,
+    conjugation_orbits_gauss,
     ideal_class_count,
     principal_by_norm_equation,
     reduced_forms_bruteforce,
+    reduced_triples_divisor_scan,
 )
 
 Z = IntegerRing()
@@ -305,9 +307,7 @@ def test_range_sweep_matches_divisor_scan():
     table = reduced_triples_between(-3000, -3)
     assert list(table) == _valid_discriminants(-3000, -3)
     for delta, reps in table.items():
-        assert reps == reduced_triples(delta), delta
-        # each opposition orbit has exactly one member with b >= 0
-        assert sum(b >= 0 for _, b, _ in reps) == len(conjugation_orbits(reps)), delta
+        assert reps == reduced_triples_divisor_scan(delta), delta
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -317,12 +317,32 @@ def test_range_sweep_matches_divisor_scan_on_windows(lo, width):
     table = reduced_triples_between(lo, hi)
     assert list(table) == _valid_discriminants(lo, hi)
     for delta, reps in table.items():
-        assert reps == reduced_triples(delta), delta
+        assert reps == reduced_triples_divisor_scan(delta), delta
+
+
+def test_single_discriminants_match_divisor_scan():
+    # |delta| log-uniform in [10^5, 10^8]: every a takes the one-remainder path
+    rng = random.Random(12)
+    for _ in range(10):
+        delta = -int(10 ** rng.uniform(5, 8))
+        while delta % 4 not in (0, 1):
+            delta -= 1
+        assert reduced_triples(delta) == reduced_triples_divisor_scan(delta), delta
+
+
+def test_orbit_rule_matches_gauss_reduction():
+    for delta in _valid_discriminants(-3000, -3):
+        reps = reduced_triples_divisor_scan(delta)
+        assert conjugation_orbits(reps) == conjugation_orbits_gauss(reps), delta
+    assert conjugation_orbits([(1, 0, 11), (3, 2, 4), (3, -2, 4)]) == [
+        [(1, 0, 11)], [(3, 2, 4), (3, -2, 4)]]
 
 
 def test_range_sweep_edges():
     assert reduced_triples_between(-4, -3) == {-4: [(1, 0, 1)], -3: [(1, 1, 1)]}
     assert reduced_triples_between(-2, -1) == {}
+    # no discriminant in range: returns before sweeping about 10^11 pairs
+    assert reduced_triples_between(-10**12 - 6, -10**12 - 5) == {}
     for lo, hi in ((-3, -4), (-4, 0), (-4, 4)):
         with pytest.raises(InvalidRange):
             reduced_triples_between(lo, hi)

@@ -156,8 +156,14 @@ def test_unit_group_generators():
     units = gauss.unit_group_generators()
     assert len(units) == 3  # -1, i, -i
     assert all(abs(u.coords[0] ** 2 + u.coords[1] ** 2) == 1 for u in units)
+    # N = n^2 >= 1: the whole unit group, every a + b w with a^2 - N b^2 = +-1
+    for n in (1, 4, 9):
+        units = [u.coords for u in quadratic_table_ring(n).unit_group_generators()]
+        want = [(a, b) for a in range(-5, 6) for b in range(-5, 6)
+                if abs(a * a - n * b * b) == 1]
+        assert sorted(units) == sorted(want), n
     with pytest.raises(UnsupportedRing):
-        quadratic_table_ring(4).unit_group_generators()
+        quadratic_table_ring(0).unit_group_generators()
 
 
 def test_imaginary_quadratic_units_have_unit_norm():
