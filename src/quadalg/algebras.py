@@ -8,14 +8,14 @@ and ``oriented_automorphisms_bruteforce``) run on the ring's index tables
 homs found are verified in ring arithmetic.  The tables are capped at
 ``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring raises
 ``RingTooLarge`` before anything is enumerated.  The classification by
-(discriminant, parity) needs no tables and has no cap; over a finite ring it
-reads ``QuotientRing.units``.  An ``Orientation`` keeps the inverse ``u_inv``
-of its unit test, as ``forms.GL2Matrix`` keeps ``det_inv``.
+(discriminant, parity) needs no tables, has no cap and names no ring kind:
+with finitely many ``ring.units`` each is tested; otherwise the unit is
+``ring.sqrt`` of delta2 / delta1, or, when both are 0, comes from
+``unit_group_generators``.  An ``Orientation`` keeps the inverse ``u_inv`` of
+its unit test, as ``forms.GL2Matrix`` keeps ``det_inv``.
 """
 
 from __future__ import annotations
-
-from math import isqrt
 
 from .errors import (
     BadLift,
@@ -25,16 +25,8 @@ from .errors import (
     NotTwoRegular,
     ParityMismatch,
     UnitSearchCapExceeded,
-    UnsupportedRing,
 )
-from .ring import (
-    IntegerRing,
-    Mod2Element,
-    Ring,
-    RingElement,
-    TableRing,
-    is_square,
-)
+from .ring import Mod2Element, Ring, RingElement
 
 UNIT_IMAGE_CAP = 2**16
 
@@ -213,51 +205,6 @@ def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra,
     return target, hom
 
 
-def _sqrt_in_ring(ring: Ring, x: RingElement) -> RingElement | None:
-    """A square root of x in Z or Z[sqrt(N)], sign-normalized; None if absent."""
-    if isinstance(ring, IntegerRing):
-        n = x.coords[0]
-        if n < 0:
-            return None
-        root = isqrt(n)
-        return ring.from_int(root) if root * root == n else None
-    if isinstance(ring, TableRing) and ring.quadratic_param is not None:
-        n = ring.quadratic_param
-        t0, t1 = x.coords
-        candidates = []
-        if t1 == 0:
-            if is_square(t0):
-                candidates.append((isqrt(t0), 0))
-            if n != 0 and t0 % n == 0 and is_square(t0 // n):
-                candidates.append((0, isqrt(t0 // n)))
-        else:
-            # a^2 + N b^2 = t0 and 2ab = t1 force b^2 = (t0 +- sqrt(t0^2 - N t1^2))/(2N)
-            disc = t0 * t0 - n * t1 * t1
-            if disc >= 0 and is_square(disc) and n != 0:
-                sd = isqrt(disc)
-                for num in (t0 + sd, t0 - sd):
-                    den = 2 * n
-                    if num % den:
-                        continue
-                    b2 = num // den
-                    if b2 <= 0 or not is_square(b2):
-                        continue
-                    b = isqrt(b2)
-                    if t1 % (2 * b):
-                        continue
-                    a = t1 // (2 * b)
-                    if a * a + n * b * b == t0:
-                        candidates.append((a, b))
-        for a, b in candidates:
-            root = ring.element((a, b))
-            if root * root == x:
-                if a < 0 or (a == 0 and b < 0):
-                    root = -root
-                return root
-        return None
-    raise UnsupportedRing(f"no square-root routine for {ring!r}")
-
-
 def _unit_image_reps(ring: Ring) -> list[RingElement]:
     """Units representing every class in the image of R* inside (R/2R)*."""
     gens = ring.unit_group_generators()
@@ -278,12 +225,6 @@ def _unit_image_reps(ring: Ring) -> list[RingElement]:
     return list(seen.values())
 
 
-def _finite_unit_group(ring: Ring) -> list[RingElement] | None:
-    """Every unit of Z[sqrt(N)] with N = n^2 >= 1; None for other infinite rings."""
-    n = ring.quadratic_param if isinstance(ring, TableRing) else None
-    return ring.unit_group_generators() if n and n > 0 and is_square(n) else None
-
-
 def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     """A unit eps with t2 = (eps^2 * delta1, eps * parity1), if one exists."""
     found = _unit_and_inverse(t1, t2)
@@ -293,14 +234,14 @@ def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
 def _unit_and_inverse(t1: AlgebraType, t2: AlgebraType) -> tuple[RingElement, RingElement] | None:
     """(eps, 1/eps) for the eps of ``types_isomorphic``, or None.
 
-    With finitely many units (a finite ring, or Z[sqrt(n^2)] where delta may
-    be a zero divisor) each unit is tested; over another infinite ring the
-    unit test is the division that finds 1/eps."""
+    With finitely many units (``ring.units``; in Z[sqrt(n^2)] delta may be a
+    zero divisor) each unit is tested; otherwise eps is ``ring.sqrt`` of
+    delta2 / delta1, and the unit test is the division that finds 1/eps."""
     ring = t1.ring
     if ring != t2.ring:
         raise ValueError("types live over different rings")
     z1, z2 = t1.delta.is_zero(), t2.delta.is_zero()
-    units = ring.units if ring.is_finite() else _finite_unit_group(ring)
+    units = ring.units
     if units is not None:
         eps = next((u for u in units
                     if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u)), None)
@@ -310,7 +251,7 @@ def _unit_and_inverse(t1: AlgebraType, t2: AlgebraType) -> tuple[RingElement, Ri
         eps = next((u for u in _unit_image_reps(ring) if t1.parity.times(u) == t2.parity), None)
     else:
         ratio = ring.try_divide(t2.delta, t1.delta)
-        eps = None if ratio is None else _sqrt_in_ring(ring, ratio)
+        eps = None if ratio is None else ring.sqrt(ratio)
         eps_inv = None if eps is None else ring.try_inverse(eps)
         # -eps has the same image mod 2, so one parity test covers both roots
         if eps_inv is None or t1.parity.times(eps) != t2.parity:

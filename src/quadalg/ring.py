@@ -10,12 +10,15 @@ rings, unit index in primitivity tests, HNF ideals of quadratic orders) goes
 through one routine: the Hermite normal form kernel ``hnf`` and the integer
 solver ``solve_int`` built on it.
 
-A finite ring (a quotient ring) has one unit list, ``QuotientRing.units``,
-found by HNF division and not capped, and ``FiniteTables``: its elements with
-multiplication as a table of indices, so that exhaustive searches run on plain
-ints, capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above).  Both are
-built on first use.  A unit test is a division: ``Orientation`` and
-``GL2Matrix`` keep the inverse theirs returns (``u_inv``, ``det_inv``).
+The classification of quadratic algebras asks a ring two questions only:
+``Ring.units``, every unit when there are finitely many and None otherwise,
+and ``Ring.sqrt``, answered by ``TableRing`` for Z[sqrt(N)] from the norm.  A
+quotient ring finds its units by HNF division, not capped, and keeps
+``FiniteTables``: its elements with multiplication as a table of indices, so
+that exhaustive searches run on plain ints, capped at ``FINITE_TABLE_CAP``
+elements (RingTooLarge above).  Both are built on first use.  A unit test is a
+division: ``Orientation`` and ``GL2Matrix`` keep the inverse theirs returns
+(``u_inv``, ``det_inv``).
 
 Z[1/f] runs on int pairs (num, k) for num/f^k; every quotient goes through
 ``LocalizationRing._divide``, which asks ``in_localization`` ("n/d lies in
@@ -340,7 +343,7 @@ class Ring:
         return self._try_halve(x)
 
     def _try_halve(self, x: RingElement) -> RingElement | None:
-        raise NotImplementedError
+        return self.try_divide(x, self.from_int(2))
 
     def mod2(self, x: RingElement) -> Mod2Element:
         raise NotImplementedError
@@ -360,8 +363,20 @@ class Ring:
     def enumerate_elements(self) -> list[RingElement]:
         raise InfiniteRing(f"{self!r} is infinite")
 
+    @property
+    def units(self) -> list[RingElement] | None:
+        """Every unit when there are finitely many; None otherwise."""
+        return None
+
     def unit_group_generators(self) -> list[RingElement]:
-        raise UnsupportedRing(f"no unit-group algorithm for {self!r}")
+        units = self.units
+        if units is None:
+            raise UnsupportedRing(f"no unit-group algorithm for {self!r}")
+        return [u for u in units if u != self.one]
+
+    def sqrt(self, x: RingElement) -> RingElement | None:
+        """The sign-normalized square root of x; None when x is not a square."""
+        raise UnsupportedRing(f"no square-root routine for {self!r}")
 
     # -- serialization ----------------------------------------------------------
 
@@ -480,8 +495,9 @@ class IntegerRing(Ring):
     def in_4R(self, x):
         return x.coords[0] % 4 == 0
 
-    def unit_group_generators(self):
-        return [self.from_int(-1)]
+    @cached_property
+    def units(self):
+        return [self.one, self.from_int(-1)]
 
     def rational_value(self, x: RingElement) -> Fraction:
         return Fraction(x.coords[0])
@@ -635,22 +651,50 @@ class TableRing(Ring):
             return t[1][1][0]
         return None
 
-    def unit_group_generators(self):
-        """Generators of the unit group of Z[sqrt(N)]; when N = n^2 >= 1 the
-        whole (finite) group: +-1, and +-w when N = 1."""
+    @cached_property
+    def units(self):
+        """+-1 at rank 1, where an identity forces e0^2 = +-e0; in Z[sqrt(N)]
+        with N < 0 or N = n^2 >= 1, +-1, and +-w when N = +-1; else None."""
         n = self.quadratic_param
-        if n is None or n == 0:
-            raise UnsupportedRing(f"no unit-group algorithm for {self!r}")
-        if is_square(n):
+        if self.rank == 1 or n is not None and (n < 0 or n > 0 and is_square(n)):
             units = [self.one, self.from_int(-1)]
-            return units + [self.element((0, 1)), self.element((0, -1))] if n == 1 else units
-        if n < 0:
-            gens = [self.from_int(-1)]
-            if n == -1:
-                gens += [self.element((0, 1)), self.element((0, -1))]
-            return gens
+            return units + [self.element((0, 1)), self.element((0, -1))] if n in (1, -1) else units
+        return None
+
+    def unit_group_generators(self):
+        """Generators of the unit group of Z[sqrt(N)]: -1 and the fundamental
+        unit for a non-square N > 1; the whole (finite) group when N = n^2 >= 1."""
+        n = self.quadratic_param
+        if n is None or n <= 0:
+            return super().unit_group_generators()
+        if is_square(n):
+            return list(self.units)
         x, y = _pell_fundamental(n)
         return [self.from_int(-1), self.element((x, y))]
+
+    def sqrt(self, x):
+        """The root a + b*w of x in Z[sqrt(N)] with a > 0, or a = 0 and b >= 0.
+
+        A root has a^2 + N b^2 = t0 and 2ab = t1 for x = t0 + t1*w, and norm
+        (a^2 - N b^2)^2 = t0^2 - N t1^2, so 2a^2 = t0 -+ sqrt(that norm) and
+        b = t1 / 2a; when a = 0, t0 = N b^2.  Each candidate is checked by
+        squaring it.  When N = n^2 gives two roots up to sign, one with a > 0
+        comes first, the smaller a first."""
+        n = self.quadratic_param
+        if n is None:
+            return super().sqrt(x)
+        t0, t1 = x.coords
+        norm = t0 * t0 - n * t1 * t1
+        if not is_square(norm):
+            return None
+        root = isqrt(norm)
+        candidates = [(a, t1 // (2 * a)) for twice_a2 in (t0 - root, t0 + root)
+                      if (a := isqrt(max(twice_a2, 0) // 2))]
+        candidates.append((0, isqrt(max(t0 // n, 0)) if n else 0))
+        for a, b in candidates:
+            if a * a + n * b * b == t0 and 2 * a * b == t1:
+                return self.element((a, b))
+        return None
 
     def descriptor(self):
         # symbols are presentation only and stay out of the identity
@@ -715,9 +759,6 @@ class QuotientRing(Ring):
         sol = solve_int(gens, p.coords)
         return None if sol is None else self.element(sol[:self.rank])
 
-    def _try_halve(self, x):
-        return self.try_divide(x, self.from_int(2))  # m odd, so 2 is a unit
-
     def mod2(self, x):
         if self.m % 2 == 0:
             return Mod2Element(self, tuple(c % 2 for c in x.coords))
@@ -748,9 +789,6 @@ class QuotientRing(Ring):
     @cached_property
     def tables(self) -> FiniteTables:
         return FiniteTables(self)
-
-    def unit_group_generators(self):
-        return [u for u in self.units if u != self.one]
 
     def descriptor(self):
         return {"kind": "quotient", "base": self.base.descriptor(), "m": self.m}
@@ -845,9 +883,6 @@ class LocalizationRing(Ring):
         if q.is_zero():
             return None
         return self._divide(p.coords[0], q.coords[0], p.k - q.k)
-
-    def _try_halve(self, x):
-        return self.try_divide(x, self.from_int(2))
 
     def mod2(self, x):
         if self.f % 2 == 0:

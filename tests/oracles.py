@@ -6,8 +6,9 @@ search, automorphism counts from a full map-level search, reduced forms from
 a scan over every (a, b) and from a divisor scan, opposition orbits from Gauss
 reduction, composition from the HNF ideal product, homs of
 algebras over finite rings from ring arithmetic on every (u, v), class
-numbers from Dirichlet's analytic formula, and the glue report and the
-``Z[1/f]`` ring operations from ``Fraction`` arithmetic.
+numbers from Dirichlet's analytic formula, the glue report and the
+``Z[1/f]`` ring operations from ``Fraction`` arithmetic, and square roots in
+Z[sqrt(N)] from per-case candidates and from a scan.
 """
 
 from __future__ import annotations
@@ -39,6 +40,57 @@ def pell_scan(n: int, bound: int) -> tuple[int, int] | None:
             a2 = target + n * b * b
             if a2 >= 0 and isqrt(a2) ** 2 == a2:
                 return isqrt(a2), b
+    return None
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def sqrt_from_candidates(ring, x: RingElement) -> RingElement | None:
+    """A square root of x in Z[sqrt(N)], N != 0, sign-normalized (a > 0, or
+    a = 0 and b >= 0); None if absent.  The candidates are a square t0 and a
+    square t0/N when t1 = 0, and otherwise b^2 = (t0 +- sqrt(t0^2 - N t1^2))/(2N)
+    from a^2 + N b^2 = t0 and 2ab = t1."""
+    n = ring.quadratic_param
+    t0, t1 = x.coords
+    candidates = []
+    if t1 == 0:
+        if _is_square(t0):
+            candidates.append((isqrt(t0), 0))
+        if t0 % n == 0 and _is_square(t0 // n):
+            candidates.append((0, isqrt(t0 // n)))
+    else:
+        disc = t0 * t0 - n * t1 * t1
+        if _is_square(disc):
+            sd = isqrt(disc)
+            for num in (t0 + sd, t0 - sd):
+                if num % (2 * n):
+                    continue
+                b2 = num // (2 * n)
+                if b2 <= 0 or not _is_square(b2):
+                    continue
+                b = isqrt(b2)
+                if t1 % (2 * b):
+                    continue
+                a = t1 // (2 * b)
+                if a * a + n * b * b == t0:
+                    candidates.append((a, b))
+    for a, b in candidates:
+        root = ring.element((a, b))
+        if root * root == x:
+            return -root if a < 0 or (a == 0 and b < 0) else root
+    return None
+
+
+def sqrt_scan(n: int, x: tuple[int, int], bound: int) -> tuple[int, int] | None:
+    """The first sign-normalized (a, b), a, |b| <= bound, with (a + b*w)^2 = x
+    in Z[sqrt(n)], a ascending, then |b| ascending and b >= 0 first."""
+    bs = sorted(range(-bound, bound + 1), key=lambda b: (abs(b), b < 0))
+    for a in range(bound + 1):
+        for b in bs:
+            if (a or b >= 0) and (a * a + n * b * b, 2 * a * b) == x:
+                return a, b
     return None
 
 

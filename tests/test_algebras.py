@@ -32,6 +32,7 @@ from quadalg.errors import (
     NotAUnit,
     NotTwoRegular,
     ParityMismatch,
+    UnsupportedRing,
 )
 from quadalg.ring import IntegerRing, QuotientRing, Ring, TableRing, quadratic_table_ring
 
@@ -249,6 +250,53 @@ def test_change_of_basis_is_found_over_square_n(n, which, coords):
     b = change_basis(a, units[which % len(units)], alpha)
     hom = algebras_isomorphic(a, b)
     assert hom is not None and hom.verifies(a, b)
+
+
+def _known_units(ring, n):
+    """Units of Z[sqrt(n)]: +-1 + b*w, |b| <= 5, when n = 0; the unit list
+    when it is finite; else +-1, +-eps and +-1/eps for the fundamental eps."""
+    if n == 0:
+        return [ring.element((s, b)) for s in (1, -1) for b in range(-5, 6)]
+    if ring.units is not None:
+        return ring.units
+    eps = ring.unit_group_generators()[1]
+    return [s * u for s in (1, -1) for u in (ring.one, eps, ring.try_inverse(eps))]
+
+
+def test_change_of_basis_is_found_over_every_zsqrt_n():
+    rng = random.Random(16)
+    for n in range(-5, 10):
+        ring = quadratic_table_ring(n)
+        for u in _known_units(ring, n):
+            for _ in range(6):
+                r, s, alpha = (ring.element((rng.randrange(-9, 10), rng.randrange(-9, 10)))
+                               for _ in range(3))
+                a = alg(ring, r, s)
+                b = change_basis(a, u, alpha)
+                hom = algebras_isomorphic(a, b)
+                assert hom is not None and hom.verifies(a, b), (n, u, a)
+    # Z[sqrt(0)] lists no unit generators, so delta = 0 on both sides still raises
+    zsqrt0 = quadratic_table_ring(0)
+    with pytest.raises(UnsupportedRing):
+        algebras_isomorphic(alg(zsqrt0, 2, 1), alg(zsqrt0, 2, 1))
+
+
+def test_types_isomorphic_matches_a_unit_scan():
+    rng = random.Random(17)
+    for ring in [Z] + [quadratic_table_ring(n) for n in range(-7, 0)]:
+        def element():
+            return ring.element(tuple(rng.randrange(-9, 10) for _ in range(ring.rank)))
+
+        for _ in range(200):
+            t1 = type_of(alg(ring, element(), element()))
+            if rng.randrange(2):
+                eps = rng.choice(ring.units)
+                t2 = AlgebraType(eps * eps * t1.delta, t1.parity.times(eps))
+            else:
+                t2 = type_of(alg(ring, element(), element()))
+            scan = next((u for u in ring.units if t2.delta == u * u * t1.delta
+                         and t2.parity == t1.parity.times(u)), None)
+            assert types_isomorphic(t1, t2) == scan, (ring, t1, t2)
 
 
 def test_oriented_type_examples():

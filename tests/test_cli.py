@@ -76,6 +76,22 @@ def test_iso_over_square_n_finds_the_identity(capsys):
         == (0, '{"isomorphic":true,"hom":{"u":[1,0],"v":[0,0]}}\n', "")
 
 
+def test_iso_over_zsqrt0_finds_a_unit_with_w(capsys):
+    # w^2 = 0: the algebras are related by the unit 1 + w, and delta2/delta1 = 1 + 2w
+    ring = ('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[0,0]]],'
+            '"one":[1,0],"symbols":["1","w"]}')
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=1,s=0",
+                  "--alg2", "r=1+w,s=0") \
+        == (0, '{"isomorphic":true,"hom":{"u":[1,-1],"v":[0,0]}}\n', "")
+
+
+def test_iso_over_a_rank_one_table_ring(capsys):
+    # a rank-1 table ring is Z, so its units are +-1, as with --ring z
+    ring = '{"kind":"table","rank":1,"mul":[[[1]]]}'
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=0,s=1", "--alg2", "r=0,s=1") \
+        == (0, '{"isomorphic":true,"hom":{"u":[1],"v":[0]}}\n', "")
+
+
 def test_oriented_iso_biquad8_obstruction(capsys):
     code, out, _ = invoke(capsys, "oriented-iso", "--ring", "biquad8",
                           "--alg1", "r=X,s=2", "--alg2", "r=X,s=2",

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -42,6 +43,8 @@ from oracles import (
     localization_try_halve,
     localization_try_inverse,
     pell_scan,
+    sqrt_from_candidates,
+    sqrt_scan,
 )
 
 Z = IntegerRing()
@@ -172,6 +175,58 @@ def test_imaginary_quadratic_units_have_unit_norm():
         for u in ring.unit_group_generators():
             a, b = u.coords
             assert abs(a * a - n * b * b) == 1
+
+
+def test_unit_lists():
+    # finitely many units exactly where a norm scan finds them all
+    assert Z.units == [1, -1] and ZINV6.units is None
+    for n in range(-7, 11):
+        ring = quadratic_table_ring(n)
+        scan = sorted((a, b) for a in range(-5, 6) for b in range(-5, 6)
+                      if abs(a * a - n * b * b) == 1)
+        finite = n < 0 or n in (1, 4, 9)
+        assert (ring.units is not None) == finite, n
+        if finite:
+            assert sorted(u.coords for u in ring.units) == scan, n
+    # a rank-1 table ring is Z, with identity e0 or -e0
+    for sign in (1, -1):
+        rank1 = TableRing([[(sign,)]])
+        assert [u.coords for u in rank1.units] == [(sign,), (-sign,)]
+        assert rank1.unit_group_generators() == [rank1.from_int(-1)]
+    assert TableRing([[(1, 0), (0, 1)], [(0, 1), (1, 1)]]).units is None
+
+
+def test_sqrt_outside_zsqrt_n_is_unsupported():
+    for ring in (Z, ZINV6, ZMOD8, TableRing([[(1,)]])):
+        with pytest.raises(UnsupportedRing, match=re.escape(f"no square-root routine for {ring!r}")):
+            ring.sqrt(ring.one)
+
+
+def test_sqrt_matches_the_candidate_root_finder():
+    rng = random.Random(13)
+    for n in [n for n in range(-7, 11) if n]:
+        ring = quadratic_table_ring(n)
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                y = ring.element((a, b))
+                root = ring.sqrt(y * y)
+                assert root == sqrt_from_candidates(ring, y * y), (n, a, b)
+                assert root in (y, -y) or n in (1, 4, 9) and root * root == y * y
+        for _ in range(300):
+            x = ring.element((rng.randrange(-300, 301), rng.randrange(-300, 301)))
+            assert ring.sqrt(x) == sqrt_from_candidates(ring, x), (n, x)
+
+
+def test_sqrt_over_zsqrt0_matches_a_root_scan():
+    # w^2 = 0: (a + b*w)^2 = a^2 + 2ab*w, so a root of x = t0 + t1*w with
+    # |t0|, |t1| <= 50 has a <= 7 and |b| <= 25, inside the scan
+    ring = quadratic_table_ring(0)
+    rng = random.Random(0)
+    xs = [(t0, t1) for t0 in range(-2, 37) for t1 in range(-24, 25)]
+    xs += [(rng.randrange(-50, 51), rng.randrange(-50, 51)) for _ in range(200)]
+    for x in xs:
+        root = ring.sqrt(ring.element(x))
+        assert (None if root is None else root.coords) == sqrt_scan(0, x, 25), x
 
 
 def test_enumerate_elements():
