@@ -4,15 +4,16 @@ over finite rings.
 
 The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
 and ``oriented_automorphisms_bruteforce``) run on the ring's index tables
-(``ring.FiniteTables``): every candidate is tested on plain ints, and only the
-homs found are verified in ring arithmetic.  The tables are capped at
+(``ring.FiniteTables``): every candidate is tested on plain ints, and only
+the homs found are verified in ring arithmetic.  The tables are capped at
 ``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring raises
 ``RingTooLarge`` before anything is enumerated.  The classification by
 (discriminant, parity) needs no tables, has no cap and names no ring kind:
 with finitely many ``ring.units`` each is tested; otherwise the unit is
-``ring.sqrt`` of delta2 / delta1, or, when both are 0, comes from
-``unit_group_generators``.  An ``Orientation`` keeps the inverse ``u_inv`` of
-its unit test, as ``forms.GL2Matrix`` keeps ``det_inv``.
+``ring.sqrt`` of delta2 / delta1 (Z[sqrt(N)] and Z[1/f] have one), or, when
+both are 0, comes from ``unit_group_generators`` (Z[sqrt(N)] for every N).
+An ``Orientation`` keeps the inverse ``u_inv`` of its unit test, as
+``forms.GL2Matrix`` keeps ``det_inv``.
 """
 
 from __future__ import annotations

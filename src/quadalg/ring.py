@@ -8,14 +8,23 @@ so that equality doubles as the test oracle.
 Every integer-lattice question (identity and quotients in table and quotient
 rings, unit index in primitivity tests, HNF ideals of quadratic orders) goes
 through one routine: the Hermite normal form kernel ``hnf`` and the integer
-solver ``solve_int`` built on it.
+solver ``solve_int`` built on it.  A 2 x 2 system with a nonzero determinant
+has one rational solution, which ``solve_int`` finds by the adjugate; it is
+integral or there is none.
+
+Element arithmetic runs on the kernels ``_add``, ``_neg`` and ``_mul``, after
+``Ring.coerce``: an element of the same ring object passes at once, an int is
+mapped in, and an element of a different ring raises RingMismatch.  A table
+ring multiplies by one pass over the nonzero structure constants
+``TableRing.terms``.
 
 The classification of quadratic algebras asks a ring two questions only:
 ``Ring.units``, every unit when there are finitely many and None otherwise,
-and ``Ring.sqrt``, answered by ``TableRing`` for Z[sqrt(N)] from the norm.  A
-quotient ring finds its units by HNF division, not capped, and keeps
-``FiniteTables``: its elements with multiplication as a table of indices, so
-that exhaustive searches run on plain ints, capped at ``FINITE_TABLE_CAP``
+and ``Ring.sqrt``, answered by ``TableRing`` for Z[sqrt(N)] from the norm and
+by ``LocalizationRing`` as the non-negative rational root.  A quotient ring
+finds its units by HNF division, not capped, and keeps ``FiniteTables``: its
+elements with multiplication as a table of indices, so that exhaustive
+searches run on plain ints, capped at ``FINITE_TABLE_CAP``
 elements (RingTooLarge above).  Both are built on first use.  A unit test is a
 division: ``Orientation`` and ``GL2Matrix`` keep the inverse theirs returns
 (``u_inv``, ``det_inv``).
@@ -113,6 +122,24 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
 
 def solve_int(gens: list[tuple[int, ...]], target: tuple[int, ...]) -> list[int] | None:
     """Integer x with sum(x_i * gens_i) == target, or None when none exists.
+
+    Two independent generators in rank 2 fix x = target * adj(G) / det(G),
+    so x exists exactly when both divisions are exact; every other system
+    goes through ``solve_hnf``.
+    """
+    if len(gens) == 2 == len(target):
+        (a, b), (c, d) = gens
+        det = a * d - b * c
+        if det:
+            t0, t1 = target
+            x0, r0 = divmod(t0 * d - t1 * c, det)
+            x1, r1 = divmod(t1 * a - t0 * b, det)
+            return None if r0 or r1 else [x0, x1]
+    return solve_hnf(gens, target)
+
+
+def solve_hnf(gens: list[tuple[int, ...]], target: tuple[int, ...]) -> list[int] | None:
+    """``solve_int`` by the HNF kernel, for any shape.
 
     Each generator row carries an identity block, so every HNF row records
     its combination of the generators.
@@ -298,6 +325,8 @@ class Ring:
         return self.from_int(1)
 
     def coerce(self, x) -> RingElement:
+        if isinstance(x, RingElement) and x.ring is self:
+            return x
         if isinstance(x, int):
             return self.from_int(x)
         if isinstance(x, RingElement):
@@ -516,7 +545,8 @@ class IntegerRing(Ring):
 class TableRing(Ring):
     """Free Z-module of finite rank with a structure-constant multiplication.
 
-    table[i][j] holds the coordinates of e_i * e_j.  Commutativity,
+    table[i][j] holds the coordinates of e_i * e_j, and ``terms`` its nonzero
+    entries (i, j, k, c), on which products run.  Commutativity,
     associativity and the identity are checked exhaustively on basis
     triples at construction.
     """
@@ -540,6 +570,8 @@ class TableRing(Ring):
             raise ValueError("structure-constant tensor must be n x n x n")
         self.rank = n
         self.table = tbl
+        self.terms = tuple((i, j, k, c) for i in range(n) for j in range(n)
+                           for k, c in enumerate(tbl[i][j]) if c)
         for i in range(n):
             for j in range(i + 1, n):
                 if tbl[i][j] != tbl[j][i]:
@@ -556,18 +588,9 @@ class TableRing(Ring):
         self._check_associativity()
 
     def _mul_coords(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        n = self.rank
-        out = [0] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                t = self.table[i][j]
-                f = xi * yj
-                for kk in range(n):
-                    out[kk] += f * t[kk]
+        out = [0] * self.rank
+        for i, j, k, c in self.terms:
+            out[k] += c * x[i] * y[j]
         return tuple(out)
 
     def _resolve_identity(self, e: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -663,9 +686,12 @@ class TableRing(Ring):
 
     def unit_group_generators(self):
         """Generators of the unit group of Z[sqrt(N)]: -1 and the fundamental
-        unit for a non-square N > 1; the whole (finite) group when N = n^2 >= 1."""
+        unit for a non-square N > 1; the whole (finite) group when N = n^2 >= 1;
+        -1 and 1 + w for N = 0, where the units are +-(1 + Zw)."""
         n = self.quadratic_param
-        if n is None or n <= 0:
+        if n == 0:
+            return [self.from_int(-1), self.element((1, 1))]
+        if n is None or n < 0:
             return super().unit_group_generators()
         if is_square(n):
             return list(self.units)
@@ -867,6 +893,16 @@ class LocalizationRing(Ring):
         n, d = n // g, d // g
         j = abs(d).bit_length()  # d divides f^j: no prime exponent of d exceeds j
         return self.element((n * self.f ** max(j, -e) // d,), max(j + e, 0))
+
+    def sqrt(self, x):
+        """The non-negative rational root of x, or None when x has none.
+
+        With k made even, x = num / f^k is a rational square exactly when num
+        is a square, and its root isqrt(num) / f^(k/2) lies in Z[1/f]."""
+        num, k = x.coords[0], x.k
+        if k % 2:
+            num, k = num * self.f, k + 1
+        return self._divide(isqrt(num), 1, k // 2) if is_square(num) else None
 
     def _add(self, x, y):
         if x.k < y.k:

@@ -7,8 +7,10 @@ a scan over every (a, b) and from a divisor scan, opposition orbits from Gauss
 reduction, composition from the HNF ideal product, homs of
 algebras over finite rings from ring arithmetic on every (u, v), class
 numbers from Dirichlet's analytic formula, the glue report and the
-``Z[1/f]`` ring operations from ``Fraction`` arithmetic, and square roots in
-Z[sqrt(N)] from per-case candidates and from a scan.
+``Z[1/f]`` ring operations and square roots from ``Fraction`` arithmetic,
+square roots in Z[sqrt(N)] from per-case candidates and from a scan, and
+table-ring products from a dense loop over the whole structure-constant
+tensor.
 """
 
 from __future__ import annotations
@@ -81,6 +83,23 @@ def sqrt_from_candidates(ring, x: RingElement) -> RingElement | None:
         if root * root == x:
             return -root if a < 0 or (a == 0 and b < 0) else root
     return None
+
+
+def mul_coords_dense(table, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """x * y in a table ring, summing x_i * y_j * table[i][j] over every i, j."""
+    n = len(table)
+    out = [0] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            t = table[i][j]
+            f = xi * yj
+            for kk in range(n):
+                out[kk] += f * t[kk]
+    return tuple(out)
 
 
 def sqrt_scan(n: int, x: tuple[int, int], bound: int) -> tuple[int, int] | None:
@@ -505,3 +524,13 @@ def localization_try_halve(x):
 
 def localization_in_4R(x) -> bool:
     return localization_from_fraction(x.ring, _localization_value(x) / 4) is not None
+
+
+def localization_sqrt(x):
+    """The non-negative root of x in Z[1/f] in ``Fraction`` arithmetic: for
+    x = p/q in lowest terms the root, when there is one, is sqrt(p*q)/q."""
+    value = _localization_value(x)
+    if value < 0:
+        return None
+    root = Fraction(isqrt(value.numerator * value.denominator), value.denominator)
+    return localization_from_fraction(x.ring, root) if root * root == value else None

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from quadalg.algebras import (
     oriented_type,
     type_of,
     types_isomorphic,
+    _search_homs,
 )
 from quadalg.cli import builtin_ring
 from quadalg.errors import (
@@ -32,9 +35,15 @@ from quadalg.errors import (
     NotAUnit,
     NotTwoRegular,
     ParityMismatch,
-    UnsupportedRing,
 )
-from quadalg.ring import IntegerRing, QuotientRing, Ring, TableRing, quadratic_table_ring
+from quadalg.ring import (
+    IntegerRing,
+    LocalizationRing,
+    QuotientRing,
+    Ring,
+    TableRing,
+    quadratic_table_ring,
+)
 
 from oracles import affine_ring_map_count, search_homs_generic
 
@@ -275,10 +284,41 @@ def test_change_of_basis_is_found_over_every_zsqrt_n():
                 b = change_basis(a, u, alpha)
                 hom = algebras_isomorphic(a, b)
                 assert hom is not None and hom.verifies(a, b), (n, u, a)
-    # Z[sqrt(0)] lists no unit generators, so delta = 0 on both sides still raises
+    # delta = 0 on both sides over Z[sqrt(0)]: r = 2m + r1*w, s = m^2 + m*r1*w,
+    # decided by the unit-group generators -1 and 1 + w
     zsqrt0 = quadratic_table_ring(0)
-    with pytest.raises(UnsupportedRing):
-        algebras_isomorphic(alg(zsqrt0, 2, 1), alg(zsqrt0, 2, 1))
+    for u in _known_units(zsqrt0, 0):
+        for _ in range(6):
+            m, r1 = rng.randrange(-9, 10), rng.randrange(-9, 10)
+            a = alg(zsqrt0, zsqrt0.element((2 * m, r1)), zsqrt0.element((m * m, m * r1)))
+            b = change_basis(a, u, zsqrt0.element((rng.randrange(-9, 10), rng.randrange(-9, 10))))
+            assert type_of(b).delta.is_zero()
+            hom = algebras_isomorphic(a, b)
+            assert hom is not None and hom.verifies(a, b), (u, a)
+    # parity w is fixed by every unit, so it never meets parity 0
+    w = zsqrt0.element((0, 1))
+    assert algebras_isomorphic(alg(zsqrt0, w, 0), alg(zsqrt0, 0, 0)) is None
+
+
+def test_change_of_basis_is_found_over_localizations():
+    # units of Z[1/f] are +-products of the primes of f; delta2/delta1 = eps^2
+    rng = random.Random(18)
+    for f, primes in ((2, (2,)), (6, (2, 3)), (10, (2, 5)), (15, (3, 5)), (12, (2, 3))):
+        ring = LocalizationRing(f)
+
+        def element():
+            return ring.element((rng.randrange(-30, 31),), rng.randrange(0, 3))
+
+        for _ in range(60):
+            eps = rng.choice((1, -1)) * prod(Fraction(p) ** rng.randrange(-3, 4) for p in primes)
+            a = alg(ring, element(), element())
+            b = change_basis(a, ring.from_rational(eps), element())
+            hom = algebras_isomorphic(a, b)
+            assert hom is not None and hom.verifies(a, b), (f, a, eps)
+            if not type_of(a).delta.is_zero():
+                # 7 is no unit, so 49 * delta is no unit square times delta
+                c = alg(ring, 7 * a.r, 49 * a.s)
+                assert algebras_isomorphic(a, c) is None, (f, a)
 
 
 def test_types_isomorphic_matches_a_unit_scan():
@@ -487,7 +527,23 @@ def test_bruteforce_matches_generic_search():
             assert oriented_automorphisms_bruteforce(a, Orientation(ring.one)) \
                 == search_homs_generic(a, a, [ring.one])
             homs = search_homs_generic(a, b)
+            assert list(_search_homs(a, b)) == homs
             assert isomorphic_bruteforce(a, b) == (homs[0] if homs else None)
+
+
+def test_a_wrong_table_entry_trips_the_hom_verification():
+    # over Z/8, tau^2 - 1 and tau^2 - 5 are not isomorphic; a planted product
+    # that makes (u, v) = (1, 0) pass the index scan must fail the ring check
+    ring = QuotientRing(Z, 8)
+    a, b = alg(ring, 0, -1), alg(ring, 0, -5)
+    assert isomorphic_bruteforce(a, b) is None
+    t = ring.tables
+    # for u = 1, v = 0 meets 2v = u*r' - r = 0, and v^2 + r*v = 0 is tested
+    # against u^2*s' - s = 1*(-5) + 1; the product 1*(-5) planted as -1 makes it 0
+    one, sp = t.index[ring.one.coords], t.index[b.s.coords]
+    t.mul[one][sp] = t.mul[sp][one] = t.index[ring.from_int(-1).coords]
+    with pytest.raises(AssertionError, match="index tables disagree with ring arithmetic"):
+        isomorphic_bruteforce(a, b)
 
 
 def test_classification_matches_bruteforce_on_two_regular_rings():

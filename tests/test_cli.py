@@ -85,6 +85,30 @@ def test_iso_over_zsqrt0_finds_a_unit_with_w(capsys):
         == (0, '{"isomorphic":true,"hom":{"u":[1,-1],"v":[0,0]}}\n', "")
 
 
+def test_iso_over_zsqrt0_with_zero_discriminants(capsys):
+    # delta = 0 on both sides: the unit comes from the generators -1 and 1 + w
+    ring = ('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[0,0]]],'
+            '"one":[1,0],"symbols":["1","w"]}')
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=2,s=1", "--alg2", "r=2,s=1") \
+        == (0, '{"isomorphic":true,"hom":{"u":[1,0],"v":[0,0]}}\n', "")
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=w,s=0", "--alg2", "r=0,s=0") \
+        == (0, '{"isomorphic":false}\n', "")
+
+
+def test_iso_over_a_localization(capsys):
+    # delta2/delta1 = 4 has the root 2, a unit of Z[1/6]; 25 has the root 5, which is not
+    ring = '{"kind":"localization","f":6}'
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=1,s=0", "--alg2", "r=1,s=0") \
+        == (0, '{"isomorphic":true,"hom":{"u":{"coords":[1],"k":0},"v":{"coords":[0],"k":0}}}\n', "")
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=1,s=0", "--alg2", "r=2,s=0") \
+        == (0, '{"isomorphic":true,"hom":{"u":{"coords":[3],"k":1},"v":{"coords":[0],"k":0}}}\n', "")
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=1,s=0", "--alg2", "r=5,s=0") \
+        == (0, '{"isomorphic":false}\n', "")
+    # delta = 0 on both sides asks for unit-group generators, which Z[1/f] lacks
+    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=0,s=0", "--alg2", "r=0,s=0") \
+        == (2, "", "error: no unit-group algorithm for Z[1/6]\n")
+
+
 def test_iso_over_a_rank_one_table_ring(capsys):
     # a rank-1 table ring is Z, so its units are +-1, as with --ring z
     ring = '{"kind":"table","rank":1,"mul":[[[1]]]}'

@@ -19,6 +19,7 @@ from quadalg.errors import (
     UnsupportedRing,
 )
 from quadalg import ring as ring_module
+from quadalg.cli import builtin_ring
 from quadalg.ring import (
     EXPONENT_CAP,
     FINITE_TABLE_CAP,
@@ -31,14 +32,17 @@ from quadalg.ring import (
     hnf,
     in_localization,
     quadratic_table_ring,
+    solve_hnf,
     solve_int,
 )
 
 from oracles import (
     lattice_index_minors,
+    mul_coords_dense,
     localization_add,
     localization_from_fraction,
     localization_in_4R,
+    localization_sqrt,
     localization_try_divide,
     localization_try_halve,
     localization_try_inverse,
@@ -103,8 +107,18 @@ def test_element_arithmetic_examples():
 
 
 def test_ring_mismatch():
-    with pytest.raises(RingMismatch):
-        Z.from_int(1) + ZSQRT8.one
+    # only an operand of the very same ring object skips coerce: an equal ring
+    # object still passes it, and any other ring raises
+    twin = quadratic_table_ring(8)
+    x, y = ZSQRT8.element((1, 2)), twin.element((3, -1))
+    assert twin is not ZSQRT8 and twin == ZSQRT8
+    assert [z.coords for z in (x + y, x - y, x * y, y - x)] \
+        == [(4, 1), (-2, 3), (-13, 5), (2, -3)]
+    for a, b in ((Z.from_int(1), ZSQRT8.one), (ZSQRT8.one, ZSQRT2.one),
+                 (ZMOD8.one, ZMOD4.one), (ZSQRT8.one, Z.one), (ZINV6.one, Z.one)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(RingMismatch):
+                op()
 
 
 def test_try_inverse():
@@ -165,8 +179,14 @@ def test_unit_group_generators():
         want = [(a, b) for a in range(-5, 6) for b in range(-5, 6)
                 if abs(a * a - n * b * b) == 1]
         assert sorted(units) == sorted(want), n
-    with pytest.raises(UnsupportedRing):
-        quadratic_table_ring(0).unit_group_generators()
+    # N = 0: the units +-(1 + b*w) are generated by -1 and (1 + w)^b = 1 + b*w
+    zsqrt0 = quadratic_table_ring(0)
+    minus, gen = zsqrt0.unit_group_generators()
+    assert minus == -1 and gen.coords == (1, 1)
+    assert all(gen ** b == zsqrt0.element((1, b)) for b in range(8))
+    # Z[1/f] has infinitely many units and no generator routine
+    with pytest.raises(UnsupportedRing, match=re.escape("no unit-group algorithm for Z[1/6]")):
+        ZINV6.unit_group_generators()
 
 
 def test_imaginary_quadratic_units_have_unit_norm():
@@ -197,9 +217,23 @@ def test_unit_lists():
 
 
 def test_sqrt_outside_zsqrt_n_is_unsupported():
-    for ring in (Z, ZINV6, ZMOD8, TableRing([[(1,)]])):
+    for ring in (Z, ZMOD8, TableRing([[(1,)]])):
         with pytest.raises(UnsupportedRing, match=re.escape(f"no square-root routine for {ring!r}")):
             ring.sqrt(ring.one)
+
+
+def test_localization_sqrt_examples():
+    for f, q, root in ((6, Fraction(4, 9), Fraction(2, 3)), (6, 1, 1), (6, 0, 0),
+                       (4, Fraction(1, 4), Fraction(1, 2)), (6, Fraction(1, 6), None),
+                       (4, Fraction(1, 2), None), (6, 2, None), (6, -4, None)):
+        ring = LocalizationRing(f)
+        got = ring.sqrt(ring.from_rational(q))
+        assert (None if got is None else ring.rational_value(got)) == root, (f, q)
+    # delta of an algebra with r at the exponent cap
+    for f in (2, 6, 12):
+        ring = LocalizationRing(f)
+        x = ring.element((-5 * 7**3,), EXPONENT_CAP)
+        assert ring.sqrt(x * x) == -x and ring.sqrt(f * x * x) is None
 
 
 def test_sqrt_matches_the_candidate_root_finder():
@@ -334,6 +368,32 @@ def test_table_ring_division_is_complete():
             assert z is not None and q * z == q * y
 
 
+def _monogenic(coeffs):
+    """Z[x]/(x^n + c_{n-1} x^{n-1} + ... + c_0) on the basis 1, x, ..., x^{n-1}."""
+    n = len(coeffs)
+    powers = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    while len(powers) < 2 * n - 1:
+        top = powers[-1]  # x * x^k: shift up, then x^n = -sum c_i x^i
+        powers.append(tuple((top[i - 1] if i else 0) - top[-1] * coeffs[i] for i in range(n)))
+    return TableRing([[powers[i + j] for j in range(n)] for i in range(n)])
+
+
+_TABLE_RINGS = st.one_of(
+    st.sampled_from((quadratic_table_ring(0), quadratic_table_ring(4), ZSQRT8, TWISTED_Z3,
+                     TableRing([[(1, 0), (0, 0)], [(0, 0), (0, 1)]]),  # Z x Z
+                     builtin_ring("biquad8"))),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(_monogenic))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TABLE_RINGS, st.data())
+def test_sparse_product_matches_dense_tensor_loop(ring, data):
+    assert len(ring.terms) == sum(1 for row in ring.table for e in row for c in e if c)
+    coords = st.lists(st.integers(-50, 50), min_size=ring.rank, max_size=ring.rank).map(tuple)
+    x, y = data.draw(coords), data.draw(coords)
+    assert ring._mul_coords(x, y) == mul_coords_dense(ring.table, x, y)
+
+
 def _is_canonical_hnf(rows, ncols):
     last = -1
     for r, row in enumerate(rows):
@@ -397,6 +457,17 @@ def test_solve_int_multiplies_back(gens, data):
     if index:
         # target lies in a full lattice iff adding it keeps the index
         assert (x is not None) == (lattice_index_minors(gens + [list(target)]) == index)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=2, max_size=2),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       st.tuples(st.integers(-200, 200), st.integers(-200, 200)))
+def test_solve_int_2x2_shortcut_matches_hnf(gens, coeffs, target):
+    # a reachable target and an arbitrary one, on singular matrices too
+    reachable = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(2))
+    for t in (reachable, target):
+        assert solve_int(gens, t) == solve_hnf(gens, t)
 
 
 def test_quotient_division_does_not_enumerate(monkeypatch):
@@ -556,6 +627,15 @@ def test_localization_kernel_matches_fraction_oracle(f, n1, k1, n2, k2, den):
        _LOC_DEN)
 def test_localization_kernel_matches_fraction_oracle_at_the_cap(f, n1, k1, n2, k2, den):
     _check_localization_kernel(f, (n1, k1), (n2, k2), Fraction(n1, den))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_LOC_F, _LOC_NUM, st.integers(0, 60), _LOC_NUM, st.integers(0, 60))
+def test_localization_sqrt_matches_fraction_oracle(f, n1, k1, n2, k2):
+    ring = LocalizationRing(f)
+    x, y = ring.element((n1,), k1), ring.element((n2,), k2)
+    for z in (y, x * x, x * x * y, f * x * x):
+        assert ring.sqrt(z) == localization_sqrt(z)
 
 
 def test_exponents_read_from_input_are_capped():
