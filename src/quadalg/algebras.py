@@ -11,7 +11,8 @@ the homs found are verified in ring arithmetic.  The tables are capped at
 (discriminant, parity) needs no tables, has no cap and names no ring kind:
 with finitely many ``ring.units`` each is tested; otherwise the unit is
 ``ring.sqrt`` of delta2 / delta1 (Z[sqrt(N)] and Z[1/f] have one), or, when
-both are 0, comes from ``unit_group_generators`` (Z[sqrt(N)] for every N).
+both are 0, is 1 when R/2R is 0 or F_2 (so for Z[1/f]) and otherwise comes
+from ``unit_group_generators`` (Z[sqrt(N)] for every N).
 An ``Orientation`` keeps the inverse ``u_inv`` of its unit test, as
 ``forms.GL2Matrix`` keeps ``det_inv``.
 """
@@ -25,11 +26,8 @@ from .errors import (
     NotAUnit,
     NotTwoRegular,
     ParityMismatch,
-    UnitSearchCapExceeded,
 )
 from .ring import Mod2Element, Ring, RingElement
-
-UNIT_IMAGE_CAP = 2**16
 
 
 class FreeQuadraticAlgebra:
@@ -207,7 +205,11 @@ def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra,
 
 
 def _unit_image_reps(ring: Ring) -> list[RingElement]:
-    """Units representing every class in the image of R* inside (R/2R)*."""
+    """Units representing every class in the image of R* inside (R/2R)*: 1 when
+    R/2R is 0 or F_2, whose unit group is trivial; otherwise products of the
+    ``unit_group_generators`` (only Z[sqrt(N)] has them), within 4 classes."""
+    if len(ring.mod2_residues()) <= 2:
+        return [ring.one]
     gens = ring.unit_group_generators()
     seen = {ring.mod2(ring.one): ring.one}
     frontier = [ring.one]
@@ -220,8 +222,6 @@ def _unit_image_reps(ring: Ring) -> list[RingElement]:
                 if key not in seen:
                     seen[key] = cand
                     nxt.append(cand)
-                    if len(seen) > UNIT_IMAGE_CAP:
-                        raise UnitSearchCapExceeded("unit image group too large")
         frontier = nxt
     return list(seen.values())
 

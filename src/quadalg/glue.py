@@ -24,9 +24,9 @@ Every check runs on plain ints.  The report turns each ``Fraction`` of the
 input into an (n, d) pair once, d > 0 and not necessarily in lowest terms,
 and the checks use only products, sums, cross-multiplied equality and
 membership by ``ring.in_localization``, the one test of "n/d lies in
-Z[1/f]", which ``LocalizationRing`` runs too.  The public objects keep their
-``Fraction`` fields; ``check_transition_hom`` and ``check_cocycle_transitions``
-read a ``GluedAlgebra`` through the same pair view.
+Z[1/f]", which ``LocalizationRing`` runs too.  ``check_transition_hom`` and
+``check_cocycle_transitions`` turn only the ``Fraction`` fields they read into
+pairs and call the report's kernels, ``_transition_ok`` and ``_triple_ok``.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ class GluedTypeData:
 
 class GluedAlgebra:
     """Charts omega_i^2 + p_i*omega_i - (d_i - p_i^2)/4 = 0 with transitions
-    omega_i -> scale_ij * omega_j + shift_ij over the overlaps.  The
-    transition checks read no charts, only the int-pair view ``_PairGlue``."""
+    omega_i -> scale_ij * omega_j + shift_ij over the overlaps."""
 
     __slots__ = ("cover", "charts", "ptilde", "disc", "transitions")
 
@@ -246,25 +245,6 @@ def _data_checks(f: tuple[int, ...], eps: dict, d: list, p: list) -> list[dict]:
     return out
 
 
-class _PairGlue:
-    """What the transition checks read of a glued algebra, as int pairs: the
-    opens, p_i, d_i, and (i, j) -> (scale, shift)."""
-
-    __slots__ = ("opens", "p", "d", "transitions")
-
-    def __init__(self, opens, p, d, transitions):
-        self.opens, self.p, self.d, self.transitions = opens, p, d, transitions
-
-    @classmethod
-    def of(cls, glued) -> _PairGlue:
-        """The pair view of a GluedAlgebra; a view is its own."""
-        if isinstance(glued, cls):
-            return glued
-        return cls(glued.cover.opens, [_pair(x) for x in glued.ptilde],
-                   [_pair(x) for x in glued.disc],
-                   {key: (_pair(e), _pair(t)) for key, (e, t) in glued.transitions.items()})
-
-
 def _transitions(eps: dict, p: list) -> dict:
     """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j,
     from eps_ij (i < j) and p_i."""
@@ -289,18 +269,18 @@ def verification_report(cover: PrincipalCover, cocycle: LineBundleCocycle,
     report += _data_checks(cover.opens, eps, d, p)
     if not all(item["ok"] for item in report):
         return report
-    glued = _PairGlue(cover.opens, p, d, _transitions(eps, p))
+    f, tr = cover.opens, _transitions(eps, p)
     k = cover.size
     for i in range(k):
         for j in range(k):
             if i != j:
-                report.append({"check": "transition_hom", "indices": [i, j],
-                               "ok": check_transition_hom(glued, i, j)})
+                ok = _transition_ok(f[i] * f[j], p[i], d[i], p[j], d[j], *tr[(i, j)])
+                report.append({"check": "transition_hom", "indices": [i, j], "ok": ok})
     for i in range(k):
         for j in range(i + 1, k):
             for t in range(j + 1, k):
-                report.append({"check": "cocycle_transitions", "indices": [i, j, t],
-                               "ok": check_cocycle_transitions(glued, i, j, t)})
+                ok = _triple_ok(f[i] * f[j] * f[t], tr[(i, j)], tr[(j, t)], tr[(i, t)])
+                report.append({"check": "cocycle_transitions", "indices": [i, j, t], "ok": ok})
     return report
 
 
@@ -325,14 +305,27 @@ def build_glued(cover: PrincipalCover, cocycle: LineBundleCocycle,
 def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:
     """Does the image of omega_i satisfy chart i's equation inside chart j,
     over the overlap ring?"""
-    g = _PairGlue.of(glued)
-    e, t = g.transitions[(i, j)]
-    f = g.opens[i] * g.opens[j]
+    f, p, d = glued.cover.opens, glued.ptilde, glued.disc
+    e, t = glued.transitions[(i, j)]
+    return _transition_ok(f[i] * f[j], _pair(p[i]), _pair(d[i]), _pair(p[j]), _pair(d[j]),
+                          _pair(e), _pair(t))
+
+
+def check_cocycle_transitions(glued: GluedAlgebra, i: int, j: int, k: int) -> bool:
+    """psi_ik = psi_jk o psi_ij on the triple overlap."""
+    if len({i, j, k}) < 3:
+        return True  # repeated indices are trivial by the eps conventions
+    f, tr = glued.cover.opens, glued.transitions
+    ij, jk, ik = (tuple(map(_pair, tr[key])) for key in ((i, j), (j, k), (i, k)))
+    return _triple_ok(f[i] * f[j] * f[k], ij, jk, ik)
+
+
+def _transition_ok(f: int, p_i, d_i, p_j, d_j, e, t) -> bool:
+    """``check_transition_hom`` on int pairs, over Z[1/f]."""
     if not (in_localization(e, f) and in_localization(t, f)):
         return False
-    p_i, p_j = g.p[i], g.p[j]
-    s_i = _over(_add(_mul(p_i, p_i), _neg(g.d[i])), 4)
-    s_j = _over(_add(_mul(p_j, p_j), _neg(g.d[j])), 4)
+    s_i = _over(_add(_mul(p_i, p_i), _neg(d_i)), 4)
+    s_j = _over(_add(_mul(p_j, p_j), _neg(d_j)), 4)
     ee = _mul(e, e)
     # (e*w + t)^2 + p_i*(e*w + t) + s_i with w^2 = -p_j*w - s_j
     lin = _add(_neg(_mul(ee, p_j)), _mul((2, 1), _mul(e, t)), _mul(p_i, e))
@@ -340,15 +333,9 @@ def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:
     return lin[0] == 0 and const[0] == 0
 
 
-def check_cocycle_transitions(glued: GluedAlgebra, i: int, j: int, k: int) -> bool:
-    """psi_ik = psi_jk o psi_ij on the triple overlap."""
-    if len({i, j, k}) < 3:
-        return True  # repeated indices are trivial by the eps conventions
-    g = _PairGlue.of(glued)
-    e_ij, t_ij = g.transitions[(i, j)]
-    e_jk, t_jk = g.transitions[(j, k)]
-    e_ik, t_ik = g.transitions[(i, k)]
-    f = g.opens[i] * g.opens[j] * g.opens[k]
+def _triple_ok(f: int, ij, jk, ik) -> bool:
+    """``check_cocycle_transitions`` on (scale, shift) pairs, over Z[1/f]."""
+    (e_ij, t_ij), (e_jk, t_jk), (e_ik, t_ik) = ij, jk, ik
     if not all(in_localization(v, f) for v in (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)):
         return False
     return _eq(e_ik, _mul(e_ij, e_jk)) and _eq(t_ik, _add(_mul(e_ij, t_jk), t_ij))

@@ -18,7 +18,13 @@ mapped in, and an element of a different ring raises RingMismatch.  A table
 ring multiplies by one pass over the nonzero structure constants
 ``TableRing.terms``.
 
-The classification of quadratic algebras asks a ring two questions only:
+A backend implements ``element``, those kernels, ``try_divide``,
+``descriptor`` and ``describe``; ``Ring`` derives the rest by division:
+``try_inverse`` and ``is_unit`` divide 1, ``try_halve`` divides by 2,
+``in_4R`` by 4, and ``mod2`` and ``mod2_residues`` give R/2R, which is 0 when
+2 is a unit and otherwise the coordinates mod 2.
+
+The classification of quadratic algebras asks a ring two more questions:
 ``Ring.units``, every unit when there are finitely many and None otherwise,
 and ``Ring.sqrt``, answered by ``TableRing`` for Z[sqrt(N)] from the norm and
 by ``LocalizationRing`` as the non-negative rational root.  A quotient ring
@@ -374,15 +380,29 @@ class Ring:
     def _try_halve(self, x: RingElement) -> RingElement | None:
         return self.try_divide(x, self.from_int(2))
 
+    # -- R/2R and 4R, from division ---------------------------------------------
+
+    @cached_property
+    def _two_is_unit(self) -> bool:
+        # halving 1 is a division by 2 that, unlike is_unit(2), calls no try_inverse
+        return self._try_halve(self.one) is not None
+
     def mod2(self, x: RingElement) -> Mod2Element:
-        raise NotImplementedError
+        """The class of x in R/2R: 0 when 2 is a unit, else the coordinates mod 2
+        (then m is even in R/m, and f odd in Z[1/f], where num/f^k = num mod 2)."""
+        if self._two_is_unit:
+            return Mod2Element(self, (0,) * self.rank)
+        return Mod2Element(self, tuple(c % 2 for c in x.coords))
 
     def mod2_residues(self) -> list[Mod2Element]:
-        """Canonical representatives of R/2R (finite for every supported kind)."""
-        raise NotImplementedError
+        """Canonical representatives of R/2R: the distinct ``mod2`` classes of
+        the 0/1 coordinate vectors, in ``itertools.product`` order."""
+        if self._two_is_unit:
+            return [self.mod2(self.zero)]
+        return [Mod2Element(self, v) for v in itertools.product((0, 1), repeat=self.rank)]
 
     def in_4R(self, x: RingElement) -> bool:
-        raise NotImplementedError
+        return self.try_divide(x, self.from_int(4)) is not None
 
     # -- global structure ------------------------------------------------------
 
@@ -511,25 +531,9 @@ class IntegerRing(Ring):
             return None
         return self.from_int(a // b)
 
-    def _try_halve(self, x):
-        n = x.coords[0]
-        return self.from_int(n // 2) if n % 2 == 0 else None
-
-    def mod2(self, x):
-        return Mod2Element(self, (x.coords[0] % 2,))
-
-    def mod2_residues(self):
-        return [Mod2Element(self, (0,)), Mod2Element(self, (1,))]
-
-    def in_4R(self, x):
-        return x.coords[0] % 4 == 0
-
     @cached_property
     def units(self):
         return [self.one, self.from_int(-1)]
-
-    def rational_value(self, x: RingElement) -> Fraction:
-        return Fraction(x.coords[0])
 
     def try_from_rational(self, q) -> RingElement | None:
         q = Fraction(q)
@@ -654,16 +658,6 @@ class TableRing(Ring):
             return None
         return self.element(tuple(c // 2 for c in x.coords))
 
-    def mod2(self, x):
-        return Mod2Element(self, tuple(c % 2 for c in x.coords))
-
-    def mod2_residues(self):
-        return [Mod2Element(self, r)
-                for r in itertools.product((0, 1), repeat=self.rank)]
-
-    def in_4R(self, x):
-        return all(c % 4 == 0 for c in x.coords)
-
     @property
     def quadratic_param(self) -> int | None:
         """N when this ring is Z[sqrt(N)] on the basis (1, w); else None."""
@@ -785,21 +779,6 @@ class QuotientRing(Ring):
         sol = solve_int(gens, p.coords)
         return None if sol is None else self.element(sol[:self.rank])
 
-    def mod2(self, x):
-        if self.m % 2 == 0:
-            return Mod2Element(self, tuple(c % 2 for c in x.coords))
-        return Mod2Element(self, (0,) * self.rank)
-
-    def mod2_residues(self):
-        if self.m % 2 == 1:
-            return [Mod2Element(self, (0,) * self.rank)]
-        return [Mod2Element(self, r)
-                for r in itertools.product((0, 1), repeat=self.rank)]
-
-    def in_4R(self, x):
-        g = gcd(4, self.m)
-        return all(c % g == 0 for c in x.coords)
-
     def is_finite(self):
         return True
 
@@ -919,19 +898,6 @@ class LocalizationRing(Ring):
         if q.is_zero():
             return None
         return self._divide(p.coords[0], q.coords[0], p.k - q.k)
-
-    def mod2(self, x):
-        if self.f % 2 == 0:
-            return Mod2Element(self, (0,))
-        return Mod2Element(self, (x.coords[0] % 2,))
-
-    def mod2_residues(self):
-        if self.f % 2 == 0:
-            return [Mod2Element(self, (0,))]
-        return [Mod2Element(self, (0,)), Mod2Element(self, (1,))]
-
-    def in_4R(self, x):
-        return self.try_divide(x, self.from_int(4)) is not None
 
     def format_element(self, x):
         if x.k == 0:

@@ -10,7 +10,7 @@ numbers from Dirichlet's analytic formula, the glue report and the
 ``Z[1/f]`` ring operations and square roots from ``Fraction`` arithmetic,
 square roots in Z[sqrt(N)] from per-case candidates and from a scan, and
 table-ring products from a dense loop over the whole structure-constant
-tensor.
+tensor, and R/2R and 4R from each ring kind's own rule.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from quadalg.picard import (
     ideal_to_form,
     reduced_forms,
 )
-from quadalg.ring import RingElement
+from quadalg.ring import Mod2Element, RingElement
 
 
 def pell_scan(n: int, bound: int) -> tuple[int, int] | None:
@@ -534,3 +534,63 @@ def localization_sqrt(x):
         return None
     root = Fraction(isqrt(value.numerator * value.denominator), value.denominator)
     return localization_from_fraction(x.ring, root) if root * root == value else None
+
+
+# -- R/2R and 4R by ring kind -----------------------------------------------------
+# Each ring kind's own rule, apart from the division ``Ring`` derives all three
+# from: R/2R is 0 in Z/m for odd m and in Z[1/f] for even f, and otherwise
+# the coordinates mod 2; 4R is the coordinates divisible by 4, by gcd(4, m) in
+# Z/m, and membership of x/4 in Z[1/f].
+
+def mod2_by_kind(ring, x) -> Mod2Element:
+    kind = ring.kind
+    if kind == "integers":
+        return Mod2Element(ring, (x.coords[0] % 2,))
+    if kind == "table":
+        return Mod2Element(ring, tuple(c % 2 for c in x.coords))
+    if kind == "quotient":
+        if ring.m % 2 == 0:
+            return Mod2Element(ring, tuple(c % 2 for c in x.coords))
+        return Mod2Element(ring, (0,) * ring.rank)
+    if ring.f % 2 == 0:
+        return Mod2Element(ring, (0,))
+    return Mod2Element(ring, (x.coords[0] % 2,))
+
+
+def mod2_residues_by_kind(ring) -> list[Mod2Element]:
+    kind = ring.kind
+    if kind == "integers":
+        return [Mod2Element(ring, (0,)), Mod2Element(ring, (1,))]
+    if kind == "table":
+        return [Mod2Element(ring, r) for r in itertools.product((0, 1), repeat=ring.rank)]
+    if kind == "quotient":
+        if ring.m % 2 == 1:
+            return [Mod2Element(ring, (0,) * ring.rank)]
+        return [Mod2Element(ring, r) for r in itertools.product((0, 1), repeat=ring.rank)]
+    if ring.f % 2 == 0:
+        return [Mod2Element(ring, (0,))]
+    return [Mod2Element(ring, (0,)), Mod2Element(ring, (1,))]
+
+
+def in_4R_by_kind(x) -> bool:
+    ring = x.ring
+    kind = ring.kind
+    if kind == "integers":
+        return x.coords[0] % 4 == 0
+    if kind == "table":
+        return all(c % 4 == 0 for c in x.coords)
+    if kind == "quotient":
+        g = gcd(4, ring.m)
+        return all(c % g == 0 for c in x.coords)
+    return localization_in_4R(x)
+
+
+def parities_by_kind(ring, delta) -> list[Mod2Element]:
+    """``algebras.find_parities`` on the rules above: the classes p of R/2R,
+    in their order, with delta - p^2 in 4R for the lift of p by its residue."""
+    out = []
+    for p in mod2_residues_by_kind(ring):
+        lift = ring.element(p.residue)
+        if in_4R_by_kind(delta - lift * lift):
+            out.append(p)
+    return out

@@ -104,9 +104,18 @@ def test_iso_over_a_localization(capsys):
         == (0, '{"isomorphic":true,"hom":{"u":{"coords":[3],"k":1},"v":{"coords":[0],"k":0}}}\n', "")
     assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=1,s=0", "--alg2", "r=5,s=0") \
         == (0, '{"isomorphic":false}\n', "")
-    # delta = 0 on both sides asks for unit-group generators, which Z[1/f] lacks
+    # delta = 0 on both sides: R/2R is 0 in Z[1/6] and F_2 in Z[1/5], so 1 is the unit
     assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=0,s=0", "--alg2", "r=0,s=0") \
-        == (2, "", "error: no unit-group algorithm for Z[1/6]\n")
+        == (0, '{"isomorphic":true,"hom":{"u":{"coords":[1],"k":0},"v":{"coords":[0],"k":0}}}\n', "")
+    assert invoke(capsys, "iso", "--ring", '{"kind":"localization","f":5}',
+                  "--alg1", "r=0,s=0", "--alg2", "r=2,s=1") \
+        == (0, '{"isomorphic":true,"hom":{"u":{"coords":[1],"k":0},"v":{"coords":[1],"k":0}}}\n', "")
+
+
+def test_iso_with_zero_discriminants_needs_unit_group_generators(capsys):
+    # R/2R of biquad8 has 16 classes, and a rank-4 table ring has no generator routine
+    assert invoke(capsys, "iso", "--ring", "biquad8", "--alg1", "r=0,s=0", "--alg2", "r=0,s=0") \
+        == (2, "", "error: no unit-group algorithm for TableRing(rank=4)\n")
 
 
 def test_iso_over_a_rank_one_table_ring(capsys):

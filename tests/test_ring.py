@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -36,9 +37,15 @@ from quadalg.ring import (
     solve_int,
 )
 
+from quadalg.algebras import find_parities
+
 from oracles import (
+    in_4R_by_kind,
     lattice_index_minors,
+    mod2_by_kind,
+    mod2_residues_by_kind,
     mul_coords_dense,
+    parities_by_kind,
     localization_add,
     localization_from_fraction,
     localization_in_4R,
@@ -158,6 +165,36 @@ def test_mod2_and_in_4r():
     assert z15.mod2(z15.from_int(3)).residue == (1,)
 
 
+def _mod2_rings():
+    rings = [Z, *(quadratic_table_ring(n) for n in (0, 8, -1, 4)), builtin_ring("biquad8"),
+             TableRing([[(1,)]]), TableRing([[(0, 1), (1, 0)], [(1, 0), (0, 1)]], one=(0, 1))]
+    rings += [QuotientRing(Z, m) for m in (2, 4, 6, 8, 9, 45)]
+    rings += [F4, QuotientRing(ZSQRT8, 9)]
+    return rings + [LocalizationRing(f) for f in (2, 5, 6, 15)]
+
+
+def _mod2_sample(ring):
+    """Every element of a finite ring; otherwise small coordinates, multiples
+    of 4 among them, with exponents up to 2 in Z[1/f]."""
+    if ring.is_finite():
+        return ring.enumerate_elements()
+    if ring.kind == "localization":
+        return [ring.element((n,), k) for n in range(-9, 10) for k in range(3)]
+    values = range(-5, 9) if ring.rank < 4 else (-4, -1, 0, 2, 4)
+    return [ring.element(c) for c in itertools.product(values, repeat=ring.rank)]
+
+
+def test_mod2_and_in_4r_match_the_rule_of_each_ring_kind():
+    for ring in _mod2_rings():
+        assert ring.mod2_residues() == mod2_residues_by_kind(ring), ring
+        sample = _mod2_sample(ring)
+        assert [ring.mod2(x) for x in sample] == [mod2_by_kind(ring, x) for x in sample], ring
+        assert [ring.in_4R(x) for x in sample] == [in_4R_by_kind(x) for x in sample], ring
+        if ring.two_regular:
+            for delta in sample[:: max(1, len(sample) // 60)]:
+                assert find_parities(ring, delta) == parities_by_kind(ring, delta), (ring, delta)
+
+
 def test_unit_group_generators():
     assert [int(u) for u in Z.unit_group_generators()] == [-1]
     gens8 = ZSQRT8.unit_group_generators()
@@ -184,9 +221,12 @@ def test_unit_group_generators():
     minus, gen = zsqrt0.unit_group_generators()
     assert minus == -1 and gen.coords == (1, 1)
     assert all(gen ** b == zsqrt0.element((1, b)) for b in range(8))
-    # Z[1/f] has infinitely many units and no generator routine
+    # Z[1/f] and biquad8 have infinitely many units and no generator routine
     with pytest.raises(UnsupportedRing, match=re.escape("no unit-group algorithm for Z[1/6]")):
         ZINV6.unit_group_generators()
+    with pytest.raises(UnsupportedRing,
+                       match=re.escape("no unit-group algorithm for TableRing(rank=4)")):
+        builtin_ring("biquad8").unit_group_generators()
 
 
 def test_imaginary_quadratic_units_have_unit_norm():
