@@ -11,8 +11,10 @@ the homs found are verified in ring arithmetic.  The tables are capped at
 (discriminant, parity) needs no tables, has no cap and names no ring kind:
 with finitely many ``ring.units`` each is tested; otherwise the unit is
 ``ring.sqrt`` of delta2 / delta1 (Z[sqrt(N)] and Z[1/f] have one), or, when
-both are 0, is 1 when R/2R is 0 or F_2 (so for Z[1/f]) and otherwise comes
-from ``unit_group_generators`` (Z[sqrt(N)] for every N).
+both are 0, is 1 exactly when the parities are equal.  That rule needs R/2R
+to be 0 or F_2 (so Z[1/f]) or the ring to be Z[sqrt(N)]
+(``ring.quadratic_param``); any other ring with infinitely many units raises
+UnsupportedRing there.
 An ``Orientation`` keeps the inverse ``u_inv`` of its unit test, as
 ``forms.GL2Matrix`` keeps ``det_inv``.
 """
@@ -26,6 +28,7 @@ from .errors import (
     NotAUnit,
     NotTwoRegular,
     ParityMismatch,
+    UnsupportedRing,
 )
 from .ring import Mod2Element, Ring, RingElement
 
@@ -130,9 +133,6 @@ class AlgebraHom:
         const = v * v + r * v + s - u * u * sp
         return lin.is_zero() and const.is_zero()
 
-    def is_identity(self) -> bool:
-        return self.u == 1 and self.v.is_zero()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraHom):
             return NotImplemented
@@ -204,28 +204,6 @@ def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra,
     return target, hom
 
 
-def _unit_image_reps(ring: Ring) -> list[RingElement]:
-    """Units representing every class in the image of R* inside (R/2R)*: 1 when
-    R/2R is 0 or F_2, whose unit group is trivial; otherwise products of the
-    ``unit_group_generators`` (only Z[sqrt(N)] has them), within 4 classes."""
-    if len(ring.mod2_residues()) <= 2:
-        return [ring.one]
-    gens = ring.unit_group_generators()
-    seen = {ring.mod2(ring.one): ring.one}
-    frontier = [ring.one]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for g in gens:
-                cand = rep * g
-                key = ring.mod2(cand)
-                if key not in seen:
-                    seen[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return list(seen.values())
-
-
 def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     """A unit eps with t2 = (eps^2 * delta1, eps * parity1), if one exists."""
     found = _unit_and_inverse(t1, t2)
@@ -237,7 +215,15 @@ def _unit_and_inverse(t1: AlgebraType, t2: AlgebraType) -> tuple[RingElement, Ri
 
     With finitely many units (``ring.units``; in Z[sqrt(n^2)] delta may be a
     zero divisor) each unit is tested; otherwise eps is ``ring.sqrt`` of
-    delta2 / delta1, and the unit test is the division that finds 1/eps."""
+    delta2 / delta1, and the unit test is the division that finds 1/eps.
+
+    When both deltas are 0 only the parities can differ, and every unit fixes
+    every parity that delta = 0 allows, so eps = 1 when they are equal and
+    there is none otherwise.  When R/2R is 0 or F_2 its unit group is trivial.
+    In Z[sqrt(N)], r = a + b*w with r^2 in 4R: for odd N or N = 2 mod 4, a
+    and b are even, so the parity is 0; for 4 | N (N = 0 too) it is 0 or w,
+    and a unit x + y*w has x odd (x^2 - N y^2 = +-1, and the units of
+    Z[sqrt(0)] are +-(1 + y*w)), so it maps w to x*w + y*N = w mod 2."""
     ring = t1.ring
     if ring != t2.ring:
         raise ValueError("types live over different rings")
@@ -249,7 +235,9 @@ def _unit_and_inverse(t1: AlgebraType, t2: AlgebraType) -> tuple[RingElement, Ri
     elif z1 != z2:
         return None
     elif z1:
-        eps = next((u for u in _unit_image_reps(ring) if t1.parity.times(u) == t2.parity), None)
+        if len(ring.mod2_residues()) > 2 and ring.quadratic_param is None:
+            raise UnsupportedRing(f"no unit-group algorithm for {ring!r}")
+        eps = ring.one if t1.parity == t2.parity else None
     else:
         ratio = ring.try_divide(t2.delta, t1.delta)
         eps = None if ratio is None else ring.sqrt(ratio)

@@ -35,10 +35,6 @@ class InfiniteRing(QuadalgError):
     """Exhaustive operation called on an infinite ring."""
 
 
-class UnitSearchCapExceeded(QuadalgError):
-    """Fundamental-unit search exceeded the continued-fraction cap."""
-
-
 class NotAUnit(QuadalgError):
     """A ring element required to be a unit is not one."""
 

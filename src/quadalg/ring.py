@@ -24,13 +24,14 @@ A backend implements ``element``, those kernels, ``try_divide``,
 ``in_4R`` by 4, and ``mod2`` and ``mod2_residues`` give R/2R, which is 0 when
 2 is a unit and otherwise the coordinates mod 2.
 
-The classification of quadratic algebras asks a ring two more questions:
-``Ring.units``, every unit when there are finitely many and None otherwise,
-and ``Ring.sqrt``, answered by ``TableRing`` for Z[sqrt(N)] from the norm and
-by ``LocalizationRing`` as the non-negative rational root.  A quotient ring
-finds its units by HNF division, not capped, and keeps ``FiniteTables``: its
-elements with multiplication as a table of indices, so that exhaustive
-searches run on plain ints, capped at ``FINITE_TABLE_CAP``
+The classification of quadratic algebras asks a ring three more questions:
+``Ring.units``, every unit when there are finitely many and None otherwise;
+``Ring.sqrt``, answered by ``TableRing`` for Z[sqrt(N)] from the norm and
+by ``LocalizationRing`` as the non-negative rational root; and
+``Ring.quadratic_param``, the N of Z[sqrt(N)] (None for every other ring).
+A quotient ring finds its units by HNF division, not capped, and keeps
+``FiniteTables``: its elements with multiplication as a table of indices, so
+that exhaustive searches run on plain ints, capped at ``FINITE_TABLE_CAP``
 elements (RingTooLarge above).  Both are built on first use.  A unit test is a
 division: ``Orientation`` and ``GL2Matrix`` keep the inverse theirs returns
 (``u_inv``, ``det_inv``).
@@ -57,11 +58,9 @@ from .errors import (
     RingMismatch,
     RingTooLarge,
     NotTwoRegular,
-    UnitSearchCapExceeded,
     UnsupportedRing,
 )
 
-PELL_CAP = 10**6
 FINITE_TABLE_CAP = 512
 EXPONENT_CAP = 10**5
 POWER_BITS_CAP = 4 * EXPONENT_CAP  # f < 16 may take the whole exponent range
@@ -185,23 +184,6 @@ def in_localization(x: tuple[int, int], f: int) -> bool:
 def standard_basis(n: int) -> list[tuple[int, ...]]:
     """Coordinates of e_0, ..., e_{n-1}."""
     return [tuple(int(t == i) for t in range(n)) for i in range(n)]
-
-
-def _pell_fundamental(n: int) -> tuple[int, int]:
-    """Smallest (x, y), y >= 1, with x^2 - n*y^2 = +-1, by continued fractions."""
-    a0 = isqrt(n)
-    m, d, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    for _ in range(PELL_CAP):
-        if h * h - n * k * k in (1, -1):
-            return h, k
-        m = d * a - m
-        d = (n - m * m) // d
-        a = (a0 + m) // d
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-    raise UnitSearchCapExceeded(f"no fundamental unit within {PELL_CAP} steps for N={n}")
 
 
 class RingElement:
@@ -417,11 +399,10 @@ class Ring:
         """Every unit when there are finitely many; None otherwise."""
         return None
 
-    def unit_group_generators(self) -> list[RingElement]:
-        units = self.units
-        if units is None:
-            raise UnsupportedRing(f"no unit-group algorithm for {self!r}")
-        return [u for u in units if u != self.one]
+    @property
+    def quadratic_param(self) -> int | None:
+        """N when this ring is Z[sqrt(N)] on the basis (1, w); else None."""
+        return None
 
     def sqrt(self, x: RingElement) -> RingElement | None:
         """The sign-normalized square root of x; None when x is not a square."""
@@ -677,20 +658,6 @@ class TableRing(Ring):
             units = [self.one, self.from_int(-1)]
             return units + [self.element((0, 1)), self.element((0, -1))] if n in (1, -1) else units
         return None
-
-    def unit_group_generators(self):
-        """Generators of the unit group of Z[sqrt(N)]: -1 and the fundamental
-        unit for a non-square N > 1; the whole (finite) group when N = n^2 >= 1;
-        -1 and 1 + w for N = 0, where the units are +-(1 + Zw)."""
-        n = self.quadratic_param
-        if n == 0:
-            return [self.from_int(-1), self.element((1, 1))]
-        if n is None or n < 0:
-            return super().unit_group_generators()
-        if is_square(n):
-            return list(self.units)
-        x, y = _pell_fundamental(n)
-        return [self.from_int(-1), self.element((x, y))]
 
     def sqrt(self, x):
         """The root a + b*w of x in Z[sqrt(N)] with a > 0, or a = 0 and b >= 0.

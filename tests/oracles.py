@@ -10,7 +10,9 @@ numbers from Dirichlet's analytic formula, the glue report and the
 ``Z[1/f]`` ring operations and square roots from ``Fraction`` arithmetic,
 square roots in Z[sqrt(N)] from per-case candidates and from a scan, and
 table-ring products from a dense loop over the whole structure-constant
-tensor, and R/2R and 4R from each ring kind's own rule.
+tensor, R/2R and 4R from each ring kind's own rule, and the units of
+Z[sqrt(N)] modulo 2 from the fundamental unit (continued fractions) and a
+search over products of unit-group generators.
 """
 
 from __future__ import annotations
@@ -43,6 +45,56 @@ def pell_scan(n: int, bound: int) -> tuple[int, int] | None:
             if a2 >= 0 and isqrt(a2) ** 2 == a2:
                 return isqrt(a2), b
     return None
+
+
+def pell_fundamental(n: int) -> tuple[int, int]:
+    """Smallest (x, y), y >= 1, with x^2 - n*y^2 = +-1, for a non-square n > 1,
+    from the convergents of the continued fraction of sqrt(n) (Cohen, GTM 138,
+    section 5.7).  The unit may have about sqrt(n) digits, so keep n small."""
+    a0 = isqrt(n)
+    m, d, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while h * h - n * k * k not in (1, -1):
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    return h, k
+
+
+def unit_group_generators(ring) -> list[RingElement]:
+    """Generators of the unit group: -1 and 1 + w in Z[sqrt(0)], whose units are
+    +-(1 + Zw); -1 and the fundamental unit in Z[sqrt(N)] for a non-square
+    N > 1; every unit but 1 when there are finitely many."""
+    n = ring.quadratic_param
+    if n == 0:
+        return [ring.from_int(-1), ring.element((1, 1))]
+    if ring.units is not None:
+        return [u for u in ring.units if u != ring.one]
+    if n is None or n < 0:
+        raise ValueError(f"no unit-group generators for {ring!r}")
+    return [ring.from_int(-1), ring.element(pell_fundamental(n))]
+
+
+def unit_image_reps(ring) -> list[RingElement]:
+    """A unit in each class of the image of R* inside (R/2R)*, 1 first, by a
+    breadth-first search over products of ``unit_group_generators``."""
+    gens = unit_group_generators(ring)
+    seen = {ring.mod2(ring.one): ring.one}
+    frontier = [ring.one]
+    while frontier:
+        nxt = []
+        for rep in frontier:
+            for g in gens:
+                cand = rep * g
+                key = ring.mod2(cand)
+                if key not in seen:
+                    seen[key] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return list(seen.values())
 
 
 def _is_square(n: int) -> bool:

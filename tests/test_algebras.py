@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from quadalg.errors import (
     NotAUnit,
     NotTwoRegular,
     ParityMismatch,
+    UnsupportedRing,
 )
 from quadalg.ring import (
     IntegerRing,
@@ -45,7 +48,7 @@ from quadalg.ring import (
     quadratic_table_ring,
 )
 
-from oracles import affine_ring_map_count, search_homs_generic
+from oracles import affine_ring_map_count, pell_fundamental, search_homs_generic, unit_image_reps
 
 Z = IntegerRing()
 ZSQRT2 = quadratic_table_ring(2)
@@ -211,6 +214,13 @@ def test_zero_discriminant_types():
     assert types_isomorphic(t0, t1) is None
     tz = AlgebraType(Z.from_int(4), Z.mod2(Z.zero))
     assert types_isomorphic(t0, tz) is None  # mixed zero/nonzero
+    # infinitely many units, R/2R of more than 2 classes and not Z[sqrt(N)]
+    for ring in (BIQUAD8, TableRing([[(1, 0), (0, 1)], [(0, 1), (1, 1)]])):
+        t = AlgebraType(ring.zero, ring.mod2(ring.zero))
+        with pytest.raises(UnsupportedRing,
+                           match=re.escape(f"no unit-group algorithm for {ring!r}")):
+            types_isomorphic(t, t)
+    assert repr(BIQUAD8) == "TableRing(rank=4)"
 
 
 def test_algebras_isomorphic_examples():
@@ -253,7 +263,7 @@ def test_change_of_basis_is_found_over_square_n(n, which, coords):
     # over Z[sqrt(n^2)] delta can be a zero divisor, so division cannot find
     # the unit; the units are finite and each one is tested
     ring = quadratic_table_ring(n)
-    units = ring.unit_group_generators()
+    units = ring.units
     r, s, alpha = (ring.element(coords[i:i + 2]) for i in (0, 2, 4))
     a = alg(ring, r, s)
     b = change_basis(a, units[which % len(units)], alpha)
@@ -268,7 +278,7 @@ def _known_units(ring, n):
         return [ring.element((s, b)) for s in (1, -1) for b in range(-5, 6)]
     if ring.units is not None:
         return ring.units
-    eps = ring.unit_group_generators()[1]
+    eps = ring.element(pell_fundamental(n))
     return [s * u for s in (1, -1) for u in (ring.one, eps, ring.try_inverse(eps))]
 
 
@@ -285,7 +295,7 @@ def test_change_of_basis_is_found_over_every_zsqrt_n():
                 hom = algebras_isomorphic(a, b)
                 assert hom is not None and hom.verifies(a, b), (n, u, a)
     # delta = 0 on both sides over Z[sqrt(0)]: r = 2m + r1*w, s = m^2 + m*r1*w,
-    # decided by the unit-group generators -1 and 1 + w
+    # where every unit +-(1 + b*w) fixes the parity, so the unit is 1
     zsqrt0 = quadratic_table_ring(0)
     for u in _known_units(zsqrt0, 0):
         for _ in range(6):
@@ -298,6 +308,46 @@ def test_change_of_basis_is_found_over_every_zsqrt_n():
     # parity w is fixed by every unit, so it never meets parity 0
     w = zsqrt0.element((0, 1))
     assert algebras_isomorphic(alg(zsqrt0, w, 0), alg(zsqrt0, 0, 0)) is None
+
+
+@lru_cache(maxsize=None)
+def _zero_delta_case(n):
+    """Z[sqrt(n)], the oracle's units over (R/2R)*, and every r = a + b*w with
+    |a|, |b| <= 4 and r^2 in 4R, the middle coefficients of delta = 0."""
+    ring = quadratic_table_ring(n)
+    rs = [r for a in range(-4, 5) for b in range(-4, 5)
+          if ring.in_4R((r := ring.element((a, b))) * r)]
+    return ring, unit_image_reps(ring), rs
+
+
+# Z[sqrt(N)] with infinitely many units: N = 0 and the non-square N > 1
+_INFINITE_UNIT_N = [n for n in range(400) if n == 0 or isqrt(n) ** 2 != n]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_INFINITE_UNIT_N), st.integers(0, 80), st.integers(0, 80))
+def test_zero_discriminants_over_zsqrt_n_match_the_unit_search(n, i, j):
+    # delta = 0 on both sides: iso exactly when some unit maps parity 1 to
+    # parity 2, by a search over the units modulo 2; each unit fixes the parity
+    ring, reps, rs = _zero_delta_case(n)
+    a, b = (alg(ring, r, ring.try_halve(ring.try_halve(r * r))) for r in (rs[i % len(rs)],
+                                                                          rs[j % len(rs)]))
+    p1, p2 = type_of(a).parity, type_of(b).parity
+    assert type_of(a).delta.is_zero() and type_of(b).delta.is_zero()
+    assert all(p1.times(u) == p1 for u in reps), (n, p1)
+    hom = algebras_isomorphic(a, b)
+    assert (hom is not None) == any(p1.times(u) == p2 for u in reps), (n, a, b)
+    assert hom is None or hom.u == 1 and hom.verifies(a, b)
+
+
+def test_units_fix_every_zero_discriminant_parity_over_zsqrt_n():
+    # the rule of _unit_and_inverse, checked against the oracle's units on
+    # every ring of the differential above
+    for n in _INFINITE_UNIT_N:
+        ring, reps, _ = _zero_delta_case(n)
+        parities = find_parities(ring, ring.zero)
+        assert len(parities) == (2 if n % 4 == 0 else 1), n
+        assert all(p.times(u) == p for p in parities for u in reps), n
 
 
 def test_change_of_basis_is_found_over_localizations():
@@ -578,6 +628,5 @@ def test_finite_classification_reads_one_unit_list(monkeypatch):
         assert eps is not None and t2.delta == eps * eps * t1.delta
         assert types_isomorphic(t2, t1) is not None
         assert calls == [ring]
-        # the tables and the unit-group generators read the same list
+        # the tables read the same list
         assert [ring.tables.elements[i] for i in ring.tables.units] == ring.units
-        assert ring.unit_group_generators() == [u for u in ring.units if u != 1]

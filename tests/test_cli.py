@@ -86,7 +86,7 @@ def test_iso_over_zsqrt0_finds_a_unit_with_w(capsys):
 
 
 def test_iso_over_zsqrt0_with_zero_discriminants(capsys):
-    # delta = 0 on both sides: the unit comes from the generators -1 and 1 + w
+    # delta = 0 on both sides: every unit +-(1 + b*w) fixes the parity, so the unit is 1
     ring = ('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[0,0]]],'
             '"one":[1,0],"symbols":["1","w"]}')
     assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=2,s=1", "--alg2", "r=2,s=1") \
@@ -112,8 +112,22 @@ def test_iso_over_a_localization(capsys):
         == (0, '{"isomorphic":true,"hom":{"u":{"coords":[1],"k":0},"v":{"coords":[1],"k":0}}}\n', "")
 
 
+def test_iso_with_zero_discriminants_over_large_n_is_quick(capsys):
+    # delta = 0 on both sides over Z[sqrt(N)] needs no unit of about sqrt(N) digits
+    p = 10**9 + 7
+    cases = [((p, "r=0,s=0", "r=0,s=0"), '{"isomorphic":true,"hom":{"u":[1,0],"v":[0,0]}}\n'),
+             ((4 * p, "r=0,s=0", f"r=w,s={p}"), '{"isomorphic":false}\n')]
+    for (n, alg1, alg2), out in cases:
+        ring = ('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[%d,0]]],'
+                '"one":[1,0],"symbols":["1","w"]}' % n)
+        start = time.perf_counter()
+        assert invoke(capsys, "iso", "--ring", ring, "--alg1", alg1, "--alg2", alg2) \
+            == (0, out, ""), n
+        assert time.perf_counter() - start < 1.0, n
+
+
 def test_iso_with_zero_discriminants_needs_unit_group_generators(capsys):
-    # R/2R of biquad8 has 16 classes, and a rank-4 table ring has no generator routine
+    # R/2R of biquad8 has 16 classes, and a rank-4 table ring is not Z[sqrt(N)]
     assert invoke(capsys, "iso", "--ring", "biquad8", "--alg1", "r=0,s=0", "--alg2", "r=0,s=0") \
         == (2, "", "error: no unit-group algorithm for TableRing(rank=4)\n")
 

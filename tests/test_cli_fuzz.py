@@ -4,9 +4,10 @@
 Each argument is well formed four times in five, so that most runs reach the
 library, and malformed otherwise.  Sizes are kept small: quotient rings of at
 most 144 elements, |delta| below about 2000 and discriminant ranges at most
-50 wide.  Apart from those, Z[1/f] exponents at and past EXPONENT_CAP, and
-powers of a 60-bit f at and past POWER_BITS_CAP, must end each run within a
-time bound.
+50 wide.  Apart from those, Z[1/f] exponents at and past EXPONENT_CAP,
+powers of a 60-bit f at and past POWER_BITS_CAP, and Z[sqrt(N)] with N up to
+10^30 (whose fundamental unit may have about sqrt(N) digits) must end each run
+within a time bound.
 """
 
 import contextlib
@@ -249,20 +250,10 @@ BIG_K = st.sampled_from([EXPONENT_CAP - 1, EXPONENT_CAP, EXPONENT_CAP + 1, 10**6
 RING_COMMANDS = ["type", "natural-type", "iso", "oriented-iso", "autos", "validate-triple"]
 
 
-@st.composite
-def big_exponent_argv(draw, fs=(2, 3, 6, 12, 49), big_k=BIG_K):
-    """A ring subcommand over Z[1/f], f drawn from ``fs``, whose elements
-    mostly carry an exponent drawn from ``big_k``, near or past a cap."""
-    ring = json.dumps({"kind": "localization", "f": draw(st.sampled_from(fs))})
-
-    def el():
-        k = draw(st.one_of(big_k, big_k, st.integers(0, 4)))
-        return json.dumps({"coords": [draw(st.integers(-9, 9))], "k": k})
-
-    def alg():
-        return f"r={el()},s={el()}"
-
-    name = draw(st.sampled_from(RING_COMMANDS))
+def _ring_command(draw, ring, el, alg, names=RING_COMMANDS):
+    """A ring subcommand from ``names`` over the --ring text ``ring``; ``el``
+    and ``alg`` draw an element and an algebra."""
+    name = draw(st.sampled_from(names))
     if name == "type":
         return [name, "--ring", ring, "--alg", alg()]
     if name == "natural-type":
@@ -275,6 +266,19 @@ def big_exponent_argv(draw, fs=(2, 3, 6, 12, 49), big_k=BIG_K):
     if name == "autos":
         return [name, "--ring", ring, "--alg", alg(), "--oriented", "--theta", el()]
     return [name, "--ring", ring, "--delta", el(), "--parity", el()]
+
+
+@st.composite
+def big_exponent_argv(draw, fs=(2, 3, 6, 12, 49), big_k=BIG_K):
+    """A ring subcommand over Z[1/f], f drawn from ``fs``, whose elements
+    mostly carry an exponent drawn from ``big_k``, near or past a cap."""
+    ring = json.dumps({"kind": "localization", "f": draw(st.sampled_from(fs))})
+
+    def el():
+        k = draw(st.one_of(big_k, big_k, st.integers(0, 4)))
+        return json.dumps({"coords": [draw(st.integers(-9, 9))], "k": k})
+
+    return _ring_command(draw, ring, el, lambda: f"r={el()},s={el()}")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -294,6 +298,39 @@ LARGE_F_K = st.sampled_from([POWER_BITS_CAP // 60, POWER_BITS_CAP // 60 + 1, EXP
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(big_exponent_argv(fs=(10**18, 2**61 - 1), big_k=LARGE_F_K))
 def test_large_f_exits_0_or_2_within_a_bound(argv):
+    start = time.perf_counter()
+    code, _, err = _run(argv)
+    assert code in (0, 2), (argv, err)
+    assert time.perf_counter() - start < 2.0, argv
+
+
+# -- Z[sqrt(N)] for large N ---------------------------------------------------------------
+
+LARGE_N = [10**9 + 7, 4 * (10**9 + 7), 10**15 + 37, 10**30 + 57]
+
+
+@st.composite
+def large_n_argv(draw):
+    """A ring subcommand over Z[sqrt(N)], N drawn from ``LARGE_N``, with small
+    coordinates; 3 algebras in 4 have delta = 0 (r = 2m + b*w with N*b^2 in
+    4Z, s = r^2/4), and half of the subcommands are ``iso``."""
+    n = draw(st.sampled_from(LARGE_N))
+    ring = json.dumps({**_zsqrt(n), "symbols": ["1", "w"]})
+    element = st.lists(st.integers(-9, 9), min_size=2, max_size=2).map(json.dumps)
+
+    def alg():
+        if draw(st.integers(0, 3)) == 0:
+            return f"r={draw(element)},s={draw(element)}"
+        m, b = draw(st.integers(-3, 3)), draw(st.sampled_from([0, 2] if n % 4 else [0, 1, 2]))
+        return f"r=[{2 * m},{b}],s=[{m * m + n * b * b // 4},{m * b}]"
+
+    names = RING_COMMANDS + ["iso"] * (len(RING_COMMANDS) - 1)
+    return _ring_command(draw, ring, lambda: draw(element), alg, names)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(large_n_argv())
+def test_large_n_exits_0_or_2_within_a_bound(argv):
     start = time.perf_counter()
     code, _, err = _run(argv)
     assert code in (0, 2), (argv, err)

@@ -32,6 +32,7 @@ from quadalg.ring import (
     divides_power,
     hnf,
     in_localization,
+    is_square,
     quadratic_table_ring,
     solve_hnf,
     solve_int,
@@ -53,9 +54,11 @@ from oracles import (
     localization_try_divide,
     localization_try_halve,
     localization_try_inverse,
+    pell_fundamental,
     pell_scan,
     sqrt_from_candidates,
     sqrt_scan,
+    unit_group_generators,
 )
 
 Z = IntegerRing()
@@ -196,43 +199,30 @@ def test_mod2_and_in_4r_match_the_rule_of_each_ring_kind():
 
 
 def test_unit_group_generators():
-    assert [int(u) for u in Z.unit_group_generators()] == [-1]
-    gens8 = ZSQRT8.unit_group_generators()
+    # the oracle's fundamental unit against a direct scan and its norm, every
+    # non-square N < 200; the scan stops at y <= 10^4, so past that it finds none
+    for n in range(2, 200):
+        if is_square(n):
+            continue
+        x, y = pell_fundamental(n)
+        assert abs(x * x - n * y * y) == 1, n
+        assert pell_scan(n, min(y, 10**4)) == ((x, y) if y <= 10**4 else None), n
+    assert pell_scan(8, 10) == (3, 1) and pell_scan(2, 10) == (1, 1)
+    gens8 = unit_group_generators(ZSQRT8)
     assert gens8[0] == -1 and gens8[1].coords == (3, 1)
-    # oracle: minimal Pell solution for N=8 by scan of b <= 10
-    assert pell_scan(8, 10) == (3, 1)
-    assert pell_scan(2, 10) == (1, 1)
-    fundamental = gens8[1]
-    assert fundamental * ZSQRT8.element((3, -1)) == 1
-    zmod8_gens = sorted(int(u) for u in ZMOD8.unit_group_generators())
-    assert zmod8_gens == [3, 5, 7]
-    gauss = quadratic_table_ring(-1)
-    units = gauss.unit_group_generators()
-    assert len(units) == 3  # -1, i, -i
-    assert all(abs(u.coords[0] ** 2 + u.coords[1] ** 2) == 1 for u in units)
-    # N = n^2 >= 1: the whole unit group, every a + b w with a^2 - N b^2 = +-1
-    for n in (1, 4, 9):
-        units = [u.coords for u in quadratic_table_ring(n).unit_group_generators()]
-        want = [(a, b) for a in range(-5, 6) for b in range(-5, 6)
-                if abs(a * a - n * b * b) == 1]
-        assert sorted(units) == sorted(want), n
+    assert gens8[1] * ZSQRT8.element((3, -1)) == 1
+    assert sorted(int(u) for u in ZMOD8.units) == [1, 3, 5, 7]
     # N = 0: the units +-(1 + b*w) are generated by -1 and (1 + w)^b = 1 + b*w
     zsqrt0 = quadratic_table_ring(0)
-    minus, gen = zsqrt0.unit_group_generators()
+    minus, gen = unit_group_generators(zsqrt0)
     assert minus == -1 and gen.coords == (1, 1)
     assert all(gen ** b == zsqrt0.element((1, b)) for b in range(8))
-    # Z[1/f] and biquad8 have infinitely many units and no generator routine
-    with pytest.raises(UnsupportedRing, match=re.escape("no unit-group algorithm for Z[1/6]")):
-        ZINV6.unit_group_generators()
-    with pytest.raises(UnsupportedRing,
-                       match=re.escape("no unit-group algorithm for TableRing(rank=4)")):
-        builtin_ring("biquad8").unit_group_generators()
 
 
 def test_imaginary_quadratic_units_have_unit_norm():
     for n in (-2, -3, -11):
         ring = quadratic_table_ring(n)
-        for u in ring.unit_group_generators():
+        for u in ring.units:
             a, b = u.coords
             assert abs(a * a - n * b * b) == 1
 
@@ -252,7 +242,6 @@ def test_unit_lists():
     for sign in (1, -1):
         rank1 = TableRing([[(sign,)]])
         assert [u.coords for u in rank1.units] == [(sign,), (-sign,)]
-        assert rank1.unit_group_generators() == [rank1.from_int(-1)]
     assert TableRing([[(1, 0), (0, 1)], [(0, 1), (1, 1)]]).units is None
 
 
@@ -586,7 +575,7 @@ def test_quotient_units_are_one_uncapped_list():
         assert ring.units == [t.elements[i] for i, row in enumerate(t.mul) if one in row]
     # no table and so no cap: Z/1001 has 720 units, phi(7 * 11 * 13)
     big = QuotientRing(Z, 1001)
-    assert len(big.units) == 720 and len(big.unit_group_generators()) == 719
+    assert len(big.units) == 720
     with pytest.raises(RingTooLarge):
         big.tables
 
@@ -693,4 +682,4 @@ def test_quotient_one_is_the_base_identity():
     q = QuotientRing(base, 4)
     assert q.one.coords == (0, 1) and q.from_int(3).coords == (0, 3)
     assert all(q.one * x == x for x in q.enumerate_elements())
-    assert q.is_unit(q.one) and q.one not in q.unit_group_generators()
+    assert q.is_unit(q.one) and q.one in q.units
