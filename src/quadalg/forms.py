@@ -4,12 +4,14 @@ reduction/equivalence over Z for negative discriminants.
 
 Reduction runs Gauss's algorithm on plain ints (``_gauss_reduce``), tracking
 the witness matrix as four ints; forms and matrices are built only for the
-result.
+result.  Ints over Z skip ``coerce`` and ``int()``: ``TwistedForm.over_z``
+stores them as coordinates, and ``int_coefficients`` reads them back.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from .algebras import AlgebraType
 from .errors import (
@@ -40,16 +42,26 @@ class TwistedForm:
 
     @classmethod
     def over_z(cls, a: int, b: int, c: int) -> TwistedForm:
-        return cls(_Z, a, b, c)
+        """[a,b,c] over Z, each coefficient built as RingElement(_Z, (index(n),)):
+        an exact int, with no ``__init__``, ``coerce`` or ``int()``."""
+        q = object.__new__(cls)
+        q.ring, q.a, q.b = _Z, RingElement(_Z, (index(a),)), RingElement(_Z, (index(b),))
+        q.c = RingElement(_Z, (index(c),))
+        return q
 
     def coefficients(self) -> tuple[RingElement, RingElement, RingElement]:
         return self.a, self.b, self.c
 
     def int_coefficients(self) -> tuple[int, int, int]:
+        """(a, b, c): the coordinates over Z, else ``int()``, which refuses non-integers."""
+        if isinstance(self.ring, IntegerRing):
+            return self.a.coords[0], self.b.coords[0], self.c.coords[0]
         return int(self.a), int(self.b), int(self.c)
 
     def opposite(self) -> TwistedForm:
-        return TwistedForm(self.ring, self.a, -self.b, self.c)
+        q = object.__new__(TwistedForm)  # a, -b and c are in self.ring: no coerce
+        q.ring, q.a, q.b, q.c = self.ring, self.a, -self.b, self.c
+        return q
 
     def discriminant(self) -> RingElement:
         return self.b * self.b - 4 * self.a * self.c
@@ -149,8 +161,7 @@ def is_primitive(q: TwistedForm) -> bool:
     """Whether a, b, c generate the unit ideal."""
     ring = q.ring
     if isinstance(ring, IntegerRing):
-        a, b, c = q.int_coefficients()
-        return gcd(gcd(a, b), c) == 1
+        return gcd(*q.int_coefficients()) == 1
     if isinstance(ring, TableRing):
         # aR + bR + cR = R exactly when the products g*e_i span Z^n
         basis = standard_basis(ring.rank)

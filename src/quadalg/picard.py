@@ -13,8 +13,9 @@ Opposition orbits follow from table order alone: each representative with
 b >= 0 heads an orbit, and [a,-b,c] joins it unless b = 0, b = a or a = c.
 
 Composition (``compose``, ``ClassGroup.compose``) also runs on plain ints, by
-Dirichlet composition followed by Gauss reduction (Cohen, 5.4).  The HNF
-ideal path form_to_ideal -> ideal_mul -> ideal_to_form is the paper's
+Dirichlet composition followed by Gauss reduction (Cohen, 5.4); over Z no int
+passes through ``coerce`` or ``int()``, and primitivity is one ``gcd``.  The
+HNF ideal path form_to_ideal -> ideal_mul -> ideal_to_form is the paper's
 bijection with the Picard group; it serves form2ideal, ideal2form and
 is_principal, and the tests use it as the oracle for ``compose``.
 """
@@ -200,9 +201,13 @@ def is_invertible(ideal: OrderIdeal) -> bool:
 
 def _checked_coefficients(q: TwistedForm, order: QuadraticOrder) -> tuple[int, int, int]:
     """(a, b, c) of a primitive q with a != 0 whose natural type is order's."""
-    if not is_primitive(q):
+    # over Z the triple is read once and gcd decides; another ring must first
+    # pass is_primitive (which implies gcd 1, or refuses the ring) before int()
+    if not (isinstance(q.ring, IntegerRing) or is_primitive(q)):
         raise NotPrimitive(f"{q!r} is not primitive")
     a, b, c = q.int_coefficients()
+    if gcd(a, b, c) != 1:
+        raise NotPrimitive(f"{q!r} is not primitive")
     if a == 0:
         raise ZeroLeadingCoefficient("move to an equivalent form with a != 0 first")
     if b * b - 4 * a * c != order.delta or (b - order.pitilde) % 2 != 0:
@@ -240,7 +245,8 @@ def compose(order: QuadraticOrder, q1: TwistedForm, q2: TwistedForm) -> TwistedF
 
     Runs the checks of form_to_ideal on q1, then q2, and agrees with
     reduce_posdef(ideal_to_form(ideal_mul(form_to_ideal(q1), form_to_ideal(q2)))).
-    A negative-definite [a,b,c] enters as [-a,b,-c]: <a, g> = <-a, g>.
+    A negative-definite [a,b,c] enters as [-a,b,-c]: <a, g> = <-a, g>.  Over Z
+    no int passes through ``coerce`` or ``int()``, in or out.
     """
     a1, b1, _ = _checked_coefficients(q1, order)
     a2, b2, _ = _checked_coefficients(q2, order)

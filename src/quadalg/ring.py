@@ -10,13 +10,15 @@ rings, unit index in primitivity tests, HNF ideals of quadratic orders) goes
 through one routine: the Hermite normal form kernel ``hnf`` and the integer
 solver ``solve_int`` built on it.  A 2 x 2 system with a nonzero determinant
 has one rational solution, which ``solve_int`` finds by the adjugate; it is
-integral or there is none.
+integral or there is none.  The Bezout step ``xgcd``, shared with Dirichlet
+composition, is ``math.gcd`` plus ``pow(x, -1, m)`` on plain ints.
 
 Element arithmetic runs on the kernels ``_add``, ``_neg`` and ``_mul``, after
 ``Ring.coerce``: an element of the same ring object passes at once, an int is
 mapped in, and an element of a different ring raises RingMismatch.  A table
 ring multiplies by one pass over the nonzero structure constants
-``TableRing.terms``.
+``TableRing.terms``.  Forms over Z keep their ints out of ``coerce`` and
+``int()``: ``forms.TwistedForm.over_z`` builds each ``RingElement`` directly.
 
 A backend implements ``element``, those kernels, ``try_divide``,
 ``descriptor`` and ``describe``; ``Ring`` derives the rest by division:
@@ -67,18 +69,14 @@ POWER_BITS_CAP = 4 * EXPONENT_CAP  # f < 16 may take the whole exponent range
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    """Return (g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0, on plain ints:
+    g by ``math.gcd``, u = (a/g)^-1 mod |b|/g by ``pow`` (0 when |b|/g = 1) and
+    v = (g - u*a)/b, exact; b = 0 gives (|a|, sign of a, 0)."""
+    g = gcd(a, b)
+    if not b:
+        return g, -1 if a < 0 else 1, 0
+    u = pow(a // g, -1, abs(b) // g)
+    return g, u, (g - u * a) // b
 
 
 def is_square(n: int) -> bool:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -258,6 +259,29 @@ def test_primitivity_preserved_by_actions():
             assert is_primitive(act_gl2tw(m, q))
             assert is_primitive(act_gl2gl1(m, rng.choice(units), q))
             seen += 1
+
+
+def test_over_z_matches_the_coercing_constructor():
+    class Int(int):
+        pass
+
+    triples = [(3, 2, 4), (1, 0, 11), (0, -1, 0), (-7, 5, 2**80), (True, False, True),
+               (Int(3), Int(-2), Int(4)), (True, Int(5), -3)]
+    for a, b, c in triples:
+        direct, coerced = F(a, b, c), TwistedForm(IntegerRing(), a, b, c)
+        assert direct == coerced and hash(direct) == hash(coerced)
+        assert repr(direct) == repr(coerced) and direct.to_json() == coerced.to_json()
+        assert direct.int_coefficients() == coerced.int_coefficients()
+        assert direct.opposite() == coerced.opposite()
+        for x, y in zip(direct.coefficients(), coerced.coefficients()):
+            # exact ints, as IntegerRing.element stores them
+            assert x.coords == y.coords and type(x.coords[0]) is int and x.k == 0
+        assert all(type(n) is int for n in direct.int_coefficients())
+    for bad in (1.5, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            TwistedForm(IntegerRing(), bad, 0, 1)
+        with pytest.raises(TypeError):
+            F(bad, 0, 1)
 
 
 def test_form_json_round_trip():

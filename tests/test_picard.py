@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from functools import cache
 from math import gcd
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadalg import picard
 from quadalg.algebras import FreeQuadraticAlgebra, freeok_iso, type_of
+from quadalg.cli import builtin_ring, parse_form
 from quadalg.errors import (
     BadParityLift,
     InvalidDiscriminant,
@@ -17,6 +20,7 @@ from quadalg.errors import (
     NotPrimitive,
     OrderMismatch,
     TypeMismatch,
+    UnsupportedRing,
     ZeroLeadingCoefficient,
 )
 from quadalg.forms import (
@@ -244,6 +248,51 @@ def test_compose_errors_match_ideal_path():
             compose(O44, q1, q2)
         assert str(got.value) == str(want.value), (q1, q2)
         assert want.type in (NotPrimitive, ZeroLeadingCoefficient, TypeMismatch)
+
+
+def test_compose_output_digest():
+    # every ordered pair of the 105 reduced representatives of -1000003;
+    # recorded while compose still read its operands through int()
+    group = class_group(-1000003)
+    digest = hashlib.sha256()
+    for q1, q2 in itertools.product(group.representatives, repeat=2):
+        digest.update(repr(group.compose(q1, q2).int_coefficients()).encode())
+    assert group.h == 105 and digest.hexdigest() == \
+        "4d99759e662e2a8a2a142aed3e99eeac5091f30025e9030f1ae6ae7bf828c168"
+
+
+def test_compose_on_generic_operands():
+    # forms on a separately built IntegerRing(), as the CLI parses them
+    for delta in (-44, -3, -1000003):
+        group = class_group(delta)
+        reps = group.representatives[:12]
+        for q1, q2 in itertools.product(reps, repeat=2):
+            p1, p2 = (parse_form(IntegerRing(), json.dumps(q.int_coefficients()))
+                      for q in (q1, q2))
+            assert repr(group.compose(p1, p2)) == repr(group.compose(q1, q2))
+            assert group.compose(p1, p2) == group.compose(q1, q2)
+    # integer entries over Z[sqrt 2] pass is_primitive, then compose over Z
+    zsqrt2 = builtin_ring("zsqrt2")
+    assert repr(compose(O44, TwistedForm(zsqrt2, 3, 2, 4), F(3, 2, 4))) == "[3,-2,4]"
+    assert compose(O44, F(3, 2, 4), TwistedForm(zsqrt2, 3, -2, 4)) == F(1, 0, 11)
+    w = zsqrt2.element((0, 1))
+    cases = [((zsqrt2, 6, 4, 8), NotPrimitive, "[6,4,8] is not primitive"),
+             ((zsqrt2, 0, 2, -11), ZeroLeadingCoefficient,
+              "move to an equivalent form with a != 0 first"),
+             ((zsqrt2, 1, 1, 3), TypeMismatch,
+              "natural type of [1,1,3] does not match QuadraticOrder(delta=-44, pitilde=0)"),
+             ((zsqrt2, w, 2, 1), ValueError, "w is not a rational integer"),
+             ((builtin_ring("zmod8"), 3, 2, 4), UnsupportedRing,
+              "primitivity is not decided over Z/8"),
+             ((builtin_ring("zmod8"), 6, 4, 8), UnsupportedRing,
+              "primitivity is not decided over Z/8")]
+    for args, error, message in cases:
+        q = TwistedForm(*args)
+        for call in (lambda: compose(O44, q, F(3, 2, 4)), lambda: compose(O44, F(3, 2, 4), q),
+                     lambda: form_to_ideal(q, O44)):
+            with pytest.raises(error) as got:
+                call()
+            assert type(got.value) is error and str(got.value) == message, args
 
 
 def test_class_numbers_match_analytic_formula():

@@ -2,7 +2,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +36,7 @@ from quadalg.ring import (
     quadratic_table_ring,
     solve_hnf,
     solve_int,
+    xgcd,
 )
 
 from quadalg.algebras import find_parities
@@ -497,6 +498,26 @@ def test_solve_int_2x2_shortcut_matches_hnf(gens, coeffs, target):
     reachable = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(2))
     for t in (reachable, target):
         assert solve_int(gens, t) == solve_hnf(gens, t)
+
+
+_XGCD_INTS = st.one_of(st.integers(-12, 12), st.integers(-10**6, 10**6),
+                       st.integers(-2**700, 2**700))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_XGCD_INTS, _XGCD_INTS)
+def test_xgcd_contract(a, b):
+    # every sign, a zero on either side or both, and |b| / g == 1 (b divides a)
+    cases = [(s * a, t * b) for s in (1, -1) for t in (1, -1)]
+    cases += [(a, 0), (0, b), (0, 0), (a * b, b), (b, a * b), (a, 1), (a, -1)]
+    for x, y in cases:
+        g, u, v = xgcd(x, y)
+        assert u * x + v * y == g == gcd(x, y) >= 0, (x, y)
+        assert all(type(n) is int for n in (g, u, v))
+
+
+def test_xgcd_with_b_zero_returns_the_sign_of_a():
+    assert [xgcd(a, 0) for a in (0, 7, -5)] == [(0, 1, 0), (7, 1, 0), (5, -1, 0)]
 
 
 def test_quotient_division_does_not_enumerate(monkeypatch):
