@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import algebras, forms, glue, picard
-from .errors import QuadalgError, ResultTooLong
+from .errors import QuadalgError, ResultTooLong, brief
 from .ring import (
     IntegerRing,
     QuotientRing,
@@ -69,7 +69,7 @@ def parse_element(ring: Ring, text: str):
     except json.JSONDecodeError:
         data = None
     if isinstance(data, bool):
-        raise ValueError(f"cannot parse element {text!r}")
+        raise ValueError(f"cannot parse element {brief(text)}")
     if isinstance(data, int):
         return ring.from_int(data)
     if isinstance(data, (list, dict)):
@@ -84,16 +84,16 @@ def parse_element(ring: Ring, text: str):
     while pos < len(s):
         m = _TERM.match(s, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"cannot parse element {text!r}")
+            raise ValueError(f"cannot parse element {brief(text)}")
         sign = -1 if m.group(1) == "-" else 1
         digits, sym = m.group(2), m.group(3)
         if sym is None:
             if not digits:
-                raise ValueError(f"cannot parse element {text!r}")
+                raise ValueError(f"cannot parse element {brief(text)}")
             const += sign * int(digits)
         else:
             if sym not in index_of:
-                raise ValueError(f"unknown symbol {sym!r} in {text!r}")
+                raise ValueError(f"unknown symbol {brief(sym)} in {brief(text)}")
             coords[index_of[sym]] += sign * (int(digits) if digits else 1)
         pos = m.end()
     return ring.element(coords) + ring.from_int(const)
@@ -122,7 +122,7 @@ def parse_algebra(ring: Ring, text: str) -> algebras.FreeQuadraticAlgebra:
         key, _, value = part.partition("=")
         fields[key.strip()] = value.strip()
     if set(fields) != {"r", "s"}:
-        raise ValueError(f"algebra spec must be 'r=...,s=...', got {text!r}")
+        raise ValueError(f"algebra spec must be 'r=...,s=...', got {brief(text)}")
     return algebras.FreeQuadraticAlgebra(ring, parse_element(ring, fields["r"]),
                                          parse_element(ring, fields["s"]))
 
@@ -130,7 +130,7 @@ def parse_algebra(ring: Ring, text: str) -> algebras.FreeQuadraticAlgebra:
 def parse_form(ring: Ring, text: str) -> forms.TwistedForm:
     data = json.loads(text)
     if not isinstance(data, list) or len(data) != 3:
-        raise ValueError(f"form must be a JSON triple, got {text!r}")
+        raise ValueError(f"form must be a JSON triple, got {brief(text)}")
     a, b, c = (ring.element_from_json(entry) for entry in data)
     return forms.TwistedForm(ring, a, b, c)
 
@@ -259,10 +259,10 @@ def _cmd_ideal2form(args) -> str:
     hnf = data["hnf"]
     if not (isinstance(hnf, list) and len(hnf) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in hnf)):
-        raise ValueError(f"'hnf' must be a 2x2 integer matrix, got {hnf!r}")
+        raise ValueError(f"'hnf' must be a 2x2 integer matrix, got {brief(hnf)}")
     (a, b), (zero, c) = [[json_int(x, "an 'hnf' entry") for x in row] for row in hnf]
     if zero:
-        raise ValueError(f"'hnf' must be upper triangular, got {hnf!r}")
+        raise ValueError(f"'hnf' must be upper triangular, got {brief(hnf)}")
     order = picard.order_from_type(json_int(data["delta"], "'delta'"),
                                    json_int(data["pitilde"], "'pitilde'"))
     return _dump(render_form(picard.ideal_to_form(picard.OrderIdeal(order, a, b, c))))
@@ -288,9 +288,9 @@ def _parse_glue_payload(data):
         except ValueError:
             i = j = 0
         if not 1 <= i < j <= cover.size:
-            raise ValueError(f"cocycle key {key!r} must be 'i,j' with "
+            raise ValueError(f"cocycle key {brief(key)} must be 'i,j' with "
                              f"1 <= i < j <= {cover.size}")
-        eps[(i - 1, j - 1)] = glue._as_fraction(value, f"cocycle entry {key!r}")
+        eps[(i - 1, j - 1)] = glue._as_fraction(value, f"cocycle entry {brief(key)}")
     for i, j in itertools.combinations(range(1, cover.size + 1), 2):
         if (i - 1, j - 1) not in eps:
             raise ValueError(f"missing cocycle entry '{i},{j}'")
@@ -313,27 +313,56 @@ def _read_payload(args) -> str:
 
 
 def emit_table(min_delta: int, max_delta: int, fmt: str = "csv") -> str:
+    """The whole table as one string: the chunks of ``iter_table`` joined,
+    so its rows come from windows of max(1024, |min| // 64) discriminants,
+    each swept into buckets by delta - min with one gcd per form
+    (``picard.reduced_triples_between``).  It holds the whole text, which
+    ``run`` avoids by writing the chunks as they come."""
+    return "".join(iter_table(min_delta, max_delta, fmt))
+
+
+# per format: the row template, then what goes before the rows, between them and after
+_TABLE_FORMATS = {
+    "csv": ('%d,%d,%d,%d,"[%s]"', "delta,pitilde,h,picmod,reps", "\n", ""),
+    "json": ('{"delta":%d,"pitilde":%d,"h":%d,"picmod":%d,"reps":[%s]}', "[", ",", "]"),
+}
+
+
+def iter_table(min_delta: int, max_delta: int, fmt: str = "csv"):
     """One row per valid discriminant in [min, max]: delta, pitilde, h,
-    pic-mod-conjugation count, reduced representatives.
+    pic-mod-conjugation count, reduced representatives; as CSV with a header,
+    or as the JSON list that ``_dump`` would print, in chunks without a final
+    newline.
+
+    The range is swept in windows of max(1024, |min| // 64) discriminants
+    (``picard.reduced_triples_between``), and each window's rows are yielded
+    before the next is swept, so memory stays at one window's triples and
+    text: about 11 MB traced for [-60000, -3], where the whole table takes 252 MB.
+    An invalid range raises InvalidRange before the first chunk.
 
     Each opposition orbit {[a,b,c], [a,-b,c]} of reduced forms has exactly one
     member with b >= 0 (``picard.conjugation_orbits``), so the orbit count is
     the number of such reps.
     """
-    rows = [(d, reps, sum(b >= 0 for _, b, _ in reps))
-            for d, reps in picard.reduced_triples_between(min_delta, max_delta).items()]
-    if fmt == "json":
-        return _dump([{"delta": d, "pitilde": d % 2, "h": len(reps), "picmod": pm,
-                       "reps": reps} for d, reps, pm in rows])
-    lines = ["delta,pitilde,h,picmod,reps"]
-    for d, reps, pm in rows:
-        body = ",".join([f"[{a},{b},{c}]" for a, b, c in reps])
-        lines.append(f'{d},{d % 2},{len(reps)},{pm},"[{body}]"')
-    return "\n".join(lines)
+    picard.check_range(min_delta, max_delta)
+    row, head, sep, tail = _TABLE_FORMATS[fmt]
+    yield head
+    lead = "\n" if fmt == "csv" else ""  # ends the header line; '[' needs no end
+    flat = itertools.chain.from_iterable
+    width = max(1024, -min_delta // 64)
+    for lo in range(min_delta, max_delta + 1, width):
+        table = picard.reduced_triples_between(lo, min(lo + width - 1, max_delta))
+        if table:
+            yield lead + sep.join([
+                row % (d, d % 2, len(reps), len([1 for t in reps if t[1] >= 0]),
+                       ",".join(["[%d,%d,%d]"] * len(reps)) % tuple(flat(reps)))
+                for d, reps in table.items()])
+            lead = sep
+    yield tail
 
 
-def _cmd_table(args) -> str:
-    return emit_table(args.min, args.max, args.format)
+def _cmd_table(args):
+    return iter_table(args.min, args.max, args.format)
 
 
 @functools.cache
@@ -418,8 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = args.func(args)  # a string, or the chunks of a streamed table
+        for chunk in [out] if isinstance(out, str) else out:
+            sys.stdout.write(chunk)
         # flushed here, so that a closed pipe is caught below and not at exit
-        print(args.func(args), flush=True)
+        print(flush=True)
     except BrokenPipeError:
         # the reader closed stdout (e.g. `| head`): send what is left, and the
         # flush at exit, to devnull and exit as a shell reports SIGPIPE

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all quadalg modules."""
+"""Exception hierarchy shared by all quadalg modules, and ``brief``, the form
+in which their messages echo an input value."""
+
+
+def brief(value) -> str:
+    """repr(value) for an error message; past 200 characters, its first 100
+    and its length, so that a huge input gives a short message."""
+    text = repr(value)
+    if len(text) <= 200:
+        return text
+    return f"{text[:100]}... ({len(text)} characters)"
 
 
 class QuadalgError(Exception):

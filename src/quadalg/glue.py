@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebras import FreeQuadraticAlgebra
-from .errors import ValidationFailed
+from .errors import ValidationFailed, brief
 from .ring import IntegerRing, LocalizationRing, Ring, in_localization
 
 
@@ -50,10 +50,10 @@ def _as_fraction(x, name: str) -> Fraction:
         try:
             return Fraction(x)
         except ZeroDivisionError:
-            raise ValueError(f"{name} has a zero denominator: {x!r}") from None
+            raise ValueError(f"{name} has a zero denominator: {brief(x)}") from None
         except ValueError:
             pass
-    raise ValueError(f"{name} must be a rational number, got {x!r}")
+    raise ValueError(f"{name} must be a rational number, got {brief(x)}")
 
 
 class PrincipalCover:

@@ -9,6 +9,10 @@ Computational Algebraic Number Theory, 5.3) by one sweep over (a, b),
 ``reduced_triples``.  For each (a, b) the c that put b^2 - 4ac in the range
 form an interval.  When the range is narrower than 4a the interval holds at
 most one c, found by one remainder test per pair; otherwise it is walked.
+Each form found costs one three-argument gcd and lands in a list of buckets
+indexed by delta - lo.  The sweep keeps every triple of the range, so
+``cli.iter_table`` sweeps a long range in windows of max(1024, |lo| // 64)
+discriminants and prints each before sweeping the next.
 Opposition orbits follow from table order alone: each representative with
 b >= 0 heads an orbit, and [a,-b,c] joins it unless b = 0, b = a or a = c.
 
@@ -282,25 +286,35 @@ def reduced_triples(delta: int) -> list[Triple]:
     return reduced_triples_between(delta, delta)[delta]
 
 
+def check_range(lo: int, hi: int) -> None:
+    """Raise InvalidRange unless lo <= hi < 0."""
+    if lo > hi or hi >= 0:
+        raise InvalidRange(f"need min <= max < 0, got [{lo}, {hi}]")
+
+
 def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
     """The reduced triples of every valid delta in [lo, hi], keyed in
     ascending order, by one sweep over the pairs 0 <= b <= a.
 
     A reduced form has |b| <= a <= c, so 3a^2 <= -lo, and c >= a needs
-    b^2 - lo >= 4a^2.  For fixed (a, b) the c with lo <= b^2 - 4ac <= hi form
-    an interval.  When hi - lo < 4a it holds at most c = (b^2 - lo) // 4a,
-    present exactly when (b^2 - lo) mod 4a <= hi - lo, so one remainder test
-    per pair finds it (and for a single delta, b has the parity of delta).
+    n = b^2 - lo >= 4a^2.  For fixed (a, b) the c with lo <= b^2 - 4ac <= hi
+    form an interval, and each hit lands in the bucket of index
+    delta - lo = n - 4ac.  When hi - lo < 4a the interval holds at most
+    c = n // 4a, present exactly when n mod 4a <= hi - lo, so one remainder
+    test per pair finds it (and for a single delta, b has the parity of
+    delta); otherwise the interval is walked.  Each hit costs one gcd(a, b, c).
     (a, -b, c) is reduced too unless b = 0, a = b or a = c.  Scanning a, then
     b, in ascending order fills each bucket in table order: for fixed a and
-    delta, c grows with |b|.
+    delta, c grows with |b|.  The result holds every triple of the range,
+    about h per discriminant, so ``cli.iter_table`` sweeps a long range in
+    windows.
     """
-    if lo > hi or hi >= 0:
-        raise InvalidRange(f"need min <= max < 0, got [{lo}, {hi}]")
-    out = {delta: [] for delta in range(lo, hi + 1) if delta % 4 in (0, 1)}
-    if not out:  # no discriminant in range: nothing to sweep for
-        return out
+    check_range(lo, hi)
+    deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
+    if not deltas:  # no discriminant in range: nothing to sweep for
+        return {}
     width = hi - lo
+    buckets = [[] for _ in range(width + 1)]  # by delta - lo
     a_max = isqrt(-lo // 3)
     shifted = [b * b - lo for b in range(a_max + 1)]  # b^2 - lo
     for a in range(1, a_max + 1):
@@ -310,22 +324,24 @@ def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
         if width < four_a:
             step = 1 if width else 2
             b_min += (b_min - lo) % step
-            spans = [(isqrt(n + lo), n // four_a, n // four_a)
-                     for n in shifted[b_min:a + 1:step] if n % four_a <= width]
-        else:
-            spans = [(b, max(a, (n - width - 1) // four_a + 1), n // four_a)
-                     for b, n in zip(range(b_min, a + 1), shifted[b_min:a + 1])]
-        for b, c_min, c_max in spans:
-            bb = b * b
-            g = gcd(a, b)
-            signed = b and b != a
-            for c in range(c_min, c_max + 1):
-                if g == 1 or gcd(g, c) == 1:
-                    bucket = out[bb - four_a * c]
+            for n in [n for n in shifted[b_min:a + 1:step] if n % four_a <= width]:
+                b = isqrt(n + lo)
+                c = n // four_a
+                if gcd(a, b, c) == 1:
+                    bucket = buckets[n - four_a * c]
                     bucket.append((a, b, c))
-                    if signed and a != c:
+                    if b and b != a and a != c:
                         bucket.append((a, -b, c))
-    return out
+        else:
+            for b, n in zip(range(b_min, a + 1), shifted[b_min:a + 1]):
+                signed = b and b != a
+                for c in range(max(a, (n - width - 1) // four_a + 1), n // four_a + 1):
+                    if gcd(a, b, c) == 1:
+                        bucket = buckets[n - four_a * c]
+                        bucket.append((a, b, c))
+                        if signed and a != c:
+                            bucket.append((a, -b, c))
+    return {delta: buckets[delta - lo] for delta in deltas}
 
 
 def reduced_forms(delta: int) -> list[TwistedForm]:

@@ -61,6 +61,7 @@ from .errors import (
     RingTooLarge,
     NotTwoRegular,
     UnsupportedRing,
+    brief,
 )
 
 FINITE_TABLE_CAP = 512
@@ -422,7 +423,7 @@ class Ring:
         (ExponentTooLarge above)."""
         if isinstance(data, dict):
             if "coords" not in data:
-                raise ValueError(f"a ring element object is missing 'coords', got {data!r}")
+                raise ValueError(f"a ring element object is missing 'coords', got {brief(data)}")
             k = json_int(data.get("k", 0), "'k'")
             if k > EXPONENT_CAP:
                 raise ExponentTooLarge(f"'k' is {k}; input exponents are capped at {EXPONENT_CAP}")
@@ -814,7 +815,7 @@ class LocalizationRing(Ring):
         (num,) = coords
         num = int(num)
         if k < 0:
-            raise ValueError(f"the denominator exponent 'k' must be non-negative, got {k}")
+            raise ValueError(f"the denominator exponent 'k' must be non-negative, got {brief(k)}")
         f = self.f
         while k and num % f == 0:  # strip f^e, e the largest power of 2 <= k with f^e | num
             e, p = 1, f
@@ -885,13 +886,13 @@ def _field(descriptor: dict, key: str):
 def json_int(value, name: str) -> int:
     """An int read from JSON; booleans, floats and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {brief(value)}")
     return value
 
 
 def _json_coords(value) -> tuple[int, ...]:
     if not isinstance(value, list):
-        raise ValueError(f"ring element coordinates must be a list, got {value!r}")
+        raise ValueError(f"ring element coordinates must be a list, got {brief(value)}")
     return tuple(json_int(c, "a ring element coordinate") for c in value)
 
 
@@ -903,7 +904,7 @@ def int_value(value, name: str) -> int:
             return int(value)
         except ValueError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {brief(value)}")
 
 
 def _int_field(descriptor: dict, key: str) -> int:
@@ -913,7 +914,7 @@ def _int_field(descriptor: dict, key: str) -> int:
 def construct_ring(descriptor: dict) -> Ring:
     """Build a ring handle from its JSON descriptor, verifying the axioms."""
     if not isinstance(descriptor, dict):
-        raise ValueError(f"ring descriptor must be a JSON object, got {descriptor!r}")
+        raise ValueError(f"ring descriptor must be a JSON object, got {brief(descriptor)}")
     kind = descriptor.get("kind")
     if kind == "integers":
         return IntegerRing()
@@ -928,7 +929,7 @@ def construct_ring(descriptor: dict) -> Ring:
                             _int_field(descriptor, "m"))
     if kind == "localization":
         return LocalizationRing(_int_field(descriptor, "f"))
-    raise ValueError(f"unknown ring kind {kind!r}")
+    raise ValueError(f"unknown ring kind {brief(kind)}")
 
 
 def quadratic_table_ring(n: int, symbol: str = "w") -> TableRing:

@@ -4,7 +4,7 @@ These deliberately avoid the library code paths they are checking: lattice
 indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
 a scan over every (a, b) and from a divisor scan, opposition orbits from Gauss
-reduction, composition from the HNF ideal product, homs of
+reduction, the streamed ``table`` text from one sweep and one render, composition from the HNF ideal product, homs of
 algebras over finite rings from ring arithmetic on every (u, v), class
 numbers from Dirichlet's analytic formula, the glue report and the
 ``Z[1/f]`` ring operations and square roots from ``Fraction`` arithmetic,
@@ -18,6 +18,7 @@ search over products of unit-group generators.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -33,6 +34,7 @@ from quadalg.picard import (
     ideal_norm,
     ideal_to_form,
     reduced_forms,
+    reduced_triples_between,
 )
 from quadalg.ring import Mod2Element, RingElement
 
@@ -257,6 +259,21 @@ def reduced_triples_divisor_scan(delta: int) -> list[tuple[int, int, int]]:
                 out.append((a, -b, c))
     out.sort(key=_form_sort_key)
     return out
+
+
+def table_one_sweep(lo: int, hi: int, fmt: str) -> str:
+    """The ``table`` text for [lo, hi], without the final newline, rendered
+    from one sweep over the whole range with f-strings and ``json.dumps``."""
+    rows = [(d, reps, sum(b >= 0 for _, b, _ in reps))
+            for d, reps in reduced_triples_between(lo, hi).items()]
+    if fmt == "json":
+        return json.dumps([{"delta": d, "pitilde": d % 2, "h": len(reps), "picmod": pm,
+                            "reps": reps} for d, reps, pm in rows], separators=(",", ":"))
+    lines = ["delta,pitilde,h,picmod,reps"]
+    for d, reps, pm in rows:
+        body = ",".join([f"[{a},{b},{c}]" for a, b, c in reps])
+        lines.append(f'{d},{d % 2},{len(reps)},{pm},"[{body}]"')
+    return "\n".join(lines)
 
 
 def conjugation_orbits_gauss(triples):

@@ -6,17 +6,25 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quadalg import glue
-from quadalg.cli import _parse_glue_payload, builtin_ring, emit_table, parse_element, run
-from quadalg.errors import InvalidRange
+from quadalg.cli import (
+    _parse_glue_payload,
+    builtin_ring,
+    emit_table,
+    iter_table,
+    parse_element,
+    run,
+)
+from quadalg.errors import InvalidRange, brief
 
 from glue_data import glue_payload
-from oracles import ClassNumbers
+from oracles import ClassNumbers, table_one_sweep
 
 
 def invoke(capsys, *argv):
@@ -367,10 +375,61 @@ def test_table_golden_bytes():
          "6db11492a192bad2f57ed708de2a2626131d6382e6cdd3cf6f71b0208b9e5bbd"),
         ((-10063, -10000, "json"),
          "f8c64f695f90562cb2bee099b977269111f7bb1dd6c682dda4c2a14500e6a1a6"),
+        # three streamed windows of 1093 discriminants, the last one wide
+        ((-70001, -67815, "csv"),
+         "8b4671c5426f760516313740325fa2a7ea4d2626114b450b312cbf219487b0ae"),
+        ((-70001, -67815, "json"),
+         "1b37fe91251163f56a38f089911deca9db8ca930ccdc4aec6812d96cb18126ac"),
     ]
     for args, digest in golden:
         out = emit_table(*args) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def test_cli_digests_in_process(capsys):
+    # SHA-256 of stdout, as the installed entry point's end-to-end check takes it
+    for argv, digest in [
+        (("table", "--min", "-10000", "--max", "-3"),
+         "b50dd133975eca2c223f0816e7fca0027cfd0d3979f0597523e833d4903f4317"),
+        (("table", "--min", "-10000003", "--max", "-10000003"),
+         "2d1ec9babeaed536530e99159d302c2ad2fd8386fe7b00826093fd53657b65dc"),
+        (("picmodconj", "--delta", "-1000003"),
+         "2350094df2ad6820f8478ce1c59cc3047d1a67c592ecd930799e4d0bbe70a8b2"),
+        (("classgroup", "--delta", "-100000003"),
+         "52888ff20138fb718acc67ca2f3cb0dce8b48081e259d3f1136d456b551bc65f"),
+    ]:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_streamed_table_matches_one_sweep():
+    # windows hold 1024 discriminants at -3000 and 70001 // 64 = 1093 at -70001;
+    # each range ends on a valid discriminant, so no window is empty
+    for lo, window in ((-3000, 1024), (-70001, 1093)):
+        for count in (window - 1, window, window + 1, 2 * window + 1):
+            for fmt in ("csv", "json"):
+                chunks = list(iter_table(lo, lo + count - 1, fmt))
+                # the header or '[', one chunk per window, then '' or ']'
+                assert len(chunks) == 2 + -(-count // window), (lo, count)
+                text = "".join(chunks)
+                assert text == emit_table(lo, lo + count - 1, fmt)
+                assert text == table_one_sweep(lo, lo + count - 1, fmt), (lo, count, fmt)
+    for lo, hi in ((-2, -1), (-1, -1)):
+        assert emit_table(lo, hi) == "delta,pitilde,h,picmod,reps"
+        assert emit_table(lo, hi, "json") == "[]"
+
+
+def test_streamed_table_memory_is_bounded():
+    # the whole [-60000, -3] table, built before its first byte, took 252 MB
+    tracemalloc.start()
+    try:
+        for _ in iter_table(-60000, -3):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6
 
 
 def test_table_class_numbers_match_analytic_formula():
@@ -433,8 +492,10 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2 and "error" in err
     code, _, err = invoke(capsys, "reduce", "[1,1,-1]")
     assert code == 2
-    code, _, err = invoke(capsys, "table", "--min", "-3", "--max", "-4")
-    assert code == 2
+    # the range is checked before the first window is printed
+    for lo, hi in (("-3", "-4"), ("-100000", "5")):
+        assert invoke(capsys, "table", "--min", lo, "--max", hi) == \
+            (2, "", f"error: need min <= max < 0, got [{lo}, {hi}]\n")
     code, _, err = invoke(capsys, "iso", "--ring", '{"kind":"table","mul":5}',
                           "--alg1", "r=0,s=1", "--alg2", "r=0,s=1")
     assert code == 2 and err.startswith("error:")
@@ -494,6 +555,17 @@ def test_glue_check_refuses_exponents_quickly(capsys):
     code, out, _ = invoke(capsys, "glue-check", '{"cover":[2,3],"cocycle":{"1,2":"1.5"},'
                           '"data":{"d":["-99","-44/1"],"p":["1.0",0]}}')
     assert code == 0 and all(item["ok"] for item in json.loads(out))
+
+
+def test_errors_echo_a_huge_value_briefly(capsys):
+    payload = '{"cover":[2,3],"cocycle":{"1,2":"3/2"},' \
+              f'"data":{{"d":["{"1" * 100000}",-44],"p":[1,0]}}}}'
+    code, out, err = invoke(capsys, "glue-check", payload)
+    assert (code, out) == (2, "") and len(err.encode()) < 300
+    assert err.startswith("error: a 'd' entry must be a rational number, got '1111")
+    # a value whose repr has at most 200 characters is echoed whole
+    assert brief("x" * 198) == repr("x" * 198)
+    assert brief("x" * 199) == repr("x" * 199)[:100] + "... (201 characters)"
 
 
 def test_compose_errors(capsys):
