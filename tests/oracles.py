@@ -4,7 +4,8 @@ These deliberately avoid the library code paths they are checking: lattice
 indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
 a scan over every (a, b) and from a divisor scan, opposition orbits from Gauss
-reduction, the streamed ``table`` text from one sweep and one render, composition from the HNF ideal product, homs of
+reduction, the streamed ``table`` text from one sweep and one render,
+composition from the HNF ideal product, homs of
 algebras over finite rings from ring arithmetic on every (u, v), class
 numbers from Dirichlet's analytic formula, the glue report and the
 ``Z[1/f]`` ring operations and square roots from ``Fraction`` arithmetic,

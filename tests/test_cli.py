@@ -375,7 +375,7 @@ def test_table_golden_bytes():
          "6db11492a192bad2f57ed708de2a2626131d6382e6cdd3cf6f71b0208b9e5bbd"),
         ((-10063, -10000, "json"),
          "f8c64f695f90562cb2bee099b977269111f7bb1dd6c682dda4c2a14500e6a1a6"),
-        # three streamed windows of 1093 discriminants, the last one wide
+        # two windows of 1093 discriminants and a third of one
         ((-70001, -67815, "csv"),
          "8b4671c5426f760516313740325fa2a7ea4d2626114b450b312cbf219487b0ae"),
         ((-70001, -67815, "json"),
