@@ -200,7 +200,8 @@ def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra,
     quarter = ring.try_halve(ring.try_halve(d - ptilde * ptilde))
     target = FreeQuadraticAlgebra(ring, ptilde, -quarter)
     hom = AlgebraHom(ring.one, ring.try_halve(ptilde - alg.r))
-    assert hom.verifies(alg, target)
+    if not hom.verifies(alg, target):
+        raise AssertionError
     return target, hom
 
 
@@ -262,9 +263,11 @@ def algebras_isomorphic(a: FreeQuadraticAlgebra,
         return None
     u = found[1]
     v = ring.try_halve(u * b.r - a.r)
-    assert v is not None, "parity agreement must make u*r' - r halvable"
+    if v is None:
+        raise AssertionError("parity agreement must make u*r' - r halvable")
     hom = AlgebraHom(u, v)
-    assert hom.verifies(a, b), "constructed hom failed verification"
+    if not hom.verifies(a, b):
+        raise AssertionError("constructed hom failed verification")
     return hom
 
 
@@ -321,7 +324,8 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
         for v, (twov, q) in enumerate(zip(double, quad)):
             if twov == lin and q == const:
                 hom = AlgebraHom(elements[u], elements[v])
-                assert hom.verifies(a, b), "index tables disagree with ring arithmetic"
+                if not hom.verifies(a, b):
+                    raise AssertionError("index tables disagree with ring arithmetic")
                 yield hom
 
 

@@ -281,7 +281,7 @@ def _parse_glue_payload(data):
             and isinstance(payload.get("p"), list)):
         raise ValueError("'data' must be an object with lists 'd' and 'p'")
     cover = glue.PrincipalCover(int_value(f, "a 'cover' entry") for f in opens)
-    eps = {}
+    eps, keys = {}, {}
     for key, value in entries.items():
         try:
             i, j = (int(t) for t in key.split(","))
@@ -290,6 +290,10 @@ def _parse_glue_payload(data):
         if not 1 <= i < j <= cover.size:
             raise ValueError(f"cocycle key {brief(key)} must be 'i,j' with "
                              f"1 <= i < j <= {cover.size}")
+        if (i, j) in keys:
+            raise ValueError(f"cocycle keys {brief(keys[(i, j)])} and {brief(key)} "
+                             f"both name entry '{i},{j}'")
+        keys[(i, j)] = key
         eps[(i - 1, j - 1)] = glue._as_fraction(value, f"cocycle entry {brief(key)}")
     for i, j in itertools.combinations(range(1, cover.size + 1), 2):
         if (i - 1, j - 1) not in eps:
@@ -299,8 +303,15 @@ def _parse_glue_payload(data):
 
 
 def _cmd_glue_check(args) -> str:
+    """The verification report as the JSON list that ``_dump`` would print,
+    one row template per entry: the check names are plain identifiers and
+    the indices small ints, so nothing needs escaping."""
     cover, cocycle, data = _parse_glue_payload(json.loads(_read_payload(args)))
-    return _dump(glue.verification_report(cover, cocycle, data))
+    return "[%s]" % ",".join([
+        '{"check":"%s","indices":[%s],"ok":%s}'
+        % (item["check"], ",".join(["%d"] * len(item["indices"])) % tuple(item["indices"]),
+           "true" if item["ok"] else "false")
+        for item in glue.verification_report(cover, cocycle, data)])
 
 
 def _read_payload(args) -> str:

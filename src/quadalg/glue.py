@@ -22,11 +22,13 @@ orders of a triple follow from these, as t_ji = -t_ij / eps_ij.
 
 Every check runs on plain ints.  The report turns each ``Fraction`` of the
 input into an (n, d) pair once, d > 0 and not necessarily in lowest terms,
-and the checks use only products, sums, cross-multiplied equality and
-membership by ``ring.in_localization``, the one test of "n/d lies in
-Z[1/f]", which ``LocalizationRing`` runs too.  ``check_transition_hom`` and
-``check_cocycle_transitions`` turn only the ``Fraction`` fields they read into
-pairs and call the report's kernels, ``_transition_ok`` and ``_triple_ok``.
+and each check is one integer expression with the denominators cleared: an
+identity is multiplied through by the product of its (positive) denominators,
+and a membership is ``ring.in_localization``, the one test of "n/d lies in
+Z[1/f]", which ``LocalizationRing`` runs too, on a numerator and denominator
+written out.  ``check_transition_hom`` and ``check_cocycle_transitions`` turn
+only the ``Fraction`` fields they read into pairs and call the report's
+kernels, ``_transition_ok`` and ``_triple_ok``.
 """
 
 from __future__ import annotations
@@ -173,34 +175,10 @@ def _data_pairs(data: GluedTypeData) -> tuple[list, list]:
     return [_pair(x) for x in data.d], [_pair(x) for x in data.p]
 
 
-def _mul(x, y):
-    return x[0] * y[0], x[1] * y[1]
-
-
-def _add(*xs):
-    n, d = 0, 1
-    for a, b in xs:
-        n, d = n * b + a * d, d * b
-    return n, d
-
-
-def _neg(x):
-    return -x[0], x[1]
-
-
-def _eq(x, y) -> bool:
-    return x[0] * y[1] == y[0] * x[1]
-
-
 def _inv(x):
     """1/x for x != 0."""
     n, d = x
     return (d, n) if n > 0 else (-d, -n)
-
-
-def _over(x, m: int):
-    """x / m for an int m > 0."""
-    return x[0], x[1] * m
 
 
 def _is_unit(x, f: int) -> bool:
@@ -218,8 +196,9 @@ def _cocycle_checks(f: tuple[int, ...], eps: dict) -> list[dict]:
     for i in range(k):
         for j in range(i + 1, k):
             for t in range(j + 1, k):
-                ok = _eq(eps[(i, t)], _mul(eps[(i, j)], eps[(j, t)]))
-                out.append({"check": "cocycle_triple", "indices": [i, j, t], "ok": ok})
+                (a, b), (c, d), (x, y) = eps[(i, j)], eps[(j, t)], eps[(i, t)]
+                out.append({"check": "cocycle_triple", "indices": [i, j, t],
+                            "ok": x * b * d == a * c * y})
     return out
 
 
@@ -229,19 +208,20 @@ def _data_checks(f: tuple[int, ...], eps: dict, d: list, p: list) -> list[dict]:
     if len(d) != k:
         return [{"check": "data_shape", "indices": [], "ok": False}]
     for i in range(k):
+        (c, g), (a, b) = d[i], p[i]
         member = in_localization(d[i], f[i]) and in_localization(p[i], f[i])
         out.append({"check": "chart_membership", "indices": [i], "ok": member})
-        if member:
+        if member:  # (c/g - a^2/b^2) / 4
             out.append({"check": "chart_validity", "indices": [i],
-                        "ok": in_localization(_over(_add(d[i], _neg(_mul(p[i], p[i]))), 4), f[i])})
+                        "ok": in_localization((c * b * b - a * a * g, 4 * g * b * b), f[i])})
     for i in range(k):
         for j in range(i + 1, k):
-            e = eps[(i, j)]
-            ok_d = _eq(d[i], _mul(d[j], _mul(e, e)))
-            out.append({"check": "overlap_discriminant", "indices": [i, j], "ok": ok_d})
-            half = _over(_add(p[i], _neg(_mul(p[j], e))), 2)
-            out.append({"check": "overlap_parity", "indices": [i, j],
-                        "ok": in_localization(half, f[i] * f[j])})
+            (en, ed), (c, g), (z, h), (a, b), (x, y) = eps[(i, j)], d[i], d[j], p[i], p[j]
+            out.append({"check": "overlap_discriminant", "indices": [i, j],
+                        "ok": c * h * ed * ed == z * en * en * g})
+            out.append({"check": "overlap_parity", "indices": [i, j],  # (a/b - x/y * e) / 2
+                        "ok": in_localization((a * y * ed - x * en * b, 2 * b * y * ed),
+                                              f[i] * f[j])})
     return out
 
 
@@ -253,9 +233,9 @@ def _transitions(eps: dict, p: list) -> dict:
     for i in range(k):
         for j in range(k):
             if i != j:
-                e = eps[(i, j)] if i < j else _inv(eps[(j, i)])
-                t = _over(_add(_mul(e, p[j]), _neg(p[i])), 2)
-                transitions[(i, j)] = (e, t)
+                en, ed = e = eps[(i, j)] if i < j else _inv(eps[(j, i)])
+                (a, b), (x, y) = p[i], p[j]
+                transitions[(i, j)] = (e, (en * x * b - a * ed * y, 2 * ed * y * b))
     return transitions
 
 
@@ -324,18 +304,23 @@ def _transition_ok(f: int, p_i, d_i, p_j, d_j, e, t) -> bool:
     """``check_transition_hom`` on int pairs, over Z[1/f]."""
     if not (in_localization(e, f) and in_localization(t, f)):
         return False
-    s_i = _over(_add(_mul(p_i, p_i), _neg(d_i)), 4)
-    s_j = _over(_add(_mul(p_j, p_j), _neg(d_j)), 4)
-    ee = _mul(e, e)
-    # (e*w + t)^2 + p_i*(e*w + t) + s_i with w^2 = -p_j*w - s_j
-    lin = _add(_neg(_mul(ee, p_j)), _mul((2, 1), _mul(e, t)), _mul(p_i, e))
-    const = _add(_neg(_mul(ee, s_j)), _mul(t, t), _mul(p_i, t), s_i)
-    return lin[0] == 0 and const[0] == 0
+    (a, b), (c, g), (x, y), (z, h), (en, ed), (tn, td) = p_i, d_i, p_j, d_j, e, t
+    # (e*w + t)^2 + p_i*(e*w + t) + s_i with w^2 = -p_j*w - s_j, s = (p^2 - d)/4,
+    # is lin*w + const; p_i = a/b, d_i = c/g, p_j = x/y and d_j = z/h, and both
+    # vanish times their denominators, ed^2*y*td*b and 4*ed^2*y^2*h*td^2*b^2*g
+    lin = en * (ed * y * (2 * tn * b + a * td) - en * x * td * b)
+    const = ed * ed * y * y * h * (4 * tn * b * g * (tn * b + a * td)
+                                   + (a * a * g - c * b * b) * td * td) \
+        - en * en * (x * x * h - z * y * y) * td * td * b * b * g
+    return lin == 0 and const == 0
 
 
 def _triple_ok(f: int, ij, jk, ik) -> bool:
-    """``check_cocycle_transitions`` on (scale, shift) pairs, over Z[1/f]."""
+    """``check_cocycle_transitions`` on (scale, shift) pairs, over Z[1/f]:
+    e_ik = e_ij * e_jk and t_ik = e_ij * t_jk + t_ij, cross-multiplied."""
     (e_ij, t_ij), (e_jk, t_jk), (e_ik, t_ik) = ij, jk, ik
-    if not all(in_localization(v, f) for v in (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)):
+    if not (in_localization(e_ij, f) and in_localization(t_ij, f) and in_localization(e_jk, f)
+            and in_localization(t_jk, f) and in_localization(e_ik, f) and in_localization(t_ik, f)):
         return False
-    return _eq(e_ik, _mul(e_ij, e_jk)) and _eq(t_ik, _add(_mul(e_ij, t_jk), t_ij))
+    ((a, b), (p, q)), ((c, d), (r, s)), ((x, y), (u, v)) = ij, jk, ik
+    return x * b * d == a * c * y and u * b * s * q == (a * r * q + p * b * s) * v

@@ -15,12 +15,13 @@ PERTURBATIONS = (None, None, None, "cover", "cocycle_prime", "cocycle_triple",
                  "zero", "shape", "p_denominator", "p_parity", "d_square", "d_shift")
 
 
-def glue_dataset(rng, kind):
+def glue_dataset(rng, kind, size=None):
     """(opens, eps, d, p): eps is keyed by 0-based (i, j) with i < j and
     every value is a Fraction.  The valid data rescale one global algebra
     (delta, p) by a unit lambda_i of each chart, with eps_ij = lambda_i / lambda_j;
-    ``kind``, one of PERTURBATIONS, names the one entry spoiled (None: none)."""
-    k = rng.randint(1, 5)
+    ``kind``, one of PERTURBATIONS, names the one entry spoiled (None: none).
+    The cover has ``size`` opens, or 1-5 drawn from ``rng``."""
+    k = rng.randint(1, 5) if size is None else size
     while True:  # a single open must be Spec Z = D(1)
         opens = [prod(rng.sample(PRIMES, rng.randint(k > 1, 2))) for _ in range(k)]
         if gcd(*opens) == 1:
@@ -66,8 +67,13 @@ def glue_dataset(rng, kind):
 
 
 def glue_payload(rng) -> str:
-    """A glue-check payload: cocycle keys are 1-based and rationals are strings."""
-    opens, eps, d, p = glue_dataset(rng, rng.choice(PERTURBATIONS))
+    """A glue-check payload of a seeded dataset of any kind."""
+    return as_payload(*glue_dataset(rng, rng.choice(PERTURBATIONS)))
+
+
+def as_payload(opens, eps, d, p) -> str:
+    """A dataset as a glue-check payload: cocycle keys are 1-based and
+    rationals are strings."""
     return json.dumps({
         "cover": opens,
         "cocycle": {f"{i + 1},{j + 1}": str(e) for (i, j), e in eps.items()},

@@ -1,8 +1,12 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -595,6 +599,33 @@ def test_a_wrong_table_entry_trips_the_hom_verification():
     with pytest.raises(AssertionError, match="index tables disagree with ring arithmetic"):
         isomorphic_bruteforce(a, b)
 
+
+def test_hom_verifications_survive_python_O():
+    # the checks raise AssertionError themselves, so `python -O` keeps them
+    script = """
+from quadalg.algebras import (AlgebraHom, FreeQuadraticAlgebra, algebras_isomorphic,
+                              freeok_iso, isomorphic_bruteforce)
+from quadalg.cli import builtin_ring
+AlgebraHom.verifies = lambda self, a, b: False
+for ring, r, call in (("zsqrt2", 0, algebras_isomorphic), ("zsqrt2", 0, freeok_iso),
+                      ("zmod8", 1, isomorphic_bruteforce)):
+    ring = builtin_ring(ring)
+    a = FreeQuadraticAlgebra(ring, ring.from_int(r), ring.from_int(-1))
+    try:
+        call(a, a if call is not freeok_iso else ring.from_int(2))
+    except AssertionError as exc:
+        print(repr(exc))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == [
+        "AssertionError('constructed hom failed verification')",
+        "AssertionError()",
+        "AssertionError('index tables disagree with ring arithmetic')",
+    ]
 
 def test_classification_matches_bruteforce_on_two_regular_rings():
     # where 2 is regular, algebras are isomorphic iff their types are

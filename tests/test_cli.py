@@ -23,7 +23,7 @@ from quadalg.cli import (
 )
 from quadalg.errors import InvalidRange, brief
 
-from glue_data import glue_payload
+from glue_data import PERTURBATIONS, as_payload, glue_dataset, glue_payload
 from oracles import ClassNumbers, table_one_sweep
 
 
@@ -293,6 +293,27 @@ def test_glue_check_golden_bytes(capsys):
         "b913e3aede963780114edb2005aad513841a389e65c942265e8a58eb41a0c0ca"
 
 
+def test_glue_check_prints_the_report_as_json_dumps(capsys):
+    # the row template prints exactly what json.dumps prints for the report:
+    # seeded payloads of every perturbation kind ("shape" ends the report at
+    # data_shape, with no indices), then a valid cover of 12 opens, whose
+    # indices have two digits
+    rng = random.Random(19)
+    datasets = [glue_dataset(rng, kind) for kind in dict.fromkeys(PERTURBATIONS)
+                for _ in range(8)]
+    datasets.append(glue_dataset(rng, None, size=12))
+    rows = []
+    for dataset in datasets:
+        payload = as_payload(*dataset)
+        report = glue.verification_report(*_parse_glue_payload(json.loads(payload)))
+        assert invoke(capsys, "glue-check", payload) == \
+            (0, json.dumps(report, separators=(",", ":")) + "\n", "")
+        rows += report
+    assert {"check": "data_shape", "indices": [], "ok": False} in rows
+    assert all(item["ok"] for item in report)
+    assert {"check": "cocycle_transitions", "indices": [9, 10, 11], "ok": True} in report
+
+
 def test_glue_payload_builds_one_fraction_per_entry(monkeypatch):
     # the CLI parses each cocycle entry once; LineBundleCocycle keeps that Fraction
     class Counted(Fraction):
@@ -535,6 +556,10 @@ def test_validation_errors_exit_2(capsys):
         (dict(valid, cocycle={"1": "3/2"}), "cocycle key '1' must be 'i,j' with 1 <= i < j <= 2"),
         (dict(valid, cocycle={"2,1": "2/3"}), "cocycle key '2,1' must be 'i,j' with 1 <= i < j <= 2"),
         (dict(valid, cocycle={}), "missing cocycle entry '1,2'"),
+        (dict(valid, cocycle={"1,2": "3/2", "01,2": "5"}),
+         "cocycle keys '1,2' and '01,2' both name entry '1,2'"),
+        (dict(valid, cocycle={" 1,2": "3/2", "1, 2": "3/2"}),
+         "cocycle keys ' 1,2' and '1, 2' both name entry '1,2'"),
     ]:
         assert invoke(capsys, "glue-check", json.dumps(payload)) == (2, "", f"error: {message}\n")
 

@@ -4,9 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadalg import glue
 from quadalg.glue import (
     GluedAlgebra,
     GluedTypeData,
@@ -87,3 +89,46 @@ def test_transition_checks_match_fraction_oracle(seed, target, num, den):
     for i, j, t in itertools.product(range(k), repeat=3):
         assert check_cocycle_transitions(glued, i, j, t) == \
             cocycle_transitions_fractions(glued, i, j, t)
+
+
+def scaler(rng, most):
+    """x -> (k*n, k*d) for x = n/d in lowest terms and a fresh k in [1, most]:
+    the kernels take pairs that need not be in lowest terms."""
+    def scaled(x):
+        k = rng.randint(1, most)
+        return k * x.numerator, k * x.denominator
+    return scaled
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from(PERTURBATIONS), st.integers(1, 30))
+def test_report_on_unreduced_pairs_matches_fraction_oracle(seed, kind, most):
+    # the "zero" kind and the zero p and shift entries give zero numerators
+    rng = random.Random(seed)
+    cover, cocycle, data = objects(*glue_dataset(rng, kind))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glue, "_pair", scaler(rng, most))
+        report = verification_report(cover, cocycle, data)
+    assert report == glue_report_fractions(cover, cocycle, data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32),
+       st.sampled_from(("shift", "recentre", "ptilde", "disc", "scale")),
+       st.integers(-4, 4), st.sampled_from((1, 2, 3, 4) + FOREIGN), st.integers(1, 30))
+def test_transition_kernels_on_unreduced_pairs(seed, target, num, den, most):
+    rng = random.Random(seed)
+    cover, cocycle, data = objects(*glue_dataset(rng, None))
+    glued = build_glued(cover, cocycle, data)
+    k, f = cover.size, cover.opens
+    if k > 1:
+        glued = perturbed(glued, rng, target, Fraction(num, den))
+    scaled = scaler(rng, most)
+    p, d = [scaled(x) for x in glued.ptilde], [scaled(x) for x in glued.disc]
+    tr = {key: (scaled(e), scaled(t)) for key, (e, t) in glued.transitions.items()}
+    for i, j in itertools.permutations(range(k), 2):
+        assert glue._transition_ok(f[i] * f[j], p[i], d[i], p[j], d[j], *tr[(i, j)]) \
+            == transition_hom_fractions(glued, i, j)
+    for i, j, t in itertools.permutations(range(k), 3):
+        assert glue._triple_ok(f[i] * f[j] * f[t], tr[(i, j)], tr[(j, t)], tr[(i, t)]) \
+            == cocycle_transitions_fractions(glued, i, j, t)
