@@ -54,11 +54,6 @@ class FreeQuadraticAlgebra:
     def __repr__(self):
         return f"<tau^2 + ({self.r!r})tau + ({self.s!r}) over {self.ring!r}>"
 
-    def to_json(self):
-        return {"ring": self.ring.descriptor(),
-                "r": self.ring.element_to_json(self.r),
-                "s": self.ring.element_to_json(self.s)}
-
 
 class AlgebraType:
     """The pair (discriminant, parity) classifying an algebra or a form."""
@@ -85,11 +80,6 @@ class AlgebraType:
 
     def __repr__(self):
         return f"({self.delta!r}, {self.parity!r})"
-
-    def to_json(self):
-        ring = self.ring
-        return {"delta": ring.element_to_json(self.delta),
-                "parity": list(self.parity.residue)}
 
 
 class Orientation:

@@ -36,6 +36,22 @@ _BIQUAD8_TABLE = [
 ]
 
 
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"a JSON object repeats the key {brief(key)}")
+            seen.add(key)
+    return obj
+
+
+# json.loads for str, but an object that repeats a key raises ValueError
+# naming the key, where json.loads keeps the last value
+_loads = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def builtin_ring(name: str) -> Ring:
     """Ring aliases for the worked examples; falls back to a JSON descriptor."""
     if name == "z":
@@ -55,7 +71,7 @@ def builtin_ring(name: str) -> Ring:
     if name == "biquad8":
         return TableRing(_BIQUAD8_TABLE, one=(1, 0, 0, 0),
                          symbols=("1", "X", "Y", "XY"))
-    return construct_ring(json.loads(name))
+    return construct_ring(_loads(name))
 
 
 _TERM = re.compile(r"([+-]?)(\d*)([A-Za-z]+\d*)?")
@@ -65,7 +81,7 @@ def parse_element(ring: Ring, text: str):
     """Read an element from JSON coordinates or a symbolic sum like '3+w'."""
     text = text.strip()
     try:
-        data = json.loads(text)
+        data = _loads(text)
     except json.JSONDecodeError:
         data = None
     if isinstance(data, bool):
@@ -128,7 +144,7 @@ def parse_algebra(ring: Ring, text: str) -> algebras.FreeQuadraticAlgebra:
 
 
 def parse_form(ring: Ring, text: str) -> forms.TwistedForm:
-    data = json.loads(text)
+    data = _loads(text)
     if not isinstance(data, list) or len(data) != 3:
         raise ValueError(f"form must be a JSON triple, got {brief(text)}")
     a, b, c = (ring.element_from_json(entry) for entry in data)
@@ -250,7 +266,7 @@ def _cmd_form2ideal(args) -> str:
 
 
 def _cmd_ideal2form(args) -> str:
-    data = json.loads(_read_payload(args))
+    data = _loads(_read_payload(args))
     if not isinstance(data, dict):
         raise ValueError("ideal payload must be a JSON object")
     for key in ("delta", "pitilde", "hnf"):
@@ -306,7 +322,7 @@ def _cmd_glue_check(args) -> str:
     """The verification report as the JSON list that ``_dump`` would print,
     one row template per entry: the check names are plain identifiers and
     the indices small ints, so nothing needs escaping."""
-    cover, cocycle, data = _parse_glue_payload(json.loads(_read_payload(args)))
+    cover, cocycle, data = _parse_glue_payload(_loads(_read_payload(args)))
     return "[%s]" % ",".join([
         '{"check":"%s","indices":[%s],"ok":%s}'
         % (item["check"], ",".join(["%d"] * len(item["indices"])) % tuple(item["indices"]),

@@ -98,9 +98,6 @@ class QuadraticOrder:
     def __repr__(self):
         return f"QuadraticOrder(delta={self.delta}, pitilde={self.pitilde})"
 
-    def to_json(self):
-        return {"delta": self.delta, "pitilde": self.pitilde}
-
 
 def order_from_type(delta: int, pitilde: int) -> QuadraticOrder:
     return QuadraticOrder(delta, pitilde)

@@ -1,0 +1,106 @@
+"""The golden CLI corpus, run through the installed ``quadalg`` entry point.
+
+``tests/golden/cli.jsonl`` holds one case per line: ``argv``, the exit
+``code``, then exactly one of the exact ``stdout`` or its ``stdout_sha256``,
+and optionally the exact ``stderr`` and ``max_s``, the time bound of the run
+in-process.  ``tests/test_golden.py`` runs the same cases in-process through
+``cli.run``; both runners load and compare with the functions below.
+
+    python tests/golden_check.py
+
+runs each case through the ``quadalg`` on PATH, names every case that does
+not match, and exits 1 if any does not.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import shlex
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
+FIELDS = {"argv", "code", "stdout", "stdout_sha256", "stderr", "max_s"}
+# a new process starts Python and imports quadalg before the command runs;
+# a case with max_s = 1 then has 5 s, as under `timeout 5`
+STARTUP_S = 4.0
+
+
+def load_cases(path: Path = CORPUS) -> list[tuple[int, dict]]:
+    """The (line number, case) pairs of the corpus.  A case with a field
+    that is not in FIELDS, without argv or code, with both or neither of
+    stdout and stdout_sha256, or with the argv of an earlier case is refused."""
+    cases, lines = [], {}
+    for n, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        case = json.loads(text)
+        where = f"{path.name}:{n}"
+        if set(case) - FIELDS:
+            raise ValueError(f"{where}: unknown fields {sorted(set(case) - FIELDS)}")
+        if not {"argv", "code"} <= set(case):
+            raise ValueError(f"{where}: a case needs 'argv' and 'code'")
+        if ("stdout" in case) == ("stdout_sha256" in case):
+            raise ValueError(f"{where}: a case needs exactly one of 'stdout' and "
+                             f"'stdout_sha256'")
+        argv = tuple(case["argv"])
+        if argv in lines:
+            raise ValueError(f"{where}: the argv of line {lines[argv]} again")
+        lines[argv] = n
+        cases.append((n, case))
+    return cases
+
+
+def case_id(case: dict) -> str:
+    """The subcommand and a digest of the argv: fixed while the argv is."""
+    argv = case["argv"]
+    return f"{argv[0]}-{hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]}"
+
+
+def mismatch(line: int, case: dict, code: int, out: str, err: str, seconds: float,
+             startup_s: float = 0.0) -> str | None:
+    """None when a run matches its case, else the case and what differs.
+    The run may take ``startup_s`` past the case's max_s."""
+    found = []
+    if code != case["code"]:
+        found.append(f"exit {code}, expected {case['code']}")
+    if "stdout" in case and out != case["stdout"]:
+        found.append(f"stdout {out[:200]!r}, expected {case['stdout'][:200]!r}")
+    if "stdout_sha256" in case:
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if digest != case["stdout_sha256"]:
+            found.append(f"stdout sha256 {digest}, expected {case['stdout_sha256']}")
+    if "stderr" in case and err != case["stderr"]:
+        found.append(f"stderr {err[:200]!r}, expected {case['stderr']!r}")
+    if "max_s" in case and seconds > case["max_s"] + startup_s:
+        found.append(f"took {seconds:.2f} s, bound {case['max_s'] + startup_s} s")
+    if not found:
+        return None
+    command = shlex.join(["quadalg", *case["argv"]])
+    return f"{CORPUS.name}:{line} [{case_id(case)}] {command}: " + "; ".join(found)
+
+
+def main() -> int:
+    cases = load_cases()
+    failed = 0
+    for line, case in cases:
+        bound = case["max_s"] + STARTUP_S if "max_s" in case else None
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(["quadalg", *case["argv"]], capture_output=True,
+                                  encoding="utf-8", timeout=bound)
+        except subprocess.TimeoutExpired:
+            problem = f"{CORPUS.name}:{line} [{case_id(case)}]: no exit within {bound} s"
+        else:
+            problem = mismatch(line, case, proc.returncode, proc.stdout, proc.stderr,
+                               time.perf_counter() - start, STARTUP_S)
+        if problem:
+            failed += 1
+            print(problem)
+    print(f"{len(cases) - failed} of {len(cases)} golden cases match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,40 @@
+"""The golden CLI corpus, run in-process: one test per case of
+``tests/golden/cli.jsonl`` (``golden_check.py`` runs it through the
+installed entry point)."""
+
+import re
+import time
+
+import pytest
+
+from quadalg.cli import run
+
+from golden_check import case_id, load_cases, mismatch
+
+CASES = load_cases()
+
+
+@pytest.mark.parametrize("line, case", CASES, ids=[case_id(case) for _, case in CASES])
+def test_cli(line, case, capsys):
+    start = time.perf_counter()
+    code = run(case["argv"])
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    problem = mismatch(line, case, code, out, err, seconds)
+    if problem:
+        pytest.fail(problem, pytrace=False)
+
+
+def test_load_cases_refuses_a_malformed_corpus(tmp_path):
+    case = '{"argv": ["reduce", "[9,10,4]"], "code": 0, "stdout": "[3,2,4]\\n"}'
+    path = tmp_path / "cli.jsonl"
+    for lines, message in [
+        ([case.replace('"stdout"', '"stdot"')], "cli.jsonl:1: unknown fields ['stdot']"),
+        ([case.replace('"code": 0, ', "")], "cli.jsonl:1: a case needs 'argv' and 'code'"),
+        ([case.replace("}", ', "stdout_sha256": "0"}')], "exactly one of"),
+        ([case.replace(', "stdout": "[3,2,4]\\n"', "")], "exactly one of"),
+        ([case, case.replace("[3", "[4")], "cli.jsonl:2: the argv of line 1 again"),
+    ]:
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_cases(path)
