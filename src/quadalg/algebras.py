@@ -4,15 +4,18 @@ over finite rings.
 
 The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
 and ``oriented_automorphisms_bruteforce``) run on the ring's index tables
-(``ring.FiniteTables``): every candidate is tested on plain ints, and only
-the homs found are verified in ring arithmetic.  The tables are capped at
-``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring raises
-``RingTooLarge`` before anything is enumerated.  The classification by
-(discriminant, parity) needs no tables, has no cap and names no ring kind:
-with finitely many ``ring.units`` each is tested; otherwise the unit is
-``ring.sqrt`` of delta2 / delta1 (Z[sqrt(N)] and Z[1/f] have one), or, when
-both are 0, is 1 exactly when the parities are equal.  That rule needs R/2R
-to be 0 or F_2 (so Z[1/f]) or the ring to be Z[sqrt(N)]
+(``ring.FiniteTables``): every candidate is tested on plain ints against the
+tables' row of 2 and their row of v*(v + r), kept per r, and only the homs
+found are verified in ring arithmetic.  That verification, like every other
+(``AlgebraHom.verifies``), takes five products: tau -> u*tau' + v is a hom
+exactly when u*(2v + r - u*r') = 0 and v*(v + r) + s - u^2 s' = 0.  The
+tables are capped at ``ring.FINITE_TABLE_CAP`` = 512 elements; a larger
+finite ring raises ``RingTooLarge`` before anything is enumerated.  The
+classification by (discriminant, parity) needs no tables, has no cap and
+names no ring kind: with finitely many ``ring.units`` each is tested;
+otherwise the unit is ``ring.sqrt`` of delta2 / delta1 (Z[sqrt(N)] and Z[1/f]
+have one), or, when both are 0, is 1 exactly when the parities are equal.
+That rule needs R/2R to be 0 or F_2 (so Z[1/f]) or the ring to be Z[sqrt(N)]
 (``ring.quadratic_param``); any other ring with infinitely many units raises
 UnsupportedRing there.
 An ``Orientation`` keeps the inverse ``u_inv`` of its unit test, as
@@ -115,13 +118,24 @@ class AlgebraHom:
         self.v = v
 
     def verifies(self, source: FreeQuadraticAlgebra, target: FreeQuadraticAlgebra) -> bool:
-        """Check that (u*tau' + v)^2 + r*(u*tau' + v) + s = 0 in the target."""
-        u, v = self.u, self.v
-        r, s = source.r, source.s
-        rp, sp = target.r, target.s
-        lin = 2 * u * v + r * u - u * u * rp
-        const = v * v + r * v + s - u * u * sp
-        return lin.is_zero() and const.is_zero()
+        """Check that (u*tau' + v)^2 + r*(u*tau' + v) + s = 0 in the target.
+
+        With tau'^2 = -r'*tau' - s' the left side is lin*tau' + const, where
+        lin = 2uv + ru - u^2 r' = u*(2v + r - u*r') and
+        const = v^2 + rv + s - u^2 s' = v*(v + r) + s - u^2 s',
+        five products in all on the source ring's kernels.  u, v, r' and s'
+        are coerced into that ring once, so another ring raises RingMismatch.
+        """
+        ring = source.ring
+        coerce, add, mul, neg = ring.coerce, ring._add, ring._mul, ring._neg
+        u, v = coerce(self.u), coerce(self.v)
+        rp, sp = coerce(target.r), coerce(target.s)
+        r = source.r
+        lin = mul(u, add(add(v, v), add(r, neg(mul(u, rp)))))
+        if not lin.is_zero():
+            return False
+        const = add(add(mul(v, add(v, r)), source.s), neg(mul(mul(u, u), sp)))
+        return const.is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraHom):
@@ -296,18 +310,18 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     The search runs on the ring's multiplication table.  The hom equations
     read 2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s; u is a unit, so the
     first is 2v = u*r' - r.  For each u both right-hand sides are fixed, and
-    v is scanned by comparing indices against the table row of 2 and
-    against v*(v + r).  The few sums this needs come from the ring's own
-    kernels.  Each hom found is verified once in ring arithmetic.
+    v is scanned by comparing indices against the tables' row of 2 and their
+    row of v*(v + r), which is built once per r and kept.  The two sums per
+    u come from the ring's own kernels.  Each hom found is verified once in
+    ring arithmetic.
     """
     ring = a.ring
     t = ring.tables
-    index, mul, elements = t.index, t.mul, t.elements
+    index, mul, elements, double = t.index, t.mul, t.elements, t.double
     rp, sp = index[b.r.coords], index[b.s.coords]
     neg_r, neg_s = ring._neg(a.r), ring._neg(a.s)
     us = t.units if units is None else [index[u.coords] for u in units]
-    double = mul[index[ring.from_int(2).coords]]
-    quad = [mul[v][index[ring._add(x, a.r).coords]] for v, x in enumerate(elements)]
+    quad = t.quad_row(index[a.r.coords])
     for u in us:
         lin = index[ring._add(elements[mul[u][rp]], neg_r).coords]
         const = index[ring._add(elements[mul[mul[u][u]][sp]], neg_s).coords]

@@ -15,10 +15,17 @@ composition, is ``math.gcd`` plus ``pow(x, -1, m)`` on plain ints.
 
 Element arithmetic runs on the kernels ``_add``, ``_neg`` and ``_mul``, after
 ``Ring.coerce``: an element of the same ring object passes at once, an int is
-mapped in, and an element of a different ring raises RingMismatch.  A table
-ring multiplies by one pass over the nonzero structure constants
-``TableRing.terms``.  Forms over Z keep their ints out of ``coerce`` and
-``int()``: ``forms.TwistedForm.over_z`` builds each ``RingElement`` directly.
+mapped in, and an element of a different ring raises RingMismatch.  A caller
+that chains many operations (``algebras.AlgebraHom.verifies``) coerces its
+operands once and then calls the kernels directly.  The kernels take
+canonical coordinates to canonical coordinates on plain ints, with no
+generator expression: a table ring adds and negates by ``map`` over
+``operator.add`` and ``operator.neg`` and multiplies by one pass over the
+nonzero structure constants ``TableRing.terms``; a quotient ring reduces
+each resulting coordinate mod m once, in a list comprehension, without a
+second pass through ``element``.  Forms over Z keep their ints out of
+``coerce`` and ``int()``: ``forms.TwistedForm.over_z`` builds each
+``RingElement`` directly.
 
 A backend implements ``element``, those kernels, ``try_divide``,
 ``descriptor`` and ``describe``; ``Ring`` derives the rest by division:
@@ -34,9 +41,10 @@ by ``LocalizationRing`` as the non-negative rational root; and
 A quotient ring finds its units by HNF division, not capped, and keeps
 ``FiniteTables``: its elements with multiplication as a table of indices, so
 that exhaustive searches run on plain ints, capped at ``FINITE_TABLE_CAP``
-elements (RingTooLarge above).  Both are built on first use.  A unit test is a
-division: ``Orientation`` and ``GL2Matrix`` keep the inverse theirs returns
-(``u_inv``, ``det_inv``).
+elements (RingTooLarge above), and the rows the hom search reads on every
+call: 2v, and v*(v + r) for each r met.  All are built on first use.  A
+unit test is a division: ``Orientation`` and ``GL2Matrix`` keep the inverse
+theirs returns (``u_inv``, ``det_inv``).
 
 Z[1/f] runs on int pairs (num, k) for num/f^k; every quotient goes through
 ``LocalizationRing._divide``, which asks ``in_localization`` ("n/d lies in
@@ -47,6 +55,7 @@ input powers f^k at ``POWER_BITS_CAP`` bits (k * f.bit_length()).
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
@@ -618,10 +627,10 @@ class TableRing(Ring):
         return RingElement(self, tuple(n * c for c in self.one_coords))
 
     def _add(self, x, y):
-        return RingElement(self, tuple(a + b for a, b in zip(x.coords, y.coords)))
+        return RingElement(self, tuple(map(operator.add, x.coords, y.coords)))
 
     def _neg(self, x):
-        return RingElement(self, tuple(-a for a in x.coords))
+        return RingElement(self, tuple(map(operator.neg, x.coords)))
 
     def _mul(self, x, y):
         return RingElement(self, self._mul_coords(x.coords, y.coords))
@@ -723,19 +732,21 @@ class QuotientRing(Ring):
     def from_int(self, n: int) -> RingElement:
         return self.element(self.base.from_int(n).coords)
 
-    # coords are canonical, so sums and negatives need only the reduction
+    # coords are canonical ints, so every kernel needs only the reduction mod m
     def _add(self, x, y):
         m = self.m
-        return RingElement(self, tuple((a + b) % m for a, b in zip(x.coords, y.coords)))
+        return RingElement(self, tuple([(a + b) % m for a, b in zip(x.coords, y.coords)]))
 
     def _neg(self, x):
         m = self.m
-        return RingElement(self, tuple(-a % m for a in x.coords))
+        return RingElement(self, tuple([-a % m for a in x.coords]))
 
     def _mul(self, x, y):
+        m = self.m
         if isinstance(self.base, TableRing):
-            return self.element(self.base._mul_coords(x.coords, y.coords))
-        return self.element((x.coords[0] * y.coords[0],))
+            return RingElement(self, tuple([c % m for c in
+                                            self.base._mul_coords(x.coords, y.coords)]))
+        return RingElement(self, (x.coords[0] * y.coords[0] % m,))
 
     def try_divide(self, p, q):
         # q*y = p mod m: solve over the lattice spanned by q*e_i and m*e_k
@@ -774,10 +785,14 @@ class FiniteTables:
     ``elements`` is in ``enumerate_elements`` order and ``index`` maps
     coordinates back to positions.  ``mul[i][j]`` is the index of the
     product, filled from the ring's own kernel; ``units`` holds the indices
-    of ``QuotientRing.units``.
+    of ``QuotientRing.units``; ``double`` is the row ``mul[2]``, so that
+    ``double[v]`` is the index of 2v.  ``quad_row(r)`` is the row
+    v -> index of v*(v + r) for the element of index r, built on first use
+    from the ring's ``_add`` and ``mul`` and kept in ``quad``, so that at
+    most one row is built per r that a search meets.
     """
 
-    __slots__ = ("elements", "index", "mul", "units")
+    __slots__ = ("ring", "elements", "index", "mul", "units", "double", "quad")
 
     def __init__(self, ring: QuotientRing):
         size = ring.m ** ring.rank
@@ -792,10 +807,22 @@ class FiniteTables:
         for i, x in enumerate(elements):
             for j in range(i, n):
                 mul[i][j] = mul[j][i] = index[ring._mul(x, elements[j]).coords]
+        self.ring = ring
         self.elements = elements
         self.index = index
         self.mul = mul
         self.units = [index[u.coords] for u in ring.units]
+        self.double = mul[index[ring.from_int(2).coords]]
+        self.quad: dict[int, list[int]] = {}
+
+    def quad_row(self, r: int) -> list[int]:
+        """The indices of v*(v + x) for every v in element order, x of index r."""
+        row = self.quad.get(r)
+        if row is None:
+            add, x, index, mul = self.ring._add, self.elements[r], self.index, self.mul
+            row = self.quad[r] = [mul[v][index[add(y, x).coords]]
+                                  for v, y in enumerate(self.elements)]
+        return row
 
 
 class LocalizationRing(Ring):

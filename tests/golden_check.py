@@ -2,14 +2,21 @@
 
 ``tests/golden/cli.jsonl`` holds one case per line: ``argv``, the exit
 ``code``, then exactly one of the exact ``stdout`` or its ``stdout_sha256``,
-and optionally the exact ``stderr`` and ``max_s``, the time bound of the run
-in-process.  ``tests/test_golden.py`` runs the same cases in-process through
-``cli.run``; both runners load and compare with the functions below.
+and optionally the exact ``stderr``, ``max_s``, the time bound of the run
+in-process, and ``max_rss_mb``, a bound in MB (10^6 bytes) on the growth of
+the peak resident set from after ``import quadalg.cli`` to exit.
+``tests/test_golden.py`` runs the same cases in-process through
+``cli.run``; both runners load and compare with the functions below.  A case
+with ``max_rss_mb`` runs in a fresh child process in both (``run_measured``):
+the child calls the entry point ``quadalg.cli.main`` and reports its own
+``ru_maxrss`` growth (``RUSAGE_SELF``, so no other process counts) through a
+temp file.
 
     python tests/golden_check.py
 
-runs each case through the ``quadalg`` on PATH, names every case that does
-not match, and exits 1 if any does not.
+runs each case through the ``quadalg`` on PATH (a ``max_rss_mb`` case
+through the ``quadalg.cli.main`` this Python imports), names every case that
+does not match, and exits 1 if any does not.
 """
 
 from __future__ import annotations
@@ -19,14 +26,29 @@ import json
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
-FIELDS = {"argv", "code", "stdout", "stdout_sha256", "stderr", "max_s"}
+FIELDS = {"argv", "code", "stdout", "stdout_sha256", "stderr", "max_s", "max_rss_mb"}
 # a new process starts Python and imports quadalg before the command runs;
 # a case with max_s = 1 then has 5 s, as under `timeout 5`
 STARTUP_S = 4.0
+# the child of run_measured: argv[1] is the report file, the rest the command
+MEASURED_CHILD = """
+import resource, sys
+from quadalg.cli import main
+report, sys.argv = sys.argv[1], ["quadalg", *sys.argv[2:]]
+start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    main()
+finally:
+    with open(report, "w") as f:
+        f.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start))
+"""
+# ru_maxrss counts bytes on macOS and KiB elsewhere
+RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
 
 def load_cases(path: Path = CORPUS) -> list[tuple[int, dict]]:
@@ -58,10 +80,26 @@ def case_id(case: dict) -> str:
     return f"{argv[0]}-{hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]}"
 
 
+def run_measured(argv: list[str], timeout: float | None = None,
+                 env: dict | None = None) -> tuple[int, str, str, float, float | None]:
+    """Run argv through ``quadalg.cli.main`` in a fresh child process:
+    (exit code, stdout, stderr, seconds, peak RSS growth in MB), the growth
+    None when the child wrote no report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "rss"
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", MEASURED_CHILD, str(report), *argv],
+                              capture_output=True, encoding="utf-8", timeout=timeout, env=env)
+        seconds = time.perf_counter() - start
+        growth = int(report.read_text()) * RSS_UNIT / 1e6 if report.exists() else None
+    return proc.returncode, proc.stdout, proc.stderr, seconds, growth
+
+
 def mismatch(line: int, case: dict, code: int, out: str, err: str, seconds: float,
-             startup_s: float = 0.0) -> str | None:
+             startup_s: float = 0.0, rss_mb: float | None = None) -> str | None:
     """None when a run matches its case, else the case and what differs.
-    The run may take ``startup_s`` past the case's max_s."""
+    The run may take ``startup_s`` past the case's max_s; ``rss_mb`` is the
+    peak RSS growth that ``run_measured`` reported."""
     found = []
     if code != case["code"]:
         found.append(f"exit {code}, expected {case['code']}")
@@ -75,6 +113,11 @@ def mismatch(line: int, case: dict, code: int, out: str, err: str, seconds: floa
         found.append(f"stderr {err[:200]!r}, expected {case['stderr']!r}")
     if "max_s" in case and seconds > case["max_s"] + startup_s:
         found.append(f"took {seconds:.2f} s, bound {case['max_s'] + startup_s} s")
+    if "max_rss_mb" in case:
+        if rss_mb is None:
+            found.append("no peak RSS report")
+        elif rss_mb > case["max_rss_mb"]:
+            found.append(f"peak RSS grew by {rss_mb:.1f} MB, bound {case['max_rss_mb']} MB")
     if not found:
         return None
     command = shlex.join(["quadalg", *case["argv"]])
@@ -88,13 +131,17 @@ def main() -> int:
         bound = case["max_s"] + STARTUP_S if "max_s" in case else None
         start = time.perf_counter()
         try:
-            proc = subprocess.run(["quadalg", *case["argv"]], capture_output=True,
-                                  encoding="utf-8", timeout=bound)
+            if "max_rss_mb" in case:
+                code, out, err, seconds, rss_mb = run_measured(case["argv"], bound)
+            else:
+                proc = subprocess.run(["quadalg", *case["argv"]], capture_output=True,
+                                      encoding="utf-8", timeout=bound)
+                code, out, err = proc.returncode, proc.stdout, proc.stderr
+                seconds, rss_mb = time.perf_counter() - start, None
         except subprocess.TimeoutExpired:
             problem = f"{CORPUS.name}:{line} [{case_id(case)}]: no exit within {bound} s"
         else:
-            problem = mismatch(line, case, proc.returncode, proc.stdout, proc.stderr,
-                               time.perf_counter() - start, STARTUP_S)
+            problem = mismatch(line, case, code, out, err, seconds, STARTUP_S, rss_mb)
         if problem:
             failed += 1
             print(problem)

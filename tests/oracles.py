@@ -5,11 +5,12 @@ indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
 a scan over every (a, b) and from a divisor scan, opposition orbits from Gauss
 reduction, the streamed ``table`` text from one sweep and one render,
-composition from the HNF ideal product, homs of
-algebras over finite rings from ring arithmetic on every (u, v), class
-numbers from Dirichlet's analytic formula, the glue report and the
-``Z[1/f]`` ring operations and square roots from ``Fraction`` arithmetic,
-square roots in Z[sqrt(N)] from per-case candidates and from a scan, and
+composition from the HNF ideal product, homs of algebras from the hom
+equations expanded term by term in ring arithmetic (over finite rings on
+every (u, v)), class numbers from Dirichlet's analytic formula, the glue
+report and the ``Z[1/f]`` ring operations and square roots from
+``Fraction`` arithmetic, square roots in Z[sqrt(N)] from per-case
+candidates and from a scan, and
 table-ring products from a dense loop over the whole structure-constant
 tensor, R/2R and 4R from each ring kind's own rule, and the units of
 Z[sqrt(N)] modulo 2 from the fundamental unit (continued fractions) and a
@@ -363,17 +364,30 @@ def affine_ring_map_count(m: int, r: int, s: int,
     return count
 
 
+def hom_equations_hold(u: RingElement, v: RingElement, a: FreeQuadraticAlgebra,
+                       b: FreeQuadraticAlgebra) -> bool:
+    """Does tau -> u*tau' + v send tau^2 + r*tau + s to 0 in b?  The square is
+    expanded term by term with tau'^2 = -r'*tau' - s', in nine products of
+    ``RingElement`` operators: lin = 2uv + ru - u^2 r' and
+    const = v^2 + rv + s - u^2 s' must both vanish."""
+    r, s, rp, sp = a.r, a.s, b.r, b.s
+    lin = 2 * u * v + r * u - u * u * rp
+    const = v * v + r * v + s - u * u * sp
+    return lin.is_zero() and const.is_zero()
+
+
 def search_homs_generic(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra,
                         units=None) -> list[AlgebraHom]:
     """Every hom tau -> u*tau' + v from a to b over a finite ring, each (u, v)
-    tested in ring arithmetic: u over ``units`` (default: every unit, found by
-    HNF division) and v over every element, in enumeration order."""
+    tested in ring arithmetic by ``hom_equations_hold``: u over ``units``
+    (default: every unit, found by HNF division) and v over every element, in
+    enumeration order."""
     ring = a.ring
     elements = ring.enumerate_elements()
     if units is None:
         units = [u for u in elements if ring.is_unit(u)]
-    return [hom for u in units for v in elements
-            if (hom := AlgebraHom(u, v)).verifies(a, b)]
+    return [AlgebraHom(u, v) for u in units for v in elements
+            if hom_equations_hold(u, v, a, b)]
 
 
 class ClassNumbers:

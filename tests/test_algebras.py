@@ -41,6 +41,7 @@ from quadalg.errors import (
     NotAUnit,
     NotTwoRegular,
     ParityMismatch,
+    RingMismatch,
     UnsupportedRing,
 )
 from quadalg.ring import (
@@ -52,7 +53,13 @@ from quadalg.ring import (
     quadratic_table_ring,
 )
 
-from oracles import affine_ring_map_count, pell_fundamental, search_homs_generic, unit_image_reps
+from oracles import (
+    affine_ring_map_count,
+    hom_equations_hold,
+    pell_fundamental,
+    search_homs_generic,
+    unit_image_reps,
+)
 
 Z = IntegerRing()
 ZSQRT2 = quadratic_table_ring(2)
@@ -63,6 +70,8 @@ F4 = builtin_ring("f4")
 BIQUAD8 = builtin_ring("biquad8")
 Z16 = QuotientRing(Z, 16)
 Z9_SQRT8 = QuotientRing(ZSQRT8, 9)
+Z15 = QuotientRing(Z, 15)
+ZINV6 = LocalizationRing(6)
 
 W8 = ZSQRT8.element((0, 1))
 
@@ -626,6 +635,115 @@ for ring, r, call in (("zsqrt2", 0, algebras_isomorphic), ("zsqrt2", 0, freeok_i
         "AssertionError()",
         "AssertionError('index tables disagree with ring arithmetic')",
     ]
+
+
+# rings of the verification tests, each with a few of its units
+HOM_RINGS = {
+    "Z": (Z, Z.units),
+    "Z[sqrt2]": (ZSQRT2, [ZSQRT2.element(c) for c in ((1, 0), (-1, 0), (1, 1), (-1, 1),
+                                                     (3, 2), (3, -2))]),
+    "Z[sqrt8]": (ZSQRT8, [ZSQRT8.element(c) for c in ((1, 0), (-1, 0), (3, 1), (3, -1))]),
+    "Z/8": (ZMOD8, ZMOD8.units),
+    "F4": (F4, F4.units),
+    "Z/15": (Z15, Z15.units),
+    "Z[sqrt8]/9": (Z9_SQRT8, Z9_SQRT8.units),
+    "Z[1/6]": (ZINV6, [ZINV6.element((c,), k) for c, k in ((1, 0), (-1, 0), (2, 0), (3, 0),
+                                                            (1, 1), (-3, 1), (2, 1))]),
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(HOM_RINGS)), st.integers(0, 2), st.integers(0, 9),
+       st.lists(st.integers(-7, 7), min_size=8, max_size=8), st.integers(0, 2))
+def test_verifies_matches_the_expanded_hom_equations(name, mode, which, coords, k):
+    # mode 0: the hom onto a change of basis, so a hom; mode 1: its u with
+    # another v; mode 2: any (u, v).  verifies is decided in five products,
+    # the oracle in the nine of the term-by-term expansion
+    ring, units = HOM_RINGS[name]
+
+    def element(i):
+        c = coords[2 * i:2 * i + ring.rank]
+        return ring.element(c, k) if ring.kind == "localization" else ring.element(c)
+
+    a = alg(ring, element(0), element(1))
+    eps = units[which % len(units)]
+    alpha = element(2)
+    b = change_basis(a, eps, alpha)
+    u = ring.try_inverse(eps)
+    hom = AlgebraHom(u if mode < 2 else element(3), -alpha * u if mode == 0 else element(3))
+    expected = hom_equations_hold(hom.u, hom.v, a, b)
+    assert hom.verifies(a, b) == expected
+    assert expected or mode > 0
+
+
+def test_verifies_refuses_rings_other_than_the_source():
+    twin = quadratic_table_ring(8)
+    assert AlgebraHom(twin.one, twin.zero).verifies(alg(ZSQRT8, 0, -2), alg(twin, 0, -2))
+    for ring, other in ((ZSQRT2, ZSQRT8), (ZMOD8, ZMOD4), (Z, ZINV6), (F4, ZMOD4)):
+        a, b = alg(ring, 0, -1), alg(other, 0, -1)
+        for hom, source, target in ((AlgebraHom(ring.one, ring.zero), a, b),
+                                    (AlgebraHom(ring.one, ring.zero), b, a),
+                                    (AlgebraHom(other.one, other.zero), a, a),
+                                    (AlgebraHom(ring.one, other.zero), a, a)):
+            with pytest.raises(RingMismatch):
+                hom.verifies(source, target)
+
+
+def test_verifies_makes_at_most_five_products(monkeypatch):
+    # the factored hom equations take five products, the term-by-term expansion nine
+    cases = []
+    for ring, units in HOM_RINGS.values():
+        a = alg(ring, ring.from_int(1), ring.from_int(-1))
+        for eps in units[:3]:
+            u = ring.try_inverse(eps)
+            cases.append((AlgebraHom(u, -2 * u), a, change_basis(a, eps, 2)))
+    calls = []
+    for cls in (IntegerRing, TableRing, QuotientRing, LocalizationRing):
+        def counted(self, x, y, _mul=cls._mul):
+            calls.append(self)
+            return _mul(self, x, y)
+
+        monkeypatch.setattr(cls, "_mul", counted)
+    for hom, a, b in cases:
+        calls.clear()
+        assert hom.verifies(a, b)
+        assert 0 < len(calls) <= 5
+
+
+def test_a_second_bruteforce_search_builds_no_rows(monkeypatch):
+    # the rows of 2v and v*(v + r) are kept by the tables: a second search
+    # with the same r makes only the two sums per unit u
+    ring = QuotientRing(Z, 8)
+    a, b, c = alg(ring, 1, 0), alg(ring, 1, 1), alg(ring, 1, 5)
+    t = ring.tables
+    calls = []
+    real = QuotientRing._add
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(QuotientRing, "_add", counted)
+    assert isomorphic_bruteforce(a, b) is None
+    assert len(calls) == 2 * len(t.units) + len(t.elements)
+    for target in (b, c):
+        calls.clear()
+        assert isomorphic_bruteforce(a, target) is None
+        assert len(calls) == 2 * len(t.units)
+
+
+@pytest.mark.parametrize("ring", [ZMOD8, F4, QuotientRing(Z, 9), QuotientRing(ZSQRT2, 3)],
+                         ids=repr)
+def test_cached_search_rows_match_ring_arithmetic(ring):
+    t = ring.tables
+    elements = ring.enumerate_elements()
+    assert [t.elements[i] for i in t.double] == [2 * v for v in elements]
+    for r in elements:
+        row = t.quad_row(t.index[r.coords])
+        assert [t.elements[i] for i in row] == [v * (v + r) for v in elements]
+        assert t.quad_row(t.index[r.coords]) is row
+    assert len(t.quad) == len(elements)
+
 
 def test_classification_matches_bruteforce_on_two_regular_rings():
     # where 2 is regular, algebras are isomorphic iff their types are

@@ -1,26 +1,36 @@
 """The golden CLI corpus, run in-process: one test per case of
 ``tests/golden/cli.jsonl`` (``golden_check.py`` runs it through the
-installed entry point)."""
+installed entry point).  A case with ``max_rss_mb`` runs in a fresh child
+process on this checkout's ``src``, so that its peak RSS is its own."""
 
+import os
 import re
 import time
+from pathlib import Path
 
 import pytest
 
 from quadalg.cli import run
 
-from golden_check import case_id, load_cases, mismatch
+from golden_check import STARTUP_S, case_id, load_cases, mismatch, run_measured
 
 CASES = load_cases()
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.mark.parametrize("line, case", CASES, ids=[case_id(case) for _, case in CASES])
 def test_cli(line, case, capsys):
-    start = time.perf_counter()
-    code = run(case["argv"])
-    seconds = time.perf_counter() - start
-    out, err = capsys.readouterr()
-    problem = mismatch(line, case, code, out, err, seconds)
+    if "max_rss_mb" in case:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        code, out, err, seconds, rss_mb = run_measured(case["argv"], env=env)
+        problem = mismatch(line, case, code, out, err, seconds, STARTUP_S, rss_mb)
+    else:
+        start = time.perf_counter()
+        code = run(case["argv"])
+        seconds = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        problem = mismatch(line, case, code, out, err, seconds)
     if problem:
         pytest.fail(problem, pytrace=False)
 
