@@ -120,6 +120,10 @@ class NotInvertible(QuadalgError):
     """Ideal is not invertible."""
 
 
+class DiscriminantTooLarge(QuadalgError):
+    """|delta| of a single discriminant exceeds picard.DISCRIMINANT_CAP."""
+
+
 # -- glue and cli ------------------------------------------------------------
 
 class ValidationFailed(QuadalgError):

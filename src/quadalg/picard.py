@@ -3,16 +3,21 @@ correspondence between twisted-form classes of a fixed natural type and the
 Picard group of the order.
 
 Reduced forms are enumerated on plain ints (Cohen, A Course in
-Computational Algebraic Number Theory, 5.3) by one sweep over (a, b),
-``reduced_triples_between``; a single discriminant (``classgroup``,
-``picmodconj``, ``ClassGroup``) is the range [delta, delta], through
-``reduced_triples``.  For each (a, b) the c that put b^2 - 4ac in the range
-form an interval.  When the range is narrower than 4a the interval holds at
-most one c, found by one remainder test per pair; otherwise it is walked.
-Each form found costs one three-argument gcd and lands in a list of buckets
-indexed by delta - lo.  The sweep keeps every triple of the range, so
-``cli.iter_table`` sweeps a long range in windows of max(1024, |lo| // 64)
-discriminants and prints each before sweeping the next.
+Computational Algebraic Number Theory, 5.3) by two paths, chosen by the
+shape of the range.  A single discriminant (``classgroup``, ``picmodconj``,
+``ClassGroup``, and ``table`` with min = max) goes through
+``reduced_triples``: for each a <= sqrt(|delta|/3) the b are the square roots
+of delta mod 4a (``ring.sqrt_mod_prime_power`` and ``ring.crt_roots``), so
+the work grows like sqrt(|delta|), and |delta| is capped at
+DISCRIMINANT_CAP.  A range of two or more discriminants is one sweep over
+(a, b), ``reduced_triples_between``: for each (a, b) the c that put
+b^2 - 4ac in the range form an interval.  When the range is narrower than
+4a the interval holds at most one c, found by one remainder test per pair;
+otherwise it is walked.  Each form found costs one three-argument gcd and
+lands in a list of buckets indexed by delta - lo.  The sweep keeps every
+triple of the range, so ``cli.iter_table`` sweeps a long range in windows
+of max(1024, |lo| // 64) discriminants and prints each before sweeping the
+next.
 Opposition orbits follow from table order alone: each representative with
 b >= 0 heads an orbit, and [a,-b,c] joins it unless b = 0, b = a or a = c.
 
@@ -31,6 +36,7 @@ from math import gcd, isqrt
 from .algebras import FreeQuadraticAlgebra
 from .errors import (
     BadParityLift,
+    DiscriminantTooLarge,
     InvalidDiscriminant,
     InvalidRange,
     NotInvertible,
@@ -38,11 +44,15 @@ from .errors import (
     OrderMismatch,
     TypeMismatch,
     ZeroLeadingCoefficient,
+    brief,
 )
 from .forms import TwistedForm, _gauss_reduce, is_primitive, principal_form, reduce_posdef
-from .ring import IntegerRing, hnf, xgcd
+from .ring import IntegerRing, crt_roots, hnf, sqrt_mod_prime_power, xgcd
 
 _Z = IntegerRing()
+
+# |delta| past which reduced_triples refuses a single discriminant
+DISCRIMINANT_CAP = 3 * 10**12
 
 Pair = tuple[int, int]  # coordinates (x0, x1) meaning x0 + x1*omega
 
@@ -276,37 +286,84 @@ Triple = tuple[int, int, int]  # coefficients (a, b, c) of a form over Z
 
 def reduced_triples(delta: int) -> list[Triple]:
     """Coefficients of all reduced primitive positive-definite forms of
-    discriminant delta, in table order: ``reduced_triples_between`` on [delta, delta].
+    discriminant delta, in table order, from the square roots of delta.
+
+    A reduced [a,b,c] has 3a^2 <= |delta| and b^2 = delta mod 4a, so for each
+    a the b >= 0 are the roots mod 4a reduced mod 2a (x and x + 2a have one
+    square mod 4a) that lie in [0, a], ascending; c = (b^2 - delta)/4a must
+    be at least a, and gcd(a, b, c) = 1.  4a is factored from a sieve of
+    least prime factors up to a_max, and the roots mod each p^e || 4a are
+    kept for the call, since delta is fixed (``ring.sqrt_mod_prime_power``,
+    ``ring.crt_roots``).  (a, -b, c) follows unless b = 0, b = a or a = c.
+    Raises DiscriminantTooLarge past DISCRIMINANT_CAP (``check_range``) first.
     """
     if delta >= 0 or delta % 4 not in (0, 1):
         raise InvalidDiscriminant(f"{delta} is not a negative discriminant")
-    return reduced_triples_between(delta, delta)[delta]
+    check_range(delta, delta)
+    a_max = isqrt(-delta // 3)
+    spf = list(range(a_max + 1))  # least prime factors: the least p's slice lands last
+    for p in range(isqrt(a_max), 1, -1):
+        spf[p * p::p] = [p] * ((a_max - p * p) // p + 1)
+    memo: dict[int, list[int]] = {}
+    out = []
+    for a in range(1, a_max + 1):
+        parts, m, p, e = [], a, 2, 2  # 4a = 2^2 * a
+        while True:
+            while not m % p:
+                m //= p
+                e += 1
+            q = p**e
+            roots = memo.get(q)
+            if roots is None:
+                roots = memo[q] = sqrt_mod_prime_power(delta, p, e)
+            if not roots:
+                break
+            parts.append((q, roots))
+            if m == 1:
+                two_a, four_a = 2 * a, 4 * a
+                for b in sorted({r % two_a for r in crt_roots(parts)}):
+                    if b > a:
+                        break
+                    c = (b * b - delta) // four_a
+                    if c >= a and gcd(a, b, c) == 1:
+                        out.append((a, b, c))
+                        if b and b != a and a != c:
+                            out.append((a, -b, c))
+                break
+            p, e = spf[m], 0
+    return out
 
 
 def check_range(lo: int, hi: int) -> None:
-    """Raise InvalidRange unless lo <= hi < 0."""
+    """Raise InvalidRange unless lo <= hi < 0, and DiscriminantTooLarge for a
+    single discriminant (lo = hi) past DISCRIMINANT_CAP."""
     if lo > hi or hi >= 0:
         raise InvalidRange(f"need min <= max < 0, got [{lo}, {hi}]")
+    if lo == hi and -lo > DISCRIMINANT_CAP:
+        raise DiscriminantTooLarge(f"|delta| = {brief(-lo)} is past the cap of "
+                                   f"{DISCRIMINANT_CAP} on a single discriminant")
 
 
 def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
     """The reduced triples of every valid delta in [lo, hi], keyed in
-    ascending order, by one sweep over the pairs 0 <= b <= a.
+    ascending order: ``reduced_triples`` when lo = hi, and otherwise one
+    sweep over the pairs 0 <= b <= a.
 
     A reduced form has |b| <= a <= c, so 3a^2 <= -lo, and c >= a needs
     n = b^2 - lo >= 4a^2.  For fixed (a, b) the c with lo <= b^2 - 4ac <= hi
     form an interval, and each hit lands in the bucket of index
     delta - lo = n - 4ac.  When hi - lo < 4a the interval holds at most
     c = n // 4a, present exactly when n mod 4a <= hi - lo, so one remainder
-    test per pair finds it (and for a single delta, b has the parity of
-    delta); otherwise the interval is walked.  Each hit costs one gcd(a, b, c).
-    (a, -b, c) is reduced too unless b = 0, a = b or a = c.  Scanning a, then
-    b, in ascending order fills each bucket in table order: for fixed a and
-    delta, c grows with |b|.  The result holds every triple of the range,
-    about h per discriminant, so ``cli.iter_table`` sweeps a long range in
-    windows.
+    test per pair finds it; otherwise the interval is walked.  Each hit costs
+    one gcd(a, b, c).  (a, -b, c) is reduced too unless b = 0, a = b or
+    a = c.  Scanning a, then b, in ascending order fills each bucket in table
+    order: for fixed a and delta, c grows with |b|.  The result holds every
+    triple of the range, about h per discriminant, so ``cli.iter_table``
+    sweeps a long range in windows.
     """
     check_range(lo, hi)
+    if lo == hi:
+        return {lo: reduced_triples(lo)} if lo % 4 in (0, 1) else {}
     deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
     if not deltas:  # no discriminant in range: nothing to sweep for
         return {}
@@ -319,9 +376,7 @@ def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
         t = four_a * a + lo
         b_min = isqrt(t - 1) + 1 if t > 0 else 0  # least b with b^2 - lo >= 4a^2
         if width < four_a:
-            step = 1 if width else 2
-            b_min += (b_min - lo) % step
-            for n in [n for n in shifted[b_min:a + 1:step] if n % four_a <= width]:
+            for n in [n for n in shifted[b_min:a + 1] if n % four_a <= width]:
                 b = isqrt(n + lo)
                 c = n // four_a
                 if gcd(a, b, c) == 1:

@@ -13,6 +13,12 @@ has one rational solution, which ``solve_int`` finds by the adjugate; it is
 integral or there is none.  The Bezout step ``xgcd``, shared with Dirichlet
 composition, is ``math.gcd`` plus ``pow(x, -1, m)`` on plain ints.
 
+Square roots modulo m are one kernel, ``sqrt_mod(n, m)``: every root of
+x^2 = n mod p^e for each p^e || m (``sqrt_mod_prime_power``: Tonelli-Shanks
+mod p, then one lifting rule up to p^e), combined by CRT (``crt_roots``).
+``picard.reduced_triples`` calls the two parts itself, since it factors 4a
+from a sieve and keeps the roots mod each prime power for the whole call.
+
 Element arithmetic runs on the kernels ``_add``, ``_neg`` and ``_mul``, after
 ``Ring.coerce``: an element of the same ring object passes at once, an int is
 mapped in, and an element of a different ring raises RingMismatch.  A caller
@@ -91,6 +97,80 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
+
+
+def sqrt_mod(n: int, m: int) -> list[int]:
+    """Every x in [0, m) with x^2 = n mod m >= 1, ascending: the roots modulo
+    each prime power p^e || m (m factored by trial division), combined by CRT."""
+    parts, p = [], 2
+    while p * p <= m:
+        if not m % p:
+            e = 0
+            while not m % p:
+                m //= p
+                e += 1
+            parts.append((p**e, sqrt_mod_prime_power(n, p, e)))
+        p += 1
+    if m > 1:
+        parts.append((m, sqrt_mod_prime_power(n, m, 1)))
+    return sorted(crt_roots(parts))
+
+
+def sqrt_mod_prime_power(n: int, p: int, e: int) -> list[int]:
+    """Every root of x^2 = n mod p^e for a prime p and e >= 1, ascending.
+
+    The roots mod p are n mod 2, or Tonelli-Shanks for odd p.  A root r mod
+    q = p^(k-1) lifts to the r + t*q mod p*q with (r^2 - n)/q + 2*r*t = 0
+    mod p (k >= 2, so (t*q)^2 vanishes): one t when p does not divide 2r,
+    and otherwise every t or none.  The second case covers p = 2 and p | n.
+    """
+    roots = [n % 2] if p == 2 else _sqrt_mod_prime(n % p, p)
+    q = p
+    for _ in range(e - 1):
+        lifted = []
+        for r in roots:
+            k = (r * r - n) // q % p
+            if 2 * r % p:
+                lifted.append(r + q * (-k * pow(2 * r, -1, p) % p))
+            elif not k:
+                lifted.extend(range(r, q * p, q))
+        roots, q = lifted, q * p
+    return sorted(roots)
+
+
+def _sqrt_mod_prime(n: int, p: int) -> list[int]:
+    """The roots of x^2 = n mod an odd prime p, 0 <= n < p, by Tonelli-Shanks."""
+    if not n:
+        return [0]
+    if pow(n, (p - 1) // 2, p) != 1:
+        return []
+    s, q = 0, p - 1  # p - 1 = q * 2^s with q odd
+    while not q % 2:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:  # a non-residue
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:  # the least i with t^(2^i) = 1
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return sorted((r, p - r))
+
+
+def crt_roots(parts: list[tuple[int, list[int]]]) -> list[int]:
+    """Every x mod the product of the pairwise coprime moduli q with x mod q
+    in its list, for the (q, residues) pairs of parts, unsorted."""
+    m, roots = 1, [0]
+    for q, residues in parts:
+        inv = pow(m, -1, q)
+        roots = [x + m * ((r - x) * inv % q) for x in roots for r in residues]
+        m *= q
+    return roots
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:

@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +14,7 @@ from quadalg.algebras import FreeQuadraticAlgebra, freeok_iso, type_of
 from quadalg.cli import builtin_ring, parse_form
 from quadalg.errors import (
     BadParityLift,
+    DiscriminantTooLarge,
     InvalidDiscriminant,
     InvalidRange,
     NotInvertible,
@@ -32,6 +33,7 @@ from quadalg.forms import (
     reduce_posdef,
 )
 from quadalg.picard import (
+    DISCRIMINANT_CAP,
     OrderIdeal,
     QuadraticOrder,
     class_group,
@@ -377,6 +379,57 @@ def test_single_discriminants_match_divisor_scan():
         while delta % 4 not in (0, 1):
             delta -= 1
         assert reduced_triples(delta) == reduced_triples_divisor_scan(delta), delta
+
+
+def test_root_path_matches_divisor_scan():
+    for delta in _valid_discriminants(-3000, -3):
+        assert reduced_triples(delta) == reduced_triples_divisor_scan(delta), delta
+
+
+def test_root_path_lifts_through_square_factors():
+    # 16 | delta and p^2 | delta: roots mod p^e with p | 2r lift for every t or none
+    deltas = [-16 * k for k in range(1, 200)]
+    for p in (3, 5, 7):
+        deltas += [d for d in range(-p * p * 300, 0, p * p) if d % 4 in (0, 1)]
+    deltas += [-2**14, -3 * 2**16, -4 * 3**10, -3 * 5**8, -4 * 7**6, -4 * 3**5 * 5**4 * 7**2]
+    for delta in deltas:
+        assert reduced_triples(delta) == reduced_triples_divisor_scan(delta), delta
+
+
+def test_root_path_class_numbers():
+    # delta = dk f^2 with |delta| in [10^6, 10^9] and a small fundamental dk,
+    # so that the analytic formula stays cheap
+    rng = random.Random(22)
+    class_numbers = ClassNumbers()
+    fundamental = [d for d in range(-2000, -2) if d % 4 == 1 and _squarefree(-d)]
+    fundamental += [4 * m for m in range(-500, 0) if m % 4 in (2, 3) and _squarefree(-m)]
+    for _ in range(20):
+        dk = rng.choice(fundamental)
+        f = rng.randrange(isqrt(10**6 // -dk) + 1, isqrt(10**9 // -dk) + 1)
+        delta = dk * f * f
+        assert len(reduced_triples(delta)) == class_numbers(delta), delta
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, isqrt(n) + 1))
+
+
+def test_single_discriminant_outside_0_1_mod_4_is_empty():
+    for delta in (-1, -2, -5, -6, -101, -102, -10**12 - 1, -10**12 - 2):
+        assert reduced_triples_between(delta, delta) == {}
+
+
+def test_single_discriminants_are_capped():
+    # refused before any work; ranges stay uncapped
+    for delta in (-DISCRIMINANT_CAP - 3, -DISCRIMINANT_CAP - 4, -10**20):
+        for call in (reduced_triples, class_group, pic_mod_conjugation):
+            with pytest.raises(DiscriminantTooLarge, match="cap of 3000000000000"):
+                call(delta)
+        with pytest.raises(DiscriminantTooLarge):
+            reduced_triples_between(delta, delta)
+    with pytest.raises(DiscriminantTooLarge):
+        reduced_triples_between(-10**20 - 1, -10**20 - 1)
+    assert reduced_triples_between(-10**20 - 2, -10**20 - 1) == {}
 
 
 def test_orbit_rule_matches_gauss_reduction():

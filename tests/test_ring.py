@@ -36,6 +36,7 @@ from quadalg.ring import (
     quadratic_table_ring,
     solve_hnf,
     solve_int,
+    sqrt_mod,
     xgcd,
 )
 
@@ -704,3 +705,52 @@ def test_quotient_one_is_the_base_identity():
     assert q.one.coords == (0, 1) and q.from_int(3).coords == (0, 3)
     assert all(q.one * x == x for x in q.enumerate_elements())
     assert q.is_unit(q.one) and q.one in q.units
+
+
+def _roots_by_squaring(n, m):
+    return [x for x in range(m) if (x * x - n) % m == 0]
+
+
+def test_sqrt_mod_matches_squaring_every_residue():
+    # every n mod m for m <= 600: powers of 2 up to 512, p | n, p^2 | n, n = 0
+    for m in range(1, 601):
+        roots = {}
+        for x in range(m):
+            roots.setdefault(x * x % m, []).append(x)
+        for n in range(m):
+            assert sqrt_mod(n, m) == roots.get(n, []), (n, m)
+
+
+# p - 1 for 257, 7681 and 65537 has 2-adic valuation 8, 9 and 16: long
+# Tonelli-Shanks loops
+SQRT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 97, 257, 7681, 65537, 99991)
+
+
+@st.composite
+def _prime_power_moduli(draw):
+    """(n, [p^e, ...]): coprime prime powers of at most 10^5 each whose
+    product is at most 10^7, and n often divisible by p^f with f up to 2e."""
+    qs, n = [], draw(st.integers(-10**6, 10**6))
+    for p in draw(st.lists(st.sampled_from(SQRT_PRIMES), min_size=2, max_size=4,
+                           unique=True)):
+        room = min(10**5, 10**7 // prod(qs))
+        e = draw(st.integers(1, 16))
+        while e and p**e > room:
+            e -= 1
+        if e:
+            qs.append(p**e)
+            n *= p ** draw(st.one_of(st.just(0), st.integers(1, 2 * e)))
+    return n, qs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_prime_power_moduli())
+def test_sqrt_mod_on_products_of_prime_powers(case):
+    # the roots are distinct, ascending roots mod m, as many as the product of
+    # the root counts mod each prime power, found by squaring every residue
+    n, qs = case
+    m = prod(qs)
+    roots = sqrt_mod(n, m)
+    assert roots == sorted(set(roots)) and all(0 <= x < m for x in roots)
+    assert all((x * x - n) % m == 0 for x in roots)
+    assert len(roots) == prod(len(_roots_by_squaring(n, q)) for q in qs)
