@@ -3,13 +3,14 @@ by (discriminant, parity), with explicit isomorphisms and brute-force oracles
 over finite rings.
 
 The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
-and ``oriented_automorphisms_bruteforce``) run on the ring's index tables
-(``ring.FiniteTables``): every candidate is tested on plain ints against the
-tables' row of 2 and their row of v*(v + r), kept per r, and only the homs
-found are verified in ring arithmetic.  That verification, like every other
-(``AlgebraHom.verifies``), takes five products: tau -> u*tau' + v is a hom
-exactly when u*(2v + r - u*r') = 0 and v*(v + r) + s - u^2 s' = 0.  The
-tables are capped at ``ring.FINITE_TABLE_CAP`` = 512 elements; a larger
+and ``oriented_automorphisms_bruteforce``) run on rows of the ring's index
+tables (``ring.FiniteTables``), each built on first read and kept: every
+candidate is tested on plain ints against the row of 2 and the row of
+v*(v + r), and only the homs found are verified in ring arithmetic.  That
+verification, like every other (``AlgebraHom.verifies``), takes five
+products: tau -> u*tau' + v is a hom exactly when u*(2v + r - u*r') = 0 and
+v*(v + r) + s - u^2 s' = 0.  The tables are capped at
+``ring.FINITE_TABLE_CAP`` = 512 elements; a larger
 finite ring raises ``RingTooLarge`` before anything is enumerated.  The
 classification by (discriminant, parity) needs no tables, has no cap and
 names no ring kind: with finitely many ``ring.units`` each is tested;
@@ -307,24 +308,25 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     over ``units`` (default: every unit) and v over every element, in
     enumeration order.
 
-    The search runs on the ring's multiplication table.  The hom equations
+    The search runs on rows of the ring's index tables.  The hom equations
     read 2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s; u is a unit, so the
-    first is 2v = u*r' - r.  For each u both right-hand sides are fixed, and
-    v is scanned by comparing indices against the tables' row of 2 and their
-    row of v*(v + r), which is built once per r and kept.  The two sums per
-    u come from the ring's own kernels.  Each hom found is verified once in
-    ring arithmetic.
+    first is 2v = u*r' - r.  For each u both right-hand sides are fixed: u*r'
+    is read from the row of r' and u^2*s' from the row of s' at u^2, and the
+    two sums come from the ring's own kernel.  v is scanned by comparing
+    indices against the row of 2 and the row of v*(v + r).  Each row is built
+    once per ring and kept.  Each hom found is verified once in ring
+    arithmetic.
     """
     ring = a.ring
     t = ring.tables
-    index, mul, elements, double = t.index, t.mul, t.elements, t.double
-    rp, sp = index[b.r.coords], index[b.s.coords]
-    neg_r, neg_s = ring._neg(a.r), ring._neg(a.s)
+    index, elements, double, square = t.index, t.elements, t.double, t.square
+    times_rp, times_sp = t.row(index[b.r.coords]), t.row(index[b.s.coords])
+    quad = t.row(index[a.r.coords], quad=True)
+    add, neg_r, neg_s = ring._add, ring._neg(a.r), ring._neg(a.s)
     us = t.units if units is None else [index[u.coords] for u in units]
-    quad = t.quad_row(index[a.r.coords])
     for u in us:
-        lin = index[ring._add(elements[mul[u][rp]], neg_r).coords]
-        const = index[ring._add(elements[mul[mul[u][u]][sp]], neg_s).coords]
+        lin = index[add(elements[times_rp[u]], neg_r).coords]
+        const = index[add(elements[times_sp[square[u]]], neg_s).coords]
         for v, (twov, q) in enumerate(zip(double, quad)):
             if twov == lin and q == const:
                 hom = AlgebraHom(elements[u], elements[v])

@@ -342,9 +342,8 @@ def _read_payload(args) -> str:
 def emit_table(min_delta: int, max_delta: int, fmt: str = "csv") -> str:
     """The whole table as one string: the chunks of ``iter_table`` joined,
     so its rows come from windows of max(1024, |min| // 64) discriminants,
-    each swept into buckets by delta - min with one gcd per form
-    (``picard.reduced_triples_between``).  It holds the whole text, which
-    ``run`` avoids by writing the chunks as they come."""
+    each enumerated by ``picard.reduced_triples_between``.  It holds the
+    whole text, which ``run`` avoids by writing the chunks as they come."""
     return "".join(iter_table(min_delta, max_delta, fmt))
 
 

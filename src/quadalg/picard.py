@@ -3,18 +3,20 @@ correspondence between twisted-form classes of a fixed natural type and the
 Picard group of the order.
 
 Reduced forms are enumerated on plain ints (Cohen, A Course in
-Computational Algebraic Number Theory, 5.3) by two paths, chosen by the
-shape of the range.  A single discriminant (``classgroup``, ``picmodconj``,
-``ClassGroup``, and ``table`` with min = max) goes through
+Computational Algebraic Number Theory, 5.3) by two paths.  A single
+discriminant (``classgroup``, ``picmodconj``, ``ClassGroup``) goes through
 ``reduced_triples``: for each a <= sqrt(|delta|/3) the b are the square roots
 of delta mod 4a (``ring.sqrt_mod_prime_power`` and ``ring.crt_roots``), so
 the work grows like sqrt(|delta|), and |delta| is capped at
-DISCRIMINANT_CAP.  A range of two or more discriminants is one sweep over
-(a, b), ``reduced_triples_between``: for each (a, b) the c that put
-b^2 - 4ac in the range form an interval.  When the range is narrower than
-4a the interval holds at most one c, found by one remainder test per pair;
-otherwise it is walked.  Each form found costs one three-argument gcd and
-lands in a list of buckets indexed by delta - lo.  The sweep keeps every
+DISCRIMINANT_CAP.  A range (``table``) is one sweep over (a, b),
+``_sweep``: for each (a, b) the c that put b^2 - 4ac in the range form an
+interval.  When the range is narrower than 4a the interval holds at most
+one c, found by one remainder test per pair; otherwise it is walked.  Each
+form found costs one three-argument gcd and lands in a list of buckets
+indexed by delta - lo.  The sweep costs about |lo| whatever the width, so
+``reduced_triples_between`` runs ``reduced_triples`` once per discriminant
+instead when the range holds at most max(1, sqrt(|lo|) // 100) of them
+(min = max among them) and |lo| is within the cap.  The sweep keeps every
 triple of the range, so ``cli.iter_table`` sweeps a long range in windows
 of max(1024, |lo| // 64) discriminants and prints each before sweeping the
 next.
@@ -346,7 +348,24 @@ def check_range(lo: int, hi: int) -> None:
 
 def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
     """The reduced triples of every valid delta in [lo, hi], keyed in
-    ascending order: ``reduced_triples`` when lo = hi, and otherwise one
+    ascending order.
+
+    ``reduced_triples`` costs about sqrt(|delta|) per discriminant and the
+    sweep (``_sweep``) about |lo| for the whole range, so a range of at most
+    max(1, sqrt(|lo|) // 100) valid discriminants, one of them included,
+    takes ``reduced_triples`` for each, and a wider one the sweep.  Past
+    DISCRIMINANT_CAP every range of two or more takes the sweep, so that no
+    error starts after ``cli.iter_table`` has printed its header.
+    """
+    check_range(lo, hi)
+    deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
+    if -lo <= DISCRIMINANT_CAP and len(deltas) <= max(1, isqrt(-lo) // 100):
+        return {delta: reduced_triples(delta) for delta in deltas}
+    return _sweep(lo, hi, deltas)
+
+
+def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[Triple]]:
+    """``reduced_triples_between`` for the valid deltas of [lo, hi] by one
     sweep over the pairs 0 <= b <= a.
 
     A reduced form has |b| <= a <= c, so 3a^2 <= -lo, and c >= a needs
@@ -361,10 +380,6 @@ def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
     triple of the range, about h per discriminant, so ``cli.iter_table``
     sweeps a long range in windows.
     """
-    check_range(lo, hi)
-    if lo == hi:
-        return {lo: reduced_triples(lo)} if lo % 4 in (0, 1) else {}
-    deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
     if not deltas:  # no discriminant in range: nothing to sweep for
         return {}
     width = hi - lo

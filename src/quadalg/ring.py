@@ -45,10 +45,11 @@ The classification of quadratic algebras asks a ring three more questions:
 by ``LocalizationRing`` as the non-negative rational root; and
 ``Ring.quadratic_param``, the N of Z[sqrt(N)] (None for every other ring).
 A quotient ring finds its units by HNF division, not capped, and keeps
-``FiniteTables``: its elements with multiplication as a table of indices, so
+``FiniteTables``: its elements, and rows of products as lists of indices, so
 that exhaustive searches run on plain ints, capped at ``FINITE_TABLE_CAP``
-elements (RingTooLarge above), and the rows the hom search reads on every
-call: 2v, and v*(v + r) for each r met.  All are built on first use.  A
+elements (RingTooLarge above).  A row (y -> y*x, or y -> y*(y + x)) is built
+from the ring's kernels when a search first reads it, and kept; there is no
+n x n table, and the units are listed only when a search asks for them.  A
 unit test is a division: ``Orientation`` and ``GL2Matrix`` keep the inverse
 theirs returns (``u_inv``, ``det_inv``).
 
@@ -863,46 +864,39 @@ class FiniteTables:
     """A finite ring on indices into its element list.
 
     ``elements`` is in ``enumerate_elements`` order and ``index`` maps
-    coordinates back to positions.  ``mul[i][j]`` is the index of the
-    product, filled from the ring's own kernel; ``units`` holds the indices
-    of ``QuotientRing.units``; ``double`` is the row ``mul[2]``, so that
-    ``double[v]`` is the index of 2v.  ``quad_row(r)`` is the row
-    v -> index of v*(v + r) for the element of index r, built on first use
-    from the ring's ``_add`` and ``mul`` and kept in ``quad``, so that at
-    most one row is built per r that a search meets.
+    coordinates back to positions.  ``row(x)`` is y -> index of y*x and
+    ``row(x, quad=True)`` is y -> index of y*(y + x), for the element of
+    index x; each row is built on first use from the ring's own ``_mul`` and
+    ``_add`` and kept, so a search pays n products for each row it reads and
+    never for the n x n table.  ``double`` (the row of 2) and ``square``
+    (y -> y^2) are built with the index.  ``units`` holds the indices of
+    ``QuotientRing.units``, found only when first read.
     """
-
-    __slots__ = ("ring", "elements", "index", "mul", "units", "double", "quad")
 
     def __init__(self, ring: QuotientRing):
         size = ring.m ** ring.rank
         if size > FINITE_TABLE_CAP:
             raise RingTooLarge(f"{ring!r} has {size} elements; finite-ring tables "
                                f"are capped at {FINITE_TABLE_CAP}")
-        elements = ring.enumerate_elements()
-        index = {x.coords: i for i, x in enumerate(elements)}
-        n = len(elements)
-        mul = [[0] * n for _ in range(n)]
-        # the rings are commutative, so each unordered pair is computed once
-        for i, x in enumerate(elements):
-            for j in range(i, n):
-                mul[i][j] = mul[j][i] = index[ring._mul(x, elements[j]).coords]
         self.ring = ring
-        self.elements = elements
-        self.index = index
-        self.mul = mul
-        self.units = [index[u.coords] for u in ring.units]
-        self.double = mul[index[ring.from_int(2).coords]]
-        self.quad: dict[int, list[int]] = {}
+        self.elements = ring.enumerate_elements()
+        self.index = {x.coords: i for i, x in enumerate(self.elements)}
+        self.rows: dict[tuple[int, bool], list[int]] = {}
+        self.double = self.row(self.index[ring.from_int(2).coords])
+        self.square = self.row(self.index[ring.zero.coords], quad=True)
 
-    def quad_row(self, r: int) -> list[int]:
-        """The indices of v*(v + x) for every v in element order, x of index r."""
-        row = self.quad.get(r)
+    def row(self, x: int, quad: bool = False) -> list[int]:
+        """The indices of y*x, or of y*(y + x) with quad, for y in element order."""
+        row = self.rows.get((x, quad))
         if row is None:
-            add, x, index, mul = self.ring._add, self.elements[r], self.index, self.mul
-            row = self.quad[r] = [mul[v][index[add(y, x).coords]]
-                                  for v, y in enumerate(self.elements)]
+            add, mul, index, e = self.ring._add, self.ring._mul, self.index, self.elements[x]
+            row = self.rows[x, quad] = [index[mul(y, add(y, e) if quad else e).coords]
+                                        for y in self.elements]
         return row
+
+    @cached_property
+    def units(self) -> list[int]:
+        return [self.index[u.coords] for u in self.ring.units]
 
 
 class LocalizationRing(Ring):

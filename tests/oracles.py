@@ -7,7 +7,8 @@ a scan over every (a, b) and from a divisor scan, opposition orbits from Gauss
 reduction, the streamed ``table`` text from one sweep and one render,
 composition from the HNF ideal product, homs of algebras from the hom
 equations expanded term by term in ring arithmetic (over finite rings on
-every (u, v)), class numbers from Dirichlet's analytic formula, the glue
+every (u, v)), class numbers from Dirichlet's analytic formula (the
+benchmark's ``perfbench/oracles.py``, loaded by path), the glue
 report and the ``Z[1/f]`` ring operations and square roots from
 ``Fraction`` arithmetic, square roots in Z[sqrt(N)] from per-case
 candidates and from a scan, and
@@ -19,10 +20,12 @@ search over products of unit-group generators.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 from quadalg.algebras import AlgebraHom, FreeQuadraticAlgebra
 from quadalg.forms import TwistedForm, reduce_posdef
@@ -390,92 +393,19 @@ def search_homs_generic(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra,
             if hom_equations_hold(u, v, a, b)]
 
 
-class ClassNumbers:
-    """h(delta) for negative discriminants without enumerating forms.
+def _load_benchmark_oracles():
+    """``perfbench/oracles.py``, loaded by file path: it is named ``oracles``
+    too, and it imports no quadalg."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    Dirichlet's analytic class number formula gives h(dk) for a fundamental
-    dk; the conductor formula gives h(f^2 dk) = h(dk) f / [O_K* : O*] *
-    prod_{p | f} (1 - (dk/p)/p) (Cox, Primes of the Form x^2+ny^2, 7.24).
-    """
 
-    def __init__(self):
-        self._spf = [0, 1]
-        self._fundamental: dict[int, int] = {-3: 1, -4: 1}
-
-    def _smallest_prime_factors(self, limit: int) -> list[int]:
-        if len(self._spf) <= limit:
-            spf = list(range(2 * limit + 1))
-            for p in range(2, isqrt(len(spf) - 1) + 1):
-                if spf[p] == p:
-                    for m in range(p * p, len(spf), p):
-                        if spf[m] == m:
-                            spf[m] = p
-            self._spf = spf
-        return self._spf
-
-    @staticmethod
-    def kronecker_prime(dk: int, p: int) -> int:
-        """(dk / p) for a fundamental discriminant dk and a prime p."""
-        if p == 2:
-            if dk % 2 == 0:
-                return 0
-            return 1 if dk % 8 in (1, 7) else -1
-        if dk % p == 0:
-            return 0
-        return 1 if pow(dk % p, (p - 1) // 2, p) == 1 else -1
-
-    def fundamental(self, dk: int) -> int:
-        """h(dk) = sum_{0 < a < |dk|/2} chi(a) / (2 - chi(2)) for dk < -4."""
-        h = self._fundamental.get(dk)
-        if h is not None:
-            return h
-        half = -dk // 2
-        spf = self._smallest_prime_factors(half)
-        chi = [0, 1] + [0] * (half - 1)
-        chi_p: dict[int, int] = {}
-        total = 1
-        for a in range(2, half + 1):
-            p = spf[a]
-            cp = chi_p.get(p)
-            if cp is None:
-                cp = chi_p[p] = self.kronecker_prime(dk, p)
-            chi[a] = cp * chi[a // p]
-            total += chi[a]
-        h, rem = divmod(total, 2 - self.kronecker_prime(dk, 2))
-        if rem or h <= 0:
-            raise ArithmeticError(f"class number formula failed for {dk}")
-        self._fundamental[dk] = h
-        return h
-
-    def __call__(self, delta: int) -> int:
-        # delta = -core * square^2 with core squarefree, by trial division
-        n, square, core, p = -delta, 1, 1, 2
-        while p * p <= n:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            square *= p ** (e // 2)
-            core *= p ** (e % 2)
-            p += 1
-        core *= n
-        if -core % 4 == 1:
-            dk, f = -core, square
-        else:
-            dk, f = -4 * core, square // 2
-        h = self.fundamental(dk)
-        m, p = f, 2
-        while m > 1:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                h *= p ** (e - 1) * (p - self.kronecker_prime(dk, p))
-            p += 1
-        if f == 1:
-            return h
-        return h // {-3: 3, -4: 2}.get(dk, 1)  # [O_K* : O*]
+# h(delta) by Dirichlet's analytic formula and the conductor formula (Cox,
+# Primes of the Form x^2+ny^2, 7.24): the benchmark's copy
+ClassNumbers = _load_benchmark_oracles().ClassNumbers
 
 
 def _in_localization(n: int, f: int) -> bool:

@@ -33,7 +33,7 @@ from quadalg.algebras import (
     types_isomorphic,
     _search_homs,
 )
-from quadalg.cli import builtin_ring
+from quadalg.cli import builtin_ring, run
 from quadalg.errors import (
     BadLift,
     InfiniteRing,
@@ -602,9 +602,10 @@ def test_a_wrong_table_entry_trips_the_hom_verification():
     assert isomorphic_bruteforce(a, b) is None
     t = ring.tables
     # for u = 1, v = 0 meets 2v = u*r' - r = 0, and v^2 + r*v = 0 is tested
-    # against u^2*s' - s = 1*(-5) + 1; the product 1*(-5) planted as -1 makes it 0
+    # against u^2*s' - s = 1*(-5) + 1, whose product 1*(-5) is read from the
+    # row of s' at u^2 = 1; planted as -1, it makes the sum 0
     one, sp = t.index[ring.one.coords], t.index[b.s.coords]
-    t.mul[one][sp] = t.mul[sp][one] = t.index[ring.from_int(-1).coords]
+    t.row(sp)[one] = t.index[ring.from_int(-1).coords]
     with pytest.raises(AssertionError, match="index tables disagree with ring arithmetic"):
         isomorphic_bruteforce(a, b)
 
@@ -711,38 +712,86 @@ def test_verifies_makes_at_most_five_products(monkeypatch):
 
 
 def test_a_second_bruteforce_search_builds_no_rows(monkeypatch):
-    # the rows of 2v and v*(v + r) are kept by the tables: a second search
-    # with the same r makes only the two sums per unit u
+    # the rows are kept by the tables: a second search with the same r, r'
+    # and s' builds no row and makes only the two sums per unit u; another
+    # s' builds its one row of products
     ring = QuotientRing(Z, 8)
     a, b, c = alg(ring, 1, 0), alg(ring, 1, 1), alg(ring, 1, 5)
     t = ring.tables
+    n = len(t.elements)
     calls = []
-    real = QuotientRing._add
+    for name in ("_add", "_mul"):
+        def counted(self, x, y, _name=name, _real=getattr(QuotientRing, name)):
+            calls.append(_name)
+            return _real(self, x, y)
 
-    def counted(self, x, y):
-        calls.append((x, y))
-        return real(self, x, y)
-
-    monkeypatch.setattr(QuotientRing, "_add", counted)
+        monkeypatch.setattr(QuotientRing, name, counted)
     assert isomorphic_bruteforce(a, b) is None
-    assert len(calls) == 2 * len(t.units) + len(t.elements)
-    for target in (b, c):
+    # the row of v*(v + r), then the two sums per unit
+    assert calls.count("_add") == n + 2 * len(t.units)
+    for target, rows in ((b, 0), (c, 1)):
         calls.clear()
         assert isomorphic_bruteforce(a, target) is None
-        assert len(calls) == 2 * len(t.units)
+        assert calls.count("_add") == 2 * len(t.units)
+        assert calls.count("_mul") == rows * n
 
 
-@pytest.mark.parametrize("ring", [ZMOD8, F4, QuotientRing(Z, 9), QuotientRing(ZSQRT2, 3)],
-                         ids=repr)
+def _count_cli_calls(monkeypatch, capsys, cls, name, argv):
+    calls = []
+
+    def counted(self, *args, _real=getattr(cls, name)):
+        calls.append(self)
+        return _real(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    return len(calls), out, err
+
+
+Z512 = '{"kind":"quotient","base":{"kind":"integers"},"m":512}'
+
+
+def test_autos_at_the_cap_builds_few_rows(monkeypatch, capsys):
+    # Z/512 is at FINITE_TABLE_CAP; the search reads the rows of 2, y^2, r',
+    # s' and y*(y + r), and the unit scan takes one product per element: 6n
+    # products and the homs' checks, where a full table takes n(n + 1)/2
+    n = 512
+    count, out, err = _count_cli_calls(monkeypatch, capsys, QuotientRing, "_mul",
+                                       ["autos", "--ring", Z512, "--alg", "r=1,s=0"])
+    assert (out, err) == ('{"count":2,"automorphisms":[{"u":[1],"v":[0]},'
+                          '{"u":[511],"v":[511]}]}\n', "")
+    assert count <= 8 * n
+
+
+def test_oriented_autos_scans_no_units(monkeypatch, capsys):
+    # u = 1 is the only candidate, so the units are never listed: the one
+    # division left is the orientation's own unit test
+    count, out, err = _count_cli_calls(monkeypatch, capsys, QuotientRing, "try_divide",
+                                       ["autos", "--ring", Z512, "--alg", "r=1,s=0",
+                                        "--oriented"])
+    assert (out, err) == ('{"count":1,"automorphisms":[{"u":[1],"v":[0]}]}\n', "")
+    assert count <= 1
+
+
+# fresh rings, so that no other test has read a row of theirs
+@pytest.mark.parametrize("ring", [QuotientRing(Z, 8), builtin_ring("f4"), QuotientRing(Z, 9),
+                                  QuotientRing(ZSQRT2, 3)], ids=repr)
 def test_cached_search_rows_match_ring_arithmetic(ring):
     t = ring.tables
     elements = ring.enumerate_elements()
+    assert t.double is t.row(t.index[ring.from_int(2).coords])
     assert [t.elements[i] for i in t.double] == [2 * v for v in elements]
+    assert t.square is t.row(t.index[ring.zero.coords], quad=True)
+    assert [t.elements[i] for i in t.square] == [v * v for v in elements]
+    assert len(t.rows) == 2
     for r in elements:
-        row = t.quad_row(t.index[r.coords])
-        assert [t.elements[i] for i in row] == [v * (v + r) for v in elements]
-        assert t.quad_row(t.index[r.coords]) is row
-    assert len(t.quad) == len(elements)
+        x = t.index[r.coords]
+        row, quad = t.row(x), t.row(x, quad=True)
+        assert [t.elements[i] for i in row] == [v * r for v in elements]
+        assert [t.elements[i] for i in quad] == [v * (v + r) for v in elements]
+        assert t.row(x) is row and t.row(x, quad=True) is quad
+    assert len(t.rows) == 2 * len(elements)
 
 
 def test_classification_matches_bruteforce_on_two_regular_rings():

@@ -432,6 +432,40 @@ def test_single_discriminants_are_capped():
     assert reduced_triples_between(-10**20 - 2, -10**20 - 1) == {}
 
 
+def test_narrow_windows_take_the_root_path_with_the_sweeps_result(monkeypatch):
+    # |lo| log-uniform in [10^5, 10^8], windows of 1 to 4 valid discriminants:
+    # the rule runs reduced_triples once per discriminant, and the result is
+    # the sweep's, keys and triples in the same order
+    rng = random.Random(23)
+    calls = []
+    monkeypatch.setattr(picard, "reduced_triples", lambda d: calls.append(d) or reduced_triples(d))
+    windows = [(-10**8, -10**8 + 3)]
+    for _ in range(6):
+        lo = -int(10 ** rng.uniform(5, 8))
+        windows.append((lo, lo + rng.randrange(1, 8)))
+    for lo, hi in windows:
+        deltas = _valid_discriminants(lo, hi)
+        assert 1 <= len(deltas) <= isqrt(-lo) // 100
+        calls.clear()
+        table = reduced_triples_between(lo, hi)
+        assert calls == deltas
+        swept = picard._sweep(lo, hi, deltas)
+        assert list(table.items()) == list(swept.items()), (lo, hi)
+
+
+def test_narrow_windows_past_the_cap_are_swept(monkeypatch):
+    # past the cap a range of two or more takes the sweep, as before, and
+    # raises nothing; a single discriminant there is refused first
+    monkeypatch.setattr(picard, "DISCRIMINANT_CAP", 10**5)
+    monkeypatch.setattr(picard, "reduced_triples", None)
+    table = reduced_triples_between(-100007, -100004)
+    assert list(table) == [-100007, -100004]
+    for delta, reps in table.items():
+        assert reps == reduced_triples_divisor_scan(delta)
+    with pytest.raises(DiscriminantTooLarge):
+        reduced_triples_between(-100004, -100004)
+
+
 def test_orbit_rule_matches_gauss_reduction():
     for delta in _valid_discriminants(-3000, -3):
         reps = reduced_triples_divisor_scan(delta)

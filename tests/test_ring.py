@@ -559,9 +559,9 @@ def test_finite_tables_match_ring_kernels():
         elements = ring.enumerate_elements()
         assert t.elements == elements
         assert all(t.index[x.coords] == i for i, x in enumerate(elements))
-        for i, x in enumerate(elements):
-            for j, y in enumerate(elements):
-                assert elements[t.mul[i][j]] == ring._mul(x, y)
+        # row(j)[i] is the index of x * y for x, y of indices i, j
+        for j, y in enumerate(elements):
+            assert [elements[k] for k in t.row(j)] == [ring._mul(x, y) for x in elements]
         # the unit list against HNF division
         assert [elements[i] for i in t.units] == [x for x in elements if ring.is_unit(x)]
 
@@ -589,12 +589,12 @@ def test_finite_tables_are_capped(monkeypatch):
 
 
 def test_quotient_units_are_one_uncapped_list():
-    # against the multiplication table: a unit's row reaches one
+    # against the rows of products: a unit's row reaches one
     for ring in (ZMOD8, F4, QuotientRing(Z, 15), QuotientRing(ZSQRT8, 9)):
         t = ring.tables
         one = t.index[ring.one.coords]
         assert ring.units is ring.units
-        assert ring.units == [t.elements[i] for i, row in enumerate(t.mul) if one in row]
+        assert ring.units == [x for i, x in enumerate(t.elements) if one in t.row(i)]
     # no table and so no cap: Z/1001 has 720 units, phi(7 * 11 * 13)
     big = QuotientRing(Z, 1001)
     assert len(big.units) == 720
