@@ -310,9 +310,11 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
 
     The search runs on rows of the ring's index tables.  The hom equations
     read 2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s; u is a unit, so the
-    first is 2v = u*r' - r.  For each u both right-hand sides are fixed: u*r'
-    is read from the row of r' and u^2*s' from the row of s' at u^2, and the
-    two sums come from the ring's own kernel.  v is scanned by comparing
+    first is 2v = u*r' - r.  For each u both right-hand sides are fixed.  In
+    the scan over every unit u*r' is read from the row of r' and u^2*s' from
+    the row of s' at u^2; a given list of units (u = 1 for ``--oriented``)
+    takes the three products from the ring's kernels and builds neither row.
+    The two sums come from the ring's own kernel.  v is scanned by comparing
     indices against the row of 2 and the row of v*(v + r).  Each row is built
     once per ring and kept.  Each hom found is verified once in ring
     arithmetic.
@@ -320,13 +322,16 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     ring = a.ring
     t = ring.tables
     index, elements, double, square = t.index, t.elements, t.double, t.square
-    times_rp, times_sp = t.row(index[b.r.coords]), t.row(index[b.s.coords])
     quad = t.row(index[a.r.coords], quad=True)
-    add, neg_r, neg_s = ring._add, ring._neg(a.r), ring._neg(a.s)
-    us = t.units if units is None else [index[u.coords] for u in units]
-    for u in us:
-        lin = index[add(elements[times_rp[u]], neg_r).coords]
-        const = index[add(elements[times_sp[square[u]]], neg_s).coords]
+    add, mul, neg_r, neg_s = ring._add, ring._mul, ring._neg(a.r), ring._neg(a.s)
+    if units is None:
+        times_rp, times_sp = t.row(index[b.r.coords]), t.row(index[b.s.coords])
+        rhs = ((u, elements[times_rp[u]], elements[times_sp[square[u]]]) for u in t.units)
+    else:
+        rhs = ((index[u.coords], mul(u, b.r), mul(mul(u, u), b.s)) for u in units)
+    for u, ur, uus in rhs:
+        lin = index[add(ur, neg_r).coords]
+        const = index[add(uus, neg_s).coords]
         for v, (twov, q) in enumerate(zip(double, quad)):
             if twov == lin and q == const:
                 hom = AlgebraHom(elements[u], elements[v])

@@ -15,7 +15,7 @@ one c, found by one remainder test per pair; otherwise it is walked.  Each
 form found costs one three-argument gcd and lands in a list of buckets
 indexed by delta - lo.  The sweep costs about |lo| whatever the width, so
 ``reduced_triples_between`` runs ``reduced_triples`` once per discriminant
-instead when the range holds at most max(1, sqrt(|lo|) // 100) of them
+instead when the range holds at most max(1, sqrt(|lo|) // 300) of them
 (min = max among them) and |lo| is within the cap.  The sweep keeps every
 triple of the range, so ``cli.iter_table`` sweeps a long range in windows
 of max(1024, |lo| // 64) discriminants and prints each before sweeping the
@@ -352,14 +352,14 @@ def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
 
     ``reduced_triples`` costs about sqrt(|delta|) per discriminant and the
     sweep (``_sweep``) about |lo| for the whole range, so a range of at most
-    max(1, sqrt(|lo|) // 100) valid discriminants, one of them included,
+    max(1, sqrt(|lo|) // 300) valid discriminants, one of them included,
     takes ``reduced_triples`` for each, and a wider one the sweep.  Past
     DISCRIMINANT_CAP every range of two or more takes the sweep, so that no
     error starts after ``cli.iter_table`` has printed its header.
     """
     check_range(lo, hi)
     deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
-    if -lo <= DISCRIMINANT_CAP and len(deltas) <= max(1, isqrt(-lo) // 100):
+    if -lo <= DISCRIMINANT_CAP and len(deltas) <= max(1, isqrt(-lo) // 300):
         return {delta: reduced_triples(delta) for delta in deltas}
     return _sweep(lo, hi, deltas)
 

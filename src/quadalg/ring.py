@@ -24,17 +24,19 @@ Element arithmetic runs on the kernels ``_add``, ``_neg`` and ``_mul``, after
 mapped in, and an element of a different ring raises RingMismatch.  A caller
 that chains many operations (``algebras.AlgebraHom.verifies``) coerces its
 operands once and then calls the kernels directly.  The kernels take
-canonical coordinates to canonical coordinates on plain ints, with no
-generator expression: a table ring adds and negates by ``map`` over
-``operator.add`` and ``operator.neg`` and multiplies by one pass over the
-nonzero structure constants ``TableRing.terms``; a quotient ring reduces
-each resulting coordinate mod m once, in a list comprehension, without a
-second pass through ``element``.  Forms over Z keep their ints out of
-``coerce`` and ``int()``: ``forms.TwistedForm.over_z`` builds each
-``RingElement`` directly.
+canonical coordinates to canonical coordinates on plain ints.  A table ring
+and a quotient ring wrap three coordinate kernels, ``_add_coords``,
+``_neg_coords`` and ``_mul_coords``, which ``compile_kernels`` generates once,
+at construction, from the structure constants (a quotient of Z uses the
+1 x 1 table): one lambda each with every index written out, such as
+``(x[0]*(y[0]) + x[1]*(c0*y[1]), x[0]*(y[1]) + x[1]*(y[0]))`` for
+Z[sqrt(c0)], each coordinate reduced mod m in a quotient.  The fixed values ``Ring.one``,
+``Ring.zero``, ``TableRing.quadratic_param`` and ``standard_basis(n)`` are
+computed once.  Forms over Z keep their ints out of ``coerce`` and ``int()``:
+``forms.TwistedForm.over_z`` builds each ``RingElement`` directly.
 
-A backend implements ``element``, those kernels, ``try_divide``,
-``descriptor`` and ``describe``; ``Ring`` derives the rest by division:
+A backend implements ``element``, those kernels (or only the coordinate
+kernels they wrap), ``try_divide``, ``descriptor`` and ``describe``; ``Ring`` derives the rest by division:
 ``try_inverse`` and ``is_unit`` divide 1, ``try_halve`` divides by 2,
 ``in_4R`` by 4, and ``mod2`` and ``mod2_residues`` give R/2R, which is 0 when
 2 is a unit and otherwise the coordinates mod 2.
@@ -62,10 +64,10 @@ input powers f^k at ``POWER_BITS_CAP`` bits (k * f.bit_length()).
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, isqrt
+from operator import index
 
 from .errors import (
     ExponentTooLarge,
@@ -270,9 +272,37 @@ def in_localization(x: tuple[int, int], f: int) -> bool:
     return divides_power(d // gcd(n, d), f)
 
 
-def standard_basis(n: int) -> list[tuple[int, ...]]:
+@cache
+def standard_basis(n: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of e_0, ..., e_{n-1}."""
-    return [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    return tuple(tuple(int(t == i) for t in range(n)) for i in range(n))
+
+
+def compile_kernels(table, m: int | None = None):
+    """(add, neg, mul) on the coordinate tuples of the ring with structure
+    constants table, each coordinate reduced mod m unless m is None: one
+    generated lambda each, coordinate k of x*y being the sum over i of
+    x[i]*(sum_j table[i][j][k]*y[j]).  The source holds only indices and
+    names: m and each constant other than +-1 (c0, c1, ...) are parameters of
+    an outer lambda, so every value is a closure cell, never decimal text."""
+    n, names = len(table), {}
+
+    def scaled(c: int, y: str) -> str:
+        return (y if c == 1 else "-" + y if c == -1
+                else f"{names.setdefault(c, f'c{len(names)}')}*{y}")
+
+    def product(k: int) -> str:
+        sums = [[scaled(e[k], f"y[{j}]") for j, e in enumerate(row) if e[k]] for row in table]
+        return " + ".join(f"x[{i}]*({' + '.join(s)})" for i, s in enumerate(sums) if s) or "0"
+
+    def as_tuple(parts) -> str:
+        return "(" + "".join(f"{p if m is None else f'({p}) % m'}, " for p in parts) + ")"
+
+    mul = as_tuple(product(k) for k in range(n))  # first, so that names is complete
+    src = (f"lambda {''.join(c + ', ' for c in names.values())}m: ("
+           f"lambda x, y: {as_tuple(f'x[{k}] + y[{k}]' for k in range(n))}, "
+           f"lambda x: {as_tuple(f'-x[{k}]' for k in range(n))}, lambda x, y: {mul})")
+    return eval(src, {"__builtins__": {}})(*names, m)
 
 
 class RingElement:
@@ -393,11 +423,11 @@ class Ring:
         coords = (n,) + (0,) * (self.rank - 1)
         return self.element(coords)
 
-    @property
+    @cached_property
     def zero(self) -> RingElement:
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self) -> RingElement:
         return self.from_int(1)
 
@@ -413,15 +443,16 @@ class Ring:
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
     # -- arithmetic kernels (canonical in, canonical out) ---------------------
+    # here on the coordinate kernels of ``compile_kernels``; Z and Z[1/f] override
 
     def _add(self, x: RingElement, y: RingElement) -> RingElement:
-        raise NotImplementedError
+        return RingElement(self, self._add_coords(x.coords, y.coords))
 
     def _neg(self, x: RingElement) -> RingElement:
-        raise NotImplementedError
+        return RingElement(self, self._neg_coords(x.coords))
 
     def _mul(self, x: RingElement, y: RingElement) -> RingElement:
-        raise NotImplementedError
+        return RingElement(self, self._mul_coords(x.coords, y.coords))
 
     # -- unit and divisibility structure --------------------------------------
 
@@ -619,10 +650,9 @@ class IntegerRing(Ring):
 class TableRing(Ring):
     """Free Z-module of finite rank with a structure-constant multiplication.
 
-    table[i][j] holds the coordinates of e_i * e_j, and ``terms`` its nonzero
-    entries (i, j, k, c), on which products run.  Commutativity,
-    associativity and the identity are checked exhaustively on basis
-    triples at construction.
+    table[i][j] holds the coordinates of e_i * e_j, from which the kernels
+    are compiled.  Commutativity, associativity and the identity are checked
+    exhaustively on basis triples at construction.
     """
 
     kind = "table"
@@ -630,11 +660,11 @@ class TableRing(Ring):
 
     def __init__(self, table, one=None, symbols=None):
         try:
-            tbl = tuple(tuple(tuple(int(c) for c in entry) for entry in row)
-                        for row in table)
-            one = None if one is None else tuple(int(c) for c in one)
+            tbl = tuple(tuple(tuple(json_int(c, "a structure constant") for c in entry)
+                              for entry in row) for row in table)
+            one = None if one is None else tuple(json_int(c, "a structure constant") for c in one)
             symbols = tuple(symbols) if symbols else None
-        except TypeError:
+        except (TypeError, ValueError):
             raise ValueError("the tensor and the identity must be nested lists of "
                              "integers, the symbols a list") from None
         n = len(tbl)
@@ -644,12 +674,11 @@ class TableRing(Ring):
             raise ValueError("structure-constant tensor must be n x n x n")
         self.rank = n
         self.table = tbl
-        self.terms = tuple((i, j, k, c) for i in range(n) for j in range(n)
-                           for k, c in enumerate(tbl[i][j]) if c)
         for i in range(n):
             for j in range(i + 1, n):
                 if tbl[i][j] != tbl[j][i]:
                     raise NonCommutative(f"e{i}*e{j} != e{j}*e{i}")
+        self._add_coords, self._neg_coords, self._mul_coords = compile_kernels(tbl)
         self.one_coords = self._resolve_identity(one)
         if not symbols:
             # e_0 is called "1" only when it is the identity
@@ -660,12 +689,6 @@ class TableRing(Ring):
         if len(self.symbols) != n:
             raise ValueError("need one symbol per basis element")
         self._check_associativity()
-
-    def _mul_coords(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * self.rank
-        for i, j, k, c in self.terms:
-            out[k] += c * x[i] * y[j]
-        return tuple(out)
 
     def _resolve_identity(self, e: tuple[int, ...] | None) -> tuple[int, ...]:
         n = self.rank
@@ -707,15 +730,6 @@ class TableRing(Ring):
     def from_int(self, n: int) -> RingElement:
         return RingElement(self, tuple(n * c for c in self.one_coords))
 
-    def _add(self, x, y):
-        return RingElement(self, tuple(map(operator.add, x.coords, y.coords)))
-
-    def _neg(self, x):
-        return RingElement(self, tuple(map(operator.neg, x.coords)))
-
-    def _mul(self, x, y):
-        return RingElement(self, self._mul_coords(x.coords, y.coords))
-
     def try_divide(self, p, q):
         # q*y = sum_i y_i (q*e_i)
         gens = [self._mul_coords(q.coords, e) for e in standard_basis(self.rank)]
@@ -728,7 +742,7 @@ class TableRing(Ring):
             return None
         return self.element(tuple(c // 2 for c in x.coords))
 
-    @property
+    @cached_property
     def quadratic_param(self) -> int | None:
         """N when this ring is Z[sqrt(N)] on the basis (1, w); else None."""
         if self.rank != 2 or self.one_coords != (1, 0):
@@ -787,13 +801,15 @@ class TableRing(Ring):
 
 
 class QuotientRing(Ring):
-    """Quotient of the integers or a table ring by an integer m >= 2."""
+    """Quotient of the integers or a table ring by an integer m >= 2; its
+    kernels are the base's table (Z is the 1 x 1 table) reduced mod m."""
 
     kind = "quotient"
 
     def __init__(self, base: Ring, m: int):
         if not isinstance(base, (IntegerRing, TableRing)):
             raise ValueError("quotient base must be Z or a table ring")
+        m = index(m)
         if m < 2:
             raise ValueError("modulus must be at least 2")
         self.base = base
@@ -801,6 +817,8 @@ class QuotientRing(Ring):
         self.rank = base.rank
         self.two_regular = m % 2 == 1  # then 2 is a unit mod m
         self.symbols = base.symbols
+        table = base.table if isinstance(base, TableRing) else (((1,),),)
+        self._add_coords, self._neg_coords, self._mul_coords = compile_kernels(table, m)
 
     def element(self, coords, k: int = 0) -> RingElement:
         if k:
@@ -813,26 +831,10 @@ class QuotientRing(Ring):
     def from_int(self, n: int) -> RingElement:
         return self.element(self.base.from_int(n).coords)
 
-    # coords are canonical ints, so every kernel needs only the reduction mod m
-    def _add(self, x, y):
-        m = self.m
-        return RingElement(self, tuple([(a + b) % m for a, b in zip(x.coords, y.coords)]))
-
-    def _neg(self, x):
-        m = self.m
-        return RingElement(self, tuple([-a % m for a in x.coords]))
-
-    def _mul(self, x, y):
-        m = self.m
-        if isinstance(self.base, TableRing):
-            return RingElement(self, tuple([c % m for c in
-                                            self.base._mul_coords(x.coords, y.coords)]))
-        return RingElement(self, (x.coords[0] * y.coords[0] % m,))
-
     def try_divide(self, p, q):
         # q*y = p mod m: solve over the lattice spanned by q*e_i and m*e_k
         basis = standard_basis(self.rank)
-        gens = [self._mul(q, RingElement(self, e)).coords for e in basis]
+        gens = [self._mul_coords(q.coords, e) for e in basis]
         gens += [tuple(self.m * c for c in e) for e in basis]
         sol = solve_int(gens, p.coords)
         return None if sol is None else self.element(sol[:self.rank])

@@ -754,14 +754,14 @@ Z512 = '{"kind":"quotient","base":{"kind":"integers"},"m":512}'
 
 def test_autos_at_the_cap_builds_few_rows(monkeypatch, capsys):
     # Z/512 is at FINITE_TABLE_CAP; the search reads the rows of 2, y^2, r',
-    # s' and y*(y + r), and the unit scan takes one product per element: 6n
-    # products and the homs' checks, where a full table takes n(n + 1)/2
+    # s' and y*(y + r), and the unit scan divides on the coordinate kernel:
+    # 5n products and the homs' checks, where a full table takes n(n + 1)/2
     n = 512
     count, out, err = _count_cli_calls(monkeypatch, capsys, QuotientRing, "_mul",
                                        ["autos", "--ring", Z512, "--alg", "r=1,s=0"])
     assert (out, err) == ('{"count":2,"automorphisms":[{"u":[1],"v":[0]},'
                           '{"u":[511],"v":[511]}]}\n', "")
-    assert count <= 8 * n
+    assert count <= 5 * n + 16
 
 
 def test_oriented_autos_scans_no_units(monkeypatch, capsys):
@@ -772,6 +772,17 @@ def test_oriented_autos_scans_no_units(monkeypatch, capsys):
                                         "--oriented"])
     assert (out, err) == ('{"count":1,"automorphisms":[{"u":[1],"v":[0]}]}\n', "")
     assert count <= 1
+
+
+def test_oriented_autos_builds_no_rows_of_r_prime_or_s_prime(monkeypatch, capsys):
+    # u = 1 reads u*r' and u^2*s' from three products, not from the rows of
+    # r' and s': the rows of 2, y^2 and y*(y + r), and the hom's check
+    n = 512
+    count, out, err = _count_cli_calls(monkeypatch, capsys, QuotientRing, "_mul",
+                                       ["autos", "--ring", Z512, "--alg", "r=1,s=0",
+                                        "--oriented"])
+    assert (out, err) == ('{"count":1,"automorphisms":[{"u":[1],"v":[0]}]}\n', "")
+    assert count <= 3 * n + 16
 
 
 # fresh rings, so that no other test has read a row of theirs

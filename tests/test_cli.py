@@ -55,19 +55,6 @@ def test_picmodconj(capsys):
                                "orbits": [[[1, 0, 11]], [[3, 2, 4], [3, -2, 4]]]}
 
 
-def test_iso_zsqrt8_counterexample(capsys):
-    code, out, _ = invoke(capsys, "iso", "--ring", "zsqrt8",
-                          "--alg1", "r=0,s=-6", "--alg2", "r=w,s=-4")
-    assert code == 0 and json.loads(out) == {"isomorphic": False}
-
-
-def test_iso_over_z(capsys):
-    code, out, _ = invoke(capsys, "iso", "--ring", "z",
-                          "--alg1", "r=3,s=2", "--alg2", "r=1,s=0")
-    assert code == 0
-    assert json.loads(out) == {"isomorphic": True, "hom": {"u": 1, "v": -1}}
-
-
 def test_iso_over_square_n_finds_the_identity(capsys):
     # delta = -8+4w is a zero divisor of Z[sqrt(4)], so it does not divide itself
     ring = ('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[4,0]]],'
@@ -114,20 +101,6 @@ def test_iso_over_a_rank_one_table_ring(capsys):
     ring = '{"kind":"table","rank":1,"mul":[[[1]]]}'
     assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=0,s=1", "--alg2", "r=0,s=1") \
         == (0, '{"isomorphic":true,"hom":{"u":[1],"v":[0]}}\n', "")
-
-
-def test_oriented_iso_biquad8_obstruction(capsys):
-    code, out, _ = invoke(capsys, "oriented-iso", "--ring", "biquad8",
-                          "--alg1", "r=X,s=2", "--alg2", "r=X,s=2",
-                          "--theta1", "1", "--theta2", "3-Y")
-    assert code == 0 and json.loads(out) == {"isomorphic": False}
-
-
-def test_type_and_natural_type(capsys):
-    code, out, _ = invoke(capsys, "type", "--ring", "zsqrt8", "--alg", "r=w,s=-4")
-    assert code == 0 and json.loads(out) == {"delta": [24, 0], "parity": [0, 1]}
-    code, out, _ = invoke(capsys, "natural-type", "[3,2,4]")
-    assert code == 0 and json.loads(out) == {"delta": -44, "parity": [0]}
 
 
 def test_validate_triple(capsys):

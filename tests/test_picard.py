@@ -433,24 +433,28 @@ def test_single_discriminants_are_capped():
 
 
 def test_narrow_windows_take_the_root_path_with_the_sweeps_result(monkeypatch):
-    # |lo| log-uniform in [10^5, 10^8], windows of 1 to 4 valid discriminants:
-    # the rule runs reduced_triples once per discriminant, and the result is
-    # the sweep's, keys and triples in the same order
+    # |lo| log-uniform in [10^5, 10^8], windows of 1 to 4 valid discriminants,
+    # and at |lo| = 10^6 one window at the bound of 3 and one past it: a range
+    # of at most max(1, sqrt(|lo|) // 300) runs reduced_triples once per
+    # discriminant, a wider one none, and the result is the sweep's, keys and
+    # triples in the same order
     rng = random.Random(23)
     calls = []
     monkeypatch.setattr(picard, "reduced_triples", lambda d: calls.append(d) or reduced_triples(d))
-    windows = [(-10**8, -10**8 + 3)]
+    windows = [(-10**8, -10**8 + 3), (-10**6, -10**6 + 4), (-10**6, -10**6 + 5)]
     for _ in range(6):
         lo = -int(10 ** rng.uniform(5, 8))
         windows.append((lo, lo + rng.randrange(1, 8)))
+    narrow = []
     for lo, hi in windows:
         deltas = _valid_discriminants(lo, hi)
-        assert 1 <= len(deltas) <= isqrt(-lo) // 100
+        narrow.append(len(deltas) <= max(1, isqrt(-lo) // 300))
         calls.clear()
         table = reduced_triples_between(lo, hi)
-        assert calls == deltas
+        assert calls == (deltas if narrow[-1] else [])
         swept = picard._sweep(lo, hi, deltas)
         assert list(table.items()) == list(swept.items()), (lo, hi)
+    assert narrow[1:3] == [True, False]  # the two sides of the bound
 
 
 def test_narrow_windows_past_the_cap_are_swept(monkeypatch):

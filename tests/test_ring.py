@@ -85,12 +85,17 @@ def test_construct_ring_examples():
 
 
 def test_construct_ring_rejects_bad_tables():
-    for mul in (5, [5], [[5]], [[[1, 0]]], [[[1], [0]]], [[[None]]]):
+    # a float, a string or a bool is refused, not cut down to an int
+    for mul in (5, [5], [[5]], [[[1, 0]]], [[[1], [0]]], [[[None]]], [[[1.0]]], [[["1"]]],
+                [[[True]]]):
         with pytest.raises(ValueError):
             construct_ring({"kind": "table", "mul": mul})
-    for extra in ({"one": 5}, {"one": [None]}, {"symbols": 5}):
+    for extra in ({"one": 5}, {"one": [None]}, {"symbols": 5}, {"one": [1.0]}, {"one": ["1"]},
+                  {"one": [True]}):
         with pytest.raises(ValueError):
             construct_ring({"kind": "table", "mul": [[[1]]], **extra})
+    with pytest.raises(TypeError):
+        QuotientRing(Z, 8.0)
     with pytest.raises(ValueError):
         TableRing([[(1, 0), (0, 1)], [(0, 1), (2, 0)]], one=(1,))
     with pytest.raises(NonCommutative):
@@ -412,17 +417,37 @@ def _monogenic(coeffs):
 _TABLE_RINGS = st.one_of(
     st.sampled_from((quadratic_table_ring(0), quadratic_table_ring(4), ZSQRT8, TWISTED_Z3,
                      TableRing([[(1, 0), (0, 0)], [(0, 0), (0, 1)]]),  # Z x Z
-                     builtin_ring("biquad8"))),
+                     builtin_ring("biquad8"), builtin_ring("f4").base)),
+    st.integers(-30, 30).map(quadratic_table_ring),
     st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(_monogenic))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_TABLE_RINGS, st.data())
-def test_sparse_product_matches_dense_tensor_loop(ring, data):
-    assert len(ring.terms) == sum(1 for row in ring.table for e in row for c in e if c)
-    coords = st.lists(st.integers(-50, 50), min_size=ring.rank, max_size=ring.rank).map(tuple)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_TABLE_RINGS, st.none() | st.integers(2, 40), st.data())
+def test_sparse_product_matches_dense_tensor_loop(base, m, data):
+    # the compiled kernels of a table ring, or with m those of its quotient
+    # mod m: the dense tensor loop and coordinate-wise sums, reduced mod m
+    ring = base if m is None else QuotientRing(base, m)
+    entries = st.integers(-50, 50) if m is None else st.integers(0, m - 1)
+    coords = st.lists(entries, min_size=ring.rank, max_size=ring.rank).map(tuple)
     x, y = data.draw(coords), data.draw(coords)
-    assert ring._mul_coords(x, y) == mul_coords_dense(ring.table, x, y)
+    reduce = (lambda v: v) if m is None else (lambda v: tuple(c % m for c in v))
+    assert ring._mul_coords(x, y) == reduce(mul_coords_dense(base.table, x, y))
+    assert ring._add_coords(x, y) == reduce(tuple(a + b for a, b in zip(x, y)))
+    assert ring._neg_coords(x) == reduce(tuple(-a for a in x))
+
+
+def test_kernels_bind_constants_past_the_int_string_limit():
+    # a 4301-digit N is never written out as text, so it compiles; its
+    # quotient reduces it mod m
+    n = 10**4300 + 7
+    ring = quadratic_table_ring(n)
+    w = ring.element((0, 1))
+    assert (w * w).coords == (n, 0) and (w * w - n).is_zero()
+    assert ring._mul_coords((3, 2), (1, 1)) == (3 + 2 * n, 5)
+    q = QuotientRing(ring, 10**4300 + 9)
+    assert (q.element((0, 1)) * q.element((0, 1))).coords == (n, 0)
+    assert QuotientRing(ring, 11)._mul_coords((0, 1), (0, 1)) == (n % 11, 0)
 
 
 def _is_canonical_hnf(rows, ncols):
