@@ -6,7 +6,9 @@ The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
 and ``oriented_automorphisms_bruteforce``) run on rows of the ring's index
 tables (``ring.FiniteTables``), each built on first read and kept: every
 candidate is tested on plain ints against the row of 2 and the row of
-v*(v + r), and only the homs found are verified in ring arithmetic.  That
+v*(v + r), whose targets u*r' - r and u^2*s' - s are differences of
+coordinate tuples (``_sub_coords``), looked up in the index with no element
+built; only the homs found are verified in ring arithmetic.  That
 verification, like every other (``AlgebraHom.verifies``), takes five
 products: tau -> u*tau' + v is a hom exactly when u*(2v + r - u*r') = 0 and
 v*(v + r) + s - u^2 s' = 0.  The tables are capped at
@@ -124,18 +126,19 @@ class AlgebraHom:
         With tau'^2 = -r'*tau' - s' the left side is lin*tau' + const, where
         lin = 2uv + ru - u^2 r' = u*(2v + r - u*r') and
         const = v^2 + rv + s - u^2 s' = v*(v + r) + s - u^2 s',
-        five products in all on the source ring's kernels.  u, v, r' and s'
-        are coerced into that ring once, so another ring raises RingMismatch.
+        five products and six sums or differences in all on the source ring's
+        kernels.  u, v, r' and s' are coerced into that ring once, so another
+        ring raises RingMismatch.
         """
         ring = source.ring
-        coerce, add, mul, neg = ring.coerce, ring._add, ring._mul, ring._neg
+        coerce, add, sub, mul = ring.coerce, ring._add, ring._sub, ring._mul
         u, v = coerce(self.u), coerce(self.v)
         rp, sp = coerce(target.r), coerce(target.s)
         r = source.r
-        lin = mul(u, add(add(v, v), add(r, neg(mul(u, rp)))))
+        lin = mul(u, sub(add(add(v, v), r), mul(u, rp)))
         if not lin.is_zero():
             return False
-        const = add(add(mul(v, add(v, r)), source.s), neg(mul(mul(u, u), sp)))
+        const = sub(add(mul(v, add(v, r)), source.s), mul(mul(u, u), sp))
         return const.is_zero()
 
     def __eq__(self, other) -> bool:
@@ -313,25 +316,27 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     first is 2v = u*r' - r.  For each u both right-hand sides are fixed.  In
     the scan over every unit u*r' is read from the row of r' and u^2*s' from
     the row of s' at u^2; a given list of units (u = 1 for ``--oriented``)
-    takes the three products from the ring's kernels and builds neither row.
-    The two sums come from the ring's own kernel.  v is scanned by comparing
-    indices against the row of 2 and the row of v*(v + r).  Each row is built
-    once per ring and kept.  Each hom found is verified once in ring
-    arithmetic.
+    takes the three products from ``_mul_coords`` and builds neither row.
+    The two differences come from ``_sub_coords`` on coordinate tuples, which
+    are looked up in the index with no element built.  v is scanned by
+    comparing indices against the row of 2 and the row of v*(v + r).  Each
+    row is built once per ring and kept.  Each hom found is verified once in
+    ring arithmetic.
     """
     ring = a.ring
     t = ring.tables
     index, elements, double, square = t.index, t.elements, t.double, t.square
     quad = t.row(index[a.r.coords], quad=True)
-    add, mul, neg_r, neg_s = ring._add, ring._mul, ring._neg(a.r), ring._neg(a.s)
+    sub, mul, r, s = ring._sub_coords, ring._mul_coords, a.r.coords, a.s.coords
     if units is None:
         times_rp, times_sp = t.row(index[b.r.coords]), t.row(index[b.s.coords])
-        rhs = ((u, elements[times_rp[u]], elements[times_sp[square[u]]]) for u in t.units)
+        rhs = ((u, elements[times_rp[u]].coords, elements[times_sp[square[u]]].coords)
+               for u in t.units)
     else:
-        rhs = ((index[u.coords], mul(u, b.r), mul(mul(u, u), b.s)) for u in units)
+        rp, sp = b.r.coords, b.s.coords
+        rhs = ((index[u], mul(u, rp), mul(mul(u, u), sp)) for u in (x.coords for x in units))
     for u, ur, uus in rhs:
-        lin = index[add(ur, neg_r).coords]
-        const = index[add(uus, neg_s).coords]
+        lin, const = index[sub(ur, r)], index[sub(uus, s)]
         for v, (twov, q) in enumerate(zip(double, quad)):
             if twov == lin and q == const:
                 hom = AlgebraHom(elements[u], elements[v])

@@ -19,25 +19,34 @@ mod p, then one lifting rule up to p^e), combined by CRT (``crt_roots``).
 ``picard.reduced_triples`` calls the two parts itself, since it factors 4a
 from a sieve and keeps the roots mod each prime power for the whole call.
 
-Element arithmetic runs on the kernels ``_add``, ``_neg`` and ``_mul``, after
-``Ring.coerce``: an element of the same ring object passes at once, an int is
-mapped in, and an element of a different ring raises RingMismatch.  A caller
-that chains many operations (``algebras.AlgebraHom.verifies``) coerces its
-operands once and then calls the kernels directly.  The kernels take
-canonical coordinates to canonical coordinates on plain ints.  A table ring
-and a quotient ring wrap three coordinate kernels, ``_add_coords``,
-``_neg_coords`` and ``_mul_coords``, which ``compile_kernels`` generates once,
-at construction, from the structure constants (a quotient of Z uses the
-1 x 1 table): one lambda each with every index written out, such as
+Element arithmetic runs on the kernels ``_add``, ``_neg``, ``_sub``,
+``_scale`` and ``_mul``, after ``Ring.coerce``: an element of the same ring
+object passes at once, an int is mapped in, and an element of a different
+ring raises RingMismatch.  An int factor (``4 * s``; a bool is coerced) goes
+to ``_scale`` and is never made an element.  A caller that chains many
+operations (``algebras.AlgebraHom.verifies``) coerces its operands once and
+then calls the kernels directly.  Each kernel takes canonical coordinates
+to canonical coordinates on plain ints and builds exactly one element.  The
+integers, table rings and quotient rings wrap five coordinate kernels,
+``_add_coords``, ``_neg_coords``, ``_sub_coords``, ``_scale_coords`` and
+``_mul_coords``, which ``compile_kernels`` generates from the structure
+constants (Z is the 1 x 1 table, compiled once for the class): one lambda
+each with every index written out, such as
 ``(x[0]*(y[0]) + x[1]*(c0*y[1]), x[0]*(y[1]) + x[1]*(y[0]))`` for
-Z[sqrt(c0)], each coordinate reduced mod m in a quotient.  The fixed values ``Ring.one``,
+Z[sqrt(c0)], each coordinate reduced mod m in a quotient.  ``from_int(n)``
+scales the identity's coordinates.  Z[1/f] uses none of them: it keeps its
+own kernels on (num, k) pairs, with ``_sub`` the sum with the negation and
+``_scale`` the product with ``from_int``.  The fixed values ``Ring.one``,
 ``Ring.zero``, ``TableRing.quadratic_param`` and ``standard_basis(n)`` are
 computed once.  Forms over Z keep their ints out of ``coerce`` and ``int()``:
-``forms.TwistedForm.over_z`` builds each ``RingElement`` directly.
+``forms.TwistedForm.over_z`` builds each ``RingElement`` directly.  A table
+ring's rank is capped at ``TABLE_RANK_CAP`` (RingTooLarge above), since
+its construction checks associativity on every basis triple.
 
 A backend implements ``element``, those kernels (or only the coordinate
-kernels they wrap), ``try_divide``, ``descriptor`` and ``describe``; ``Ring`` derives the rest by division:
-``try_inverse`` and ``is_unit`` divide 1, ``try_halve`` divides by 2,
+kernels they wrap), ``try_divide``, ``descriptor`` and ``describe``; ``Ring``
+derives the rest by division: ``try_inverse`` and ``is_unit`` divide 1,
+``try_halve`` divides by 2 (a table ring halves each coordinate),
 ``in_4R`` by 4, and ``mod2`` and ``mod2_residues`` give R/2R, which is 0 when
 2 is a unit and otherwise the coordinates mod 2.
 
@@ -83,6 +92,7 @@ from .errors import (
 )
 
 FINITE_TABLE_CAP = 512
+TABLE_RANK_CAP = 16  # construction checks associativity in 3n^3 products
 EXPONENT_CAP = 10**5
 POWER_BITS_CAP = 4 * EXPONENT_CAP  # f < 16 may take the whole exponent range
 
@@ -279,12 +289,13 @@ def standard_basis(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def compile_kernels(table, m: int | None = None):
-    """(add, neg, mul) on the coordinate tuples of the ring with structure
-    constants table, each coordinate reduced mod m unless m is None: one
-    generated lambda each, coordinate k of x*y being the sum over i of
-    x[i]*(sum_j table[i][j][k]*y[j]).  The source holds only indices and
-    names: m and each constant other than +-1 (c0, c1, ...) are parameters of
-    an outer lambda, so every value is a closure cell, never decimal text."""
+    """(add, neg, sub, scale, mul) on the coordinate tuples of the ring with
+    structure constants table, each coordinate reduced mod m unless m is
+    None: one generated lambda each, scale(t, x) being t*x for an int t and
+    coordinate k of x*y the sum over i of x[i]*(sum_j table[i][j][k]*y[j]).
+    The source holds only indices and names: m and each constant other than
+    +-1 (c0, c1, ...) are parameters of an outer lambda, so every value is a
+    closure cell, never decimal text."""
     n, names = len(table), {}
 
     def scaled(c: int, y: str) -> str:
@@ -298,10 +309,13 @@ def compile_kernels(table, m: int | None = None):
     def as_tuple(parts) -> str:
         return "(" + "".join(f"{p if m is None else f'({p}) % m'}, " for p in parts) + ")"
 
-    mul = as_tuple(product(k) for k in range(n))  # first, so that names is complete
-    src = (f"lambda {''.join(c + ', ' for c in names.values())}m: ("
-           f"lambda x, y: {as_tuple(f'x[{k}] + y[{k}]' for k in range(n))}, "
-           f"lambda x: {as_tuple(f'-x[{k}]' for k in range(n))}, lambda x, y: {mul})")
+    ks = range(n)
+    kernels = (f"lambda x, y: {as_tuple(f'x[{k}] + y[{k}]' for k in ks)}",
+               f"lambda x: {as_tuple(f'-x[{k}]' for k in ks)}",
+               f"lambda x, y: {as_tuple(f'x[{k}] - y[{k}]' for k in ks)}",
+               f"lambda t, x: {as_tuple(f't*x[{k}]' for k in ks)}",
+               f"lambda x, y: {as_tuple(product(k) for k in ks)}")  # names complete after this
+    src = f"lambda {''.join(c + ', ' for c in names.values())}m: ({', '.join(kernels)})"
     return eval(src, {"__builtins__": {}})(*names, m)
 
 
@@ -324,12 +338,14 @@ class RingElement:
         return self.ring._neg(self)
 
     def __sub__(self, other):
-        return self + (-self.ring.coerce(other))
+        return self.ring._sub(self, self.ring.coerce(other))
 
     def __rsub__(self, other):
-        return self.ring.coerce(other) - self
+        return self.ring._sub(self.ring.coerce(other), self)
 
     def __mul__(self, other):
+        if type(other) is int:  # a bool goes through coerce
+            return self.ring._scale(other, self)
         return self.ring._mul(self, self.ring.coerce(other))
 
     __rmul__ = __mul__
@@ -381,7 +397,8 @@ class Mod2Element:
         self.residue = residue
 
     def lift(self) -> RingElement:
-        return self.ring.element(self.residue)
+        # a 0/1 residue is canonical in every backend
+        return RingElement(self.ring, self.residue)
 
     def times(self, e: RingElement) -> Mod2Element:
         # well-defined: e*(x + 2t) = e*x + 2*e*t
@@ -420,8 +437,7 @@ class Ring:
         raise NotImplementedError
 
     def from_int(self, n: int) -> RingElement:
-        coords = (n,) + (0,) * (self.rank - 1)
-        return self.element(coords)
+        return RingElement(self, self._scale_coords(n, self.one_coords))
 
     @cached_property
     def zero(self) -> RingElement:
@@ -443,13 +459,19 @@ class Ring:
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
     # -- arithmetic kernels (canonical in, canonical out) ---------------------
-    # here on the coordinate kernels of ``compile_kernels``; Z and Z[1/f] override
+    # here on the coordinate kernels of ``compile_kernels``; Z[1/f] overrides
 
     def _add(self, x: RingElement, y: RingElement) -> RingElement:
         return RingElement(self, self._add_coords(x.coords, y.coords))
 
     def _neg(self, x: RingElement) -> RingElement:
         return RingElement(self, self._neg_coords(x.coords))
+
+    def _sub(self, x: RingElement, y: RingElement) -> RingElement:
+        return RingElement(self, self._sub_coords(x.coords, y.coords))
+
+    def _scale(self, t: int, x: RingElement) -> RingElement:
+        return RingElement(self, self._scale_coords(t, x.coords))
 
     def _mul(self, x: RingElement, y: RingElement) -> RingElement:
         return RingElement(self, self._mul_coords(x.coords, y.coords))
@@ -494,7 +516,7 @@ class Ring:
         (then m is even in R/m, and f odd in Z[1/f], where num/f^k = num mod 2)."""
         if self._two_is_unit:
             return Mod2Element(self, (0,) * self.rank)
-        return Mod2Element(self, tuple(c % 2 for c in x.coords))
+        return Mod2Element(self, tuple([c & 1 for c in x.coords]))
 
     def mod2_residues(self) -> list[Mod2Element]:
         """Canonical representatives of R/2R: the distinct ``mod2`` classes of
@@ -610,6 +632,9 @@ class IntegerRing(Ring):
     rank = 1
     two_regular = True
     symbols = ("1",)
+    table, one_coords = (((1,),),), (1,)  # the 1 x 1 table, compiled once for every Z
+    _add_coords, _neg_coords, _sub_coords, _scale_coords, _mul_coords = map(
+        staticmethod, compile_kernels(table))
 
     def element(self, coords, k: int = 0) -> RingElement:
         if k:
@@ -617,20 +642,11 @@ class IntegerRing(Ring):
         (n,) = coords
         return RingElement(self, (int(n),))
 
-    def _add(self, x, y):
-        return RingElement(self, (x.coords[0] + y.coords[0],))
-
-    def _neg(self, x):
-        return RingElement(self, (-x.coords[0],))
-
-    def _mul(self, x, y):
-        return RingElement(self, (x.coords[0] * y.coords[0],))
-
     def try_divide(self, p, q):
         a, b = p.coords[0], q.coords[0]
         if b == 0 or a % b:
             return None
-        return self.from_int(a // b)
+        return RingElement(self, (a // b,))
 
     @cached_property
     def units(self):
@@ -670,6 +686,9 @@ class TableRing(Ring):
         n = len(tbl)
         if n < 1:
             raise ValueError("rank must be at least 1")
+        if n > TABLE_RANK_CAP:
+            raise RingTooLarge(f"the table ring has rank {n}; table rings are capped at "
+                               f"rank {TABLE_RANK_CAP}")
         if any(len(row) != n or any(len(entry) != n for entry in row) for row in tbl):
             raise ValueError("structure-constant tensor must be n x n x n")
         self.rank = n
@@ -678,7 +697,8 @@ class TableRing(Ring):
             for j in range(i + 1, n):
                 if tbl[i][j] != tbl[j][i]:
                     raise NonCommutative(f"e{i}*e{j} != e{j}*e{i}")
-        self._add_coords, self._neg_coords, self._mul_coords = compile_kernels(tbl)
+        (self._add_coords, self._neg_coords, self._sub_coords, self._scale_coords,
+         self._mul_coords) = compile_kernels(tbl)
         self.one_coords = self._resolve_identity(one)
         if not symbols:
             # e_0 is called "1" only when it is the identity
@@ -722,25 +742,21 @@ class TableRing(Ring):
     def element(self, coords, k: int = 0) -> RingElement:
         if k:
             raise ValueError("table rings carry no denominator exponent")
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates")
         return RingElement(self, coords)
-
-    def from_int(self, n: int) -> RingElement:
-        return RingElement(self, tuple(n * c for c in self.one_coords))
 
     def try_divide(self, p, q):
         # q*y = sum_i y_i (q*e_i)
         gens = [self._mul_coords(q.coords, e) for e in standard_basis(self.rank)]
         # solve_int's x meets the target exactly, so q*y = p needs no recheck
         sol = solve_int(gens, p.coords)
-        return None if sol is None else self.element(sol)
+        return None if sol is None else RingElement(self, tuple(sol))
 
     def _try_halve(self, x):
-        if any(c % 2 for c in x.coords):
-            return None
-        return self.element(tuple(c // 2 for c in x.coords))
+        half = tuple([c >> 1 for c in x.coords])
+        return RingElement(self, half) if self._scale_coords(2, half) == x.coords else None
 
     @cached_property
     def quadratic_param(self) -> int | None:
@@ -817,27 +833,26 @@ class QuotientRing(Ring):
         self.rank = base.rank
         self.two_regular = m % 2 == 1  # then 2 is a unit mod m
         self.symbols = base.symbols
-        table = base.table if isinstance(base, TableRing) else (((1,),),)
-        self._add_coords, self._neg_coords, self._mul_coords = compile_kernels(table, m)
+        self.one_coords = base.one_coords
+        (self._add_coords, self._neg_coords, self._sub_coords, self._scale_coords,
+         self._mul_coords) = compile_kernels(base.table, m)
 
     def element(self, coords, k: int = 0) -> RingElement:
         if k:
             raise ValueError("quotient rings carry no denominator exponent")
-        coords = tuple(int(c) % self.m for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates")
-        return RingElement(self, coords)
-
-    def from_int(self, n: int) -> RingElement:
-        return self.element(self.base.from_int(n).coords)
+        return RingElement(self, self._scale_coords(1, coords))  # reduced mod m
 
     def try_divide(self, p, q):
         # q*y = p mod m: solve over the lattice spanned by q*e_i and m*e_k
         basis = standard_basis(self.rank)
         gens = [self._mul_coords(q.coords, e) for e in basis]
-        gens += [tuple(self.m * c for c in e) for e in basis]
+        gens += [self.base._scale_coords(self.m, e) for e in basis]
         sol = solve_int(gens, p.coords)
-        return None if sol is None else self.element(sol[:self.rank])
+        # the kernel reads y, the first rank entries of sol, and reduces them
+        return None if sol is None else RingElement(self, self._scale_coords(1, sol))
 
     def is_finite(self):
         return True
@@ -927,6 +942,9 @@ class LocalizationRing(Ring):
             num, k = num // p, k - e
         return RingElement(self, (num,), k)
 
+    def from_int(self, n: int) -> RingElement:
+        return RingElement(self, (int(n),))
+
     def rational_value(self, x: RingElement) -> Fraction:
         return Fraction(x.coords[0], self.f ** x.k)
 
@@ -959,6 +977,12 @@ class LocalizationRing(Ring):
 
     def _neg(self, x):
         return RingElement(self, (-x.coords[0],), x.k)
+
+    def _sub(self, x, y):
+        return self._add(x, self._neg(y))
+
+    def _scale(self, t, x):
+        return self.element((t * x.coords[0],), x.k)  # the product with from_int(t)
 
     def _mul(self, x, y):
         return self.element((x.coords[0] * y.coords[0],), x.k + y.k)

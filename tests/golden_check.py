@@ -17,11 +17,20 @@ temp file.
 runs each case through the ``quadalg`` on PATH (a ``max_rss_mb`` case
 through the ``quadalg.cli.main`` this Python imports), names every case that
 does not match, and exits 1 if any does not.
+
+    python tests/golden_check.py --python ~/.pyenv/versions/3.10.13/bin/python
+
+runs each case as ``PATH -m quadalg.cli`` instead, and each ``max_rss_mb``
+case through that interpreter, with this checkout's ``src`` first on
+PYTHONPATH: the corpus under an interpreter that has no pytest and no
+installed quadalg.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
 import json
 import shlex
 import subprocess
@@ -31,6 +40,7 @@ import time
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 FIELDS = {"argv", "code", "stdout", "stdout_sha256", "stderr", "max_s", "max_rss_mb"}
 # a new process starts Python and imports quadalg before the command runs;
 # a case with max_s = 1 then has 5 s, as under `timeout 5`
@@ -80,15 +90,21 @@ def case_id(case: dict) -> str:
     return f"{argv[0]}-{hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]}"
 
 
-def run_measured(argv: list[str], timeout: float | None = None,
-                 env: dict | None = None) -> tuple[int, str, str, float, float | None]:
-    """Run argv through ``quadalg.cli.main`` in a fresh child process:
-    (exit code, stdout, stderr, seconds, peak RSS growth in MB), the growth
-    None when the child wrote no report."""
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def run_measured(argv: list[str], timeout: float | None = None, env: dict | None = None,
+                 python: str = sys.executable) -> tuple[int, str, str, float, float | None]:
+    """Run argv through ``quadalg.cli.main`` in a fresh child process of
+    python: (exit code, stdout, stderr, seconds, peak RSS growth in MB), the
+    growth None when the child wrote no report."""
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "rss"
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", MEASURED_CHILD, str(report), *argv],
+        proc = subprocess.run([python, "-c", MEASURED_CHILD, str(report), *argv],
                               capture_output=True, encoding="utf-8", timeout=timeout, env=env)
         seconds = time.perf_counter() - start
         growth = int(report.read_text()) * RSS_UNIT / 1e6 if report.exists() else None
@@ -124,7 +140,17 @@ def mismatch(line: int, case: dict, code: int, out: str, err: str, seconds: floa
     return f"{CORPUS.name}:{line} [{case_id(case)}] {command}: " + "; ".join(found)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Run the golden CLI corpus, one process "
+                                                 "per case.")
+    parser.add_argument("--python", metavar="PATH",
+                        help="run each case as PATH -m quadalg.cli, with this checkout's "
+                             "src on PYTHONPATH, instead of the quadalg on PATH")
+    args = parser.parse_args(argv)
+    if args.python:
+        python, command, env = args.python, [args.python, "-m", "quadalg.cli"], src_env()
+    else:
+        python, command, env = sys.executable, ["quadalg"], None
     cases = load_cases()
     failed = 0
     for line, case in cases:
@@ -132,10 +158,10 @@ def main() -> int:
         start = time.perf_counter()
         try:
             if "max_rss_mb" in case:
-                code, out, err, seconds, rss_mb = run_measured(case["argv"], bound)
+                code, out, err, seconds, rss_mb = run_measured(case["argv"], bound, env, python)
             else:
-                proc = subprocess.run(["quadalg", *case["argv"]], capture_output=True,
-                                      encoding="utf-8", timeout=bound)
+                proc = subprocess.run([*command, *case["argv"]], capture_output=True,
+                                      encoding="utf-8", timeout=bound, env=env)
                 code, out, err = proc.returncode, proc.stdout, proc.stderr
                 seconds, rss_mb = time.perf_counter() - start, None
         except subprocess.TimeoutExpired:

@@ -713,26 +713,28 @@ def test_verifies_makes_at_most_five_products(monkeypatch):
 
 def test_a_second_bruteforce_search_builds_no_rows(monkeypatch):
     # the rows are kept by the tables: a second search with the same r, r'
-    # and s' builds no row and makes only the two sums per unit u; another
+    # and s' builds no row, and no search makes an element-level sum or
+    # difference (u*r' - r and u^2*s' - s run on coordinate tuples); another
     # s' builds its one row of products
     ring = QuotientRing(Z, 8)
     a, b, c = alg(ring, 1, 0), alg(ring, 1, 1), alg(ring, 1, 5)
     t = ring.tables
     n = len(t.elements)
     calls = []
-    for name in ("_add", "_mul"):
-        def counted(self, x, y, _name=name, _real=getattr(QuotientRing, name)):
+    for name in ("_add", "_neg", "_sub", "_mul"):
+        def counted(self, *args, _name=name, _real=getattr(QuotientRing, name)):
             calls.append(_name)
-            return _real(self, x, y)
+            return _real(self, *args)
 
         monkeypatch.setattr(QuotientRing, name, counted)
     assert isomorphic_bruteforce(a, b) is None
-    # the row of v*(v + r), then the two sums per unit
-    assert calls.count("_add") == n + 2 * len(t.units)
+    # the row of v*(v + r) makes the only sums
+    assert calls.count("_add") == n
+    assert calls.count("_neg") == calls.count("_sub") == 0
     for target, rows in ((b, 0), (c, 1)):
         calls.clear()
         assert isomorphic_bruteforce(a, target) is None
-        assert calls.count("_add") == 2 * len(t.units)
+        assert calls.count("_add") == calls.count("_neg") == calls.count("_sub") == 0
         assert calls.count("_mul") == rows * n
 
 

@@ -3,27 +3,24 @@
 installed entry point).  A case with ``max_rss_mb`` runs in a fresh child
 process on this checkout's ``src``, so that its peak RSS is its own."""
 
-import os
 import re
+import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from quadalg.cli import run
 
-from golden_check import STARTUP_S, case_id, load_cases, mismatch, run_measured
+import golden_check
+from golden_check import STARTUP_S, case_id, load_cases, mismatch, run_measured, src_env
 
 CASES = load_cases()
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.mark.parametrize("line, case", CASES, ids=[case_id(case) for _, case in CASES])
 def test_cli(line, case, capsys):
     if "max_rss_mb" in case:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-        code, out, err, seconds, rss_mb = run_measured(case["argv"], env=env)
+        code, out, err, seconds, rss_mb = run_measured(case["argv"], env=src_env())
         problem = mismatch(line, case, code, out, err, seconds, STARTUP_S, rss_mb)
     else:
         start = time.perf_counter()
@@ -48,3 +45,16 @@ def test_load_cases_refuses_a_malformed_corpus(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_cases(path)
+
+
+def test_golden_check_runs_each_case_under_a_given_interpreter(monkeypatch, capsys):
+    # --python runs PATH -m quadalg.cli on this checkout's src, a max_rss_mb
+    # case through PATH too, and names a case whose stdout differs
+    case = {"argv": ["reduce", "[9,10,4]"], "code": 0, "stdout": "[3,2,4]\n", "stderr": ""}
+    cases = [(1, case), (2, dict(case, max_rss_mb=100)), (3, dict(case, stdout="[3,2,5]\n"))]
+    monkeypatch.setattr(golden_check, "load_cases", lambda: cases)
+    assert golden_check.main(["--python", sys.executable]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0].startswith("cli.jsonl:3 [reduce-")
+    assert "stdout '[3,2,4]\\n', expected '[3,2,5]\\n'" in out[0]
+    assert out[1] == "2 of 3 golden cases match"

@@ -24,6 +24,7 @@ from quadalg.cli import builtin_ring
 from quadalg.ring import (
     EXPONENT_CAP,
     FINITE_TABLE_CAP,
+    TABLE_RANK_CAP,
     IntegerRing,
     LocalizationRing,
     QuotientRing,
@@ -426,7 +427,8 @@ _TABLE_RINGS = st.one_of(
 @given(_TABLE_RINGS, st.none() | st.integers(2, 40), st.data())
 def test_sparse_product_matches_dense_tensor_loop(base, m, data):
     # the compiled kernels of a table ring, or with m those of its quotient
-    # mod m: the dense tensor loop and coordinate-wise sums, reduced mod m
+    # mod m: the dense tensor loop and coordinate-wise sums, differences and
+    # multiples, reduced mod m
     ring = base if m is None else QuotientRing(base, m)
     entries = st.integers(-50, 50) if m is None else st.integers(0, m - 1)
     coords = st.lists(entries, min_size=ring.rank, max_size=ring.rank).map(tuple)
@@ -435,6 +437,9 @@ def test_sparse_product_matches_dense_tensor_loop(base, m, data):
     assert ring._mul_coords(x, y) == reduce(mul_coords_dense(base.table, x, y))
     assert ring._add_coords(x, y) == reduce(tuple(a + b for a, b in zip(x, y)))
     assert ring._neg_coords(x) == reduce(tuple(-a for a in x))
+    assert ring._sub_coords(x, y) == reduce(tuple(a - b for a, b in zip(x, y)))
+    t = data.draw(st.integers(-2**70, 2**70))
+    assert ring._scale_coords(t, x) == reduce(tuple(t * a for a in x))
 
 
 def test_kernels_bind_constants_past_the_int_string_limit():
@@ -448,6 +453,91 @@ def test_kernels_bind_constants_past_the_int_string_limit():
     q = QuotientRing(ring, 10**4300 + 9)
     assert (q.element((0, 1)) * q.element((0, 1))).coords == (n, 0)
     assert QuotientRing(ring, 11)._mul_coords((0, 1), (0, 1)) == (n % 11, 0)
+
+
+@st.composite
+def _kernel_rings(draw):
+    """Z, a table ring (Z[sqrt(N)], biquad8, random monogenic tables, ...),
+    its quotient by an odd or an even m, or Z[1/f]."""
+    kind = draw(st.sampled_from(("base", "odd", "even", "localization")))
+    if kind == "localization":
+        return LocalizationRing(draw(st.integers(2, 30)))
+    base = draw(st.just(Z) | _TABLE_RINGS)
+    if kind == "base":
+        return base
+    return QuotientRing(base, 2 * draw(st.integers(1, 20)) + (kind == "odd"))
+
+
+def _kernel_element(ring):
+    coords = st.lists(st.integers(-10**6, 10**6) | st.integers(-2**70, 2**70),
+                      min_size=ring.rank, max_size=ring.rank)
+    k = st.integers(0, 4) if ring.kind == "localization" else st.just(0)
+    return st.builds(ring.element, coords, k)
+
+
+# 0, negative and past 2^64
+_SCALARS = st.sampled_from((0, 1, -1, 2, 4)) | st.integers(-50, 50) | st.integers(2**64, 2**80) \
+    | st.integers(-2**80, -2**64)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kernel_rings(), st.data())
+def test_difference_scale_mod2_and_halving_kernels(ring, data):
+    element = _kernel_element(ring)
+    x, y, n = data.draw(element), data.draw(element), data.draw(_SCALARS)
+    assert x - y == x + (-y)
+    assert n - x == ring.from_int(n) + (-x)
+    assert n * x == x * n == ring.from_int(n) * x
+    assert True * x == x * True == x
+    residue = ring.mod2(x)
+    assert residue == mod2_by_kind(ring, x)
+    assert residue.lift() == ring.element(residue.residue)
+    if ring.two_regular:
+        if data.draw(st.booleans()):
+            x = x + x
+        half = ring.try_halve(x)
+        assert half is None or 2 * half == x
+        if ring.kind == "table":
+            assert (half is None) == any(c % 2 for c in x.coords)
+
+
+def test_a_difference_and_an_int_multiple_build_one_element(monkeypatch):
+    # x - y runs one kernel, with no negation; 4*x scales the coordinates,
+    # with no element for 4 and no product (Z[1/f] subtracts by its negation)
+    rings = (Z, ZSQRT2, builtin_ring("biquad8"), ZMOD8, F4, QuotientRing(ZSQRT8, 9), ZINV6)
+    pairs = [(ring.element(tuple(range(3, 3 + ring.rank))),
+              ring.element(tuple(range(-2, -2 + ring.rank)))) for ring in rings]
+    calls = []
+    for cls in (IntegerRing, TableRing, QuotientRing, LocalizationRing):
+        for name in ("_neg", "_mul", "from_int"):
+            def counted(self, *args, _name=name, _real=getattr(cls, name)):
+                calls.append(_name)
+                return _real(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+    for ring, (x, y) in zip(rings, pairs):
+        calls.clear()
+        difference = x - y
+        if ring is not ZINV6:
+            assert calls == [], ring
+        calls.clear()
+        multiples = 4 * x, x * 4
+        assert calls == [], ring
+        assert difference == x + (-y) and multiples == (x + x + x + x,) * 2
+
+
+def test_table_rank_is_capped_before_any_kernel(monkeypatch):
+    # the cap itself builds: the dense x^16 + x^15 + ... + 1
+    ring = _monogenic([1] * TABLE_RANK_CAP)
+    assert ring.rank == TABLE_RANK_CAP
+    assert ring.one * ring.element(range(TABLE_RANK_CAP)) == ring.element(range(TABLE_RANK_CAP))
+
+    def refuse(*args):
+        raise AssertionError("the cap must be checked before compiling")
+    monkeypatch.setattr(ring_module, "compile_kernels", refuse)
+    with pytest.raises(RingTooLarge) as exc:
+        _monogenic([1] * (TABLE_RANK_CAP + 1))
+    assert str(exc.value) == "the table ring has rank 17; table rings are capped at rank 16"
 
 
 def _is_canonical_hnf(rows, ncols):
