@@ -326,14 +326,14 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     ring = a.ring
     t = ring.tables
     index, elements, double, square = t.index, t.elements, t.double, t.square
-    quad = t.row(index[a.r.coords], quad=True)
-    sub, mul, r, s = ring._sub_coords, ring._mul_coords, a.r.coords, a.s.coords
+    r, s, rp, sp = a.r.coords, a.s.coords, b.r.coords, b.s.coords
+    quad = t.row(index[r], quad=True)
+    sub, mul = ring._sub_coords, ring._mul_coords
     if units is None:
-        times_rp, times_sp = t.row(index[b.r.coords]), t.row(index[b.s.coords])
+        times_rp, times_sp = t.row(index[rp]), t.row(index[sp])
         rhs = ((u, elements[times_rp[u]].coords, elements[times_sp[square[u]]].coords)
                for u in t.units)
     else:
-        rp, sp = b.r.coords, b.s.coords
         rhs = ((index[u], mul(u, rp), mul(mul(u, u), sp)) for u in (x.coords for x in units))
     for u, ur, uus in rhs:
         lin, const = index[sub(ur, r)], index[sub(uus, s)]
