@@ -27,6 +27,8 @@ An ``Orientation`` keeps the inverse ``u_inv`` of its unit test, as
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import (
     BadLift,
     InfiniteRing,
@@ -36,35 +38,29 @@ from .errors import (
     ParityMismatch,
     UnsupportedRing,
 )
-from .ring import Mod2Element, Ring, RingElement
+from .ring import Mod2Element, Ring, RingElement, Value
 
 
-class FreeQuadraticAlgebra:
+class FreeQuadraticAlgebra(Value):
     """C = R[tau]/(tau^2 + r*tau + s)."""
 
     __slots__ = ("ring", "r", "s")
+    _identity = attrgetter("ring", "r", "s")
 
     def __init__(self, ring: Ring, r, s):
         self.ring = ring
         self.r = ring.coerce(r)
         self.s = ring.coerce(s)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FreeQuadraticAlgebra):
-            return NotImplemented
-        return self.ring == other.ring and self.r == other.r and self.s == other.s
-
-    def __hash__(self):
-        return hash(("alg", self.r, self.s))
-
     def __repr__(self):
         return f"<tau^2 + ({self.r!r})tau + ({self.s!r}) over {self.ring!r}>"
 
 
-class AlgebraType:
+class AlgebraType(Value):
     """The pair (discriminant, parity) classifying an algebra or a form."""
 
     __slots__ = ("delta", "parity")
+    _identity = attrgetter("delta", "parity")
 
     def __init__(self, delta: RingElement, parity: Mod2Element):
         if delta.ring != parity.ring:
@@ -76,22 +72,15 @@ class AlgebraType:
     def ring(self) -> Ring:
         return self.delta.ring
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraType):
-            return NotImplemented
-        return self.delta == other.delta and self.parity == other.parity
-
-    def __hash__(self):
-        return hash(("type", self.delta, self.parity))
-
     def __repr__(self):
         return f"({self.delta!r}, {self.parity!r})"
 
 
-class Orientation:
+class Orientation(Value):
     """Trivializing unit u, sending the class of tau to u; keeps u_inv."""
 
     __slots__ = ("u", "u_inv")
+    _identity = attrgetter("u")
 
     def __init__(self, u: RingElement):
         self.u_inv = u.ring.try_inverse(u)
@@ -99,22 +88,15 @@ class Orientation:
             raise NotAUnit(f"orientation value {u!r} is not a unit")
         self.u = u
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Orientation):
-            return NotImplemented
-        return self.u == other.u
-
-    def __hash__(self):
-        return hash(("ori", self.u))
-
     def __repr__(self):
         return f"Orientation({self.u!r})"
 
 
-class AlgebraHom:
+class AlgebraHom(Value):
     """The map tau -> u*tau' + v into a target algebra's generator tau'."""
 
     __slots__ = ("u", "v")
+    _identity = attrgetter("u", "v")
 
     def __init__(self, u: RingElement, v: RingElement):
         self.u = u
@@ -141,20 +123,8 @@ class AlgebraHom:
         const = sub(add(mul(v, add(v, r)), source.s), mul(mul(u, u), sp))
         return const.is_zero()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraHom):
-            return NotImplemented
-        return self.u == other.u and self.v == other.v
-
-    def __hash__(self):
-        return hash(("hom", self.u, self.v))
-
     def __repr__(self):
         return f"(tau -> ({self.u!r})tau' + ({self.v!r}))"
-
-    def to_json(self):
-        ring = self.u.ring
-        return {"u": ring.element_to_json(self.u), "v": ring.element_to_json(self.v)}
 
 
 def identity_hom(ring: Ring) -> AlgebraHom:

@@ -151,25 +151,20 @@ def parse_form(ring: Ring, text: str) -> forms.TwistedForm:
     return forms.TwistedForm(ring, a, b, c)
 
 
-def render_element(x) -> object:
-    if isinstance(x.ring, IntegerRing):
-        return int(x)
-    return x.ring.element_to_json(x)
-
-
 def render_form(q: forms.TwistedForm) -> list:
-    return [render_element(q.a), render_element(q.b), render_element(q.c)]
+    to_json = q.ring.element_to_json
+    return [to_json(q.a), to_json(q.b), to_json(q.c)]
 
 
 def render_type(t: algebras.AlgebraType) -> dict:
-    return {"delta": render_element(t.delta), "parity": list(t.parity.residue)}
+    return {"delta": t.ring.element_to_json(t.delta), "parity": list(t.parity.residue)}
 
 
 def render_hom(hom: algebras.AlgebraHom | None) -> dict:
     if hom is None:
         return {"isomorphic": False}
-    return {"isomorphic": True,
-            "hom": {"u": render_element(hom.u), "v": render_element(hom.v)}}
+    to_json = hom.u.ring.element_to_json
+    return {"isomorphic": True, "hom": {"u": to_json(hom.u), "v": to_json(hom.v)}}
 
 
 def _dump(obj) -> str:
@@ -245,9 +240,9 @@ def _cmd_autos(args) -> str:
         homs = algebras.oriented_automorphisms_bruteforce(alg, theta)
     else:
         homs = algebras.automorphisms_bruteforce(alg)
+    to_json = ring.element_to_json
     return _dump({"count": len(homs),
-                  "automorphisms": [{"u": render_element(h.u),
-                                     "v": render_element(h.v)} for h in homs]})
+                  "automorphisms": [{"u": to_json(h.u), "v": to_json(h.v)} for h in homs]})
 
 
 def _cmd_validate_triple(args) -> str:
@@ -485,8 +480,7 @@ def run(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (QuadalgError, ValueError, KeyError, IndexError,
-            json.JSONDecodeError, OSError) as exc:
+    except (QuadalgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

@@ -11,7 +11,7 @@ stores them as coordinates, and ``int_coefficients`` reads them back.
 from __future__ import annotations
 
 from math import gcd
-from operator import index
+from operator import attrgetter, index
 
 from .algebras import AlgebraType
 from .errors import (
@@ -22,17 +22,18 @@ from .errors import (
     SingularMatrix,
     UnsupportedRing,
 )
-from .ring import IntegerRing, Ring, RingElement, TableRing, hnf, standard_basis
+from .ring import IntegerRing, Ring, RingElement, TableRing, Value, hnf, standard_basis
 
 NaturalType = AlgebraType  # same (discriminant, parity) shape, shared class
 
 _Z = IntegerRing()
 
 
-class TwistedForm:
+class TwistedForm(Value):
     """q = a x^2 z + b xy z + c y^2 z in a trivialized basis."""
 
     __slots__ = ("ring", "a", "b", "c")
+    _identity = attrgetter("ring", "a", "b", "c")
 
     def __init__(self, ring: Ring, a, b, c):
         self.ring = ring
@@ -71,28 +72,15 @@ class TwistedForm:
         y = self.ring.coerce(y)
         return self.a * x * x + self.b * x * y + self.c * y * y
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwistedForm):
-            return NotImplemented
-        return (self.ring == other.ring and self.a == other.a
-                and self.b == other.b and self.c == other.c)
-
-    def __hash__(self):
-        return hash(("form", self.a, self.b, self.c))
-
     def __repr__(self):
         return f"[{self.a!r},{self.b!r},{self.c!r}]"
 
-    def to_json(self):
-        ring = self.ring
-        return {"ring": ring.descriptor(), "a": ring.element_to_json(self.a),
-                "b": ring.element_to_json(self.b), "c": ring.element_to_json(self.c)}
 
-
-class GL2Matrix:
+class GL2Matrix(Value):
     """[[alpha, beta], [gamma, delta]] with unit determinant; keeps det_inv."""
 
     __slots__ = ("ring", "alpha", "beta", "gamma", "delta", "det_inv")
+    _identity = attrgetter("alpha", "beta", "gamma", "delta")
 
     def __init__(self, ring: Ring, alpha, beta, gamma, delta):
         self.ring = ring
@@ -118,15 +106,6 @@ class GL2Matrix:
         a2, b2, c2, d2 = other.alpha, other.beta, other.gamma, other.delta
         return GL2Matrix(self.ring, a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
                          c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GL2Matrix):
-            return NotImplemented
-        return (self.alpha, self.beta, self.gamma, self.delta) == \
-               (other.alpha, other.beta, other.gamma, other.delta)
-
-    def __hash__(self):
-        return hash(("mat", self.alpha, self.beta, self.gamma, self.delta))
 
     def __repr__(self):
         return f"[[{self.alpha!r},{self.beta!r}],[{self.gamma!r},{self.delta!r}]]"
@@ -170,10 +149,15 @@ def is_primitive(q: TwistedForm) -> bool:
     raise UnsupportedRing(f"primitivity is not decided over {ring!r}")
 
 
-def principal_form(delta: int) -> TwistedForm:
-    """[1, pt, (pt^2 - delta)/4] over Z with pt = delta mod 2."""
+def check_discriminant(delta: int) -> None:
+    """Raise InvalidDiscriminant unless delta < 0 and delta = 0, 1 mod 4."""
     if delta >= 0 or delta % 4 not in (0, 1):
         raise InvalidDiscriminant(f"{delta} is not a negative discriminant")
+
+
+def principal_form(delta: int) -> TwistedForm:
+    """[1, pt, (pt^2 - delta)/4] over Z with pt = delta mod 2."""
+    check_discriminant(delta)
     pt = delta % 2
     return TwistedForm.over_z(1, pt, (pt * pt - delta) // 4)
 

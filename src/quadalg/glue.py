@@ -138,14 +138,6 @@ class GluedAlgebra:
         self.disc = disc
         self.transitions = transitions  # (i, j) -> (scale, shift) as Fractions
 
-    def with_shift(self, i: int, j: int, shift: Fraction) -> GluedAlgebra:
-        """Copy with one transition shift replaced (for perturbation tests)."""
-        transitions = dict(self.transitions)
-        scale, _ = transitions[(i, j)]
-        transitions[(i, j)] = (scale, _as_fraction(shift, "shift"))
-        return GluedAlgebra(self.cover, self.charts, self.ptilde, self.disc,
-                            transitions)
-
 
 def validate_cover(cover: PrincipalCover) -> bool:
     return cover.covers()

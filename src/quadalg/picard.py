@@ -34,12 +34,12 @@ is_principal, and the tests use it as the oracle for ``compose``.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import attrgetter
 
 from .algebras import FreeQuadraticAlgebra
 from .errors import (
     BadParityLift,
     DiscriminantTooLarge,
-    InvalidDiscriminant,
     InvalidRange,
     NotInvertible,
     NotPrimitive,
@@ -48,8 +48,9 @@ from .errors import (
     ZeroLeadingCoefficient,
     brief,
 )
-from .forms import TwistedForm, _gauss_reduce, is_primitive, principal_form, reduce_posdef
-from .ring import IntegerRing, crt_roots, hnf, sqrt_mod_prime_power, xgcd
+from .forms import (TwistedForm, _gauss_reduce, check_discriminant, is_primitive,
+                    principal_form, reduce_posdef)
+from .ring import IntegerRing, Value, crt_roots, hnf, sqrt_mod_prime_power, xgcd
 
 _Z = IntegerRing()
 
@@ -59,14 +60,14 @@ DISCRIMINANT_CAP = 3 * 10**12
 Pair = tuple[int, int]  # coordinates (x0, x1) meaning x0 + x1*omega
 
 
-class QuadraticOrder:
+class QuadraticOrder(Value):
     """Z[omega] with omega^2 + pitilde*omega - (delta - pitilde^2)/4 = 0."""
 
     __slots__ = ("delta", "pitilde", "omega_sq_const")
+    _identity = attrgetter("delta", "pitilde")
 
     def __init__(self, delta: int, pitilde: int):
-        if delta >= 0 or delta % 4 not in (0, 1):
-            raise InvalidDiscriminant(f"{delta} is not a negative discriminant")
+        check_discriminant(delta)
         if pitilde not in (0, 1) or pitilde % 2 != delta % 2:
             raise BadParityLift(f"{pitilde} does not lift the parity of {delta}")
         self.delta = delta
@@ -99,14 +100,6 @@ class QuadraticOrder:
     def algebra(self) -> FreeQuadraticAlgebra:
         return FreeQuadraticAlgebra(_Z, self.pitilde, -self.omega_sq_const)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadraticOrder):
-            return NotImplemented
-        return self.delta == other.delta and self.pitilde == other.pitilde
-
-    def __hash__(self):
-        return hash(("order", self.delta, self.pitilde))
-
     def __repr__(self):
         return f"QuadraticOrder(delta={self.delta}, pitilde={self.pitilde})"
 
@@ -115,7 +108,7 @@ def order_from_type(delta: int, pitilde: int) -> QuadraticOrder:
     return QuadraticOrder(delta, pitilde)
 
 
-class OrderIdeal:
+class OrderIdeal(Value):
     """Full ideal with Z-basis (a, b + c*omega): hnf = [[a, b], [0, c]].
 
     Canonical: a, c > 0 and 0 <= b < a; the lattice must be closed under
@@ -123,6 +116,7 @@ class OrderIdeal:
     """
 
     __slots__ = ("order", "a", "b", "c")
+    _identity = attrgetter("order", "a", "b", "c")
 
     def __init__(self, order: QuadraticOrder, a: int, b: int, c: int):
         if a <= 0 or c <= 0 or not 0 <= b < a:
@@ -165,15 +159,6 @@ class OrderIdeal:
 
     def hnf(self) -> list[list[int]]:
         return [[self.a, self.b], [0, self.c]]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrderIdeal):
-            return NotImplemented
-        return (self.order == other.order and (self.a, self.b, self.c)
-                == (other.a, other.b, other.c))
-
-    def __hash__(self):
-        return hash(("ideal", self.order, self.a, self.b, self.c))
 
     def __repr__(self):
         return f"<ideal ({self.a}, {self.b}+{self.c}w) of {self.order!r}>"
@@ -299,8 +284,7 @@ def reduced_triples(delta: int) -> list[Triple]:
     ``ring.crt_roots``).  (a, -b, c) follows unless b = 0, b = a or a = c.
     Raises DiscriminantTooLarge past DISCRIMINANT_CAP (``check_range``) first.
     """
-    if delta >= 0 or delta % 4 not in (0, 1):
-        raise InvalidDiscriminant(f"{delta} is not a negative discriminant")
+    check_discriminant(delta)
     check_range(delta, delta)
     a_max = isqrt(-delta // 3)
     spf = list(range(a_max + 1))  # least prime factors: the least p's slice lands last

@@ -3,7 +3,10 @@
 Four kinds of ring are available: the integers, integer table rings (free
 Z-modules with a structure-constant multiplication), finite quotients of
 those, and localizations Z[1/f].  All elements are kept in canonical form
-so that equality doubles as the test oracle.
+so that equality doubles as the test oracle.  The library's other values
+(algebras, types, homs, forms, orders, ideals, residues mod 2) subclass
+``Value``, which compares and hashes the fields a class names once as its
+``_identity``; ``RingElement`` (equal to ints) and ``Ring`` keep their own.
 
 Every integer-lattice question (identity and quotients in table and quotient
 rings, unit index in primitivity tests, HNF ideals of quadratic orders) goes
@@ -46,9 +49,11 @@ its construction checks associativity on every basis triple.
 A backend implements ``element``, those kernels (or only the coordinate
 kernels they wrap), ``try_divide``, ``descriptor`` and ``describe``; ``Ring``
 derives the rest by division: ``try_inverse`` and ``is_unit`` divide 1,
-``try_halve`` divides by 2 (a table ring halves each coordinate),
-``in_4R`` by 4, and ``mod2`` and ``mod2_residues`` give R/2R, which is 0 when
-2 is a unit and otherwise the coordinates mod 2.
+``try_halve`` divides by 2 (a table ring halves each coordinate, and a
+quotient by an odd m scales by (m + 1)/2), ``in_4R`` by 4, and ``mod2`` and
+``mod2_residues`` give R/2R, which is 0 when 2 is a unit and otherwise the
+coordinates mod 2.  ``element_to_json`` writes the coordinate list; Z
+overrides it with the bare int and Z[1/f] with {"coords": [num], "k": k}.
 
 The classification of quadratic algebras asks a ring three more questions:
 ``Ring.units``, every unit when there are finitely many and None otherwise;
@@ -76,7 +81,7 @@ import itertools
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, isqrt
-from operator import index
+from operator import attrgetter, index
 
 from .errors import (
     ExponentTooLarge,
@@ -387,10 +392,28 @@ class RingElement:
         return self.ring.format_element(self)
 
 
-class Mod2Element:
+class Value:
+    """An immutable object compared by its data: equal to an object of exactly
+    its type whose identity fields are equal, and hashed on those fields.  A
+    subclass names them once, as ``_identity = operator.attrgetter(...)``."""
+
+    __slots__ = ()
+    _identity: attrgetter
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._identity(self) == self._identity(other)
+
+    def __hash__(self):
+        return hash(self._identity(self))
+
+
+class Mod2Element(Value):
     """Residue class of a ring element modulo 2R, in canonical coordinates."""
 
     __slots__ = ("ring", "residue")
+    _identity = attrgetter("ring", "residue")
 
     def __init__(self, ring: Ring, residue: tuple[int, ...]):
         self.ring = ring
@@ -406,14 +429,6 @@ class Mod2Element:
 
     def is_zero(self) -> bool:
         return not any(self.residue)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mod2Element):
-            return NotImplemented
-        return self.ring == other.ring and self.residue == other.residue
-
-    def __hash__(self):
-        return hash(("mod2", self.ring, self.residue))
 
     def __repr__(self):
         return f"({self.ring.format_element(self.lift())} mod 2)"
@@ -556,8 +571,7 @@ class Ring:
         raise NotImplementedError
 
     def element_to_json(self, x: RingElement):
-        if self.kind == "localization":
-            return {"coords": list(x.coords), "k": x.k}
+        """x as JSON: its coordinate list here; Z and Z[1/f] override."""
         return list(x.coords)
 
     def element_from_json(self, data) -> RingElement:
@@ -647,6 +661,9 @@ class IntegerRing(Ring):
         if b == 0 or a % b:
             return None
         return RingElement(self, (a // b,))
+
+    def element_to_json(self, x):
+        return x.coords[0]
 
     @cached_property
     def units(self):
@@ -854,6 +871,13 @@ class QuotientRing(Ring):
         # the kernel reads y, the first rank entries of sol, and reduces them
         return None if sol is None else RingElement(self, self._scale_coords(1, sol))
 
+    def _try_halve(self, x):
+        # (m + 1)/2 is the inverse of 2 mod an odd m; for an even m, None is all
+        # _two_is_unit reads, since try_halve refuses a ring that is not 2-regular
+        if self.two_regular:
+            return RingElement(self, self._scale_coords((self.m + 1) // 2, x.coords))
+        return None
+
     def is_finite(self):
         return True
 
@@ -945,9 +969,6 @@ class LocalizationRing(Ring):
     def from_int(self, n: int) -> RingElement:
         return RingElement(self, (int(n),))
 
-    def rational_value(self, x: RingElement) -> Fraction:
-        return Fraction(x.coords[0], self.f ** x.k)
-
     def try_from_rational(self, q) -> RingElement | None:
         return self._divide(*Fraction(q).as_integer_ratio())
 
@@ -991,6 +1012,9 @@ class LocalizationRing(Ring):
         if q.is_zero():
             return None
         return self._divide(p.coords[0], q.coords[0], p.k - q.k)
+
+    def element_to_json(self, x):
+        return {"coords": list(x.coords), "k": x.k}
 
     def format_element(self, x):
         if x.k == 0:

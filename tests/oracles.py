@@ -465,6 +465,13 @@ def glue_transitions_fractions(cocycle, data) -> dict:
             for i, j in itertools.permutations(range(len(p)), 2)}
 
 
+def with_shift(glued, i: int, j: int, shift: Fraction) -> GluedAlgebra:
+    """A copy of ``glued`` with the shift of transition (i, j) replaced."""
+    transitions = dict(glued.transitions)
+    transitions[(i, j)] = (transitions[(i, j)][0], shift)
+    return GluedAlgebra(glued.cover, glued.charts, glued.ptilde, glued.disc, transitions)
+
+
 def transition_hom_fractions(glued, i: int, j: int) -> bool:
     """``glue.check_transition_hom`` in ``Fraction`` arithmetic: with
     w^2 = -p_j*w - s_j, (e*w + t)^2 + p_i*(e*w + t) + s_i vanishes, and e, t
@@ -514,18 +521,19 @@ def localization_from_fraction(ring, q):
     return RingElement(ring, (q.numerator * (f ** lo // d),), lo)
 
 
-def _localization_value(x) -> Fraction:
+def localization_value(x) -> Fraction:
+    """The rational num/f^k of an element (num, k) of Z[1/f]."""
     return Fraction(x.coords[0], x.ring.f ** x.k)
 
 
 def localization_add(x, y):
-    return localization_from_fraction(x.ring, _localization_value(x) + _localization_value(y))
+    return localization_from_fraction(x.ring, localization_value(x) + localization_value(y))
 
 
 def localization_try_divide(p, q):
     if q.is_zero():
         return None
-    return localization_from_fraction(p.ring, _localization_value(p) / _localization_value(q))
+    return localization_from_fraction(p.ring, localization_value(p) / localization_value(q))
 
 
 def localization_try_inverse(x):
@@ -533,17 +541,17 @@ def localization_try_inverse(x):
 
 
 def localization_try_halve(x):
-    return localization_from_fraction(x.ring, _localization_value(x) / 2)
+    return localization_from_fraction(x.ring, localization_value(x) / 2)
 
 
 def localization_in_4R(x) -> bool:
-    return localization_from_fraction(x.ring, _localization_value(x) / 4) is not None
+    return localization_from_fraction(x.ring, localization_value(x) / 4) is not None
 
 
 def localization_sqrt(x):
     """The non-negative root of x in Z[1/f] in ``Fraction`` arithmetic: for
     x = p/q in lowest terms the root, when there is one, is sqrt(p*q)/q."""
-    value = _localization_value(x)
+    value = localization_value(x)
     if value < 0:
         return None
     root = Fraction(isqrt(value.numerator * value.denominator), value.denominator)

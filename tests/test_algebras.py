@@ -33,7 +33,7 @@ from quadalg.algebras import (
     types_isomorphic,
     _search_homs,
 )
-from quadalg.cli import builtin_ring, run
+from quadalg.cli import builtin_ring, render_hom, run
 from quadalg.errors import (
     BadLift,
     InfiniteRing,
@@ -565,8 +565,14 @@ def test_find_parities_examples():
 
 
 def test_hom_json():
-    hom = AlgebraHom(Z.one, Z.from_int(-1))
-    assert hom.to_json() == {"u": [1], "v": [-1]}
+    # u and v print in their ring's element JSON: a bare int over Z, the
+    # coordinate list over a table ring, {"coords", "k"} over Z[1/f]
+    for ring, u, v in ((Z, 1, -1), (ZSQRT2, [1, 0], [-1, 0]),
+                       (ZINV6, {"coords": [1], "k": 0}, {"coords": [-1], "k": 0})):
+        hom = AlgebraHom(ring.one, ring.from_int(-1))
+        assert render_hom(hom) == {"isomorphic": True, "hom": {"u": u, "v": v}}
+    assert render_hom(AlgebraHom(ZINV6.element((1,), 2), ZINV6.zero))["hom"]["u"] \
+        == {"coords": [1], "k": 2}
 
 
 def _finite_pair(rng, ring, elements, units):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quadalg import glue
+from quadalg import forms, glue
 from quadalg.cli import (
     _parse_glue_payload,
     builtin_ring,
@@ -55,33 +55,6 @@ def test_picmodconj(capsys):
                                "orbits": [[[1, 0, 11]], [[3, 2, 4], [3, -2, 4]]]}
 
 
-def test_iso_over_square_n_finds_the_identity(capsys):
-    # delta = -8+4w is a zero divisor of Z[sqrt(4)], so it does not divide itself
-    ring = ('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[4,0]]],'
-            '"one":[1,0],"symbols":["1","w"]}')
-    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=w,s=3-w",
-                  "--alg2", "r=w,s=3-w") \
-        == (0, '{"isomorphic":true,"hom":{"u":[1,0],"v":[0,0]}}\n', "")
-
-
-def test_iso_over_zsqrt0_with_zero_discriminants(capsys):
-    # delta = 0 on both sides: every unit +-(1 + b*w) fixes the parity, so only
-    # equal parities are isomorphic (r=2,s=1 on both sides is a golden case)
-    ring = ('{"kind":"table","rank":2,"mul":[[[1,0],[0,1]],[[0,1],[0,0]]],'
-            '"one":[1,0],"symbols":["1","w"]}')
-    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=w,s=0", "--alg2", "r=0,s=0") \
-        == (0, '{"isomorphic":false}\n', "")
-
-
-def test_iso_over_a_localization(capsys):
-    # delta2/delta1 = 4 has the root 2, a unit of Z[1/6]; 25 has the root 5, which is not
-    ring = '{"kind":"localization","f":6}'
-    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=1,s=0", "--alg2", "r=2,s=0") \
-        == (0, '{"isomorphic":true,"hom":{"u":{"coords":[3],"k":1},"v":{"coords":[0],"k":0}}}\n', "")
-    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=1,s=0", "--alg2", "r=5,s=0") \
-        == (0, '{"isomorphic":false}\n', "")
-
-
 def test_iso_with_zero_discriminants_over_large_n_is_quick(capsys):
     # delta = 0 on both sides over Z[sqrt(N)] needs no unit of about sqrt(N) digits
     p = 10**9 + 7
@@ -94,22 +67,6 @@ def test_iso_with_zero_discriminants_over_large_n_is_quick(capsys):
         assert invoke(capsys, "iso", "--ring", ring, "--alg1", alg1, "--alg2", alg2) \
             == (0, out, ""), n
         assert time.perf_counter() - start < 1.0, n
-
-
-def test_iso_over_a_rank_one_table_ring(capsys):
-    # a rank-1 table ring is Z, so its units are +-1, as with --ring z
-    ring = '{"kind":"table","rank":1,"mul":[[[1]]]}'
-    assert invoke(capsys, "iso", "--ring", ring, "--alg1", "r=0,s=1", "--alg2", "r=0,s=1") \
-        == (0, '{"isomorphic":true,"hom":{"u":[1],"v":[0]}}\n', "")
-
-
-def test_validate_triple(capsys):
-    code, out, _ = invoke(capsys, "validate-triple", "--ring", "z",
-                          "--delta", "5", "--parity", "1")
-    assert code == 0 and json.loads(out) == {"valid": True}
-    code, out, _ = invoke(capsys, "validate-triple", "--ring", "z",
-                          "--delta", "5", "--parity", "0")
-    assert code == 0 and json.loads(out) == {"valid": False}
 
 
 def test_form2ideal_and_back(capsys):
@@ -537,6 +494,15 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_a_lookup_error_inside_a_command_is_internal(capsys, monkeypatch):
+    # no input reaches a KeyError or an IndexError, so one is a fault: exit 1
+    def fail(q):
+        raise KeyError("a")
+
+    monkeypatch.setattr(forms, "reduce_posdef", fail)
+    assert invoke(capsys, "reduce", "[9,10,4]") == (1, "", "internal error: 'a'\n")
 
 
 def test_parse_element_symbols():

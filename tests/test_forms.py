@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadalg.cli import parse_form, render_form
 from quadalg.errors import (
     DiscriminantMismatch,
     InvalidDiscriminant,
@@ -27,7 +29,7 @@ from quadalg.forms import (
     reduce_posdef,
     reduce_posdef_with_witness,
 )
-from quadalg.ring import IntegerRing, Ring, TableRing, quadratic_table_ring
+from quadalg.ring import IntegerRing, LocalizationRing, Ring, TableRing, quadratic_table_ring
 
 from oracles import lattice_index_minors
 
@@ -270,7 +272,7 @@ def test_over_z_matches_the_coercing_constructor():
     for a, b, c in triples:
         direct, coerced = F(a, b, c), TwistedForm(IntegerRing(), a, b, c)
         assert direct == coerced and hash(direct) == hash(coerced)
-        assert repr(direct) == repr(coerced) and direct.to_json() == coerced.to_json()
+        assert repr(direct) == repr(coerced) and render_form(direct) == render_form(coerced)
         assert direct.int_coefficients() == coerced.int_coefficients()
         assert direct.opposite() == coerced.opposite()
         for x, y in zip(direct.coefficients(), coerced.coefficients()):
@@ -285,6 +287,10 @@ def test_over_z_matches_the_coercing_constructor():
 
 
 def test_form_json_round_trip():
-    q = F(3, -2, 4)
-    data = q.to_json()
-    assert data["a"] == [3] and data["b"] == [-2] and data["c"] == [4]
+    # the CLI prints a form in its ring's element JSON and reads that back
+    zinv6 = LocalizationRing(6)
+    q6 = TwistedForm(zinv6, zinv6.element((5,), 3), 7, 0)
+    assert render_form(F(3, -2, 4)) == [3, -2, 4]
+    assert render_form(q6)[0] == {"coords": [5], "k": 3}
+    for q in (F(3, -2, 4), TwistedForm(ZSQRT8, ZSQRT8.element((1, 2)), 0, -3), q6):
+        assert parse_form(q.ring, json.dumps(render_form(q))) == q

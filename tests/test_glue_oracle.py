@@ -26,6 +26,7 @@ from oracles import (
     glue_report_fractions,
     glue_transitions_fractions,
     transition_hom_fractions,
+    with_shift,
 )
 
 
@@ -50,7 +51,7 @@ def perturbed(glued, rng, target, delta):
     k = glued.cover.size
     i, j = rng.sample(range(k), 2)
     if target == "shift":
-        return glued.with_shift(i, j, glued.transitions[(i, j)][1] + delta)
+        return with_shift(glued, i, j, glued.transitions[(i, j)][1] + delta)
     ptilde, disc, transitions = list(glued.ptilde), list(glued.disc), dict(glued.transitions)
     if target == "ptilde":
         ptilde[i] += delta

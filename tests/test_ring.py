@@ -57,6 +57,7 @@ from oracles import (
     localization_try_divide,
     localization_try_halve,
     localization_try_inverse,
+    localization_value,
     pell_fundamental,
     pell_scan,
     sqrt_from_candidates,
@@ -166,6 +167,28 @@ def test_try_halve():
     assert ZINV6.try_halve(ZINV6.from_int(1)) == ZINV6.element((3,), 1)
 
 
+def test_odd_quotient_halves_without_division(monkeypatch):
+    # 2 is a unit mod an odd m, with inverse (m + 1)/2: halving scales by it
+    # and solves no lattice system; the halves match division by 2
+    rng = random.Random(9)
+    cases = []
+    for ring in (QuotientRing(ZSQRT2, 9), QuotientRing(Z, 100003)):
+        for _ in range(20):
+            x = ring.element([rng.randrange(ring.m) for _ in range(ring.rank)])
+            cases.append((ring, x, ring.try_divide(x, ring.from_int(2))))
+    calls = []
+
+    def solve_int(*args):
+        calls.append(args)
+        return real_solve_int(*args)
+
+    real_solve_int = ring_module.solve_int
+    monkeypatch.setattr(ring_module, "solve_int", solve_int)
+    for ring, x, half in cases:
+        assert ring.try_halve(x) == half and 2 * half == x
+    assert calls == []
+
+
 def test_mod2_and_in_4r():
     assert Z.mod2(Z.from_int(7)).residue == (1,)
     assert ZSQRT8.in_4R(ZSQRT8.from_int(24 - 8))
@@ -265,7 +288,7 @@ def test_localization_sqrt_examples():
                        (4, Fraction(1, 2), None), (6, 2, None), (6, -4, None)):
         ring = LocalizationRing(f)
         got = ring.sqrt(ring.from_rational(q))
-        assert (None if got is None else ring.rational_value(got)) == root, (f, q)
+        assert (None if got is None else localization_value(got)) == root, (f, q)
     # delta of an algebra with r at the exponent cap
     for f in (2, 6, 12):
         ring = LocalizationRing(f)
@@ -370,7 +393,7 @@ def test_localization_canonical_form():
     assert x.coords == (2,) and x.k == 0
     y = ZINV6.element((3,), 1)  # 3/6 stays: 6 does not divide 3
     assert y.coords == (3,) and y.k == 1
-    assert ZINV6.from_rational(y.ring.rational_value(y)) == y
+    assert ZINV6.from_rational(localization_value(y)) == y
 
 
 def test_element_json_round_trip():
