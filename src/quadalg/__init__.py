@@ -45,9 +45,6 @@ from .glue import (
     build_glued,
     check_cocycle_transitions,
     check_transition_hom,
-    validate_cocycle,
-    validate_cover,
-    validate_type_data,
     verification_report,
 )
 from .picard import (

@@ -306,23 +306,29 @@ def _parse_glue_payload(data):
                              f"both name entry '{i},{j}'")
         keys[(i, j)] = key
         eps[(i - 1, j - 1)] = glue._as_fraction(value, f"cocycle entry {brief(key)}")
-    for i, j in itertools.combinations(range(1, cover.size + 1), 2):
-        if (i - 1, j - 1) not in eps:
-            raise ValueError(f"missing cocycle entry '{i},{j}'")
     cocycle = glue.LineBundleCocycle(cover, eps)
     return cover, cocycle, glue.GluedTypeData(payload["d"], payload["p"])
 
 
-def _cmd_glue_check(args) -> str:
-    """The verification report as the JSON list that ``_dump`` would print,
-    one row template per entry: the check names are plain identifiers and
-    the indices small ints, so nothing needs escaping."""
-    cover, cocycle, data = _parse_glue_payload(_loads(_read_payload(args)))
-    return "[%s]" % ",".join([
-        '{"check":"%s","indices":[%s],"ok":%s}'
-        % (item["check"], ",".join(["%d"] * len(item["indices"])) % tuple(item["indices"]),
-           "true" if item["ok"] else "false")
-        for item in glue.verification_report(cover, cocycle, data)])
+def _cmd_glue_check(args):
+    """The verification report as the JSON list that ``_dump`` would print.
+    The payload is read here, so a bad one fails before the first byte."""
+    return _iter_report(glue.verification_report(
+        *_parse_glue_payload(_loads(_read_payload(args)))))
+
+
+def _iter_report(report):
+    """The rows of ``report`` in chunks of at most 4096, each row through one
+    template: the check names are plain identifiers and the indices small
+    ints, so nothing needs escaping.  Memory stays at one chunk of text."""
+    rows = ('{"check":"%s","indices":[%s],"ok":%s}'
+            % (check, ",".join(["%d"] * len(indices)) % indices, "true" if ok else "false")
+            for check, indices, ok in report)
+    # the report always has its "cover" row, so the first chunk is not empty
+    yield "[" + ",".join(itertools.islice(rows, 4096))
+    while chunk := ",".join(itertools.islice(rows, 4096)):
+        yield "," + chunk
+    yield "]"
 
 
 def _read_payload(args) -> str:
@@ -468,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = args.func(args)  # a string, or the chunks of a streamed table
+        out = args.func(args)  # a string, or the chunks of a streamed table or report
         for chunk in [out] if isinstance(out, str) else out:
             sys.stdout.write(chunk)
         # flushed here, so that a closed pipe is caught below and not at exit

@@ -2,9 +2,10 @@
 covers of Spec Z.
 
 A cover D(f_1), ..., D(f_k) carries per-chart discriminants and parity lifts
-(d_i, p_i) and a unit cocycle eps_ij.  ``verification_report`` is the one
-verification pass, and ``build_glued`` builds charts only from data that
-passes it.  The report lists, with 0-based indices and in this order:
+(d_i, p_i) and a unit cocycle eps_ij.  ``verification_report``, the one
+verification pass, is a generator of (check, indices, ok) rows, each computed
+when it is read; ``build_glued`` stops at its first failing row and builds
+charts only from data that passes it.  The rows, with 0-based index tuples:
 
 - ``cover``: gcd(f_1, ..., f_k) = 1;
 - ``cocycle_unit`` (eps_ij is a unit of Z[1/(f_i f_j)]) for each i < j, then
@@ -16,7 +17,7 @@ passes it.  The report lists, with 0-based indices and in this order:
 - per i < j, ``overlap_discriminant`` (d_i = eps_ij^2 * d_j) and
   ``overlap_parity`` ((p_i - eps_ij * p_j)/2 in Z[1/(f_i f_j)]).
 
-Only when all of these pass do ``transition_hom`` for each ordered pair
+Only when all of these have passed do ``transition_hom`` for each ordered pair
 i != j and ``cocycle_transitions`` for each i < j < t follow; the other
 orders of a triple follow from these, as t_ji = -t_ij / eps_ij.
 
@@ -34,6 +35,7 @@ kernels, ``_transition_ok`` and ``_triple_ok``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import gcd
 
 from .algebras import FreeQuadraticAlgebra
@@ -98,10 +100,9 @@ class LineBundleCocycle:
             if not 0 <= i < j < cover.size:
                 raise ValueError(f"cocycle index ({i},{j}) out of range")
             self._eps[(i, j)] = _as_fraction(value, f"cocycle entry ({i},{j})")
-        for i in range(cover.size):
-            for j in range(i + 1, cover.size):
-                if (i, j) not in self._eps:
-                    raise ValueError(f"missing cocycle entry ({i},{j})")
+        for i, j in combinations(range(cover.size), 2):
+            if (i, j) not in self._eps:  # named as the 1-based key of glue-check
+                raise ValueError(f"missing cocycle entry '{i + 1},{j + 1}'")
 
     def eps(self, i: int, j: int) -> Fraction:
         if i == j:
@@ -139,32 +140,10 @@ class GluedAlgebra:
         self.transitions = transitions  # (i, j) -> (scale, shift) as Fractions
 
 
-def validate_cover(cover: PrincipalCover) -> bool:
-    return cover.covers()
-
-
-def validate_cocycle(cover: PrincipalCover, cocycle: LineBundleCocycle) -> bool:
-    return all(item["ok"] for item in _cocycle_checks(cover.opens, _eps_pairs(cocycle)))
-
-
-def validate_type_data(cover: PrincipalCover, cocycle: LineBundleCocycle,
-                       data: GluedTypeData) -> bool:
-    checks = _data_checks(cover.opens, _eps_pairs(cocycle), *_data_pairs(data))
-    return all(item["ok"] for item in checks)
-
-
 # Rationals in the checks are int pairs (n, d), d > 0 (see the module docstring).
 
 def _pair(x: Fraction) -> tuple[int, int]:
     return x.numerator, x.denominator
-
-
-def _eps_pairs(cocycle: LineBundleCocycle) -> dict:
-    return {key: _pair(e) for key, e in cocycle._eps.items()}
-
-
-def _data_pairs(data: GluedTypeData) -> tuple[list, list]:
-    return [_pair(x) for x in data.d], [_pair(x) for x in data.p]
 
 
 def _inv(x):
@@ -176,45 +155,6 @@ def _inv(x):
 def _is_unit(x, f: int) -> bool:
     """Is x a unit of Z[1/f]?  Zero is not."""
     return in_localization(x, f) and in_localization((x[1], x[0]), f)
-
-
-def _cocycle_checks(f: tuple[int, ...], eps: dict) -> list[dict]:
-    out = []
-    k = len(f)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out.append({"check": "cocycle_unit", "indices": [i, j],
-                        "ok": _is_unit(eps[(i, j)], f[i] * f[j])})
-    for i in range(k):
-        for j in range(i + 1, k):
-            for t in range(j + 1, k):
-                (a, b), (c, d), (x, y) = eps[(i, j)], eps[(j, t)], eps[(i, t)]
-                out.append({"check": "cocycle_triple", "indices": [i, j, t],
-                            "ok": x * b * d == a * c * y})
-    return out
-
-
-def _data_checks(f: tuple[int, ...], eps: dict, d: list, p: list) -> list[dict]:
-    out = []
-    k = len(f)
-    if len(d) != k:
-        return [{"check": "data_shape", "indices": [], "ok": False}]
-    for i in range(k):
-        (c, g), (a, b) = d[i], p[i]
-        member = in_localization(d[i], f[i]) and in_localization(p[i], f[i])
-        out.append({"check": "chart_membership", "indices": [i], "ok": member})
-        if member:  # (c/g - a^2/b^2) / 4
-            out.append({"check": "chart_validity", "indices": [i],
-                        "ok": in_localization((c * b * b - a * a * g, 4 * g * b * b), f[i])})
-    for i in range(k):
-        for j in range(i + 1, k):
-            (en, ed), (c, g), (z, h), (a, b), (x, y) = eps[(i, j)], d[i], d[j], p[i], p[j]
-            out.append({"check": "overlap_discriminant", "indices": [i, j],
-                        "ok": c * h * ed * ed == z * en * en * g})
-            out.append({"check": "overlap_parity", "indices": [i, j],  # (a/b - x/y * e) / 2
-                        "ok": in_localization((a * y * ed - x * en * b, 2 * b * y * ed),
-                                              f[i] * f[j])})
-    return out
 
 
 def _transitions(eps: dict, p: list) -> dict:
@@ -232,44 +172,67 @@ def _transitions(eps: dict, p: list) -> dict:
 
 
 def verification_report(cover: PrincipalCover, cocycle: LineBundleCocycle,
-                        data: GluedTypeData) -> list[dict]:
-    """Every check of the glue data, in the order of the module docstring."""
-    eps = _eps_pairs(cocycle)
-    d, p = _data_pairs(data)
-    report = [{"check": "cover", "indices": [], "ok": validate_cover(cover)}]
-    report += _cocycle_checks(cover.opens, eps)
-    report += _data_checks(cover.opens, eps, d, p)
-    if not all(item["ok"] for item in report):
-        return report
-    f, tr = cover.opens, _transitions(eps, p)
-    k = cover.size
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                ok = _transition_ok(f[i] * f[j], p[i], d[i], p[j], d[j], *tr[(i, j)])
-                report.append({"check": "transition_hom", "indices": [i, j], "ok": ok})
-    for i in range(k):
-        for j in range(i + 1, k):
-            for t in range(j + 1, k):
-                ok = _triple_ok(f[i] * f[j] * f[t], tr[(i, j)], tr[(j, t)], tr[(i, t)])
-                report.append({"check": "cocycle_transitions", "indices": [i, j, t], "ok": ok})
-    return report
+                        data: GluedTypeData):
+    """Every check of the glue data as a (check, indices, ok) row, in the order
+    of the module docstring, each row computed when it is read."""
+    f, k = cover.opens, cover.size
+    eps = {key: _pair(e) for key, e in cocycle._eps.items()}
+    d, p = [_pair(x) for x in data.d], [_pair(x) for x in data.p]
+
+    def data_rows():
+        yield "cover", (), cover.covers()
+        for i, j in combinations(range(k), 2):
+            yield "cocycle_unit", (i, j), _is_unit(eps[(i, j)], f[i] * f[j])
+        for i, j, t in combinations(range(k), 3):
+            (a, b), (c, g), (x, y) = eps[(i, j)], eps[(j, t)], eps[(i, t)]
+            yield "cocycle_triple", (i, j, t), x * b * g == a * c * y
+        if len(d) != k:
+            yield "data_shape", (), False
+            return
+        for i in range(k):
+            (c, g), (a, b) = d[i], p[i]
+            member = in_localization(d[i], f[i]) and in_localization(p[i], f[i])
+            yield "chart_membership", (i,), member
+            if member:  # (c/g - a^2/b^2) / 4
+                yield "chart_validity", (i,), \
+                    in_localization((c * b * b - a * a * g, 4 * g * b * b), f[i])
+        for i, j in combinations(range(k), 2):
+            (en, ed), (c, g), (z, h), (a, b), (x, y) = eps[(i, j)], d[i], d[j], p[i], p[j]
+            yield "overlap_discriminant", (i, j), c * h * ed * ed == z * en * en * g
+            yield "overlap_parity", (i, j), \
+                in_localization((a * y * ed - x * en * b, 2 * b * y * ed),  # (a/b - x/y*e)/2
+                                f[i] * f[j])
+
+    passed = True
+    for row in data_rows():
+        passed = passed and row[2]
+        yield row
+    if not passed:
+        return
+    tr = _transitions(eps, p)
+    for i, j in permutations(range(k), 2):
+        yield "transition_hom", (i, j), \
+            _transition_ok(f[i] * f[j], p[i], d[i], p[j], d[j], *tr[(i, j)])
+    for i, j, t in combinations(range(k), 3):
+        yield "cocycle_transitions", (i, j, t), \
+            _triple_ok(f[i] * f[j] * f[t], tr[(i, j)], tr[(j, t)], tr[(i, t)])
 
 
 def build_glued(cover: PrincipalCover, cocycle: LineBundleCocycle,
                 data: GluedTypeData) -> GluedAlgebra:
     """Assemble charts and transition maps; raises ValidationFailed at the
-    first failing check of the verification report."""
-    for item in verification_report(cover, cocycle, data):
-        if not item["ok"]:
-            raise ValidationFailed(f"{item['check']} failed at {item['indices']}")
+    first failing row of the verification report."""
+    for check, indices, ok in verification_report(cover, cocycle, data):
+        if not ok:
+            raise ValidationFailed(f"{check} failed at {list(indices)}")
     charts = []
     for i in range(cover.size):
         ring = cover.chart_ring(i)
         r = ring.from_rational(data.p[i])
         s = ring.from_rational(-(data.d[i] - data.p[i] ** 2) / 4)
         charts.append(FreeQuadraticAlgebra(ring, r, s))
-    transitions = _transitions(_eps_pairs(cocycle), _data_pairs(data)[1])
+    transitions = _transitions({key: _pair(e) for key, e in cocycle._eps.items()},
+                               [_pair(x) for x in data.p])
     return GluedAlgebra(cover, charts, data.p, data.d,
                         {key: (Fraction(*e), Fraction(*t)) for key, (e, t) in transitions.items()})
 

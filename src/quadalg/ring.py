@@ -700,6 +700,8 @@ class TableRing(Ring):
         except (TypeError, ValueError):
             raise ValueError("the tensor and the identity must be nested lists of "
                              "integers, the symbols a list") from None
+        if symbols and not all(isinstance(sym, str) for sym in symbols):
+            raise ValueError(f"the symbols must be a list of strings, got {brief(list(symbols))}")
         n = len(tbl)
         if n < 1:
             raise ValueError("rank must be at least 1")

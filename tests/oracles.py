@@ -415,47 +415,44 @@ def _in_localization(n: int, f: int) -> bool:
     return n != 0 and pow(f, n.bit_length(), n) == 0
 
 
-def glue_report_fractions(cover, cocycle, data) -> list[dict]:
-    """The glue verification report of ``glue.verification_report``, every
+def glue_report_fractions(cover, cocycle, data):
+    """The (check, indices, ok) rows of ``glue.verification_report``, every
     check computed in ``Fraction`` arithmetic from the public objects."""
     f, k = cover.opens, cover.size
     eps = cocycle.eps
-    report = [{"check": "cover", "indices": [], "ok": gcd(*f) == 1}]
+    report = [("cover", (), gcd(*f) == 1)]
     for i, j in itertools.combinations(range(k), 2):
         e = eps(i, j)
         ok = _in_localization(e.numerator, f[i] * f[j]) \
             and _in_localization(e.denominator, f[i] * f[j])
-        report.append({"check": "cocycle_unit", "indices": [i, j], "ok": ok})
+        report.append(("cocycle_unit", (i, j), ok))
     for i, j, t in itertools.combinations(range(k), 3):
-        report.append({"check": "cocycle_triple", "indices": [i, j, t],
-                       "ok": eps(i, t) == eps(i, j) * eps(j, t)})
+        report.append(("cocycle_triple", (i, j, t), eps(i, t) == eps(i, j) * eps(j, t)))
     if len(data.d) != k:
-        return report + [{"check": "data_shape", "indices": [], "ok": False}]
+        yield from report
+        yield "data_shape", (), False
+        return
     for i in range(k):
         d, p = data.d[i], data.p[i]
         member = _in_localization(d.denominator, f[i]) \
             and _in_localization(p.denominator, f[i])
-        report.append({"check": "chart_membership", "indices": [i], "ok": member})
+        report.append(("chart_membership", (i,), member))
         if member:
-            report.append({"check": "chart_validity", "indices": [i],
-                           "ok": _in_localization(((d - p * p) / 4).denominator, f[i])})
+            report.append(("chart_validity", (i,),
+                           _in_localization(((d - p * p) / 4).denominator, f[i])))
     for i, j in itertools.combinations(range(k), 2):
         e = eps(i, j)
-        report.append({"check": "overlap_discriminant", "indices": [i, j],
-                       "ok": data.d[i] == data.d[j] * e * e})
+        report.append(("overlap_discriminant", (i, j), data.d[i] == data.d[j] * e * e))
         half = (data.p[i] - data.p[j] * e) / 2
-        report.append({"check": "overlap_parity", "indices": [i, j],
-                       "ok": _in_localization(half.denominator, f[i] * f[j])})
-    if not all(item["ok"] for item in report):
-        return report
+        report.append(("overlap_parity", (i, j), _in_localization(half.denominator, f[i] * f[j])))
+    yield from report
+    if not all(ok for _, _, ok in report):
+        return
     glued = GluedAlgebra(cover, [], data.p, data.d, glue_transitions_fractions(cocycle, data))
     for i, j in itertools.permutations(range(k), 2):
-        report.append({"check": "transition_hom", "indices": [i, j],
-                       "ok": transition_hom_fractions(glued, i, j)})
+        yield "transition_hom", (i, j), transition_hom_fractions(glued, i, j)
     for i, j, t in itertools.combinations(range(k), 3):
-        report.append({"check": "cocycle_transitions", "indices": [i, j, t],
-                       "ok": cocycle_transitions_fractions(glued, i, j, t)})
-    return report
+        yield "cocycle_transitions", (i, j, t), cocycle_transitions_fractions(glued, i, j, t)
 
 
 def glue_transitions_fractions(cocycle, data) -> dict:

@@ -268,7 +268,7 @@ def test_criterion_10_glue_verification():
         rng = random.Random(10)
         for _ in range(100):
             cov, coc, dat = random_valid_dataset(rng)
-            assert all(item["ok"] for item in verification_report(cov, coc, dat))
+            assert all(ok for _, _, ok in verification_report(cov, coc, dat))
             g = build_glued(cov, coc, dat)
             k = cov.size
             for i in range(k):

@@ -151,21 +151,23 @@ def test_glue_check_golden_bytes(capsys):
 def test_glue_check_prints_the_report_as_json_dumps(capsys):
     # the row template prints exactly what json.dumps prints for the report:
     # seeded payloads of every perturbation kind ("shape" ends the report at
-    # data_shape, with no indices), then a valid cover of 12 opens, whose
-    # indices have two digits
+    # data_shape, with no indices), then valid covers of 12 opens, whose
+    # indices have two digits, and of 30 opens, whose 10,356 rows are written
+    # in three chunks of at most 4096
     rng = random.Random(19)
     datasets = [glue_dataset(rng, kind) for kind in dict.fromkeys(PERTURBATIONS)
                 for _ in range(8)]
-    datasets.append(glue_dataset(rng, None, size=12))
+    datasets += [glue_dataset(rng, None, size=12), glue_dataset(rng, None, size=30)]
     rows = []
     for dataset in datasets:
         payload = as_payload(*dataset)
-        report = glue.verification_report(*_parse_glue_payload(json.loads(payload)))
+        report = [{"check": check, "indices": list(indices), "ok": ok} for check, indices, ok
+                  in glue.verification_report(*_parse_glue_payload(json.loads(payload)))]
         assert invoke(capsys, "glue-check", payload) == \
             (0, json.dumps(report, separators=(",", ":")) + "\n", "")
         rows += report
     assert {"check": "data_shape", "indices": [], "ok": False} in rows
-    assert all(item["ok"] for item in report)
+    assert all(item["ok"] for item in report) and len(report) == 10356
     assert {"check": "cocycle_transitions", "indices": [9, 10, 11], "ok": True} in report
 
 

@@ -13,13 +13,14 @@ from quadalg.glue import (
     build_glued,
     check_cocycle_transitions,
     check_transition_hom,
-    validate_cocycle,
-    validate_cover,
-    validate_type_data,
     verification_report,
 )
 
 from oracles import localization_value, with_shift
+
+
+def all_pass(cover, cocycle, data):
+    return all(ok for _, _, ok in verification_report(cover, cocycle, data))
 
 
 def worked_example():
@@ -33,9 +34,8 @@ def test_single_chart_cover():
     cover = PrincipalCover([1])
     cocycle = LineBundleCocycle(cover, {})
     data = GluedTypeData([-44], [0])
-    assert validate_cover(cover)
-    assert validate_cocycle(cover, cocycle)
-    assert validate_type_data(cover, cocycle, data)
+    assert cover.covers()
+    assert all_pass(cover, cocycle, data)
     glued = build_glued(cover, cocycle, data)
     chart = glued.charts[0]
     assert chart.r == 0 and chart.s == 11
@@ -43,9 +43,8 @@ def test_single_chart_cover():
 
 def test_worked_example_builds():
     cover, cocycle, data = worked_example()
-    assert validate_cover(cover)
-    assert validate_cocycle(cover, cocycle)
-    assert validate_type_data(cover, cocycle, data)
+    assert cover.covers()
+    assert all_pass(cover, cocycle, data)
     glued = build_glued(cover, cocycle, data)
     c0, c1 = glued.charts
     assert c0.r == 1 and c0.s == 25 and c0.ring.describe() == "Z[1/2]"
@@ -58,15 +57,24 @@ def test_worked_example_builds():
 def test_cocycle_not_a_unit():
     cover = PrincipalCover([2, 3])
     cocycle = LineBundleCocycle(cover, {(0, 1): 5})
-    assert not validate_cocycle(cover, cocycle)
-    with pytest.raises(ValidationFailed):
-        build_glued(cover, cocycle, GluedTypeData([-44 * 25, -44], [0, 0]))
+    data = GluedTypeData([-44 * 25, -44], [0, 0])
+    report = list(verification_report(cover, cocycle, data))
+    assert [row for row in report if row[0] == "cocycle_unit"] == [("cocycle_unit", (0, 1), False)]
+    with pytest.raises(ValidationFailed, match=r"^cocycle_unit failed at \[0, 1\]$"):
+        build_glued(cover, cocycle, data)
+
+
+def test_missing_cocycle_entry_is_named_by_its_key():
+    # the first missing entry of (1,3) and (2,3), as a 1-based glue-check key
+    cover = PrincipalCover([2, 3, 5])
+    with pytest.raises(ValueError, match="^missing cocycle entry '1,3'$"):
+        LineBundleCocycle(cover, {(0, 1): 1})
 
 
 def test_cover_must_cover():
-    assert not validate_cover(PrincipalCover([2, 4]))
-    assert validate_cover(PrincipalCover([2, 3]))
-    assert validate_cover(PrincipalCover([6, 10, 15]))
+    assert not PrincipalCover([2, 4]).covers()
+    assert PrincipalCover([2, 3]).covers()
+    assert PrincipalCover([6, 10, 15]).covers()
 
 
 def test_perturbed_shift_fails_hom_check():
@@ -133,8 +141,8 @@ def test_randomized_valid_datasets():
     rng = random.Random(20260810)
     for _ in range(120):
         cover, cocycle, data = random_valid_dataset(rng)
-        report = verification_report(cover, cocycle, data)
-        assert all(item["ok"] for item in report), report
+        report = list(verification_report(cover, cocycle, data))
+        assert all(ok for _, _, ok in report), report
         glued = build_glued(cover, cocycle, data)
         k = cover.size
         for i in range(k):
@@ -168,6 +176,5 @@ def test_report_flags_first_failure():
     cover = PrincipalCover([2, 3])
     cocycle = LineBundleCocycle(cover, {(0, 1): Fraction(3, 2)})
     data = GluedTypeData([-99, -43], [1, 1])  # d mismatch on the overlap
-    report = verification_report(cover, cocycle, data)
-    failing = [item for item in report if not item["ok"]]
-    assert failing and failing[0]["check"] == "overlap_discriminant"
+    failing = [row for row in verification_report(cover, cocycle, data) if not row[2]]
+    assert failing and failing[0][0] == "overlap_discriminant"
