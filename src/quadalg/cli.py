@@ -17,23 +17,23 @@ import sys
 
 from . import algebras, forms, glue, picard
 from .errors import QuadalgError, ResultTooLong, brief
-from .ring import (
-    IntegerRing,
-    QuotientRing,
-    Ring,
-    TableRing,
-    construct_ring,
-    int_value,
-    json_int,
-    quadratic_table_ring,
-)
+from .ring import IntegerRing, Ring, construct_ring, int_value, json_int
 
-_BIQUAD8_TABLE = [
-    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-    [(0, 1, 0, 0), (8, 0, 0, 0), (0, 0, 0, 1), (0, 0, 8, 0)],
-    [(0, 0, 1, 0), (0, 0, 0, 1), (8, 0, 0, 0), (0, 8, 0, 0)],
-    [(0, 0, 0, 1), (0, 0, 8, 0), (0, 8, 0, 0), (64, 0, 0, 0)],
-]
+# the ring aliases of the worked examples, each the descriptor --ring JSON would give
+BUILTIN_RINGS = {
+    "z": {"kind": "integers"},
+    **{f"zsqrt{n}": {"kind": "table", "mul": [[[1, 0], [0, 1]], [[0, 1], [n, 0]]],
+                     "one": [1, 0], "symbols": ["1", "w"]} for n in (2, 8)},
+    **{f"zmod{m}": {"kind": "quotient", "base": {"kind": "integers"}, "m": m} for m in (4, 8)},
+    "f4": {"kind": "quotient", "m": 2,
+           "base": {"kind": "table", "mul": [[[1, 0], [0, 1]], [[0, 1], [-1, -1]]],
+                    "one": [1, 0], "symbols": ["1", "x"]}},
+    "biquad8": {"kind": "table", "one": [1, 0, 0, 0], "symbols": ["1", "X", "Y", "XY"], "mul": [
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+        [(0, 1, 0, 0), (8, 0, 0, 0), (0, 0, 0, 1), (0, 0, 8, 0)],
+        [(0, 0, 1, 0), (0, 0, 0, 1), (8, 0, 0, 0), (0, 8, 0, 0)],
+        [(0, 0, 0, 1), (0, 0, 8, 0), (0, 8, 0, 0), (64, 0, 0, 0)]]},
+}
 
 
 def _unique_keys(pairs):
@@ -47,31 +47,22 @@ def _unique_keys(pairs):
     return obj
 
 
-# json.loads for str, but an object that repeats a key raises ValueError
-# naming the key, where json.loads keeps the last value
-_loads = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+def _parse_int(text: str) -> int:
+    """A JSON int literal, refused by name past the int-to-string digit limit, if any."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and (digits := len(text.lstrip("-"))) > limit:
+        raise ValueError(f"a JSON integer has {digits} digits, more than Python's limit of {limit}")
+    return int(text)
+
+
+# json.loads for str, but a repeated object key (json.loads keeps the last value)
+# and an int past the digit limit each raise a ValueError that names it
+_loads = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_int=_parse_int).decode
 
 
 def builtin_ring(name: str) -> Ring:
-    """Ring aliases for the worked examples; falls back to a JSON descriptor."""
-    if name == "z":
-        return IntegerRing()
-    if name == "zsqrt2":
-        return quadratic_table_ring(2)
-    if name == "zsqrt8":
-        return quadratic_table_ring(8)
-    if name == "zmod4":
-        return QuotientRing(IntegerRing(), 4)
-    if name == "zmod8":
-        return QuotientRing(IntegerRing(), 8)
-    if name == "f4":
-        base = TableRing([[(1, 0), (0, 1)], [(0, 1), (-1, -1)]],
-                         one=(1, 0), symbols=("1", "x"))
-        return QuotientRing(base, 2)
-    if name == "biquad8":
-        return TableRing(_BIQUAD8_TABLE, one=(1, 0, 0, 0),
-                         symbols=("1", "X", "Y", "XY"))
-    return construct_ring(_loads(name))
+    """A ring alias of ``BUILTIN_RINGS`` or else a JSON descriptor, read by ``construct_ring``."""
+    return construct_ring(BUILTIN_RINGS[name] if name in BUILTIN_RINGS else _loads(name))
 
 
 _TERM = re.compile(r"([+-]?)(\d*)([A-Za-z]+\d*)?")

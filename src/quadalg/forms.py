@@ -212,24 +212,22 @@ def is_reduced(q: TwistedForm) -> bool:
     return b >= 0 if a == c else True
 
 
-def _check_definite_pair(q1: TwistedForm, q2: TwistedForm) -> None:
-    if not isinstance(q1.ring, IntegerRing) or not isinstance(q2.ring, IntegerRing):
-        raise UnsupportedRing("equivalence testing is implemented over Z only")
-    d1 = int(q1.discriminant())
-    d2 = int(q2.discriminant())
-    if d1 >= 0 or d2 >= 0:
-        raise NotDefinite("both forms must have negative discriminant")
+def _reduced_pair(q1: TwistedForm, q2: TwistedForm) -> tuple[tuple[int, int, int], ...]:
+    """The reduced triples of two definite forms over Z of one discriminant."""
+    t1, t2 = _definite_coefficients(q1), _definite_coefficients(q2)
+    d1, d2 = (b * b - 4 * a * c for a, b, c in (t1, t2))
     if d1 != d2:
         raise DiscriminantMismatch(f"{d1} != {d2}")
+    return _gauss_reduce(*t1)[0], _gauss_reduce(*t2)[0]
 
 
 def equivalent_gl2tw(q1: TwistedForm, q2: TwistedForm) -> bool:
-    _check_definite_pair(q1, q2)
-    return reduce_posdef(q1) == reduce_posdef(q2)
+    r1, r2 = _reduced_pair(q1, q2)
+    return r1 == r2
 
 
 def equivalent_gl2gl1(q1: TwistedForm, q2: TwistedForm) -> bool:
-    """Twisted-equivalent to q1 or to its opposite (the det=-1, e=1 orbit)."""
-    _check_definite_pair(q1, q2)
-    r2 = reduce_posdef(q2)
-    return r2 == reduce_posdef(q1) or r2 == reduce_posdef(q1.opposite())
+    """Twisted-equivalent to q1 or to its opposite (the det=-1, e=1 orbit), whose
+    reduction is that of (a, -b, c) for q1's reduced triple (a, b, c)."""
+    (a, b, c), r2 = _reduced_pair(q1, q2)
+    return r2 in ((a, b, c), _gauss_reduce(a, -b, c)[0])

@@ -37,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+from operator import index
 
 from .algebras import FreeQuadraticAlgebra
 from .errors import ValidationFailed, brief
@@ -66,7 +67,7 @@ class PrincipalCover:
     __slots__ = ("opens",)
 
     def __init__(self, opens):
-        self.opens = tuple(int(f) for f in opens)
+        self.opens = tuple(map(index, opens))  # exact ints: a float raises TypeError
         if not self.opens or any(f < 1 for f in self.opens):
             raise ValueError("cover needs positive integers")
 

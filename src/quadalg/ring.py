@@ -46,8 +46,11 @@ computed once.  Forms over Z keep their ints out of ``coerce`` and ``int()``:
 ring's rank is capped at ``TABLE_RANK_CAP`` (RingTooLarge above), since
 its construction checks associativity on every basis triple.
 
-A backend implements ``element``, those kernels (or only the coordinate
-kernels they wrap), ``try_divide``, ``descriptor`` and ``describe``; ``Ring``
+``Ring.element`` reads exact ints (``operator.index``: a float or a string
+raises TypeError) into ``_scale_coords``; only Z[1/f] keeps its own.  A
+backend implements those kernels (or only the coordinate kernels they wrap),
+``try_divide`` (table and quotient rings share one: ``TableRing``'s, which
+adds the rows m*e_k in a quotient), ``descriptor`` and ``describe``; ``Ring``
 derives the rest by division: ``try_inverse`` and ``is_unit`` divide 1,
 ``try_halve`` divides by 2 (a table ring halves each coordinate, and a
 quotient by an odd m scales by (m + 1)/2), ``in_4R`` by 4, and ``mod2`` and
@@ -449,10 +452,16 @@ class Ring:
     # -- element plumbing ----------------------------------------------------
 
     def element(self, coords, k: int = 0) -> RingElement:
-        raise NotImplementedError
+        """The element with these exact int coordinates, reduced mod m in a quotient."""
+        coords = tuple(map(index, coords))
+        if len(coords) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates")
+        if k:
+            raise ValueError(f"{self!r} carries no denominator exponent")
+        return RingElement(self, self._scale_coords(1, coords))
 
     def from_int(self, n: int) -> RingElement:
-        return RingElement(self, self._scale_coords(n, self.one_coords))
+        return RingElement(self, self._scale_coords(index(n), self.one_coords))
 
     @cached_property
     def zero(self) -> RingElement:
@@ -650,12 +659,6 @@ class IntegerRing(Ring):
     _add_coords, _neg_coords, _sub_coords, _scale_coords, _mul_coords = map(
         staticmethod, compile_kernels(table))
 
-    def element(self, coords, k: int = 0) -> RingElement:
-        if k:
-            raise ValueError("integers carry no denominator exponent")
-        (n,) = coords
-        return RingElement(self, (int(n),))
-
     def try_divide(self, p, q):
         a, b = p.coords[0], q.coords[0]
         if b == 0 or a % b:
@@ -690,6 +693,7 @@ class TableRing(Ring):
 
     kind = "table"
     two_regular = True  # free Z-module: 2x = 0 forces x = 0
+    _modulus_rows: list[tuple[int, ...]] = []  # m*e_k in a quotient (``try_divide``)
 
     def __init__(self, table, one=None, symbols=None):
         try:
@@ -758,20 +762,13 @@ class TableRing(Ring):
                     if left != right:
                         raise NonAssociative(f"(e{i}e{j})e{kk} != e{i}(e{j}e{kk})")
 
-    def element(self, coords, k: int = 0) -> RingElement:
-        if k:
-            raise ValueError("table rings carry no denominator exponent")
-        coords = tuple(map(int, coords))
-        if len(coords) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates")
-        return RingElement(self, coords)
-
     def try_divide(self, p, q):
-        # q*y = sum_i y_i (q*e_i)
+        """y with q*y = p (mod m): the first rank entries of an integer combination
+        of the q*e_i and the modulus rows that meets p, read by ``_scale_coords``."""
         gens = [self._mul_coords(q.coords, e) for e in standard_basis(self.rank)]
         # solve_int's x meets the target exactly, so q*y = p needs no recheck
-        sol = solve_int(gens, p.coords)
-        return None if sol is None else RingElement(self, tuple(sol))
+        sol = solve_int(gens + self._modulus_rows, p.coords)
+        return None if sol is None else RingElement(self, self._scale_coords(1, sol))
 
     def _try_halve(self, x):
         half = tuple([c >> 1 for c in x.coords])
@@ -855,23 +852,9 @@ class QuotientRing(Ring):
         self.one_coords = base.one_coords
         (self._add_coords, self._neg_coords, self._sub_coords, self._scale_coords,
          self._mul_coords) = compile_kernels(base.table, m)
+        self._modulus_rows = [base._scale_coords(m, e) for e in standard_basis(self.rank)]
 
-    def element(self, coords, k: int = 0) -> RingElement:
-        if k:
-            raise ValueError("quotient rings carry no denominator exponent")
-        coords = tuple(map(int, coords))
-        if len(coords) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates")
-        return RingElement(self, self._scale_coords(1, coords))  # reduced mod m
-
-    def try_divide(self, p, q):
-        # q*y = p mod m: solve over the lattice spanned by q*e_i and m*e_k
-        basis = standard_basis(self.rank)
-        gens = [self._mul_coords(q.coords, e) for e in basis]
-        gens += [self.base._scale_coords(self.m, e) for e in basis]
-        sol = solve_int(gens, p.coords)
-        # the kernel reads y, the first rank entries of sol, and reduces them
-        return None if sol is None else RingElement(self, self._scale_coords(1, sol))
+    try_divide = TableRing.try_divide  # defined there, where perfbench/spans.py traces it
 
     def _try_halve(self, x):
         # (m + 1)/2 is the inverse of 2 mod an odd m; for an even m, None is all
@@ -956,8 +939,9 @@ class LocalizationRing(Ring):
         self.f = f
 
     def element(self, coords, k: int = 0) -> RingElement:
-        (num,) = coords
-        num = int(num)
+        if len(coords) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates")
+        num = index(coords[0])
         if k < 0:
             raise ValueError(f"the denominator exponent 'k' must be non-negative, got {brief(k)}")
         f = self.f
@@ -969,7 +953,7 @@ class LocalizationRing(Ring):
         return RingElement(self, (num,), k)
 
     def from_int(self, n: int) -> RingElement:
-        return RingElement(self, (int(n),))
+        return RingElement(self, (index(n),))
 
     def try_from_rational(self, q) -> RingElement | None:
         return self._divide(*Fraction(q).as_integer_ratio())
@@ -1085,7 +1069,7 @@ def construct_ring(descriptor: dict) -> Ring:
     raise ValueError(f"unknown ring kind {brief(kind)}")
 
 
-def quadratic_table_ring(n: int, symbol: str = "w") -> TableRing:
+def quadratic_table_ring(n: int) -> TableRing:
     """Z[sqrt(N)] on the basis (1, w) with w^2 = N."""
     table = [[(1, 0), (0, 1)], [(0, 1), (n, 0)]]
-    return TableRing(table, one=(1, 0), symbols=("1", symbol))
+    return TableRing(table, one=(1, 0), symbols=("1", "w"))

@@ -43,11 +43,6 @@ def test_compose(capsys):
     assert code == 0 and out.strip() == "[3,-2,4]"
 
 
-def test_reduce(capsys):
-    code, out, _ = invoke(capsys, "reduce", "[9,10,4]")
-    assert code == 0 and out.strip() == "[3,2,4]"
-
-
 def test_picmodconj(capsys):
     code, out, _ = invoke(capsys, "picmodconj", "--delta", "-44")
     assert code == 0
@@ -416,60 +411,6 @@ def test_errors_echo_a_huge_value_briefly(capsys):
     # a value whose repr has at most 200 characters is echoed whole
     assert brief("x" * 198) == repr("x" * 198)
     assert brief("x" * 199) == repr("x" * 199)[:100] + "... (201 characters)"
-
-
-def test_compose_errors(capsys):
-    cases = [
-        (("-44", "[3,2,4]", "[1,1,3]"),
-         "natural type of [1,1,3] does not match QuadraticOrder(delta=-44, pitilde=0)"),
-        (("-44", "[6,4,8]", "[1,0,11]"), "[6,4,8] is not primitive"),
-        (("-6", "[3,2,4]", "[3,2,4]"), "-6 is not a negative discriminant"),
-    ]
-    for (delta, q1, q2), message in cases:
-        code, out, err = invoke(capsys, "compose", "--delta", delta, q1, q2)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-def test_descriptor_errors_name_the_key(capsys):
-    cases = [
-        ({"kind": "quotient", "m": 2}, "quotient ring descriptor is missing 'base'"),
-        ({"kind": "quotient", "base": {"kind": "integers"}},
-         "quotient ring descriptor is missing 'm'"),
-        ({"kind": "localization"}, "localization ring descriptor is missing 'f'"),
-        ({"kind": "table"}, "table ring descriptor is missing 'mul'"),
-        ({"kind": "quotient", "base": {"kind": "integers"}, "m": [2]},
-         "quotient ring descriptor: 'm' must be an integer, got [2]"),
-        ({"kind": "localization", "f": "1/2"},
-         "localization ring descriptor: 'f' must be an integer, got '1/2'"),
-    ]
-    for descriptor, message in cases:
-        code, out, err = invoke(capsys, "type", "--ring", json.dumps(descriptor),
-                                "--alg", "r=0,s=1")
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-    # integers and integer strings are still accepted
-    code, out, _ = invoke(capsys, "type", "--alg", "r=0,s=1", "--ring",
-                          '{"kind":"quotient","base":{"kind":"integers"},"m":"8"}')
-    assert code == 0 and json.loads(out) == {"delta": [4], "parity": [0]}
-
-
-def test_negative_denominator_exponent_exits_2(capsys):
-    # {"coords": [n], "k": k} is n/f^k over Z[1/f]; a negative k is refused
-    # before f ** k can make a float
-    message = "error: the denominator exponent 'k' must be non-negative, got -2\n"
-    for argv in (["type", "--alg", 'r={"coords":[1],"k":-2},s=0'],
-                 ["validate-triple", "--delta", '{"coords":[-9],"k":-2}', "--parity", "1"]):
-        assert invoke(capsys, *argv, "--ring", '{"kind":"localization","f":5}') \
-            == (2, "", message)
-
-
-def test_denominator_exponent_is_capped(capsys):
-    # one past the cap is refused by name; `type` at the cap and one past it
-    # are golden cases with a 1 s bound
-    ring = '{"kind":"localization","f":3}'
-    message = "error: 'k' is 100001; input exponents are capped at 100000\n"
-    for argv in (["natural-type", '[1,{"coords":[1],"k":100001},0]'],
-                 ["validate-triple", "--delta", '{"coords":[-9],"k":100001}', "--parity", "1"]):
-        assert invoke(capsys, *argv, "--ring", ring) == (2, "", message)
 
 
 def test_power_of_a_large_f_is_capped(capsys):

@@ -77,6 +77,11 @@ def test_cover_must_cover():
     assert PrincipalCover([6, 10, 15]).covers()
 
 
+def test_cover_opens_are_exact_ints():
+    with pytest.raises(TypeError):  # int() would read the cover as [2, 3]
+        PrincipalCover([2.5, 3])
+
+
 def test_perturbed_shift_fails_hom_check():
     cover, cocycle, data = worked_example()
     glued = build_glued(cover, cocycle, data)

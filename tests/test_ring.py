@@ -407,6 +407,17 @@ def test_element_json_round_trip():
     assert rebuilt.descriptor() == ZSQRT8.descriptor()
 
 
+@pytest.mark.parametrize("ring", [Z, ZSQRT2, QuotientRing(Z, 7), QuotientRing(ZSQRT8, 9), ZINV6],
+                         ids=repr)
+def test_elements_are_built_from_exact_ints(ring):
+    # int() would read 2.5 as 2 and "3" as 3, and from_int stored them as given
+    for bad in (2.5, "3"):
+        with pytest.raises(TypeError):
+            ring.element([bad] * ring.rank)
+        with pytest.raises(TypeError):
+            ring.from_int(bad)
+
+
 # Z^3 in a twisted basis.  q = -3e1 + 2e2 kills 1 + e1 + 2e2, so q*y has many
 # quotients, and a Q-solver that sets free variables to zero can miss them all
 TWISTED_Z3 = TableRing([[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
