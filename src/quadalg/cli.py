@@ -283,20 +283,19 @@ def _parse_glue_payload(data):
             and isinstance(payload.get("p"), list)):
         raise ValueError("'data' must be an object with lists 'd' and 'p'")
     cover = glue.PrincipalCover(int_value(f, "a 'cover' entry") for f in opens)
-    eps, keys = {}, {}
+    eps, keys, k = {}, {}, cover.size
     for key, value in entries.items():
         try:
-            i, j = (int(t) for t in key.split(","))
+            i, j = map(int, key.split(","))
         except ValueError:
             i = j = 0
-        if not 1 <= i < j <= cover.size:
-            raise ValueError(f"cocycle key {brief(key)} must be 'i,j' with "
-                             f"1 <= i < j <= {cover.size}")
+        if not 1 <= i < j <= k:
+            raise ValueError(f"cocycle key {brief(key)} must be 'i,j' with 1 <= i < j <= {k}")
         if (i, j) in keys:
             raise ValueError(f"cocycle keys {brief(keys[(i, j)])} and {brief(key)} "
                              f"both name entry '{i},{j}'")
         keys[(i, j)] = key
-        eps[(i - 1, j - 1)] = glue._as_fraction(value, f"cocycle entry {brief(key)}")
+        eps[(i - 1, j - 1)] = glue._as_pair(value, f"cocycle entry {brief(key)}")
     cocycle = glue.LineBundleCocycle(cover, eps)
     return cover, cocycle, glue.GluedTypeData(payload["d"], payload["p"])
 

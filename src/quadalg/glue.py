@@ -21,43 +21,68 @@ Only when all of these have passed do ``transition_hom`` for each ordered pair
 i != j and ``cocycle_transitions`` for each i < j < t follow; the other
 orders of a triple follow from these, as t_ji = -t_ij / eps_ij.
 
-Every check runs on plain ints.  The report turns each ``Fraction`` of the
-input into an (n, d) pair once, d > 0 and not necessarily in lowest terms,
-and each check is one integer expression with the denominators cleared: an
-identity is multiplied through by the product of its (positive) denominators,
-and a membership is ``ring.in_localization``, the one test of "n/d lies in
-Z[1/f]", which ``LocalizationRing`` runs too, on a numerator and denominator
-written out.  ``check_transition_hom`` and ``check_cocycle_transitions`` turn
-only the ``Fraction`` fields they read into pairs and call the report's
-kernels, ``_transition_ok`` and ``_triple_ok``.
+Every check runs on plain ints.  ``_as_pair`` parses each rational of the
+input once into an (n, d) pair of ints, d > 0 and not necessarily in lowest
+terms, which the cocycle, the type data, the report and the glued algebra
+keep; no ``fractions`` rational is built.  Strings follow one grammar on every
+interpreter: Python 3.13's ``fractions`` grammar without the exponent.  Each
+check is one integer expression with the denominators cleared (an identity
+times the product of its positive denominators) or a membership, tested by
+``ring.in_localization``, the one test of "n/d lies in Z[1/f]".  The report
+runs the identities of the last two checks, ``_transition_ok`` and
+``_triple_ok``, alone, since the rows before imply their memberships;
+``check_transition_hom`` and ``check_cocycle_transitions`` test those first.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from itertools import combinations, permutations
 from math import gcd
 from operator import index
 
 from .algebras import FreeQuadraticAlgebra
 from .errors import ValidationFailed, brief
-from .ring import IntegerRing, LocalizationRing, Ring, in_localization
+from .ring import IntegerRing, LocalizationRing, Ring, divides_power, in_localization
+
+# Python 3.13's fractions._RATIONAL_FORMAT without its exponent group (\d and
+# \s match Unicode digits and spaces, as int() reads them)
+_RATIONAL = re.compile(r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:\s*/\s*(?P<denom>\d+(_\d+)*)|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?)\s*\Z
+""", re.VERBOSE).match
 
 
-def _as_fraction(x, name: str) -> Fraction:
-    """A rational from an int, a string such as '3/2' or '1.5', or a Fraction, kept
-    as it is; booleans, floats and exponent strings are refused, and ``name`` names
-    the field in the error.  (Fraction('1e20000000') would build 10**20000000.)"""
-    if isinstance(x, Fraction):
-        return x
-    exponent = isinstance(x, str) and ("e" in x or "E" in x)
-    if isinstance(x, (int, str)) and not isinstance(x, bool) and not exponent:
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"{name} has a zero denominator: {brief(x)}") from None
-        except ValueError:
-            pass
+def _as_pair(x, name: str) -> tuple[int, int]:
+    """(n, d), d > 0, from a string of the grammar above ("1.50" gives
+    (150, 100)), an int, an (n, d) pair with d != 0, or an object with int
+    ``numerator`` and ``denominator``; booleans, floats and exponent strings
+    (an exponent of 20000000 would build 10**20000000) are refused, with
+    ``name`` naming the field in the error."""
+    kind, pair = type(x), x
+    if kind is int:
+        return x, 1
+    if kind is str:
+        m, pair = _RATIONAL(x), None
+        if m:
+            sign, num, denom, decimal = m.group("sign", "num", "denom", "decimal")
+            try:  # int() refuses a string past the int-to-string digit limit
+                if decimal:
+                    decimal = decimal.replace("_", "")
+                    denom = 10 ** len(decimal)
+                    n = int(num or "0") * denom + int(decimal)
+                else:
+                    n, denom = int(num or "0"), int(denom or "1")
+                pair = (-n if sign == "-" else n), denom
+            except ValueError:
+                pass
+    elif kind is not tuple and kind is not bool:
+        pair = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int:
+        n, d = pair
+        if d:
+            return pair if d > 0 else (-n, -d)
+        raise ValueError(f"{name} has a zero denominator: {brief(x)}")
     raise ValueError(f"{name} must be a rational number, got {brief(x)}")
 
 
@@ -87,7 +112,7 @@ class PrincipalCover:
 
 
 class LineBundleCocycle:
-    """Units eps_ij of the overlap rings, stored for i < j.
+    """Units eps_ij of the overlap rings, stored for i < j as (n, d) pairs.
 
     Conventions eps_ii = 1 and eps_ji = 1/eps_ij are built in.
     """
@@ -95,32 +120,29 @@ class LineBundleCocycle:
     __slots__ = ("cover", "_eps")
 
     def __init__(self, cover: PrincipalCover, eps: dict):
-        self.cover = cover
-        self._eps = {}
+        self.cover, self._eps, k = cover, {}, cover.size
         for (i, j), value in eps.items():
-            if not 0 <= i < j < cover.size:
+            if not 0 <= i < j < k:
                 raise ValueError(f"cocycle index ({i},{j}) out of range")
-            self._eps[(i, j)] = _as_fraction(value, f"cocycle entry ({i},{j})")
-        for i, j in combinations(range(cover.size), 2):
+            self._eps[(i, j)] = _as_pair(value, f"cocycle entry ({i},{j})")
+        for i, j in combinations(range(k), 2):
             if (i, j) not in self._eps:  # named as the 1-based key of glue-check
                 raise ValueError(f"missing cocycle entry '{i + 1},{j + 1}'")
 
-    def eps(self, i: int, j: int) -> Fraction:
+    def eps(self, i: int, j: int) -> tuple[int, int]:
         if i == j:
-            return Fraction(1)
-        if i < j:
-            return self._eps[(i, j)]
-        return 1 / self._eps[(j, i)]
+            return 1, 1
+        return self._eps[(i, j)] if i < j else _inv(self._eps[(j, i)])
 
 
 class GluedTypeData:
-    """Per-chart discriminants d_i and parity lifts p_i."""
+    """Per-chart discriminants d_i and parity lifts p_i as (n, d) pairs."""
 
     __slots__ = ("d", "p")
 
     def __init__(self, d, p):
-        self.d = tuple(_as_fraction(x, "a 'd' entry") for x in d)
-        self.p = tuple(_as_fraction(x, "a 'p' entry") for x in p)
+        self.d = tuple(_as_pair(x, "a 'd' entry") for x in d)
+        self.p = tuple(_as_pair(x, "a 'p' entry") for x in p)
         if len(self.d) != len(self.p):
             raise ValueError("need one (d, p) pair per chart")
 
@@ -132,43 +154,37 @@ class GluedAlgebra:
     __slots__ = ("cover", "charts", "ptilde", "disc", "transitions")
 
     def __init__(self, cover: PrincipalCover, charts: list[FreeQuadraticAlgebra],
-                 ptilde: tuple[Fraction, ...], disc: tuple[Fraction, ...],
-                 transitions: dict):
-        self.cover = cover
-        self.charts = charts
-        self.ptilde = ptilde
-        self.disc = disc
-        self.transitions = transitions  # (i, j) -> (scale, shift) as Fractions
+                 ptilde: tuple, disc: tuple, transitions: dict):
+        self.cover, self.charts, self.ptilde, self.disc = cover, charts, ptilde, disc
+        self.transitions = transitions  # (i, j) -> (scale, shift)
 
 
-# Rationals in the checks are int pairs (n, d), d > 0 (see the module docstring).
-
-def _pair(x: Fraction) -> tuple[int, int]:
-    return x.numerator, x.denominator
-
+# Rationals are int pairs (n, d), d > 0 (see the module docstring).
 
 def _inv(x):
-    """1/x for x != 0."""
+    """1/x; ZeroDivisionError for x = 0."""
     n, d = x
+    if not n:
+        raise ZeroDivisionError(f"{n}/{d} has no inverse")
     return (d, n) if n > 0 else (-d, -n)
 
 
 def _is_unit(x, f: int) -> bool:
-    """Is x a unit of Z[1/f]?  Zero is not."""
-    return in_localization(x, f) and in_localization((x[1], x[0]), f)
+    """Is x a unit of Z[1/f]?  Zero is not; n/d in lowest terms is one when
+    n*d divides a power of f."""
+    n, d = x
+    g = gcd(n, d)
+    return divides_power(n // g * (d // g), f)
 
 
 def _transitions(eps: dict, p: list) -> dict:
     """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j,
     from eps_ij (i < j) and p_i."""
     transitions = {}
-    k = len(p)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                en, ed = e = eps[(i, j)] if i < j else _inv(eps[(j, i)])
-                (a, b), (x, y) = p[i], p[j]
-                transitions[(i, j)] = (e, (en * x * b - a * ed * y, 2 * ed * y * b))
+    for i, j in permutations(range(len(p)), 2):
+        en, ed = e = eps[(i, j)] if i < j else _inv(eps[(j, i)])
+        (a, b), (x, y) = p[i], p[j]
+        transitions[(i, j)] = (e, (en * x * b - a * ed * y, 2 * ed * y * b))
     return transitions
 
 
@@ -176,9 +192,7 @@ def verification_report(cover: PrincipalCover, cocycle: LineBundleCocycle,
                         data: GluedTypeData):
     """Every check of the glue data as a (check, indices, ok) row, in the order
     of the module docstring, each row computed when it is read."""
-    f, k = cover.opens, cover.size
-    eps = {key: _pair(e) for key, e in cocycle._eps.items()}
-    d, p = [_pair(x) for x in data.d], [_pair(x) for x in data.p]
+    f, k, eps, d, p = cover.opens, cover.size, cocycle._eps, data.d, data.p
 
     def data_rows():
         yield "cover", (), cover.covers()
@@ -210,13 +224,14 @@ def verification_report(cover: PrincipalCover, cocycle: LineBundleCocycle,
         yield row
     if not passed:
         return
+    # every e_ij and t_ij lies in its overlap ring once these rows have passed:
+    # e_ij is a unit there, and t_ij is -(p_i - e_ij*p_j)/2 (overlap_parity),
+    # times the unit e_ij when i > j; so only the identities are left
     tr = _transitions(eps, p)
     for i, j in permutations(range(k), 2):
-        yield "transition_hom", (i, j), \
-            _transition_ok(f[i] * f[j], p[i], d[i], p[j], d[j], *tr[(i, j)])
+        yield "transition_hom", (i, j), _transition_ok(p[i], d[i], p[j], d[j], *tr[(i, j)])
     for i, j, t in combinations(range(k), 3):
-        yield "cocycle_transitions", (i, j, t), \
-            _triple_ok(f[i] * f[j] * f[t], tr[(i, j)], tr[(j, t)], tr[(i, t)])
+        yield "cocycle_transitions", (i, j, t), _triple_ok(tr[(i, j)], tr[(j, t)], tr[(i, t)])
 
 
 def build_glued(cover: PrincipalCover, cocycle: LineBundleCocycle,
@@ -227,15 +242,11 @@ def build_glued(cover: PrincipalCover, cocycle: LineBundleCocycle,
         if not ok:
             raise ValidationFailed(f"{check} failed at {list(indices)}")
     charts = []
-    for i in range(cover.size):
-        ring = cover.chart_ring(i)
-        r = ring.from_rational(data.p[i])
-        s = ring.from_rational(-(data.d[i] - data.p[i] ** 2) / 4)
-        charts.append(FreeQuadraticAlgebra(ring, r, s))
-    transitions = _transitions({key: _pair(e) for key, e in cocycle._eps.items()},
-                               [_pair(x) for x in data.p])
-    return GluedAlgebra(cover, charts, data.p, data.d,
-                        {key: (Fraction(*e), Fraction(*t)) for key, (e, t) in transitions.items()})
+    for i, ((c, g), (a, b)) in enumerate(zip(data.d, data.p)):
+        ring = cover.chart_ring(i)  # s = -(d - p^2)/4 with d = c/g and p = a/b
+        charts.append(FreeQuadraticAlgebra(ring, ring.from_rational(a, b),
+                                           ring.from_rational(a * a * g - c * b * b, 4 * g * b * b)))
+    return GluedAlgebra(cover, charts, data.p, data.d, _transitions(cocycle._eps, data.p))
 
 
 def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:
@@ -243,8 +254,8 @@ def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:
     over the overlap ring?"""
     f, p, d = glued.cover.opens, glued.ptilde, glued.disc
     e, t = glued.transitions[(i, j)]
-    return _transition_ok(f[i] * f[j], _pair(p[i]), _pair(d[i]), _pair(p[j]), _pair(d[j]),
-                          _pair(e), _pair(t))
+    return in_localization(e, f[i] * f[j]) and in_localization(t, f[i] * f[j]) \
+        and _transition_ok(p[i], d[i], p[j], d[j], e, t)
 
 
 def check_cocycle_transitions(glued: GluedAlgebra, i: int, j: int, k: int) -> bool:
@@ -252,14 +263,14 @@ def check_cocycle_transitions(glued: GluedAlgebra, i: int, j: int, k: int) -> bo
     if len({i, j, k}) < 3:
         return True  # repeated indices are trivial by the eps conventions
     f, tr = glued.cover.opens, glued.transitions
-    ij, jk, ik = (tuple(map(_pair, tr[key])) for key in ((i, j), (j, k), (i, k)))
-    return _triple_ok(f[i] * f[j] * f[k], ij, jk, ik)
+    ij, jk, ik = tr[(i, j)], tr[(j, k)], tr[(i, k)]
+    return all(in_localization(x, f[i] * f[j] * f[k]) for x in (*ij, *jk, *ik)) \
+        and _triple_ok(ij, jk, ik)
 
 
-def _transition_ok(f: int, p_i, d_i, p_j, d_j, e, t) -> bool:
-    """``check_transition_hom`` on int pairs, over Z[1/f]."""
-    if not (in_localization(e, f) and in_localization(t, f)):
-        return False
+def _transition_ok(p_i, d_i, p_j, d_j, e, t) -> bool:
+    """The identity of ``check_transition_hom`` on int pairs; the caller
+    tests that e and t lie in the overlap ring."""
     (a, b), (c, g), (x, y), (z, h), (en, ed), (tn, td) = p_i, d_i, p_j, d_j, e, t
     # (e*w + t)^2 + p_i*(e*w + t) + s_i with w^2 = -p_j*w - s_j, s = (p^2 - d)/4,
     # is lin*w + const; p_i = a/b, d_i = c/g, p_j = x/y and d_j = z/h, and both
@@ -271,12 +282,9 @@ def _transition_ok(f: int, p_i, d_i, p_j, d_j, e, t) -> bool:
     return lin == 0 and const == 0
 
 
-def _triple_ok(f: int, ij, jk, ik) -> bool:
-    """``check_cocycle_transitions`` on (scale, shift) pairs, over Z[1/f]:
-    e_ik = e_ij * e_jk and t_ik = e_ij * t_jk + t_ij, cross-multiplied."""
-    (e_ij, t_ij), (e_jk, t_jk), (e_ik, t_ik) = ij, jk, ik
-    if not (in_localization(e_ij, f) and in_localization(t_ij, f) and in_localization(e_jk, f)
-            and in_localization(t_jk, f) and in_localization(e_ik, f) and in_localization(t_ik, f)):
-        return False
+def _triple_ok(ij, jk, ik) -> bool:
+    """The identities of ``check_cocycle_transitions`` on (scale, shift)
+    pairs, e_ik = e_ij * e_jk and t_ik = e_ij * t_jk + t_ij, cross-multiplied;
+    the caller tests membership."""
     ((a, b), (p, q)), ((c, d), (r, s)), ((x, y), (u, v)) = ij, jk, ik
     return x * b * d == a * c * y and u * b * s * q == (a * r * q + p * b * s) * v

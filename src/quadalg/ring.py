@@ -47,7 +47,8 @@ ring's rank is capped at ``TABLE_RANK_CAP`` (RingTooLarge above), since
 its construction checks associativity on every basis triple.
 
 ``Ring.element`` reads exact ints (``operator.index``: a float or a string
-raises TypeError) into ``_scale_coords``; only Z[1/f] keeps its own.  A
+raises TypeError) into ``_scale_coords``; only Z[1/f] keeps its own, and
+``from_rational(n, d=1)`` (n/d in Z or Z[1/f]) reads its ints the same way.  A
 backend implements those kernels (or only the coordinate kernels they wrap),
 ``try_divide`` (table and quotient rings share one: ``TableRing``'s, which
 adds the rows m*e_k in a quotient), ``descriptor`` and ``describe``; ``Ring``
@@ -81,7 +82,6 @@ input powers f^k at ``POWER_BITS_CAP`` bits (k * f.bit_length()).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, isqrt
 from operator import attrgetter, index
@@ -512,11 +512,11 @@ class Ring:
         """Some y with q*y = p; None only when no such y exists."""
         raise NotImplementedError
 
-    def from_rational(self, q) -> RingElement:
-        """q as an element, for the rings with ``try_from_rational`` (Z, Z[1/f])."""
-        x = self.try_from_rational(q)
+    def from_rational(self, n: int, d: int = 1) -> RingElement:
+        """n/d as an element, for the rings with ``try_from_rational`` (Z, Z[1/f])."""
+        x = self.try_from_rational(n, d)
         if x is None:
-            raise ValueError(f"{q} does not lie in {self!r}")
+            raise ValueError(f"{n}/{d} does not lie in {self!r}")
         return x
 
     def try_halve(self, x: RingElement) -> RingElement | None:
@@ -672,9 +672,9 @@ class IntegerRing(Ring):
     def units(self):
         return [self.one, self.from_int(-1)]
 
-    def try_from_rational(self, q) -> RingElement | None:
-        q = Fraction(q)
-        return self.from_int(q.numerator) if q.denominator == 1 else None
+    def try_from_rational(self, n: int, d: int = 1) -> RingElement | None:
+        q, r = divmod(index(n), index(d))  # d = 0 raises ZeroDivisionError
+        return None if r else self.from_int(q)
 
     def descriptor(self):
         return {"kind": "integers"}
@@ -955,8 +955,11 @@ class LocalizationRing(Ring):
     def from_int(self, n: int) -> RingElement:
         return RingElement(self, (index(n),))
 
-    def try_from_rational(self, q) -> RingElement | None:
-        return self._divide(*Fraction(q).as_integer_ratio())
+    def try_from_rational(self, n: int, d: int = 1) -> RingElement | None:
+        n, d = index(n), index(d)
+        if not d:
+            raise ZeroDivisionError(f"{n}/0 is not a rational number")
+        return self._divide(n, d)
 
     def _divide(self, n: int, d: int, e: int = 0) -> RingElement | None:
         """n / (d * f^e) for d != 0, or None outside Z[1/f]; all division ends here."""

@@ -20,6 +20,7 @@ search over products of unit-group generators.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import json
@@ -415,11 +416,27 @@ def _in_localization(n: int, f: int) -> bool:
     return n != 0 and pow(f, n.bit_length(), n) == 0
 
 
+def as_fraction(x) -> Fraction:
+    """An (n, d) pair of the glue objects as a Fraction."""
+    return Fraction(*x)
+
+
+def as_pair(q) -> tuple[int, int]:
+    return q.numerator, q.denominator
+
+
+def _eps(cocycle, i: int, j: int) -> Fraction:
+    """eps_ij for i != j from the stored entry of i < j, inverted here."""
+    return as_fraction(cocycle.eps(i, j)) if i < j else 1 / as_fraction(cocycle.eps(j, i))
+
+
 def glue_report_fractions(cover, cocycle, data):
     """The (check, indices, ok) rows of ``glue.verification_report``, every
-    check computed in ``Fraction`` arithmetic from the public objects."""
+    check computed in ``Fraction`` arithmetic from the pairs that the public
+    objects hold."""
     f, k = cover.opens, cover.size
-    eps = cocycle.eps
+    eps = functools.partial(_eps, cocycle)
+    d_all, p_all = [as_fraction(x) for x in data.d], [as_fraction(x) for x in data.p]
     report = [("cover", (), gcd(*f) == 1)]
     for i, j in itertools.combinations(range(k), 2):
         e = eps(i, j)
@@ -428,12 +445,12 @@ def glue_report_fractions(cover, cocycle, data):
         report.append(("cocycle_unit", (i, j), ok))
     for i, j, t in itertools.combinations(range(k), 3):
         report.append(("cocycle_triple", (i, j, t), eps(i, t) == eps(i, j) * eps(j, t)))
-    if len(data.d) != k:
+    if len(d_all) != k:
         yield from report
         yield "data_shape", (), False
         return
     for i in range(k):
-        d, p = data.d[i], data.p[i]
+        d, p = d_all[i], p_all[i]
         member = _in_localization(d.denominator, f[i]) \
             and _in_localization(p.denominator, f[i])
         report.append(("chart_membership", (i,), member))
@@ -442,13 +459,15 @@ def glue_report_fractions(cover, cocycle, data):
                            _in_localization(((d - p * p) / 4).denominator, f[i])))
     for i, j in itertools.combinations(range(k), 2):
         e = eps(i, j)
-        report.append(("overlap_discriminant", (i, j), data.d[i] == data.d[j] * e * e))
-        half = (data.p[i] - data.p[j] * e) / 2
+        report.append(("overlap_discriminant", (i, j), d_all[i] == d_all[j] * e * e))
+        half = (p_all[i] - p_all[j] * e) / 2
         report.append(("overlap_parity", (i, j), _in_localization(half.denominator, f[i] * f[j])))
     yield from report
     if not all(ok for _, _, ok in report):
         return
-    glued = GluedAlgebra(cover, [], data.p, data.d, glue_transitions_fractions(cocycle, data))
+    transitions = {key: (as_pair(e), as_pair(t))
+                   for key, (e, t) in glue_transitions_fractions(cocycle, data).items()}
+    glued = GluedAlgebra(cover, [], data.p, data.d, transitions)
     for i, j in itertools.permutations(range(k), 2):
         yield "transition_hom", (i, j), transition_hom_fractions(glued, i, j)
     for i, j, t in itertools.combinations(range(k), 3):
@@ -456,8 +475,9 @@ def glue_report_fractions(cover, cocycle, data):
 
 
 def glue_transitions_fractions(cocycle, data) -> dict:
-    """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j."""
-    eps, p = cocycle.eps, data.p
+    """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j,
+    as Fractions."""
+    p, eps = [as_fraction(x) for x in data.p], functools.partial(_eps, cocycle)
     return {(i, j): (eps(i, j), (eps(i, j) * p[j] - p[i]) / 2)
             for i, j in itertools.permutations(range(len(p)), 2)}
 
@@ -465,7 +485,7 @@ def glue_transitions_fractions(cocycle, data) -> dict:
 def with_shift(glued, i: int, j: int, shift: Fraction) -> GluedAlgebra:
     """A copy of ``glued`` with the shift of transition (i, j) replaced."""
     transitions = dict(glued.transitions)
-    transitions[(i, j)] = (transitions[(i, j)][0], shift)
+    transitions[(i, j)] = (transitions[(i, j)][0], as_pair(shift))
     return GluedAlgebra(glued.cover, glued.charts, glued.ptilde, glued.disc, transitions)
 
 
@@ -474,10 +494,10 @@ def transition_hom_fractions(glued, i: int, j: int) -> bool:
     w^2 = -p_j*w - s_j, (e*w + t)^2 + p_i*(e*w + t) + s_i vanishes, and e, t
     lie in the overlap ring."""
     f = glued.cover.opens[i] * glued.cover.opens[j]
-    e, t = glued.transitions[(i, j)]
-    p_i, p_j = glued.ptilde[i], glued.ptilde[j]
-    s_i = -(glued.disc[i] - p_i ** 2) / 4
-    s_j = -(glued.disc[j] - p_j ** 2) / 4
+    e, t = map(as_fraction, glued.transitions[(i, j)])
+    p_i, p_j = as_fraction(glued.ptilde[i]), as_fraction(glued.ptilde[j])
+    s_i = -(as_fraction(glued.disc[i]) - p_i ** 2) / 4
+    s_j = -(as_fraction(glued.disc[j]) - p_j ** 2) / 4
     lin = -e * e * p_j + 2 * e * t + p_i * e
     const = -e * e * s_j + t * t + p_i * t + s_i
     return _in_localization(e.denominator, f) and _in_localization(t.denominator, f) \
@@ -488,9 +508,9 @@ def cocycle_transitions_fractions(glued, i: int, j: int, k: int) -> bool:
     """``glue.check_cocycle_transitions`` in ``Fraction`` arithmetic."""
     if len({i, j, k}) < 3:
         return True
-    e_ij, t_ij = glued.transitions[(i, j)]
-    e_jk, t_jk = glued.transitions[(j, k)]
-    e_ik, t_ik = glued.transitions[(i, k)]
+    e_ij, t_ij = map(as_fraction, glued.transitions[(i, j)])
+    e_jk, t_jk = map(as_fraction, glued.transitions[(j, k)])
+    e_ik, t_ik = map(as_fraction, glued.transitions[(i, k)])
     opens = glued.cover.opens
     f = opens[i] * opens[j] * opens[k]
     values = (e_ij, t_ij, e_jk, t_jk, e_ik, t_ik)

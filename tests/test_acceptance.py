@@ -54,7 +54,7 @@ from quadalg.picard import (
 )
 from quadalg.ring import IntegerRing, quadratic_table_ring
 
-from oracles import ideal_class_count, with_shift
+from oracles import as_fraction, ideal_class_count, with_shift
 from test_glue import random_valid_dataset
 
 Z = IntegerRing()
@@ -263,7 +263,7 @@ def test_criterion_10_glue_verification():
         assert glued.charts[1].r == 0 and glued.charts[1].s == 11
         assert check_transition_hom(glued, 0, 1)
         assert check_transition_hom(glued, 1, 0)
-        bad = with_shift(glued, 0, 1, glued.transitions[(0, 1)][1] + 1)
+        bad = with_shift(glued, 0, 1, as_fraction(glued.transitions[(0, 1)][1]) + 1)
         assert not check_transition_hom(bad, 0, 1)
         rng = random.Random(10)
         for _ in range(100):

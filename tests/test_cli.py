@@ -6,7 +6,6 @@ import shlex
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +22,7 @@ from quadalg.cli import (
 from quadalg.errors import InvalidRange, brief
 
 from glue_data import PERTURBATIONS, as_payload, glue_dataset, glue_payload
+from golden_check import src_env
 from oracles import ClassNumbers, table_one_sweep
 
 
@@ -30,24 +30,6 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_classgroup(capsys):
-    code, out, _ = invoke(capsys, "classgroup", "--delta", "-44")
-    assert code == 0
-    assert out.strip() == '{"h":3,"reps":[[1,0,11],[3,2,4],[3,-2,4]]}'
-
-
-def test_compose(capsys):
-    code, out, _ = invoke(capsys, "compose", "--delta", "-44", "[3,2,4]", "[3,2,4]")
-    assert code == 0 and out.strip() == "[3,-2,4]"
-
-
-def test_picmodconj(capsys):
-    code, out, _ = invoke(capsys, "picmodconj", "--delta", "-44")
-    assert code == 0
-    assert json.loads(out) == {"count": 2,
-                               "orbits": [[[1, 0, 11]], [[3, 2, 4], [3, -2, 4]]]}
 
 
 def test_iso_with_zero_discriminants_over_large_n_is_quick(capsys):
@@ -166,24 +148,24 @@ def test_glue_check_prints_the_report_as_json_dumps(capsys):
     assert {"check": "cocycle_transitions", "indices": [9, 10, 11], "ok": True} in report
 
 
-def test_glue_payload_builds_one_fraction_per_entry(monkeypatch):
-    # the CLI parses each cocycle entry once; LineBundleCocycle keeps that Fraction
-    class Counted(Fraction):
-        built = 0
+def test_glue_payload_parses_each_entry_once(monkeypatch):
+    # the CLI parses each cocycle entry once; LineBundleCocycle keeps that pair
+    calls = []
 
-        def __new__(cls, *args, **kwargs):
-            Counted.built += 1
-            return super().__new__(cls, *args, **kwargs)
+    def counted(x, name, as_pair=glue._as_pair):
+        calls.append((x, as_pair(x, name)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(glue, "Fraction", Counted)
+    monkeypatch.setattr(glue, "_as_pair", counted)
     data = json.loads('{"cover":[13,21,13,33,65],"cocycle":{"1,2":"3/91","1,3":"-1/13",'
                       '"1,4":"-1/117","1,5":"1","2,3":"-7/3","2,4":"-7/27","2,5":"91/3",'
                       '"3,4":"1/9","3,5":"-13","4,5":"-117"},"data":{"d":["-72/169",'
                       '"-392","-72","-5832","-72/169"],"p":["-2/13","-14/3","2","18","-2/13"]}}')
     _, cocycle, _ = _parse_glue_payload(data)
-    assert Counted.built == 10 + 5 + 5
-    assert cocycle.eps(1, 2) == Fraction(-7, 3) and cocycle.eps(4, 3) == Fraction(-1, 117)
-    assert glue._as_fraction(cocycle.eps(0, 1), "an entry") is cocycle.eps(0, 1)
+    parsed = [pair for x, pair in calls if isinstance(x, str)]
+    assert len(parsed) == 10 + 5 + 5
+    assert all(any(pair is p for p in parsed) for pair in cocycle._eps.values())
+    assert cocycle.eps(1, 2) == (-7, 3) and cocycle.eps(4, 3) == (-1, 117)
 
 
 def test_glue_check_never_builds_charts(capsys, monkeypatch):
@@ -303,6 +285,17 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    # glue-check reads rationals as int pairs, so no CLI start pays for
+    # importing fractions, or decimal, which fractions imports
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import quadalg.cli"],
+                          capture_output=True, encoding="utf-8", env=src_env(), check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "quadalg.cli" in imported
+    assert not imported & {"fractions", "decimal", "_decimal", "_pydecimal"}
 
 
 def test_table_invalid_range():

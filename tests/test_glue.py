@@ -1,7 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadalg.algebras import type_of
 from quadalg.errors import ValidationFailed
@@ -10,13 +13,18 @@ from quadalg.glue import (
     GluedTypeData,
     LineBundleCocycle,
     PrincipalCover,
+    _as_pair,
     build_glued,
     check_cocycle_transitions,
     check_transition_hom,
     verification_report,
 )
 
-from oracles import localization_value, with_shift
+from oracles import as_fraction, localization_value, with_shift
+
+
+def values(pairs):
+    return tuple(map(as_fraction, pairs))
 
 
 def all_pass(cover, cocycle, data):
@@ -49,7 +57,7 @@ def test_worked_example_builds():
     c0, c1 = glued.charts
     assert c0.r == 1 and c0.s == 25 and c0.ring.describe() == "Z[1/2]"
     assert c1.r == 0 and c1.s == 11 and c1.ring.describe() == "Z[1/3]"
-    assert glued.transitions[(0, 1)] == (Fraction(3, 2), Fraction(-1, 2))
+    assert values(glued.transitions[(0, 1)]) == (Fraction(3, 2), Fraction(-1, 2))
     assert check_transition_hom(glued, 0, 1)
     assert check_transition_hom(glued, 1, 0)
 
@@ -71,6 +79,50 @@ def test_missing_cocycle_entry_is_named_by_its_key():
         LineBundleCocycle(cover, {(0, 1): 1})
 
 
+def _read(read, s):
+    """read(s) as a Fraction, or None when it refuses s."""
+    try:
+        x = read(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return Fraction(*x) if isinstance(x, tuple) else x
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.text(alphabet="0123456789+-/._ eE", max_size=8))
+@example("1_0")
+@example("3 / 2")
+@example(" -.5 ")
+@example("1.50")
+@example("5.")
+@example("1/0")
+@example("1e5")
+def test_rational_strings_read_as_fraction_reads_them(s):
+    # one grammar on every interpreter: Python 3.13's Fraction strings without
+    # the exponent, which take in every string that an older Fraction takes
+    got = _read(lambda x: _as_pair(x, "an entry"), s)
+    if "e" in s or "E" in s:
+        assert got is None
+        return
+    expected = _read(Fraction, s)
+    if expected is not None or sys.version_info >= (3, 13):
+        assert got == expected
+
+
+def test_rationals_are_read_as_int_pairs():
+    # not reduced, the denominator made positive; a Fraction is read through
+    # its numerator and denominator
+    for x, pair in (("1.50", (150, 100)), ("-6/4", (-6, 4)), (" +7 ", (7, 1)), (-3, (-3, 1)),
+                    ((3, -6), (-3, 6)), (Fraction(-6, 4), (-3, 2)), ("\u0663/\u0664", (3, 4))):
+        assert _as_pair(x, "an entry") == pair, x
+    for x in (True, 1.5, None, "1e5", "1/2/3", (1, 2, 3), (1.0, 2), ("1", 2), "1" * 5000):
+        with pytest.raises(ValueError, match="^an entry must be a rational number, got "):
+            _as_pair(x, "an entry")
+    for x in ("0/0", "3/0", (1, 0)):
+        with pytest.raises(ValueError, match="^an entry has a zero denominator: "):
+            _as_pair(x, "an entry")
+
+
 def test_cover_must_cover():
     assert not PrincipalCover([2, 4]).covers()
     assert PrincipalCover([2, 3]).covers()
@@ -85,7 +137,7 @@ def test_cover_opens_are_exact_ints():
 def test_perturbed_shift_fails_hom_check():
     cover, cocycle, data = worked_example()
     glued = build_glued(cover, cocycle, data)
-    bad = with_shift(glued, 0, 1, glued.transitions[(0, 1)][1] + 1)
+    bad = with_shift(glued, 0, 1, as_fraction(glued.transitions[(0, 1)][1]) + 1)
     assert not check_transition_hom(bad, 0, 1)
 
 
@@ -96,7 +148,7 @@ def test_trivial_cocycle_two_charts():
     glued = build_glued(cover, cocycle, data)
     for chart in glued.charts:
         assert chart.r == 1 and chart.s == -1
-    assert glued.transitions[(0, 1)] == (Fraction(1), Fraction(0))
+    assert values(glued.transitions[(0, 1)]) == (1, 0)
     assert check_transition_hom(glued, 0, 1)
 
 
@@ -106,8 +158,8 @@ def test_chart_types_match_data():
     for i, chart in enumerate(glued.charts):
         t = type_of(chart)
         ring = chart.ring
-        assert localization_value(t.delta) == data.d[i]
-        assert t.parity == ring.mod2(ring.from_rational(data.p[i]))
+        assert localization_value(t.delta) == as_fraction(data.d[i])
+        assert t.parity == ring.mod2(ring.from_rational(*data.p[i]))
 
 
 def test_chart_level_freeok():
@@ -117,7 +169,7 @@ def test_chart_level_freeok():
     glued = build_glued(cover, cocycle, data)
     chart = glued.charts[0]  # over Z[1/2]
     ring = chart.ring
-    other_lift = chart.r + 2 * ring.from_rational(Fraction(5, 2))
+    other_lift = chart.r + 2 * ring.from_rational(5, 2)
     target, hom = freeok_iso(chart, other_lift)
     assert hom.verifies(chart, target)
     assert type_of(target) == type_of(chart)
@@ -161,9 +213,9 @@ def test_randomized_valid_datasets():
 
 def test_transition_checks_need_overlap_membership():
     # the identities hold, and eps = 1/5 lies in the overlap ring of {5, 3} only
-    e, zero, one = Fraction(1, 5), Fraction(0), Fraction(1)
+    e, zero, one = (1, 5), (0, 1), (1, 1)
     for opens, ok in (([5, 3], True), ([2, 3], False)):
-        glued = GluedAlgebra(PrincipalCover(opens), [], (e, one), (5 * e * e, Fraction(5)),
+        glued = GluedAlgebra(PrincipalCover(opens), [], (e, one), ((5, 25), (5, 1)),
                              {(0, 1): (e, zero)})
         assert check_transition_hom(glued, 0, 1) is ok
         transitions = {(0, 1): (e, zero), (1, 2): (one, zero), (0, 2): (e, zero)}

@@ -4,7 +4,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +18,12 @@ from quadalg.glue import (
     check_transition_hom,
     verification_report,
 )
+from quadalg.ring import in_localization
 
 from glue_data import FOREIGN, PERTURBATIONS, glue_dataset
 from oracles import (
+    as_fraction,
+    as_pair,
     cocycle_transitions_fractions,
     glue_report_fractions,
     glue_transitions_fractions,
@@ -51,8 +53,9 @@ def perturbed(glued, rng, target, delta):
     k = glued.cover.size
     i, j = rng.sample(range(k), 2)
     if target == "shift":
-        return with_shift(glued, i, j, glued.transitions[(i, j)][1] + delta)
-    ptilde, disc, transitions = list(glued.ptilde), list(glued.disc), dict(glued.transitions)
+        return with_shift(glued, i, j, as_fraction(glued.transitions[(i, j)][1]) + delta)
+    ptilde, disc = [as_fraction(x) for x in glued.ptilde], [as_fraction(x) for x in glued.disc]
+    transitions = {key: (as_fraction(e), as_fraction(t)) for key, (e, t) in glued.transitions.items()}
     if target == "ptilde":
         ptilde[i] += delta
     elif target == "disc":
@@ -68,7 +71,9 @@ def perturbed(glued, rng, target, delta):
                 transitions[(i, m)] = (e, t + delta)
                 e, t = transitions[(m, i)]
                 transitions[(m, i)] = (e, t - e * delta)
-    return GluedAlgebra(glued.cover, glued.charts, tuple(ptilde), tuple(disc), transitions)
+    return GluedAlgebra(glued.cover, glued.charts, tuple(map(as_pair, ptilde)),
+                        tuple(map(as_pair, disc)),
+                        {key: (as_pair(e), as_pair(t)) for key, (e, t) in transitions.items()})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -81,7 +86,8 @@ def test_transition_checks_match_fraction_oracle(seed, target, num, den):
     rng = random.Random(seed)
     cover, cocycle, data = objects(*glue_dataset(rng, None))
     glued = build_glued(cover, cocycle, data)
-    assert glued.transitions == glue_transitions_fractions(cocycle, data)
+    assert {key: (as_fraction(e), as_fraction(t)) for key, (e, t) in glued.transitions.items()} \
+        == glue_transitions_fractions(cocycle, data)
     k = cover.size
     if k > 1:
         glued = perturbed(glued, rng, target, Fraction(num, den))
@@ -93,23 +99,27 @@ def test_transition_checks_match_fraction_oracle(seed, target, num, den):
 
 
 def scaler(rng, most):
-    """x -> (k*n, k*d) for x = n/d in lowest terms and a fresh k in [1, most]:
-    the kernels take pairs that need not be in lowest terms."""
+    """(n, d) -> (k*n, k*d) for a fresh k in [1, most]: the glue objects and
+    kernels take pairs that need not be in lowest terms."""
     def scaled(x):
         k = rng.randint(1, most)
-        return k * x.numerator, k * x.denominator
+        return k * x[0], k * x[1]
     return scaled
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32), st.sampled_from(PERTURBATIONS), st.integers(1, 30))
 def test_report_on_unreduced_pairs_matches_fraction_oracle(seed, kind, most):
-    # the "zero" kind and the zero p and shift entries give zero numerators
+    # the "zero" kind and the zero p and shift entries give zero numerators;
+    # the cocycle and the type data keep each pair as they are given it
     rng = random.Random(seed)
-    cover, cocycle, data = objects(*glue_dataset(rng, kind))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(glue, "_pair", scaler(rng, most))
-        report = list(verification_report(cover, cocycle, data))
+    opens, eps, d, p = glue_dataset(rng, kind)
+    scaled = scaler(rng, most)
+    eps = {key: scaled(as_pair(e)) for key, e in eps.items()}
+    d, p = [scaled(as_pair(x)) for x in d], [scaled(as_pair(x)) for x in p]
+    cover, cocycle, data = objects(opens, eps, d, p)
+    assert cocycle._eps == eps and data.d == tuple(d) and data.p == tuple(p)
+    report = list(verification_report(cover, cocycle, data))
     assert report == list(glue_report_fractions(cover, cocycle, data))
 
 
@@ -128,8 +138,11 @@ def test_transition_kernels_on_unreduced_pairs(seed, target, num, den, most):
     p, d = [scaled(x) for x in glued.ptilde], [scaled(x) for x in glued.disc]
     tr = {key: (scaled(e), scaled(t)) for key, (e, t) in glued.transitions.items()}
     for i, j in itertools.permutations(range(k), 2):
-        assert glue._transition_ok(f[i] * f[j], p[i], d[i], p[j], d[j], *tr[(i, j)]) \
+        member = all(in_localization(x, f[i] * f[j]) for x in tr[(i, j)])
+        assert (member and glue._transition_ok(p[i], d[i], p[j], d[j], *tr[(i, j)])) \
             == transition_hom_fractions(glued, i, j)
     for i, j, t in itertools.permutations(range(k), 3):
-        assert glue._triple_ok(f[i] * f[j] * f[t], tr[(i, j)], tr[(j, t)], tr[(i, t)]) \
+        ij, jt, it = tr[(i, j)], tr[(j, t)], tr[(i, t)]
+        member = all(in_localization(x, f[i] * f[j] * f[t]) for x in (*ij, *jt, *it))
+        assert (member and glue._triple_ok(ij, jt, it)) \
             == cocycle_transitions_fractions(glued, i, j, t)

@@ -287,7 +287,7 @@ def test_localization_sqrt_examples():
                        (4, Fraction(1, 4), Fraction(1, 2)), (6, Fraction(1, 6), None),
                        (4, Fraction(1, 2), None), (6, 2, None), (6, -4, None)):
         ring = LocalizationRing(f)
-        got = ring.sqrt(ring.from_rational(q))
+        got = ring.sqrt(ring.from_rational(*q.as_integer_ratio()))
         assert (None if got is None else localization_value(got)) == root, (f, q)
     # delta of an algebra with r at the exponent cap
     for f in (2, 6, 12):
@@ -393,7 +393,7 @@ def test_localization_canonical_form():
     assert x.coords == (2,) and x.k == 0
     y = ZINV6.element((3,), 1)  # 3/6 stays: 6 does not divide 3
     assert y.coords == (3,) and y.k == 1
-    assert ZINV6.from_rational(localization_value(y)) == y
+    assert ZINV6.from_rational(1, 2) == y and ZINV6.from_rational(-9, -18) == y
 
 
 def test_element_json_round_trip():
@@ -416,6 +416,19 @@ def test_elements_are_built_from_exact_ints(ring):
             ring.element([bad] * ring.rank)
         with pytest.raises(TypeError):
             ring.from_int(bad)
+
+
+def test_from_rational_reads_exact_ints():
+    # n/d from two ints, not necessarily in lowest terms; any other value raises
+    assert Z.from_rational(-6, 3) == -2 and Z.try_from_rational(6, -4) is None
+    assert ZINV6.from_rational(10, -24) == localization_from_fraction(ZINV6, Fraction(-5, 12))
+    assert ZINV6.try_from_rational(1, 10) is None
+    for ring in (Z, ZINV6):
+        for bad in ((Fraction(1, 2),), (2.5,), ("3",), (1, 2.0)):
+            with pytest.raises(TypeError):
+                ring.try_from_rational(*bad)
+        with pytest.raises(ZeroDivisionError):
+            ring.try_from_rational(1, 0)
 
 
 # Z^3 in a twisted basis.  q = -3e1 + 2e2 kills 1 + e1 + 2e2, so q*y has many
@@ -765,7 +778,7 @@ def test_divides_power_matches_ring_layer(f, den, num, sign):
     member = divides_power(q.denominator, f)
     unit = member and divides_power(q.numerator, f)
     ring = Z if f == 1 else LocalizationRing(f)
-    x = ring.try_from_rational(q)
+    x = ring.try_from_rational(sign * num, den)  # not in lowest terms
     assert member == (x is not None) == oracle(q.denominator)
     assert unit == (x is not None and ring.is_unit(x)) \
         == (oracle(q.denominator) and oracle(q.numerator))
@@ -800,7 +813,7 @@ _LOC_DEN = st.builds(lambda sign, a, b, c, rest: sign * 2**a * 3**b * 7**c * res
                      st.integers(0, 12), st.sampled_from((1, 5, 11)))
 
 
-def _check_localization_kernel(f, x, y, q):
+def _check_localization_kernel(f, x, y, num, den):
     ring = LocalizationRing(f)
     for n, k in (x, y):
         assert ring.element((n,), k) == localization_from_fraction(ring, Fraction(n, f ** k))
@@ -811,13 +824,13 @@ def _check_localization_kernel(f, x, y, q):
     assert ring.try_inverse(x) == localization_try_inverse(x)
     assert ring.try_halve(x) == localization_try_halve(x)
     assert ring.in_4R(y) == localization_in_4R(y)
-    assert ring.try_from_rational(q) == localization_from_fraction(ring, q)
+    assert ring.try_from_rational(num, den) == localization_from_fraction(ring, Fraction(num, den))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(_LOC_F, _LOC_NUM, st.integers(0, 60), _LOC_NUM, st.integers(0, 60), _LOC_DEN)
 def test_localization_kernel_matches_fraction_oracle(f, n1, k1, n2, k2, den):
-    _check_localization_kernel(f, (n1, k1), (n2, k2), Fraction(n1, den))
+    _check_localization_kernel(f, (n1, k1), (n2, k2), n1, den)
 
 
 # the Fraction oracle takes about a second per example here, the kernel milliseconds
@@ -826,7 +839,7 @@ def test_localization_kernel_matches_fraction_oracle(f, n1, k1, n2, k2, den):
        st.integers(EXPONENT_CAP - 50, EXPONENT_CAP), _LOC_NUM, st.integers(0, EXPONENT_CAP),
        _LOC_DEN)
 def test_localization_kernel_matches_fraction_oracle_at_the_cap(f, n1, k1, n2, k2, den):
-    _check_localization_kernel(f, (n1, k1), (n2, k2), Fraction(n1, den))
+    _check_localization_kernel(f, (n1, k1), (n2, k2), n1, den)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
