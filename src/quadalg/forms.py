@@ -10,7 +10,6 @@ stores them as coordinates, and ``int_coefficients`` reads them back.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import attrgetter, index
 
 from .algebras import AlgebraType
@@ -137,16 +136,14 @@ def natural_type(q: TwistedForm) -> NaturalType:
 
 
 def is_primitive(q: TwistedForm) -> bool:
-    """Whether a, b, c generate the unit ideal."""
+    """Whether a, b, c generate the unit ideal, over Z or a table ring."""
     ring = q.ring
-    if isinstance(ring, IntegerRing):
-        return gcd(*q.int_coefficients()) == 1
-    if isinstance(ring, TableRing):
-        # aR + bR + cR = R exactly when the products g*e_i span Z^n
-        basis = standard_basis(ring.rank)
-        rows = [ring._mul_coords(g.coords, e) for g in (q.a, q.b, q.c) for e in basis]
-        return hnf(rows) == [list(e) for e in basis]
-    raise UnsupportedRing(f"primitivity is not decided over {ring!r}")
+    if not isinstance(ring, TableRing) or ring.m is not None:
+        raise UnsupportedRing(f"primitivity is not decided over {ring!r}")
+    # aR + bR + cR = R exactly when the products g*e_i span Z^n
+    basis = standard_basis(ring.rank)
+    rows = [ring._mul_coords(g.coords, e) for g in (q.a, q.b, q.c) for e in basis]
+    return hnf(rows) == [list(e) for e in basis]
 
 
 def check_discriminant(delta: int) -> None:

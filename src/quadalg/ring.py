@@ -30,11 +30,11 @@ to ``_scale`` and is never made an element.  A caller that chains many
 operations (``algebras.AlgebraHom.verifies``) coerces its operands once and
 then calls the kernels directly.  Each kernel takes canonical coordinates
 to canonical coordinates on plain ints and builds exactly one element.  The
-integers, table rings and quotient rings wrap five coordinate kernels,
-``_add_coords``, ``_neg_coords``, ``_sub_coords``, ``_scale_coords`` and
-``_mul_coords``, which ``compile_kernels`` generates from the structure
-constants (Z is the 1 x 1 table, compiled once for the class): one lambda
-each with every index written out, such as
+lattice ring (below) wraps five coordinate kernels, ``_add_coords``,
+``_neg_coords``, ``_sub_coords``, ``_scale_coords`` and ``_mul_coords``,
+which ``compile_kernels`` generates from the structure constants (Z is the
+1 x 1 table, compiled once and kept): one lambda each with every index
+written out, such as
 ``(x[0]*(y[0]) + x[1]*(c0*y[1]), x[0]*(y[1]) + x[1]*(y[0]))`` for
 Z[sqrt(c0)], each coordinate reduced mod m in a quotient.  ``from_int(n)``
 scales the identity's coordinates.  Z[1/f] uses none of them: it keeps its
@@ -46,32 +46,33 @@ computed once.  Forms over Z keep their ints out of ``coerce`` and ``int()``:
 ring's rank is capped at ``TABLE_RANK_CAP`` (RingTooLarge above), since
 its construction checks associativity on every basis triple.
 
-``Ring.element`` reads exact ints (``operator.index``: a float or a string
-raises TypeError) into ``_scale_coords``; only Z[1/f] keeps its own, and
-``from_rational(n, d=1)`` (n/d in Z or Z[1/f]) reads its ints the same way.  A
-backend implements those kernels (or only the coordinate kernels they wrap),
-``try_divide`` (table and quotient rings share one: ``TableRing``'s, which
-adds the rows m*e_k in a quotient), ``descriptor`` and ``describe``; ``Ring``
-derives the rest by division: ``try_inverse`` and ``is_unit`` divide 1,
-``try_halve`` divides by 2 (a table ring halves each coordinate, and a
-quotient by an odd m scales by (m + 1)/2), ``in_4R`` by 4, and ``mod2`` and
-``mod2_residues`` give R/2R, which is 0 when 2 is a unit and otherwise the
-coordinates mod 2.  ``element_to_json`` writes the coordinate list; Z
-overrides it with the bare int and Z[1/f] with {"coords": [num], "k": k}.
+Z, table rings and their quotients are one lattice ring, ``TableRing``: a
+free Z-module with compiled structure constants, free (m None) or reduced
+mod m.  ``IntegerRing`` and ``QuotientRing`` subclass it only to present it
+(``kind``, ``descriptor``, ``describe``, Z's bare-int JSON and rationals, a
+quotient's finite-ring members).  A backend (it, or Z[1/f]) writes the
+kernels, ``try_divide``, ``descriptor`` and ``describe``; ``Ring`` derives
+the rest by division: ``try_inverse`` and ``is_unit`` divide 1,
+``try_halve`` by 2, ``in_4R`` by 4, and ``mod2`` and ``mod2_residues`` give
+R/2R, 0 when 2 is a unit and else the coordinates mod 2.  The lattice ring
+divides by ``solve_int`` on the q*e_i and, mod m, the rows m*e_k.  It
+branches on m only where the maths does: 2 is regular when free or m is
+odd, a free ring halves each coordinate and an odd m scales by (m + 1)/2,
+and a quotient has no N.  ``Ring.element`` and ``from_rational`` read exact
+ints (``operator.index``: a float or a string raises TypeError).
 
 The classification of quadratic algebras asks a ring three more questions:
 ``Ring.units``, every unit when there are finitely many and None otherwise;
-``Ring.sqrt``, answered by ``TableRing`` for Z[sqrt(N)] from the norm and
-by ``LocalizationRing`` as the non-negative rational root; and
-``Ring.quadratic_param``, the N of Z[sqrt(N)] (None for every other ring).
-A quotient ring finds its units by HNF division, not capped, and keeps
-``FiniteTables``: its elements, and rows of products as lists of indices, so
-that exhaustive searches run on plain ints, capped at ``FINITE_TABLE_CAP``
-elements (RingTooLarge above).  A row (y -> y*x, or y -> y*(y + x)) is built
-from the ring's kernels when a search first reads it, and kept; there is no
-n x n table, and the units are listed only when a search asks for them.  A
-unit test is a division: ``Orientation`` and ``GL2Matrix`` keep the inverse
-theirs returns (``u_inv``, ``det_inv``).
+``Ring.sqrt``, from the norm in Z[sqrt(N)] and the non-negative rational
+root in Z[1/f]; and ``Ring.quadratic_param``, the N of Z[sqrt(N)] (else
+None).  A quotient ring finds its units by HNF division, not capped, and
+keeps ``FiniteTables``: its elements, and rows of products as lists of
+indices, so that exhaustive searches run on plain ints, capped at
+``FINITE_TABLE_CAP`` elements (RingTooLarge above).  A row (y -> y*x, or
+y -> y*(y + x)) is built from the ring's kernels when a search first reads
+it, and kept; there is no n x n table, and the units are listed only when a
+search asks for them.  A unit test is a division: ``Orientation`` and
+``GL2Matrix`` keep the inverse theirs returns (``u_inv``, ``det_inv``).
 
 Z[1/f] runs on int pairs (num, k) for num/f^k; every quotient goes through
 ``LocalizationRing._divide``, which asks ``in_localization`` ("n/d lies in
@@ -82,7 +83,7 @@ input powers f^k at ``POWER_BITS_CAP`` bits (k * f.bit_length()).
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from math import gcd, isqrt
 from operator import attrgetter, index
 
@@ -296,6 +297,7 @@ def standard_basis(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(t == i) for t in range(n)) for i in range(n))
 
 
+@lru_cache(maxsize=64)
 def compile_kernels(table, m: int | None = None):
     """(add, neg, sub, scale, mul) on the coordinate tuples of the ring with
     structure constants table, each coordinate reduced mod m unless m is
@@ -303,7 +305,8 @@ def compile_kernels(table, m: int | None = None):
     coordinate k of x*y the sum over i of x[i]*(sum_j table[i][j][k]*y[j]).
     The source holds only indices and names: m and each constant other than
     +-1 (c0, c1, ...) are parameters of an outer lambda, so every value is a
-    closure cell, never decimal text."""
+    closure cell, never decimal text.  The last 64 (table, m), as nested
+    tuples, keep theirs: every Z and every rebuilt ring share one compile."""
     n, names = len(table), {}
 
     def scaled(c: int, y: str) -> str:
@@ -438,7 +441,7 @@ class Mod2Element(Value):
 
 
 class Ring:
-    """Common interface of the four ring backends.
+    """Common interface of the lattice ring (Z, table rings, quotients) and Z[1/f].
 
     Rings are immutable once built, so equality and hashing use a frozen
     copy of the descriptor, taken once on first use.
@@ -648,52 +651,17 @@ def _freeze(obj):
     return obj
 
 
-class IntegerRing(Ring):
-    """The rational integers."""
-
-    kind = "integers"
-    rank = 1
-    two_regular = True
-    symbols = ("1",)
-    table, one_coords = (((1,),),), (1,)  # the 1 x 1 table, compiled once for every Z
-    _add_coords, _neg_coords, _sub_coords, _scale_coords, _mul_coords = map(
-        staticmethod, compile_kernels(table))
-
-    def try_divide(self, p, q):
-        a, b = p.coords[0], q.coords[0]
-        if b == 0 or a % b:
-            return None
-        return RingElement(self, (a // b,))
-
-    def element_to_json(self, x):
-        return x.coords[0]
-
-    @cached_property
-    def units(self):
-        return [self.one, self.from_int(-1)]
-
-    def try_from_rational(self, n: int, d: int = 1) -> RingElement | None:
-        q, r = divmod(index(n), index(d))  # d = 0 raises ZeroDivisionError
-        return None if r else self.from_int(q)
-
-    def descriptor(self):
-        return {"kind": "integers"}
-
-    def describe(self):
-        return "Z"
-
-
 class TableRing(Ring):
-    """Free Z-module of finite rank with a structure-constant multiplication.
+    """The one lattice ring, presented as a table ring: a free Z-module of
+    finite rank with a structure-constant multiplication, reduced mod m or
+    free (m None); IntegerRing and QuotientRing are its other presentations.
 
     table[i][j] holds the coordinates of e_i * e_j, from which the kernels
-    are compiled.  Commutativity, associativity and the identity are checked
-    exhaustively on basis triples at construction.
+    are compiled.  Built from a table, the ring checks commutativity,
+    associativity and the identity exhaustively on basis triples.
     """
 
     kind = "table"
-    two_regular = True  # free Z-module: 2x = 0 forces x = 0
-    _modulus_rows: list[tuple[int, ...]] = []  # m*e_k in a quotient (``try_divide``)
 
     def __init__(self, table, one=None, symbols=None):
         try:
@@ -714,14 +682,11 @@ class TableRing(Ring):
                                f"rank {TABLE_RANK_CAP}")
         if any(len(row) != n or any(len(entry) != n for entry in row) for row in tbl):
             raise ValueError("structure-constant tensor must be n x n x n")
-        self.rank = n
-        self.table = tbl
         for i in range(n):
             for j in range(i + 1, n):
                 if tbl[i][j] != tbl[j][i]:
                     raise NonCommutative(f"e{i}*e{j} != e{j}*e{i}")
-        (self._add_coords, self._neg_coords, self._sub_coords, self._scale_coords,
-         self._mul_coords) = compile_kernels(tbl)
+        self._compile(tbl)
         self.one_coords = self._resolve_identity(one)
         if not symbols:
             # e_0 is called "1" only when it is the identity
@@ -732,6 +697,15 @@ class TableRing(Ring):
         if len(self.symbols) != n:
             raise ValueError("need one symbol per basis element")
         self._check_associativity()
+
+    def _compile(self, table, m: int | None = None):
+        """Hold the table, m (None when free) and the table's kernels mod m."""
+        self.rank, self.table, self.m = len(table), table, m
+        self.two_regular = m is None or m % 2 == 1  # free, or 2 a unit mod an odd m
+        (self._add_coords, self._neg_coords, self._sub_coords, self._scale_coords,
+         self._mul_coords) = compile_kernels(table, m)
+        # the rows m*e_k, which division mod m also meets (none when free)
+        self._modulus_rows = [tuple(m * c for c in e) for e in standard_basis(self.rank) if m]
 
     def _resolve_identity(self, e: tuple[int, ...] | None) -> tuple[int, ...]:
         n = self.rank
@@ -771,13 +745,19 @@ class TableRing(Ring):
         return None if sol is None else RingElement(self, self._scale_coords(1, sol))
 
     def _try_halve(self, x):
-        half = tuple([c >> 1 for c in x.coords])
-        return RingElement(self, half) if self._scale_coords(2, half) == x.coords else None
+        # free: halve each coordinate; odd m: scale by (m + 1)/2 = 1/2; even m:
+        # None is all _two_is_unit reads, as try_halve refuses such a ring
+        if self.m is None:
+            half = tuple([c >> 1 for c in x.coords])
+            return RingElement(self, half) if self._scale_coords(2, half) == x.coords else None
+        if self.m % 2:
+            return RingElement(self, self._scale_coords((self.m + 1) // 2, x.coords))
+        return None
 
     @cached_property
     def quadratic_param(self) -> int | None:
-        """N when this ring is Z[sqrt(N)] on the basis (1, w); else None."""
-        if self.rank != 2 or self.one_coords != (1, 0):
+        """N when this ring is Z[sqrt(N)] on the basis (1, w), not a quotient; else None."""
+        if self.m is not None or self.rank != 2 or self.one_coords != (1, 0):
             return None
         t = self.table
         if t[0][0] == (1, 0) and t[0][1] == (0, 1) and t[1][1][1] == 0:
@@ -832,36 +812,46 @@ class TableRing(Ring):
         return f"TableRing(rank={self.rank})"
 
 
-class QuotientRing(Ring):
-    """Quotient of the integers or a table ring by an integer m >= 2; its
-    kernels are the base's table (Z is the 1 x 1 table) reduced mod m."""
+class IntegerRing(TableRing):
+    """The lattice ring of the 1 x 1 table, free, presented as the integers."""
+
+    kind = "integers"
+    symbols = ("1",)
+    one_coords = (1,)
+
+    def __init__(self):
+        self._compile((((1,),),))
+
+    def element_to_json(self, x):
+        return x.coords[0]
+
+    def try_from_rational(self, n: int, d: int = 1) -> RingElement | None:
+        q, r = divmod(index(n), index(d))  # d = 0 raises ZeroDivisionError
+        return None if r else self.from_int(q)
+
+    def descriptor(self):
+        return {"kind": "integers"}
+
+    def describe(self):
+        return "Z"
+
+
+class QuotientRing(TableRing):
+    """The lattice ring of the table of Z or of a table ring, reduced mod an
+    integer m >= 2, presented as a quotient of that base; a finite ring."""
 
     kind = "quotient"
 
     def __init__(self, base: Ring, m: int):
-        if not isinstance(base, (IntegerRing, TableRing)):
+        if not isinstance(base, TableRing) or base.m is not None:  # a quotient is a TableRing
             raise ValueError("quotient base must be Z or a table ring")
         m = index(m)
         if m < 2:
             raise ValueError("modulus must be at least 2")
         self.base = base
-        self.m = m
-        self.rank = base.rank
-        self.two_regular = m % 2 == 1  # then 2 is a unit mod m
         self.symbols = base.symbols
         self.one_coords = base.one_coords
-        (self._add_coords, self._neg_coords, self._sub_coords, self._scale_coords,
-         self._mul_coords) = compile_kernels(base.table, m)
-        self._modulus_rows = [base._scale_coords(m, e) for e in standard_basis(self.rank)]
-
-    try_divide = TableRing.try_divide  # defined there, where perfbench/spans.py traces it
-
-    def _try_halve(self, x):
-        # (m + 1)/2 is the inverse of 2 mod an odd m; for an even m, None is all
-        # _two_is_unit reads, since try_halve refuses a ring that is not 2-regular
-        if self.two_regular:
-            return RingElement(self, self._scale_coords((self.m + 1) // 2, x.coords))
-        return None
+        self._compile(base.table, m)
 
     def is_finite(self):
         return True

@@ -705,7 +705,8 @@ def test_verifies_makes_at_most_five_products(monkeypatch):
             u = ring.try_inverse(eps)
             cases.append((AlgebraHom(u, -2 * u), a, change_basis(a, eps, 2)))
     calls = []
-    for cls in (IntegerRing, TableRing, QuotientRing, LocalizationRing):
+    # wrapped where it is defined: a subclass that inherits _mul is counted once
+    for cls in (Ring, LocalizationRing):
         def counted(self, x, y, _mul=cls._mul):
             calls.append(self)
             return _mul(self, x, y)

@@ -53,7 +53,7 @@ from quadalg.picard import (
     reduced_triples_between,
     wood_local_algebra,
 )
-from quadalg.ring import IntegerRing, xgcd
+from quadalg.ring import IntegerRing, QuotientRing, xgcd
 
 from oracles import (
     ClassNumbers,
@@ -287,7 +287,11 @@ def test_compose_on_generic_operands():
              ((builtin_ring("zmod8"), 3, 2, 4), UnsupportedRing,
               "primitivity is not decided over Z/8"),
              ((builtin_ring("zmod8"), 6, 4, 8), UnsupportedRing,
-              "primitivity is not decided over Z/8")]
+              "primitivity is not decided over Z/8"),
+             ((builtin_ring("f4"), 3, 2, 4), UnsupportedRing,
+              "primitivity is not decided over TableRing(rank=2)/2"),
+             ((QuotientRing(builtin_ring("zsqrt8"), 9), 3, 2, 4), UnsupportedRing,
+              "primitivity is not decided over Z[sqrt(8)]/9")]
     for args, error, message in cases:
         q = TwistedForm(*args)
         for call in (lambda: compose(O44, q, F(3, 2, 4)), lambda: compose(O44, F(3, 2, 4), q),

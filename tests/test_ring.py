@@ -28,6 +28,7 @@ from quadalg.ring import (
     IntegerRing,
     LocalizationRing,
     QuotientRing,
+    Ring,
     TableRing,
     construct_ring,
     divides_power,
@@ -277,7 +278,11 @@ def test_unit_lists():
 
 
 def test_sqrt_outside_zsqrt_n_is_unsupported():
-    for ring in (Z, ZMOD8, TableRing([[(1,)]])):
+    # Z[sqrt N]/m shares the lattice class of Z[sqrt N] but is not Z[sqrt N]:
+    # it names no N, so it has no norm-based square root
+    for ring in (Z, ZMOD8, TableRing([[(1,)]]), F4, QuotientRing(ZSQRT8, 9),
+                 QuotientRing(ZSQRT2, 5)):
+        assert ring.quadratic_param is None, ring
         with pytest.raises(UnsupportedRing, match=re.escape(f"no square-root routine for {ring!r}")):
             ring.sqrt(ring.one)
 
@@ -555,7 +560,7 @@ def test_a_difference_and_an_int_multiple_build_one_element(monkeypatch):
     pairs = [(ring.element(tuple(range(3, 3 + ring.rank))),
               ring.element(tuple(range(-2, -2 + ring.rank)))) for ring in rings]
     calls = []
-    for cls in (IntegerRing, TableRing, QuotientRing, LocalizationRing):
+    for cls in (Ring, LocalizationRing):  # where each counted method is defined
         for name in ("_neg", "_mul", "from_int"):
             def counted(self, *args, _name=name, _real=getattr(cls, name)):
                 calls.append(_name)

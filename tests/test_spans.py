@@ -9,6 +9,9 @@ error.  The module is loaded by file path, as ``tests/oracles.py`` loads
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
+
+from quadalg.cli import builtin_ring
 
 
 def _load_spans():
@@ -32,3 +35,20 @@ def test_every_span_target_resolves():
         if not live:
             dead.append(f"{module}.{qualname}")
     assert not dead, f"span targets that no class or module defines itself: {dead}"
+
+
+def test_quotient_ring_divisions_are_traced():
+    # a quotient ring is a TableRing, so the span on TableRing.try_divide
+    # counts its divisions: one each for is_unit(3) over Z/8 and over F_4
+    spans = _load_spans()
+    qa = SimpleNamespace(**{module: importlib.import_module(f"quadalg.{module}")
+                            for module, _ in spans.TARGETS})
+    for alias in ("zmod8", "f4"):
+        ring = builtin_ring(alias)
+        tracer = spans.Tracer()
+        tracer.install(qa)
+        try:
+            assert ring.is_unit(3)
+        finally:
+            tracer.uninstall()
+        assert tracer.calls["ring.TableRing.try_divide"] == 1, alias
