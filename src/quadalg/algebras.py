@@ -2,27 +2,26 @@
 by (discriminant, parity), with explicit isomorphisms and brute-force oracles
 over finite rings.
 
-The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
-and ``oriented_automorphisms_bruteforce``) run on rows of the ring's index
-tables (``ring.FiniteTables``), each built on first read and kept: every
-candidate is tested on plain ints against the row of 2 and the row of
-v*(v + r), whose targets u*r' - r and u^2*s' - s are differences of
-coordinate tuples (``_sub_coords``), looked up in the index with no element
-built; only the homs found are verified in ring arithmetic.  That
-verification, like every other (``AlgebraHom.verifies``), takes five
-products: tau -> u*tau' + v is a hom exactly when u*(2v + r - u*r') = 0 and
-v*(v + r) + s - u^2 s' = 0.  The tables are capped at
-``ring.FINITE_TABLE_CAP`` = 512 elements; a larger
-finite ring raises ``RingTooLarge`` before anything is enumerated.  The
-classification by (discriminant, parity) needs no tables, has no cap and
-names no ring kind: with finitely many ``ring.units`` each is tested;
+Every decision runs on the ring's tuple kernels (``ring.Ring``): its
+operands are coerced into the ring once, and an element is built only for
+a value that a call returns.  tau -> u*tau' + v is a hom exactly when
+u*(2v + r - u*r') = 0 and v*(v + r) + s - u^2 s' = 0, five products;
+``AlgebraHom.verifies`` checks that once for every hom returned, and
+``algebras_isomorphic`` and ``oriented_isomorphic`` take v = (u*r' - r)/2.
+The classification by (discriminant, parity) needs no tables, has no cap
+and names no ring kind: with finitely many ``ring.units`` each is tested;
 otherwise the unit is ``ring.sqrt`` of delta2 / delta1 (Z[sqrt(N)] and Z[1/f]
 have one), or, when both are 0, is 1 exactly when the parities are equal.
 That rule needs R/2R to be 0 or F_2 (so Z[1/f]) or the ring to be Z[sqrt(N)]
 (``ring.quadratic_param``); any other ring with infinitely many units raises
-UnsupportedRing there.
-An ``Orientation`` keeps the inverse ``u_inv`` of its unit test, as
-``forms.GL2Matrix`` keeps ``det_inv``.
+UnsupportedRing there.  An ``Orientation`` keeps the inverse ``u_inv`` of
+its unit test, as ``forms.GL2Matrix`` keeps ``det_inv``.
+
+The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
+and ``oriented_automorphisms_bruteforce``) scan rows of the ring's index
+tables (``ring.FiniteTables``, see ``_search_homs``), capped at
+``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring raises
+``RingTooLarge`` before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -109,19 +108,17 @@ class AlgebraHom(Value):
         lin = 2uv + ru - u^2 r' = u*(2v + r - u*r') and
         const = v^2 + rv + s - u^2 s' = v*(v + r) + s - u^2 s',
         five products and six sums or differences in all on the source ring's
-        kernels.  u, v, r' and s' are coerced into that ring once, so another
-        ring raises RingMismatch.
+        tuple kernels, with no element built.  u, v, r' and s' are coerced
+        into that ring once, so another ring raises RingMismatch.
         """
         ring = source.ring
-        coerce, add, sub, mul = ring.coerce, ring._add, ring._sub, ring._mul
-        u, v = coerce(self.u), coerce(self.v)
-        rp, sp = coerce(target.r), coerce(target.s)
-        r = source.r
-        lin = mul(u, sub(add(add(v, v), r), mul(u, rp)))
-        if not lin.is_zero():
+        coerce, tup = ring.coerce, ring._coords_of
+        add, sub, mul = ring._add_coords, ring._sub_coords, ring._mul_coords
+        u, v, r = tup(coerce(self.u)), tup(coerce(self.v)), tup(source.r)
+        rp, sp = tup(coerce(target.r)), tup(coerce(target.s))
+        if any(mul(u, sub(add(add(v, v), r), mul(u, rp)))):
             return False
-        const = sub(add(mul(v, add(v, r)), source.s), mul(mul(u, u), sp))
-        return const.is_zero()
+        return not any(sub(add(mul(v, add(v, r)), tup(source.s)), mul(mul(u, u), sp)))
 
     def __repr__(self):
         return f"(tau -> ({self.u!r})tau' + ({self.v!r}))"
@@ -132,8 +129,14 @@ def identity_hom(ring: Ring) -> AlgebraHom:
 
 
 def type_of(alg: FreeQuadraticAlgebra) -> AlgebraType:
-    r, s = alg.r, alg.s
-    return AlgebraType(r * r - 4 * s, alg.ring.mod2(r))
+    ring = alg.ring
+    return AlgebraType(ring._from_coords(_discriminant(alg)), ring.mod2(alg.r))
+
+
+def _discriminant(alg: FreeQuadraticAlgebra) -> tuple[int, ...]:
+    """The kernel tuple of r^2 - 4s."""
+    ring, r = alg.ring, alg.ring._coords_of(alg.r)
+    return ring._sub_coords(ring._mul_coords(r, r), ring._scale_coords(4, ring._coords_of(alg.s)))
 
 
 def change_basis(alg: FreeQuadraticAlgebra, eps, alpha) -> FreeQuadraticAlgebra:
@@ -185,15 +188,20 @@ def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra,
 
 def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     """A unit eps with t2 = (eps^2 * delta1, eps * parity1), if one exists."""
-    found = _unit_and_inverse(t1, t2)
-    return None if found is None else found[0]
+    ring, tup = t1.ring, t1.ring._coords_of
+    if ring != t2.ring:
+        raise ValueError("types live over different rings")
+    found = _unit_and_inverse(ring, tup(t1.delta), t1.parity.residue,
+                              tup(t2.delta), t2.parity.residue)
+    return None if found is None else ring._from_coords(found[0])
 
 
-def _unit_and_inverse(t1: AlgebraType, t2: AlgebraType) -> tuple[RingElement, RingElement] | None:
-    """(eps, 1/eps) for the eps of ``types_isomorphic``, or None.
+def _unit_and_inverse(ring: Ring, d1, p1, d2, p2) -> tuple[tuple, tuple] | None:
+    """The kernel tuples of (eps, 1/eps) for the eps of ``types_isomorphic``,
+    or None, from the kernel tuples of the deltas and the parities' residues.
 
     With finitely many units (``ring.units``; in Z[sqrt(n^2)] delta may be a
-    zero divisor) each unit is tested; otherwise eps is ``ring.sqrt`` of
+    zero divisor) each unit is tested; otherwise eps is the square root of
     delta2 / delta1, and the unit test is the division that finds 1/eps.
 
     When both deltas are 0 only the parities can differ, and every unit fixes
@@ -203,29 +211,26 @@ def _unit_and_inverse(t1: AlgebraType, t2: AlgebraType) -> tuple[RingElement, Ri
     and b are even, so the parity is 0; for 4 | N (N = 0 too) it is 0 or w,
     and a unit x + y*w has x odd (x^2 - N y^2 = +-1, and the units of
     Z[sqrt(0)] are +-(1 + y*w)), so it maps w to x*w + y*N = w mod 2."""
-    ring = t1.ring
-    if ring != t2.ring:
-        raise ValueError("types live over different rings")
-    z1, z2 = t1.delta.is_zero(), t2.delta.is_zero()
+    mul, divide, one = ring._mul_coords, ring._divide_coords, ring._coords_of(ring.one)
     units = ring.units
     if units is not None:
-        eps = next((u for u in units
-                    if t2.delta == u * u * t1.delta and t2.parity == t1.parity.times(u)), None)
-    elif z1 != z2:
+        eps = next((e for e in map(ring._coords_of, units) if mul(mul(e, e), d1) == d2
+                    and ring._residue_times(p1, e) == p2), None)
+    elif any(d1) != any(d2):
         return None
-    elif z1:
+    elif not any(d1):
         if len(ring.mod2_residues()) > 2 and ring.quadratic_param is None:
             raise UnsupportedRing(f"no unit-group algorithm for {ring!r}")
-        eps = ring.one if t1.parity == t2.parity else None
+        eps = one if p1 == p2 else None
     else:
-        ratio = ring.try_divide(t2.delta, t1.delta)
-        eps = None if ratio is None else ring.sqrt(ratio)
-        eps_inv = None if eps is None else ring.try_inverse(eps)
+        ratio = divide(d2, d1)
+        eps = None if ratio is None else ring._sqrt_coords(ratio)
+        eps_inv = None if eps is None else divide(one, eps)
         # -eps has the same image mod 2, so one parity test covers both roots
-        if eps_inv is None or t1.parity.times(eps) != t2.parity:
+        if eps_inv is None or ring._residue_times(p1, eps) != p2:
             return None
         return eps, eps_inv
-    return None if eps is None else (eps, ring.try_inverse(eps))
+    return None if eps is None else (eps, divide(one, eps))
 
 
 def algebras_isomorphic(a: FreeQuadraticAlgebra,
@@ -236,14 +241,16 @@ def algebras_isomorphic(a: FreeQuadraticAlgebra,
         raise ValueError("algebras live over different rings")
     if not ring.two_regular:
         raise NotTwoRegular("use isomorphic_bruteforce when 2 is a zero divisor")
-    found = _unit_and_inverse(type_of(a), type_of(b))
+    tup, residue = ring._coords_of, ring._mod2_coords
+    r, rp = tup(a.r), tup(b.r)
+    found = _unit_and_inverse(ring, _discriminant(a), residue(r), _discriminant(b), residue(rp))
     if found is None:
         return None
     u = found[1]
-    v = ring.try_halve(u * b.r - a.r)
+    v = ring._halve_coords(ring._sub_coords(ring._mul_coords(u, rp), r))
     if v is None:
         raise AssertionError("parity agreement must make u*r' - r halvable")
-    hom = AlgebraHom(u, v)
+    hom = AlgebraHom(ring._from_coords(u), ring._from_coords(v))
     if not hom.verifies(a, b):
         raise AssertionError("constructed hom failed verification")
     return hom
@@ -251,9 +258,10 @@ def algebras_isomorphic(a: FreeQuadraticAlgebra,
 
 def oriented_type(alg: FreeQuadraticAlgebra, theta: Orientation) -> AlgebraType:
     """((r^2 - 4s) / u^2, (r / u) mod 2) for the orientation unit u."""
-    uinv = theta.u_inv
-    d = alg.r * alg.r - 4 * alg.s
-    return AlgebraType(d * uinv * uinv, alg.ring.mod2(alg.r * uinv))
+    ring, mul = alg.ring, alg.ring._mul_coords
+    uinv = ring._coords_of(ring.coerce(theta.u_inv))
+    return AlgebraType(ring._from_coords(mul(mul(_discriminant(alg), uinv), uinv)),
+                       Mod2Element(ring, ring._mod2_coords(mul(ring._coords_of(alg.r), uinv))))
 
 
 def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
@@ -268,11 +276,12 @@ def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
         raise ValueError("algebras live over different rings")
     if not ring.two_regular:
         raise NotTwoRegular("oriented uniqueness needs 2 regular")
-    u = theta_a.u * ring.coerce(theta_b.u_inv)
-    v = ring.try_halve(u * b.r - a.r)
+    tup = ring._coords_of
+    u = ring._mul_coords(tup(ring.coerce(theta_a.u)), tup(ring.coerce(theta_b.u_inv)))
+    v = ring._halve_coords(ring._sub_coords(ring._mul_coords(u, tup(b.r)), tup(a.r)))
     if v is None:
         return None
-    hom = AlgebraHom(u, v)
+    hom = AlgebraHom(ring._from_coords(u), ring._from_coords(v))
     return hom if hom.verifies(a, b) else None
 
 
@@ -290,8 +299,8 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     The two differences come from ``_sub_coords`` on coordinate tuples, which
     are looked up in the index with no element built.  v is scanned by
     comparing indices against the row of 2 and the row of v*(v + r).  Each
-    row is built once per ring and kept.  Each hom found is verified once in
-    ring arithmetic.
+    row is built once per ring and kept.  Each hom found is verified once, by
+    ``AlgebraHom.verifies``.
     """
     ring = a.ring
     t = ring.tables

@@ -22,62 +22,48 @@ mod p, then one lifting rule up to p^e), combined by CRT (``crt_roots``).
 ``picard.reduced_triples`` calls the two parts itself, since it factors 4a
 from a sieve and keeps the roots mod each prime power for the whole call.
 
-Element arithmetic runs on the kernels ``_add``, ``_neg``, ``_sub``,
-``_scale`` and ``_mul``, after ``Ring.coerce``: an element of the same ring
-object passes at once, an int is mapped in, and an element of a different
-ring raises RingMismatch.  An int factor (``4 * s``; a bool is coerced) goes
-to ``_scale`` and is never made an element.  A caller that chains many
-operations (``algebras.AlgebraHom.verifies``) coerces its operands once and
-then calls the kernels directly.  Each kernel takes canonical coordinates
-to canonical coordinates on plain ints and builds exactly one element.  The
-lattice ring (below) wraps five coordinate kernels, ``_add_coords``,
-``_neg_coords``, ``_sub_coords``, ``_scale_coords`` and ``_mul_coords``,
-which ``compile_kernels`` generates from the structure constants (Z is the
-1 x 1 table, compiled once and kept): one lambda each with every index
-written out, such as
-``(x[0]*(y[0]) + x[1]*(c0*y[1]), x[0]*(y[1]) + x[1]*(y[0]))`` for
-Z[sqrt(c0)], each coordinate reduced mod m in a quotient.  ``from_int(n)``
-scales the identity's coordinates.  Z[1/f] uses none of them: it keeps its
-own kernels on (num, k) pairs, with ``_sub`` the sum with the negation and
-``_scale`` the product with ``from_int``.  The fixed values ``Ring.one``,
-``Ring.zero``, ``TableRing.quadratic_param`` and ``standard_basis(n)`` are
-computed once.  Forms over Z keep their ints out of ``coerce`` and ``int()``:
-``forms.TwistedForm.over_z`` builds each ``RingElement`` directly.  A table
-ring's rank is capped at ``TABLE_RANK_CAP`` (RingTooLarge above), since
-its construction checks associativity on every basis triple.
+Each backend has one arithmetic, its tuple kernels (``Ring`` states their
+contract), which the element methods ``_add``, ``_neg``, ``_sub``, ``_scale``
+and ``_mul`` wrap after ``Ring.coerce``: an element of the same ring object
+passes at once, an int is mapped in, and an element of a different ring
+raises RingMismatch.  An int factor (``4 * s``; a bool is coerced) goes to
+``_scale`` and is never made an element.  A caller that chains many
+operations (``algebras``) coerces its operands once, runs the kernels and
+builds an element only for a value it returns.  ``compile_kernels`` writes
+the lattice ring's kernels out (Z is the 1 x 1 table, compiled once and
+kept), such as ``(x[0]*(y[0]) + x[1]*(c0*y[1]), x[0]*(y[1]) + x[1]*(y[0]))``
+for the product of Z[sqrt(c0)].  Every quotient in Z[1/f], halving too, goes
+through ``LocalizationRing._divide``, which asks ``in_localization`` ("n/d
+lies in Z[1/f]", shared with glue).  ``Ring.one``, ``Ring.zero``,
+``TableRing.quadratic_param`` and ``standard_basis(n)`` are computed once.
 
 Z, table rings and their quotients are one lattice ring, ``TableRing``: a
 free Z-module with compiled structure constants, free (m None) or reduced
-mod m.  ``IntegerRing`` and ``QuotientRing`` subclass it only to present it
+mod m, its rank capped at ``TABLE_RANK_CAP`` (RingTooLarge above), since
+its construction checks associativity on every basis triple.
+``IntegerRing`` and ``QuotientRing`` subclass it only to present it
 (``kind``, ``descriptor``, ``describe``, Z's bare-int JSON and rationals, a
 quotient's finite-ring members).  A backend (it, or Z[1/f]) writes the
-kernels, ``try_divide``, ``descriptor`` and ``describe``; ``Ring`` derives
-the rest by division: ``try_inverse`` and ``is_unit`` divide 1,
-``try_halve`` by 2, ``in_4R`` by 4, and ``mod2`` and ``mod2_residues`` give
-R/2R, 0 when 2 is a unit and else the coordinates mod 2.  The lattice ring
-divides by ``solve_int`` on the q*e_i and, mod m, the rows m*e_k.  It
-branches on m only where the maths does: 2 is regular when free or m is
-odd, a free ring halves each coordinate and an odd m scales by (m + 1)/2,
-and a quotient has no N.  ``Ring.element`` and ``from_rational`` read exact
-ints (``operator.index``: a float or a string raises TypeError).
+kernels, ``descriptor`` and ``describe``; ``Ring`` derives the rest:
+``try_divide``, ``try_halve`` and ``sqrt`` wrap their kernels,
+``try_inverse`` and ``is_unit`` divide 1, ``in_4R`` divides by 4, and
+``mod2`` and ``mod2_residues`` give R/2R, 0 when 1 halves and else the
+coordinates mod 2.  The lattice ring divides by ``solve_int`` on the q*e_i
+and, mod m, the rows m*e_k.  It branches on m only where the maths does: 2
+is regular when free or m is odd, a free ring halves each coordinate and an
+odd m scales by (m + 1)/2, and a quotient has no N.  ``Ring.element`` and
+``from_rational`` read exact ints (``operator.index``: a float or a string
+raises TypeError).
 
 The classification of quadratic algebras asks a ring three more questions:
 ``Ring.units``, every unit when there are finitely many and None otherwise;
 ``Ring.sqrt``, from the norm in Z[sqrt(N)] and the non-negative rational
 root in Z[1/f]; and ``Ring.quadratic_param``, the N of Z[sqrt(N)] (else
 None).  A quotient ring finds its units by HNF division, not capped, and
-keeps ``FiniteTables``: its elements, and rows of products as lists of
-indices, so that exhaustive searches run on plain ints, capped at
-``FINITE_TABLE_CAP`` elements (RingTooLarge above).  A row (y -> y*x, or
-y -> y*(y + x)) is built from the ring's kernels when a search first reads
-it, and kept; there is no n x n table, and the units are listed only when a
-search asks for them.  A unit test is a division: ``Orientation`` and
-``GL2Matrix`` keep the inverse theirs returns (``u_inv``, ``det_inv``).
-
-Z[1/f] runs on int pairs (num, k) for num/f^k; every quotient goes through
-``LocalizationRing._divide``, which asks ``in_localization`` ("n/d lies in
-Z[1/f]", shared with glue).  Input exponents stop at ``EXPONENT_CAP``, and
-input powers f^k at ``POWER_BITS_CAP`` bits (k * f.bit_length()).
+keeps ``FiniteTables``, so that exhaustive searches run on plain ints,
+capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above).  A unit test
+is a division: ``Orientation`` and ``GL2Matrix`` keep the inverse theirs
+returns (``u_inv``, ``det_inv``).
 """
 
 from __future__ import annotations
@@ -430,8 +416,8 @@ class Mod2Element(Value):
         return RingElement(self.ring, self.residue)
 
     def times(self, e: RingElement) -> Mod2Element:
-        # well-defined: e*(x + 2t) = e*x + 2*e*t
-        return self.ring.mod2(e * self.lift())
+        ring = self.ring
+        return Mod2Element(ring, ring._residue_times(self.residue, ring._coords_of(ring.coerce(e))))
 
     def is_zero(self) -> bool:
         return not any(self.residue)
@@ -442,6 +428,16 @@ class Mod2Element(Value):
 
 class Ring:
     """Common interface of the lattice ring (Z, table rings, quotients) and Z[1/f].
+
+    A backend's arithmetic is its tuple kernels, from canonical kernel tuples
+    to canonical kernel tuples on plain ints: ``_add_coords``, ``_neg_coords``,
+    ``_sub_coords``, ``_scale_coords`` (t*x for an int t) and ``_mul_coords``;
+    ``_divide_coords`` (some y with q*y = p), ``_halve_coords`` (the unique x/2
+    when 2 is regular) and ``_sqrt_coords`` give None when there is none.
+    ``_coords_of(x)`` is an element's tuple and ``_from_coords`` the element of
+    one (None for None): the coordinates in the lattice ring, and in Z[1/f]
+    the pair (num, k) of num/f^k, f not dividing num unless k = 0, so zero is
+    the all-zero tuple.  ``_mod2_coords`` and ``_residue_times`` work in R/2R.
 
     Rings are immutable once built, so equality and hashing use a frozen
     copy of the descriptor, taken once on first use.
@@ -464,7 +460,7 @@ class Ring:
         return RingElement(self, self._scale_coords(1, coords))
 
     def from_int(self, n: int) -> RingElement:
-        return RingElement(self, self._scale_coords(index(n), self.one_coords))
+        return self._from_coords(self._scale_coords(index(n), self.one_coords))
 
     @cached_property
     def zero(self) -> RingElement:
@@ -485,23 +481,28 @@ class Ring:
             return x
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
-    # -- arithmetic kernels (canonical in, canonical out) ---------------------
-    # here on the coordinate kernels of ``compile_kernels``; Z[1/f] overrides
+    # -- arithmetic: each method wraps the backend's tuple kernel ---------------
+    # the lattice ring's kernel tuples are the coordinates; Z[1/f] overrides
+
+    _coords_of = attrgetter("coords")
+
+    def _from_coords(self, t: tuple[int, ...] | None) -> RingElement | None:
+        return None if t is None else RingElement(self, t)
 
     def _add(self, x: RingElement, y: RingElement) -> RingElement:
-        return RingElement(self, self._add_coords(x.coords, y.coords))
+        return self._from_coords(self._add_coords(self._coords_of(x), self._coords_of(y)))
 
     def _neg(self, x: RingElement) -> RingElement:
-        return RingElement(self, self._neg_coords(x.coords))
+        return self._from_coords(self._neg_coords(self._coords_of(x)))
 
     def _sub(self, x: RingElement, y: RingElement) -> RingElement:
-        return RingElement(self, self._sub_coords(x.coords, y.coords))
+        return self._from_coords(self._sub_coords(self._coords_of(x), self._coords_of(y)))
 
     def _scale(self, t: int, x: RingElement) -> RingElement:
-        return RingElement(self, self._scale_coords(t, x.coords))
+        return self._from_coords(self._scale_coords(t, self._coords_of(x)))
 
     def _mul(self, x: RingElement, y: RingElement) -> RingElement:
-        return RingElement(self, self._mul_coords(x.coords, y.coords))
+        return self._from_coords(self._mul_coords(self._coords_of(x), self._coords_of(y)))
 
     # -- unit and divisibility structure --------------------------------------
 
@@ -513,7 +514,7 @@ class Ring:
 
     def try_divide(self, p: RingElement, q: RingElement) -> RingElement | None:
         """Some y with q*y = p; None only when no such y exists."""
-        raise NotImplementedError
+        return self._from_coords(self._divide_coords(self._coords_of(p), self._coords_of(q)))
 
     def from_rational(self, n: int, d: int = 1) -> RingElement:
         """n/d as an element, for the rings with ``try_from_rational`` (Z, Z[1/f])."""
@@ -526,24 +527,29 @@ class Ring:
         """The unique y with 2y = x, when it exists; requires 2 regular."""
         if not self.two_regular:
             raise NotTwoRegular(f"halving is not unique in {self!r}")
-        return self._try_halve(x)
-
-    def _try_halve(self, x: RingElement) -> RingElement | None:
-        return self.try_divide(x, self.from_int(2))
+        return self._from_coords(self._halve_coords(self._coords_of(x)))
 
     # -- R/2R and 4R, from division ---------------------------------------------
 
     @cached_property
     def _two_is_unit(self) -> bool:
-        # halving 1 is a division by 2 that, unlike is_unit(2), calls no try_inverse
-        return self._try_halve(self.one) is not None
+        # halving 1 on its kernel tuple: unlike is_unit(2), no try_inverse and no element
+        return self._halve_coords(self.one_coords) is not None
 
     def mod2(self, x: RingElement) -> Mod2Element:
         """The class of x in R/2R: 0 when 2 is a unit, else the coordinates mod 2
         (then m is even in R/m, and f odd in Z[1/f], where num/f^k = num mod 2)."""
+        return Mod2Element(self, self._mod2_coords(x.coords))
+
+    def _residue_times(self, residue: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+        # well-defined: (x + 2y)*t = x*t + 2*y*t; the residue lifts to its 0/1
+        # coordinates, then the identity's other entries (k = 0 in Z[1/f])
+        return self._mod2_coords(self._mul_coords(t, residue + self.one_coords[self.rank:]))
+
+    def _mod2_coords(self, t: tuple[int, ...]) -> tuple[int, ...]:
         if self._two_is_unit:
-            return Mod2Element(self, (0,) * self.rank)
-        return Mod2Element(self, tuple([c & 1 for c in x.coords]))
+            return (0,) * self.rank
+        return tuple([c & 1 for c in t[:self.rank]])
 
     def mod2_residues(self) -> list[Mod2Element]:
         """Canonical representatives of R/2R: the distinct ``mod2`` classes of
@@ -575,6 +581,9 @@ class Ring:
 
     def sqrt(self, x: RingElement) -> RingElement | None:
         """The sign-normalized square root of x; None when x is not a square."""
+        return self._from_coords(self._sqrt_coords(self._coords_of(x)))
+
+    def _sqrt_coords(self, t: tuple[int, ...]) -> tuple[int, ...] | None:
         raise UnsupportedRing(f"no square-root routine for {self!r}")
 
     # -- serialization ----------------------------------------------------------
@@ -736,22 +745,24 @@ class TableRing(Ring):
                     if left != right:
                         raise NonAssociative(f"(e{i}e{j})e{kk} != e{i}(e{j}e{kk})")
 
-    def try_divide(self, p, q):
+    def _divide_coords(self, p, q):
         """y with q*y = p (mod m): the first rank entries of an integer combination
         of the q*e_i and the modulus rows that meets p, read by ``_scale_coords``."""
-        gens = [self._mul_coords(q.coords, e) for e in standard_basis(self.rank)]
+        gens = [self._mul_coords(q, e) for e in standard_basis(self.rank)]
         # solve_int's x meets the target exactly, so q*y = p needs no recheck
-        sol = solve_int(gens + self._modulus_rows, p.coords)
-        return None if sol is None else RingElement(self, self._scale_coords(1, sol))
+        sol = solve_int(gens + self._modulus_rows, p)
+        return None if sol is None else self._scale_coords(1, sol)
 
-    def _try_halve(self, x):
+    try_divide = Ring.try_divide  # bound here too, where perfbench/spans.py traces it
+
+    def _halve_coords(self, t):
         # free: halve each coordinate; odd m: scale by (m + 1)/2 = 1/2; even m:
         # None is all _two_is_unit reads, as try_halve refuses such a ring
         if self.m is None:
-            half = tuple([c >> 1 for c in x.coords])
-            return RingElement(self, half) if self._scale_coords(2, half) == x.coords else None
+            half = tuple([c >> 1 for c in t])
+            return half if self._scale_coords(2, half) == t else None
         if self.m % 2:
-            return RingElement(self, self._scale_coords((self.m + 1) // 2, x.coords))
+            return self._scale_coords((self.m + 1) // 2, t)
         return None
 
     @cached_property
@@ -774,8 +785,8 @@ class TableRing(Ring):
             return units + [self.element((0, 1)), self.element((0, -1))] if n in (1, -1) else units
         return None
 
-    def sqrt(self, x):
-        """The root a + b*w of x in Z[sqrt(N)] with a > 0, or a = 0 and b >= 0.
+    def _sqrt_coords(self, t):
+        """The root a + b*w of t0 + t1*w in Z[sqrt(N)] with a > 0, or a = 0 and b >= 0.
 
         A root has a^2 + N b^2 = t0 and 2ab = t1 for x = t0 + t1*w, and norm
         (a^2 - N b^2)^2 = t0^2 - N t1^2, so 2a^2 = t0 -+ sqrt(that norm) and
@@ -784,8 +795,8 @@ class TableRing(Ring):
         comes first, the smaller a first."""
         n = self.quadratic_param
         if n is None:
-            return super().sqrt(x)
-        t0, t1 = x.coords
+            return super()._sqrt_coords(t)
+        t0, t1 = t
         norm = t0 * t0 - n * t1 * t1
         if not is_square(norm):
             return None
@@ -795,7 +806,7 @@ class TableRing(Ring):
         candidates.append((0, isqrt(max(t0 // n, 0)) if n else 0))
         for a, b in candidates:
             if a * a + n * b * b == t0 and 2 * a * b == t1:
-                return self.element((a, b))
+                return a, b
         return None
 
     def descriptor(self):
@@ -916,12 +927,13 @@ class FiniteTables:
 
 
 class LocalizationRing(Ring):
-    """Z[1/f]: values num/f^k with f not dividing num unless k = 0."""
+    """Z[1/f], its kernels on the pairs (num, k) of num/f^k, f not dividing num unless k = 0."""
 
     kind = "localization"
     rank = 1
     two_regular = True
     symbols = ("1",)
+    one_coords = (1, 0)
 
     def __init__(self, f: int):
         if f < 2:
@@ -934,63 +946,70 @@ class LocalizationRing(Ring):
         num = index(coords[0])
         if k < 0:
             raise ValueError(f"the denominator exponent 'k' must be non-negative, got {brief(k)}")
+        return self._from_coords(self._normal(num, k))
+
+    def _normal(self, num: int, k: int) -> tuple[int, int]:
         f = self.f
         while k and num % f == 0:  # strip f^e, e the largest power of 2 <= k with f^e | num
             e, p = 1, f
             while 2 * e <= k and num % (p * p) == 0:
                 e, p = 2 * e, p * p
             num, k = num // p, k - e
-        return RingElement(self, (num,), k)
+        return num, k
 
-    def from_int(self, n: int) -> RingElement:
-        return RingElement(self, (index(n),))
+    def _coords_of(self, x):
+        return x.coords[0], x.k
+
+    def _from_coords(self, t):
+        return None if t is None else RingElement(self, t[:1], t[1])
 
     def try_from_rational(self, n: int, d: int = 1) -> RingElement | None:
         n, d = index(n), index(d)
         if not d:
             raise ZeroDivisionError(f"{n}/0 is not a rational number")
-        return self._divide(n, d)
+        return self._from_coords(self._divide(n, d))
 
-    def _divide(self, n: int, d: int, e: int = 0) -> RingElement | None:
-        """n / (d * f^e) for d != 0, or None outside Z[1/f]; all division ends here."""
+    def _divide(self, n: int, d: int, e: int = 0) -> tuple[int, int] | None:
+        """The pair of n / (d * f^e) for d != 0, or None outside Z[1/f]; all division ends here."""
         if not in_localization((n, d), self.f):
             return None
         g = gcd(n, d)
         n, d = n // g, d // g
         j = abs(d).bit_length()  # d divides f^j: no prime exponent of d exceeds j
-        return self.element((n * self.f ** max(j, -e) // d,), max(j + e, 0))
+        return self._normal(n * self.f ** max(j, -e) // d, max(j + e, 0))
 
-    def sqrt(self, x):
-        """The non-negative rational root of x, or None when x has none.
+    def _sqrt_coords(self, t):
+        """The non-negative rational root of t = num / f^k, or None when it has none.
 
-        With k made even, x = num / f^k is a rational square exactly when num
-        is a square, and its root isqrt(num) / f^(k/2) lies in Z[1/f]."""
-        num, k = x.coords[0], x.k
+        With k made even, t is a rational square exactly when num is a
+        square, and its root isqrt(num) / f^(k/2) lies in Z[1/f]."""
+        num, k = t
         if k % 2:
             num, k = num * self.f, k + 1
         return self._divide(isqrt(num), 1, k // 2) if is_square(num) else None
 
-    def _add(self, x, y):
-        if x.k < y.k:
+    def _add_coords(self, x, y):
+        if x[1] < y[1]:
             x, y = y, x
-        return self.element((x.coords[0] + y.coords[0] * self.f ** (x.k - y.k),), x.k)
+        return self._normal(x[0] + y[0] * self.f ** (x[1] - y[1]), x[1])
 
-    def _neg(self, x):
-        return RingElement(self, (-x.coords[0],), x.k)
+    def _neg_coords(self, x):
+        return -x[0], x[1]
 
-    def _sub(self, x, y):
-        return self._add(x, self._neg(y))
+    def _sub_coords(self, x, y):
+        return self._add_coords(x, self._neg_coords(y))
 
-    def _scale(self, t, x):
-        return self.element((t * x.coords[0],), x.k)  # the product with from_int(t)
+    def _scale_coords(self, t, x):
+        return self._normal(t * x[0], x[1])
 
-    def _mul(self, x, y):
-        return self.element((x.coords[0] * y.coords[0],), x.k + y.k)
+    def _mul_coords(self, x, y):
+        return self._normal(x[0] * y[0], x[1] + y[1])
 
-    def try_divide(self, p, q):
-        if q.is_zero():
-            return None
-        return self._divide(p.coords[0], q.coords[0], p.k - q.k)
+    def _halve_coords(self, x):
+        return self._divide(x[0], 2, x[1])
+
+    def _divide_coords(self, p, q):
+        return self._divide(p[0], q[0], p[1] - q[1]) if q[0] else None
 
     def element_to_json(self, x):
         return {"coords": list(x.coords), "k": x.k}

@@ -3,7 +3,9 @@
 Each line of the catalogue is one mutant: its ``id``, the ``file`` it edits
 (relative to the repository root), an exact ``old`` snippet that occurs in
 that file once, the ``new`` snippet that replaces it, the ``tests`` (pytest
-node ids) expected to kill it, and ``why`` it matters.
+node ids) expected to kill it, and ``why`` it matters.  A mutant that
+changes no behaviour is kept with ``"equivalent": true`` and the reason as
+its ``why``: it is checked for staleness like the others, but not run.
 
     python tests/mutation_check.py
 
@@ -35,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CATALOGUE = ROOT / "tests" / "mutants.jsonl"
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
-FIELDS = ("id", "file", "old", "new", "tests", "why")
+FIELDS = ("id", "file", "old", "new", "tests", "why")  # and "equivalent": true, optional
 TIMEOUT_S = 300
 KILLED = (1, 2)  # pytest's exit codes for failed tests and for collection errors
 
@@ -45,8 +47,10 @@ def load_catalogue(path: Path = CATALOGUE) -> list[dict]:
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if line.strip():
             mutant = json.loads(line)
-            if sorted(mutant) != sorted(FIELDS):
-                raise ValueError(f"{path.name}:{number}: a mutant has exactly the fields {FIELDS}")
+            if sorted(mutant.keys() - {"equivalent"}) != sorted(FIELDS) \
+                    or mutant.get("equivalent", True) is not True:
+                raise ValueError(f"{path.name}:{number}: a mutant has exactly the fields {FIELDS}"
+                                 f", and optionally \"equivalent\": true")
             mutants.append(mutant)
     return mutants
 
@@ -111,6 +115,10 @@ def main() -> int:
     if problems:
         return 1
     start = time.perf_counter()
+    for m in mutants:
+        if m.get("equivalent"):
+            print(f"{m['id']}: equivalent, not run ({m['why']})")
+    mutants = [m for m in mutants if not m.get("equivalent")]
     every_test = list(dict.fromkeys(t for m in mutants for t in m["tests"]))
     code, out, seconds = run_tests(every_test)
     if code != 0:

@@ -824,6 +824,11 @@ def _check_localization_kernel(f, x, y, num, den):
         assert ring.element((n,), k) == localization_from_fraction(ring, Fraction(n, f ** k))
     x, y = (ring.element((n,), k) for n, k in (x, y))
     assert x + y == localization_add(x, y)
+    # the other kernels, each normalizing its pair: x - y, -x, t*x and x*y
+    vx, vy = localization_value(x), localization_value(y)
+    for got, want in ((x - y, vx - vy), (-x, -vx), (f * x, f * vx), (num * y, num * vy),
+                      (x * y, vx * vy)):
+        assert got == localization_from_fraction(ring, want)
     assert ring.try_divide(x, y) == localization_try_divide(x, y)
     assert ring.try_divide(y, x) == localization_try_divide(y, x)
     assert ring.try_inverse(x) == localization_try_inverse(x)
