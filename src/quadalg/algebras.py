@@ -287,8 +287,8 @@ def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
 
 def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     """Every hom tau -> u*tau' + v from a to b over a finite ring, u running
-    over ``units`` (default: every unit) and v over every element, in
-    enumeration order.
+    over the tuples ``units`` (default: every unit) and v over every element,
+    in enumeration order.
 
     The search runs on rows of the ring's index tables.  The hom equations
     read 2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s; u is a unit, so the
@@ -299,8 +299,8 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     The two differences come from ``_sub_coords`` on coordinate tuples, which
     are looked up in the index with no element built.  v is scanned by
     comparing indices against the row of 2 and the row of v*(v + r).  Each
-    row is built once per ring and kept.  Each hom found is verified once, by
-    ``AlgebraHom.verifies``.
+    row is built once per ring and kept.  Only the u and v of a hom found are
+    made elements, and the hom is verified once, by ``AlgebraHom.verifies``.
     """
     ring = a.ring
     t = ring.tables
@@ -310,15 +310,15 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     sub, mul = ring._sub_coords, ring._mul_coords
     if units is None:
         times_rp, times_sp = t.row(index[rp]), t.row(index[sp])
-        rhs = ((u, elements[times_rp[u]].coords, elements[times_sp[square[u]]].coords)
+        rhs = ((elements[u], elements[times_rp[u]], elements[times_sp[square[u]]])
                for u in t.units)
     else:
-        rhs = ((index[u], mul(u, rp), mul(mul(u, u), sp)) for u in (x.coords for x in units))
+        rhs = ((u, mul(u, rp), mul(mul(u, u), sp)) for u in units)
     for u, ur, uus in rhs:
         lin, const = index[sub(ur, r)], index[sub(uus, s)]
         for v, (twov, q) in enumerate(zip(double, quad)):
             if twov == lin and q == const:
-                hom = AlgebraHom(elements[u], elements[v])
+                hom = AlgebraHom(ring._from_coords(u), ring._from_coords(elements[v]))
                 if not hom.verifies(a, b):
                     raise AssertionError("index tables disagree with ring arithmetic")
                 yield hom
@@ -341,7 +341,7 @@ def oriented_automorphisms_bruteforce(alg: FreeQuadraticAlgebra,
     if not ring.is_finite():
         raise InfiniteRing("need a finite ring when 2 is a zero divisor")
     # with u = 1 the hom equations reduce to 2v = 0 and v(v + r) = 0
-    return list(_search_homs(alg, alg, [ring.one]))
+    return list(_search_homs(alg, alg, [ring.one_coords]))
 
 
 def isomorphic_bruteforce(a: FreeQuadraticAlgebra,

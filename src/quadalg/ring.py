@@ -23,16 +23,17 @@ mod p, then one lifting rule up to p^e), combined by CRT (``crt_roots``).
 from a sieve and keeps the roots mod each prime power for the whole call.
 
 Each backend has one arithmetic, its tuple kernels (``Ring`` states their
-contract), which the element methods ``_add``, ``_neg``, ``_sub``, ``_scale``
-and ``_mul`` wrap after ``Ring.coerce``: an element of the same ring object
-passes at once, an int is mapped in, and an element of a different ring
-raises RingMismatch.  An int factor (``4 * s``; a bool is coerced) goes to
-``_scale`` and is never made an element.  A caller that chains many
-operations (``algebras``) coerces its operands once, runs the kernels and
-builds an element only for a value it returns.  ``compile_kernels`` writes
-the lattice ring's kernels out (Z is the 1 x 1 table, compiled once and
-kept), such as ``(x[0]*(y[0]) + x[1]*(c0*y[1]), x[0]*(y[1]) + x[1]*(y[0]))``
-for the product of Z[sqrt(c0)].  Every quotient in Z[1/f], halving too, goes
+contract).  ``RingElement``'s operators call them after ``Ring.coerce`` (an
+element of the same ring object passes at once, an int is mapped in, and an
+element of a different ring raises RingMismatch) and wrap the result by
+``_from_coords``.  An int factor (``4 * s``; a bool is coerced) goes to
+``_scale_coords`` and is never made an element.  A caller that chains many
+operations (``algebras``, ``FiniteTables``) coerces its operands once, runs
+the kernels and builds an element only for a value it returns.
+``compile_kernels`` writes the lattice ring's kernels out (Z is the 1 x 1
+table, compiled once and kept), such as
+``(x[0]*(y[0]) + x[1]*(c0*y[1]), x[0]*(y[1]) + x[1]*(y[0]))`` for the
+product of Z[sqrt(c0)].  Every quotient in Z[1/f], halving too, goes
 through ``LocalizationRing._divide``, which asks ``in_localization`` ("n/d
 lies in Z[1/f]", shared with glue).  ``Ring.one``, ``Ring.zero``,
 ``TableRing.quadratic_param`` and ``standard_basis(n)`` are computed once.
@@ -51,16 +52,17 @@ kernels, ``descriptor`` and ``describe``; ``Ring`` derives the rest:
 coordinates mod 2.  The lattice ring divides by ``solve_int`` on the q*e_i
 and, mod m, the rows m*e_k.  It branches on m only where the maths does: 2
 is regular when free or m is odd, a free ring halves each coordinate and an
-odd m scales by (m + 1)/2, and a quotient has no N.  ``Ring.element`` and
-``from_rational`` read exact ints (``operator.index``: a float or a string
-raises TypeError).
+odd m scales by (m + 1)/2, and a quotient has no N.  ``Ring.element``,
+``from_rational`` and the m of Z/m and f of Z[1/f] read exact ints
+(``operator.index``: a float or a string raises TypeError).
 
 The classification of quadratic algebras asks a ring three more questions:
 ``Ring.units``, every unit when there are finitely many and None otherwise;
 ``Ring.sqrt``, from the norm in Z[sqrt(N)] and the non-negative rational
 root in Z[1/f]; and ``Ring.quadratic_param``, the N of Z[sqrt(N)] (else
-None).  A quotient ring finds its units by HNF division, not capped, and
-keeps ``FiniteTables``, so that exhaustive searches run on plain ints,
+None).  A quotient ring finds its units by HNF division of 1 by each
+coordinate tuple, not capped, and keeps ``FiniteTables``, its coordinate
+tuples and rows of indices, so that exhaustive searches run on plain ints,
 capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above).  A unit test
 is a division: ``Orientation`` and ``GL2Matrix`` keep the inverse theirs
 returns (``u_inv``, ``det_inv``).
@@ -327,23 +329,28 @@ class RingElement:
         self.k = k
 
     def __add__(self, other):
-        return self.ring._add(self, self.ring.coerce(other))
+        ring, tup = self.ring, self.ring._coords_of
+        return ring._from_coords(ring._add_coords(tup(self), tup(ring.coerce(other))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring._neg(self)
+        ring = self.ring
+        return ring._from_coords(ring._neg_coords(ring._coords_of(self)))
 
     def __sub__(self, other):
-        return self.ring._sub(self, self.ring.coerce(other))
+        ring, tup = self.ring, self.ring._coords_of
+        return ring._from_coords(ring._sub_coords(tup(self), tup(ring.coerce(other))))
 
     def __rsub__(self, other):
-        return self.ring._sub(self.ring.coerce(other), self)
+        ring, tup = self.ring, self.ring._coords_of
+        return ring._from_coords(ring._sub_coords(tup(ring.coerce(other)), tup(self)))
 
     def __mul__(self, other):
+        ring, tup = self.ring, self.ring._coords_of
         if type(other) is int:  # a bool goes through coerce
-            return self.ring._scale(other, self)
-        return self.ring._mul(self, self.ring.coerce(other))
+            return ring._from_coords(ring._scale_coords(other, tup(self)))
+        return ring._from_coords(ring._mul_coords(tup(self), tup(ring.coerce(other))))
 
     __rmul__ = __mul__
 
@@ -481,28 +488,12 @@ class Ring:
             return x
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
-    # -- arithmetic: each method wraps the backend's tuple kernel ---------------
-    # the lattice ring's kernel tuples are the coordinates; Z[1/f] overrides
+    # -- kernel tuples: the lattice ring's are the coordinates; Z[1/f] overrides --
 
     _coords_of = attrgetter("coords")
 
     def _from_coords(self, t: tuple[int, ...] | None) -> RingElement | None:
         return None if t is None else RingElement(self, t)
-
-    def _add(self, x: RingElement, y: RingElement) -> RingElement:
-        return self._from_coords(self._add_coords(self._coords_of(x), self._coords_of(y)))
-
-    def _neg(self, x: RingElement) -> RingElement:
-        return self._from_coords(self._neg_coords(self._coords_of(x)))
-
-    def _sub(self, x: RingElement, y: RingElement) -> RingElement:
-        return self._from_coords(self._sub_coords(self._coords_of(x), self._coords_of(y)))
-
-    def _scale(self, t: int, x: RingElement) -> RingElement:
-        return self._from_coords(self._scale_coords(t, self._coords_of(x)))
-
-    def _mul(self, x: RingElement, y: RingElement) -> RingElement:
-        return self._from_coords(self._mul_coords(self._coords_of(x), self._coords_of(y)))
 
     # -- unit and divisibility structure --------------------------------------
 
@@ -873,8 +864,11 @@ class QuotientRing(TableRing):
 
     @cached_property
     def units(self) -> list[RingElement]:
-        """Every unit, in enumeration order, by HNF division (so not capped)."""
-        return [u for u in self.enumerate_elements() if self.is_unit(u)]
+        """Every unit, in enumeration order: the tuples that divide 1, with no
+        table (so not capped)."""
+        one = self.one_coords
+        return [RingElement(self, t) for t in itertools.product(range(self.m), repeat=self.rank)
+                if self._divide_coords(one, t) is not None]
 
     @cached_property
     def tables(self) -> FiniteTables:
@@ -888,15 +882,16 @@ class QuotientRing(TableRing):
 
 
 class FiniteTables:
-    """A finite ring on indices into its element list.
+    """A finite ring on indices into its list of coordinate tuples.
 
-    ``elements`` is in ``enumerate_elements`` order and ``index`` maps
-    coordinates back to positions.  ``row(x)`` is y -> index of y*x and
-    ``row(x, quad=True)`` is y -> index of y*(y + x), for the element of
-    index x; each row is built on first use from the ring's own ``_mul`` and
-    ``_add`` and kept, so a search pays n products for each row it reads and
-    never for the n x n table.  ``double`` (the row of 2) and ``square``
-    (y -> y^2) are built with the index.  ``units`` holds the indices of
+    ``elements`` holds the tuples in ``enumerate_elements`` order, and
+    ``index`` maps each tuple back to its position.  ``row(x)`` is y -> index
+    of y*x and ``row(x, quad=True)`` is y -> index of y*(y + x), for the
+    tuple of index x; each row is built on first use from the tuple kernels
+    ``_mul_coords`` and ``_add_coords``, with no element, and kept, so a
+    search pays n products for each row it reads and never for the n x n
+    table.  ``double`` (the row of 2) and ``square`` (y -> y^2, the quad row
+    of 0) are built with the index.  ``units`` holds the indices of
     ``QuotientRing.units``, found only when first read.
     """
 
@@ -906,18 +901,18 @@ class FiniteTables:
             raise RingTooLarge(f"{ring!r} has {size} elements; finite-ring tables "
                                f"are capped at {FINITE_TABLE_CAP}")
         self.ring = ring
-        self.elements = ring.enumerate_elements()
-        self.index = {x.coords: i for i, x in enumerate(self.elements)}
+        self.elements = list(itertools.product(range(ring.m), repeat=ring.rank))
+        self.index = {x: i for i, x in enumerate(self.elements)}
         self.rows: dict[tuple[int, bool], list[int]] = {}
-        self.double = self.row(self.index[ring.from_int(2).coords])
-        self.square = self.row(self.index[ring.zero.coords], quad=True)
+        self.double = self.row(self.index[ring._scale_coords(2, ring.one_coords)])
+        self.square = self.row(self.index[(0,) * ring.rank], quad=True)
 
     def row(self, x: int, quad: bool = False) -> list[int]:
         """The indices of y*x, or of y*(y + x) with quad, for y in element order."""
         row = self.rows.get((x, quad))
         if row is None:
-            add, mul, index, e = self.ring._add, self.ring._mul, self.index, self.elements[x]
-            row = self.rows[x, quad] = [index[mul(y, add(y, e) if quad else e).coords]
+            add, mul, e = self.ring._add_coords, self.ring._mul_coords, self.elements[x]
+            row = self.rows[x, quad] = [self.index[mul(y, add(y, e) if quad else e)]
                                         for y in self.elements]
         return row
 
@@ -936,6 +931,7 @@ class LocalizationRing(Ring):
     one_coords = (1, 0)
 
     def __init__(self, f: int):
+        f = index(f)
         if f < 2:
             raise ValueError("inverted integer must be at least 2")
         self.f = f

@@ -3,19 +3,19 @@
 These deliberately avoid the library code paths they are checking: lattice
 indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
-a scan over every (a, b) and from a divisor scan, opposition orbits from Gauss
-reduction, the streamed ``table`` text from one sweep and one render,
-composition from the HNF ideal product, homs of algebras from the hom
-equations expanded term by term in ring arithmetic (over finite rings on
-every (u, v)), class numbers from Dirichlet's analytic formula (the
-benchmark's ``perfbench/oracles.py``, loaded by path), the glue
-report and the ``Z[1/f]`` ring operations and square roots from
-``Fraction`` arithmetic, square roots in Z[sqrt(N)] from per-case
-candidates and from a scan, and
-table-ring products from a dense loop over the whole structure-constant
-tensor, R/2R and 4R from each ring kind's own rule, and the units of
-Z[sqrt(N)] modulo 2 from the fundamental unit (continued fractions) and a
-search over products of unit-group generators.
+a scan over every (a, b) and from a divisor scan, the ambiguous forms from
+genus theory, opposition orbits from Gauss reduction, the streamed ``table``
+text from one sweep and one render, composition from the HNF ideal product,
+homs of algebras from the hom equations expanded term by term in ring
+arithmetic (over finite rings on every (u, v)), class numbers from
+Dirichlet's analytic formula (the benchmark's ``perfbench/oracles.py``,
+loaded by path), the glue report and the ``Z[1/f]`` ring operations and
+square roots from ``Fraction`` arithmetic, square roots in Z[sqrt(N)] from
+per-case candidates and from a scan, and table-ring products from a dense
+loop over the whole structure-constant tensor, R/2R and 4R from each ring
+kind's own rule, and the units of Z[sqrt(N)] modulo 2 from the fundamental
+unit (continued fractions) and a search over products of unit-group
+generators.
 """
 
 from __future__ import annotations
@@ -265,6 +265,33 @@ def reduced_triples_divisor_scan(delta: int) -> list[tuple[int, int, int]]:
                 out.append((a, -b, c))
     out.sort(key=_form_sort_key)
     return out
+
+
+def ambiguous_count(delta: int) -> int:
+    """The number of reduced primitive forms of discriminant delta < 0 with
+    b = 0, b = a or a = c, the classes of order at most 2, by genus theory:
+    2^(mu - 1) (Cox, Primes of the Form x^2 + ny^2, Prop. 3.11).  With r the
+    number of odd primes dividing delta (by trial division), mu = r when
+    delta = 1 mod 4; for delta = -4n, mu = r when n = 3 mod 4, r + 1 when
+    n = 1 or 2 mod 4 or n = 4 mod 8, and r + 2 when n = 0 mod 8."""
+    m, r, p = -delta, 0, 3
+    while not m % 2:
+        m //= 2
+    while p * p <= m:
+        if not m % p:
+            r += 1
+            while not m % p:
+                m //= p
+        p += 2
+    r += m > 1
+    n = -delta // 4
+    if delta % 4 == 1 or n % 4 == 3:
+        mu = r
+    elif n % 4 in (1, 2) or n % 8 == 4:
+        mu = r + 1
+    else:
+        mu = r + 2
+    return 2 ** (mu - 1)
 
 
 def table_one_sweep(lo: int, hi: int, fmt: str) -> str:

@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
@@ -791,31 +792,39 @@ def test_verifies_makes_at_most_five_products(monkeypatch):
         assert 0 < len(calls) <= 5
 
 
+def _count_kernels(monkeypatch, ring, calls):
+    """Count, by name in the Counter calls, ring's calls of its tuple kernels
+    and of its lattice division (whose products are counted too), in the
+    ring's own namespace: the compiled kernels are restored on undo."""
+    for name in ("_add_coords", "_neg_coords", "_sub_coords", "_mul_coords", "_divide_coords"):
+        def counted(*args, _name=name, _real=getattr(ring, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setitem(vars(ring), name, counted)
+
+
 def test_a_second_bruteforce_search_builds_no_rows(monkeypatch):
     # the rows are kept by the tables: a second search with the same r, r'
-    # and s' builds no row, and no search makes an element-level sum or
-    # difference (u*r' - r and u^2*s' - s run on coordinate tuples); another
-    # s' builds its one row of products
+    # and s' builds no row, and each search makes two differences per unit,
+    # u*r' - r and u^2*s' - s, and no other sum; another s' builds its one
+    # row of products
     ring = QuotientRing(Z, 8)
     a, b, c = alg(ring, 1, 0), alg(ring, 1, 1), alg(ring, 1, 5)
     t = ring.tables
-    n = len(t.elements)
-    calls = []
-    for name in ("_add", "_neg", "_sub", "_mul"):
-        def counted(self, *args, _name=name, _real=getattr(QuotientRing, name)):
-            calls.append(_name)
-            return _real(self, *args)
-
-        monkeypatch.setattr(QuotientRing, name, counted)
+    n, units = len(t.elements), len(ring.units)
+    calls = Counter()
+    _count_kernels(monkeypatch, ring, calls)
     assert isomorphic_bruteforce(a, b) is None
     # the row of v*(v + r) makes the only sums
-    assert calls.count("_add") == n
-    assert calls.count("_neg") == calls.count("_sub") == 0
+    assert calls["_add_coords"] == n
+    assert calls["_neg_coords"] == 0 and calls["_sub_coords"] == 2 * units
     for target, rows in ((b, 0), (c, 1)):
         calls.clear()
         assert isomorphic_bruteforce(a, target) is None
-        assert calls.count("_add") == calls.count("_neg") == calls.count("_sub") == 0
-        assert calls.count("_mul") == rows * n
+        assert calls["_add_coords"] == calls["_neg_coords"] == 0
+        assert calls["_sub_coords"] == 2 * units
+        assert calls["_mul_coords"] == rows * n
 
 
 def _count_cli_calls(monkeypatch, capsys, cls, name, argv):
@@ -831,19 +840,53 @@ def _count_cli_calls(monkeypatch, capsys, cls, name, argv):
     return len(calls), out, err
 
 
+def _count_cli_kernels(monkeypatch, capsys, argv):
+    """``_count_kernels`` over every quotient ring that the command builds."""
+    calls = Counter()
+
+    def counted_init(self, *args, _real=QuotientRing.__init__):
+        _real(self, *args)
+        _count_kernels(monkeypatch, self, calls)
+
+    monkeypatch.setattr(QuotientRing, "__init__", counted_init)
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    return calls, out, err
+
+
 Z512 = '{"kind":"quotient","base":{"kind":"integers"},"m":512}'
 
 
 def test_autos_at_the_cap_builds_few_rows(monkeypatch, capsys):
     # Z/512 is at FINITE_TABLE_CAP; the search reads the rows of 2, y^2, r',
-    # s' and y*(y + r), and the unit scan divides on the coordinate kernel:
-    # 5n products and the homs' checks, where a full table takes n(n + 1)/2
+    # s' and y*(y + r), and the unit scan divides each of the n tuples into 1
+    # on the coordinate kernel, one product per division at rank 1: 5n row
+    # products and the homs' checks, where a full table takes n(n + 1)/2
     n = 512
-    count, out, err = _count_cli_calls(monkeypatch, capsys, QuotientRing, "_mul",
-                                       ["autos", "--ring", Z512, "--alg", "r=1,s=0"])
+    calls, out, err = _count_cli_kernels(monkeypatch, capsys,
+                                         ["autos", "--ring", Z512, "--alg", "r=1,s=0"])
     assert (out, err) == ('{"count":2,"automorphisms":[{"u":[1],"v":[0]},'
                           '{"u":[511],"v":[511]}]}\n', "")
-    assert count <= 5 * n + 16
+    assert calls["_mul_coords"] - calls["_divide_coords"] <= 5 * n + 16
+    assert calls["_divide_coords"] <= n
+
+
+@pytest.mark.parametrize("r, s", [(1, 0), (3, 2)])
+def test_bruteforce_builds_elements_only_for_the_homs(monkeypatch, r, s):
+    # once the tables and the units are read, a search over Z/512 runs on
+    # coordinate tuples and makes elements of the u and v of each hom alone
+    ring = QuotientRing(Z, 512)
+    a = alg(ring, r, s)
+    assert ring.tables.units and ring.units
+    built = []
+
+    def counted(self, *args, _real=RingElement.__init__):
+        built.append(args)
+        _real(self, *args)
+
+    monkeypatch.setattr(RingElement, "__init__", counted)
+    homs = automorphisms_bruteforce(a)
+    assert len(homs) == 2 and len(built) == 2 * len(homs)
 
 
 def test_oriented_autos_scans_no_units(monkeypatch, capsys):
@@ -860,11 +903,11 @@ def test_oriented_autos_builds_no_rows_of_r_prime_or_s_prime(monkeypatch, capsys
     # u = 1 reads u*r' and u^2*s' from three products, not from the rows of
     # r' and s': the rows of 2, y^2 and y*(y + r), and the hom's check
     n = 512
-    count, out, err = _count_cli_calls(monkeypatch, capsys, QuotientRing, "_mul",
-                                       ["autos", "--ring", Z512, "--alg", "r=1,s=0",
-                                        "--oriented"])
+    calls, out, err = _count_cli_kernels(monkeypatch, capsys,
+                                         ["autos", "--ring", Z512, "--alg", "r=1,s=0",
+                                          "--oriented"])
     assert (out, err) == ('{"count":1,"automorphisms":[{"u":[1],"v":[0]}]}\n', "")
-    assert count <= 3 * n + 16
+    assert calls["_mul_coords"] <= 3 * n + 16
 
 
 # fresh rings, so that no other test has read a row of theirs
@@ -873,16 +916,17 @@ def test_oriented_autos_builds_no_rows_of_r_prime_or_s_prime(monkeypatch, capsys
 def test_cached_search_rows_match_ring_arithmetic(ring):
     t = ring.tables
     elements = ring.enumerate_elements()
+    assert t.elements == [v.coords for v in elements]
     assert t.double is t.row(t.index[ring.from_int(2).coords])
-    assert [t.elements[i] for i in t.double] == [2 * v for v in elements]
+    assert [t.elements[i] for i in t.double] == [(2 * v).coords for v in elements]
     assert t.square is t.row(t.index[ring.zero.coords], quad=True)
-    assert [t.elements[i] for i in t.square] == [v * v for v in elements]
+    assert [t.elements[i] for i in t.square] == [(v * v).coords for v in elements]
     assert len(t.rows) == 2
     for r in elements:
         x = t.index[r.coords]
         row, quad = t.row(x), t.row(x, quad=True)
-        assert [t.elements[i] for i in row] == [v * r for v in elements]
-        assert [t.elements[i] for i in quad] == [v * (v + r) for v in elements]
+        assert [t.elements[i] for i in row] == [(v * r).coords for v in elements]
+        assert [t.elements[i] for i in quad] == [(v * (v + r)).coords for v in elements]
         assert t.row(x) is row and t.row(x, quad=True) is quad
     assert len(t.rows) == 2 * len(elements)
 
@@ -903,21 +947,17 @@ def test_classification_matches_bruteforce_on_two_regular_rings():
 
 
 def test_finite_classification_reads_one_unit_list(monkeypatch):
-    calls = []
-    enumerate_elements = QuotientRing.enumerate_elements
-
-    def counted(self):
-        calls.append(self)
-        return enumerate_elements(self)
-
-    monkeypatch.setattr(QuotientRing, "enumerate_elements", counted)
+    # the units are listed once, one division per coordinate tuple; each
+    # decision then divides once more, for 1/eps
     for ring in (QuotientRing(Z, 9), QuotientRing(ZSQRT8, 9)):
-        calls.clear()
+        calls = Counter()
+        _count_kernels(monkeypatch, ring, calls)
         t1 = type_of(alg(ring, 0, -6))
         t2 = AlgebraType(4 * t1.delta, t1.parity)
         eps = types_isomorphic(t1, t2)
         assert eps is not None and t2.delta == eps * eps * t1.delta
         assert types_isomorphic(t2, t1) is not None
-        assert calls == [ring]
+        assert calls["_divide_coords"] == ring.m ** ring.rank + 2
         # the tables read the same list
-        assert [ring.tables.elements[i] for i in ring.tables.units] == ring.units
+        assert [ring.tables.elements[i] for i in ring.tables.units] \
+            == [u.coords for u in ring.units]

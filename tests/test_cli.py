@@ -23,7 +23,7 @@ from quadalg.errors import InvalidRange, brief
 
 from glue_data import PERTURBATIONS, as_payload, glue_dataset, glue_payload
 from golden_check import src_env
-from oracles import ClassNumbers, table_one_sweep
+from oracles import ClassNumbers, ambiguous_count, table_one_sweep
 
 
 def invoke(capsys, *argv):
@@ -268,6 +268,19 @@ def test_table_class_numbers_match_analytic_formula():
         for row in rows:
             delta, _, h = row.split(",")[:3]
             assert int(h) == class_numbers(int(delta)), row
+
+
+def test_table_picmod_counts_the_ambiguous_classes_once():
+    # each orbit under opposition is a class with its inverse, and one class
+    # exactly when it has order at most 2, so on every row
+    # 2 * picmod = h + 2^(mu - 1), the genus-theory count
+    rng = random.Random(4)
+    for _ in range(6):
+        lo = -rng.randrange(400, 2 * 10**5)
+        text = "".join(iter_table(lo, lo + rng.randrange(1, 300)))
+        for row in text.split("\n")[1:]:
+            delta, _, h, picmod = map(int, row.split(",")[:4])
+            assert 2 * picmod == h + ambiguous_count(delta), row
 
 
 def test_closed_stdout_exits_quietly():

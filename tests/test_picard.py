@@ -57,6 +57,7 @@ from quadalg.ring import IntegerRing, QuotientRing, xgcd
 
 from oracles import (
     ClassNumbers,
+    ambiguous_count,
     compose_via_ideals,
     conjugation_orbits_gauss,
     ideal_class_count,
@@ -412,6 +413,22 @@ def test_root_path_class_numbers():
         f = rng.randrange(isqrt(10**6 // -dk) + 1, isqrt(10**9 // -dk) + 1)
         delta = dk * f * f
         assert len(reduced_triples(delta)) == class_numbers(delta), delta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10**7 // 4), st.booleans())
+def test_ambiguous_forms_match_genus_theory(k, odd):
+    # the reduced forms with b = 0, b = a or a = c are the classes of order
+    # at most 2: 2^(mu - 1) of them, mu from the odd primes dividing delta
+    delta = 1 - 4 * k if odd else -4 * k
+    reps = reduced_triples(delta)
+    assert sum(b == 0 or b == a or a == c for a, b, c in reps) == ambiguous_count(delta)
+
+
+def test_ambiguous_forms_at_10_to_the_12():
+    delta = -10**12 - 3
+    reps = reduced_triples(delta)
+    assert sum(b == 0 or b == a or a == c for a, b, c in reps) == ambiguous_count(delta) == 4
 
 
 def _squarefree(n):

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from quadalg.ring import (
     LocalizationRing,
     QuotientRing,
     Ring,
+    RingElement,
     TableRing,
     construct_ring,
     divides_power,
@@ -113,6 +115,16 @@ def test_construct_ring_rejects_bad_tables():
     ]
     with pytest.raises(NonAssociative):
         TableRing(bad)
+
+
+def test_localization_reads_f_as_an_exact_int():
+    # as QuotientRing reads m: 6.0 is refused when the ring is built, not
+    # taken and then failed on inside divides_power by the first division
+    for f in (6.0, "6"):
+        with pytest.raises(TypeError):
+            LocalizationRing(f)
+    with pytest.raises(ValueError, match="at least 2"):
+        LocalizationRing(True)
 
 
 def test_element_arithmetic_examples():
@@ -555,26 +567,33 @@ def test_difference_scale_mod2_and_halving_kernels(ring, data):
 
 def test_a_difference_and_an_int_multiple_build_one_element(monkeypatch):
     # x - y runs one kernel, with no negation; 4*x scales the coordinates,
-    # with no element for 4 and no product (Z[1/f] subtracts by its negation)
+    # with no element for 4 and no product (Z[1/f] subtracts by its negation).
+    # The kernels are counted in each ring's own namespace, where a lattice
+    # ring keeps its compiled kernel and Z[1/f]'s method is shadowed
     rings = (Z, ZSQRT2, builtin_ring("biquad8"), ZMOD8, F4, QuotientRing(ZSQRT8, 9), ZINV6)
     pairs = [(ring.element(tuple(range(3, 3 + ring.rank))),
               ring.element(tuple(range(-2, -2 + ring.rank)))) for ring in rings]
     calls = []
-    for cls in (Ring, LocalizationRing):  # where each counted method is defined
-        for name in ("_neg", "_mul", "from_int"):
-            def counted(self, *args, _name=name, _real=getattr(cls, name)):
+    for ring in rings:
+        for name in ("_neg_coords", "_mul_coords"):
+            def counted(*args, _name=name, _real=getattr(ring, name)):
                 calls.append(_name)
-                return _real(self, *args)
+                return _real(*args)
 
-            monkeypatch.setattr(cls, name, counted)
+            monkeypatch.setitem(vars(ring), name, counted)
+    for cls, name in ((Ring, "from_int"), (RingElement, "__init__")):
+        def counted(self, *args, _name=name, _real=getattr(cls, name)):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
     for ring, (x, y) in zip(rings, pairs):
         calls.clear()
         difference = x - y
-        if ring is not ZINV6:
-            assert calls == [], ring
+        assert calls == (["_neg_coords"] if ring is ZINV6 else []) + ["__init__"], ring
         calls.clear()
         multiples = 4 * x, x * 4
-        assert calls == [], ring
+        assert calls == ["__init__"] * 2, ring
         assert difference == x + (-y) and multiples == (x + x + x + x,) * 2
 
 
@@ -724,11 +743,11 @@ def test_finite_tables_match_ring_kernels():
         t = ring.tables
         assert ring.tables is t
         elements = ring.enumerate_elements()
-        assert t.elements == elements
-        assert all(t.index[x.coords] == i for i, x in enumerate(elements))
-        # row(j)[i] is the index of x * y for x, y of indices i, j
-        for j, y in enumerate(elements):
-            assert [elements[k] for k in t.row(j)] == [ring._mul(x, y) for x in elements]
+        assert t.elements == [x.coords for x in elements]
+        assert all(t.index[x] == i for i, x in enumerate(t.elements))
+        # row(j)[i] is the index of x * y for the tuples x, y of indices i, j
+        for j, y in enumerate(t.elements):
+            assert [t.elements[k] for k in t.row(j)] == [ring._mul_coords(x, y) for x in t.elements]
         # the unit list against HNF division
         assert [elements[i] for i in t.units] == [x for x in elements if ring.is_unit(x)]
 
@@ -745,9 +764,11 @@ def test_finite_tables_are_capped(monkeypatch):
     with pytest.raises(RingTooLarge, match="Z/17 has 17 elements; .* capped at 16"):
         QuotientRing(Z, 17).tables
 
-    def refuse(self):
+    def refuse(*args, **kwargs):
         raise AssertionError("the cap must be checked before enumerating")
     monkeypatch.setattr(QuotientRing, "enumerate_elements", refuse)
+    # the tables list their coordinate tuples from itertools.product
+    monkeypatch.setattr(ring_module, "itertools", SimpleNamespace(product=refuse))
     huge = QuotientRing(builtin_ring("biquad8"), 10**6)
     with pytest.raises(RingTooLarge, match=f"has {10**24} elements"):
         huge.tables
@@ -761,7 +782,8 @@ def test_quotient_units_are_one_uncapped_list():
         t = ring.tables
         one = t.index[ring.one.coords]
         assert ring.units is ring.units
-        assert ring.units == [x for i, x in enumerate(t.elements) if one in t.row(i)]
+        assert [u.coords for u in ring.units] == [x for i, x in enumerate(t.elements)
+                                                  if one in t.row(i)]
     # no table and so no cap: Z/1001 has 720 units, phi(7 * 11 * 13)
     big = QuotientRing(Z, 1001)
     assert len(big.units) == 720
