@@ -2,14 +2,15 @@
 by (discriminant, parity), with explicit isomorphisms and brute-force oracles
 over finite rings.
 
-Every decision runs on the ring's tuple kernels (``ring.Ring``): its
-operands are coerced into the ring once, and an element is built only for
-a value that a call returns.  tau -> u*tau' + v is a hom exactly when
-u*(2v + r - u*r') = 0 and v*(v + r) + s - u^2 s' = 0, five products;
-``AlgebraHom.verifies`` checks that once for every hom returned, and
-``algebras_isomorphic`` and ``oriented_isomorphic`` take v = (u*r' - r)/2.
-The classification by (discriminant, parity) needs no tables, has no cap
-and names no ring kind: with finitely many ``ring.units`` each is tested;
+Every decision runs on the ring's tuple kernels (``ring.Ring``), reading
+each operand's ``coords`` after coercing it into the ring once, and an
+element is built only for a value that a call returns.  tau -> u*tau' + v
+is a hom exactly when u*(2v + r - u*r') = 0 and v*(v + r) + s - u^2 s' = 0,
+five products; ``AlgebraHom.verifies`` checks that once for every hom
+returned, and ``algebras_isomorphic`` and ``oriented_isomorphic`` take
+v = (u*r' - r)/2.  The classification by (discriminant, parity) needs no
+tables and names no ring kind: with finitely many ``ring.units`` (a
+quotient lists at most ``ring.UNIT_SCAN_CAP`` elements) each is tested;
 otherwise the unit is ``ring.sqrt`` of delta2 / delta1 (Z[sqrt(N)] and Z[1/f]
 have one), or, when both are 0, is 1 exactly when the parities are equal.
 That rule needs R/2R to be 0 or F_2 (so Z[1/f]) or the ring to be Z[sqrt(N)]
@@ -111,14 +112,13 @@ class AlgebraHom(Value):
         tuple kernels, with no element built.  u, v, r' and s' are coerced
         into that ring once, so another ring raises RingMismatch.
         """
-        ring = source.ring
-        coerce, tup = ring.coerce, ring._coords_of
+        ring, coerce = source.ring, source.ring.coerce
         add, sub, mul = ring._add_coords, ring._sub_coords, ring._mul_coords
-        u, v, r = tup(coerce(self.u)), tup(coerce(self.v)), tup(source.r)
-        rp, sp = tup(coerce(target.r)), tup(coerce(target.s))
+        u, v, r = coerce(self.u).coords, coerce(self.v).coords, source.r.coords
+        rp, sp = coerce(target.r).coords, coerce(target.s).coords
         if any(mul(u, sub(add(add(v, v), r), mul(u, rp)))):
             return False
-        return not any(sub(add(mul(v, add(v, r)), tup(source.s)), mul(mul(u, u), sp)))
+        return not any(sub(add(mul(v, add(v, r)), source.s.coords), mul(mul(u, u), sp)))
 
     def __repr__(self):
         return f"(tau -> ({self.u!r})tau' + ({self.v!r}))"
@@ -130,13 +130,13 @@ def identity_hom(ring: Ring) -> AlgebraHom:
 
 def type_of(alg: FreeQuadraticAlgebra) -> AlgebraType:
     ring = alg.ring
-    return AlgebraType(ring._from_coords(_discriminant(alg)), ring.mod2(alg.r))
+    return AlgebraType(RingElement(ring, _discriminant(alg)), ring.mod2(alg.r))
 
 
 def _discriminant(alg: FreeQuadraticAlgebra) -> tuple[int, ...]:
     """The kernel tuple of r^2 - 4s."""
-    ring, r = alg.ring, alg.ring._coords_of(alg.r)
-    return ring._sub_coords(ring._mul_coords(r, r), ring._scale_coords(4, ring._coords_of(alg.s)))
+    ring, r = alg.ring, alg.r.coords
+    return ring._sub_coords(ring._mul_coords(r, r), ring._scale_coords(4, alg.s.coords))
 
 
 def change_basis(alg: FreeQuadraticAlgebra, eps, alpha) -> FreeQuadraticAlgebra:
@@ -188,12 +188,12 @@ def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra,
 
 def types_isomorphic(t1: AlgebraType, t2: AlgebraType) -> RingElement | None:
     """A unit eps with t2 = (eps^2 * delta1, eps * parity1), if one exists."""
-    ring, tup = t1.ring, t1.ring._coords_of
+    ring = t1.ring
     if ring != t2.ring:
         raise ValueError("types live over different rings")
-    found = _unit_and_inverse(ring, tup(t1.delta), t1.parity.residue,
-                              tup(t2.delta), t2.parity.residue)
-    return None if found is None else ring._from_coords(found[0])
+    found = _unit_and_inverse(ring, t1.delta.coords, t1.parity.residue,
+                              t2.delta.coords, t2.parity.residue)
+    return None if found is None else RingElement(ring, found[0])
 
 
 def _unit_and_inverse(ring: Ring, d1, p1, d2, p2) -> tuple[tuple, tuple] | None:
@@ -211,10 +211,10 @@ def _unit_and_inverse(ring: Ring, d1, p1, d2, p2) -> tuple[tuple, tuple] | None:
     and b are even, so the parity is 0; for 4 | N (N = 0 too) it is 0 or w,
     and a unit x + y*w has x odd (x^2 - N y^2 = +-1, and the units of
     Z[sqrt(0)] are +-(1 + y*w)), so it maps w to x*w + y*N = w mod 2."""
-    mul, divide, one = ring._mul_coords, ring._divide_coords, ring._coords_of(ring.one)
+    mul, divide, one = ring._mul_coords, ring._divide_coords, ring.one_coords
     units = ring.units
     if units is not None:
-        eps = next((e for e in map(ring._coords_of, units) if mul(mul(e, e), d1) == d2
+        eps = next((e for e in map(attrgetter("coords"), units) if mul(mul(e, e), d1) == d2
                     and ring._residue_times(p1, e) == p2), None)
     elif any(d1) != any(d2):
         return None
@@ -241,8 +241,7 @@ def algebras_isomorphic(a: FreeQuadraticAlgebra,
         raise ValueError("algebras live over different rings")
     if not ring.two_regular:
         raise NotTwoRegular("use isomorphic_bruteforce when 2 is a zero divisor")
-    tup, residue = ring._coords_of, ring._mod2_coords
-    r, rp = tup(a.r), tup(b.r)
+    r, rp, residue = a.r.coords, b.r.coords, ring._mod2_coords
     found = _unit_and_inverse(ring, _discriminant(a), residue(r), _discriminant(b), residue(rp))
     if found is None:
         return None
@@ -250,7 +249,7 @@ def algebras_isomorphic(a: FreeQuadraticAlgebra,
     v = ring._halve_coords(ring._sub_coords(ring._mul_coords(u, rp), r))
     if v is None:
         raise AssertionError("parity agreement must make u*r' - r halvable")
-    hom = AlgebraHom(ring._from_coords(u), ring._from_coords(v))
+    hom = AlgebraHom(RingElement(ring, u), RingElement(ring, v))
     if not hom.verifies(a, b):
         raise AssertionError("constructed hom failed verification")
     return hom
@@ -259,9 +258,9 @@ def algebras_isomorphic(a: FreeQuadraticAlgebra,
 def oriented_type(alg: FreeQuadraticAlgebra, theta: Orientation) -> AlgebraType:
     """((r^2 - 4s) / u^2, (r / u) mod 2) for the orientation unit u."""
     ring, mul = alg.ring, alg.ring._mul_coords
-    uinv = ring._coords_of(ring.coerce(theta.u_inv))
-    return AlgebraType(ring._from_coords(mul(mul(_discriminant(alg), uinv), uinv)),
-                       Mod2Element(ring, ring._mod2_coords(mul(ring._coords_of(alg.r), uinv))))
+    uinv = ring.coerce(theta.u_inv).coords
+    return AlgebraType(RingElement(ring, mul(mul(_discriminant(alg), uinv), uinv)),
+                       Mod2Element(ring, ring._mod2_coords(mul(alg.r.coords, uinv))))
 
 
 def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
@@ -276,12 +275,11 @@ def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
         raise ValueError("algebras live over different rings")
     if not ring.two_regular:
         raise NotTwoRegular("oriented uniqueness needs 2 regular")
-    tup = ring._coords_of
-    u = ring._mul_coords(tup(ring.coerce(theta_a.u)), tup(ring.coerce(theta_b.u_inv)))
-    v = ring._halve_coords(ring._sub_coords(ring._mul_coords(u, tup(b.r)), tup(a.r)))
+    u = ring._mul_coords(ring.coerce(theta_a.u).coords, ring.coerce(theta_b.u_inv).coords)
+    v = ring._halve_coords(ring._sub_coords(ring._mul_coords(u, b.r.coords), a.r.coords))
     if v is None:
         return None
-    hom = AlgebraHom(ring._from_coords(u), ring._from_coords(v))
+    hom = AlgebraHom(RingElement(ring, u), RingElement(ring, v))
     return hom if hom.verifies(a, b) else None
 
 
@@ -318,7 +316,7 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
         lin, const = index[sub(ur, r)], index[sub(uus, s)]
         for v, (twov, q) in enumerate(zip(double, quad)):
             if twov == lin and q == const:
-                hom = AlgebraHom(ring._from_coords(u), ring._from_coords(elements[v]))
+                hom = AlgebraHom(RingElement(ring, u), RingElement(ring, elements[v]))
                 if not hom.verifies(a, b):
                     raise AssertionError("index tables disagree with ring arithmetic")
                 yield hom

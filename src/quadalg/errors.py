@@ -50,7 +50,7 @@ class NotAUnit(QuadalgError):
 
 
 class RingTooLarge(QuadalgError):
-    """A finite ring has more elements than its index tables allow."""
+    """A ring is past a size cap: its table's rank, its index tables or its unit scan."""
 
 
 class ResultTooLong(QuadalgError):

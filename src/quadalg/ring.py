@@ -22,12 +22,13 @@ mod p, then one lifting rule up to p^e), combined by CRT (``crt_roots``).
 ``picard.reduced_triples`` calls the two parts itself, since it factors 4a
 from a sieve and keeps the roots mod each prime power for the whole call.
 
-Each backend has one arithmetic, its tuple kernels (``Ring`` states their
-contract).  ``RingElement``'s operators call them after ``Ring.coerce`` (an
-element of the same ring object passes at once, an int is mapped in, and an
-element of a different ring raises RingMismatch) and wrap the result by
-``_from_coords``.  An int factor (``4 * s``; a bool is coerced) goes to
-``_scale_coords`` and is never made an element.  A caller that chains many
+Each backend has one arithmetic, its tuple kernels, and one element layout:
+``RingElement.coords`` is the kernel tuple (``Ring`` states the contract).
+``RingElement``'s operators run the kernels on ``coords`` after
+``Ring.coerce`` (an element of the same ring object passes at once, an int
+is mapped in, and an element of a different ring raises RingMismatch) and
+wrap the tuple they return.  An int factor (``4 * s``; a bool is coerced)
+goes to ``_scale_coords`` and is never made an element.  A caller that chains many
 operations (``algebras``, ``FiniteTables``) coerces its operands once, runs
 the kernels and builds an element only for a value it returns.
 ``compile_kernels`` writes the lattice ring's kernels out (Z is the 1 x 1
@@ -46,7 +47,7 @@ its construction checks associativity on every basis triple.
 (``kind``, ``descriptor``, ``describe``, Z's bare-int JSON and rationals, a
 quotient's finite-ring members).  A backend (it, or Z[1/f]) writes the
 kernels, ``descriptor`` and ``describe``; ``Ring`` derives the rest:
-``try_divide``, ``try_halve`` and ``sqrt`` wrap their kernels,
+``try_divide``, ``try_halve`` and ``sqrt`` coerce and wrap their kernels,
 ``try_inverse`` and ``is_unit`` divide 1, ``in_4R`` divides by 4, and
 ``mod2`` and ``mod2_residues`` give R/2R, 0 when 1 halves and else the
 coordinates mod 2.  The lattice ring divides by ``solve_int`` on the q*e_i
@@ -61,9 +62,10 @@ The classification of quadratic algebras asks a ring three more questions:
 ``Ring.sqrt``, from the norm in Z[sqrt(N)] and the non-negative rational
 root in Z[1/f]; and ``Ring.quadratic_param``, the N of Z[sqrt(N)] (else
 None).  A quotient ring finds its units by HNF division of 1 by each
-coordinate tuple, not capped, and keeps ``FiniteTables``, its coordinate
-tuples and rows of indices, so that exhaustive searches run on plain ints,
-capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above).  A unit test
+coordinate tuple, capped at ``UNIT_SCAN_CAP`` elements, and keeps
+``FiniteTables``, its coordinate tuples and rows of indices, so that
+exhaustive searches run on plain ints, capped at ``FINITE_TABLE_CAP``
+elements (RingTooLarge above either cap).  A unit test
 is a division: ``Orientation`` and ``GL2Matrix`` keep the inverse theirs
 returns (``u_inv``, ``det_inv``).
 """
@@ -89,6 +91,7 @@ from .errors import (
 )
 
 FINITE_TABLE_CAP = 512
+UNIT_SCAN_CAP = 2**18  # QuotientRing.units makes one HNF division per element
 TABLE_RANK_CAP = 16  # construction checks associativity in 3n^3 products
 EXPONENT_CAP = 10**5
 POWER_BITS_CAP = 4 * EXPONENT_CAP  # f < 16 may take the whole exponent range
@@ -319,38 +322,36 @@ def compile_kernels(table, m: int | None = None):
 
 
 class RingElement:
-    """An element of a Ring, always held in canonical form."""
+    """An element of a Ring, held as the ring's canonical kernel tuple ``coords``."""
 
-    __slots__ = ("ring", "coords", "k")
+    __slots__ = ("ring", "coords")
 
-    def __init__(self, ring: Ring, coords: tuple[int, ...], k: int = 0):
+    def __init__(self, ring: Ring, coords: tuple[int, ...]):
         self.ring = ring
         self.coords = coords
-        self.k = k
 
     def __add__(self, other):
-        ring, tup = self.ring, self.ring._coords_of
-        return ring._from_coords(ring._add_coords(tup(self), tup(ring.coerce(other))))
+        ring = self.ring
+        return RingElement(ring, ring._add_coords(self.coords, ring.coerce(other).coords))
 
     __radd__ = __add__
 
     def __neg__(self):
-        ring = self.ring
-        return ring._from_coords(ring._neg_coords(ring._coords_of(self)))
+        return RingElement(self.ring, self.ring._neg_coords(self.coords))
 
     def __sub__(self, other):
-        ring, tup = self.ring, self.ring._coords_of
-        return ring._from_coords(ring._sub_coords(tup(self), tup(ring.coerce(other))))
+        ring = self.ring
+        return RingElement(ring, ring._sub_coords(self.coords, ring.coerce(other).coords))
 
     def __rsub__(self, other):
-        ring, tup = self.ring, self.ring._coords_of
-        return ring._from_coords(ring._sub_coords(tup(ring.coerce(other)), tup(self)))
+        ring = self.ring
+        return RingElement(ring, ring._sub_coords(ring.coerce(other).coords, self.coords))
 
     def __mul__(self, other):
-        ring, tup = self.ring, self.ring._coords_of
+        ring = self.ring
         if type(other) is int:  # a bool goes through coerce
-            return ring._from_coords(ring._scale_coords(other, tup(self)))
-        return ring._from_coords(ring._mul_coords(tup(self), tup(ring.coerce(other))))
+            return RingElement(ring, ring._scale_coords(other, self.coords))
+        return RingElement(ring, ring._mul_coords(self.coords, ring.coerce(other).coords))
 
     __rmul__ = __mul__
 
@@ -371,16 +372,13 @@ class RingElement:
             other = self.ring.from_int(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return (self.ring == other.ring and self.coords == other.coords
-                and self.k == other.k)
+        return self.ring == other.ring and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.ring, self.coords, self.k))
+        return hash((self.ring, self.coords))
 
     def __int__(self) -> int:
-        if self.k:
-            raise ValueError(f"{self!r} is not a rational integer")
-        if any(self.coords[1:]):
+        if any(self.coords[1:]):  # another coordinate, or k > 0 in Z[1/f]
             raise ValueError(f"{self!r} is not a rational integer")
         return self.coords[0]
 
@@ -419,12 +417,13 @@ class Mod2Element(Value):
         self.residue = residue
 
     def lift(self) -> RingElement:
-        # a 0/1 residue is canonical in every backend
-        return RingElement(self.ring, self.residue)
+        # the 0/1 coordinates, then the identity's other entries (k = 0 in Z[1/f])
+        ring = self.ring
+        return RingElement(ring, self.residue + ring.one_coords[ring.rank:])
 
     def times(self, e: RingElement) -> Mod2Element:
         ring = self.ring
-        return Mod2Element(ring, ring._residue_times(self.residue, ring._coords_of(ring.coerce(e))))
+        return Mod2Element(ring, ring._residue_times(self.residue, ring.coerce(e).coords))
 
     def is_zero(self) -> bool:
         return not any(self.residue)
@@ -441,10 +440,11 @@ class Ring:
     ``_sub_coords``, ``_scale_coords`` (t*x for an int t) and ``_mul_coords``;
     ``_divide_coords`` (some y with q*y = p), ``_halve_coords`` (the unique x/2
     when 2 is regular) and ``_sqrt_coords`` give None when there is none.
-    ``_coords_of(x)`` is an element's tuple and ``_from_coords`` the element of
-    one (None for None): the coordinates in the lattice ring, and in Z[1/f]
-    the pair (num, k) of num/f^k, f not dividing num unless k = 0, so zero is
-    the all-zero tuple.  ``_mod2_coords`` and ``_residue_times`` work in R/2R.
+    An element's ``coords`` is its kernel tuple: the coordinates in the
+    lattice ring, and in Z[1/f] the pair (num, k) of num/f^k, f not dividing
+    num unless k = 0, so zero is the all-zero tuple.  ``_from_coords`` makes
+    the element of a tuple (None for None).  ``_mod2_coords`` and
+    ``_residue_times`` work in R/2R.
 
     Rings are immutable once built, so equality and hashing use a frozen
     copy of the descriptor, taken once on first use.
@@ -467,7 +467,7 @@ class Ring:
         return RingElement(self, self._scale_coords(1, coords))
 
     def from_int(self, n: int) -> RingElement:
-        return self._from_coords(self._scale_coords(index(n), self.one_coords))
+        return RingElement(self, self._scale_coords(index(n), self.one_coords))
 
     @cached_property
     def zero(self) -> RingElement:
@@ -488,24 +488,21 @@ class Ring:
             return x
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
-    # -- kernel tuples: the lattice ring's are the coordinates; Z[1/f] overrides --
-
-    _coords_of = attrgetter("coords")
-
     def _from_coords(self, t: tuple[int, ...] | None) -> RingElement | None:
         return None if t is None else RingElement(self, t)
 
     # -- unit and divisibility structure --------------------------------------
 
     def try_inverse(self, x: RingElement) -> RingElement | None:
-        return self.try_divide(self.one, self.coerce(x))
+        return self.try_divide(self.one, x)
 
     def is_unit(self, x: RingElement) -> bool:
-        return self.try_inverse(self.coerce(x)) is not None
+        return self.try_inverse(x) is not None
 
     def try_divide(self, p: RingElement, q: RingElement) -> RingElement | None:
         """Some y with q*y = p; None only when no such y exists."""
-        return self._from_coords(self._divide_coords(self._coords_of(p), self._coords_of(q)))
+        return self._from_coords(self._divide_coords(self.coerce(p).coords,
+                                                     self.coerce(q).coords))
 
     def from_rational(self, n: int, d: int = 1) -> RingElement:
         """n/d as an element, for the rings with ``try_from_rational`` (Z, Z[1/f])."""
@@ -518,7 +515,7 @@ class Ring:
         """The unique y with 2y = x, when it exists; requires 2 regular."""
         if not self.two_regular:
             raise NotTwoRegular(f"halving is not unique in {self!r}")
-        return self._from_coords(self._halve_coords(self._coords_of(x)))
+        return self._from_coords(self._halve_coords(self.coerce(x).coords))
 
     # -- R/2R and 4R, from division ---------------------------------------------
 
@@ -530,7 +527,7 @@ class Ring:
     def mod2(self, x: RingElement) -> Mod2Element:
         """The class of x in R/2R: 0 when 2 is a unit, else the coordinates mod 2
         (then m is even in R/m, and f odd in Z[1/f], where num/f^k = num mod 2)."""
-        return Mod2Element(self, self._mod2_coords(x.coords))
+        return Mod2Element(self, self._mod2_coords(self.coerce(x).coords))
 
     def _residue_times(self, residue: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
         # well-defined: (x + 2y)*t = x*t + 2*y*t; the residue lifts to its 0/1
@@ -572,7 +569,7 @@ class Ring:
 
     def sqrt(self, x: RingElement) -> RingElement | None:
         """The sign-normalized square root of x; None when x is not a square."""
-        return self._from_coords(self._sqrt_coords(self._coords_of(x)))
+        return self._from_coords(self._sqrt_coords(self.coerce(x).coords))
 
     def _sqrt_coords(self, t: tuple[int, ...]) -> tuple[int, ...] | None:
         raise UnsupportedRing(f"no square-root routine for {self!r}")
@@ -865,7 +862,11 @@ class QuotientRing(TableRing):
     @cached_property
     def units(self) -> list[RingElement]:
         """Every unit, in enumeration order: the tuples that divide 1, with no
-        table (so not capped)."""
+        table, scanned up to UNIT_SCAN_CAP elements (RingTooLarge above)."""
+        size = self.m ** self.rank
+        if size > UNIT_SCAN_CAP:
+            raise RingTooLarge(f"{self!r} has {size} elements; unit scans are capped at "
+                               f"{UNIT_SCAN_CAP}")
         one = self.one_coords
         return [RingElement(self, t) for t in itertools.product(range(self.m), repeat=self.rank)
                 if self._divide_coords(one, t) is not None]
@@ -922,7 +923,8 @@ class FiniteTables:
 
 
 class LocalizationRing(Ring):
-    """Z[1/f], its kernels on the pairs (num, k) of num/f^k, f not dividing num unless k = 0."""
+    """Z[1/f]: each element's coords, and each kernel's tuples, are the pairs (num, k)
+    of num/f^k, f not dividing num unless k = 0."""
 
     kind = "localization"
     rank = 1
@@ -942,7 +944,7 @@ class LocalizationRing(Ring):
         num = index(coords[0])
         if k < 0:
             raise ValueError(f"the denominator exponent 'k' must be non-negative, got {brief(k)}")
-        return self._from_coords(self._normal(num, k))
+        return RingElement(self, self._normal(num, k))
 
     def _normal(self, num: int, k: int) -> tuple[int, int]:
         f = self.f
@@ -952,12 +954,6 @@ class LocalizationRing(Ring):
                 e, p = 2 * e, p * p
             num, k = num // p, k - e
         return num, k
-
-    def _coords_of(self, x):
-        return x.coords[0], x.k
-
-    def _from_coords(self, t):
-        return None if t is None else RingElement(self, t[:1], t[1])
 
     def try_from_rational(self, n: int, d: int = 1) -> RingElement | None:
         n, d = index(n), index(d)
@@ -1008,12 +1004,12 @@ class LocalizationRing(Ring):
         return self._divide(p[0], q[0], p[1] - q[1]) if q[0] else None
 
     def element_to_json(self, x):
-        return {"coords": list(x.coords), "k": x.k}
+        num, k = x.coords
+        return {"coords": [num], "k": k}
 
     def format_element(self, x):
-        if x.k == 0:
-            return str(x.coords[0])
-        return f"{x.coords[0]}/{self.f ** x.k}"
+        num, k = x.coords
+        return f"{num}/{self.f ** k}" if k else str(num)
 
     def descriptor(self):
         return {"kind": "localization", "f": self.f}

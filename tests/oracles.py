@@ -562,12 +562,13 @@ def localization_from_fraction(ring, q):
             lo = mid + 1
         else:
             hi = mid
-    return RingElement(ring, (q.numerator * (f ** lo // d),), lo)
+    return RingElement(ring, (q.numerator * (f ** lo // d), lo))
 
 
 def localization_value(x) -> Fraction:
     """The rational num/f^k of an element (num, k) of Z[1/f]."""
-    return Fraction(x.coords[0], x.ring.f ** x.k)
+    num, k = x.coords
+    return Fraction(num, x.ring.f ** k)
 
 
 def localization_add(x, y):

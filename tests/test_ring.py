@@ -26,6 +26,7 @@ from quadalg.ring import (
     EXPONENT_CAP,
     FINITE_TABLE_CAP,
     TABLE_RANK_CAP,
+    UNIT_SCAN_CAP,
     IntegerRing,
     LocalizationRing,
     QuotientRing,
@@ -148,9 +149,15 @@ def test_ring_mismatch():
         == [(4, 1), (-2, 3), (-13, 5), (2, -3)]
     for a, b in ((Z.from_int(1), ZSQRT8.one), (ZSQRT8.one, ZSQRT2.one),
                  (ZMOD8.one, ZMOD4.one), (ZSQRT8.one, Z.one), (ZINV6.one, Z.one)):
-        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+                   lambda: a.ring.try_divide(b, a), lambda: a.ring.try_divide(a, b),
+                   lambda: a.ring.mod2(b)):
             with pytest.raises(RingMismatch):
                 op()
+    # the derived operations read an operand's coords only once it is coerced
+    for op in (ZINV6.try_halve, ZINV6.sqrt, ZSQRT8.sqrt):
+        with pytest.raises(RingMismatch):
+            op(Z.one)
 
 
 def test_try_inverse():
@@ -161,7 +168,7 @@ def test_try_inverse():
     y = bq.element((0, 0, 1, 0))
     assert bq.try_inverse(3 - y) == 3 + y
     half = ZINV6.try_inverse(ZINV6.from_int(2))
-    assert half is not None and half.coords == (3,) and half.k == 1
+    assert half is not None and half.coords == (3, 1)
     assert ZINV6.try_inverse(ZINV6.from_int(5)) is None
     assert ZMOD8.try_inverse(ZMOD8.from_int(3)) == ZMOD8.from_int(3)
     assert ZMOD8.try_inverse(ZMOD8.from_int(2)) is None
@@ -407,10 +414,22 @@ def test_halving_fuzz():
 
 def test_localization_canonical_form():
     x = ZINV6.element((12,), 1)  # 12/6 = 2
-    assert x.coords == (2,) and x.k == 0
+    assert x.coords == (2, 0)
     y = ZINV6.element((3,), 1)  # 3/6 stays: 6 does not divide 3
-    assert y.coords == (3,) and y.k == 1
+    assert y.coords == (3, 1)
     assert ZINV6.from_rational(1, 2) == y and ZINV6.from_rational(-9, -18) == y
+    # one layout: an element's coords is its ring's kernel tuple, in every backend
+    rng = random.Random(37)
+    for ring in (Z, ZSQRT2, ZMOD8, F4, ZINV6):
+        for _ in range(60):
+            x, y = _random_element(rng, ring), _random_element(rng, ring)
+            assert (x + y).coords == ring._add_coords(x.coords, y.coords)
+            assert (x - y).coords == ring._sub_coords(x.coords, y.coords)
+            assert (x * y).coords == ring._mul_coords(x.coords, y.coords)
+            if ring is ZINV6:
+                num, k = x.coords
+                assert num % 6 or k == 0, x.coords
+            assert ring.element_from_json(ring.element_to_json(x)) == x
 
 
 def test_element_json_round_trip():
@@ -748,8 +767,9 @@ def test_finite_tables_match_ring_kernels():
         # row(j)[i] is the index of x * y for the tuples x, y of indices i, j
         for j, y in enumerate(t.elements):
             assert [t.elements[k] for k in t.row(j)] == [ring._mul_coords(x, y) for x in t.elements]
-        # the unit list against HNF division
-        assert [elements[i] for i in t.units] == [x for x in elements if ring.is_unit(x)]
+        # the unit list against the rows of products: a unit's row reaches 1
+        one = t.index[ring.one_coords]
+        assert t.units == [i for i in range(len(t.elements)) if one in t.row(i)]
 
 
 def test_finite_tables_are_capped(monkeypatch):
@@ -784,11 +804,28 @@ def test_quotient_units_are_one_uncapped_list():
         assert ring.units is ring.units
         assert [u.coords for u in ring.units] == [x for i, x in enumerate(t.elements)
                                                   if one in t.row(i)]
-    # no table and so no cap: Z/1001 has 720 units, phi(7 * 11 * 13)
+    # no table and so not the table cap: Z/1001 has 720 units, phi(7 * 11 * 13)
     big = QuotientRing(Z, 1001)
     assert len(big.units) == 720
     with pytest.raises(RingTooLarge):
         big.tables
+
+
+def test_quotient_unit_scan_is_capped(monkeypatch):
+    # the cap admits Z/100003, the largest quotient the classification is timed on
+    assert 100003 <= UNIT_SCAN_CAP
+    monkeypatch.setattr(ring_module, "UNIT_SCAN_CAP", 64)
+    assert len(QuotientRing(Z, 63).units) == 36  # phi(63)
+    assert len(QuotientRing(ZSQRT8, 8).units) == 32  # the cap itself: a + b*w with a odd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must be checked before enumerating")
+    monkeypatch.setattr(ring_module, "itertools", SimpleNamespace(product=refuse))
+    with pytest.raises(RingTooLarge) as exc:
+        QuotientRing(Z, 65).units
+    assert str(exc.value) == "Z/65 has 65 elements; unit scans are capped at 64"
+    with pytest.raises(RingTooLarge, match=f"has {(10**9 + 7) ** 2} elements"):
+        QuotientRing(ZSQRT8, 10**9 + 7).units
 
 
 _FACTORS = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=5).map(prod)
@@ -886,7 +923,7 @@ def test_localization_sqrt_matches_fraction_oracle(f, n1, k1, n2, k2):
 def test_exponents_read_from_input_are_capped():
     ring = LocalizationRing(3)
     x = ring.element_from_json({"coords": [1], "k": EXPONENT_CAP})
-    assert (x * x).k == 2 * EXPONENT_CAP  # products of capped inputs pass the cap
+    assert (x * x).coords == (1, 2 * EXPONENT_CAP)  # products of capped inputs pass the cap
     for ring in (ring, Z, ZSQRT8):
         with pytest.raises(ExponentTooLarge):
             ring.element_from_json({"coords": [1] * ring.rank, "k": EXPONENT_CAP + 1})
