@@ -160,13 +160,19 @@ def is_valid_triple(ring: Ring, t: AlgebraType) -> bool:
 
 
 def build_from_type(ring: Ring, t: AlgebraType, lift: RingElement) -> FreeQuadraticAlgebra:
+    """tau^2 + lift*tau - (delta - lift^2)/4; the type is valid exactly when
+    both halvings exist, since 2 is regular (``is_valid_triple``)."""
     lift = ring.coerce(lift)
     if ring.mod2(lift) != t.parity:
         raise BadLift(f"{lift!r} does not lift the parity {t.parity!r}")
-    if not is_valid_triple(ring, t):
+    if not ring.two_regular:
+        raise NotTwoRegular("validity is defined over rings where 2 is regular")
+    x = lift.coords
+    half = ring._halve_coords(ring._sub_coords(ring.coerce(t.delta).coords, ring._mul_coords(x, x)))
+    quarter = None if half is None else ring._halve_coords(half)
+    if quarter is None:
         raise InvalidTriple(f"{t!r} is not the type of any quadratic algebra")
-    quarter = ring.try_halve(ring.try_halve(t.delta - lift * lift))
-    return FreeQuadraticAlgebra(ring, lift, -quarter)
+    return FreeQuadraticAlgebra(ring, lift, RingElement(ring, ring._neg_coords(quarter)))
 
 
 def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra, AlgebraHom]:

@@ -127,7 +127,10 @@ def parse_algebra(ring: Ring, text: str) -> algebras.FreeQuadraticAlgebra:
     fields = {}
     for part in _split_commas(text):
         key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"algebra spec repeats the field {brief(key)}")
+        fields[key] = value.strip()
     if set(fields) != {"r", "s"}:
         raise ValueError(f"algebra spec must be 'r=...,s=...', got {brief(text)}")
     return algebras.FreeQuadraticAlgebra(ring, parse_element(ring, fields["r"]),

@@ -121,7 +121,7 @@ class NotInvertible(QuadalgError):
 
 
 class DiscriminantTooLarge(QuadalgError):
-    """|delta| of a single discriminant exceeds picard.DISCRIMINANT_CAP."""
+    """|delta| exceeds picard.DISCRIMINANT_CAP."""
 
 
 # -- glue and cli ------------------------------------------------------------

@@ -7,19 +7,19 @@ Computational Algebraic Number Theory, 5.3) by two paths.  A single
 discriminant (``classgroup``, ``picmodconj``, ``ClassGroup``) goes through
 ``reduced_triples``: for each a <= sqrt(|delta|/3) the b are the square roots
 of delta mod 4a (``ring.sqrt_mod_prime_power`` and ``ring.crt_roots``), so
-the work grows like sqrt(|delta|), and |delta| is capped at
-DISCRIMINANT_CAP.  A range (``table``) is one sweep over (a, b),
-``_sweep``: for each (a, b) the c that put b^2 - 4ac in the range form an
-interval.  When the range is narrower than 4a the interval holds at most
-one c, found by one remainder test per pair; otherwise it is walked.  Each
-form found costs one three-argument gcd and lands in a list of buckets
+the work grows like sqrt(|delta|).  A range (``table``) is one sweep over
+(a, b), ``_sweep``: for each (a, b) the c that put b^2 - 4ac in the range
+form an interval.  When the range is narrower than 4a the interval holds at
+most one c, found by one remainder test per pair; otherwise it is walked.
+Each form found costs one three-argument gcd and lands in a list of buckets
 indexed by delta - lo.  The sweep costs about |lo| whatever the width, so
 ``reduced_triples_between`` runs ``reduced_triples`` once per discriminant
 instead when the range holds at most max(1, sqrt(|lo|) // 300) of them
-(min = max among them) and |lo| is within the cap.  The sweep keeps every
-triple of the range, so ``cli.iter_table`` sweeps a long range in windows
-of max(1024, |lo| // 64) discriminants and prints each before sweeping the
-next.
+(min = max among them).  ``check_range`` refuses every range with |lo| past
+DISCRIMINANT_CAP, one discriminant or many, before any work.  The sweep
+keeps every triple of the range, so ``cli.iter_table`` sweeps a long range
+in windows of max(1024, |lo| // 64) discriminants and prints each before
+sweeping the next.
 Opposition orbits follow from table order alone: each representative with
 b >= 0 heads an orbit, and [a,-b,c] joins it unless b = 0, b = a or a = c.
 
@@ -54,7 +54,7 @@ from .ring import IntegerRing, Value, crt_roots, hnf, sqrt_mod_prime_power, xgcd
 
 _Z = IntegerRing()
 
-# |delta| past which reduced_triples refuses a single discriminant
+# |lo| past which check_range refuses a range [lo, hi], one discriminant or many
 DISCRIMINANT_CAP = 3 * 10**12
 
 Pair = tuple[int, int]  # coordinates (x0, x1) meaning x0 + x1*omega
@@ -321,13 +321,12 @@ def reduced_triples(delta: int) -> list[Triple]:
 
 
 def check_range(lo: int, hi: int) -> None:
-    """Raise InvalidRange unless lo <= hi < 0, and DiscriminantTooLarge for a
-    single discriminant (lo = hi) past DISCRIMINANT_CAP."""
     if lo > hi or hi >= 0:
         raise InvalidRange(f"need min <= max < 0, got [{lo}, {hi}]")
-    if lo == hi and -lo > DISCRIMINANT_CAP:
-        raise DiscriminantTooLarge(f"|delta| = {brief(-lo)} is past the cap of "
-                                   f"{DISCRIMINANT_CAP} on a single discriminant")
+    if -lo > DISCRIMINANT_CAP:
+        raise DiscriminantTooLarge(
+            f"|delta| = {brief(-lo)} is past the cap of {DISCRIMINANT_CAP} on a single discriminant"
+            if lo == hi else f"min = {brief(lo)} puts |delta| past the cap of {DISCRIMINANT_CAP}")
 
 
 def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
@@ -337,13 +336,11 @@ def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
     ``reduced_triples`` costs about sqrt(|delta|) per discriminant and the
     sweep (``_sweep``) about |lo| for the whole range, so a range of at most
     max(1, sqrt(|lo|) // 300) valid discriminants, one of them included,
-    takes ``reduced_triples`` for each, and a wider one the sweep.  Past
-    DISCRIMINANT_CAP every range of two or more takes the sweep, so that no
-    error starts after ``cli.iter_table`` has printed its header.
+    takes ``reduced_triples`` for each, and a wider one the sweep.
     """
     check_range(lo, hi)
     deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
-    if -lo <= DISCRIMINANT_CAP and len(deltas) <= max(1, isqrt(-lo) // 300):
+    if len(deltas) <= max(1, isqrt(-lo) // 300):
         return {delta: reduced_triples(delta) for delta in deltas}
     return _sweep(lo, hi, deltas)
 

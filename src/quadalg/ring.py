@@ -588,6 +588,9 @@ class Ring:
         k at most EXPONENT_CAP and k * f.bit_length() at most POWER_BITS_CAP
         (ExponentTooLarge above)."""
         if isinstance(data, dict):
+            for key in data:
+                if key not in ("coords", "k"):
+                    raise ValueError(f"a ring element object has an unknown key {brief(key)}")
             if "coords" not in data:
                 raise ValueError(f"a ring element object is missing 'coords', got {brief(data)}")
             k = json_int(data.get("k", 0), "'k'")
@@ -1052,11 +1055,22 @@ def _int_field(descriptor: dict, key: str) -> int:
     return int_value(_field(descriptor, key), f"{descriptor['kind']} ring descriptor: {key!r}")
 
 
+# the keys that construct_ring reads, by kind
+_DESCRIPTOR_KEYS = {"integers": ("kind",), "table": ("kind", "mul", "one", "symbols", "rank"),
+                    "quotient": ("kind", "base", "m"), "localization": ("kind", "f")}
+
+
 def construct_ring(descriptor: dict) -> Ring:
-    """Build a ring handle from its JSON descriptor, verifying the axioms."""
+    """Build a ring handle from its JSON descriptor, verifying the axioms; a
+    key that the descriptor's kind does not read is refused."""
     if not isinstance(descriptor, dict):
         raise ValueError(f"ring descriptor must be a JSON object, got {brief(descriptor)}")
     kind = descriptor.get("kind")
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_KEYS:
+        raise ValueError(f"unknown ring kind {brief(kind)}")
+    for key in descriptor:
+        if key not in _DESCRIPTOR_KEYS[kind]:
+            raise ValueError(f"{kind} ring descriptor has an unknown key {brief(key)}")
     if kind == "integers":
         return IntegerRing()
     if kind == "table":
@@ -1068,9 +1082,7 @@ def construct_ring(descriptor: dict) -> Ring:
     if kind == "quotient":
         return QuotientRing(construct_ring(_field(descriptor, "base")),
                             _int_field(descriptor, "m"))
-    if kind == "localization":
-        return LocalizationRing(_int_field(descriptor, "f"))
-    raise ValueError(f"unknown ring kind {brief(kind)}")
+    return LocalizationRing(_int_field(descriptor, "f"))
 
 
 def quadratic_table_ring(n: int) -> TableRing:

@@ -163,6 +163,35 @@ def test_build_from_type_examples():
         build_from_type(Z, AlgebraType(Z.from_int(5), Z.mod2(Z.zero)), Z.zero)
 
 
+def test_build_from_type_halves_without_dividing(monkeypatch):
+    # validity is read from the two halvings that build the algebra, with no
+    # division by 4 first; the refusals keep their order BadLift ->
+    # NotTwoRegular -> InvalidTriple
+    z9 = QuotientRing(Z, 9)
+    calls = []
+    for cls in (TableRing, LocalizationRing):
+        real = cls._divide_coords
+        monkeypatch.setattr(cls, "_divide_coords",
+                            lambda self, p, q, real=real: calls.append((p, q)) or real(self, p, q))
+    for ring, delta, lift, s in ((Z, -44, Z.zero, 11), (ZSQRT8, 24, W8, -4), (z9, 5, 1, -1),
+                                 (ZINV6, 5, 1, -1)):
+        t = AlgebraType(ring.coerce(delta), ring.mod2(ring.coerce(lift)))
+        calls.clear()
+        assert build_from_type(ring, t, lift) == alg(ring, lift, s)
+        assert calls == [], ring
+    calls.clear()
+    with pytest.raises(InvalidTriple, match=r"is not the type of any quadratic algebra"):
+        build_from_type(Z, AlgebraType(Z.from_int(5), Z.mod2(Z.zero)), Z.zero)
+    with pytest.raises(InvalidTriple):
+        build_from_type(ZSQRT8, AlgebraType(ZSQRT8.from_int(26), ZSQRT8.mod2(W8)), W8)
+    assert calls == []
+    t8 = AlgebraType(ZMOD8.from_int(5), ZMOD8.mod2(ZMOD8.one))
+    with pytest.raises(BadLift):
+        build_from_type(ZMOD8, t8, ZMOD8.zero)
+    with pytest.raises(NotTwoRegular, match="validity is defined over rings where 2 is regular"):
+        build_from_type(ZMOD8, t8, ZMOD8.one)
+
+
 def test_freeok_iso_examples():
     c = alg(Z, 3, 2)
     target, hom = freeok_iso(c, 3)

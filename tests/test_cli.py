@@ -393,6 +393,15 @@ def test_validation_errors_exit_2(capsys):
         assert invoke(capsys, "glue-check", json.dumps(payload)) == (2, "", f"error: {message}\n")
 
 
+def test_algebra_spec_refuses_a_repeated_field(capsys):
+    # one value per field: r=1,r=2 is refused, not read as r=2
+    for spec, field in (("r=1,r=2,s=0", "r"), ("r=0,s=1,s=1", "s"), ("s=1, r=0 ,r =0", "r")):
+        assert invoke(capsys, "type", "--ring", "z", "--alg", spec) == \
+            (2, "", f"error: algebra spec repeats the field '{field}'\n")
+    assert invoke(capsys, "type", "--ring", "z", "--alg", " s=0 , r=1 ") == \
+        (0, '{"delta":1,"parity":[1]}\n', "")
+
+
 def test_glue_check_refuses_exponents_quickly(capsys):
     # Fraction("1e20000000") would compute 10**20000000 before any check runs;
     # that payload is a golden case with a 1 s bound

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from quadalg import picard
 from quadalg.algebras import FreeQuadraticAlgebra, freeok_iso, type_of
-from quadalg.cli import builtin_ring, parse_form
+from quadalg.cli import builtin_ring, iter_table, parse_form
 from quadalg.errors import (
     BadParityLift,
     DiscriminantTooLarge,
@@ -441,7 +441,7 @@ def test_single_discriminant_outside_0_1_mod_4_is_empty():
 
 
 def test_single_discriminants_are_capped():
-    # refused before any work; ranges stay uncapped
+    # refused before any work; so is a range of any width with |min| past the cap
     for delta in (-DISCRIMINANT_CAP - 3, -DISCRIMINANT_CAP - 4, -10**20):
         for call in (reduced_triples, class_group, pic_mod_conjugation):
             with pytest.raises(DiscriminantTooLarge, match="cap of 3000000000000"):
@@ -450,7 +450,8 @@ def test_single_discriminants_are_capped():
             reduced_triples_between(delta, delta)
     with pytest.raises(DiscriminantTooLarge):
         reduced_triples_between(-10**20 - 1, -10**20 - 1)
-    assert reduced_triples_between(-10**20 - 2, -10**20 - 1) == {}
+    with pytest.raises(DiscriminantTooLarge):
+        reduced_triples_between(-10**20 - 2, -10**20 - 1)  # no discriminant in it
 
 
 def test_narrow_windows_take_the_root_path_with_the_sweeps_result(monkeypatch):
@@ -478,17 +479,23 @@ def test_narrow_windows_take_the_root_path_with_the_sweeps_result(monkeypatch):
     assert narrow[1:3] == [True, False]  # the two sides of the bound
 
 
-def test_narrow_windows_past_the_cap_are_swept(monkeypatch):
-    # past the cap a range of two or more takes the sweep, as before, and
-    # raises nothing; a single discriminant there is refused first
+def test_narrow_windows_past_the_cap_are_refused(monkeypatch):
+    # past the cap a range of two or more is refused like a single
+    # discriminant, before any root or sweep work, and iter_table raises
+    # before it yields its header
     monkeypatch.setattr(picard, "DISCRIMINANT_CAP", 10**5)
     monkeypatch.setattr(picard, "reduced_triples", None)
-    table = reduced_triples_between(-100007, -100004)
-    assert list(table) == [-100007, -100004]
-    for delta, reps in table.items():
-        assert reps == reduced_triples_divisor_scan(delta)
-    with pytest.raises(DiscriminantTooLarge):
-        reduced_triples_between(-100004, -100004)
+    monkeypatch.setattr(picard, "_sweep", None)
+    for lo, hi, message in [
+        (-100007, -100004, "min = -100007 puts |delta| past the cap of 100000"),
+        (-100004, -100004, "|delta| = 100004 is past the cap of 100000 on a single discriminant"),
+    ]:
+        with pytest.raises(DiscriminantTooLarge) as err:
+            reduced_triples_between(lo, hi)
+        assert str(err.value) == message
+        chunks = iter_table(lo, hi)
+        with pytest.raises(DiscriminantTooLarge):
+            next(chunks)
 
 
 def test_orbit_rule_matches_gauss_reduction():

@@ -90,6 +90,31 @@ def test_construct_ring_examples():
     assert construct_ring({"kind": "localization", "f": 6}).two_regular
 
 
+def test_descriptors_and_element_objects_refuse_unknown_keys():
+    # a key that a descriptor's kind or an element object does not read is
+    # refused by name, not dropped: {"kind":"integers","m":8} is not Z/8
+    from quadalg.cli import BUILTIN_RINGS
+    for descriptor in BUILTIN_RINGS.values():
+        construct_ring(descriptor)
+    for ring in (Z, ZSQRT8, ZMOD8, F4, ZINV6):
+        assert construct_ring(ring.descriptor()) == ring
+    for descriptor, kind, key in [
+        ({"kind": "integers", "m": 8}, "integers", "m"),
+        ({"kind": "table", "mul": [[[1]]], "m": 8}, "table", "m"),
+        ({"kind": "quotient", "base": {"kind": "integers"}, "m": 8, "f": 2}, "quotient", "f"),
+        ({"kind": "quotient", "base": {"kind": "integers", "rank": 1}, "m": 8}, "integers", "rank"),
+        ({"kind": "localization", "f": 6, "k": 1}, "localization", "k"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            construct_ring(descriptor)
+        assert str(err.value) == f"{kind} ring descriptor has an unknown key {key!r}"
+    for ring in (Z, ZSQRT8, ZMOD8, ZINV6):
+        with pytest.raises(ValueError) as err:
+            ring.element_from_json({"coords": [1] * ring.rank, "k": 0, "x": 5})
+        assert str(err.value) == "a ring element object has an unknown key 'x'"
+    assert ZINV6.element_from_json({"k": 1, "coords": [3]}) == ZINV6.from_rational(1, 2)
+
+
 def test_construct_ring_rejects_bad_tables():
     # a float, a string or a bool is refused, not cut down to an int
     for mul in (5, [5], [[5]], [[[1, 0]]], [[[1], [0]]], [[[None]]], [[[1.0]]], [[["1"]]],
