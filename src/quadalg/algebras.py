@@ -151,25 +151,28 @@ def change_basis(alg: FreeQuadraticAlgebra, eps, alpha) -> FreeQuadraticAlgebra:
                                 alpha * alpha - r * alpha * eps + s * eps * eps)
 
 
-def is_valid_triple(ring: Ring, t: AlgebraType) -> bool:
-    """True when delta is a square of a parity lift modulo 4R."""
+def _quarter_coords(ring: Ring, t: AlgebraType, x: tuple) -> tuple | None:
+    """(delta - x^2)/4 on kernel tuples for a lift x of t's parity, by two
+    halvings, or None when t is not valid: since 2 is regular, delta - x^2 is
+    in 4R exactly when both halvings exist, and lift^2 mod 4R does not depend
+    on the lift."""
     if not ring.two_regular:
         raise NotTwoRegular("validity is defined over rings where 2 is regular")
-    lift = t.parity.lift()
-    return ring.in_4R(t.delta - lift * lift)
+    half = ring._halve_coords(ring._sub_coords(ring.coerce(t.delta).coords, ring._mul_coords(x, x)))
+    return None if half is None else ring._halve_coords(half)
+
+
+def is_valid_triple(ring: Ring, t: AlgebraType) -> bool:
+    """True when delta is a square of a parity lift modulo 4R."""
+    return _quarter_coords(ring, t, t.parity.lift().coords) is not None
 
 
 def build_from_type(ring: Ring, t: AlgebraType, lift: RingElement) -> FreeQuadraticAlgebra:
-    """tau^2 + lift*tau - (delta - lift^2)/4; the type is valid exactly when
-    both halvings exist, since 2 is regular (``is_valid_triple``)."""
+    """tau^2 + lift*tau - (delta - lift^2)/4, when the type is valid."""
     lift = ring.coerce(lift)
     if ring.mod2(lift) != t.parity:
         raise BadLift(f"{lift!r} does not lift the parity {t.parity!r}")
-    if not ring.two_regular:
-        raise NotTwoRegular("validity is defined over rings where 2 is regular")
-    x = lift.coords
-    half = ring._halve_coords(ring._sub_coords(ring.coerce(t.delta).coords, ring._mul_coords(x, x)))
-    quarter = None if half is None else ring._halve_coords(half)
+    quarter = _quarter_coords(ring, t, lift.coords)
     if quarter is None:
         raise InvalidTriple(f"{t!r} is not the type of any quadratic algebra")
     return FreeQuadraticAlgebra(ring, lift, RingElement(ring, ring._neg_coords(quarter)))

@@ -356,27 +356,27 @@ def iter_table(min_delta: int, max_delta: int, fmt: str = "csv"):
 
     The range is swept in windows of max(1024, |min| // 64) discriminants
     (``picard.reduced_triples_between``), and each window's rows are yielded
-    before the next is swept, so memory stays at one window's triples and
-    text: about 11 MB traced for [-60000, -3], where the whole table takes 252 MB.
+    before the next is swept, so memory stays at one window's coefficients and
+    text: about 4 MB traced for [-60000, -3], where the whole table takes 151 MB.
     An invalid range raises InvalidRange before the first chunk.
 
-    Each opposition orbit {[a,b,c], [a,-b,c]} of reduced forms has exactly one
-    member with b >= 0 (``picard.conjugation_orbits``), so the orbit count is
-    the number of such reps.
+    A row's reps come as 3h flat ints, rendered by one ``%``.  b is their only
+    signed coefficient (a >= 1, c >= a), and each opposition orbit has one rep
+    with b >= 0 (``picard.conjugation_orbits``), so picmod is h less the '-'s.
     """
     picard.check_range(min_delta, max_delta)
     row, head, sep, tail = _TABLE_FORMATS[fmt]
     yield head
     lead = "\n" if fmt == "csv" else ""  # ends the header line; '[' needs no end
-    flat = itertools.chain.from_iterable
     width = max(1024, -min_delta // 64)
     for lo in range(min_delta, max_delta + 1, width):
-        table = picard.reduced_triples_between(lo, min(lo + width - 1, max_delta))
-        if table:
-            yield lead + sep.join([
-                row % (d, d % 2, len(reps), len([1 for t in reps if t[1] >= 0]),
-                       ",".join(["[%d,%d,%d]"] * len(reps)) % tuple(flat(reps)))
-                for d, reps in table.items()])
+        rows = []
+        for d, flat in picard.reduced_triples_between(lo, min(lo + width - 1, max_delta)).items():
+            h = len(flat) // 3
+            reps = ("[%d,%d,%d]," * h)[:-1] % tuple(flat)
+            rows.append(row % (d, d % 2, h, h - reps.count("-"), reps))
+        if rows:
+            yield lead + sep.join(rows)
             lead = sep
     yield tail
 

@@ -10,16 +10,18 @@ of delta mod 4a (``ring.sqrt_mod_prime_power`` and ``ring.crt_roots``), so
 the work grows like sqrt(|delta|).  A range (``table``) is one sweep over
 (a, b), ``_sweep``: for each (a, b) the c that put b^2 - 4ac in the range
 form an interval.  When the range is narrower than 4a the interval holds at
-most one c, found by one remainder test per pair; otherwise it is walked.
-Each form found costs one three-argument gcd and lands in a list of buckets
-indexed by delta - lo.  The sweep costs about |lo| whatever the width, so
-``reduced_triples_between`` runs ``reduced_triples`` once per discriminant
-instead when the range holds at most max(1, sqrt(|lo|) // 300) of them
-(min = max among them).  ``check_range`` refuses every range with |lo| past
-DISCRIMINANT_CAP, one discriminant or many, before any work.  The sweep
-keeps every triple of the range, so ``cli.iter_table`` sweeps a long range
-in windows of max(1024, |lo| // 64) discriminants and prints each before
-sweeping the next.
+most one c, found by one remainder test per pair, and one divmod gives c and
+its bucket; otherwise it is walked.  Each form found costs one gcd; its
+coefficients, and its opposite's when that is reduced too, extend the bucket
+of delta - lo, a flat int list a1, b1, c1, a2, ... that ``cli.iter_table``
+renders with one %.  The sweep costs about |lo| whatever the width, so
+``reduced_triples_between`` runs ``reduced_triples`` (flattened) once per
+discriminant instead when the range holds at most max(1, sqrt(|lo|) // 300)
+of them (min = max among them).  ``check_range`` refuses every range with
+|lo| past DISCRIMINANT_CAP, one discriminant or many, before any work.  The
+sweep keeps every coefficient of the range, so ``cli.iter_table`` sweeps a
+long range in windows of max(1024, |lo| // 64) discriminants and prints each
+before sweeping the next.
 Opposition orbits follow from table order alone: each representative with
 b >= 0 heads an orbit, and [a,-b,c] joins it unless b = 0, b = a or a = c.
 
@@ -329,23 +331,23 @@ def check_range(lo: int, hi: int) -> None:
             if lo == hi else f"min = {brief(lo)} puts |delta| past the cap of {DISCRIMINANT_CAP}")
 
 
-def reduced_triples_between(lo: int, hi: int) -> dict[int, list[Triple]]:
-    """The reduced triples of every valid delta in [lo, hi], keyed in
-    ascending order.
+def reduced_triples_between(lo: int, hi: int) -> dict[int, list[int]]:
+    """The reduced forms of every valid delta in [lo, hi], keyed in ascending
+    order, each as the flat list a1, b1, c1, a2, ... of its 3h coefficients.
 
     ``reduced_triples`` costs about sqrt(|delta|) per discriminant and the
     sweep (``_sweep``) about |lo| for the whole range, so a range of at most
     max(1, sqrt(|lo|) // 300) valid discriminants, one of them included,
-    takes ``reduced_triples`` for each, and a wider one the sweep.
+    takes ``reduced_triples`` for each, flattened, and a wider one the sweep.
     """
     check_range(lo, hi)
     deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
     if len(deltas) <= max(1, isqrt(-lo) // 300):
-        return {delta: reduced_triples(delta) for delta in deltas}
+        return {delta: [x for t in reduced_triples(delta) for x in t] for delta in deltas}
     return _sweep(lo, hi, deltas)
 
 
-def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[Triple]]:
+def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[int]]:
     """``reduced_triples_between`` for the valid deltas of [lo, hi] by one
     sweep over the pairs 0 <= b <= a.
 
@@ -354,11 +356,12 @@ def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[Triple]]:
     form an interval, and each hit lands in the bucket of index
     delta - lo = n - 4ac.  When hi - lo < 4a the interval holds at most
     c = n // 4a, present exactly when n mod 4a <= hi - lo, so one remainder
-    test per pair finds it; otherwise the interval is walked.  Each hit costs
-    one gcd(a, b, c).  (a, -b, c) is reduced too unless b = 0, a = b or
+    test per pair finds it and divmod(n, 4a) gives c and the bucket;
+    otherwise the interval is walked.  Each hit costs one gcd(a, b, c) and
+    extends its bucket by a, b, c, and by a, -b, c too unless b = 0, a = b or
     a = c.  Scanning a, then b, in ascending order fills each bucket in table
     order: for fixed a and delta, c grows with |b|.  The result holds every
-    triple of the range, about h per discriminant, so ``cli.iter_table``
+    coefficient of the range, 3h ints per discriminant, so ``cli.iter_table``
     sweeps a long range in windows.
     """
     if not deltas:  # no discriminant in range: nothing to sweep for
@@ -372,23 +375,20 @@ def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[Triple]]:
         t = four_a * a + lo
         b_min = isqrt(t - 1) + 1 if t > 0 else 0  # least b with b^2 - lo >= 4a^2
         if width < four_a:
-            for n in [n for n in shifted[b_min:a + 1] if n % four_a <= width]:
-                b = isqrt(n + lo)
-                c = n // four_a
+            for b in [b for b in range(b_min, a + 1) if shifted[b] % four_a <= width]:
+                c, i = divmod(shifted[b], four_a)
                 if gcd(a, b, c) == 1:
-                    bucket = buckets[n - four_a * c]
-                    bucket.append((a, b, c))
-                    if b and b != a and a != c:
-                        bucket.append((a, -b, c))
+                    buckets[i] += (a, b, c, a, -b, c) if b and b != a and a != c else (a, b, c)
         else:
             for b, n in zip(range(b_min, a + 1), shifted[b_min:a + 1]):
                 signed = b and b != a
                 for c in range(max(a, (n - width - 1) // four_a + 1), n // four_a + 1):
                     if gcd(a, b, c) == 1:
                         bucket = buckets[n - four_a * c]
-                        bucket.append((a, b, c))
                         if signed and a != c:
-                            bucket.append((a, -b, c))
+                            bucket += (a, b, c, a, -b, c)
+                        else:
+                            bucket += (a, b, c)
     return {delta: buckets[delta - lo] for delta in deltas}
 
 

@@ -294,11 +294,18 @@ def ambiguous_count(delta: int) -> int:
     return 2 ** (mu - 1)
 
 
+def triples_between(lo: int, hi: int) -> dict[int, list[tuple[int, int, int]]]:
+    """``reduced_triples_between`` with each discriminant's flat list
+    a1, b1, c1, a2, ... regrouped into (a, b, c) triples."""
+    return {d: list(zip(flat[::3], flat[1::3], flat[2::3]))
+            for d, flat in reduced_triples_between(lo, hi).items()}
+
+
 def table_one_sweep(lo: int, hi: int, fmt: str) -> str:
     """The ``table`` text for [lo, hi], without the final newline, rendered
     from one sweep over the whole range with f-strings and ``json.dumps``."""
     rows = [(d, reps, sum(b >= 0 for _, b, _ in reps))
-            for d, reps in reduced_triples_between(lo, hi).items()]
+            for d, reps in triples_between(lo, hi).items()]
     if fmt == "json":
         return json.dumps([{"delta": d, "pitilde": d % 2, "h": len(reps), "picmod": pm,
                             "reps": reps} for d, reps, pm in rows], separators=(",", ":"))

@@ -62,6 +62,7 @@ from oracles import (
     localization_value,
     mod2_by_kind,
     mul_coords_dense,
+    parities_by_kind,
     pell_fundamental,
     search_homs_generic,
     unit_image_reps,
@@ -190,6 +191,29 @@ def test_build_from_type_halves_without_dividing(monkeypatch):
         build_from_type(ZMOD8, t8, ZMOD8.zero)
     with pytest.raises(NotTwoRegular, match="validity is defined over rings where 2 is regular"):
         build_from_type(ZMOD8, t8, ZMOD8.one)
+
+
+def test_validity_halves_without_dividing(monkeypatch):
+    # is_valid_triple, and find_parities once per class of R/2R through it,
+    # read validity from the two halvings that build_from_type takes, with no
+    # division by 4; NotTwoRegular still comes first, with its message
+    z9 = QuotientRing(Z, 9)
+    cases = ((Z, -44, Z.zero, True), (Z, 5, Z.zero, False), (ZSQRT8, 24, W8, True),
+             (ZSQRT8, 26, W8, False), (z9, 5, 1, True), (ZINV6, 5, 1, True))
+    wanted = [parities_by_kind(ring, ring.coerce(delta)) for ring, delta, _, _ in cases]
+    calls = []
+    for cls in (TableRing, LocalizationRing):
+        real = cls._divide_coords
+        monkeypatch.setattr(cls, "_divide_coords",
+                            lambda self, p, q, real=real: calls.append((p, q)) or real(self, p, q))
+    for (ring, delta, lift, valid), want in zip(cases, wanted):
+        t = AlgebraType(ring.coerce(delta), ring.mod2(ring.coerce(lift)))
+        calls.clear()
+        assert is_valid_triple(ring, t) is valid
+        assert find_parities(ring, t.delta) == want
+        assert calls == [], ring
+    with pytest.raises(NotTwoRegular, match="validity is defined over rings where 2 is regular"):
+        is_valid_triple(ZMOD8, AlgebraType(ZMOD8.one, ZMOD8.mod2(ZMOD8.one)))
 
 
 def test_freeok_iso_examples():

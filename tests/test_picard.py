@@ -64,6 +64,7 @@ from oracles import (
     principal_by_norm_equation,
     reduced_forms_bruteforce,
     reduced_triples_divisor_scan,
+    triples_between,
 )
 
 Z = IntegerRing()
@@ -360,7 +361,7 @@ def _valid_discriminants(lo, hi):
 
 
 def test_range_sweep_matches_divisor_scan():
-    table = reduced_triples_between(-3000, -3)
+    table = triples_between(-3000, -3)
     assert list(table) == _valid_discriminants(-3000, -3)
     for delta, reps in table.items():
         assert reps == reduced_triples_divisor_scan(delta), delta
@@ -370,10 +371,30 @@ def test_range_sweep_matches_divisor_scan():
 @given(st.integers(-2 * 10**5, -3), st.integers(1, 200))
 def test_range_sweep_matches_divisor_scan_on_windows(lo, width):
     hi = min(lo + width - 1, -1)
-    table = reduced_triples_between(lo, hi)
+    table = triples_between(lo, hi)
     assert list(table) == _valid_discriminants(lo, hi)
     for delta, reps in table.items():
         assert reps == reduced_triples_divisor_scan(delta), delta
+
+
+def test_range_rows_are_flat_coefficient_lists():
+    # a range's row is one flat list a1, b1, c1, a2, ... of 3h ints, on the
+    # root path (3 valid discriminants at 10^6) and on seeded sweep windows,
+    # and it regroups to reduced_triples; a > 0 and c > 0 on every form, so b
+    # is the only coefficient whose sign cli.iter_table's '-' count reads
+    rng = random.Random(40)
+    windows = [(-10**6, -10**6 + 4), (-300, -3)]
+    for _ in range(6):
+        lo = -rng.randrange(400, 2 * 10**5)
+        windows.append((lo, lo + rng.randrange(1, 300)))
+    for lo, hi in windows:
+        table = reduced_triples_between(lo, hi)
+        assert list(table) == _valid_discriminants(lo, hi)
+        want = {delta: reduced_triples(delta) for delta in table}
+        assert triples_between(lo, hi) == want
+        for delta, flat in table.items():
+            assert len(flat) == 3 * len(want[delta]), delta
+            assert min(flat[::3]) > 0 and min(flat[2::3]) > 0, delta
 
 
 def test_single_discriminants_match_divisor_scan():
@@ -507,7 +528,7 @@ def test_orbit_rule_matches_gauss_reduction():
 
 
 def test_range_sweep_edges():
-    assert reduced_triples_between(-4, -3) == {-4: [(1, 0, 1)], -3: [(1, 1, 1)]}
+    assert triples_between(-4, -3) == {-4: [(1, 0, 1)], -3: [(1, 1, 1)]}
     assert reduced_triples_between(-2, -1) == {}
     # no discriminant in range: returns before sweeping about 10^11 pairs
     assert reduced_triples_between(-10**12 - 6, -10**12 - 5) == {}
