@@ -184,14 +184,25 @@ def _cmd_compose(args) -> str:
     return _dump(render_form(picard.compose(order, q1, q2)))
 
 
+def render_row(row: list[int]) -> tuple[int, int, str]:
+    """h, picmod and the text [a1,b1,c1],[a2,b2,c2],... of a row of flat
+    coefficients (``picard.reduced_triples``), the text made by one ``%``.  b
+    is the only signed coefficient (a >= 1, c >= a), and each opposition orbit
+    has one rep with b >= 0, so picmod is h less the '-'s."""
+    h = len(row) // 3
+    reps = ("[%d,%d,%d]," * h)[:-1] % tuple(row)
+    return h, h - reps.count("-"), reps
+
+
 def _cmd_classgroup(args) -> str:
-    reps = picard.reduced_triples(args.delta)
-    return _dump({"h": len(reps), "reps": reps})
+    h, _, reps = render_row(picard.reduced_triples(args.delta))
+    return '{"h":%d,"reps":[%s]}' % (h, reps)
 
 
 def _cmd_picmodconj(args) -> str:
-    orbits = picard.conjugation_orbits(picard.reduced_triples(args.delta))
-    return _dump({"count": len(orbits), "orbits": orbits})
+    _, count, reps = render_row(picard.reduced_triples(args.delta))
+    # an orbit starts at each rep with b >= 0, '[a,' then a digit: the ',' before it ends one
+    return '{"count":%d,"orbits":[[%s]]}' % (count, re.sub(r",(?=\[\d+,\d)", "],[", reps))
 
 
 def _cmd_type(args) -> str:
@@ -334,9 +345,8 @@ def _read_payload(args) -> str:
 
 
 def emit_table(min_delta: int, max_delta: int, fmt: str = "csv") -> str:
-    """The whole table as one string: the chunks of ``iter_table`` joined,
-    so its rows come from windows of max(1024, |min| // 64) discriminants,
-    each enumerated by ``picard.reduced_triples_between``.  It holds the
+    """The whole table as one string, the chunks of ``iter_table`` joined:
+    rows from windows of max(1024, |min| // 64) discriminants.  It holds the
     whole text, which ``run`` avoids by writing the chunks as they come."""
     return "".join(iter_table(min_delta, max_delta, fmt))
 
@@ -350,19 +360,15 @@ _TABLE_FORMATS = {
 
 def iter_table(min_delta: int, max_delta: int, fmt: str = "csv"):
     """One row per valid discriminant in [min, max]: delta, pitilde, h,
-    pic-mod-conjugation count, reduced representatives; as CSV with a header,
-    or as the JSON list that ``_dump`` would print, in chunks without a final
-    newline.
+    pic-mod-conjugation count, reduced representatives (``render_row``); as
+    CSV with a header, or as the JSON list that ``_dump`` would print, in
+    chunks without a final newline.
 
     The range is swept in windows of max(1024, |min| // 64) discriminants
     (``picard.reduced_triples_between``), and each window's rows are yielded
     before the next is swept, so memory stays at one window's coefficients and
     text: about 4 MB traced for [-60000, -3], where the whole table takes 151 MB.
     An invalid range raises InvalidRange before the first chunk.
-
-    A row's reps come as 3h flat ints, rendered by one ``%``.  b is their only
-    signed coefficient (a >= 1, c >= a), and each opposition orbit has one rep
-    with b >= 0 (``picard.conjugation_orbits``), so picmod is h less the '-'s.
     """
     picard.check_range(min_delta, max_delta)
     row, head, sep, tail = _TABLE_FORMATS[fmt]
@@ -370,11 +376,9 @@ def iter_table(min_delta: int, max_delta: int, fmt: str = "csv"):
     lead = "\n" if fmt == "csv" else ""  # ends the header line; '[' needs no end
     width = max(1024, -min_delta // 64)
     for lo in range(min_delta, max_delta + 1, width):
-        rows = []
+        rows = []  # frees the last window's rows before the next sweep
         for d, flat in picard.reduced_triples_between(lo, min(lo + width - 1, max_delta)).items():
-            h = len(flat) // 3
-            reps = ("[%d,%d,%d]," * h)[:-1] % tuple(flat)
-            rows.append(row % (d, d % 2, h, h - reps.count("-"), reps))
+            rows.append(row % (d, d % 2, *render_row(flat)))
         if rows:
             yield lead + sep.join(rows)
             lead = sep

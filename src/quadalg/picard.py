@@ -3,7 +3,9 @@ correspondence between twisted-form classes of a fixed natural type and the
 Picard group of the order.
 
 Reduced forms are enumerated on plain ints (Cohen, A Course in
-Computational Algebraic Number Theory, 5.3) by two paths.  A single
+Computational Algebraic Number Theory, 5.3) by two paths, each giving a
+discriminant's forms as one row, the flat int list a1, b1, c1, a2, ... of
+their coefficients in table order (rendered by ``cli.render_row``).  A single
 discriminant (``classgroup``, ``picmodconj``, ``ClassGroup``) goes through
 ``reduced_triples``: for each a <= sqrt(|delta|/3) the b are the square roots
 of delta mod 4a (``ring.sqrt_mod_prime_power`` and ``ring.crt_roots``), so
@@ -11,19 +13,18 @@ the work grows like sqrt(|delta|).  A range (``table``) is one sweep over
 (a, b), ``_sweep``: for each (a, b) the c that put b^2 - 4ac in the range
 form an interval.  When the range is narrower than 4a the interval holds at
 most one c, found by one remainder test per pair, and one divmod gives c and
-its bucket; otherwise it is walked.  Each form found costs one gcd; its
-coefficients, and its opposite's when that is reduced too, extend the bucket
-of delta - lo, a flat int list a1, b1, c1, a2, ... that ``cli.iter_table``
-renders with one %.  The sweep costs about |lo| whatever the width, so
-``reduced_triples_between`` runs ``reduced_triples`` (flattened) once per
+the row, of delta - lo; otherwise it is walked.  On both paths each form
+found costs one gcd and one += of its coefficients, followed by its
+opposite's when that is reduced too.  The sweep costs about |lo| whatever the
+width, so ``reduced_triples_between`` runs ``reduced_triples`` per
 discriminant instead when the range holds at most max(1, sqrt(|lo|) // 300)
 of them (min = max among them).  ``check_range`` refuses every range with
 |lo| past DISCRIMINANT_CAP, one discriminant or many, before any work.  The
 sweep keeps every coefficient of the range, so ``cli.iter_table`` sweeps a
 long range in windows of max(1024, |lo| // 64) discriminants and prints each
-before sweeping the next.
-Opposition orbits follow from table order alone: each representative with
-b >= 0 heads an orbit, and [a,-b,c] joins it unless b = 0, b = a or a = c.
+before sweeping the next.  Opposition orbits follow from row order alone:
+each rep with b >= 0 heads an orbit, and [a,-b,c], right after it, joins it
+unless b = 0, b = a or a = c.
 
 Composition (``compose``, ``ClassGroup.compose``) also runs on plain ints, by
 Dirichlet composition followed by Gauss reduction (Cohen, 5.4); over Z no int
@@ -270,11 +271,9 @@ def is_principal(ideal: OrderIdeal) -> bool:
     return reduce_posdef(ideal_to_form(ideal)) == principal_form(ideal.order.delta)
 
 
-Triple = tuple[int, int, int]  # coefficients (a, b, c) of a form over Z
-
-
-def reduced_triples(delta: int) -> list[Triple]:
-    """Coefficients of all reduced primitive positive-definite forms of
+def reduced_triples(delta: int) -> list[int]:
+    """The row of delta: the flat list a1, b1, c1, a2, ... of the 3h
+    coefficients of all reduced primitive positive-definite forms of
     discriminant delta, in table order, from the square roots of delta.
 
     A reduced [a,b,c] has 3a^2 <= |delta| and b^2 = delta mod 4a, so for each
@@ -283,8 +282,8 @@ def reduced_triples(delta: int) -> list[Triple]:
     be at least a, and gcd(a, b, c) = 1.  4a is factored from a sieve of
     least prime factors up to a_max, and the roots mod each p^e || 4a are
     kept for the call, since delta is fixed (``ring.sqrt_mod_prime_power``,
-    ``ring.crt_roots``).  (a, -b, c) follows unless b = 0, b = a or a = c.
-    Raises DiscriminantTooLarge past DISCRIMINANT_CAP (``check_range``) first.
+    ``ring.crt_roots``).  (a, -b, c) follows (a, b, c) unless b = 0, b = a or
+    a = c.  Raises DiscriminantTooLarge past DISCRIMINANT_CAP first.
     """
     check_discriminant(delta)
     check_range(delta, delta)
@@ -314,9 +313,7 @@ def reduced_triples(delta: int) -> list[Triple]:
                         break
                     c = (b * b - delta) // four_a
                     if c >= a and gcd(a, b, c) == 1:
-                        out.append((a, b, c))
-                        if b and b != a and a != c:
-                            out.append((a, -b, c))
+                        out += (a, b, c, a, -b, c) if b and b != a and a != c else (a, b, c)
                 break
             p, e = spf[m], 0
     return out
@@ -332,18 +329,18 @@ def check_range(lo: int, hi: int) -> None:
 
 
 def reduced_triples_between(lo: int, hi: int) -> dict[int, list[int]]:
-    """The reduced forms of every valid delta in [lo, hi], keyed in ascending
-    order, each as the flat list a1, b1, c1, a2, ... of its 3h coefficients.
+    """The row of every valid delta in [lo, hi], keyed in ascending order: the
+    flat list a1, b1, c1, a2, ... of its 3h coefficients (``reduced_triples``).
 
     ``reduced_triples`` costs about sqrt(|delta|) per discriminant and the
     sweep (``_sweep``) about |lo| for the whole range, so a range of at most
     max(1, sqrt(|lo|) // 300) valid discriminants, one of them included,
-    takes ``reduced_triples`` for each, flattened, and a wider one the sweep.
+    takes ``reduced_triples`` for each and a wider one the sweep.
     """
     check_range(lo, hi)
     deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
     if len(deltas) <= max(1, isqrt(-lo) // 300):
-        return {delta: [x for t in reduced_triples(delta) for x in t] for delta in deltas}
+        return {delta: reduced_triples(delta) for delta in deltas}
     return _sweep(lo, hi, deltas)
 
 
@@ -394,7 +391,7 @@ def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[int]]:
 
 def reduced_forms(delta: int) -> list[TwistedForm]:
     """All reduced primitive positive-definite forms of discriminant delta."""
-    return [TwistedForm.over_z(*t) for t in reduced_triples(delta)]
+    return [TwistedForm.over_z(*t) for t in zip(*[iter(reduced_triples(delta))] * 3)]
 
 
 class ClassGroup:
@@ -423,16 +420,15 @@ def class_group(delta: int) -> ClassGroup:
     return ClassGroup(delta)
 
 
-def conjugation_orbits(triples: list[Triple]) -> list[list[Triple]]:
-    """Orbits of reduced triples, in table order, under opposition
-    [a,b,c] -> [a,-b,c]: each triple with b >= 0 heads its orbit, and
-    (a, -b, c) joins it unless b = 0, b = a or a = c, where the opposite
-    reduces back to the head."""
-    return [[(a, b, c), (a, -b, c)] if b and b != a and a != c else [(a, b, c)]
-            for a, b, c in triples if b >= 0]
-
-
 def pic_mod_conjugation(delta: int) -> list[list[TwistedForm]]:
-    """Orbits of the class set under form opposition (conjugation of ideals)."""
-    return [[TwistedForm.over_z(*t) for t in orbit]
-            for orbit in conjugation_orbits(reduced_triples(delta))]
+    """Orbits of the class set under form opposition (conjugation of ideals),
+    regrouped from the row of ``reduced_triples``: each rep with b >= 0 heads
+    an orbit, and its opposite, when distinct, comes right after it."""
+    orbits = []
+    for a, b, c in zip(*[iter(reduced_triples(delta))] * 3):
+        q = TwistedForm.over_z(a, b, c)
+        if b < 0:
+            orbits[-1].append(q)
+        else:
+            orbits.append([q])
+    return orbits

@@ -8,9 +8,11 @@ the peak resident set from after ``import quadalg.cli`` to exit.
 ``tests/test_golden.py`` runs the same cases in-process through
 ``cli.run``; both runners load and compare with the functions below.  A case
 with ``max_rss_mb`` runs in a fresh child process in both (``run_measured``):
-the child calls the entry point ``quadalg.cli.main`` and reports its own
-``ru_maxrss`` growth (``RUSAGE_SELF``, so no other process counts) through a
-temp file.
+the child calls the entry point ``quadalg.cli.main`` and reports the growth
+of its own peak through a temp file, with the source it read: ``VmHWM`` in
+``/proc/self/status``, the peak of the image the child exec'd, where there is
+a ``/proc``; else ``ru_maxrss``, which a child inherits from its parent at
+fork, so a parent larger than the child's peak makes it read 0.
 
     python tests/golden_check.py
 
@@ -45,20 +47,32 @@ FIELDS = {"argv", "code", "stdout", "stdout_sha256", "stderr", "max_s", "max_rss
 # a new process starts Python and imports quadalg before the command runs;
 # a case with max_s = 1 then has 5 s, as under `timeout 5`
 STARTUP_S = 4.0
-# the child of run_measured: argv[1] is the report file, the rest the command
+# the child of run_measured: argv[1] is the report file, the rest the command;
+# it reports "<source> <growth in bytes>"
 MEASURED_CHILD = """
 import resource, sys
 from quadalg.cli import main
 report, sys.argv = sys.argv[1], ["quadalg", *sys.argv[2:]]
-start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+def peak():
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return "VmHWM", int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    unit = 1 if sys.platform == "darwin" else 1024
+    return "ru_maxrss", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+
+source, start = peak()
 try:
     main()
 finally:
     with open(report, "w") as f:
-        f.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start))
+        f.write("%s %d" % (source, peak()[1] - start))
 """
-# ru_maxrss counts bytes on macOS and KiB elsewhere
-RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
 
 def load_cases(path: Path = CORPUS) -> list[tuple[int, dict]]:
@@ -97,25 +111,30 @@ def src_env() -> dict:
 
 
 def run_measured(argv: list[str], timeout: float | None = None, env: dict | None = None,
-                 python: str = sys.executable) -> tuple[int, str, str, float, float | None]:
+                 python: str = sys.executable
+                 ) -> tuple[int, str, str, float, tuple[float, str] | None]:
     """Run argv through ``quadalg.cli.main`` in a fresh child process of
-    python: (exit code, stdout, stderr, seconds, peak RSS growth in MB), the
-    growth None when the child wrote no report."""
+    python: (exit code, stdout, stderr, seconds, rss), rss the peak RSS
+    growth in MB and the source it was read from ("VmHWM" or "ru_maxrss"),
+    or None when the child wrote no report."""
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "rss"
         start = time.perf_counter()
         proc = subprocess.run([python, "-c", MEASURED_CHILD, str(report), *argv],
                               capture_output=True, encoding="utf-8", timeout=timeout, env=env)
         seconds = time.perf_counter() - start
-        growth = int(report.read_text()) * RSS_UNIT / 1e6 if report.exists() else None
-    return proc.returncode, proc.stdout, proc.stderr, seconds, growth
+        rss = None
+        if report.exists():
+            source, growth = report.read_text().split()
+            rss = int(growth) / 1e6, source
+    return proc.returncode, proc.stdout, proc.stderr, seconds, rss
 
 
 def mismatch(line: int, case: dict, code: int, out: str, err: str, seconds: float,
-             startup_s: float = 0.0, rss_mb: float | None = None) -> str | None:
+             startup_s: float = 0.0, rss: tuple[float, str] | None = None) -> str | None:
     """None when a run matches its case, else the case and what differs.
-    The run may take ``startup_s`` past the case's max_s; ``rss_mb`` is the
-    peak RSS growth that ``run_measured`` reported."""
+    The run may take ``startup_s`` past the case's max_s; ``rss`` is the
+    peak RSS growth in MB and its source, as ``run_measured`` reported them."""
     found = []
     if code != case["code"]:
         found.append(f"exit {code}, expected {case['code']}")
@@ -130,10 +149,11 @@ def mismatch(line: int, case: dict, code: int, out: str, err: str, seconds: floa
     if "max_s" in case and seconds > case["max_s"] + startup_s:
         found.append(f"took {seconds:.2f} s, bound {case['max_s'] + startup_s} s")
     if "max_rss_mb" in case:
-        if rss_mb is None:
+        if rss is None:
             found.append("no peak RSS report")
-        elif rss_mb > case["max_rss_mb"]:
-            found.append(f"peak RSS grew by {rss_mb:.1f} MB, bound {case['max_rss_mb']} MB")
+        elif rss[0] > case["max_rss_mb"]:
+            found.append(f"peak RSS ({rss[1]}) grew by {rss[0]:.1f} MB, "
+                         f"bound {case['max_rss_mb']} MB")
     if not found:
         return None
     command = shlex.join(["quadalg", *case["argv"]])
@@ -158,16 +178,16 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         try:
             if "max_rss_mb" in case:
-                code, out, err, seconds, rss_mb = run_measured(case["argv"], bound, env, python)
+                code, out, err, seconds, rss = run_measured(case["argv"], bound, env, python)
             else:
                 proc = subprocess.run([*command, *case["argv"]], capture_output=True,
                                       encoding="utf-8", timeout=bound, env=env)
                 code, out, err = proc.returncode, proc.stdout, proc.stderr
-                seconds, rss_mb = time.perf_counter() - start, None
+                seconds, rss = time.perf_counter() - start, None
         except subprocess.TimeoutExpired:
             problem = f"{CORPUS.name}:{line} [{case_id(case)}]: no exit within {bound} s"
         else:
-            problem = mismatch(line, case, code, out, err, seconds, STARTUP_S, rss_mb)
+            problem = mismatch(line, case, code, out, err, seconds, STARTUP_S, rss)
         if problem:
             failed += 1
             print(problem)

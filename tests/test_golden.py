@@ -6,6 +6,7 @@ process on this checkout's ``src``, so that its peak RSS is its own."""
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,8 @@ CASES = load_cases()
 @pytest.mark.parametrize("line, case", CASES, ids=[case_id(case) for _, case in CASES])
 def test_cli(line, case, capsys):
     if "max_rss_mb" in case:
-        code, out, err, seconds, rss_mb = run_measured(case["argv"], env=src_env())
-        problem = mismatch(line, case, code, out, err, seconds, STARTUP_S, rss_mb)
+        code, out, err, seconds, rss = run_measured(case["argv"], env=src_env())
+        problem = mismatch(line, case, code, out, err, seconds, STARTUP_S, rss)
     else:
         start = time.perf_counter()
         code = run(case["argv"])
@@ -58,3 +59,17 @@ def test_golden_check_runs_each_case_under_a_given_interpreter(monkeypatch, caps
     assert len(out) == 2 and out[0].startswith("cli.jsonl:3 [reduce-")
     assert "stdout '[3,2,4]\\n', expected '[3,2,5]\\n'" in out[0]
     assert out[1] == "2 of 3 golden cases match"
+
+
+def test_rss_gate_fails_under_a_large_parent():
+    # a child started by subprocess inherits its parent's ru_maxrss, so from a
+    # parent that holds 300 MB a case's growth read there is 0 and no bound can
+    # fail; the child's own VmHWM still sees the case's 10 MB of growth
+    held = b"x" * (300 * 10**6)
+    case = {"argv": ["classgroup", "--delta", "-100000000003"], "code": 0, "max_rss_mb": 5}
+    code, out, err, seconds, rss = run_measured(case["argv"], env=src_env())
+    del held
+    problem = mismatch(1, case, code, out, err, seconds, STARTUP_S, rss)
+    assert problem is not None and "peak RSS" in problem, problem
+    if Path("/proc/self/status").exists():
+        assert rss[1] == "VmHWM" and "(VmHWM)" in problem

@@ -39,7 +39,6 @@ from quadalg.picard import (
     class_group,
     compose,
     conjugate,
-    conjugation_orbits,
     form_to_ideal,
     ideal_mul,
     ideal_norm,
@@ -58,12 +57,14 @@ from quadalg.ring import IntegerRing, QuotientRing, xgcd
 from oracles import (
     ClassNumbers,
     ambiguous_count,
+    class_number,
     compose_via_ideals,
     conjugation_orbits_gauss,
     ideal_class_count,
     principal_by_norm_equation,
     reduced_forms_bruteforce,
     reduced_triples_divisor_scan,
+    triples,
     triples_between,
 )
 
@@ -390,7 +391,7 @@ def test_range_rows_are_flat_coefficient_lists():
     for lo, hi in windows:
         table = reduced_triples_between(lo, hi)
         assert list(table) == _valid_discriminants(lo, hi)
-        want = {delta: reduced_triples(delta) for delta in table}
+        want = {delta: triples(reduced_triples(delta)) for delta in table}
         assert triples_between(lo, hi) == want
         for delta, flat in table.items():
             assert len(flat) == 3 * len(want[delta]), delta
@@ -404,12 +405,12 @@ def test_single_discriminants_match_divisor_scan():
         delta = -int(10 ** rng.uniform(5, 8))
         while delta % 4 not in (0, 1):
             delta -= 1
-        assert reduced_triples(delta) == reduced_triples_divisor_scan(delta), delta
+        assert triples(reduced_triples(delta)) == reduced_triples_divisor_scan(delta), delta
 
 
 def test_root_path_matches_divisor_scan():
     for delta in _valid_discriminants(-3000, -3):
-        assert reduced_triples(delta) == reduced_triples_divisor_scan(delta), delta
+        assert triples(reduced_triples(delta)) == reduced_triples_divisor_scan(delta), delta
 
 
 def test_root_path_lifts_through_square_factors():
@@ -419,7 +420,7 @@ def test_root_path_lifts_through_square_factors():
         deltas += [d for d in range(-p * p * 300, 0, p * p) if d % 4 in (0, 1)]
     deltas += [-2**14, -3 * 2**16, -4 * 3**10, -3 * 5**8, -4 * 7**6, -4 * 3**5 * 5**4 * 7**2]
     for delta in deltas:
-        assert reduced_triples(delta) == reduced_triples_divisor_scan(delta), delta
+        assert triples(reduced_triples(delta)) == reduced_triples_divisor_scan(delta), delta
 
 
 def test_root_path_class_numbers():
@@ -433,7 +434,7 @@ def test_root_path_class_numbers():
         dk = rng.choice(fundamental)
         f = rng.randrange(isqrt(10**6 // -dk) + 1, isqrt(10**9 // -dk) + 1)
         delta = dk * f * f
-        assert len(reduced_triples(delta)) == class_numbers(delta), delta
+        assert len(triples(reduced_triples(delta))) == class_numbers(delta), delta
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -442,14 +443,28 @@ def test_ambiguous_forms_match_genus_theory(k, odd):
     # the reduced forms with b = 0, b = a or a = c are the classes of order
     # at most 2: 2^(mu - 1) of them, mu from the odd primes dividing delta
     delta = 1 - 4 * k if odd else -4 * k
-    reps = reduced_triples(delta)
+    reps = triples(reduced_triples(delta))
     assert sum(b == 0 or b == a or a == c for a, b, c in reps) == ambiguous_count(delta)
 
 
 def test_ambiguous_forms_at_10_to_the_12():
     delta = -10**12 - 3
-    reps = reduced_triples(delta)
+    reps = triples(reduced_triples(delta))
     assert sum(b == 0 or b == a or a == c for a, b, c in reps) == ambiguous_count(delta) == 4
+    assert class_number(delta) == len(reps) == 124568
+
+
+def test_class_number_oracle_at_scale():
+    # the corpus-scale h, pinned in tests/golden by sha256 alone, and seeded
+    # delta in [-10^11, -10^9] against the row's length; None fails too
+    for delta, h in [(-10**8 - 3, 1702), (-3 * 10**12, 600000), (-2999999999999, 2032274)]:
+        assert class_number(delta) == h, delta
+    rng = random.Random(41)
+    for _ in range(5):
+        delta = -rng.randrange(10**9, 10**11)
+        while delta % 4 not in (0, 1):
+            delta -= 1
+        assert class_number(delta) == len(reduced_triples(delta)) // 3, delta
 
 
 def _squarefree(n):
@@ -521,10 +536,8 @@ def test_narrow_windows_past_the_cap_are_refused(monkeypatch):
 
 def test_orbit_rule_matches_gauss_reduction():
     for delta in _valid_discriminants(-3000, -3):
-        reps = reduced_triples_divisor_scan(delta)
-        assert conjugation_orbits(reps) == conjugation_orbits_gauss(reps), delta
-    assert conjugation_orbits([(1, 0, 11), (3, 2, 4), (3, -2, 4)]) == [
-        [(1, 0, 11)], [(3, 2, 4), (3, -2, 4)]]
+        orbits = [[q.int_coefficients() for q in orbit] for orbit in pic_mod_conjugation(delta)]
+        assert orbits == conjugation_orbits_gauss(reduced_triples_divisor_scan(delta)), delta
 
 
 def test_range_sweep_edges():

@@ -29,6 +29,7 @@ from quadalg.ring import (
     UNIT_SCAN_CAP,
     IntegerRing,
     LocalizationRing,
+    Mod2Element,
     QuotientRing,
     Ring,
     RingElement,
@@ -210,6 +211,24 @@ def test_try_halve():
     z9 = QuotientRing(IntegerRing(), 9)
     assert z9.try_halve(z9.from_int(1)) == z9.from_int(5)
     assert ZINV6.try_halve(ZINV6.from_int(1)) == ZINV6.element((3,), 1)
+
+
+def test_localization_products_are_normalized():
+    # (3/6)(2/6) = 1/6: the kernel pair (6, 2) normalizes to (1, 1), and a
+    # zero product to (0, 0), so that equal values have equal pairs
+    half, third = ZINV6.element((3,), 1), ZINV6.element((2,), 1)
+    assert half * third == ZINV6.element((1,), 1) and (half * third).coords == (1, 1)
+    assert (half * ZINV6.zero).coords == (0, 0)
+
+
+def test_localization_residues_multiply():
+    # a residue of Z[1/3] lifts to the kernel pair (bit, 0) before it
+    # multiplies: 1/3 is odd, so (1/3 mod 2) * 1/3 is the residue 1
+    zinv3 = LocalizationRing(3)
+    third = zinv3.element((1,), 1)
+    product = zinv3.mod2(third).times(third)
+    assert isinstance(product, Mod2Element) and product.residue == (1,)
+    assert zinv3.mod2(zinv3.from_int(2)).times(third).is_zero()
 
 
 def test_odd_quotient_halves_without_division(monkeypatch):
