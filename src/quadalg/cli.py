@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import algebras, forms, glue, picard
-from .errors import QuadalgError, ResultTooLong, brief
+from .errors import QuadalgError, ResultTooLong, SweepTooLarge, brief
 from .ring import IntegerRing, Ring, construct_ring, int_value, json_int
 
 # the ring aliases of the worked examples, each the descriptor --ring JSON would give
@@ -368,16 +368,24 @@ def iter_table(min_delta: int, max_delta: int, fmt: str = "csv"):
     (``picard.reduced_triples_between``), and each window's rows are yielded
     before the next is swept, so memory stays at one window's coefficients and
     text: about 4 MB traced for [-60000, -3], where the whole table takes 151 MB.
-    An invalid range raises InvalidRange before the first chunk.
+    An invalid range raises InvalidRange before the first chunk, and so does
+    one whose windows would sweep more than ``picard.SWEEP_PAIRS_CAP`` (a, b)
+    pairs in all (``picard.sweep_pairs``), with SweepTooLarge.
     """
     picard.check_range(min_delta, max_delta)
+    width = max(1024, -min_delta // 64)
+    windows = [(lo, min(lo + width - 1, max_delta))
+               for lo in range(min_delta, max_delta + 1, width)]
+    pairs = sum(picard.sweep_pairs(lo, hi) for lo, hi in windows)
+    if pairs > picard.SWEEP_PAIRS_CAP:
+        raise SweepTooLarge(f"[{brief(min_delta)}, {brief(max_delta)}] would sweep about {pairs} "
+                            f"(a, b) pairs; a table is capped at {picard.SWEEP_PAIRS_CAP}")
     row, head, sep, tail = _TABLE_FORMATS[fmt]
     yield head
     lead = "\n" if fmt == "csv" else ""  # ends the header line; '[' needs no end
-    width = max(1024, -min_delta // 64)
-    for lo in range(min_delta, max_delta + 1, width):
+    for lo, hi in windows:
         rows = []  # frees the last window's rows before the next sweep
-        for d, flat in picard.reduced_triples_between(lo, min(lo + width - 1, max_delta)).items():
+        for d, flat in picard.reduced_triples_between(lo, hi).items():
             rows.append(row % (d, d % 2, *render_row(flat)))
         if rows:
             yield lead + sep.join(rows)

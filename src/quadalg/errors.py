@@ -124,6 +124,10 @@ class DiscriminantTooLarge(QuadalgError):
     """|delta| exceeds picard.DISCRIMINANT_CAP."""
 
 
+class SweepTooLarge(QuadalgError):
+    """A table range would sweep more (a, b) pairs than picard.SWEEP_PAIRS_CAP."""
+
+
 # -- glue and cli ------------------------------------------------------------
 
 class ValidationFailed(QuadalgError):

@@ -2,10 +2,12 @@
 actions, the natural (discriminant, parity) invariant, primitivity, and
 reduction/equivalence over Z for negative discriminants.
 
-Reduction runs Gauss's algorithm on plain ints (``_gauss_reduce``), tracking
-the witness matrix as four ints; forms and matrices are built only for the
-result.  Ints over Z skip ``coerce`` and ``int()``: ``TwistedForm.over_z``
-stores them as coordinates, and ``int_coefficients`` reads them back.
+Reduction runs Gauss's algorithm on plain ints (``_gauss_reduce``), which
+returns the reduced triple alone; only ``reduce_posdef_with_witness``, the one
+caller that reads a witness, runs the same steps tracking the matrix as four
+ints.  Forms and matrices are built only for the result.  Ints over Z skip
+``coerce`` and ``int()``: ``TwistedForm.over_z`` stores them as coordinates,
+and ``int_coefficients`` reads them back.
 """
 
 from __future__ import annotations
@@ -159,28 +161,19 @@ def principal_form(delta: int) -> TwistedForm:
     return TwistedForm.over_z(1, pt, (pt * pt - delta) // 4)
 
 
-def _gauss_reduce(a: int, b: int, c: int) -> tuple[tuple[int, int, int],
-                                                   tuple[int, int, int, int]]:
-    """Gauss reduction of a definite [a,b,c] on plain ints.
-
-    Returns the reduced triple and the entries (alpha, beta, gamma, delta) of
-    a witness W with act_gl2tw(W, [a,b,c]) equal to it.  Each step multiplies
-    W on the right: the flip [[1,0],[0,-1]], a translation [[1,t],[0,1]] or
-    the swap [[0,-1],[1,0]].
-    """
-    al, be, ga, de = 1, 0, 0, 1
+def _gauss_reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced triple of a definite [a,b,c], by Gauss reduction on plain ints:
+    a flip to a > 0, then translations and swaps (``reduce_posdef_with_witness``
+    takes the same steps and records them)."""
     if a < 0:  # flip: [a,b,c] -> [-a,b,-c]
         a, c = -a, -c
-        be, de = -be, -de
     while True:
         t = (a - b) // (2 * a)  # brings b into (-a, a]
         if t:
             b, c = b + 2 * a * t, (a * t + b) * t + c
-            be, de = al * t + be, ga * t + de
         if a < c or (a == c and b >= 0):
-            return (a, b, c), (al, be, ga, de)
+            return a, b, c
         a, b, c = c, -b, a  # swap: [a,b,c] -> [c,-b,a]
-        al, be, ga, de = be, -al, de, -ga
 
 
 def _definite_coefficients(q: TwistedForm) -> tuple[int, int, int]:
@@ -193,13 +186,29 @@ def _definite_coefficients(q: TwistedForm) -> tuple[int, int, int]:
 
 
 def reduce_posdef_with_witness(q: TwistedForm) -> tuple[TwistedForm, GL2Matrix]:
-    """Reduced representative plus a matrix W with act_gl2tw(W, q) equal to it."""
-    reduced, witness = _gauss_reduce(*_definite_coefficients(q))
-    return TwistedForm.over_z(*reduced), GL2Matrix(_Z, *witness)
+    """Reduced representative plus a matrix W with act_gl2tw(W, q) equal to it.
+
+    The steps of ``_gauss_reduce``, each multiplying W on the right: the flip
+    [[1,0],[0,-1]], a translation [[1,t],[0,1]] or the swap [[0,-1],[1,0]].
+    """
+    a, b, c = _definite_coefficients(q)
+    al, be, ga, de = 1, 0, 0, 1
+    if a < 0:
+        a, c = -a, -c
+        be, de = -be, -de
+    while True:
+        t = (a - b) // (2 * a)
+        if t:
+            b, c = b + 2 * a * t, (a * t + b) * t + c
+            be, de = al * t + be, ga * t + de
+        if a < c or (a == c and b >= 0):
+            return TwistedForm.over_z(a, b, c), GL2Matrix(_Z, al, be, ga, de)
+        a, b, c = c, -b, a
+        al, be, ga, de = be, -al, de, -ga
 
 
 def reduce_posdef(q: TwistedForm) -> TwistedForm:
-    return TwistedForm.over_z(*_gauss_reduce(*_definite_coefficients(q))[0])
+    return TwistedForm.over_z(*_gauss_reduce(*_definite_coefficients(q)))
 
 
 def is_reduced(q: TwistedForm) -> bool:
@@ -215,7 +224,7 @@ def _reduced_pair(q1: TwistedForm, q2: TwistedForm) -> tuple[tuple[int, int, int
     d1, d2 = (b * b - 4 * a * c for a, b, c in (t1, t2))
     if d1 != d2:
         raise DiscriminantMismatch(f"{d1} != {d2}")
-    return _gauss_reduce(*t1)[0], _gauss_reduce(*t2)[0]
+    return _gauss_reduce(*t1), _gauss_reduce(*t2)
 
 
 def equivalent_gl2tw(q1: TwistedForm, q2: TwistedForm) -> bool:
@@ -227,4 +236,4 @@ def equivalent_gl2gl1(q1: TwistedForm, q2: TwistedForm) -> bool:
     """Twisted-equivalent to q1 or to its opposite (the det=-1, e=1 orbit), whose
     reduction is that of (a, -b, c) for q1's reduced triple (a, b, c)."""
     (a, b, c), r2 = _reduced_pair(q1, q2)
-    return r2 in ((a, b, c), _gauss_reduce(a, -b, c)[0])
+    return r2 in ((a, b, c), _gauss_reduce(a, -b, c))

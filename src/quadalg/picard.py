@@ -22,13 +22,17 @@ of them (min = max among them).  ``check_range`` refuses every range with
 |lo| past DISCRIMINANT_CAP, one discriminant or many, before any work.  The
 sweep keeps every coefficient of the range, so ``cli.iter_table`` sweeps a
 long range in windows of max(1024, |lo| // 64) discriminants and prints each
-before sweeping the next.  Opposition orbits follow from row order alone:
-each rep with b >= 0 heads an orbit, and [a,-b,c], right after it, joins it
-unless b = 0, b = a or a = c.
+before sweeping the next; it refuses a range whose windows would sweep more
+than SWEEP_PAIRS_CAP pairs in all (``sweep_pairs``), before its header.
+Opposition orbits follow from row order alone: each rep with b >= 0 heads an
+orbit, and [a,-b,c], right after it, joins it unless b = 0, b = a or a = c.
 
 Composition (``compose``, ``ClassGroup.compose``) also runs on plain ints, by
-Dirichlet composition followed by Gauss reduction (Cohen, 5.4); over Z no int
-passes through ``coerce`` or ``int()``, and primitivity is one ``gcd``.  The
+Dirichlet composition followed by Gauss reduction (Cohen, 5.4): when the
+leading coefficients are coprime, the composite's b is one CRT lift, from one
+modular inverse; otherwise it comes from two xgcds.  Over Z each operand's
+coordinates are read once, no int passes through ``coerce`` or ``int()``,
+primitivity is one ``gcd``, and the reduction tracks no witness.  The
 HNF ideal path form_to_ideal -> ideal_mul -> ideal_to_form is the paper's
 bijection with the Picard group; it serves form2ideal, ideal2form and
 is_principal, and the tests use it as the oracle for ``compose``.
@@ -36,6 +40,7 @@ is_principal, and the tests use it as the oracle for ``compose``.
 
 from __future__ import annotations
 
+from array import array
 from math import gcd, isqrt
 from operator import attrgetter
 
@@ -59,6 +64,9 @@ _Z = IntegerRing()
 
 # |lo| past which check_range refuses a range [lo, hi], one discriminant or many
 DISCRIMINANT_CAP = 3 * 10**12
+# (a, b) pairs, sweep_pairs summed over its windows, past which cli.iter_table
+# refuses a range before any work
+SWEEP_PAIRS_CAP = 4 * 10**6
 
 Pair = tuple[int, int]  # coordinates (x0, x1) meaning x0 + x1*omega
 
@@ -202,11 +210,14 @@ def is_invertible(ideal: OrderIdeal) -> bool:
 
 def _checked_coefficients(q: TwistedForm, order: QuadraticOrder) -> tuple[int, int, int]:
     """(a, b, c) of a primitive q with a != 0 whose natural type is order's."""
-    # over Z the triple is read once and gcd decides; another ring must first
-    # pass is_primitive (which implies gcd 1, or refuses the ring) before int()
-    if not (isinstance(q.ring, IntegerRing) or is_primitive(q)):
+    # over Z the coordinates are read once and gcd decides; another ring must
+    # first pass is_primitive (which implies gcd 1, or refuses the ring) before int()
+    if isinstance(q.ring, IntegerRing):
+        a, b, c = q.a.coords[0], q.b.coords[0], q.c.coords[0]
+    elif is_primitive(q):
+        a, b, c = int(q.a), int(q.b), int(q.c)
+    else:
         raise NotPrimitive(f"{q!r} is not primitive")
-    a, b, c = q.int_coefficients()
     if gcd(a, b, c) != 1:
         raise NotPrimitive(f"{q!r} is not primitive")
     if a == 0:
@@ -246,19 +257,27 @@ def compose(order: QuadraticOrder, q1: TwistedForm, q2: TwistedForm) -> TwistedF
 
     Runs the checks of form_to_ideal on q1, then q2, and agrees with
     reduce_posdef(ideal_to_form(ideal_mul(form_to_ideal(q1), form_to_ideal(q2)))).
-    A negative-definite [a,b,c] enters as [-a,b,-c]: <a, g> = <-a, g>.  Over Z
+    A negative-definite [a,b,c] enters as [-a,b,-c]: <a, g> = <-a, g>.  When
+    gcd(a1, a2) = 1 the composite is [a1*a2, b3, c3] with b3 the CRT lift of
+    b1 mod 2*a1 and b2 mod 2*a2, from one inverse of a1 mod a2 (Cox, Primes of
+    the Form x^2 + ny^2, Lemma 3.2); otherwise b3 comes from two xgcds (Cohen,
+    5.4.7), which give the same b3 mod 2*a1*a2 in the coprime case.  Over Z
     no int passes through ``coerce`` or ``int()``, in or out.
     """
     a1, b1, _ = _checked_coefficients(q1, order)
     a2, b2, _ = _checked_coefficients(q2, order)
     a1, a2 = abs(a1), abs(a2)
     delta = order.delta
-    g, x, y = xgcd(a1, a2)
-    e, z, w = xgcd(g, (b1 + b2) // 2)
-    a3 = a1 * a2 // (e * e)
-    b3 = (z * (x * a1 * b2 + y * a2 * b1) + w * ((b1 * b2 + delta) // 2)) // e % (2 * a3)
+    if gcd(a1, a2) == 1:  # b2 - b1 is even, so b3 = b1 mod 2*a1 and b2 mod 2*a2
+        a3 = a1 * a2
+        b3 = (b1 + a1 * pow(a1, -1, a2) * (b2 - b1)) % (2 * a3)
+    else:
+        g, x, y = xgcd(a1, a2)
+        e, z, w = xgcd(g, (b1 + b2) // 2)
+        a3 = a1 * a2 // (e * e)
+        b3 = (z * (x * a1 * b2 + y * a2 * b1) + w * ((b1 * b2 + delta) // 2)) // e % (2 * a3)
     c3 = (b3 * b3 - delta) // (4 * a3)
-    return TwistedForm.over_z(*_gauss_reduce(a3, b3, c3)[0])
+    return TwistedForm.over_z(*_gauss_reduce(a3, b3, c3))
 
 
 def wood_local_algebra(q: TwistedForm) -> FreeQuadraticAlgebra:
@@ -288,9 +307,10 @@ def reduced_triples(delta: int) -> list[int]:
     check_discriminant(delta)
     check_range(delta, delta)
     a_max = isqrt(-delta // 3)
-    spf = list(range(a_max + 1))  # least prime factors: the least p's slice lands last
+    # least prime factors, as C ints (a_max <= 10^6): the least p's slice lands last
+    spf = array("i", range(a_max + 1))
     for p in range(isqrt(a_max), 1, -1):
-        spf[p * p::p] = [p] * ((a_max - p * p) // p + 1)
+        spf[p * p::p] = array("i", [p]) * ((a_max - p * p) // p + 1)
     memo: dict[int, list[int]] = {}
     out = []
     for a in range(1, a_max + 1):
@@ -339,9 +359,23 @@ def reduced_triples_between(lo: int, hi: int) -> dict[int, list[int]]:
     """
     check_range(lo, hi)
     deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
-    if len(deltas) <= max(1, isqrt(-lo) // 300):
+    if _per_discriminant(lo, len(deltas)):
         return {delta: reduced_triples(delta) for delta in deltas}
     return _sweep(lo, hi, deltas)
+
+
+def _per_discriminant(lo: int, count: int) -> bool:
+    """Whether a range from lo holding count valid discriminants takes
+    ``reduced_triples`` for each rather than the sweep."""
+    return count <= max(1, isqrt(-lo) // 300)
+
+
+def sweep_pairs(lo: int, hi: int) -> int:
+    """The (a, b) pairs ``reduced_triples_between(lo, hi)`` sweeps, about
+    a_max^2 / 2 = |lo| / 6, from (lo, hi) alone: 0 when the range takes
+    ``reduced_triples`` per discriminant instead."""
+    count = hi // 4 - (lo - 1) // 4 + (hi - 1) // 4 - (lo - 2) // 4  # delta = 0, 1 mod 4
+    return 0 if _per_discriminant(lo, count) else isqrt(-lo // 3) ** 2 // 2
 
 
 def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[int]]:

@@ -171,6 +171,7 @@ def test_reduce_posdef_witness_and_reducedness():
         reduced, witness = reduce_posdef_with_witness(q)
         assert is_reduced(reduced)
         assert act_gl2tw(witness, q) == reduced
+        assert reduce_posdef(q) == reduced
         checked += 1
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from functools import cache
 from math import gcd, isqrt
 
@@ -20,6 +21,7 @@ from quadalg.errors import (
     NotInvertible,
     NotPrimitive,
     OrderMismatch,
+    SweepTooLarge,
     TypeMismatch,
     UnsupportedRing,
     ZeroLeadingCoefficient,
@@ -30,6 +32,7 @@ from quadalg.forms import (
     act_gl2tw,
     equivalent_gl2tw,
     natural_type,
+    principal_form,
     reduce_posdef,
 )
 from quadalg.picard import (
@@ -50,6 +53,7 @@ from quadalg.picard import (
     reduced_forms,
     reduced_triples,
     reduced_triples_between,
+    sweep_pairs,
     wood_local_algebra,
 )
 from quadalg.ring import IntegerRing, QuotientRing, xgcd
@@ -264,6 +268,45 @@ def test_compose_output_digest():
         digest.update(repr(group.compose(q1, q2).int_coefficients()).encode())
     assert group.h == 105 and digest.hexdigest() == \
         "4d99759e662e2a8a2a142aed3e99eeac5091f30025e9030f1ae6ae7bf828c168"
+
+
+def test_compose_matches_ideal_path_at_scale():
+    # seeded delta in [-10^12, -10^9]: the principal form (a = 1), prime forms
+    # (p, +-b, c) for the three least odd primes p with delta a square mod 4p,
+    # one form with a = p1 * p2, and (-p1, b, -c), negative definite; every
+    # ordered pair composes as on the HNF ideal path, and each branch of
+    # compose is taken: gcd(a1, a2) = 1, and g = gcd(a1, a2) > 1 with
+    # (b1 + b2)/2 divisible by g or not
+    rng = random.Random(42)
+    branches = Counter()
+
+    def form(a, delta):  # the primitive [a, b, c] of least b >= 0, if any
+        for b in range(a + 1):
+            c, r = divmod(b * b - delta, 4 * a)
+            if not r and gcd(a, b, c) == 1:
+                return F(a, b, c)
+
+    for _ in range(10):
+        delta = -rng.randrange(10**9, 10**12)
+        while delta % 4 not in (0, 1):
+            delta -= 1
+        order = QuadraticOrder(delta, delta % 2)
+        primes = [p for p in range(3, 200, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2))
+                  and form(p, delta)][:3]
+        forms = [principal_form(delta)]
+        for q in map(form, primes + [primes[0] * primes[1]], [delta] * 4):
+            a, b, c = q.int_coefficients()
+            forms += [q, F(a, -b, c)] if b else [q]
+        a, b, c = forms[1].int_coefficients()
+        forms.append(F(-a, b, -c))
+        for q1, q2 in itertools.product(forms, repeat=2):
+            (a1, b1, _), (a2, b2, _) = q1.int_coefficients(), q2.int_coefficients()
+            g = gcd(a1, a2)
+            branches["coprime" if g == 1 else "divisible" if (b1 + b2) // 2 % g == 0
+                     else "not divisible"] += 1
+            assert compose(order, q1, q2) == compose_via_ideals(order, q1, q2), (delta, q1, q2)
+    assert min(branches["coprime"], branches["divisible"], branches["not divisible"]) >= 20, \
+        branches
 
 
 def test_compose_on_generic_operands():
@@ -532,6 +575,40 @@ def test_narrow_windows_past_the_cap_are_refused(monkeypatch):
         chunks = iter_table(lo, hi)
         with pytest.raises(DiscriminantTooLarge):
             next(chunks)
+
+
+def test_sweep_pairs_follow_the_path_of_the_range():
+    # from (lo, hi) alone: 0 exactly when the range takes the root path, by
+    # the rule of test_narrow_windows_take_the_root_path_with_the_sweeps_result,
+    # else a_max^2 / 2, about |lo| / 6
+    rng = random.Random(29)
+    windows = [(-10**6, -10**6 + 4), (-10**6, -10**6 + 5), (-10**6 + 1, -10**6 + 5), (-5, -3)]
+    for _ in range(200):
+        lo = -int(10 ** rng.uniform(1, 12))
+        windows.append((lo, min(-1, lo + rng.randrange(0, 5000))))
+    for lo, hi in windows:
+        narrow = len(_valid_discriminants(lo, hi)) <= max(1, isqrt(-lo) // 300)
+        assert sweep_pairs(lo, hi) == (0 if narrow else isqrt(-lo // 3) ** 2 // 2), (lo, hi)
+
+
+def test_tables_past_the_sweep_cap_are_refused(monkeypatch):
+    # the windows' sweep_pairs are summed before the header: at the cap the
+    # table runs, past it iter_table raises before any sweep
+    pairs = sum(sweep_pairs(lo, min(lo + 1023, -3)) for lo in range(-10000, -2, 1024))
+    assert pairs == 8780
+    monkeypatch.setattr(picard, "SWEEP_PAIRS_CAP", pairs)
+    assert next(iter_table(-10000, -3)) == "delta,pitilde,h,picmod,reps"
+    monkeypatch.undo()
+    monkeypatch.setattr(picard, "reduced_triples_between", None)
+    # the first window of [-3 * 10^12, -3] alone would ask for 4.69 * 10^10
+    # buckets, and each of its 64 windows sweeps about |lo| / 6 pairs
+    with pytest.raises(SweepTooLarge) as err:
+        next(iter_table(-DISCRIMINANT_CAP, -3))
+    assert str(err.value) == ("[-3000000000000, -3] would sweep about 16249977762252 (a, b) "
+                              "pairs; a table is capped at 4000000")
+    monkeypatch.setattr(picard, "SWEEP_PAIRS_CAP", pairs - 1)
+    with pytest.raises(SweepTooLarge, match="8780 .* capped at 8779"):
+        next(iter_table(-10000, -3))
 
 
 def test_orbit_rule_matches_gauss_reduction():
