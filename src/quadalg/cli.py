@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import algebras, forms, glue, picard
-from .errors import QuadalgError, ResultTooLong, SweepTooLarge, brief
+from .errors import QuadalgError, ResultTooLong, RootStepsTooLarge, SweepTooLarge, brief
 from .ring import IntegerRing, Ring, construct_ring, int_value, json_int
 
 # the ring aliases of the worked examples, each the descriptor --ring JSON would give
@@ -370,7 +370,9 @@ def iter_table(min_delta: int, max_delta: int, fmt: str = "csv"):
     text: about 4 MB traced for [-60000, -3], where the whole table takes 151 MB.
     An invalid range raises InvalidRange before the first chunk, and so does
     one whose windows would sweep more than ``picard.SWEEP_PAIRS_CAP`` (a, b)
-    pairs in all (``picard.sweep_pairs``), with SweepTooLarge.
+    pairs in all (``picard.sweep_pairs``), with SweepTooLarge, or take more
+    than ``picard.ROOT_STEPS_CAP`` a-steps of ``picard.reduced_triples``
+    (``picard.root_steps``), with RootStepsTooLarge.
     """
     picard.check_range(min_delta, max_delta)
     width = max(1024, -min_delta // 64)
@@ -380,6 +382,11 @@ def iter_table(min_delta: int, max_delta: int, fmt: str = "csv"):
     if pairs > picard.SWEEP_PAIRS_CAP:
         raise SweepTooLarge(f"[{brief(min_delta)}, {brief(max_delta)}] would sweep about {pairs} "
                             f"(a, b) pairs; a table is capped at {picard.SWEEP_PAIRS_CAP}")
+    steps = sum(picard.root_steps(lo, hi) for lo, hi in windows)
+    if steps > picard.ROOT_STEPS_CAP:
+        raise RootStepsTooLarge(f"[{brief(min_delta)}, {brief(max_delta)}] would take about {steps} "
+                                f"a-steps of per-discriminant enumeration; a table is capped at "
+                                f"{picard.ROOT_STEPS_CAP}")
     row, head, sep, tail = _TABLE_FORMATS[fmt]
     yield head
     lead = "\n" if fmt == "csv" else ""  # ends the header line; '[' needs no end

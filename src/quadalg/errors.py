@@ -128,6 +128,11 @@ class SweepTooLarge(QuadalgError):
     """A table range would sweep more (a, b) pairs than picard.SWEEP_PAIRS_CAP."""
 
 
+class RootStepsTooLarge(QuadalgError):
+    """A table range would take more a-steps of picard.reduced_triples than
+    picard.ROOT_STEPS_CAP."""
+
+
 # -- glue and cli ------------------------------------------------------------
 
 class ValidationFailed(QuadalgError):

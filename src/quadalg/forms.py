@@ -5,9 +5,15 @@ reduction/equivalence over Z for negative discriminants.
 Reduction runs Gauss's algorithm on plain ints (``_gauss_reduce``), which
 returns the reduced triple alone; only ``reduce_posdef_with_witness``, the one
 caller that reads a witness, runs the same steps tracking the matrix as four
-ints.  Forms and matrices are built only for the result.  Ints over Z skip
-``coerce`` and ``int()``: ``TwistedForm.over_z`` stores them as coordinates,
-and ``int_coefficients`` reads them back.
+ints.  Forms and matrices are built only for the result.
+
+A form holds what its ring computes on: ``TwistedForm.coords`` is the three
+kernel tuples of a, b and c, ``((a,), (b,), (c,))`` over Z, as
+``RingElement.coords`` is one.  ``a``, ``b``, ``c`` and ``coefficients()``
+build RingElements only when read.  Ints over Z skip ``coerce`` and
+``int()``: ``TwistedForm.over_z`` stores them as the tuples, and
+``int_coefficients`` unpacks them, so a form over Z is made and read without
+a RingElement.
 """
 
 from __future__ import annotations
@@ -31,25 +37,36 @@ _Z = IntegerRing()
 
 
 class TwistedForm(Value):
-    """q = a x^2 z + b xy z + c y^2 z in a trivialized basis."""
+    """q = a x^2 z + b xy z + c y^2 z in a trivialized basis, held as
+    ``coords``, the kernel tuples of a, b and c in ``ring``; the coefficients
+    are RingElements built when read."""
 
-    __slots__ = ("ring", "a", "b", "c")
-    _identity = attrgetter("ring", "a", "b", "c")
+    __slots__ = ("ring", "coords")
+    _identity = attrgetter("ring", "coords")
 
     def __init__(self, ring: Ring, a, b, c):
         self.ring = ring
-        self.a = ring.coerce(a)
-        self.b = ring.coerce(b)
-        self.c = ring.coerce(c)
+        self.coords = (ring.coerce(a).coords, ring.coerce(b).coords, ring.coerce(c).coords)
 
     @classmethod
     def over_z(cls, a: int, b: int, c: int) -> TwistedForm:
-        """[a,b,c] over Z, each coefficient built as RingElement(_Z, (index(n),)):
-        an exact int, with no ``__init__``, ``coerce`` or ``int()``."""
+        """[a,b,c] over Z, each coefficient n held as the tuple (index(n),): an
+        exact int, with no ``__init__``, ``coerce``, ``int()`` or RingElement."""
         q = object.__new__(cls)
-        q.ring, q.a, q.b = _Z, RingElement(_Z, (index(a),)), RingElement(_Z, (index(b),))
-        q.c = RingElement(_Z, (index(c),))
+        q.ring, q.coords = _Z, ((index(a),), (index(b),), (index(c),))
         return q
+
+    @property
+    def a(self) -> RingElement:
+        return RingElement(self.ring, self.coords[0])
+
+    @property
+    def b(self) -> RingElement:
+        return RingElement(self.ring, self.coords[1])
+
+    @property
+    def c(self) -> RingElement:
+        return RingElement(self.ring, self.coords[2])
 
     def coefficients(self) -> tuple[RingElement, RingElement, RingElement]:
         return self.a, self.b, self.c
@@ -57,12 +74,14 @@ class TwistedForm(Value):
     def int_coefficients(self) -> tuple[int, int, int]:
         """(a, b, c): the coordinates over Z, else ``int()``, which refuses non-integers."""
         if isinstance(self.ring, IntegerRing):
-            return self.a.coords[0], self.b.coords[0], self.c.coords[0]
+            (a,), (b,), (c,) = self.coords
+            return a, b, c
         return int(self.a), int(self.b), int(self.c)
 
     def opposite(self) -> TwistedForm:
-        q = object.__new__(TwistedForm)  # a, -b and c are in self.ring: no coerce
-        q.ring, q.a, q.b, q.c = self.ring, self.a, -self.b, self.c
+        q = object.__new__(TwistedForm)  # a, -b and c are kernel tuples of self.ring
+        a, b, c = self.coords
+        q.ring, q.coords = self.ring, (a, self.ring._neg_coords(b), c)
         return q
 
     def discriminant(self) -> RingElement:
@@ -144,7 +163,7 @@ def is_primitive(q: TwistedForm) -> bool:
         raise UnsupportedRing(f"primitivity is not decided over {ring!r}")
     # aR + bR + cR = R exactly when the products g*e_i span Z^n
     basis = standard_basis(ring.rank)
-    rows = [ring._mul_coords(g.coords, e) for g in (q.a, q.b, q.c) for e in basis]
+    rows = [ring._mul_coords(g, e) for g in q.coords for e in basis]
     return hnf(rows) == [list(e) for e in basis]
 
 

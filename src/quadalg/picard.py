@@ -23,7 +23,9 @@ of them (min = max among them).  ``check_range`` refuses every range with
 sweep keeps every coefficient of the range, so ``cli.iter_table`` sweeps a
 long range in windows of max(1024, |lo| // 64) discriminants and prints each
 before sweeping the next; it refuses a range whose windows would sweep more
-than SWEEP_PAIRS_CAP pairs in all (``sweep_pairs``), before its header.
+than SWEEP_PAIRS_CAP pairs in all (``sweep_pairs``), or take more than
+ROOT_STEPS_CAP a-steps of ``reduced_triples`` (``root_steps``), before its
+header.
 Opposition orbits follow from row order alone: each rep with b >= 0 heads an
 orbit, and [a,-b,c], right after it, joins it unless b = 0, b = a or a = c.
 
@@ -31,8 +33,9 @@ Composition (``compose``, ``ClassGroup.compose``) also runs on plain ints, by
 Dirichlet composition followed by Gauss reduction (Cohen, 5.4): when the
 leading coefficients are coprime, the composite's b is one CRT lift, from one
 modular inverse; otherwise it comes from two xgcds.  Over Z each operand's
-coordinates are read once, no int passes through ``coerce`` or ``int()``,
-primitivity is one ``gcd``, and the reduction tracks no witness.  The
+kernel tuples (``TwistedForm.coords``) are read once, no int passes through
+``coerce`` or ``int()``, no RingElement is built, primitivity is one
+``gcd``, and the reduction tracks no witness.  The
 HNF ideal path form_to_ideal -> ideal_mul -> ideal_to_form is the paper's
 bijection with the Picard group; it serves form2ideal, ideal2form and
 is_principal, and the tests use it as the oracle for ``compose``.
@@ -67,6 +70,10 @@ DISCRIMINANT_CAP = 3 * 10**12
 # (a, b) pairs, sweep_pairs summed over its windows, past which cli.iter_table
 # refuses a range before any work
 SWEEP_PAIRS_CAP = 4 * 10**6
+# a-steps of reduced_triples, root_steps summed over its windows, past which
+# cli.iter_table refuses a range before any work: one discriminant at
+# DISCRIMINANT_CAP takes isqrt(DISCRIMINANT_CAP // 3) = 10^6 and runs
+ROOT_STEPS_CAP = isqrt(DISCRIMINANT_CAP // 3)
 
 Pair = tuple[int, int]  # coordinates (x0, x1) meaning x0 + x1*omega
 
@@ -213,7 +220,7 @@ def _checked_coefficients(q: TwistedForm, order: QuadraticOrder) -> tuple[int, i
     # over Z the coordinates are read once and gcd decides; another ring must
     # first pass is_primitive (which implies gcd 1, or refuses the ring) before int()
     if isinstance(q.ring, IntegerRing):
-        a, b, c = q.a.coords[0], q.b.coords[0], q.c.coords[0]
+        (a,), (b,), (c,) = q.coords
     elif is_primitive(q):
         a, b, c = int(q.a), int(q.b), int(q.c)
     else:
@@ -262,7 +269,9 @@ def compose(order: QuadraticOrder, q1: TwistedForm, q2: TwistedForm) -> TwistedF
     b1 mod 2*a1 and b2 mod 2*a2, from one inverse of a1 mod a2 (Cox, Primes of
     the Form x^2 + ny^2, Lemma 3.2); otherwise b3 comes from two xgcds (Cohen,
     5.4.7), which give the same b3 mod 2*a1*a2 in the coprime case.  Over Z
-    no int passes through ``coerce`` or ``int()``, in or out.
+    no int passes through ``coerce`` or ``int()``, in or out, and no
+    RingElement is built: operands and result are read and made as their
+    kernel tuples.
     """
     a1, b1, _ = _checked_coefficients(q1, order)
     a2, b2, _ = _checked_coefficients(q2, order)
@@ -370,12 +379,25 @@ def _per_discriminant(lo: int, count: int) -> bool:
     return count <= max(1, isqrt(-lo) // 300)
 
 
+def _valid_count(lo: int, hi: int) -> int:
+    """The number of deltas = 0, 1 mod 4 in [lo, hi]."""
+    return hi // 4 - (lo - 1) // 4 + (hi - 1) // 4 - (lo - 2) // 4
+
+
 def sweep_pairs(lo: int, hi: int) -> int:
     """The (a, b) pairs ``reduced_triples_between(lo, hi)`` sweeps, about
     a_max^2 / 2 = |lo| / 6, from (lo, hi) alone: 0 when the range takes
     ``reduced_triples`` per discriminant instead."""
-    count = hi // 4 - (lo - 1) // 4 + (hi - 1) // 4 - (lo - 2) // 4  # delta = 0, 1 mod 4
+    count = _valid_count(lo, hi)
     return 0 if _per_discriminant(lo, count) else isqrt(-lo // 3) ** 2 // 2
+
+
+def root_steps(lo: int, hi: int) -> int:
+    """The a-steps of ``reduced_triples`` that ``reduced_triples_between(lo,
+    hi)`` takes, at most isqrt(|lo| // 3) per valid discriminant, from (lo,
+    hi) alone: 0 when the range is swept instead."""
+    count = _valid_count(lo, hi)
+    return count * isqrt(-lo // 3) if _per_discriminant(lo, count) else 0
 
 
 def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[int]]:

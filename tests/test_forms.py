@@ -287,6 +287,21 @@ def test_over_z_matches_the_coercing_constructor():
             F(bad, 0, 1)
 
 
+def test_opposite_negates_b_alone():
+    # against [a,-b,c] from the coercing constructor, in three ring layouts;
+    # two opposites give the form back
+    zinv6 = LocalizationRing(6)
+    cases = [(Z, 3, 2, 4), (Z, -7, 5, 2**80), (Z, 1, 0, 11),
+             (ZSQRT8, ZSQRT8.element((1, 2)), ZSQRT8.element((0, -3)), 5),
+             (zinv6, zinv6.element((5,), 3), zinv6.element((7,), 1), 0)]
+    for ring, a, b, c in cases:
+        q = TwistedForm(ring, a, b, c)
+        assert q.opposite() == TwistedForm(ring, a, -ring.coerce(b), c)
+        assert q.opposite().coords[1] == (-ring.coerce(b)).coords
+        assert q.opposite().opposite() == q
+    assert F(3, 2, 4).opposite() == F(3, -2, 4) != F(3, 2, 4)
+
+
 def test_form_json_round_trip():
     # the CLI prints a form in its ring's element JSON and reads that back
     zinv6 = LocalizationRing(6)

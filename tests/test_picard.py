@@ -21,6 +21,7 @@ from quadalg.errors import (
     NotInvertible,
     NotPrimitive,
     OrderMismatch,
+    RootStepsTooLarge,
     SweepTooLarge,
     TypeMismatch,
     UnsupportedRing,
@@ -39,6 +40,7 @@ from quadalg.picard import (
     DISCRIMINANT_CAP,
     OrderIdeal,
     QuadraticOrder,
+    ROOT_STEPS_CAP,
     class_group,
     compose,
     conjugate,
@@ -53,10 +55,11 @@ from quadalg.picard import (
     reduced_forms,
     reduced_triples,
     reduced_triples_between,
+    root_steps,
     sweep_pairs,
     wood_local_algebra,
 )
-from quadalg.ring import IntegerRing, QuotientRing, xgcd
+from quadalg.ring import IntegerRing, QuotientRing, RingElement, xgcd
 
 from oracles import (
     ClassNumbers,
@@ -268,6 +271,27 @@ def test_compose_output_digest():
         digest.update(repr(group.compose(q1, q2).int_coefficients()).encode())
     assert group.h == 105 and digest.hexdigest() == \
         "4d99759e662e2a8a2a142aed3e99eeac5091f30025e9030f1ae6ae7bf828c168"
+
+
+def test_compose_builds_no_ring_element(monkeypatch):
+    # a form over Z is made and read as its kernel tuples: compose, identity
+    # and inverse build no RingElement, and reading a coefficient builds one
+    group = class_group(-1000003)
+    reps = group.representatives
+    built = []
+    init = RingElement.__init__
+
+    def counting(self, ring, coords):
+        built.append(coords)
+        init(self, ring, coords)
+
+    monkeypatch.setattr(RingElement, "__init__", counting)
+    for q1, q2 in itertools.product(reps[:20], repeat=2):  # coprime a and not
+        group.compose(q1, q2)
+        group.inverse(q1)
+    group.identity()
+    assert built == []
+    assert reps[0].a.coords == (1,) and built == [(1,)]
 
 
 def test_compose_matches_ideal_path_at_scale():
@@ -510,6 +534,29 @@ def test_class_number_oracle_at_scale():
         assert class_number(delta) == len(reduced_triples(delta)) // 3, delta
 
 
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.integers(10**9 // 4, 10**11 // 4), st.sampled_from([0, 3]))
+def test_class_number_oracle_on_drawn_discriminants(k, r):
+    # delta = -(4k + r) in [-10^11, -10^9], 0 or 1 mod 4: the oracle's h,
+    # composed at coefficients near 10^6, against the row's length
+    delta = -(4 * k + r)
+    assert class_number(delta) == len(reduced_triples(delta)) // 3, delta
+
+
+def test_class_number_oracle_on_table_windows():
+    # three seeded 32-wide windows in [-10^7, -10^6], each swept rather than
+    # run per discriminant: the h of every row against the oracle
+    rng = random.Random(43)
+    for _ in range(3):
+        lo = -rng.randrange(10**6, 10**7)
+        assert sweep_pairs(lo, lo + 31) > 0
+        rows = "".join(iter_table(lo, lo + 31)).split("\n")[1:]
+        assert len(rows) == 16
+        for row in rows:
+            delta, _, h = map(int, row.split(",")[:3])
+            assert class_number(delta) == h, delta
+
+
 def _squarefree(n):
     return all(n % (p * p) for p in range(2, isqrt(n) + 1))
 
@@ -609,6 +656,38 @@ def test_tables_past_the_sweep_cap_are_refused(monkeypatch):
     monkeypatch.setattr(picard, "SWEEP_PAIRS_CAP", pairs - 1)
     with pytest.raises(SweepTooLarge, match="8780 .* capped at 8779"):
         next(iter_table(-10000, -3))
+
+
+def test_tables_past_the_root_step_cap_are_refused(monkeypatch):
+    # a range that takes reduced_triples per discriminant counts isqrt(|lo| // 3)
+    # a-steps for each before the header: at the cap the table runs, past it
+    # iter_table raises before any enumeration
+    lo, hi = -400000004, -400000003
+    steps = root_steps(lo, hi)
+    assert steps == 2 * isqrt(400000004 // 3) and sweep_pairs(lo, hi) == 0
+    monkeypatch.setattr(picard, "ROOT_STEPS_CAP", steps)
+    assert "".join(iter_table(lo, hi)).count("\n") == 2
+    monkeypatch.setattr(picard, "ROOT_STEPS_CAP", steps - 1)
+    monkeypatch.setattr(picard, "reduced_triples", None)
+    with pytest.raises(RootStepsTooLarge, match=f"about {steps} .* capped at {steps - 1}"):
+        next(iter_table(lo, hi))
+    monkeypatch.undo()
+    monkeypatch.setattr(picard, "reduced_triples_between", None)
+    # the real cap lets one discriminant at DISCRIMINANT_CAP run, and two where
+    # isqrt(|lo| // 3) is 500000; it refuses two where it is 500001, and the
+    # 5773 discriminants of the widest range near the cap that is not swept
+    header = "delta,pitilde,h,picmod,reps"
+    assert root_steps(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP) == ROOT_STEPS_CAP == 10**6
+    assert next(iter_table(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP)) == header
+    assert root_steps(-750003000000, -750002999999) == 10**6
+    assert next(iter_table(-750003000000, -750002999999)) == header
+    with pytest.raises(RootStepsTooLarge) as err:
+        next(iter_table(-750003000003, -750003000000))
+    assert str(err.value) == ("[-750003000003, -750003000000] would take about 1000002 a-steps "
+                              "of per-discriminant enumeration; a table is capped at 1000000")
+    assert root_steps(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP + 11544) == 5773 * 10**6
+    with pytest.raises(RootStepsTooLarge):
+        next(iter_table(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP + 11544))
 
 
 def test_orbit_rule_matches_gauss_reduction():
