@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import algebras, forms, glue, picard
-from .errors import QuadalgError, ResultTooLong, RootStepsTooLarge, SweepTooLarge, brief
+from .errors import QuadalgError, ResultTooLong, brief
 from .ring import IntegerRing, Ring, construct_ring, int_value, json_int
 
 # the ring aliases of the worked examples, each the descriptor --ring JSON would give
@@ -103,7 +103,7 @@ def parse_element(ring: Ring, text: str):
                 raise ValueError(f"unknown symbol {brief(sym)} in {brief(text)}")
             coords[index_of[sym]] += sign * (int(digits) if digits else 1)
         pos = m.end()
-    return ring.element(coords) + ring.from_int(const)
+    return ring.element_from_json(coords) + ring.from_int(const)
 
 
 def _split_commas(text: str) -> list[str]:
@@ -322,17 +322,26 @@ def _cmd_glue_check(args):
 
 
 def _iter_report(report):
-    """The rows of ``report`` in chunks of at most 4096, each row through one
-    template: the check names are plain identifiers and the indices small
-    ints, so nothing needs escaping.  Memory stays at one chunk of text."""
+    """The rows of ``report`` through one template, written by ``_chunks`` in
+    batches of at most 4096: the check names are plain identifiers and the
+    indices small ints, so nothing needs escaping."""
     rows = ('{"check":"%s","indices":[%s],"ok":%s}'
             % (check, ",".join(["%d"] * len(indices)) % indices, "true" if ok else "false")
             for check, indices, ok in report)
-    # the report always has its "cover" row, so the first chunk is not empty
-    yield "[" + ",".join(itertools.islice(rows, 4096))
-    while chunk := ",".join(itertools.islice(rows, 4096)):
-        yield "," + chunk
-    yield "]"
+    return _chunks(iter(lambda: list(itertools.islice(rows, 4096)), []), "[", "", ",", "]")
+
+
+def _chunks(batches, head: str, lead: str, sep: str, tail: str):
+    """head, then each non-empty batch of rows joined by sep, lead before the
+    first, then tail.  Each batch is joined, and released, before the next is
+    made, so memory stays at one batch of rows and its text."""
+    yield head
+    for text in map(sep.join, batches):
+        if text:
+            text = lead + text  # the one copy held while the next batch is made
+            lead = sep
+            yield text
+    yield tail
 
 
 def _read_payload(args) -> str:
@@ -345,16 +354,17 @@ def _read_payload(args) -> str:
 
 
 def emit_table(min_delta: int, max_delta: int, fmt: str = "csv") -> str:
-    """The whole table as one string, the chunks of ``iter_table`` joined:
-    rows from windows of max(1024, |min| // 64) discriminants.  It holds the
-    whole text, which ``run`` avoids by writing the chunks as they come."""
+    """The whole table as one string, the chunks of ``iter_table`` joined.
+    It holds the whole text, which ``run`` avoids by writing the chunks as
+    they come."""
     return "".join(iter_table(min_delta, max_delta, fmt))
 
 
-# per format: the row template, then what goes before the rows, between them and after
+# per format: the row template, then the head, what goes before the first row
+# ('\n' ends the CSV header line; '[' needs no end) and between rows, and the tail
 _TABLE_FORMATS = {
-    "csv": ('%d,%d,%d,%d,"[%s]"', "delta,pitilde,h,picmod,reps", "\n", ""),
-    "json": ('{"delta":%d,"pitilde":%d,"h":%d,"picmod":%d,"reps":[%s]}', "[", ",", "]"),
+    "csv": ('%d,%d,%d,%d,"[%s]"', "delta,pitilde,h,picmod,reps", "\n", "\n", ""),
+    "json": ('{"delta":%d,"pitilde":%d,"h":%d,"picmod":%d,"reps":[%s]}', "[", "", ",", "]"),
 }
 
 
@@ -362,42 +372,15 @@ def iter_table(min_delta: int, max_delta: int, fmt: str = "csv"):
     """One row per valid discriminant in [min, max]: delta, pitilde, h,
     pic-mod-conjugation count, reduced representatives (``render_row``); as
     CSV with a header, or as the JSON list that ``_dump`` would print, in
-    chunks without a final newline.
-
-    The range is swept in windows of max(1024, |min| // 64) discriminants
-    (``picard.reduced_triples_between``), and each window's rows are yielded
-    before the next is swept, so memory stays at one window's coefficients and
-    text: about 4 MB traced for [-60000, -3], where the whole table takes 151 MB.
-    An invalid range raises InvalidRange before the first chunk, and so does
-    one whose windows would sweep more than ``picard.SWEEP_PAIRS_CAP`` (a, b)
-    pairs in all (``picard.sweep_pairs``), with SweepTooLarge, or take more
-    than ``picard.ROOT_STEPS_CAP`` a-steps of ``picard.reduced_triples``
-    (``picard.root_steps``), with RootStepsTooLarge.
+    chunks without a final newline, one per window of ``picard.table_rows``.
+    A range that ``table_rows`` refuses raises before the first chunk.
     """
-    picard.check_range(min_delta, max_delta)
-    width = max(1024, -min_delta // 64)
-    windows = [(lo, min(lo + width - 1, max_delta))
-               for lo in range(min_delta, max_delta + 1, width)]
-    pairs = sum(picard.sweep_pairs(lo, hi) for lo, hi in windows)
-    if pairs > picard.SWEEP_PAIRS_CAP:
-        raise SweepTooLarge(f"[{brief(min_delta)}, {brief(max_delta)}] would sweep about {pairs} "
-                            f"(a, b) pairs; a table is capped at {picard.SWEEP_PAIRS_CAP}")
-    steps = sum(picard.root_steps(lo, hi) for lo, hi in windows)
-    if steps > picard.ROOT_STEPS_CAP:
-        raise RootStepsTooLarge(f"[{brief(min_delta)}, {brief(max_delta)}] would take about {steps} "
-                                f"a-steps of per-discriminant enumeration; a table is capped at "
-                                f"{picard.ROOT_STEPS_CAP}")
-    row, head, sep, tail = _TABLE_FORMATS[fmt]
-    yield head
-    lead = "\n" if fmt == "csv" else ""  # ends the header line; '[' needs no end
-    for lo, hi in windows:
-        rows = []  # frees the last window's rows before the next sweep
-        for d, flat in picard.reduced_triples_between(lo, hi).items():
-            rows.append(row % (d, d % 2, *render_row(flat)))
-        if rows:
-            yield lead + sep.join(rows)
-            lead = sep
-    yield tail
+    row, *frame = _TABLE_FORMATS[fmt]
+
+    def render(window):
+        return [row % (d, d % 2, *render_row(flat)) for d, flat in window.items()]
+
+    yield from _chunks(map(render, picard.table_rows(min_delta, max_delta)), *frame)
 
 
 def _cmd_table(args):

@@ -129,8 +129,7 @@ class SweepTooLarge(QuadalgError):
 
 
 class RootStepsTooLarge(QuadalgError):
-    """A table range would take more a-steps of picard.reduced_triples than
-    picard.ROOT_STEPS_CAP."""
+    """A table range would take more a-steps than picard.ROOT_STEPS_CAP."""
 
 
 # -- glue and cli ------------------------------------------------------------

@@ -20,12 +20,9 @@ width, so ``reduced_triples_between`` runs ``reduced_triples`` per
 discriminant instead when the range holds at most max(1, sqrt(|lo|) // 300)
 of them (min = max among them).  ``check_range`` refuses every range with
 |lo| past DISCRIMINANT_CAP, one discriminant or many, before any work.  The
-sweep keeps every coefficient of the range, so ``cli.iter_table`` sweeps a
-long range in windows of max(1024, |lo| // 64) discriminants and prints each
-before sweeping the next; it refuses a range whose windows would sweep more
-than SWEEP_PAIRS_CAP pairs in all (``sweep_pairs``), or take more than
-ROOT_STEPS_CAP a-steps of ``reduced_triples`` (``root_steps``), before its
-header.
+sweep keeps every coefficient of the range, so ``table_rows`` splits a range
+into windows and refuses one whose windows would cost more than a cap, before
+any of them is swept.
 Opposition orbits follow from row order alone: each rep with b >= 0 heads an
 orbit, and [a,-b,c], right after it, joins it unless b = 0, b = a or a = c.
 
@@ -55,6 +52,8 @@ from .errors import (
     NotInvertible,
     NotPrimitive,
     OrderMismatch,
+    RootStepsTooLarge,
+    SweepTooLarge,
     TypeMismatch,
     ZeroLeadingCoefficient,
     brief,
@@ -67,12 +66,11 @@ _Z = IntegerRing()
 
 # |lo| past which check_range refuses a range [lo, hi], one discriminant or many
 DISCRIMINANT_CAP = 3 * 10**12
-# (a, b) pairs, sweep_pairs summed over its windows, past which cli.iter_table
-# refuses a range before any work
+# (a, b) pairs swept, and a-steps of reduced_triples, summed over the windows
+# of table_rows, past which it refuses a range before any work: one
+# discriminant at DISCRIMINANT_CAP takes isqrt(DISCRIMINANT_CAP // 3) = 10^6
+# a-steps and runs
 SWEEP_PAIRS_CAP = 4 * 10**6
-# a-steps of reduced_triples, root_steps summed over its windows, past which
-# cli.iter_table refuses a range before any work: one discriminant at
-# DISCRIMINANT_CAP takes isqrt(DISCRIMINANT_CAP // 3) = 10^6 and runs
 ROOT_STEPS_CAP = isqrt(DISCRIMINANT_CAP // 3)
 
 Pair = tuple[int, int]  # coordinates (x0, x1) meaning x0 + x1*omega
@@ -367,37 +365,51 @@ def reduced_triples_between(lo: int, hi: int) -> dict[int, list[int]]:
     takes ``reduced_triples`` for each and a wider one the sweep.
     """
     check_range(lo, hi)
+    return _window_rows(lo, hi, _window_cost(lo, hi)[1])
+
+
+def table_rows(lo: int, hi: int):
+    """The rows of [lo, hi]: an iterator of ``reduced_triples_between`` dicts,
+    one per window of max(1024, |lo| // 64) discriminants, each swept only
+    when the iterator reaches it, so memory stays at one window.  The range is
+    refused at once by ``check_range``, then with SweepTooLarge or
+    RootStepsTooLarge when its windows would cost more than SWEEP_PAIRS_CAP
+    (a, b) pairs or ROOT_STEPS_CAP a-steps in all (``_window_cost``).
+    """
+    check_range(lo, hi)
+    width = max(1024, -lo // 64)
+    windows = [(w, min(w + width - 1, hi)) for w in range(lo, hi + 1, width)]
+    costs = [_window_cost(*window) for window in windows]
+    pairs, steps = map(sum, zip(*costs))
+    if pairs > SWEEP_PAIRS_CAP:
+        raise SweepTooLarge(f"[{brief(lo)}, {brief(hi)}] would sweep about {pairs} "
+                            f"(a, b) pairs; a table is capped at {SWEEP_PAIRS_CAP}")
+    if steps > ROOT_STEPS_CAP:
+        raise RootStepsTooLarge(f"[{brief(lo)}, {brief(hi)}] would take about {steps} "
+                                f"a-steps of per-discriminant enumeration; a table is "
+                                f"capped at {ROOT_STEPS_CAP}")
+    return (_window_rows(*window, cost[1]) for window, cost in zip(windows, costs))
+
+
+def _window_cost(lo: int, hi: int) -> tuple[int, int]:
+    """(pairs, steps) from (lo, hi) alone: the (a, b) pairs that
+    ``reduced_triples_between(lo, hi)`` sweeps, a_max^2 // 2 ~ |lo| / 6, or
+    else the a-steps of ``reduced_triples`` it takes, a_max = isqrt(|lo| // 3)
+    per valid delta; steps > 0 exactly when it takes that path and has a delta."""
+    count = hi // 4 - (lo - 1) // 4 + (hi - 1) // 4 - (lo - 2) // 4  # deltas = 0, 1 mod 4
+    a_max = isqrt(-lo // 3)
+    if count <= max(1, isqrt(-lo) // 300):
+        return 0, count * a_max
+    return a_max * a_max // 2, 0
+
+
+def _window_rows(lo: int, hi: int, steps: int) -> dict[int, list[int]]:
+    """``reduced_triples_between(lo, hi)`` on the path that the a-steps of
+    ``_window_cost`` decide: per discriminant when they are not 0, else a sweep."""
     deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
-    if _per_discriminant(lo, len(deltas)):
+    if steps:
         return {delta: reduced_triples(delta) for delta in deltas}
     return _sweep(lo, hi, deltas)
-
-
-def _per_discriminant(lo: int, count: int) -> bool:
-    """Whether a range from lo holding count valid discriminants takes
-    ``reduced_triples`` for each rather than the sweep."""
-    return count <= max(1, isqrt(-lo) // 300)
-
-
-def _valid_count(lo: int, hi: int) -> int:
-    """The number of deltas = 0, 1 mod 4 in [lo, hi]."""
-    return hi // 4 - (lo - 1) // 4 + (hi - 1) // 4 - (lo - 2) // 4
-
-
-def sweep_pairs(lo: int, hi: int) -> int:
-    """The (a, b) pairs ``reduced_triples_between(lo, hi)`` sweeps, about
-    a_max^2 / 2 = |lo| / 6, from (lo, hi) alone: 0 when the range takes
-    ``reduced_triples`` per discriminant instead."""
-    count = _valid_count(lo, hi)
-    return 0 if _per_discriminant(lo, count) else isqrt(-lo // 3) ** 2 // 2
-
-
-def root_steps(lo: int, hi: int) -> int:
-    """The a-steps of ``reduced_triples`` that ``reduced_triples_between(lo,
-    hi)`` takes, at most isqrt(|lo| // 3) per valid discriminant, from (lo,
-    hi) alone: 0 when the range is swept instead."""
-    count = _valid_count(lo, hi)
-    return count * isqrt(-lo // 3) if _per_discriminant(lo, count) else 0
 
 
 def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[int]]:
@@ -414,7 +426,7 @@ def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[int]]:
     extends its bucket by a, b, c, and by a, -b, c too unless b = 0, a = b or
     a = c.  Scanning a, then b, in ascending order fills each bucket in table
     order: for fixed a and delta, c grows with |b|.  The result holds every
-    coefficient of the range, 3h ints per discriminant, so ``cli.iter_table``
+    coefficient of the range, 3h ints per discriminant, so ``table_rows``
     sweeps a long range in windows.
     """
     if not deltas:  # no discriminant in range: nothing to sweep for

@@ -48,10 +48,10 @@ its construction checks associativity on every basis triple.
 quotient's finite-ring members).  A backend (it, or Z[1/f]) writes the
 kernels, ``descriptor`` and ``describe``; ``Ring`` derives the rest:
 ``try_divide``, ``try_halve`` and ``sqrt`` coerce and wrap their kernels,
-``try_inverse`` and ``is_unit`` divide 1, ``in_4R`` divides by 4, and
-``mod2`` and ``mod2_residues`` give R/2R, 0 when 1 halves and else the
-coordinates mod 2.  The lattice ring divides by ``solve_int`` on the q*e_i
-and, mod m, the rows m*e_k.  It branches on m only where the maths does: 2
+``try_inverse`` and ``is_unit`` divide 1, and ``mod2`` and
+``mod2_residues`` give R/2R, 0 when 1 halves and else the coordinates
+mod 2.  The lattice ring divides by ``solve_int`` on the q*e_i and, mod m,
+the rows m*e_k.  It branches on m only where the maths does: 2
 is regular when free or m is odd, a free ring halves each coordinate and an
 odd m scales by (m + 1)/2, and a quotient has no N.  ``Ring.element``,
 ``from_rational`` and the m of Z/m and f of Z[1/f] read exact ints
@@ -457,13 +457,12 @@ class Ring:
 
     # -- element plumbing ----------------------------------------------------
 
-    def element(self, coords, k: int = 0) -> RingElement:
-        """The element with these exact int coordinates, reduced mod m in a quotient."""
+    def element(self, coords) -> RingElement:
+        """The element of this kernel tuple of ints, so that ``element(x.coords) == x``:
+        the coordinates, reduced mod m in a quotient; (num, k) in Z[1/f]."""
         coords = tuple(map(index, coords))
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates")
-        if k:
-            raise ValueError(f"{self!r} carries no denominator exponent")
         return RingElement(self, self._scale_coords(1, coords))
 
     def from_int(self, n: int) -> RingElement:
@@ -517,7 +516,7 @@ class Ring:
             raise NotTwoRegular(f"halving is not unique in {self!r}")
         return self._from_coords(self._halve_coords(self.coerce(x).coords))
 
-    # -- R/2R and 4R, from division ---------------------------------------------
+    # -- R/2R, from division ----------------------------------------------------
 
     @cached_property
     def _two_is_unit(self) -> bool:
@@ -545,9 +544,6 @@ class Ring:
         if self._two_is_unit:
             return [self.mod2(self.zero)]
         return [Mod2Element(self, v) for v in itertools.product((0, 1), repeat=self.rank)]
-
-    def in_4R(self, x: RingElement) -> bool:
-        return self.try_divide(x, self.from_int(4)) is not None
 
     # -- global structure ------------------------------------------------------
 
@@ -586,7 +582,8 @@ class Ring:
     def element_from_json(self, data) -> RingElement:
         """Read an int, a coordinate list or {"coords": [...], "k": n}, with
         k at most EXPONENT_CAP and k * f.bit_length() at most POWER_BITS_CAP
-        (ExponentTooLarge above)."""
+        (ExponentTooLarge above): the one reader of this layout, which
+        ``element`` does not take."""
         if isinstance(data, dict):
             for key in data:
                 if key not in ("coords", "k"):
@@ -599,10 +596,18 @@ class Ring:
             if self.kind == "localization" and k * self.f.bit_length() > POWER_BITS_CAP:
                 raise ExponentTooLarge(f"'k' is {k}, so f^k may have {k * self.f.bit_length()} bits;"
                                        f" input powers of f are capped at {POWER_BITS_CAP} bits")
-            return self.element(_json_coords(data["coords"]), k)
-        if isinstance(data, list):
-            return self.element(_json_coords(data))
-        return self.from_int(json_int(data, "a ring element coordinate"))
+            coords = _json_coords(data["coords"])
+        elif isinstance(data, list):
+            coords, k = _json_coords(data), 0
+        else:
+            return self.from_int(json_int(data, "a ring element coordinate"))
+        if len(coords) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates")
+        if self.kind == "localization":
+            return self.element(coords + (k,))
+        if k:
+            raise ValueError(f"{self!r} carries no denominator exponent")
+        return self.element(coords)
 
     def format_element(self, x: RingElement) -> str:
         terms = []
@@ -941,10 +946,8 @@ class LocalizationRing(Ring):
             raise ValueError("inverted integer must be at least 2")
         self.f = f
 
-    def element(self, coords, k: int = 0) -> RingElement:
-        if len(coords) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates")
-        num = index(coords[0])
+    def element(self, coords) -> RingElement:
+        num, k = map(index, coords)
         if k < 0:
             raise ValueError(f"the denominator exponent 'k' must be non-negative, got {brief(k)}")
         return RingElement(self, self._normal(num, k))

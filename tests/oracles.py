@@ -5,7 +5,8 @@ indices come from gcds of maximal minors, principality from a norm-equation
 search, automorphism counts from a full map-level search, reduced forms from
 a scan over every (a, b) and from a divisor scan, the ambiguous forms from
 genus theory, opposition orbits from Gauss reduction, the streamed ``table``
-text from one sweep and one render, composition from the HNF ideal product,
+text from one sweep and one render, composition from the HNF ideal product
+of ideals built from the coefficients here,
 homs of algebras from the hom equations expanded term by term in ring
 arithmetic (over finite rings on every (u, v)), class numbers from
 Dirichlet's analytic formula (the benchmark's ``perfbench/oracles.py``,
@@ -30,6 +31,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 from quadalg.algebras import AlgebraHom, FreeQuadraticAlgebra
+from quadalg.errors import NotPrimitive, TypeMismatch, ZeroLeadingCoefficient
 from quadalg.forms import TwistedForm, principal_form, reduce_posdef
 from quadalg.glue import GluedAlgebra
 from quadalg.picard import (
@@ -37,7 +39,6 @@ from quadalg.picard import (
     QuadraticOrder,
     compose,
     conjugate,
-    form_to_ideal,
     ideal_mul,
     ideal_norm,
     ideal_to_form,
@@ -419,10 +420,24 @@ def conjugation_orbits_gauss(triples):
     return orbits
 
 
+def ideal_of_form(q: TwistedForm, order: QuadraticOrder) -> OrderIdeal:
+    """<a, omega + (pitilde - b)/2> for [a, b, c], read by ``int_coefficients``
+    and closed by ``OrderIdeal.from_generators``, not through
+    ``picard.form_to_ideal``; its checks raise what that one raises."""
+    a, b, c = q.int_coefficients()
+    if gcd(gcd(a, b), c) != 1:
+        raise NotPrimitive(f"{q!r} is not primitive")
+    if not a:
+        raise ZeroLeadingCoefficient("move to an equivalent form with a != 0 first")
+    if b * b - 4 * a * c != order.delta or (b - order.pitilde) % 2:
+        raise TypeMismatch(f"natural type of {q!r} does not match {order!r}")
+    return OrderIdeal.from_generators(order, [(a, 0), ((order.pitilde - b) // 2, 1)])
+
+
 def compose_via_ideals(order: QuadraticOrder, q1: TwistedForm,
                        q2: TwistedForm) -> TwistedForm:
     """q1 * q2 through the Picard group: form -> ideal, ideal product, norm form."""
-    product = ideal_mul(form_to_ideal(q1, order), form_to_ideal(q2, order))
+    product = ideal_mul(ideal_of_form(q1, order), ideal_of_form(q2, order))
     return reduce_posdef(ideal_to_form(product))
 
 
@@ -441,7 +456,7 @@ def ideal_class_count(delta: int) -> int:
     """Number of ideal classes: HNF seeds closed under multiplication,
     partitioned by the norm-equation principality test."""
     order = QuadraticOrder(delta, delta % 2)
-    seeds = [form_to_ideal(q, order) for q in reduced_forms(delta)]
+    seeds = [ideal_of_form(q, order) for q in reduced_forms(delta)]
     blocks: list[OrderIdeal] = []
     for seed in seeds:
         if not any(same_ideal_class(seed, rep) for rep in blocks):
@@ -697,10 +712,10 @@ def localization_sqrt(x):
 
 
 # -- R/2R and 4R by ring kind -----------------------------------------------------
-# Each ring kind's own rule, apart from the division ``Ring`` derives all three
-# from: R/2R is 0 in Z/m for odd m and in Z[1/f] for even f, and otherwise
-# the coordinates mod 2; 4R is the coordinates divisible by 4, by gcd(4, m) in
-# Z/m, and membership of x/4 in Z[1/f].
+# Each ring kind's own rule, apart from the division ``Ring`` derives R/2R
+# from and ``in_4R`` derives 4R from: R/2R is 0 in Z/m for odd m and in Z[1/f]
+# for even f, and otherwise the coordinates mod 2; 4R is the coordinates
+# divisible by 4, by gcd(4, m) in Z/m, and membership of x/4 in Z[1/f].
 
 def mod2_by_kind(ring, x) -> Mod2Element:
     kind = ring.kind
@@ -732,6 +747,12 @@ def mod2_residues_by_kind(ring) -> list[Mod2Element]:
     return [Mod2Element(ring, (0,)), Mod2Element(ring, (1,))]
 
 
+def in_4R(x) -> bool:
+    """x in 4R by the ring's own division, as ``Ring.try_divide`` decides it."""
+    ring = x.ring
+    return ring.try_divide(x, ring.from_int(4)) is not None
+
+
 def in_4R_by_kind(x) -> bool:
     ring = x.ring
     kind = ring.kind
@@ -750,7 +771,7 @@ def parities_by_kind(ring, delta) -> list[Mod2Element]:
     in their order, with delta - p^2 in 4R for the lift of p by its residue."""
     out = []
     for p in mod2_residues_by_kind(ring):
-        lift = ring.element(p.residue)
+        lift = ring.element_from_json(list(p.residue))
         if in_4R_by_kind(delta - lift * lift):
             out.append(p)
     return out

@@ -293,7 +293,7 @@ def test_opposite_negates_b_alone():
     zinv6 = LocalizationRing(6)
     cases = [(Z, 3, 2, 4), (Z, -7, 5, 2**80), (Z, 1, 0, 11),
              (ZSQRT8, ZSQRT8.element((1, 2)), ZSQRT8.element((0, -3)), 5),
-             (zinv6, zinv6.element((5,), 3), zinv6.element((7,), 1), 0)]
+             (zinv6, zinv6.element((5, 3)), zinv6.element((7, 1)), 0)]
     for ring, a, b, c in cases:
         q = TwistedForm(ring, a, b, c)
         assert q.opposite() == TwistedForm(ring, a, -ring.coerce(b), c)
@@ -305,7 +305,7 @@ def test_opposite_negates_b_alone():
 def test_form_json_round_trip():
     # the CLI prints a form in its ring's element JSON and reads that back
     zinv6 = LocalizationRing(6)
-    q6 = TwistedForm(zinv6, zinv6.element((5,), 3), 7, 0)
+    q6 = TwistedForm(zinv6, zinv6.element((5, 3)), 7, 0)
     assert render_form(F(3, -2, 4)) == [3, -2, 4]
     assert render_form(q6)[0] == {"coords": [5], "k": 3}
     for q in (F(3, -2, 4), TwistedForm(ZSQRT8, ZSQRT8.element((1, 2)), 0, -3), q6):

@@ -55,8 +55,6 @@ from quadalg.picard import (
     reduced_forms,
     reduced_triples,
     reduced_triples_between,
-    root_steps,
-    sweep_pairs,
     wood_local_algebra,
 )
 from quadalg.ring import IntegerRing, QuotientRing, RingElement, xgcd
@@ -549,7 +547,7 @@ def test_class_number_oracle_on_table_windows():
     rng = random.Random(43)
     for _ in range(3):
         lo = -rng.randrange(10**6, 10**7)
-        assert sweep_pairs(lo, lo + 31) > 0
+        assert picard._window_cost(lo, lo + 31)[0] > 0
         rows = "".join(iter_table(lo, lo + 31)).split("\n")[1:]
         assert len(rows) == 16
         for row in rows:
@@ -625,23 +623,26 @@ def test_narrow_windows_past_the_cap_are_refused(monkeypatch):
 
 
 def test_sweep_pairs_follow_the_path_of_the_range():
-    # from (lo, hi) alone: 0 exactly when the range takes the root path, by
-    # the rule of test_narrow_windows_take_the_root_path_with_the_sweeps_result,
-    # else a_max^2 / 2, about |lo| / 6
+    # from (lo, hi) alone: when the range takes the root path, by the rule of
+    # test_narrow_windows_take_the_root_path_with_the_sweeps_result, no pairs
+    # and a_max a-steps per valid discriminant, else a_max^2 / 2 pairs, about
+    # |lo| / 6, and no a-steps
     rng = random.Random(29)
     windows = [(-10**6, -10**6 + 4), (-10**6, -10**6 + 5), (-10**6 + 1, -10**6 + 5), (-5, -3)]
     for _ in range(200):
         lo = -int(10 ** rng.uniform(1, 12))
         windows.append((lo, min(-1, lo + rng.randrange(0, 5000))))
     for lo, hi in windows:
-        narrow = len(_valid_discriminants(lo, hi)) <= max(1, isqrt(-lo) // 300)
-        assert sweep_pairs(lo, hi) == (0 if narrow else isqrt(-lo // 3) ** 2 // 2), (lo, hi)
+        count, a_max = len(_valid_discriminants(lo, hi)), isqrt(-lo // 3)
+        narrow = count <= max(1, isqrt(-lo) // 300)
+        assert picard._window_cost(lo, hi) == ((0, count * a_max) if narrow
+                                               else (a_max ** 2 // 2, 0)), (lo, hi)
 
 
 def test_tables_past_the_sweep_cap_are_refused(monkeypatch):
-    # the windows' sweep_pairs are summed before the header: at the cap the
+    # the windows' (a, b) pairs are summed before the header: at the cap the
     # table runs, past it iter_table raises before any sweep
-    pairs = sum(sweep_pairs(lo, min(lo + 1023, -3)) for lo in range(-10000, -2, 1024))
+    pairs = sum(picard._window_cost(lo, min(lo + 1023, -3))[0] for lo in range(-10000, -2, 1024))
     assert pairs == 8780
     monkeypatch.setattr(picard, "SWEEP_PAIRS_CAP", pairs)
     assert next(iter_table(-10000, -3)) == "delta,pitilde,h,picmod,reps"
@@ -663,8 +664,8 @@ def test_tables_past_the_root_step_cap_are_refused(monkeypatch):
     # a-steps for each before the header: at the cap the table runs, past it
     # iter_table raises before any enumeration
     lo, hi = -400000004, -400000003
-    steps = root_steps(lo, hi)
-    assert steps == 2 * isqrt(400000004 // 3) and sweep_pairs(lo, hi) == 0
+    steps = 2 * isqrt(400000004 // 3)
+    assert picard._window_cost(lo, hi) == (0, steps)
     monkeypatch.setattr(picard, "ROOT_STEPS_CAP", steps)
     assert "".join(iter_table(lo, hi)).count("\n") == 2
     monkeypatch.setattr(picard, "ROOT_STEPS_CAP", steps - 1)
@@ -677,15 +678,16 @@ def test_tables_past_the_root_step_cap_are_refused(monkeypatch):
     # isqrt(|lo| // 3) is 500000; it refuses two where it is 500001, and the
     # 5773 discriminants of the widest range near the cap that is not swept
     header = "delta,pitilde,h,picmod,reps"
-    assert root_steps(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP) == ROOT_STEPS_CAP == 10**6
+    assert picard._window_cost(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP) == (0, ROOT_STEPS_CAP)
+    assert ROOT_STEPS_CAP == 10**6
     assert next(iter_table(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP)) == header
-    assert root_steps(-750003000000, -750002999999) == 10**6
+    assert picard._window_cost(-750003000000, -750002999999) == (0, 10**6)
     assert next(iter_table(-750003000000, -750002999999)) == header
     with pytest.raises(RootStepsTooLarge) as err:
         next(iter_table(-750003000003, -750003000000))
     assert str(err.value) == ("[-750003000003, -750003000000] would take about 1000002 a-steps "
                               "of per-discriminant enumeration; a table is capped at 1000000")
-    assert root_steps(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP + 11544) == 5773 * 10**6
+    assert picard._window_cost(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP + 11544) == (0, 5773 * 10**6)
     with pytest.raises(RootStepsTooLarge):
         next(iter_table(-DISCRIMINANT_CAP, -DISCRIMINANT_CAP + 11544))
 

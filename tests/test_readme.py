@@ -1,12 +1,17 @@
-"""README's "Library quick tour" block, run verbatim."""
+"""README's "Library quick tour" block, run verbatim, and its table of limits."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
+
+from quadalg import errors, picard, ring
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _quick_tour():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    return readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1] \
+    return README.read_text().split("## Library quick tour", 1)[1].split("```python\n", 1)[1] \
         .split("```", 1)[0]
 
 
@@ -33,3 +38,24 @@ def test_readme_library_quick_tour():
     # <3, omega - 1>: HNF basis 3 and omega + 2
     assert ideal.hnf() == [[3, 2], [0, 1]]
     assert ideal.contains((-1, 1))
+
+
+def test_readme_limits_match_their_constants():
+    # each row of README's table of limits: the constant, its value (the first
+    # backticked int), what it bounds, its errors and the module that checks it;
+    # every *_CAP of ring and picard has a row
+    section = README.read_text().split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    caps = {name for module in (ring, picard) for name in vars(module) if name.endswith("_CAP")}
+    assert {row[0] for row in rows} == caps | {"sys.get_int_max_str_digits()"}
+    for name, value, _, error, module in rows:
+        value = int(value.split("`")[0])
+        if name.endswith("_CAP"):
+            assert getattr(importlib.import_module(f"quadalg.{module}"), name) == value, name
+        else:
+            assert module == "cli" and "get_int_max_str_digits" in \
+                Path(importlib.import_module("quadalg.cli").__file__).read_text()
+            assert getattr(sys.int_info, "default_max_str_digits", 4300) == value
+        for raised in error.split("`, `"):
+            assert raised == "ValueError" or issubclass(getattr(errors, raised), Exception), raised

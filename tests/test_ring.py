@@ -49,6 +49,7 @@ from quadalg.ring import (
 from quadalg.algebras import find_parities
 
 from oracles import (
+    in_4R,
     in_4R_by_kind,
     lattice_index_minors,
     mod2_by_kind,
@@ -210,14 +211,14 @@ def test_try_halve():
     # 2 is a unit in Z/9 and in Z[1/6]
     z9 = QuotientRing(IntegerRing(), 9)
     assert z9.try_halve(z9.from_int(1)) == z9.from_int(5)
-    assert ZINV6.try_halve(ZINV6.from_int(1)) == ZINV6.element((3,), 1)
+    assert ZINV6.try_halve(ZINV6.from_int(1)) == ZINV6.element((3, 1))
 
 
 def test_localization_products_are_normalized():
     # (3/6)(2/6) = 1/6: the kernel pair (6, 2) normalizes to (1, 1), and a
     # zero product to (0, 0), so that equal values have equal pairs
-    half, third = ZINV6.element((3,), 1), ZINV6.element((2,), 1)
-    assert half * third == ZINV6.element((1,), 1) and (half * third).coords == (1, 1)
+    half, third = ZINV6.element((3, 1)), ZINV6.element((2, 1))
+    assert half * third == ZINV6.element((1, 1)) and (half * third).coords == (1, 1)
     assert (half * ZINV6.zero).coords == (0, 0)
 
 
@@ -225,7 +226,7 @@ def test_localization_residues_multiply():
     # a residue of Z[1/3] lifts to the kernel pair (bit, 0) before it
     # multiplies: 1/3 is odd, so (1/3 mod 2) * 1/3 is the residue 1
     zinv3 = LocalizationRing(3)
-    third = zinv3.element((1,), 1)
+    third = zinv3.element((1, 1))
     product = zinv3.mod2(third).times(third)
     assert isinstance(product, Mod2Element) and product.residue == (1,)
     assert zinv3.mod2(zinv3.from_int(2)).times(third).is_zero()
@@ -255,9 +256,9 @@ def test_odd_quotient_halves_without_division(monkeypatch):
 
 def test_mod2_and_in_4r():
     assert Z.mod2(Z.from_int(7)).residue == (1,)
-    assert ZSQRT8.in_4R(ZSQRT8.from_int(24 - 8))
-    assert ZINV6.in_4R(ZINV6.from_int(1))  # 2 is invertible in Z[1/6]
-    assert not Z.in_4R(Z.from_int(6))
+    assert in_4R(ZSQRT8.from_int(24 - 8))
+    assert in_4R(ZINV6.from_int(1))  # 2 is invertible in Z[1/6]
+    assert not in_4R(Z.from_int(6))
     assert ZINV6.mod2(ZINV6.from_int(3)).is_zero()  # f even kills R/2R
     z15 = LocalizationRing(15)
     assert z15.mod2(z15.from_int(3)).residue == (1,)
@@ -277,9 +278,24 @@ def _mod2_sample(ring):
     if ring.is_finite():
         return ring.enumerate_elements()
     if ring.kind == "localization":
-        return [ring.element((n,), k) for n in range(-9, 10) for k in range(3)]
+        return [ring.element((n, k)) for n in range(-9, 10) for k in range(3)]
     values = range(-5, 9) if ring.rank < 4 else (-4, -1, 0, 2, 4)
     return [ring.element(c) for c in itertools.product(values, repeat=ring.rank)]
+
+
+def test_element_round_trips_the_kernel_tuple():
+    # element takes x.coords in every backend, (num, k) in Z[1/f], and the
+    # JSON object {"coords": [num], "k": k} is read by element_from_json alone
+    for ring in _mod2_rings():
+        for x in _mod2_sample(ring):
+            assert ring.element(x.coords) == x, (ring, x)
+    half = ZINV6.from_rational(1, 2)
+    assert half.coords == (3, 1) and ZINV6.element(half.coords) == half
+    assert ZINV6.element_from_json({"coords": [3], "k": 1}) == half
+    with pytest.raises(ValueError, match="expected 1 coordinates"):
+        ZINV6.element_from_json({"coords": [3, 1]})
+    with pytest.raises(ValueError, match="carries no denominator exponent"):
+        Z.element_from_json({"coords": [3], "k": 1})
 
 
 def test_mod2_and_in_4r_match_the_rule_of_each_ring_kind():
@@ -287,7 +303,7 @@ def test_mod2_and_in_4r_match_the_rule_of_each_ring_kind():
         assert ring.mod2_residues() == mod2_residues_by_kind(ring), ring
         sample = _mod2_sample(ring)
         assert [ring.mod2(x) for x in sample] == [mod2_by_kind(ring, x) for x in sample], ring
-        assert [ring.in_4R(x) for x in sample] == [in_4R_by_kind(x) for x in sample], ring
+        assert [in_4R(x) for x in sample] == [in_4R_by_kind(x) for x in sample], ring
         if ring.two_regular:
             for delta in sample[:: max(1, len(sample) // 60)]:
                 assert find_parities(ring, delta) == parities_by_kind(ring, delta), (ring, delta)
@@ -360,7 +376,7 @@ def test_localization_sqrt_examples():
     # delta of an algebra with r at the exponent cap
     for f in (2, 6, 12):
         ring = LocalizationRing(f)
-        x = ring.element((-5 * 7**3,), EXPONENT_CAP)
+        x = ring.element((-5 * 7**3, EXPONENT_CAP))
         assert ring.sqrt(x * x) == -x and ring.sqrt(f * x * x) is None
 
 
@@ -425,7 +441,7 @@ def test_quotient_sums_stay_canonical():
 
 def _random_element(rng, ring):
     if ring.kind == "localization":
-        return ring.element((rng.randrange(-50, 51),), rng.randrange(0, 3))
+        return ring.element((rng.randrange(-50, 51), rng.randrange(0, 3)))
     return ring.element(tuple(rng.randrange(-50, 51) for _ in range(ring.rank)))
 
 
@@ -457,9 +473,9 @@ def test_halving_fuzz():
 
 
 def test_localization_canonical_form():
-    x = ZINV6.element((12,), 1)  # 12/6 = 2
+    x = ZINV6.element((12, 1))  # 12/6 = 2
     assert x.coords == (2, 0)
-    y = ZINV6.element((3,), 1)  # 3/6 stays: 6 does not divide 3
+    y = ZINV6.element((3, 1))  # 3/6 stays: 6 does not divide 3
     assert y.coords == (3, 1)
     assert ZINV6.from_rational(1, 2) == y and ZINV6.from_rational(-9, -18) == y
     # one layout: an element's coords is its ring's kernel tuple, in every backend
@@ -598,8 +614,9 @@ def _kernel_rings(draw):
 def _kernel_element(ring):
     coords = st.lists(st.integers(-10**6, 10**6) | st.integers(-2**70, 2**70),
                       min_size=ring.rank, max_size=ring.rank)
-    k = st.integers(0, 4) if ring.kind == "localization" else st.just(0)
-    return st.builds(ring.element, coords, k)
+    if ring.kind == "localization":  # the kernel tuple (num, k)
+        return st.builds(lambda c, k: ring.element([*c, k]), coords, st.integers(0, 4))
+    return st.builds(ring.element, coords)
 
 
 # 0, negative and past 2^64
@@ -618,7 +635,7 @@ def test_difference_scale_mod2_and_halving_kernels(ring, data):
     assert True * x == x * True == x
     residue = ring.mod2(x)
     assert residue == mod2_by_kind(ring, x)
-    assert residue.lift() == ring.element(residue.residue)
+    assert residue.lift() == ring.element_from_json(list(residue.residue))
     if ring.two_regular:
         if data.draw(st.booleans()):
             x = x + x
@@ -634,8 +651,8 @@ def test_a_difference_and_an_int_multiple_build_one_element(monkeypatch):
     # The kernels are counted in each ring's own namespace, where a lattice
     # ring keeps its compiled kernel and Z[1/f]'s method is shadowed
     rings = (Z, ZSQRT2, builtin_ring("biquad8"), ZMOD8, F4, QuotientRing(ZSQRT8, 9), ZINV6)
-    pairs = [(ring.element(tuple(range(3, 3 + ring.rank))),
-              ring.element(tuple(range(-2, -2 + ring.rank)))) for ring in rings]
+    pairs = [(ring.element_from_json(list(range(3, 3 + ring.rank))),
+              ring.element_from_json(list(range(-2, -2 + ring.rank)))) for ring in rings]
     calls = []
     for ring in rings:
         for name in ("_neg_coords", "_mul_coords"):
@@ -924,8 +941,8 @@ _LOC_DEN = st.builds(lambda sign, a, b, c, rest: sign * 2**a * 3**b * 7**c * res
 def _check_localization_kernel(f, x, y, num, den):
     ring = LocalizationRing(f)
     for n, k in (x, y):
-        assert ring.element((n,), k) == localization_from_fraction(ring, Fraction(n, f ** k))
-    x, y = (ring.element((n,), k) for n, k in (x, y))
+        assert ring.element((n, k)) == localization_from_fraction(ring, Fraction(n, f ** k))
+    x, y = (ring.element((n, k)) for n, k in (x, y))
     assert x + y == localization_add(x, y)
     # the other kernels, each normalizing its pair: x - y, -x, t*x and x*y
     vx, vy = localization_value(x), localization_value(y)
@@ -936,7 +953,7 @@ def _check_localization_kernel(f, x, y, num, den):
     assert ring.try_divide(y, x) == localization_try_divide(y, x)
     assert ring.try_inverse(x) == localization_try_inverse(x)
     assert ring.try_halve(x) == localization_try_halve(x)
-    assert ring.in_4R(y) == localization_in_4R(y)
+    assert in_4R(y) == localization_in_4R(y)
     assert ring.try_from_rational(num, den) == localization_from_fraction(ring, Fraction(num, den))
 
 
@@ -959,7 +976,7 @@ def test_localization_kernel_matches_fraction_oracle_at_the_cap(f, n1, k1, n2, k
 @given(_LOC_F, _LOC_NUM, st.integers(0, 60), _LOC_NUM, st.integers(0, 60))
 def test_localization_sqrt_matches_fraction_oracle(f, n1, k1, n2, k2):
     ring = LocalizationRing(f)
-    x, y = ring.element((n1,), k1), ring.element((n2,), k2)
+    x, y = ring.element((n1, k1)), ring.element((n2, k2))
     for z in (y, x * x, x * x * y, f * x * x):
         assert ring.sqrt(z) == localization_sqrt(z)
 
