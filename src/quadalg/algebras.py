@@ -19,10 +19,11 @@ UnsupportedRing there.  An ``Orientation`` keeps the inverse ``u_inv`` of
 its unit test, as ``forms.GL2Matrix`` keeps ``det_inv``.
 
 The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
-and ``oriented_automorphisms_bruteforce``) scan rows of the ring's index
-tables (``ring.FiniteTables``, see ``_search_homs``), capped at
-``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring raises
-``RingTooLarge`` before anything is enumerated.
+and ``oriented_automorphisms_bruteforce``) share one search, ``_search_homs``:
+for each unit u it computes u*r' - r and u^2*s' - s on the tuple kernels, and
+scans v over two rows of the ring's index tables (``ring.FiniteTables``),
+capped at ``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring
+raises ``RingTooLarge`` before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -294,35 +295,26 @@ def oriented_isomorphic(a: FreeQuadraticAlgebra, theta_a: Orientation,
 
 def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     """Every hom tau -> u*tau' + v from a to b over a finite ring, u running
-    over the tuples ``units`` (default: every unit) and v over every element,
-    in enumeration order.
+    over the elements ``units`` (default: ``ring.units``) and v over every
+    element, in enumeration order.
 
-    The search runs on rows of the ring's index tables.  The hom equations
-    read 2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s; u is a unit, so the
-    first is 2v = u*r' - r.  For each u both right-hand sides are fixed.  In
-    the scan over every unit u*r' is read from the row of r' and u^2*s' from
-    the row of s' at u^2; a given list of units (u = 1 for ``--oriented``)
-    takes the three products from ``_mul_coords`` and builds neither row.
-    The two differences come from ``_sub_coords`` on coordinate tuples, which
-    are looked up in the index with no element built.  v is scanned by
-    comparing indices against the row of 2 and the row of v*(v + r).  Each
-    row is built once per ring and kept.  Only the u and v of a hom found are
-    made elements, and the hom is verified once, by ``AlgebraHom.verifies``.
+    The hom equations read 2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s;
+    u is a unit, so the first is 2v = u*r' - r.  For each u both right-hand
+    sides come from the tuple kernels, three products and two differences,
+    and are looked up in the index with no element built.  v is scanned by
+    comparing indices against ``double`` and the kept row of v*(v + r) of the
+    ring's ``FiniteTables``, read before the units are listed, so a ring past
+    the table cap is refused before any division.  Only the u and v of a hom
+    found are made elements, and the hom is verified once, by
+    ``AlgebraHom.verifies``.
     """
     ring = a.ring
     t = ring.tables
-    index, elements, double, square = t.index, t.elements, t.double, t.square
     r, s, rp, sp = a.r.coords, a.s.coords, b.r.coords, b.s.coords
-    quad = t.row(index[r], quad=True)
+    index, elements, double, quad = t.index, t.elements, t.double, t.row(r)
     sub, mul = ring._sub_coords, ring._mul_coords
-    if units is None:
-        times_rp, times_sp = t.row(index[rp]), t.row(index[sp])
-        rhs = ((elements[u], elements[times_rp[u]], elements[times_sp[square[u]]])
-               for u in t.units)
-    else:
-        rhs = ((u, mul(u, rp), mul(mul(u, u), sp)) for u in units)
-    for u, ur, uus in rhs:
-        lin, const = index[sub(ur, r)], index[sub(uus, s)]
+    for u in map(attrgetter("coords"), units or ring.units):
+        lin, const = index[sub(mul(u, rp), r)], index[sub(mul(mul(u, u), sp), s)]
         for v, (twov, q) in enumerate(zip(double, quad)):
             if twov == lin and q == const:
                 hom = AlgebraHom(RingElement(ring, u), RingElement(ring, elements[v]))
@@ -348,7 +340,7 @@ def oriented_automorphisms_bruteforce(alg: FreeQuadraticAlgebra,
     if not ring.is_finite():
         raise InfiniteRing("need a finite ring when 2 is a zero divisor")
     # with u = 1 the hom equations reduce to 2v = 0 and v(v + r) = 0
-    return list(_search_homs(alg, alg, [ring.one_coords]))
+    return list(_search_homs(alg, alg, [ring.one]))
 
 
 def isomorphic_bruteforce(a: FreeQuadraticAlgebra,

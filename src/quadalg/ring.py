@@ -63,11 +63,11 @@ The classification of quadratic algebras asks a ring three more questions:
 root in Z[1/f]; and ``Ring.quadratic_param``, the N of Z[sqrt(N)] (else
 None).  A quotient ring finds its units by HNF division of 1 by each
 coordinate tuple, capped at ``UNIT_SCAN_CAP`` elements, and keeps
-``FiniteTables``, its coordinate tuples and rows of indices, so that
-exhaustive searches run on plain ints, capped at ``FINITE_TABLE_CAP``
-elements (RingTooLarge above either cap).  A unit test
-is a division: ``Orientation`` and ``GL2Matrix`` keep the inverse theirs
-returns (``u_inv``, ``det_inv``).
+``FiniteTables``, its coordinate tuples and the rows of indices that the
+brute-force searches scan for v, so that the scan runs on plain ints,
+capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above either cap).
+A unit test is a division: ``Orientation`` and ``GL2Matrix`` keep the
+inverse theirs returns (``u_inv``, ``det_inv``).
 """
 
 from __future__ import annotations
@@ -891,17 +891,16 @@ class QuotientRing(TableRing):
 
 
 class FiniteTables:
-    """A finite ring on indices into its list of coordinate tuples.
+    """A finite ring on indices into its list of coordinate tuples, holding
+    what the v-scan of ``algebras._search_homs`` reads.
 
     ``elements`` holds the tuples in ``enumerate_elements`` order, and
-    ``index`` maps each tuple back to its position.  ``row(x)`` is y -> index
-    of y*x and ``row(x, quad=True)`` is y -> index of y*(y + x), for the
-    tuple of index x; each row is built on first use from the tuple kernels
-    ``_mul_coords`` and ``_add_coords``, with no element, and kept, so a
-    search pays n products for each row it reads and never for the n x n
-    table.  ``double`` (the row of 2) and ``square`` (y -> y^2, the quad row
-    of 0) are built with the index.  ``units`` holds the indices of
-    ``QuotientRing.units``, found only when first read.
+    ``index`` maps each tuple back to its position.  ``double`` is y -> index
+    of 2y, built with the index from ``_scale_coords``.  ``row(r)`` is
+    y -> index of y*(y + r) for the tuple r, built on first use from the tuple
+    kernels ``_mul_coords`` and ``_add_coords``, with no element, and kept
+    under r, so a search pays n products for its row and never for the n x n
+    table.  The rows are lists of ints, so the scan compares ints, not tuples.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -912,22 +911,16 @@ class FiniteTables:
         self.ring = ring
         self.elements = list(itertools.product(range(ring.m), repeat=ring.rank))
         self.index = {x: i for i, x in enumerate(self.elements)}
-        self.rows: dict[tuple[int, bool], list[int]] = {}
-        self.double = self.row(self.index[ring._scale_coords(2, ring.one_coords)])
-        self.square = self.row(self.index[(0,) * ring.rank], quad=True)
+        self.double = [self.index[ring._scale_coords(2, y)] for y in self.elements]
+        self.rows: dict[tuple[int, ...], list[int]] = {}
 
-    def row(self, x: int, quad: bool = False) -> list[int]:
-        """The indices of y*x, or of y*(y + x) with quad, for y in element order."""
-        row = self.rows.get((x, quad))
+    def row(self, r: tuple[int, ...]) -> list[int]:
+        """The indices of y*(y + r) for y in element order."""
+        row = self.rows.get(r)
         if row is None:
-            add, mul, e = self.ring._add_coords, self.ring._mul_coords, self.elements[x]
-            row = self.rows[x, quad] = [self.index[mul(y, add(y, e) if quad else e)]
-                                        for y in self.elements]
+            add, mul = self.ring._add_coords, self.ring._mul_coords
+            row = self.rows[r] = [self.index[mul(y, add(y, r))] for y in self.elements]
         return row
-
-    @cached_property
-    def units(self) -> list[int]:
-        return [self.index[u.coords] for u in self.ring.units]
 
 
 class LocalizationRing(Ring):
@@ -947,7 +940,11 @@ class LocalizationRing(Ring):
         self.f = f
 
     def element(self, coords) -> RingElement:
-        num, k = map(index, coords)
+        coords = tuple(map(index, coords))
+        if len(coords) != 2:
+            raise ValueError(f"an element of {self!r} is the pair (num, k) of num/f^k, "
+                             f"got {brief(coords)}")
+        num, k = coords
         if k < 0:
             raise ValueError(f"the denominator exponent 'k' must be non-negative, got {brief(k)}")
         return RingElement(self, self._normal(num, k))

@@ -43,6 +43,7 @@ from quadalg.errors import (
     NotTwoRegular,
     ParityMismatch,
     RingMismatch,
+    RingTooLarge,
     UnsupportedRing,
 )
 from quadalg.ring import (
@@ -669,10 +670,10 @@ def test_a_wrong_table_entry_trips_the_hom_verification():
     assert isomorphic_bruteforce(a, b) is None
     t = ring.tables
     # for u = 1, v = 0 meets 2v = u*r' - r = 0, and v^2 + r*v = 0 is tested
-    # against u^2*s' - s = 1*(-5) + 1, whose product 1*(-5) is read from the
-    # row of s' at u^2 = 1; planted as -1, it makes the sum 0
-    one, sp = t.index[ring.one.coords], t.index[b.s.coords]
-    t.row(sp)[one] = t.index[ring.from_int(-1).coords]
+    # against u^2*s' - s = 1*(-5) + 1 = 4 mod 8 by reading v*(v + r) at
+    # v = 0 from the kept row of r; planted as 4 there, it makes (1, 0) pass
+    # the scan
+    t.row(a.r.coords)[t.index[ring.zero.coords]] = t.index[ring.from_int(4).coords]
     with pytest.raises(AssertionError, match="index tables disagree with ring arithmetic"):
         isomorphic_bruteforce(a, b)
 
@@ -859,26 +860,23 @@ def _count_kernels(monkeypatch, ring, calls):
 
 
 def test_a_second_bruteforce_search_builds_no_rows(monkeypatch):
-    # the rows are kept by the tables: a second search with the same r, r'
-    # and s' builds no row, and each search makes two differences per unit,
-    # u*r' - r and u^2*s' - s, and no other sum; another s' builds its one
-    # row of products
+    # the row of v*(v + r) is kept by the tables under r: a second search
+    # from the same r builds no row, whatever its target; each search makes
+    # three products and two differences per unit, u*r' - r and u^2*s' - s,
+    # and no other sum; another r builds its one row
     ring = QuotientRing(Z, 8)
-    a, b, c = alg(ring, 1, 0), alg(ring, 1, 1), alg(ring, 1, 5)
-    t = ring.tables
-    n, units = len(t.elements), len(ring.units)
+    a, b, c, d = alg(ring, 1, 0), alg(ring, 1, 1), alg(ring, 1, 5), alg(ring, 3, 0)
+    n, units = len(ring.tables.elements), len(ring.units)
     calls = Counter()
     _count_kernels(monkeypatch, ring, calls)
-    assert isomorphic_bruteforce(a, b) is None
-    # the row of v*(v + r) makes the only sums
-    assert calls["_add_coords"] == n
-    assert calls["_neg_coords"] == 0 and calls["_sub_coords"] == 2 * units
-    for target, rows in ((b, 0), (c, 1)):
+    for source, target, rows in ((a, b, 1), (a, b, 0), (a, c, 0), (d, b, 1)):
         calls.clear()
-        assert isomorphic_bruteforce(a, target) is None
-        assert calls["_add_coords"] == calls["_neg_coords"] == 0
+        assert isomorphic_bruteforce(source, target) is None
+        # the row of v*(v + r) makes the only sums
+        assert calls["_add_coords"] == rows * n
+        assert calls["_neg_coords"] == calls["_divide_coords"] == 0
         assert calls["_sub_coords"] == 2 * units
-        assert calls["_mul_coords"] == rows * n
+        assert calls["_mul_coords"] == rows * n + 3 * units
 
 
 def _count_cli_calls(monkeypatch, capsys, cls, name, argv):
@@ -912,17 +910,32 @@ Z512 = '{"kind":"quotient","base":{"kind":"integers"},"m":512}'
 
 
 def test_autos_at_the_cap_builds_few_rows(monkeypatch, capsys):
-    # Z/512 is at FINITE_TABLE_CAP; the search reads the rows of 2, y^2, r',
-    # s' and y*(y + r), and the unit scan divides each of the n tuples into 1
-    # on the coordinate kernel, one product per division at rank 1: 5n row
-    # products and the homs' checks, where a full table takes n(n + 1)/2
+    # Z/512 is at FINITE_TABLE_CAP; the search builds one row, y*(y + r), and
+    # makes three products per unit, and the unit scan divides each of the n
+    # tuples into 1 on the coordinate kernel, one product per division at
+    # rank 1: n row products, 3n/2 for the n/2 units and the homs' checks,
+    # where a full table takes n(n + 1)/2
     n = 512
     calls, out, err = _count_cli_kernels(monkeypatch, capsys,
                                          ["autos", "--ring", Z512, "--alg", "r=1,s=0"])
     assert (out, err) == ('{"count":2,"automorphisms":[{"u":[1],"v":[0]},'
                           '{"u":[511],"v":[511]}]}\n', "")
-    assert calls["_mul_coords"] - calls["_divide_coords"] <= 5 * n + 16
+    assert calls["_mul_coords"] - calls["_divide_coords"] <= 3 * n
     assert calls["_divide_coords"] <= n
+
+
+def test_bruteforce_past_the_cap_divides_nothing(monkeypatch):
+    # the tables are read before the units are listed, so a ring past
+    # FINITE_TABLE_CAP is refused before its unit scan makes one division
+    ring = QuotientRing(Z, 1000)
+    calls = Counter()
+    _count_kernels(monkeypatch, ring, calls)
+    a = alg(ring, 1, 0)
+    for search in (lambda: isomorphic_bruteforce(a, a), lambda: automorphisms_bruteforce(a)):
+        with pytest.raises(RingTooLarge) as exc:
+            search()
+        assert str(exc.value) == "Z/1000 has 1000 elements; finite-ring tables are capped at 512"
+    assert calls["_divide_coords"] == 0
 
 
 @pytest.mark.parametrize("r, s", [(1, 0), (3, 2)])
@@ -931,7 +944,7 @@ def test_bruteforce_builds_elements_only_for_the_homs(monkeypatch, r, s):
     # coordinate tuples and makes elements of the u and v of each hom alone
     ring = QuotientRing(Z, 512)
     a = alg(ring, r, s)
-    assert ring.tables.units and ring.units
+    assert ring.tables.elements and ring.units
     built = []
 
     def counted(self, *args, _real=RingElement.__init__):
@@ -954,14 +967,14 @@ def test_oriented_autos_scans_no_units(monkeypatch, capsys):
 
 
 def test_oriented_autos_builds_no_rows_of_r_prime_or_s_prime(monkeypatch, capsys):
-    # u = 1 reads u*r' and u^2*s' from three products, not from the rows of
-    # r' and s': the rows of 2, y^2 and y*(y + r), and the hom's check
+    # u = 1 reads u*r' and u^2*s' from three products, as every unit does:
+    # the row of y*(y + r), those three products and the hom's check
     n = 512
     calls, out, err = _count_cli_kernels(monkeypatch, capsys,
                                          ["autos", "--ring", Z512, "--alg", "r=1,s=0",
                                           "--oriented"])
     assert (out, err) == ('{"count":1,"automorphisms":[{"u":[1],"v":[0]}]}\n', "")
-    assert calls["_mul_coords"] <= 3 * n + 16
+    assert calls["_mul_coords"] <= n + 16
 
 
 # fresh rings, so that no other test has read a row of theirs
@@ -971,18 +984,14 @@ def test_cached_search_rows_match_ring_arithmetic(ring):
     t = ring.tables
     elements = ring.enumerate_elements()
     assert t.elements == [v.coords for v in elements]
-    assert t.double is t.row(t.index[ring.from_int(2).coords])
-    assert [t.elements[i] for i in t.double] == [(2 * v).coords for v in elements]
-    assert t.square is t.row(t.index[ring.zero.coords], quad=True)
-    assert [t.elements[i] for i in t.square] == [(v * v).coords for v in elements]
-    assert len(t.rows) == 2
+    assert all(t.index[x] == i for i, x in enumerate(t.elements))
+    assert [t.elements[i] for i in t.double] == [(v + v).coords for v in elements]
+    assert not t.rows
     for r in elements:
-        x = t.index[r.coords]
-        row, quad = t.row(x), t.row(x, quad=True)
-        assert [t.elements[i] for i in row] == [(v * r).coords for v in elements]
-        assert [t.elements[i] for i in quad] == [(v * (v + r)).coords for v in elements]
-        assert t.row(x) is row and t.row(x, quad=True) is quad
-    assert len(t.rows) == 2 * len(elements)
+        row = t.row(r.coords)
+        assert [t.elements[i] for i in row] == [(v * (v + r)).coords for v in elements]
+        assert t.row(r.coords) is row
+    assert len(t.rows) == len(elements)
 
 
 def test_classification_matches_bruteforce_on_two_regular_rings():
@@ -1012,6 +1021,7 @@ def test_finite_classification_reads_one_unit_list(monkeypatch):
         assert eps is not None and t2.delta == eps * eps * t1.delta
         assert types_isomorphic(t2, t1) is not None
         assert calls["_divide_coords"] == ring.m ** ring.rank + 2
-        # the tables read the same list
-        assert [ring.tables.elements[i] for i in ring.tables.units] \
-            == [u.coords for u in ring.units]
+        # the brute-force search reads the same list and divides no more
+        calls.clear()
+        assert automorphisms_bruteforce(alg(ring, 0, -6))
+        assert calls["_divide_coords"] == 0

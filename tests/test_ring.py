@@ -298,6 +298,16 @@ def test_element_round_trips_the_kernel_tuple():
         Z.element_from_json({"coords": [3], "k": 1})
 
 
+def test_localization_element_names_the_pair():
+    # a tuple of another length, such as the 1-tuple of an integer's coords,
+    # is refused by a message that names the pair and echoes the argument
+    for coords in ((3,), (1, 2, 3)):
+        with pytest.raises(ValueError) as exc:
+            ZINV6.element(coords)
+        assert str(exc.value) == ("an element of Z[1/6] is the pair (num, k) of num/f^k, "
+                                  f"got {coords!r}")
+
+
 def test_mod2_and_in_4r_match_the_rule_of_each_ring_kind():
     for ring in _mod2_rings():
         assert ring.mod2_residues() == mod2_residues_by_kind(ring), ring
@@ -825,12 +835,14 @@ def test_finite_tables_match_ring_kernels():
         elements = ring.enumerate_elements()
         assert t.elements == [x.coords for x in elements]
         assert all(t.index[x] == i for i, x in enumerate(t.elements))
-        # row(j)[i] is the index of x * y for the tuples x, y of indices i, j
-        for j, y in enumerate(t.elements):
-            assert [t.elements[k] for k in t.row(j)] == [ring._mul_coords(x, y) for x in t.elements]
-        # the unit list against the rows of products: a unit's row reaches 1
-        one = t.index[ring.one_coords]
-        assert t.units == [i for i in range(len(t.elements)) if one in t.row(i)]
+        # double[i] is the index of x + x, and row(y)[i] that of x * (x + y),
+        # for the tuple x of index i
+        add, mul = ring._add_coords, ring._mul_coords
+        assert [t.elements[k] for k in t.double] == [add(x, x) for x in t.elements]
+        for y in t.elements:
+            assert [t.elements[k] for k in t.row(y)] == [mul(x, add(x, y)) for x in t.elements]
+        # the unit list against the products: 1 is among a unit's products
+        assert [u.coords for u in ring.units] == _units_by_products(ring)
 
 
 def test_finite_tables_are_capped(monkeypatch):
@@ -857,14 +869,18 @@ def test_finite_tables_are_capped(monkeypatch):
         automorphisms_bruteforce(FreeQuadraticAlgebra(huge, 0, 1))
 
 
+def _units_by_products(ring):
+    """The coordinate tuples x, in element order, with 1 among the products
+    x*y: the units, from the product kernel alone."""
+    elements = [x.coords for x in ring.enumerate_elements()]
+    return [x for x in elements if ring.one_coords in {ring._mul_coords(x, y) for y in elements}]
+
+
 def test_quotient_units_are_one_uncapped_list():
-    # against the rows of products: a unit's row reaches one
+    # against the products: 1 is among a unit's products
     for ring in (ZMOD8, F4, QuotientRing(Z, 15), QuotientRing(ZSQRT8, 9)):
-        t = ring.tables
-        one = t.index[ring.one.coords]
         assert ring.units is ring.units
-        assert [u.coords for u in ring.units] == [x for i, x in enumerate(t.elements)
-                                                  if one in t.row(i)]
+        assert [u.coords for u in ring.units] == _units_by_products(ring)
     # no table and so not the table cap: Z/1001 has 720 units, phi(7 * 11 * 13)
     big = QuotientRing(Z, 1001)
     assert len(big.units) == 720
