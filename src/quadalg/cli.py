@@ -17,7 +17,7 @@ import sys
 
 from . import algebras, forms, glue, picard
 from .errors import QuadalgError, ResultTooLong, brief
-from .ring import IntegerRing, Ring, construct_ring, int_value, json_int
+from .ring import IntegerRing, Ring, _refuse_unknown_keys, construct_ring, int_value, json_int
 
 # the ring aliases of the worked examples, each the descriptor --ring JSON would give
 BUILTIN_RINGS = {
@@ -269,7 +269,9 @@ def _cmd_ideal2form(args) -> str:
     data = _loads(_read_payload(args))
     if not isinstance(data, dict):
         raise ValueError("ideal payload must be a JSON object")
-    for key in ("delta", "pitilde", "hnf"):
+    fields = ("delta", "pitilde", "hnf")
+    _refuse_unknown_keys(data, fields, "ideal payload")
+    for key in fields:
         if key not in data:
             raise ValueError(f"ideal payload is missing {key!r}")
     hnf = data["hnf"]
@@ -288,6 +290,7 @@ def _parse_glue_payload(data):
     """Read {"cover": [...], "cocycle": {"i,j": ...}, "data": {"d": [...], "p": [...]}}."""
     if not isinstance(data, dict):
         raise ValueError("glue payload must be a JSON object")
+    _refuse_unknown_keys(data, ("cover", "cocycle", "data"), "glue payload")
     opens, entries, payload = data.get("cover"), data.get("cocycle"), data.get("data")
     if not isinstance(opens, list):
         raise ValueError("'cover' must be a list of integers")
@@ -296,6 +299,7 @@ def _parse_glue_payload(data):
     if not (isinstance(payload, dict) and isinstance(payload.get("d"), list)
             and isinstance(payload.get("p"), list)):
         raise ValueError("'data' must be an object with lists 'd' and 'p'")
+    _refuse_unknown_keys(payload, ("d", "p"), "'data'")
     cover = glue.PrincipalCover(int_value(f, "a 'cover' entry") for f in opens)
     eps, keys, k = {}, {}, cover.size
     for key, value in entries.items():

@@ -15,14 +15,15 @@ form an interval.  When the range is narrower than 4a the interval holds at
 most one c, found by one remainder test per pair, and one divmod gives c and
 the row, of delta - lo; otherwise it is walked.  On both paths each form
 found costs one gcd and one += of its coefficients, followed by its
-opposite's when that is reduced too.  The sweep costs about |lo| whatever the
-width, so ``reduced_triples_between`` runs ``reduced_triples`` per
-discriminant instead when the range holds at most max(1, sqrt(|lo|) // 300)
-of them (min = max among them).  ``check_range`` refuses every range with
-|lo| past DISCRIMINANT_CAP, one discriminant or many, before any work.  The
-sweep keeps every coefficient of the range, so ``table_rows`` splits a range
-into windows and refuses one whose windows would cost more than a cap, before
-any of them is swept.
+opposite's when that is reduced too.  ``table_rows``, the one entry to both
+paths for a range, splits it into windows, since the sweep keeps every
+coefficient of its window.  The sweep costs about |lo| whatever the width,
+so ``_window_cost`` sends a window that holds at most
+max(1, sqrt(|lo|) // 300) discriminants (min = max among them) to
+``reduced_triples`` per discriminant instead.  ``check_range`` refuses every
+range with |lo| past DISCRIMINANT_CAP, one discriminant or many, before any
+work, and ``table_rows`` refuses one whose windows would cost more than a
+cap, before any of them is enumerated.
 Opposition orbits follow from row order alone: each rep with b >= 0 heads an
 orbit, and [a,-b,c], right after it, joins it unless b = 0, b = a or a = c.
 
@@ -355,26 +356,17 @@ def check_range(lo: int, hi: int) -> None:
             if lo == hi else f"min = {brief(lo)} puts |delta| past the cap of {DISCRIMINANT_CAP}")
 
 
-def reduced_triples_between(lo: int, hi: int) -> dict[int, list[int]]:
-    """The row of every valid delta in [lo, hi], keyed in ascending order: the
-    flat list a1, b1, c1, a2, ... of its 3h coefficients (``reduced_triples``).
-
-    ``reduced_triples`` costs about sqrt(|delta|) per discriminant and the
-    sweep (``_sweep``) about |lo| for the whole range, so a range of at most
-    max(1, sqrt(|lo|) // 300) valid discriminants, one of them included,
-    takes ``reduced_triples`` for each and a wider one the sweep.
-    """
-    check_range(lo, hi)
-    return _window_rows(lo, hi, _window_cost(lo, hi)[1])
-
-
 def table_rows(lo: int, hi: int):
-    """The rows of [lo, hi]: an iterator of ``reduced_triples_between`` dicts,
-    one per window of max(1024, |lo| // 64) discriminants, each swept only
-    when the iterator reaches it, so memory stays at one window.  The range is
-    refused at once by ``check_range``, then with SweepTooLarge or
-    RootStepsTooLarge when its windows would cost more than SWEEP_PAIRS_CAP
-    (a, b) pairs or ROOT_STEPS_CAP a-steps in all (``_window_cost``).
+    """The rows of [lo, hi]: an iterator of dicts, one per window of
+    max(1024, |lo| // 64) discriminants, each mapping every valid delta of the
+    window, in ascending order, to its row, the flat list a1, b1, c1, a2, ...
+    of its 3h coefficients.  Each window is enumerated only when the iterator
+    reaches it, so memory stays at one window, on the path that its a-steps
+    from ``_window_cost`` decide: ``reduced_triples`` per discriminant when
+    they are not 0, else ``_sweep``.  The range is refused at once by
+    ``check_range``, then with SweepTooLarge or RootStepsTooLarge when its
+    windows would cost more than SWEEP_PAIRS_CAP (a, b) pairs or
+    ROOT_STEPS_CAP a-steps in all.
     """
     check_range(lo, hi)
     width = max(1024, -lo // 64)
@@ -388,14 +380,26 @@ def table_rows(lo: int, hi: int):
         raise RootStepsTooLarge(f"[{brief(lo)}, {brief(hi)}] would take about {steps} "
                                 f"a-steps of per-discriminant enumeration; a table is "
                                 f"capped at {ROOT_STEPS_CAP}")
-    return (_window_rows(*window, cost[1]) for window, cost in zip(windows, costs))
+
+    def rows():
+        for (w_lo, w_hi), (_, w_steps) in zip(windows, costs):
+            deltas = [delta for delta in range(w_lo, w_hi + 1) if delta % 4 in (0, 1)]
+            if w_steps:
+                yield {delta: reduced_triples(delta) for delta in deltas}
+            else:
+                yield _sweep(w_lo, w_hi, deltas)
+    return rows()
 
 
 def _window_cost(lo: int, hi: int) -> tuple[int, int]:
-    """(pairs, steps) from (lo, hi) alone: the (a, b) pairs that
-    ``reduced_triples_between(lo, hi)`` sweeps, a_max^2 // 2 ~ |lo| / 6, or
-    else the a-steps of ``reduced_triples`` it takes, a_max = isqrt(|lo| // 3)
-    per valid delta; steps > 0 exactly when it takes that path and has a delta."""
+    """(pairs, steps) of the window [lo, hi] from (lo, hi) alone.
+
+    ``reduced_triples`` costs about sqrt(|delta|) per discriminant and
+    ``_sweep`` about |lo| for the whole window, so a window of at most
+    max(1, sqrt(|lo|) // 300) valid discriminants, one of them included, takes
+    ``reduced_triples`` for each, a_max = isqrt(|lo| // 3) a-steps per valid
+    delta, and a wider one the sweep, a_max^2 // 2 ~ |lo| / 6 (a, b) pairs.
+    steps > 0 exactly when the window takes the first path and has a delta."""
     count = hi // 4 - (lo - 1) // 4 + (hi - 1) // 4 - (lo - 2) // 4  # deltas = 0, 1 mod 4
     a_max = isqrt(-lo // 3)
     if count <= max(1, isqrt(-lo) // 300):
@@ -403,18 +407,9 @@ def _window_cost(lo: int, hi: int) -> tuple[int, int]:
     return a_max * a_max // 2, 0
 
 
-def _window_rows(lo: int, hi: int, steps: int) -> dict[int, list[int]]:
-    """``reduced_triples_between(lo, hi)`` on the path that the a-steps of
-    ``_window_cost`` decide: per discriminant when they are not 0, else a sweep."""
-    deltas = [delta for delta in range(lo, hi + 1) if delta % 4 in (0, 1)]
-    if steps:
-        return {delta: reduced_triples(delta) for delta in deltas}
-    return _sweep(lo, hi, deltas)
-
-
 def _sweep(lo: int, hi: int, deltas: list[int]) -> dict[int, list[int]]:
-    """``reduced_triples_between`` for the valid deltas of [lo, hi] by one
-    sweep over the pairs 0 <= b <= a.
+    """The row of each of the valid deltas of [lo, hi], keyed in ascending
+    order, by one sweep over the pairs 0 <= b <= a.
 
     A reduced form has |b| <= a <= c, so 3a^2 <= -lo, and c >= a needs
     n = b^2 - lo >= 4a^2.  For fixed (a, b) the c with lo <= b^2 - 4ac <= hi

@@ -16,11 +16,11 @@ has one rational solution, which ``solve_int`` finds by the adjugate; it is
 integral or there is none.  The Bezout step ``xgcd``, shared with Dirichlet
 composition, is ``math.gcd`` plus ``pow(x, -1, m)`` on plain ints.
 
-Square roots modulo m are one kernel, ``sqrt_mod(n, m)``: every root of
-x^2 = n mod p^e for each p^e || m (``sqrt_mod_prime_power``: Tonelli-Shanks
-mod p, then one lifting rule up to p^e), combined by CRT (``crt_roots``).
-``picard.reduced_triples`` calls the two parts itself, since it factors 4a
-from a sieve and keeps the roots mod each prime power for the whole call.
+Square roots modulo m come in two parts: every root of x^2 = n mod p^e
+(``sqrt_mod_prime_power``: Tonelli-Shanks mod p, then one lifting rule up to
+p^e), and their combination over the p^e || m by CRT (``crt_roots``).
+``picard.reduced_triples`` calls both, since it factors 4a from a sieve and
+keeps the roots mod each prime power for the whole call.
 
 Each backend has one arithmetic, its tuple kernels, and one element layout:
 ``RingElement.coords`` is the kernel tuple (``Ring`` states the contract).
@@ -110,23 +110,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
-
-
-def sqrt_mod(n: int, m: int) -> list[int]:
-    """Every x in [0, m) with x^2 = n mod m >= 1, ascending: the roots modulo
-    each prime power p^e || m (m factored by trial division), combined by CRT."""
-    parts, p = [], 2
-    while p * p <= m:
-        if not m % p:
-            e = 0
-            while not m % p:
-                m //= p
-                e += 1
-            parts.append((p**e, sqrt_mod_prime_power(n, p, e)))
-        p += 1
-    if m > 1:
-        parts.append((m, sqrt_mod_prime_power(n, m, 1)))
-    return sorted(crt_roots(parts))
 
 
 def sqrt_mod_prime_power(n: int, p: int, e: int) -> list[int]:
@@ -585,9 +568,7 @@ class Ring:
         (ExponentTooLarge above): the one reader of this layout, which
         ``element`` does not take."""
         if isinstance(data, dict):
-            for key in data:
-                if key not in ("coords", "k"):
-                    raise ValueError(f"a ring element object has an unknown key {brief(key)}")
+            _refuse_unknown_keys(data, ("coords", "k"), "a ring element object")
             if "coords" not in data:
                 raise ValueError(f"a ring element object is missing 'coords', got {brief(data)}")
             k = json_int(data.get("k", 0), "'k'")
@@ -1051,6 +1032,14 @@ def int_value(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {brief(value)}")
 
 
+def _refuse_unknown_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    """Raise ValueError naming the first key of the JSON object obj, called
+    what, that is not among the keys its reader reads."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{what} has an unknown key {brief(key)}")
+
+
 def _int_field(descriptor: dict, key: str) -> int:
     return int_value(_field(descriptor, key), f"{descriptor['kind']} ring descriptor: {key!r}")
 
@@ -1068,9 +1057,7 @@ def construct_ring(descriptor: dict) -> Ring:
     kind = descriptor.get("kind")
     if not isinstance(kind, str) or kind not in _DESCRIPTOR_KEYS:
         raise ValueError(f"unknown ring kind {brief(kind)}")
-    for key in descriptor:
-        if key not in _DESCRIPTOR_KEYS[kind]:
-            raise ValueError(f"{kind} ring descriptor has an unknown key {brief(key)}")
+    _refuse_unknown_keys(descriptor, _DESCRIPTOR_KEYS[kind], f"{kind} ring descriptor")
     if kind == "integers":
         return IntegerRing()
     if kind == "table":

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -57,14 +58,21 @@ def load_catalogue(path: Path = CATALOGUE) -> list[dict]:
 
 def stale_entries(mutants: list[dict]) -> list[str]:
     """A line per mutant whose ``old`` does not occur exactly once in its file,
-    or which names a test file that does not exist."""
+    or which names a test file that does not exist or a test function that
+    its file does not define (a ``[param]`` suffix is not checked)."""
     problems = []
     for m in mutants:
         count = (ROOT / m["file"]).read_text().count(m["old"])
         if count != 1:
             problems.append(f"{m['id']}: 'old' occurs {count} times in {m['file']}")
-        problems += [f"{m['id']}: no test file {t.split('::')[0]}" for t in m["tests"]
-                     if not (ROOT / t.split("::")[0]).is_file()]
+        for test in m["tests"]:
+            path, _, name = test.partition("::")
+            name = name.split("[")[0]
+            if not (ROOT / path).is_file():
+                problems.append(f"{m['id']}: no test file {path}")
+            elif name and not re.search(rf"^def {re.escape(name)}\(", (ROOT / path).read_text(),
+                                        re.M):
+                problems.append(f"{m['id']}: {path} defines no test {name}")
     return problems
 
 

@@ -42,8 +42,9 @@ from quadalg.picard import (
     ideal_mul,
     ideal_norm,
     ideal_to_form,
+    _sweep,
     reduced_forms,
-    reduced_triples_between,
+    table_rows,
 )
 from quadalg.ring import Mod2Element, RingElement
 
@@ -378,21 +379,29 @@ def class_number(delta: int) -> int | None:
 
 def triples(row: list[int]) -> list[tuple[int, int, int]]:
     """A row, the flat list a1, b1, c1, a2, ... of ``reduced_triples`` or of
-    ``reduced_triples_between``, regrouped into (a, b, c) triples."""
+    ``table_rows``, regrouped into (a, b, c) triples."""
     return list(zip(row[::3], row[1::3], row[2::3]))
 
 
+def rows_between(lo: int, hi: int) -> dict[int, list[int]]:
+    """The row of every valid delta in [lo, hi], keyed in ascending order:
+    the windows of ``table_rows`` merged into one dict."""
+    return {d: r for w in table_rows(lo, hi) for d, r in w.items()}
+
+
 def triples_between(lo: int, hi: int) -> dict[int, list[tuple[int, int, int]]]:
-    """``reduced_triples_between`` with each discriminant's row regrouped
-    into (a, b, c) triples."""
-    return {d: triples(row) for d, row in reduced_triples_between(lo, hi).items()}
+    """``rows_between`` with each discriminant's row regrouped into (a, b, c)
+    triples."""
+    return {d: triples(row) for d, row in rows_between(lo, hi).items()}
 
 
 def table_one_sweep(lo: int, hi: int, fmt: str) -> str:
     """The ``table`` text for [lo, hi], without the final newline, rendered
-    from one sweep over the whole range with f-strings and ``json.dumps``."""
-    rows = [(d, reps, sum(b >= 0 for _, b, _ in reps))
-            for d, reps in triples_between(lo, hi).items()]
+    from one sweep over the whole range, not windowed, with f-strings and
+    ``json.dumps``."""
+    deltas = [d for d in range(lo, hi + 1) if d % 4 in (0, 1)]
+    table = {d: triples(row) for d, row in _sweep(lo, hi, deltas).items()}
+    rows = [(d, reps, sum(b >= 0 for _, b, _ in reps)) for d, reps in table.items()]
     if fmt == "json":
         return json.dumps([{"delta": d, "pitilde": d % 2, "h": len(reps), "picmod": pm,
                             "reps": reps} for d, reps, pm in rows], separators=(",", ":"))

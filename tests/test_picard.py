@@ -54,7 +54,6 @@ from quadalg.picard import (
     pic_mod_conjugation,
     reduced_forms,
     reduced_triples,
-    reduced_triples_between,
     wood_local_algebra,
 )
 from quadalg.ring import IntegerRing, QuotientRing, RingElement, xgcd
@@ -69,6 +68,7 @@ from oracles import (
     principal_by_norm_equation,
     reduced_forms_bruteforce,
     reduced_triples_divisor_scan,
+    rows_between,
     triples,
     triples_between,
 )
@@ -454,7 +454,7 @@ def test_range_rows_are_flat_coefficient_lists():
         lo = -rng.randrange(400, 2 * 10**5)
         windows.append((lo, lo + rng.randrange(1, 300)))
     for lo, hi in windows:
-        table = reduced_triples_between(lo, hi)
+        table = rows_between(lo, hi)
         assert list(table) == _valid_discriminants(lo, hi)
         want = {delta: triples(reduced_triples(delta)) for delta in table}
         assert triples_between(lo, hi) == want
@@ -561,7 +561,7 @@ def _squarefree(n):
 
 def test_single_discriminant_outside_0_1_mod_4_is_empty():
     for delta in (-1, -2, -5, -6, -101, -102, -10**12 - 1, -10**12 - 2):
-        assert reduced_triples_between(delta, delta) == {}
+        assert rows_between(delta, delta) == {}
 
 
 def test_single_discriminants_are_capped():
@@ -571,11 +571,11 @@ def test_single_discriminants_are_capped():
             with pytest.raises(DiscriminantTooLarge, match="cap of 3000000000000"):
                 call(delta)
         with pytest.raises(DiscriminantTooLarge):
-            reduced_triples_between(delta, delta)
+            rows_between(delta, delta)
     with pytest.raises(DiscriminantTooLarge):
-        reduced_triples_between(-10**20 - 1, -10**20 - 1)
+        rows_between(-10**20 - 1, -10**20 - 1)
     with pytest.raises(DiscriminantTooLarge):
-        reduced_triples_between(-10**20 - 2, -10**20 - 1)  # no discriminant in it
+        rows_between(-10**20 - 2, -10**20 - 1)  # no discriminant in it
 
 
 def test_narrow_windows_take_the_root_path_with_the_sweeps_result(monkeypatch):
@@ -596,7 +596,7 @@ def test_narrow_windows_take_the_root_path_with_the_sweeps_result(monkeypatch):
         deltas = _valid_discriminants(lo, hi)
         narrow.append(len(deltas) <= max(1, isqrt(-lo) // 300))
         calls.clear()
-        table = reduced_triples_between(lo, hi)
+        table = rows_between(lo, hi)
         assert calls == (deltas if narrow[-1] else [])
         swept = picard._sweep(lo, hi, deltas)
         assert list(table.items()) == list(swept.items()), (lo, hi)
@@ -615,7 +615,7 @@ def test_narrow_windows_past_the_cap_are_refused(monkeypatch):
         (-100004, -100004, "|delta| = 100004 is past the cap of 100000 on a single discriminant"),
     ]:
         with pytest.raises(DiscriminantTooLarge) as err:
-            reduced_triples_between(lo, hi)
+            rows_between(lo, hi)
         assert str(err.value) == message
         chunks = iter_table(lo, hi)
         with pytest.raises(DiscriminantTooLarge):
@@ -647,7 +647,6 @@ def test_tables_past_the_sweep_cap_are_refused(monkeypatch):
     monkeypatch.setattr(picard, "SWEEP_PAIRS_CAP", pairs)
     assert next(iter_table(-10000, -3)) == "delta,pitilde,h,picmod,reps"
     monkeypatch.undo()
-    monkeypatch.setattr(picard, "reduced_triples_between", None)
     # the first window of [-3 * 10^12, -3] alone would ask for 4.69 * 10^10
     # buckets, and each of its 64 windows sweeps about |lo| / 6 pairs
     with pytest.raises(SweepTooLarge) as err:
@@ -673,7 +672,6 @@ def test_tables_past_the_root_step_cap_are_refused(monkeypatch):
     with pytest.raises(RootStepsTooLarge, match=f"about {steps} .* capped at {steps - 1}"):
         next(iter_table(lo, hi))
     monkeypatch.undo()
-    monkeypatch.setattr(picard, "reduced_triples_between", None)
     # the real cap lets one discriminant at DISCRIMINANT_CAP run, and two where
     # isqrt(|lo| // 3) is 500000; it refuses two where it is 500001, and the
     # 5773 discriminants of the widest range near the cap that is not swept
@@ -700,12 +698,12 @@ def test_orbit_rule_matches_gauss_reduction():
 
 def test_range_sweep_edges():
     assert triples_between(-4, -3) == {-4: [(1, 0, 1)], -3: [(1, 1, 1)]}
-    assert reduced_triples_between(-2, -1) == {}
+    assert rows_between(-2, -1) == {}
     # no discriminant in range: returns before sweeping about 10^11 pairs
-    assert reduced_triples_between(-10**12 - 6, -10**12 - 5) == {}
+    assert rows_between(-10**12 - 6, -10**12 - 5) == {}
     for lo, hi in ((-3, -4), (-4, 0), (-4, 4)):
         with pytest.raises(InvalidRange):
-            reduced_triples_between(lo, hi)
+            rows_between(lo, hi)
 
 
 def test_wood_local_algebra():

@@ -1,7 +1,9 @@
-"""README's "Library quick tour" block, run verbatim, and its table of limits."""
+"""README's "Library quick tour" block, run verbatim, its table of limits, and
+the library names it cites."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -59,3 +61,20 @@ def test_readme_limits_match_their_constants():
             assert getattr(sys.int_info, "default_max_str_digits", 4300) == value
         for raised in error.split("`, `"):
             assert raised == "ValueError" or issubclass(getattr(errors, raised), Exception), raised
+
+
+def test_readme_names_resolve():
+    # each backticked module.name (or module.py) of the library that README
+    # cites exists, so a renamed or deleted function cannot stay in the prose
+    cited = set(re.findall(r"`((?:ring|picard|cli|forms|algebras|glue)(?:\.\w+)+)`",
+                           README.read_text()))
+    assert {"ring.sqrt_mod_prime_power", "picard.table_rows"} <= cited
+    for name in cited:
+        module, *path = name.split(".")
+        if path == ["py"]:
+            assert Path(importlib.import_module(f"quadalg.{module}").__file__).name == name
+            continue
+        value = importlib.import_module(f"quadalg.{module}")
+        for attr in path:
+            assert hasattr(value, attr), name
+            value = getattr(value, attr)

@@ -35,6 +35,7 @@ from quadalg.ring import (
     RingElement,
     TableRing,
     construct_ring,
+    crt_roots,
     divides_power,
     hnf,
     in_localization,
@@ -42,7 +43,7 @@ from quadalg.ring import (
     quadratic_table_ring,
     solve_hnf,
     solve_int,
-    sqrt_mod,
+    sqrt_mod_prime_power,
     xgcd,
 )
 
@@ -827,7 +828,9 @@ def test_quotient_division_does_not_enumerate(monkeypatch):
 
 
 def test_finite_tables_match_ring_kernels():
-    rings = (ZMOD4, ZMOD8, F4, QuotientRing(Z, 16), QuotientRing(Z, 15),
+    # fresh rings, so that no other test has read a row of theirs
+    rings = (QuotientRing(Z, 4), QuotientRing(Z, 8), builtin_ring("f4"), QuotientRing(Z, 9),
+             QuotientRing(Z, 15), QuotientRing(Z, 16), QuotientRing(ZSQRT2, 3),
              QuotientRing(ZSQRT8, 9))
     for ring in rings:
         t = ring.tables
@@ -836,11 +839,15 @@ def test_finite_tables_match_ring_kernels():
         assert t.elements == [x.coords for x in elements]
         assert all(t.index[x] == i for i, x in enumerate(t.elements))
         # double[i] is the index of x + x, and row(y)[i] that of x * (x + y),
-        # for the tuple x of index i
+        # for the tuple x of index i; a row is built on first use and kept under y
         add, mul = ring._add_coords, ring._mul_coords
         assert [t.elements[k] for k in t.double] == [add(x, x) for x in t.elements]
+        assert not t.rows
         for y in t.elements:
-            assert [t.elements[k] for k in t.row(y)] == [mul(x, add(x, y)) for x in t.elements]
+            row = t.row(y)
+            assert [t.elements[k] for k in row] == [mul(x, add(x, y)) for x in t.elements]
+            assert t.row(y) is row
+        assert len(t.rows) == len(t.elements)
         # the unit list against the products: 1 is among a unit's products
         assert [u.coords for u in ring.units] == _units_by_products(ring)
 
@@ -1019,14 +1026,35 @@ def _roots_by_squaring(n, m):
     return [x for x in range(m) if (x * x - n) % m == 0]
 
 
+def _sqrt_mod(n, prime_powers):
+    """The roots of x^2 = n mod the product of the (p, e), ascending: those
+    of ``sqrt_mod_prime_power`` mod each p^e, combined by ``crt_roots``."""
+    return sorted(crt_roots([(p**e, sqrt_mod_prime_power(n, p, e)) for p, e in prime_powers]))
+
+
+def _factor(m):
+    """The (p, e) with p^e || m, by trial division."""
+    out, p = [], 2
+    while m > 1:
+        e = 0
+        while not m % p:
+            m //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
+
+
 def test_sqrt_mod_matches_squaring_every_residue():
     # every n mod m for m <= 600: powers of 2 up to 512, p | n, p^2 | n, n = 0
     for m in range(1, 601):
         roots = {}
         for x in range(m):
             roots.setdefault(x * x % m, []).append(x)
+        prime_powers = _factor(m)
         for n in range(m):
-            assert sqrt_mod(n, m) == roots.get(n, []), (n, m)
+            assert _sqrt_mod(n, prime_powers) == roots.get(n, []), (n, m)
 
 
 # p - 1 for 257, 7681 and 65537 has 2-adic valuation 8, 9 and 16: long
@@ -1036,19 +1064,19 @@ SQRT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 97, 257, 7681, 65537, 99991)
 
 @st.composite
 def _prime_power_moduli(draw):
-    """(n, [p^e, ...]): coprime prime powers of at most 10^5 each whose
+    """(n, [(p, e), ...]): coprime prime powers of at most 10^5 each whose
     product is at most 10^7, and n often divisible by p^f with f up to 2e."""
-    qs, n = [], draw(st.integers(-10**6, 10**6))
+    prime_powers, n = [], draw(st.integers(-10**6, 10**6))
     for p in draw(st.lists(st.sampled_from(SQRT_PRIMES), min_size=2, max_size=4,
                            unique=True)):
-        room = min(10**5, 10**7 // prod(qs))
+        room = min(10**5, 10**7 // prod(q**f for q, f in prime_powers))
         e = draw(st.integers(1, 16))
         while e and p**e > room:
             e -= 1
         if e:
-            qs.append(p**e)
+            prime_powers.append((p, e))
             n *= p ** draw(st.one_of(st.just(0), st.integers(1, 2 * e)))
-    return n, qs
+    return n, prime_powers
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1056,9 +1084,10 @@ def _prime_power_moduli(draw):
 def test_sqrt_mod_on_products_of_prime_powers(case):
     # the roots are distinct, ascending roots mod m, as many as the product of
     # the root counts mod each prime power, found by squaring every residue
-    n, qs = case
+    n, prime_powers = case
+    qs = [p**e for p, e in prime_powers]
     m = prod(qs)
-    roots = sqrt_mod(n, m)
+    roots = _sqrt_mod(n, prime_powers)
     assert roots == sorted(set(roots)) and all(0 <= x < m for x in roots)
     assert all((x * x - n) % m == 0 for x in roots)
     assert len(roots) == prod(len(_roots_by_squaring(n, q)) for q in qs)
