@@ -977,6 +977,23 @@ def test_oriented_autos_builds_no_rows_of_r_prime_or_s_prime(monkeypatch, capsys
     assert calls["_mul_coords"] <= n + 16
 
 
+# fresh rings, so that no other test has read a row of theirs
+@pytest.mark.parametrize("ring", [QuotientRing(Z, 8), builtin_ring("f4"), QuotientRing(Z, 9),
+                                  QuotientRing(ZSQRT2, 3)], ids=repr)
+def test_cached_search_rows_match_ring_arithmetic(ring):
+    t = ring.tables
+    elements = ring.enumerate_elements()
+    assert t.elements == [v.coords for v in elements]
+    assert all(t.index[x] == i for i, x in enumerate(t.elements))
+    assert [t.elements[i] for i in t.double] == [(v + v).coords for v in elements]
+    assert not t.rows
+    for r in elements:
+        row = t.row(r.coords)
+        assert [t.elements[i] for i in row] == [(v * (v + r)).coords for v in elements]
+        assert t.row(r.coords) is row
+    assert len(t.rows) == len(elements)
+
+
 def test_classification_matches_bruteforce_on_two_regular_rings():
     # where 2 is regular, algebras are isomorphic iff their types are
     rng = random.Random(2021)
