@@ -10,7 +10,8 @@ five products; ``AlgebraHom.verifies`` checks that once for every hom
 returned, and ``algebras_isomorphic`` and ``oriented_isomorphic`` take
 v = (u*r' - r)/2.  The classification by (discriminant, parity) needs no
 tables and names no ring kind: with finitely many ``ring.units`` (a
-quotient lists at most ``ring.UNIT_SCAN_CAP`` elements) each is tested;
+quotient keeps the tuples that pass the ring's unit-ideal test, with no
+division, scanning at most ``ring.UNIT_SCAN_CAP`` elements) each is tested;
 otherwise the unit is ``ring.sqrt`` of delta2 / delta1 (Z[sqrt(N)] and Z[1/f]
 have one), or, when both are 0, is 1 exactly when the parities are equal.
 That rule needs R/2R to be 0 or F_2 (so Z[1/f]) or the ring to be Z[sqrt(N)]
@@ -187,9 +188,7 @@ def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra,
     ptilde = ring.coerce(ptilde)
     if ring.mod2(ptilde) != ring.mod2(alg.r):
         raise ParityMismatch(f"{ptilde!r} is not congruent to {alg.r!r} mod 2")
-    d = alg.r * alg.r - 4 * alg.s
-    quarter = ring.try_halve(ring.try_halve(d - ptilde * ptilde))
-    target = FreeQuadraticAlgebra(ring, ptilde, -quarter)
+    target = build_from_type(ring, type_of(alg), ptilde)
     hom = AlgebraHom(ring.one, ring.try_halve(ptilde - alg.r))
     if not hom.verifies(alg, target):
         raise AssertionError

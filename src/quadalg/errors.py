@@ -4,8 +4,13 @@ in which their messages echo an input value."""
 
 def brief(value) -> str:
     """repr(value) for an error message; past 200 characters, its first 100
-    and its length, so that a huge input gives a short message."""
-    text = repr(value)
+    and its length, so that a huge input gives a short message.  An int past
+    Python's int-to-string digit limit, whose repr raises, is given by its
+    sign and bit length."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<an integer of {value.bit_length()} bits>"
     if len(text) <= 200:
         return text
     return f"{text[:100]}... ({len(text)} characters)"

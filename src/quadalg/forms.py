@@ -2,6 +2,11 @@
 actions, the natural (discriminant, parity) invariant, primitivity, and
 reduction/equivalence over Z for negative discriminants.
 
+Primitivity is the lattice ring's one unit-ideal test: a, b and c are
+primitive when they generate the whole ring, which ``TableRing`` decides by
+the HNF of their ideal rows, as it decides that a tuple is a unit of a
+quotient.  A quotient and Z[1/f] are refused.
+
 Reduction runs Gauss's algorithm on plain ints (``_gauss_reduce``), which
 returns the reduced triple alone; only ``reduce_posdef_with_witness``, the one
 caller that reads a witness, runs the same steps tracking the matrix as four
@@ -28,8 +33,9 @@ from .errors import (
     NotDefinite,
     SingularMatrix,
     UnsupportedRing,
+    brief,
 )
-from .ring import IntegerRing, Ring, RingElement, TableRing, Value, hnf, standard_basis
+from .ring import IntegerRing, Ring, RingElement, TableRing, Value
 
 NaturalType = AlgebraType  # same (discriminant, parity) shape, shared class
 
@@ -161,10 +167,7 @@ def is_primitive(q: TwistedForm) -> bool:
     ring = q.ring
     if not isinstance(ring, TableRing) or ring.m is not None:
         raise UnsupportedRing(f"primitivity is not decided over {ring!r}")
-    # aR + bR + cR = R exactly when the products g*e_i span Z^n
-    basis = standard_basis(ring.rank)
-    rows = [ring._mul_coords(g, e) for g in q.coords for e in basis]
-    return hnf(rows) == [list(e) for e in basis]
+    return ring._generates_unit_ideal(q.coords)
 
 
 def check_discriminant(delta: int) -> None:
@@ -200,7 +203,7 @@ def _definite_coefficients(q: TwistedForm) -> tuple[int, int, int]:
         raise UnsupportedRing("reduction is implemented over Z only")
     a, b, c = q.int_coefficients()
     if b * b - 4 * a * c >= 0:
-        raise NotDefinite(f"discriminant {b * b - 4 * a * c} is not negative")
+        raise NotDefinite(f"discriminant {brief(b * b - 4 * a * c)} is not negative")
     return a, b, c
 
 
@@ -242,7 +245,7 @@ def _reduced_pair(q1: TwistedForm, q2: TwistedForm) -> tuple[tuple[int, int, int
     t1, t2 = _definite_coefficients(q1), _definite_coefficients(q2)
     d1, d2 = (b * b - 4 * a * c for a, b, c in (t1, t2))
     if d1 != d2:
-        raise DiscriminantMismatch(f"{d1} != {d2}")
+        raise DiscriminantMismatch(f"{brief(d1)} != {brief(d2)}")
     return _gauss_reduce(*t1), _gauss_reduce(*t2)
 
 

@@ -177,12 +177,12 @@ def _is_unit(x, f: int) -> bool:
     return divides_power(n // g * (d // g), f)
 
 
-def _transitions(eps: dict, p: list) -> dict:
+def _transitions(cocycle: LineBundleCocycle, p: list) -> dict:
     """(i, j) -> (eps_ij, (eps_ij*p_j - p_i)/2) for every ordered pair i != j,
-    from eps_ij (i < j) and p_i."""
+    from the cocycle's eps_ij and p_i."""
     transitions = {}
     for i, j in permutations(range(len(p)), 2):
-        en, ed = e = eps[(i, j)] if i < j else _inv(eps[(j, i)])
+        en, ed = e = cocycle.eps(i, j)
         (a, b), (x, y) = p[i], p[j]
         transitions[(i, j)] = (e, (en * x * b - a * ed * y, 2 * ed * y * b))
     return transitions
@@ -227,7 +227,7 @@ def verification_report(cover: PrincipalCover, cocycle: LineBundleCocycle,
     # every e_ij and t_ij lies in its overlap ring once these rows have passed:
     # e_ij is a unit there, and t_ij is -(p_i - e_ij*p_j)/2 (overlap_parity),
     # times the unit e_ij when i > j; so only the identities are left
-    tr = _transitions(eps, p)
+    tr = _transitions(cocycle, p)
     for i, j in permutations(range(k), 2):
         yield "transition_hom", (i, j), _transition_ok(p[i], d[i], p[j], d[j], *tr[(i, j)])
     for i, j, t in combinations(range(k), 3):
@@ -246,7 +246,7 @@ def build_glued(cover: PrincipalCover, cocycle: LineBundleCocycle,
         ring = cover.chart_ring(i)  # s = -(d - p^2)/4 with d = c/g and p = a/b
         charts.append(FreeQuadraticAlgebra(ring, ring.from_rational(a, b),
                                            ring.from_rational(a * a * g - c * b * b, 4 * g * b * b)))
-    return GluedAlgebra(cover, charts, data.p, data.d, _transitions(cocycle._eps, data.p))
+    return GluedAlgebra(cover, charts, data.p, data.d, _transitions(cocycle, data.p))
 
 
 def check_transition_hom(glued: GluedAlgebra, i: int, j: int) -> bool:

@@ -8,10 +8,10 @@ so that equality doubles as the test oracle.  The library's other values
 ``Value``, which compares and hashes the fields a class names once as its
 ``_identity``; ``RingElement`` (equal to ints) and ``Ring`` keep their own.
 
-Every integer-lattice question (identity and quotients in table and quotient
-rings, unit index in primitivity tests, HNF ideals of quadratic orders) goes
-through one routine: the Hermite normal form kernel ``hnf`` and the integer
-solver ``solve_int`` built on it.  A 2 x 2 system with a nonzero determinant
+Every integer-lattice question (identity, quotients and the unit ideal in
+table and quotient rings, HNF ideals of quadratic orders) goes through one
+routine: the Hermite normal form kernel ``hnf`` and the integer solver
+``solve_int`` built on it.  A 2 x 2 system with a nonzero determinant
 has one rational solution, which ``solve_int`` finds by the adjugate; it is
 integral or there is none.  The Bezout step ``xgcd``, shared with Dirichlet
 composition, is ``math.gcd`` plus ``pow(x, -1, m)`` on plain ints.
@@ -50,10 +50,14 @@ kernels, ``descriptor`` and ``describe``; ``Ring`` derives the rest:
 ``try_divide``, ``try_halve`` and ``sqrt`` coerce and wrap their kernels,
 ``try_inverse`` and ``is_unit`` divide 1, and ``mod2`` and
 ``mod2_residues`` give R/2R, 0 when 1 halves and else the coordinates
-mod 2.  The lattice ring divides by ``solve_int`` on the q*e_i and, mod m,
-the rows m*e_k.  It branches on m only where the maths does: 2
-is regular when free or m is odd, a free ring halves each coordinate and an
-odd m scales by (m + 1)/2, and a quotient has no N.  ``Ring.element``,
+mod 2.  The lattice ring builds the rows of an ideal in one place,
+``_ideal_rows``: the g*e_i of the generators g and, mod m, the rows m*e_k.
+It divides by ``solve_int`` on the rows of q.  Its one unit-ideal test,
+``_generates_unit_ideal``, asks whether some tuples generate the whole ring
+(x is a unit; a, b, c are primitive, ``forms.is_primitive``): exactly when
+the HNF of their rows is the identity.  It branches on m only where the
+maths does: 2 is regular when free or m is odd, a free ring halves each
+coordinate and an odd m scales by (m + 1)/2, and a quotient has no N.  ``Ring.element``,
 ``from_rational`` and the m of Z/m and f of Z[1/f] read exact ints
 (``operator.index``: a float or a string raises TypeError).
 
@@ -61,13 +65,13 @@ The classification of quadratic algebras asks a ring three more questions:
 ``Ring.units``, every unit when there are finitely many and None otherwise;
 ``Ring.sqrt``, from the norm in Z[sqrt(N)] and the non-negative rational
 root in Z[1/f]; and ``Ring.quadratic_param``, the N of Z[sqrt(N)] (else
-None).  A quotient ring finds its units by HNF division of 1 by each
-coordinate tuple, capped at ``UNIT_SCAN_CAP`` elements, and keeps
-``FiniteTables``, its coordinate tuples and the rows of indices that the
-brute-force searches scan for v, so that the scan runs on plain ints,
-capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above either cap).
-A unit test is a division: ``Orientation`` and ``GL2Matrix`` keep the
-inverse theirs returns (``u_inv``, ``det_inv``).
+None).  A quotient ring finds its units by the unit-ideal test on each
+coordinate tuple, with no division, capped at ``UNIT_SCAN_CAP`` elements,
+and keeps ``FiniteTables``, its coordinate tuples and the rows of indices
+that the brute-force searches scan for v, so that the scan runs on plain
+ints, capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above either cap).
+Any other unit test is a division, whose inverse is kept where it is read:
+``Orientation`` and ``GL2Matrix`` keep theirs (``u_inv``, ``det_inv``).
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ from .errors import (
 )
 
 FINITE_TABLE_CAP = 512
-UNIT_SCAN_CAP = 2**18  # QuotientRing.units makes one HNF division per element
+UNIT_SCAN_CAP = 2**18  # QuotientRing.units makes one HNF unit-ideal test per element
 TABLE_RANK_CAP = 16  # construction checks associativity in 3n^3 products
 EXPONENT_CAP = 10**5
 POWER_BITS_CAP = 4 * EXPONENT_CAP  # f < 16 may take the whole exponent range
@@ -722,12 +726,22 @@ class TableRing(Ring):
                     if left != right:
                         raise NonAssociative(f"(e{i}e{j})e{kk} != e{i}(e{j}e{kk})")
 
+    def _ideal_rows(self, gens) -> list[tuple[int, ...]]:
+        """The rows that span the ideal the tuples gens generate, as a lattice:
+        each g*e_i, then the modulus rows m*e_k (none when free)."""
+        basis = standard_basis(self.rank)
+        return [self._mul_coords(g, e) for g in gens for e in basis] + self._modulus_rows
+
+    def _generates_unit_ideal(self, gens) -> bool:
+        """Do the tuples gens generate the whole ring?  Exactly when the HNF of
+        their ideal rows is the identity (Cohen, GTM 138, 2.4.2)."""
+        return hnf(self._ideal_rows(gens)) == [list(e) for e in standard_basis(self.rank)]
+
     def _divide_coords(self, p, q):
         """y with q*y = p (mod m): the first rank entries of an integer combination
-        of the q*e_i and the modulus rows that meets p, read by ``_scale_coords``."""
-        gens = [self._mul_coords(q, e) for e in standard_basis(self.rank)]
+        of the ideal rows of q that meets p, read by ``_scale_coords``."""
         # solve_int's x meets the target exactly, so q*y = p needs no recheck
-        sol = solve_int(gens + self._modulus_rows, p)
+        sol = solve_int(self._ideal_rows([q]), p)
         return None if sol is None else self._scale_coords(1, sol)
 
     try_divide = Ring.try_divide  # bound here too, where perfbench/spans.py traces it
@@ -850,15 +864,15 @@ class QuotientRing(TableRing):
 
     @cached_property
     def units(self) -> list[RingElement]:
-        """Every unit, in enumeration order: the tuples that divide 1, with no
-        table, scanned up to UNIT_SCAN_CAP elements (RingTooLarge above)."""
+        """Every unit, in enumeration order: the tuples that generate the unit
+        ideal on their own, with no table and no division, scanned up to
+        UNIT_SCAN_CAP elements (RingTooLarge above)."""
         size = self.m ** self.rank
         if size > UNIT_SCAN_CAP:
             raise RingTooLarge(f"{self!r} has {size} elements; unit scans are capped at "
                                f"{UNIT_SCAN_CAP}")
-        one = self.one_coords
         return [RingElement(self, t) for t in itertools.product(range(self.m), repeat=self.rank)
-                if self._divide_coords(one, t) is not None]
+                if self._generates_unit_ideal([t])]
 
     @cached_property
     def tables(self) -> FiniteTables:

@@ -911,17 +911,17 @@ Z512 = '{"kind":"quotient","base":{"kind":"integers"},"m":512}'
 
 def test_autos_at_the_cap_builds_few_rows(monkeypatch, capsys):
     # Z/512 is at FINITE_TABLE_CAP; the search builds one row, y*(y + r), and
-    # makes three products per unit, and the unit scan divides each of the n
-    # tuples into 1 on the coordinate kernel, one product per division at
-    # rank 1: n row products, 3n/2 for the n/2 units and the homs' checks,
-    # where a full table takes n(n + 1)/2
+    # makes three products per unit, and the unit scan tests each of the n
+    # tuples for the unit ideal with no division, one product per test at
+    # rank 1: n row products, n for the scan, 3n/2 for the n/2 units and 10
+    # for the two homs' checks (1,802), where a full table takes n(n + 1)/2
     n = 512
     calls, out, err = _count_cli_kernels(monkeypatch, capsys,
                                          ["autos", "--ring", Z512, "--alg", "r=1,s=0"])
     assert (out, err) == ('{"count":2,"automorphisms":[{"u":[1],"v":[0]},'
                           '{"u":[511],"v":[511]}]}\n', "")
-    assert calls["_mul_coords"] - calls["_divide_coords"] <= 3 * n
-    assert calls["_divide_coords"] <= n
+    assert calls["_divide_coords"] == 0
+    assert calls["_mul_coords"] <= 7 * n // 2 + 16
 
 
 def test_bruteforce_past_the_cap_divides_nothing(monkeypatch):
@@ -1010,8 +1010,8 @@ def test_classification_matches_bruteforce_on_two_regular_rings():
 
 
 def test_finite_classification_reads_one_unit_list(monkeypatch):
-    # the units are listed once, one division per coordinate tuple; each
-    # decision then divides once more, for 1/eps
+    # the units are listed once, by a unit-ideal test per coordinate tuple
+    # and no division; each decision then divides once, for 1/eps
     for ring in (QuotientRing(Z, 9), QuotientRing(ZSQRT8, 9)):
         calls = Counter()
         _count_kernels(monkeypatch, ring, calls)
@@ -1020,7 +1020,7 @@ def test_finite_classification_reads_one_unit_list(monkeypatch):
         eps = types_isomorphic(t1, t2)
         assert eps is not None and t2.delta == eps * eps * t1.delta
         assert types_isomorphic(t2, t1) is not None
-        assert calls["_divide_coords"] == ring.m ** ring.rank + 2
+        assert calls["_divide_coords"] == 2
         # the brute-force search reads the same list and divides no more
         calls.clear()
         assert automorphisms_bruteforce(alg(ring, 0, -6))

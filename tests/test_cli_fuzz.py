@@ -7,7 +7,8 @@ most 144 elements, |delta| below about 2000 and discriminant ranges at most
 50 wide.  Apart from those, Z[1/f] exponents at and past EXPONENT_CAP,
 powers of a 60-bit f at and past POWER_BITS_CAP, and Z[sqrt(N)] with N up to
 10^30 (whose fundamental unit may have about sqrt(N) digits) must end each run
-within a time bound.
+within a time bound, and forms with coefficients of 2000 to 4300 digits, at
+Python's int-to-string digit limit, must exit 0 or with a named error.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import json
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,3 +337,44 @@ def test_large_n_exits_0_or_2_within_a_bound(argv):
     code, _, err = _run(argv)
     assert code in (0, 2), (argv, err)
     assert time.perf_counter() - start < 2.0, argv
+
+
+# -- coefficients at Python's int-to-string digit limit ---------------------------------
+
+# 2000 to 4300 digits: each fits the limit alone, while b^2 - 4ac may not
+HUGE = st.builds(lambda digits, lead, sign: sign * (lead + 1) * 10 ** (digits - 1) - sign,
+                 st.integers(2000, 4300), st.integers(1, 8), st.sampled_from([1, -1]))
+COEFFICIENT = st.one_of(HUGE, HUGE, SMALL)
+
+
+@st.composite
+def digit_limit_argv(draw, name):
+    """reduce, natural-type, compose or form2ideal (``name``) on forms with
+    coefficients of 2000 to 4300 digits; a --delta is the first form's
+    discriminant when that fits the limit, else another huge or small
+    negative int."""
+    a, b, c = (draw(COEFFICIENT) for _ in range(3))
+    form = json.dumps([a, b, c])
+    if name in ("reduce", "natural-type"):
+        return [name, form]
+    disc = b * b - 4 * a * c
+    fits = abs(disc) < 10**4300
+    delta = draw(st.one_of(*([st.just(disc)] if fits else []), HUGE.map(lambda n: -abs(n)),
+                           st.integers(-300, -3)))
+    if name == "compose":
+        other = draw(st.sampled_from([form, json.dumps([a, -b, c])]))
+        return [name, "--delta", str(delta), form, other]
+    return [name, "--delta", str(delta), form]
+
+
+@pytest.mark.parametrize("name", ["reduce", "natural-type", "compose", "form2ideal"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_digit_limit_keeps_the_named_errors(name, data):
+    # an int past the limit can raise where a message prints it; every exit 2
+    # must still be a named error, never Python's advice on the limit
+    argv = data.draw(digit_limit_argv(name))
+    code, _, err = _run(argv)
+    assert code in (0, 2), err
+    assert code == 0 or err.startswith("error: "), err[:300]
+    assert "set_int_max_str_digits" not in err, err[:300]

@@ -895,6 +895,20 @@ def test_quotient_units_are_one_uncapped_list():
         big.tables
 
 
+def test_quotient_units_match_the_determinant_rule():
+    # x is a unit of B/mB exactly when gcd(det of multiplication by x, m) = 1:
+    # det x for Z, the norm a^2 - N*b^2 for Z[sqrt N]; past FINITE_TABLE_CAP too
+    for m in range(2, 300):
+        assert [u.coords for u in QuotientRing(Z, m).units] == \
+            [(x,) for x in range(m) if gcd(x, m) == 1], m
+    for n in (-1, 2, 8):
+        base = quadratic_table_ring(n)
+        for m in range(2, 41):
+            want = [(a, b) for a in range(m) for b in range(m) if gcd(a * a - n * b * b, m) == 1]
+            assert [u.coords for u in QuotientRing(base, m).units] == want, (n, m)
+    assert 40 * 40 > FINITE_TABLE_CAP
+
+
 def test_quotient_unit_scan_is_capped(monkeypatch):
     # the cap admits Z/100003, the largest quotient the classification is timed on
     assert 100003 <= UNIT_SCAN_CAP
