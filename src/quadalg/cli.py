@@ -3,6 +3,9 @@
 Single results are emitted as compact JSON on stdout; discriminant tables as
 CSV (or JSON with --format json).  Exit codes: 0 success, 2 validation or
 usage error, 1 internal error, 141 stdout closed by the reader (as SIGPIPE).
+A command's argv is read by that command's own parser in one argparse pass
+(``_parse_args``), and the glue-check report is rendered by one ``%`` per
+batch of rows (``_render_rows``).
 """
 
 from __future__ import annotations
@@ -47,9 +50,13 @@ def _unique_keys(pairs):
     return obj
 
 
+# the getter is looked up once, the limit read on each call: set_int_max_str_digits may change it
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+
+
 def _parse_int(text: str) -> int:
     """A JSON int literal, refused by name past the int-to-string digit limit, if any."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _int_max_str_digits()
     if limit and (digits := len(text.lstrip("-"))) > limit:
         raise ValueError(f"a JSON integer has {digits} digits, more than Python's limit of {limit}")
     return int(text)
@@ -325,14 +332,31 @@ def _cmd_glue_check(args):
         *_parse_glue_payload(_loads(_read_payload(args)))))
 
 
+# the report row template of each index count: a report row has 0 to 3 indices
+_REPORT_ROWS = tuple('{"check":"%%s","indices":[%s],"ok":%%s}' % ",".join(["%d"] * n)
+                     for n in range(4))
+
+
+def _render_rows(batch: list) -> list[str]:
+    """A batch of report rows as one text, made by one ``%``: the row
+    templates of their index counts joined by ',', over one flat tuple.  The
+    text comes in a list of one, the batch that ``_chunks`` joins."""
+    templates, values = [], []
+    for check, indices, ok in batch:
+        templates.append(_REPORT_ROWS[len(indices)])
+        values.append(check)
+        values += indices
+        values.append("true" if ok else "false")
+    return [",".join(templates) % tuple(values)]
+
+
 def _iter_report(report):
-    """The rows of ``report`` through one template, written by ``_chunks`` in
-    batches of at most 4096: the check names are plain identifiers and the
-    indices small ints, so nothing needs escaping."""
-    rows = ('{"check":"%s","indices":[%s],"ok":%s}'
-            % (check, ",".join(["%d"] * len(indices)) % indices, "true" if ok else "false")
-            for check, indices, ok in report)
-    return _chunks(iter(lambda: list(itertools.islice(rows, 4096)), []), "[", "", ",", "]")
+    """The rows of ``report``, written by ``_chunks`` in batches of at most
+    4096, each rendered by ``_render_rows``: the check names are plain
+    identifiers and the indices small ints, so nothing needs escaping."""
+    rows = iter(report)
+    batches = iter(lambda: list(itertools.islice(rows, 4096)), [])
+    return _chunks(map(_render_rows, batches), "[", "", ",", "]")
 
 
 def _chunks(batches, head: str, lead: str, sep: str, tail: str):
@@ -393,11 +417,14 @@ def _cmd_table(args):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process.  Its ``commands`` maps
+    each subcommand name to that subcommand's own parser: the choices of the
+    action that ``add_subparsers`` returns."""
     parser = argparse.ArgumentParser(
         prog="quadalg",
         description="classify quadratic algebras and map forms to Picard classes")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -470,8 +497,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass, not two.
+    When argv[0] names a subcommand, its own parser reads the rest, as the
+    top-level parser would hand it on.  Any other argv, and one that leaves an
+    argument over (which the top-level parser names in its own error), takes
+    the full two-pass parse."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         out = args.func(args)  # a string, or the chunks of a streamed table or report
         for chunk in [out] if isinstance(out, str) else out:

@@ -173,7 +173,7 @@ def is_primitive(q: TwistedForm) -> bool:
 def check_discriminant(delta: int) -> None:
     """Raise InvalidDiscriminant unless delta < 0 and delta = 0, 1 mod 4."""
     if delta >= 0 or delta % 4 not in (0, 1):
-        raise InvalidDiscriminant(f"{delta} is not a negative discriminant")
+        raise InvalidDiscriminant(f"{brief(delta)} is not a negative discriminant")
 
 
 def principal_form(delta: int) -> TwistedForm:

@@ -58,15 +58,23 @@ def _as_pair(x, name: str) -> tuple[int, int]:
     (150, 100)), an int, an (n, d) pair with d != 0, or an object with int
     ``numerator`` and ``denominator``; booleans, floats and exponent strings
     (an exponent of 20000000 would build 10**20000000) are refused, with
-    ``name`` naming the field in the error."""
+    ``name`` naming the field in the error.  A plain string [-]D[/D], D a run
+    of ``str.isdecimal`` characters (the Unicode class Nd that \\d matches),
+    is split at the '/' and read by int() alone, to the pair and the errors
+    that the regex gives; every other string goes through the regex."""
     kind, pair = type(x), x
     if kind is int:
         return x, 1
     if kind is str:
-        m, pair = _RATIONAL(x), None
-        if m:
-            sign, num, denom, decimal = m.group("sign", "num", "denom", "decimal")
+        pair, (num, slash, denom) = None, x.partition("/")
+        if num.removeprefix("-").isdecimal() and (denom.isdecimal() or not slash):
             try:  # int() refuses a string past the int-to-string digit limit
+                pair = int(num), int(denom) if slash else 1
+            except ValueError:
+                pass
+        elif m := _RATIONAL(x):
+            sign, num, denom, decimal = m.group("sign", "num", "denom", "decimal")
+            try:
                 if decimal:
                     decimal = decimal.replace("_", "")
                     denom = 10 ** len(decimal)

@@ -86,7 +86,7 @@ class QuadraticOrder(Value):
     def __init__(self, delta: int, pitilde: int):
         check_discriminant(delta)
         if pitilde not in (0, 1) or pitilde % 2 != delta % 2:
-            raise BadParityLift(f"{pitilde} does not lift the parity of {delta}")
+            raise BadParityLift(f"{brief(pitilde)} does not lift the parity of {brief(delta)}")
         self.delta = delta
         self.pitilde = pitilde
         self.omega_sq_const = (delta - pitilde * pitilde) // 4  # omega^2 = c - pt*omega
@@ -223,13 +223,13 @@ def _checked_coefficients(q: TwistedForm, order: QuadraticOrder) -> tuple[int, i
     elif is_primitive(q):
         a, b, c = int(q.a), int(q.b), int(q.c)
     else:
-        raise NotPrimitive(f"{q!r} is not primitive")
+        raise NotPrimitive(f"{brief(q)} is not primitive")
     if gcd(a, b, c) != 1:
-        raise NotPrimitive(f"{q!r} is not primitive")
+        raise NotPrimitive(f"{brief(q)} is not primitive")
     if a == 0:
         raise ZeroLeadingCoefficient("move to an equivalent form with a != 0 first")
     if b * b - 4 * a * c != order.delta or (b - order.pitilde) % 2 != 0:
-        raise TypeMismatch(f"natural type of {q!r} does not match {order!r}")
+        raise TypeMismatch(f"natural type of {brief(q)} does not match {brief(order)}")
     return a, b, c
 
 

@@ -31,7 +31,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 from quadalg.algebras import AlgebraHom, FreeQuadraticAlgebra
-from quadalg.errors import NotPrimitive, TypeMismatch, ZeroLeadingCoefficient
+from quadalg.errors import NotPrimitive, TypeMismatch, ZeroLeadingCoefficient, brief
 from quadalg.forms import TwistedForm, principal_form, reduce_posdef
 from quadalg.glue import GluedAlgebra
 from quadalg.picard import (
@@ -435,11 +435,11 @@ def ideal_of_form(q: TwistedForm, order: QuadraticOrder) -> OrderIdeal:
     ``picard.form_to_ideal``; its checks raise what that one raises."""
     a, b, c = q.int_coefficients()
     if gcd(gcd(a, b), c) != 1:
-        raise NotPrimitive(f"{q!r} is not primitive")
+        raise NotPrimitive(f"{brief(q)} is not primitive")
     if not a:
         raise ZeroLeadingCoefficient("move to an equivalent form with a != 0 first")
     if b * b - 4 * a * c != order.delta or (b - order.pitilde) % 2:
-        raise TypeMismatch(f"natural type of {q!r} does not match {order!r}")
+        raise TypeMismatch(f"natural type of {brief(q)} does not match {brief(order)}")
     return OrderIdeal.from_generators(order, [(a, 0), ((order.pitilde - b) // 2, 1)])
 
 

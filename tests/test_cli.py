@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import random
-import shlex
 import subprocess
 import sys
 import time
@@ -12,6 +11,7 @@ import pytest
 
 from quadalg import forms, glue
 from quadalg.cli import (
+    _loads,
     _parse_glue_payload,
     builtin_ring,
     emit_table,
@@ -24,6 +24,7 @@ from quadalg.errors import InvalidRange, brief
 from glue_data import PERTURBATIONS, as_payload, glue_dataset, glue_payload
 from golden_check import src_env
 from oracles import ClassNumbers, ambiguous_count, table_one_sweep
+from test_readme import readme_cli_examples
 
 
 def invoke(capsys, *argv):
@@ -183,14 +184,7 @@ def test_glue_check_never_builds_charts(capsys, monkeypatch):
 
 
 def test_readme_cli_examples(capsys):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
-    examples = []
-    for line in block.splitlines():
-        if line.startswith("quadalg "):
-            examples.append((shlex.split(line)[1:], []))
-        elif line.startswith("  "):
-            examples[-1][1].append(line[2:])
+    examples = readme_cli_examples()
     assert len(examples) == 6
     for argv, shown in examples:
         assert invoke(capsys, *argv) == (0, "\n".join(shown) + "\n", ""), argv
@@ -423,6 +417,9 @@ def test_errors_echo_a_huge_value_briefly(capsys):
     code, out, err = invoke(capsys, "glue-check", payload)
     assert (code, out) == (2, "") and len(err.encode()) < 300
     assert err.startswith("error: a 'd' entry must be a rational number, got '1111")
+    big = "1" + "0" * 3999
+    assert invoke(capsys, "form2ideal", "--delta", "-3", "--pitilde", big, "[1,1,1]") == \
+        (2, "", f"error: {big[:100]}... (4000 characters) does not lift the parity of -3\n")
     # a value whose repr has at most 200 characters is echoed whole
     assert brief("x" * 198) == repr("x" * 198)
     assert brief("x" * 199) == repr("x" * 199)[:100] + "... (201 characters)"
@@ -446,6 +443,22 @@ def test_result_too_long_to_print_exits_2(capsys):
     assert (code, out) == (2, "")
     assert err == (f"error: the result has an integer of more than {sys.get_int_max_str_digits()}"
                    " digits, Python's limit for printing an integer\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-string digit limit")
+def test_json_ints_follow_a_changed_digit_limit():
+    # the limit is read on each call, so one set after import is honoured
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit in (640, 5000):
+            sys.set_int_max_str_digits(limit)
+            assert _loads(f"[{'7' * limit}]") == [int("7" * limit)]
+            with pytest.raises(ValueError, match=f"^a JSON integer has {limit + 1} digits, "
+                                                 f"more than Python's limit of {limit}$"):
+                _loads("7" * (limit + 1))
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_usage_error_exit_2(capsys):

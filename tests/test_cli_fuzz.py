@@ -8,7 +8,8 @@ most 144 elements, |delta| below about 2000 and discriminant ranges at most
 powers of a 60-bit f at and past POWER_BITS_CAP, and Z[sqrt(N)] with N up to
 10^30 (whose fundamental unit may have about sqrt(N) digits) must end each run
 within a time bound, and forms with coefficients of 2000 to 4300 digits, at
-Python's int-to-string digit limit, must exit 0 or with a named error.
+Python's int-to-string digit limit, must exit 0 or with a named error, and
+``compose`` and ``form2ideal`` on them with at most 512 bytes of stderr.
 """
 
 import contextlib
@@ -378,3 +379,14 @@ def test_digit_limit_keeps_the_named_errors(name, data):
     assert code in (0, 2), err
     assert code == 0 or err.startswith("error: "), err[:300]
     assert "set_int_max_str_digits" not in err, err[:300]
+
+
+@pytest.mark.parametrize("name", ["compose", "form2ideal"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_digit_limit_errors_echo_forms_briefly(name, data):
+    # a form that is not primitive, or not of the order's type, is named in
+    # the error through errors.brief: its first 100 characters and its length
+    argv = data.draw(digit_limit_argv(name))
+    code, _, err = _run(argv)
+    assert code == 0 or len(err.encode()) <= 512, err[:300]

@@ -88,8 +88,14 @@ def _read(read, s):
     return Fraction(*x) if isinstance(x, tuple) else x
 
 
+# runs of 5000 digits, past Python's int-to-string limit, before and after a '/'
+LONG_DIGITS = st.builds("{}{}{}".format, st.sampled_from(["", "-", "+", " ", "\t"]),
+                        st.sampled_from(["1" * 5000, "\u0663" * 5000, "12", ""]),
+                        st.sampled_from(["", "/7", "/" + "9" * 5000, "/\u0663" * 2, " "]))
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
-@given(st.text(alphabet="0123456789+-/._ eE", max_size=8))
+@given(st.one_of(st.text(alphabet="0123456789+-/._ eE\u0663\t", max_size=8), LONG_DIGITS))
 @example("1_0")
 @example("3 / 2")
 @example(" -.5 ")
@@ -113,12 +119,14 @@ def test_rationals_are_read_as_int_pairs():
     # not reduced, the denominator made positive; a Fraction is read through
     # its numerator and denominator
     for x, pair in (("1.50", (150, 100)), ("-6/4", (-6, 4)), (" +7 ", (7, 1)), (-3, (-3, 1)),
-                    ((3, -6), (-3, 6)), (Fraction(-6, 4), (-3, 2)), ("\u0663/\u0664", (3, 4))):
+                    ((3, -6), (-3, 6)), (Fraction(-6, 4), (-3, 2)), ("\u0663/\u0664", (3, 4)),
+                    ("-\u0663/4", (-3, 4)), ("-0/5", (0, 5)), ("\t-6/4 ", (-6, 4))):
         assert _as_pair(x, "an entry") == pair, x
-    for x in (True, 1.5, None, "1e5", "1/2/3", (1, 2, 3), (1.0, 2), ("1", 2), "1" * 5000):
+    for x in (True, 1.5, None, "1e5", "1/2/3", (1, 2, 3), (1.0, 2), ("1", 2), "1" * 5000,
+              "-" + "1" * 5000 + "/3", "3/" + "1" * 5000, "\u0663" * 5000, "1/-3", "--1", "1/"):
         with pytest.raises(ValueError, match="^an entry must be a rational number, got "):
             _as_pair(x, "an entry")
-    for x in ("0/0", "3/0", (1, 0)):
+    for x in ("0/0", "3/0", "-3/0", "3/\u0660", (1, 0)):
         with pytest.raises(ValueError, match="^an entry has a zero denominator: "):
             _as_pair(x, "an entry")
 

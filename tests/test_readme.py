@@ -1,15 +1,28 @@
 """README's "Library quick tour" block, run verbatim, its table of limits, and
-the library names it cites."""
+the library names it cites; ``readme_cli_examples`` reads its CLI examples."""
 
 import ast
 import importlib
 import re
+import shlex
 import sys
 from pathlib import Path
 
 from quadalg import errors, picard, ring
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, the stdout lines shown) of each example of README's CLI block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("quadalg "):
+            examples.append((shlex.split(line)[1:], []))
+        elif line.startswith("  "):
+            examples[-1][1].append(line[2:])
+    return examples
 
 
 def _quick_tour():
