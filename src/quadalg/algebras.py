@@ -22,9 +22,9 @@ its unit test, as ``forms.GL2Matrix`` keeps ``det_inv``.
 The brute-force oracles (``isomorphic_bruteforce``, ``automorphisms_bruteforce``
 and ``oriented_automorphisms_bruteforce``) share one search, ``_search_homs``:
 for each unit u it computes u*r' - r and u^2*s' - s on the tuple kernels, and
-scans v over two rows of the ring's index tables (``ring.FiniteTables``),
-capped at ``ring.FINITE_TABLE_CAP`` = 512 elements; a larger finite ring
-raises ``RingTooLarge`` before anything is enumerated.
+finds every v for them in one lookup in the ring's index tables
+(``ring.FiniteTables``), capped at ``ring.FINITE_TABLE_CAP`` = 512 elements;
+a larger finite ring raises ``RingTooLarge`` before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     NotTwoRegular,
     ParityMismatch,
     UnsupportedRing,
+    brief,
 )
 from .ring import Mod2Element, Ring, RingElement, Value
 
@@ -87,7 +88,7 @@ class Orientation(Value):
     def __init__(self, u: RingElement):
         self.u_inv = u.ring.try_inverse(u)
         if self.u_inv is None:
-            raise NotAUnit(f"orientation value {u!r} is not a unit")
+            raise NotAUnit(f"orientation value {brief(u)} is not a unit")
         self.u = u
 
     def __repr__(self):
@@ -147,7 +148,7 @@ def change_basis(alg: FreeQuadraticAlgebra, eps, alpha) -> FreeQuadraticAlgebra:
     eps = ring.coerce(eps)
     alpha = ring.coerce(alpha)
     if not ring.is_unit(eps):
-        raise NotAUnit(f"{eps!r} is not a unit")
+        raise NotAUnit(f"{brief(eps)} is not a unit")
     r, s = alg.r, alg.s
     return FreeQuadraticAlgebra(ring, r * eps - 2 * alpha,
                                 alpha * alpha - r * alpha * eps + s * eps * eps)
@@ -173,10 +174,10 @@ def build_from_type(ring: Ring, t: AlgebraType, lift: RingElement) -> FreeQuadra
     """tau^2 + lift*tau - (delta - lift^2)/4, when the type is valid."""
     lift = ring.coerce(lift)
     if ring.mod2(lift) != t.parity:
-        raise BadLift(f"{lift!r} does not lift the parity {t.parity!r}")
+        raise BadLift(f"{brief(lift)} does not lift the parity {brief(t.parity)}")
     quarter = _quarter_coords(ring, t, lift.coords)
     if quarter is None:
-        raise InvalidTriple(f"{t!r} is not the type of any quadratic algebra")
+        raise InvalidTriple(f"{brief(t)} is not the type of any quadratic algebra")
     return FreeQuadraticAlgebra(ring, lift, RingElement(ring, ring._neg_coords(quarter)))
 
 
@@ -187,7 +188,7 @@ def freeok_iso(alg: FreeQuadraticAlgebra, ptilde) -> tuple[FreeQuadraticAlgebra,
         raise NotTwoRegular("the halving step needs 2 regular")
     ptilde = ring.coerce(ptilde)
     if ring.mod2(ptilde) != ring.mod2(alg.r):
-        raise ParityMismatch(f"{ptilde!r} is not congruent to {alg.r!r} mod 2")
+        raise ParityMismatch(f"{brief(ptilde)} is not congruent to {brief(alg.r)} mod 2")
     target = build_from_type(ring, type_of(alg), ptilde)
     hom = AlgebraHom(ring.one, ring.try_halve(ptilde - alg.r))
     if not hom.verifies(alg, target):
@@ -300,26 +301,23 @@ def _search_homs(a: FreeQuadraticAlgebra, b: FreeQuadraticAlgebra, units=None):
     The hom equations read 2u*v = u^2*r' - r*u and v^2 + r*v = u^2*s' - s;
     u is a unit, so the first is 2v = u*r' - r.  For each u both right-hand
     sides come from the tuple kernels, three products and two differences,
-    and are looked up in the index with no element built.  v is scanned by
-    comparing indices against ``double`` and the kept row of v*(v + r) of the
-    ring's ``FiniteTables``, read before the units are listed, so a ring past
-    the table cap is refused before any division.  Only the u and v of a hom
-    found are made elements, and the hom is verified once, by
+    and their indices are one lookup in the kept map of (2v, v*(v + r)) to v
+    of the ring's ``FiniteTables``, read before the units are listed, so a
+    ring past the table cap is refused before any division.  Only the u and
+    v of a hom found are made elements, and the hom is verified once, by
     ``AlgebraHom.verifies``.
     """
     ring = a.ring
     t = ring.tables
     r, s, rp, sp = a.r.coords, a.s.coords, b.r.coords, b.s.coords
-    index, elements, double, quad = t.index, t.elements, t.double, t.row(r)
+    index, solutions = t.index, t.solutions(r)
     sub, mul = ring._sub_coords, ring._mul_coords
     for u in map(attrgetter("coords"), units or ring.units):
-        lin, const = index[sub(mul(u, rp), r)], index[sub(mul(mul(u, u), sp), s)]
-        for v, (twov, q) in enumerate(zip(double, quad)):
-            if twov == lin and q == const:
-                hom = AlgebraHom(RingElement(ring, u), RingElement(ring, elements[v]))
-                if not hom.verifies(a, b):
-                    raise AssertionError("index tables disagree with ring arithmetic")
-                yield hom
+        for v in solutions.get((index[sub(mul(u, rp), r)], index[sub(mul(mul(u, u), sp), s)]), ()):
+            hom = AlgebraHom(RingElement(ring, u), RingElement(ring, v))
+            if not hom.verifies(a, b):
+                raise AssertionError("index tables disagree with ring arithmetic")
+            yield hom
 
 
 def automorphisms_bruteforce(alg: FreeQuadraticAlgebra) -> list[AlgebraHom]:

@@ -116,7 +116,7 @@ class GL2Matrix(Value):
         self.delta = ring.coerce(delta)
         self.det_inv = ring.try_inverse(self.det())
         if self.det_inv is None:
-            raise SingularMatrix(f"determinant {self.det()!r} is not a unit")
+            raise SingularMatrix(f"determinant {brief(self.det())} is not a unit")
 
     def det(self) -> RingElement:
         return self.alpha * self.delta - self.beta * self.gamma
@@ -141,7 +141,7 @@ def act_gl2gl1(mu: GL2Matrix, e, q: TwistedForm) -> TwistedForm:
     """Substitute (x, y) -> (alpha x + beta y, gamma x + delta y), scale by e."""
     e = q.ring.coerce(e)
     if not q.ring.is_unit(e):
-        raise NotAUnit(f"scale factor {e!r} is not a unit")
+        raise NotAUnit(f"scale factor {brief(e)} is not a unit")
     return _substitute(mu, e, q)
 
 

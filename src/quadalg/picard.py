@@ -248,7 +248,7 @@ def ideal_to_form(ideal: OrderIdeal) -> TwistedForm:
     back to the class of [3,2,4].
     """
     if not is_invertible(ideal):
-        raise NotInvertible(f"{ideal!r} is not invertible")
+        raise NotInvertible(f"{brief(ideal)} is not invertible")
     order = ideal.order
     u, v = ideal.basis()
     n = ideal_norm(ideal)

@@ -31,8 +31,9 @@ wrap the tuple they return.  An int factor (``4 * s``; a bool is coerced)
 goes to ``_scale_coords`` and is never made an element.  A caller that chains many
 operations (``algebras``, ``FiniteTables``) coerces its operands once, runs
 the kernels and builds an element only for a value it returns.
-``compile_kernels`` writes the lattice ring's kernels out (Z is the 1 x 1
-table, compiled once and kept), such as
+``compile_kernels`` writes the lattice ring's eight kernels out (Z is the
+1 x 1 table, compiled once and kept): the five above, the rows q*e_i of a
+tuple q, halving and the residue mod 2, such as
 ``(x[0]*(y[0]) + x[1]*(c0*y[1]), x[0]*(y[1]) + x[1]*(y[0]))`` for the
 product of Z[sqrt(c0)].  Every quotient in Z[1/f], halving too, goes
 through ``LocalizationRing._divide``, which asks ``in_localization`` ("n/d
@@ -51,13 +52,15 @@ kernels, ``descriptor`` and ``describe``; ``Ring`` derives the rest:
 ``try_inverse`` and ``is_unit`` divide 1, and ``mod2`` and
 ``mod2_residues`` give R/2R, 0 when 1 halves and else the coordinates
 mod 2.  The lattice ring builds the rows of an ideal in one place,
-``_ideal_rows``: the g*e_i of the generators g and, mod m, the rows m*e_k.
-It divides by ``solve_int`` on the rows of q.  Its one unit-ideal test,
+``_ideal_rows``: the rows g*e_i of each generator g (the ``_rows`` kernel)
+and, mod m, the rows m*e_k.  It divides by ``solve_int`` on the rows of q
+and the rows m*e_k.  Its one unit-ideal test,
 ``_generates_unit_ideal``, asks whether some tuples generate the whole ring
 (x is a unit; a, b, c are primitive, ``forms.is_primitive``): exactly when
 the HNF of their rows is the identity.  It branches on m only where the
-maths does: 2 is regular when free or m is odd, a free ring halves each
-coordinate and an odd m scales by (m + 1)/2, and a quotient has no N.  ``Ring.element``,
+maths does, and the kernels at compile time: 2 is regular when free or m is
+odd, a free ring halves each coordinate and an odd m scales by (m + 1)/2,
+R/2R is 0 mod an odd m, and a quotient has no N.  ``Ring.element``,
 ``from_rational`` and the m of Z/m and f of Z[1/f] read exact ints
 (``operator.index``: a float or a string raises TypeError).
 
@@ -67,9 +70,10 @@ The classification of quadratic algebras asks a ring three more questions:
 root in Z[1/f]; and ``Ring.quadratic_param``, the N of Z[sqrt(N)] (else
 None).  A quotient ring finds its units by the unit-ideal test on each
 coordinate tuple, with no division, capped at ``UNIT_SCAN_CAP`` elements,
-and keeps ``FiniteTables``, its coordinate tuples and the rows of indices
-that the brute-force searches scan for v, so that the scan runs on plain
-ints, capped at ``FINITE_TABLE_CAP`` elements (RingTooLarge above either cap).
+and keeps ``FiniteTables``, its coordinate tuples and, for each r, the map
+from the indices of (2v, v*(v + r)) to v in which the brute-force searches
+find v, one lookup per unit, capped at ``FINITE_TABLE_CAP`` elements
+(RingTooLarge above either cap).
 Any other unit test is a division, whose inverse is kept where it is read:
 ``Orientation`` and ``GL2Matrix`` keep theirs (``u_inv``, ``det_inv``).
 """
@@ -277,15 +281,21 @@ def standard_basis(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=64)
 def compile_kernels(table, m: int | None = None):
-    """(add, neg, sub, scale, mul) on the coordinate tuples of the ring with
-    structure constants table, each coordinate reduced mod m unless m is
-    None: one generated lambda each, scale(t, x) being t*x for an int t and
-    coordinate k of x*y the sum over i of x[i]*(sum_j table[i][j][k]*y[j]).
-    The source holds only indices and names: m and each constant other than
-    +-1 (c0, c1, ...) are parameters of an outer lambda, so every value is a
-    closure cell, never decimal text.  The last 64 (table, m), as nested
+    """(add, neg, sub, scale, mul, rows, halve, mod2) on the coordinate tuples
+    of the ring with structure constants table, each coordinate reduced mod m
+    unless m is None: one generated lambda each, scale(t, x) being t*x for an
+    int t and coordinate k of x*y the sum over i of x[i]*(sum_j
+    table[i][j][k]*y[j]).  rows(q) is the list of the tuples q*e_i, whose
+    coordinate k is sum_j q[j]*table[j][i][k].  halve(x) is x/2 or None: in a
+    free ring None when a coordinate is odd, else each coordinate >> 1; mod an
+    odd m, h*x with h = (m + 1)/2, the inverse of 2; mod an even m, None.
+    mod2(x) is each coordinate & 1, or the zero tuple when 2 is a unit (m odd).
+    The source holds only indices and names: m, h and each constant other
+    than +-1 (c0, c1, ...) are parameters of an outer lambda, so every value
+    is a closure cell, never decimal text.  The last 64 (table, m), as nested
     tuples, keep theirs: every Z and every rebuilt ring share one compile."""
     n, names = len(table), {}
+    odd = m is not None and m % 2 == 1  # 2 is a unit mod an odd m
 
     def scaled(c: int, y: str) -> str:
         return (y if c == 1 else "-" + y if c == -1
@@ -295,17 +305,34 @@ def compile_kernels(table, m: int | None = None):
         sums = [[scaled(e[k], f"y[{j}]") for j, e in enumerate(row) if e[k]] for row in table]
         return " + ".join(f"x[{i}]*({' + '.join(s)})" for i, s in enumerate(sums) if s) or "0"
 
+    def row(i: int) -> str:
+        # q*e_i, coordinate k being sum_j q[j]*table[j][i][k]
+        return as_tuple(" + ".join(scaled(table[j][i][k], f"q[{j}]") for j in ks
+                                   if table[j][i][k]) or "0" for k in ks)
+
+    def plain(parts) -> str:
+        return "(" + "".join(f"{p}, " for p in parts) + ")"
+
     def as_tuple(parts) -> str:
-        return "(" + "".join(f"{p if m is None else f'({p}) % m'}, " for p in parts) + ")"
+        return plain(parts if m is None else (f"({p}) % m" for p in parts))
 
     ks = range(n)
+    if m is None:
+        halve = (f"lambda x: None if ({' | '.join(f'x[{k}]' for k in ks)}) & 1 "
+                 f"else {plain(f'x[{k}] >> 1' for k in ks)}")
+    else:
+        halve = f"lambda x: {as_tuple(f'h*x[{k}]' for k in ks) if odd else None}"
     kernels = (f"lambda x, y: {as_tuple(f'x[{k}] + y[{k}]' for k in ks)}",
                f"lambda x: {as_tuple(f'-x[{k}]' for k in ks)}",
                f"lambda x, y: {as_tuple(f'x[{k}] - y[{k}]' for k in ks)}",
                f"lambda t, x: {as_tuple(f't*x[{k}]' for k in ks)}",
-               f"lambda x, y: {as_tuple(product(k) for k in ks)}")  # names complete after this
-    src = f"lambda {''.join(c + ', ' for c in names.values())}m: ({', '.join(kernels)})"
-    return eval(src, {"__builtins__": {}})(*names, m)
+               f"lambda x, y: {as_tuple(product(k) for k in ks)}",
+               f"lambda q: [{', '.join(row(i) for i in ks)}]",
+               halve,
+               f"lambda x: {plain('0' if odd else f'x[{k}] & 1' for k in ks)}")
+    # names are complete once the products and rows are written
+    src = f"lambda {''.join(c + ', ' for c in names.values())}m, h: ({', '.join(kernels)})"
+    return eval(src, {"__builtins__": {}})(*names, m, (m + 1) // 2 if odd else None)
 
 
 class RingElement:
@@ -521,6 +548,7 @@ class Ring:
         return self._mod2_coords(self._mul_coords(t, residue + self.one_coords[self.rank:]))
 
     def _mod2_coords(self, t: tuple[int, ...]) -> tuple[int, ...]:
+        # Z[1/f]'s: the lattice ring compiles its own
         if self._two_is_unit:
             return (0,) * self.rank
         return tuple([c & 1 for c in t[:self.rank]])
@@ -689,11 +717,12 @@ class TableRing(Ring):
         self._check_associativity()
 
     def _compile(self, table, m: int | None = None):
-        """Hold the table, m (None when free) and the table's kernels mod m."""
+        """Hold the table, m (None when free) and the table's eight kernels mod m."""
         self.rank, self.table, self.m = len(table), table, m
         self.two_regular = m is None or m % 2 == 1  # free, or 2 a unit mod an odd m
         (self._add_coords, self._neg_coords, self._sub_coords, self._scale_coords,
-         self._mul_coords) = compile_kernels(table, m)
+         self._mul_coords, self._rows, self._halve_coords,
+         self._mod2_coords) = compile_kernels(table, m)
         # the rows m*e_k, which division mod m also meets (none when free)
         self._modulus_rows = [tuple(m * c for c in e) for e in standard_basis(self.rank) if m]
 
@@ -728,9 +757,9 @@ class TableRing(Ring):
 
     def _ideal_rows(self, gens) -> list[tuple[int, ...]]:
         """The rows that span the ideal the tuples gens generate, as a lattice:
-        each g*e_i, then the modulus rows m*e_k (none when free)."""
-        basis = standard_basis(self.rank)
-        return [self._mul_coords(g, e) for g in gens for e in basis] + self._modulus_rows
+        the rows g*e_i of each g (``_rows``), then the modulus rows m*e_k
+        (none when free)."""
+        return [row for g in gens for row in self._rows(g)] + self._modulus_rows
 
     def _generates_unit_ideal(self, gens) -> bool:
         """Do the tuples gens generate the whole ring?  Exactly when the HNF of
@@ -739,22 +768,12 @@ class TableRing(Ring):
 
     def _divide_coords(self, p, q):
         """y with q*y = p (mod m): the first rank entries of an integer combination
-        of the ideal rows of q that meets p, read by ``_scale_coords``."""
+        of the rows q*e_i and m*e_k that meets p, read by ``_scale_coords``."""
         # solve_int's x meets the target exactly, so q*y = p needs no recheck
-        sol = solve_int(self._ideal_rows([q]), p)
+        sol = solve_int(self._rows(q) + self._modulus_rows, p)
         return None if sol is None else self._scale_coords(1, sol)
 
     try_divide = Ring.try_divide  # bound here too, where perfbench/spans.py traces it
-
-    def _halve_coords(self, t):
-        # free: halve each coordinate; odd m: scale by (m + 1)/2 = 1/2; even m:
-        # None is all _two_is_unit reads, as try_halve refuses such a ring
-        if self.m is None:
-            half = tuple([c >> 1 for c in t])
-            return half if self._scale_coords(2, half) == t else None
-        if self.m % 2:
-            return self._scale_coords((self.m + 1) // 2, t)
-        return None
 
     @cached_property
     def quadratic_param(self) -> int | None:
@@ -887,15 +906,16 @@ class QuotientRing(TableRing):
 
 class FiniteTables:
     """A finite ring on indices into its list of coordinate tuples, holding
-    what the v-scan of ``algebras._search_homs`` reads.
+    what the v-lookup of ``algebras._search_homs`` reads.
 
     ``elements`` holds the tuples in ``enumerate_elements`` order, and
     ``index`` maps each tuple back to its position.  ``double`` is y -> index
-    of 2y, built with the index from ``_scale_coords``.  ``row(r)`` is
-    y -> index of y*(y + r) for the tuple r, built on first use from the tuple
-    kernels ``_mul_coords`` and ``_add_coords``, with no element, and kept
-    under r, so a search pays n products for its row and never for the n x n
-    table.  The rows are lists of ints, so the scan compares ints, not tuples.
+    of 2y, built with the index from ``_scale_coords``.  ``solutions(r)``
+    maps each pair (index of 2y, index of y*(y + r)) to the tuples y that give
+    it, in element order; it is built on first use from the tuple kernels
+    ``_mul_coords`` and ``_add_coords``, with no element, and kept under the
+    tuple r, so a search pays n products for its map, never the n x n table,
+    and finds the v of each unit in one lookup.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -907,15 +927,17 @@ class FiniteTables:
         self.elements = list(itertools.product(range(ring.m), repeat=ring.rank))
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.double = [self.index[ring._scale_coords(2, y)] for y in self.elements]
-        self.rows: dict[tuple[int, ...], list[int]] = {}
+        self.maps: dict[tuple[int, ...], dict[tuple[int, int], list[tuple[int, ...]]]] = {}
 
-    def row(self, r: tuple[int, ...]) -> list[int]:
-        """The indices of y*(y + r) for y in element order."""
-        row = self.rows.get(r)
-        if row is None:
-            add, mul = self.ring._add_coords, self.ring._mul_coords
-            row = self.rows[r] = [self.index[mul(y, add(y, r))] for y in self.elements]
-        return row
+    def solutions(self, r: tuple[int, ...]) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+        """The tuples y, in element order, under (index of 2y, index of y*(y + r))."""
+        found = self.maps.get(r)
+        if found is None:
+            add, mul, index = self.ring._add_coords, self.ring._mul_coords, self.index
+            found = self.maps[r] = {}
+            for y, twice in zip(self.elements, self.double):
+                found.setdefault((twice, index[mul(y, add(y, r))]), []).append(y)
+        return found
 
 
 class LocalizationRing(Ring):

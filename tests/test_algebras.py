@@ -663,17 +663,18 @@ def test_bruteforce_matches_generic_search():
 
 
 def test_a_wrong_table_entry_trips_the_hom_verification():
-    # over Z/8, tau^2 - 1 and tau^2 - 5 are not isomorphic; a planted product
-    # that makes (u, v) = (1, 0) pass the index scan must fail the ring check
+    # over Z/8, tau^2 - 1 and tau^2 - 5 are not isomorphic; a planted entry
+    # that makes (u, v) = (1, 0) pass the index lookup must fail the ring check
     ring = QuotientRing(Z, 8)
     a, b = alg(ring, 0, -1), alg(ring, 0, -5)
     assert isomorphic_bruteforce(a, b) is None
     t = ring.tables
-    # for u = 1, v = 0 meets 2v = u*r' - r = 0, and v^2 + r*v = 0 is tested
-    # against u^2*s' - s = 1*(-5) + 1 = 4 mod 8 by reading v*(v + r) at
-    # v = 0 from the kept row of r; planted as 4 there, it makes (1, 0) pass
-    # the scan
-    t.row(a.r.coords)[t.index[ring.zero.coords]] = t.index[ring.from_int(4).coords]
+    # for u = 1 the lookup reads the v with 2v = u*r' - r = 0 and
+    # v^2 + r*v = u^2*s' - s = 1*(-5) + 1 = 4 mod 8 from the kept map of r;
+    # none has both, and v = 0 planted there makes (1, 0) pass the lookup
+    key = (t.index[ring.zero.coords], t.index[ring.from_int(4).coords])
+    assert key not in t.solutions(a.r.coords)
+    t.solutions(a.r.coords)[key] = [ring.zero.coords]
     with pytest.raises(AssertionError, match="index tables disagree with ring arithmetic"):
         isomorphic_bruteforce(a, b)
 
@@ -849,34 +850,40 @@ def test_verifies_makes_at_most_five_products(monkeypatch):
 
 def _count_kernels(monkeypatch, ring, calls):
     """Count, by name in the Counter calls, ring's calls of its tuple kernels
-    and of its lattice division (whose products are counted too), in the
-    ring's own namespace: the compiled kernels are restored on undo."""
-    for name in ("_add_coords", "_neg_coords", "_sub_coords", "_mul_coords", "_divide_coords"):
+    and of its lattice division, in the ring's own namespace: the compiled
+    kernels are restored on undo.  A call of the row kernel ``_rows``, which
+    divisions and unit-ideal tests make, counts as its rank products q*e_i
+    under ``_mul_coords``."""
+    for name in ("_add_coords", "_neg_coords", "_sub_coords", "_mul_coords", "_divide_coords",
+                 "_rows"):
         def counted(*args, _name=name, _real=getattr(ring, name)):
-            calls[_name] += 1
+            if _name == "_rows":
+                calls["_mul_coords"] += ring.rank
+            else:
+                calls[_name] += 1
             return _real(*args)
 
         monkeypatch.setitem(vars(ring), name, counted)
 
 
 def test_a_second_bruteforce_search_builds_no_rows(monkeypatch):
-    # the row of v*(v + r) is kept by the tables under r: a second search
-    # from the same r builds no row, whatever its target; each search makes
-    # three products and two differences per unit, u*r' - r and u^2*s' - s,
-    # and no other sum; another r builds its one row
+    # the map of (2v, v*(v + r)) to v is kept by the tables under r: a second
+    # search from the same r builds no map, whatever its target; each search
+    # makes three products and two differences per unit, u*r' - r and
+    # u^2*s' - s, and no other sum; another r builds its one map of n products
     ring = QuotientRing(Z, 8)
     a, b, c, d = alg(ring, 1, 0), alg(ring, 1, 1), alg(ring, 1, 5), alg(ring, 3, 0)
     n, units = len(ring.tables.elements), len(ring.units)
     calls = Counter()
     _count_kernels(monkeypatch, ring, calls)
-    for source, target, rows in ((a, b, 1), (a, b, 0), (a, c, 0), (d, b, 1)):
+    for source, target, maps in ((a, b, 1), (a, b, 0), (a, c, 0), (d, b, 1)):
         calls.clear()
         assert isomorphic_bruteforce(source, target) is None
-        # the row of v*(v + r) makes the only sums
-        assert calls["_add_coords"] == rows * n
+        # the map's v*(v + r) makes the only sums
+        assert calls["_add_coords"] == maps * n
         assert calls["_neg_coords"] == calls["_divide_coords"] == 0
         assert calls["_sub_coords"] == 2 * units
-        assert calls["_mul_coords"] == rows * n + 3 * units
+        assert calls["_mul_coords"] == maps * n + 3 * units
 
 
 def _count_cli_calls(monkeypatch, capsys, cls, name, argv):
@@ -910,11 +917,12 @@ Z512 = '{"kind":"quotient","base":{"kind":"integers"},"m":512}'
 
 
 def test_autos_at_the_cap_builds_few_rows(monkeypatch, capsys):
-    # Z/512 is at FINITE_TABLE_CAP; the search builds one row, y*(y + r), and
-    # makes three products per unit, and the unit scan tests each of the n
-    # tuples for the unit ideal with no division, one product per test at
-    # rank 1: n row products, n for the scan, 3n/2 for the n/2 units and 10
-    # for the two homs' checks (1,802), where a full table takes n(n + 1)/2
+    # Z/512 is at FINITE_TABLE_CAP; the search builds one map, from the n
+    # products y*(y + r), and makes three products per unit, and the unit
+    # scan tests each of the n tuples for the unit ideal with no division,
+    # one row-kernel product per test at rank 1: n map products, n for the
+    # scan, 3n/2 for the n/2 units and 10 for the two homs' checks (1,802),
+    # where a full table takes n(n + 1)/2
     n = 512
     calls, out, err = _count_cli_kernels(monkeypatch, capsys,
                                          ["autos", "--ring", Z512, "--alg", "r=1,s=0"])
@@ -968,7 +976,7 @@ def test_oriented_autos_scans_no_units(monkeypatch, capsys):
 
 def test_oriented_autos_builds_no_rows_of_r_prime_or_s_prime(monkeypatch, capsys):
     # u = 1 reads u*r' and u^2*s' from three products, as every unit does:
-    # the row of y*(y + r), those three products and the hom's check
+    # the map's n products y*(y + r), those three products and the hom's check
     n = 512
     calls, out, err = _count_cli_kernels(monkeypatch, capsys,
                                          ["autos", "--ring", Z512, "--alg", "r=1,s=0",
@@ -977,7 +985,7 @@ def test_oriented_autos_builds_no_rows_of_r_prime_or_s_prime(monkeypatch, capsys
     assert calls["_mul_coords"] <= n + 16
 
 
-# fresh rings, so that no other test has read a row of theirs
+# fresh rings, so that no other test has read a map of theirs
 @pytest.mark.parametrize("ring", [QuotientRing(Z, 8), builtin_ring("f4"), QuotientRing(Z, 9),
                                   QuotientRing(ZSQRT2, 3)], ids=repr)
 def test_cached_search_rows_match_ring_arithmetic(ring):
@@ -986,12 +994,19 @@ def test_cached_search_rows_match_ring_arithmetic(ring):
     assert t.elements == [v.coords for v in elements]
     assert all(t.index[x] == i for i, x in enumerate(t.elements))
     assert [t.elements[i] for i in t.double] == [(v + v).coords for v in elements]
-    assert not t.rows
+    assert not t.maps
     for r in elements:
-        row = t.row(r.coords)
-        assert [t.elements[i] for i in row] == [(v * (v + r)).coords for v in elements]
-        assert t.row(r.coords) is row
-    assert len(t.rows) == len(elements)
+        # every v once, in element order, under the indices of (v + v, v*(v + r))
+        found = t.solutions(r.coords)
+        listed = [ring.element(x) for xs in found.values() for x in xs]
+        assert sorted(listed, key=elements.index) == elements
+        for key, xs in found.items():
+            vs = [ring.element(x) for x in xs]
+            assert [(t.index[(v + v).coords], t.index[(v * (v + r)).coords]) for v in vs] \
+                == [key] * len(vs)
+            assert vs == sorted(vs, key=elements.index)
+        assert t.solutions(r.coords) is found
+    assert len(t.maps) == len(elements)
 
 
 def test_classification_matches_bruteforce_on_two_regular_rings():

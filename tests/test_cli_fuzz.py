@@ -9,7 +9,8 @@ powers of a 60-bit f at and past POWER_BITS_CAP, and Z[sqrt(N)] with N up to
 10^30 (whose fundamental unit may have about sqrt(N) digits) must end each run
 within a time bound, and forms with coefficients of 2000 to 4300 digits, at
 Python's int-to-string digit limit, must exit 0 or with a named error, and
-``compose`` and ``form2ideal`` on them with at most 512 bytes of stderr.
+``compose`` and ``form2ideal`` on them with at most 512 bytes of stderr, as must
+a ring command whose elements hold coordinates of 201 to 4000 digits.
 """
 
 import contextlib
@@ -389,4 +390,39 @@ def test_digit_limit_errors_echo_forms_briefly(name, data):
     # the error through errors.brief: its first 100 characters and its length
     argv = data.draw(digit_limit_argv(name))
     code, _, err = _run(argv)
+    assert code == 0 or len(err.encode()) <= 512, err[:300]
+
+
+# -- ring elements past 200 characters ----------------------------------------------------
+
+# free rings, where an element keeps every digit it is given
+FREE_RINGS = [("z", 1), ("zsqrt2", 2), ("zsqrt8", 2), (json.dumps(_zsqrt(-1)), 2),
+              ("biquad8", 4)]
+# 201 to 4000 digits: past the 200 characters that errors.brief echoes whole
+LONG = st.builds(lambda digits, lead, sign: sign * (lead + 1) * 10 ** (digits - 1),
+                 st.integers(201, 4000), st.integers(1, 8), st.sampled_from([1, -1]))
+
+
+@st.composite
+def long_element_argv(draw):
+    """A ring subcommand over a free ring whose elements mostly hold a
+    coordinate of 201 to 4000 digits, as an orientation value, a coefficient,
+    a delta or a parity."""
+    ring, rank = draw(st.sampled_from(FREE_RINGS))
+    coord = st.one_of(LONG, SMALL)
+
+    def el():
+        coords = [draw(coord) for _ in range(rank)]
+        return str(coords[0]) if rank == 1 else json.dumps(coords)
+
+    return _ring_command(draw, ring, el, lambda: f"r={el()},s={el()}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(long_element_argv())
+def test_errors_echo_long_elements_briefly(argv):
+    # every value a ring command's error names goes through errors.brief:
+    # past 200 characters, its first 100 and its length
+    code, _, err = _run(argv)
+    assert code in (0, 2), err[:300]
     assert code == 0 or len(err.encode()) <= 512, err[:300]

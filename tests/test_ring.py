@@ -44,6 +44,7 @@ from quadalg.ring import (
     solve_hnf,
     solve_int,
     sqrt_mod_prime_power,
+    standard_basis,
     xgcd,
 )
 
@@ -607,6 +608,11 @@ def test_kernels_bind_constants_past_the_int_string_limit():
     q = QuotientRing(ring, 10**4300 + 9)
     assert (q.element((0, 1)) * q.element((0, 1))).coords == (n, 0)
     assert QuotientRing(ring, 11)._mul_coords((0, 1), (0, 1)) == (n % 11, 0)
+    # the odd 4301-digit m halves by its (m + 1)/2, a parameter of the
+    # compiled kernels as m is
+    half = q.try_halve(q.element((1, 3)))
+    assert half.coords == ((q.m + 1) // 2, (q.m + 3) // 2) and (2 * half).coords == (1, 3)
+    assert q._rows((0, 1)) == [(0, 1), (n, 0)]
 
 
 @st.composite
@@ -647,6 +653,9 @@ def test_difference_scale_mod2_and_halving_kernels(ring, data):
     residue = ring.mod2(x)
     assert residue == mod2_by_kind(ring, x)
     assert residue.lift() == ring.element_from_json(list(residue.residue))
+    if ring.kind != "localization":  # the lattice ring's rows q*e_i
+        mul = ring._mul_coords
+        assert ring._rows(x.coords) == [mul(x.coords, e) for e in standard_basis(ring.rank)]
     if ring.two_regular:
         if data.draw(st.booleans()):
             x = x + x
@@ -828,7 +837,7 @@ def test_quotient_division_does_not_enumerate(monkeypatch):
 
 
 def test_finite_tables_match_ring_kernels():
-    # fresh rings, so that no other test has read a row of theirs
+    # fresh rings, so that no other test has read a map of theirs
     rings = (QuotientRing(Z, 4), QuotientRing(Z, 8), builtin_ring("f4"), QuotientRing(Z, 9),
              QuotientRing(Z, 15), QuotientRing(Z, 16), QuotientRing(ZSQRT2, 3),
              QuotientRing(ZSQRT8, 9))
@@ -838,16 +847,22 @@ def test_finite_tables_match_ring_kernels():
         elements = ring.enumerate_elements()
         assert t.elements == [x.coords for x in elements]
         assert all(t.index[x] == i for i, x in enumerate(t.elements))
-        # double[i] is the index of x + x, and row(y)[i] that of x * (x + y),
-        # for the tuple x of index i; a row is built on first use and kept under y
+        # double[i] is the index of x + x for the tuple x of index i, and
+        # solutions(y) lists every x once, in element order, under the indices
+        # of (x + x, x * (x + y)); a map is built on first use and kept under y
         add, mul = ring._add_coords, ring._mul_coords
         assert [t.elements[k] for k in t.double] == [add(x, x) for x in t.elements]
-        assert not t.rows
+        assert not t.maps
         for y in t.elements:
-            row = t.row(y)
-            assert [t.elements[k] for k in row] == [mul(x, add(x, y)) for x in t.elements]
-            assert t.row(y) is row
-        assert len(t.rows) == len(t.elements)
+            found = t.solutions(y)
+            assert sorted((x for xs in found.values() for x in xs), key=t.index.get) \
+                == t.elements
+            for key, xs in found.items():
+                assert [(t.index[add(x, x)], t.index[mul(x, add(x, y))]) for x in xs] \
+                    == [key] * len(xs)
+                assert xs == sorted(xs, key=t.index.get)
+            assert t.solutions(y) is found
+        assert len(t.maps) == len(t.elements)
         # the unit list against the products: 1 is among a unit's products
         assert [u.coords for u in ring.units] == _units_by_products(ring)
 
