@@ -230,7 +230,7 @@ def _unit_and_inverse(ring: Ring, d1, p1, d2, p2) -> tuple[tuple, tuple] | None:
         return None
     elif not any(d1):
         if len(ring.mod2_residues()) > 2 and ring.quadratic_param is None:
-            raise UnsupportedRing(f"no unit-group algorithm for {ring!r}")
+            raise UnsupportedRing(f"no unit-group algorithm for {brief(ring)}")
         eps = one if p1 == p2 else None
     else:
         ratio = divide(d2, d1)

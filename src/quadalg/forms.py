@@ -166,7 +166,7 @@ def is_primitive(q: TwistedForm) -> bool:
     """Whether a, b, c generate the unit ideal, over Z or a table ring."""
     ring = q.ring
     if not isinstance(ring, TableRing) or ring.m is not None:
-        raise UnsupportedRing(f"primitivity is not decided over {ring!r}")
+        raise UnsupportedRing(f"primitivity is not decided over {brief(ring)}")
     return ring._generates_unit_ideal(q.coords)
 
 

@@ -131,7 +131,7 @@ class LineBundleCocycle:
         self.cover, self._eps, k = cover, {}, cover.size
         for (i, j), value in eps.items():
             if not 0 <= i < j < k:
-                raise ValueError(f"cocycle index ({i},{j}) out of range")
+                raise ValueError(f"cocycle index ({brief(i)},{brief(j)}) out of range")
             self._eps[(i, j)] = _as_pair(value, f"cocycle entry ({i},{j})")
         for i, j in combinations(range(k), 2):
             if (i, j) not in self._eps:  # named as the 1-based key of glue-check
@@ -173,7 +173,7 @@ def _inv(x):
     """1/x; ZeroDivisionError for x = 0."""
     n, d = x
     if not n:
-        raise ZeroDivisionError(f"{n}/{d} has no inverse")
+        raise ZeroDivisionError(f"{n}/{brief(d)} has no inverse")
     return (d, n) if n > 0 else (-d, -n)
 
 

@@ -35,8 +35,11 @@ kernel tuples (``TwistedForm.coords``) are read once, no int passes through
 ``coerce`` or ``int()``, no RingElement is built, primitivity is one
 ``gcd``, and the reduction tracks no witness.  The
 HNF ideal path form_to_ideal -> ideal_mul -> ideal_to_form is the paper's
-bijection with the Picard group; it serves form2ideal, ideal2form and
-is_principal, and the tests use it as the oracle for ``compose``.
+bijection with the Picard group (Cox, Primes of the Form x^2 + ny^2, Thm
+7.7); it serves form2ideal, ideal2form and is_principal, and the tests use it
+as the oracle for ``compose``.  An ideal's closure under omega, its
+invertibility and its form are read off one norm form, the three integers of
+``_norm_triple``; ``form_to_ideal`` writes its HNF directly.
 """
 
 from __future__ import annotations
@@ -108,9 +111,6 @@ class QuadraticOrder(Value):
         return (x0 * x0 - self.pitilde * x0 * x1
                 + ((self.pitilde * self.pitilde - self.delta) // 4) * x1 * x1)
 
-    def trace(self, x: Pair) -> int:
-        return 2 * x[0] - self.pitilde * x[1]
-
     def omega_times(self, x: Pair) -> Pair:
         return self.mul((0, 1), x)
 
@@ -128,8 +128,9 @@ def order_from_type(delta: int, pitilde: int) -> QuadraticOrder:
 class OrderIdeal(Value):
     """Full ideal with Z-basis (a, b + c*omega): hnf = [[a, b], [0, c]].
 
-    Canonical: a, c > 0 and 0 <= b < a; the lattice must be closed under
-    multiplication by omega.
+    Canonical: a, c > 0 and 0 <= b < a; the lattice c*(a', b' + omega) must
+    be closed under omega: c divides a = c*a' and b = c*b', and a' divides
+    N(b' + omega).
     """
 
     __slots__ = ("order", "a", "b", "c")
@@ -137,14 +138,13 @@ class OrderIdeal(Value):
 
     def __init__(self, order: QuadraticOrder, a: int, b: int, c: int):
         if a <= 0 or c <= 0 or not 0 <= b < a:
-            raise ValueError(f"({a},{b},{c}) is not in canonical HNF")
+            raise ValueError(f"({brief(a)},{brief(b)},{brief(c)}) is not in canonical HNF")
+        if a % c or b % c or order.norm((b // c, 1)) % (a // c):
+            raise ValueError("lattice is not closed under omega")
         self.order = order
         self.a = a
         self.b = b
         self.c = c
-        for gen in ((a, 0), (b, c)):
-            if not self.contains(order.omega_times(gen)):
-                raise ValueError("lattice is not closed under omega")
 
     def contains(self, x: Pair) -> bool:
         x0, x1 = x
@@ -202,16 +202,19 @@ def conjugate(ideal: OrderIdeal) -> OrderIdeal:
     return OrderIdeal.from_lattice(order, [order.conj(u) for u in ideal.basis()])
 
 
-def scale_ideal(ideal: OrderIdeal, n: int) -> OrderIdeal:
-    if n <= 0:
-        raise ValueError("scale must be positive")
-    return OrderIdeal(ideal.order, n * ideal.a, n * ideal.b, n * ideal.c)
+def _norm_triple(ideal: OrderIdeal) -> tuple[int, int, int]:
+    """(a', pitilde - 2b', N(b' + omega)/a') of ideal = c*(a', b' + omega): the
+    coefficients of its norm form N(x*a - y*(b + c*omega))/N(I), N(I) = a*c."""
+    order, c = ideal.order, ideal.c
+    a, b = ideal.a // c, ideal.b // c
+    return a, order.pitilde - 2 * b, order.norm((b, 1)) // a
 
 
 def is_invertible(ideal: OrderIdeal) -> bool:
-    """I * conj(I) = N(I) * O, the defining property of invertibility."""
-    product = ideal_mul(ideal, conjugate(ideal))
-    return product == scale_ideal(OrderIdeal.whole_order(ideal.order), ideal_norm(ideal))
+    """I * conj(I) = N(I) * O: I is proper (Cox, Primes of the Form x^2 + ny^2,
+    Prop 7.4), which holds exactly when its norm form is primitive (Lemma 7.5
+    and Thm 7.7)."""
+    return gcd(*_norm_triple(ideal)) == 1
 
 
 def _checked_coefficients(q: TwistedForm, order: QuadraticOrder) -> tuple[int, int, int]:
@@ -234,14 +237,17 @@ def _checked_coefficients(q: TwistedForm, order: QuadraticOrder) -> tuple[int, i
 
 
 def form_to_ideal(q: TwistedForm, order: QuadraticOrder) -> OrderIdeal:
-    """[a,b,c] -> <a, omega + (pitilde - b)/2>, an invertible ideal of norm |a|."""
+    """[a,b,c] -> <a, omega + (pitilde - b)/2>, an invertible ideal of norm |a|
+    (Cox, Primes of the Form x^2 + ny^2, Thm 7.7), in HNF at once:
+    N(omega + (pitilde - b)/2) = a*c, so |a| and omega + (pitilde - b)/2
+    already span a lattice closed under omega."""
     a, b, _ = _checked_coefficients(q, order)
-    g = ((order.pitilde - b) // 2, 1)
-    return OrderIdeal.from_generators(order, [(a, 0), g])
+    return OrderIdeal(order, abs(a), (order.pitilde - b) // 2 % abs(a), 1)
 
 
 def ideal_to_form(ideal: OrderIdeal) -> TwistedForm:
-    """Norm form N(x*u - y*v)/N(I) on the canonical basis (u, v).
+    """Norm form N(x*u - y*v)/N(I) on the canonical basis (u, v), the triple
+    of ``_norm_triple`` (Cox, Primes of the Form x^2 + ny^2, Thm 7.7).
 
     The sign on the second basis vector pins the class-level inverse of
     form_to_ideal: <3, omega-1> in the order of discriminant -44 must map
@@ -249,13 +255,7 @@ def ideal_to_form(ideal: OrderIdeal) -> TwistedForm:
     """
     if not is_invertible(ideal):
         raise NotInvertible(f"{brief(ideal)} is not invertible")
-    order = ideal.order
-    u, v = ideal.basis()
-    n = ideal_norm(ideal)
-    a = order.norm(u) // n
-    b = -order.trace(order.mul(u, order.conj(v))) // n
-    c = order.norm(v) // n
-    return TwistedForm.over_z(a, b, c)
+    return TwistedForm.over_z(*_norm_triple(ideal))
 
 
 def compose(order: QuadraticOrder, q1: TwistedForm, q2: TwistedForm) -> TwistedForm:
@@ -349,7 +349,7 @@ def reduced_triples(delta: int) -> list[int]:
 
 def check_range(lo: int, hi: int) -> None:
     if lo > hi or hi >= 0:
-        raise InvalidRange(f"need min <= max < 0, got [{lo}, {hi}]")
+        raise InvalidRange(f"need min <= max < 0, got [{brief(lo)}, {brief(hi)}]")
     if -lo > DISCRIMINANT_CAP:
         raise DiscriminantTooLarge(
             f"|delta| = {brief(-lo)} is past the cap of {DISCRIMINANT_CAP} on a single discriminant"

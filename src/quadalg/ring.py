@@ -50,11 +50,12 @@ quotient's finite-ring members).  A backend (it, or Z[1/f]) writes the
 kernels, ``descriptor`` and ``describe``; ``Ring`` derives the rest:
 ``try_divide``, ``try_halve`` and ``sqrt`` coerce and wrap their kernels,
 ``try_inverse`` and ``is_unit`` divide 1, and ``mod2`` and
-``mod2_residues`` give R/2R, 0 when 1 halves and else the coordinates
-mod 2.  The lattice ring builds the rows of an ideal in one place,
-``_ideal_rows``: the rows g*e_i of each generator g (the ``_rows`` kernel)
-and, mod m, the rows m*e_k.  It divides by ``solve_int`` on the rows of q
-and the rows m*e_k.  Its one unit-ideal test,
+``mod2_residues`` give R/2R from the backend's ``_mod2_coords``: 0 mod an
+odd m and in Z[1/f] for an even f, else the coordinates mod 2 (num mod 2
+of num/f^k in Z[1/f]).  The lattice ring builds the rows of an ideal in
+one place, ``_ideal_rows``: the rows g*e_i of each generator g (the
+``_rows`` kernel) and, mod m, the rows m*e_k.  It divides by ``solve_int``
+on the rows of q and the rows m*e_k.  Its one unit-ideal test,
 ``_generates_unit_ideal``, asks whether some tuples generate the whole ring
 (x is a unit; a, b, c are primitive, ``forms.is_primitive``): exactly when
 the HNF of their rows is the identity.  It branches on m only where the
@@ -393,7 +394,7 @@ class RingElement:
 
     def __int__(self) -> int:
         if any(self.coords[1:]):  # another coordinate, or k > 0 in Z[1/f]
-            raise ValueError(f"{self!r} is not a rational integer")
+            raise ValueError(f"{brief(self)} is not a rational integer")
         return self.coords[0]
 
     def is_zero(self) -> bool:
@@ -457,8 +458,9 @@ class Ring:
     An element's ``coords`` is its kernel tuple: the coordinates in the
     lattice ring, and in Z[1/f] the pair (num, k) of num/f^k, f not dividing
     num unless k = 0, so zero is the all-zero tuple.  ``_from_coords`` makes
-    the element of a tuple (None for None).  ``_mod2_coords`` and
-    ``_residue_times`` work in R/2R.
+    the element of a tuple (None for None).  ``_mod2_coords``, the residue
+    mod 2 of a kernel tuple, is the backend's too, and ``_residue_times``,
+    ``mod2`` and ``mod2_residues`` work in R/2R from it.
 
     Rings are immutable once built, so equality and hashing use a frozen
     copy of the descriptor, taken once on first use.
@@ -497,9 +499,9 @@ class Ring:
             return self.from_int(x)
         if isinstance(x, RingElement):
             if x.ring != self:
-                raise RingMismatch(f"element of {x.ring!r} used in {self!r}")
+                raise RingMismatch(f"element of {brief(x.ring)} used in {brief(self)}")
             return x
-        raise TypeError(f"cannot coerce {x!r} into {self!r}")
+        raise TypeError(f"cannot coerce {brief(x)} into {brief(self)}")
 
     def _from_coords(self, t: tuple[int, ...] | None) -> RingElement | None:
         return None if t is None else RingElement(self, t)
@@ -521,21 +523,16 @@ class Ring:
         """n/d as an element, for the rings with ``try_from_rational`` (Z, Z[1/f])."""
         x = self.try_from_rational(n, d)
         if x is None:
-            raise ValueError(f"{n}/{d} does not lie in {self!r}")
+            raise ValueError(f"{brief(n)}/{brief(d)} does not lie in {brief(self)}")
         return x
 
     def try_halve(self, x: RingElement) -> RingElement | None:
         """The unique y with 2y = x, when it exists; requires 2 regular."""
         if not self.two_regular:
-            raise NotTwoRegular(f"halving is not unique in {self!r}")
+            raise NotTwoRegular(f"halving is not unique in {brief(self)}")
         return self._from_coords(self._halve_coords(self.coerce(x).coords))
 
-    # -- R/2R, from division ----------------------------------------------------
-
-    @cached_property
-    def _two_is_unit(self) -> bool:
-        # halving 1 on its kernel tuple: unlike is_unit(2), no try_inverse and no element
-        return self._halve_coords(self.one_coords) is not None
+    # -- R/2R, from the backend's _mod2_coords -------------------------------
 
     def mod2(self, x: RingElement) -> Mod2Element:
         """The class of x in R/2R: 0 when 2 is a unit, else the coordinates mod 2
@@ -547,18 +544,14 @@ class Ring:
         # coordinates, then the identity's other entries (k = 0 in Z[1/f])
         return self._mod2_coords(self._mul_coords(t, residue + self.one_coords[self.rank:]))
 
-    def _mod2_coords(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        # Z[1/f]'s: the lattice ring compiles its own
-        if self._two_is_unit:
-            return (0,) * self.rank
-        return tuple([c & 1 for c in t[:self.rank]])
-
     def mod2_residues(self) -> list[Mod2Element]:
         """Canonical representatives of R/2R: the distinct ``mod2`` classes of
-        the 0/1 coordinate vectors, in ``itertools.product`` order."""
-        if self._two_is_unit:
-            return [self.mod2(self.zero)]
-        return [Mod2Element(self, v) for v in itertools.product((0, 1), repeat=self.rank)]
+        the 0/1 coordinate vectors, each with the identity's tail (k = 0 in
+        Z[1/f]), in ``itertools.product`` order."""
+        tail = self.one_coords[self.rank:]
+        residues = dict.fromkeys(self._mod2_coords(v + tail)
+                                 for v in itertools.product((0, 1), repeat=self.rank))
+        return [Mod2Element(self, r) for r in residues]
 
     # -- global structure ------------------------------------------------------
 
@@ -566,7 +559,7 @@ class Ring:
         return False
 
     def enumerate_elements(self) -> list[RingElement]:
-        raise InfiniteRing(f"{self!r} is infinite")
+        raise InfiniteRing(f"{brief(self)} is infinite")
 
     @property
     def units(self) -> list[RingElement] | None:
@@ -583,7 +576,7 @@ class Ring:
         return self._from_coords(self._sqrt_coords(self.coerce(x).coords))
 
     def _sqrt_coords(self, t: tuple[int, ...]) -> tuple[int, ...] | None:
-        raise UnsupportedRing(f"no square-root routine for {self!r}")
+        raise UnsupportedRing(f"no square-root routine for {brief(self)}")
 
     # -- serialization ----------------------------------------------------------
 
@@ -605,7 +598,8 @@ class Ring:
                 raise ValueError(f"a ring element object is missing 'coords', got {brief(data)}")
             k = json_int(data.get("k", 0), "'k'")
             if k > EXPONENT_CAP:
-                raise ExponentTooLarge(f"'k' is {k}; input exponents are capped at {EXPONENT_CAP}")
+                raise ExponentTooLarge(f"'k' is {brief(k)}; input exponents are capped at "
+                                       f"{EXPONENT_CAP}")
             if self.kind == "localization" and k * self.f.bit_length() > POWER_BITS_CAP:
                 raise ExponentTooLarge(f"'k' is {k}, so f^k may have {k * self.f.bit_length()} bits;"
                                        f" input powers of f are capped at {POWER_BITS_CAP} bits")
@@ -619,7 +613,7 @@ class Ring:
         if self.kind == "localization":
             return self.element(coords + (k,))
         if k:
-            raise ValueError(f"{self!r} carries no denominator exponent")
+            raise ValueError(f"{brief(self)} carries no denominator exponent")
         return self.element(coords)
 
     def format_element(self, x: RingElement) -> str:
@@ -888,8 +882,8 @@ class QuotientRing(TableRing):
         UNIT_SCAN_CAP elements (RingTooLarge above)."""
         size = self.m ** self.rank
         if size > UNIT_SCAN_CAP:
-            raise RingTooLarge(f"{self!r} has {size} elements; unit scans are capped at "
-                               f"{UNIT_SCAN_CAP}")
+            raise RingTooLarge(f"{brief(self)} has {brief(size)} elements; unit scans are "
+                               f"capped at {UNIT_SCAN_CAP}")
         return [RingElement(self, t) for t in itertools.product(range(self.m), repeat=self.rank)
                 if self._generates_unit_ideal([t])]
 
@@ -921,7 +915,7 @@ class FiniteTables:
     def __init__(self, ring: QuotientRing):
         size = ring.m ** ring.rank
         if size > FINITE_TABLE_CAP:
-            raise RingTooLarge(f"{ring!r} has {size} elements; finite-ring tables "
+            raise RingTooLarge(f"{brief(ring)} has {brief(size)} elements; finite-ring tables "
                                f"are capped at {FINITE_TABLE_CAP}")
         self.ring = ring
         self.elements = list(itertools.product(range(ring.m), repeat=ring.rank))
@@ -959,7 +953,7 @@ class LocalizationRing(Ring):
     def element(self, coords) -> RingElement:
         coords = tuple(map(index, coords))
         if len(coords) != 2:
-            raise ValueError(f"an element of {self!r} is the pair (num, k) of num/f^k, "
+            raise ValueError(f"an element of {brief(self)} is the pair (num, k) of num/f^k, "
                              f"got {brief(coords)}")
         num, k = coords
         if k < 0:
@@ -978,7 +972,7 @@ class LocalizationRing(Ring):
     def try_from_rational(self, n: int, d: int = 1) -> RingElement | None:
         n, d = index(n), index(d)
         if not d:
-            raise ZeroDivisionError(f"{n}/0 is not a rational number")
+            raise ZeroDivisionError(f"{brief(n)}/0 is not a rational number")
         return self._from_coords(self._divide(n, d))
 
     def _divide(self, n: int, d: int, e: int = 0) -> tuple[int, int] | None:
@@ -1019,6 +1013,10 @@ class LocalizationRing(Ring):
 
     def _halve_coords(self, x):
         return self._divide(x[0], 2, x[1])
+
+    def _mod2_coords(self, x):
+        # 2 is a unit for an even f; for an odd f, num/f^k = num mod 2
+        return (0,) if self.f % 2 == 0 else (x[0] & 1,)
 
     def _divide_coords(self, p, q):
         return self._divide(p[0], q[0], p[1] - q[1]) if q[0] else None

@@ -7,9 +7,11 @@ node ids) expected to kill it, and ``why`` it matters.  A mutant that
 changes no behaviour is kept with ``"equivalent": true`` and the reason as
 its ``why``: it is checked for staleness like the others, but not run.
 
-    python tests/mutation_check.py
+    python tests/mutation_check.py [ID ...]
 
-first runs every listed test on an unchanged copy of the checkout, which must
+runs the mutants named by their ids, or every mutant when none is named; an
+id that the catalogue lacks is named, and the script exits 1.  It first runs
+the tests of those mutants on an unchanged copy of the checkout, which must
 pass: a test that already fails kills nothing.  Then, for each mutant, it
 copies ``src``, ``tests``, ``perfbench``, ``pyproject.toml`` and
 ``README.md`` to a temporary directory, applies the mutant there, and runs
@@ -115,8 +117,14 @@ def first_failure(output: str) -> str:
     return "a collection error"
 
 
-def main() -> int:
+def main(ids: list[str]) -> int:
     mutants = load_catalogue()
+    unknown = sorted(set(ids) - {m["id"] for m in mutants})
+    if unknown:
+        print(f"no mutant {', '.join(unknown)} in {CATALOGUE.name}")
+        return 1
+    if ids:
+        mutants = [m for m in mutants if m["id"] in ids]
     problems = stale_entries(mutants)
     for problem in problems:
         print(f"stale: {problem}")
@@ -152,4 +160,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,8 @@ search, automorphism counts from a full map-level search, reduced forms from
 a scan over every (a, b) and from a divisor scan, the ambiguous forms from
 genus theory, opposition orbits from Gauss reduction, the streamed ``table``
 text from one sweep and one render, composition from the HNF ideal product
-of ideals built from the coefficients here,
+of ideals built from the coefficients here, closure under omega from the
+omega-products, invertibility from I * conj(I) = N(I) * O,
 homs of algebras from the hom equations expanded term by term in ring
 arithmetic (over finite rings on every (u, v)), class numbers from
 Dirichlet's analytic formula (the benchmark's ``perfbench/oracles.py``,
@@ -427,6 +428,25 @@ def conjugation_orbits_gauss(triples):
         orbits.append(orbit)
     orbits.sort(key=lambda orb: _form_sort_key(orb[0]))
     return orbits
+
+
+def closed_by_omega(order: QuadraticOrder, a: int, b: int, c: int) -> bool:
+    """Whether the lattice of a and b + c*omega holds omega times each of
+    them, from the two omega-products and a membership test of each (x0 +
+    x1*omega lies in it when c | x1 and a | x0 - (x1/c)*b), not from the
+    divisibility rule of the ``OrderIdeal`` constructor."""
+    for x0, x1 in (order.omega_times((a, 0)), order.omega_times((b, c))):
+        if x1 % c or (x0 - x1 // c * b) % a:
+            return False
+    return True
+
+
+def invertible_by_definition(ideal: OrderIdeal) -> bool:
+    """I * conj(I) = N(I) * O, the defining property of invertibility, from
+    the HNF ideal product, not from the norm form that
+    ``picard.is_invertible`` reads."""
+    n = ideal_norm(ideal)
+    return ideal_mul(ideal, conjugate(ideal)) == OrderIdeal(ideal.order, n, 0, n)
 
 
 def ideal_of_form(q: TwistedForm, order: QuadraticOrder) -> OrderIdeal:

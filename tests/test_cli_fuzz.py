@@ -10,7 +10,9 @@ powers of a 60-bit f at and past POWER_BITS_CAP, and Z[sqrt(N)] with N up to
 within a time bound, and forms with coefficients of 2000 to 4300 digits, at
 Python's int-to-string digit limit, must exit 0 or with a named error, and
 ``compose`` and ``form2ideal`` on them with at most 512 bytes of stderr, as must
-a ring command whose elements hold coordinates of 201 to 4000 digits.
+a ring command whose elements hold coordinates of 201 to 4000 digits, a
+ring command over a quotient by an m of 201 to 4001 digits and ``ideal2form``
+on a payload with an entry of 201 to 4000 digits.
 """
 
 import contextlib
@@ -426,3 +428,50 @@ def test_errors_echo_long_elements_briefly(argv):
     code, _, err = _run(argv)
     assert code in (0, 2), err[:300]
     assert code == 0 or len(err.encode()) <= 512, err[:300]
+
+
+# 201 to 4001 digits: Z/m names m past 200 characters, and the size m^2 of
+# Z[sqrt(2)]/m is past the int-to-string digit limit from about 2151 digits
+LONG_MODULUS = st.builds(lambda digits, last: 10 ** (digits - 1) + last,
+                         st.integers(201, 4001), st.integers(0, 9))
+
+
+@st.composite
+def long_modulus_argv(draw):
+    """A ring subcommand over Z/m or Z[sqrt(2)]/m, m of 201 to 4001 digits,
+    on small elements, some with a denominator exponent, that a quotient
+    refuses."""
+    base, rank, symbols = draw(st.sampled_from([({"kind": "integers"}, 1, ""),
+                                                (_zsqrt(2), 2, "e1")]))
+    ring = json.dumps({"kind": "quotient", "base": base, "m": draw(LONG_MODULUS)})
+    element = _element_of(rank, symbols)
+    return _ring_command(draw, ring, lambda: draw(element),
+                         lambda: f"r={draw(element)},s={draw(element)}")
+
+
+@st.composite
+def long_ideal_argv(draw):
+    """ideal2form on the payload of a form's ideal whose delta, pitilde or
+    one HNF entry is an int of 201 to 4000 digits."""
+    a, b, c = draw(DEFINITE)
+    delta = _disc((a, b, c))
+    ideal = {"delta": delta, "pitilde": delta % 2,
+             "hnf": [[a, (delta % 2 - b) // 2 % a], [0, 1]]}
+    where = draw(st.integers(0, 5))
+    if where < 2:
+        ideal[("delta", "pitilde")[where]] = draw(LONG)
+    else:
+        ideal["hnf"][where // 2 - 1][where % 2] = draw(LONG)
+    return ["ideal2form", json.dumps(ideal)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(long_modulus_argv(), long_ideal_argv()))
+def test_errors_echo_long_moduli_briefly(argv):
+    # a ring's m, its size and an ideal's entries are echoed through
+    # errors.brief too, as a named error, never Python's advice on the limit
+    code, _, err = _run(argv)
+    assert code in (0, 2), err[:300]
+    if code:
+        assert len(err.encode()) <= 512 and err.startswith("error: "), err[:300]
+        assert "set_int_max_str_digits" not in err, err[:300]

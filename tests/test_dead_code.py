@@ -22,6 +22,9 @@ UNCALLED = {
     "ring.Ring.enumerate_elements": "span",
     "ring.QuotientRing.enumerate_elements": "span",
     "picard.QuadraticOrder.algebra": "api",
+    "picard.OrderIdeal.contains": "api",
+    "picard.OrderIdeal.from_generators": "api",
+    "picard.OrderIdeal.whole_order": "api",
     "picard.ClassGroup.identity": "api",
     "picard.ClassGroup.inverse": "api",
     "forms.TwistedForm.coefficients": "api",

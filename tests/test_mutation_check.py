@@ -3,6 +3,7 @@ snippet occurs exactly once in its file, and each test it names is defined in
 a file that exists.  ``python tests/mutation_check.py`` runs the mutants
 themselves."""
 
+import mutation_check
 from mutation_check import load_catalogue, stale_entries
 
 
@@ -28,3 +29,28 @@ def test_a_renamed_test_is_stale():
         f"{mutant['id']}: tests/test_algebras.py defines no test test_no_such_search_rows",
         f"{mutant['id']}: no test file tests/test_no_such_file.py",
     ]
+
+
+def test_named_mutants_run_alone(monkeypatch, capsys):
+    # the baseline runs only the named mutants' tests, and only they are run
+    mutants = [m for m in load_catalogue() if not m.get("equivalent")]
+    first, last = mutants[0], mutants[-1]
+    runs = []
+
+    def fake_run(tests, mutant=None):
+        runs.append((tests, mutant and mutant["id"]))
+        return (0, "", 0.0) if mutant is None else (1, f"FAILED {tests[0]} - x", 0.0)
+
+    monkeypatch.setattr(mutation_check, "run_tests", fake_run)
+    assert mutation_check.main([last["id"], first["id"]]) == 0
+    baseline = list(dict.fromkeys(first["tests"] + last["tests"]))
+    assert runs == [(baseline, None), (first["tests"], first["id"]),
+                    (last["tests"], last["id"])]
+    assert capsys.readouterr().out.splitlines()[-1].startswith("2 of 2 mutants killed")
+
+
+def test_an_unknown_mutant_id_is_named(monkeypatch, capsys):
+    monkeypatch.setattr(mutation_check, "run_tests", None)  # nothing may run
+    known = load_catalogue()[0]["id"]
+    assert mutation_check.main([known, "no-such-mutant"]) == 1
+    assert capsys.readouterr().out == "no mutant no-such-mutant in mutants.jsonl\n"

@@ -62,9 +62,12 @@ from oracles import (
     ClassNumbers,
     ambiguous_count,
     class_number,
+    closed_by_omega,
     compose_via_ideals,
     conjugation_orbits_gauss,
     ideal_class_count,
+    ideal_of_form,
+    invertible_by_definition,
     principal_by_norm_equation,
     reduced_forms_bruteforce,
     reduced_triples_divisor_scan,
@@ -148,6 +151,43 @@ def test_is_invertible_conductor_example():
         ideal_to_form(bad)
     with pytest.raises(NotInvertible):
         is_principal(bad)
+
+
+def test_norm_form_matches_the_definitions():
+    # every canonical (a, b, c) with a <= 24 and c <= 8 in every order of
+    # discriminant -3 >= delta > -200, non-maximal ones such as -12, -16, -27
+    # and -28 too: the constructor's closure test, is_invertible and
+    # ideal_to_form against their definitions, and form_to_ideal against the
+    # ideal its generators close, on every primitive form with |a| <= 20
+    for delta in range(-3, -200, -1):
+        if delta % 4 not in (0, 1):
+            continue
+        order = order_from_type(delta, delta % 2)
+        norm, mul, conj = order.norm, order.mul, order.conj
+        for a, c in itertools.product(range(1, 25), range(1, 9)):
+            for b in range(a):
+                try:
+                    ideal = OrderIdeal(order, a, b, c)
+                except ValueError:
+                    assert not closed_by_omega(order, a, b, c), (delta, a, b, c)
+                    continue
+                assert closed_by_omega(order, a, b, c), (delta, a, b, c)
+                if not invertible_by_definition(ideal):
+                    assert not is_invertible(ideal), ideal
+                    continue
+                # N(x*u - y*v) = N(u) x^2 - Tr(u*conj(v)) xy + N(v) y^2
+                u, v, n = (a, 0), (b, c), a * c
+                w = mul(u, conj(v))
+                coefficients = (norm(u), -(w[0] + conj(w)[0]), norm(v))
+                assert all(k % n == 0 for k in coefficients), ideal
+                assert ideal_to_form(ideal).int_coefficients() \
+                    == tuple(k // n for k in coefficients), ideal
+        for a in [*range(-20, 0), *range(1, 21)]:
+            for b in range(-2 * abs(a), 2 * abs(a) + 1):
+                c, r = divmod(b * b - delta, 4 * a)
+                if not r and gcd(a, b, c) == 1:
+                    q = F(a, b, c)
+                    assert form_to_ideal(q, order) == ideal_of_form(q, order), (delta, q)
 
 
 def test_is_principal_tests_invertibility_once(monkeypatch):
